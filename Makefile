@@ -1,11 +1,10 @@
 # Development entry points. `make check` is what CI runs.
 
 GO ?= go
-BENCHTIME ?= 100ms
 
-.PHONY: check build test vet race bench benchsmoke servesmoke retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
+.PHONY: check build test vet race bench benchsmoke retrysmoke
 
-check: vet build test race retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
+check: vet build test race retrysmoke
 
 build:
 	$(GO) build ./...
@@ -13,76 +12,29 @@ build:
 vet:
 	$(GO) vet ./...
 
+# test includes the root smoke_test.go, which execs the real worldgen,
+# inspect, permadeadd and permadead-router (skipped under -short).
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# bench runs the archive and analysis benchmarks and records the
-# results (name -> ns/op, B/op, allocs/op) in BENCH_PR2.json via
-# cmd/benchjson, so each PR's perf numbers are a diffable artifact.
-# Raise BENCHTIME (e.g. BENCHTIME=1s) for more stable numbers.
+# bench runs the repo's one perf harness (bench/README.md) over every
+# workload at three seeds and records the result set; compare two sets
+# with `go run ./bench -compare a.json b.json`. For one workload, or a
+# per-layer breakdown:
+#   bash bench/run.sh --workload <name> --seed 1 --seconds 10 [--trace 1]
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ ./internal/archive . \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR2.json
+	bash bench/run.sh -all -seeds 1,2,3 -out bench/out/results.json
 
-# benchsmoke compiles and runs every benchmark exactly once — a CI
-# guard that the benchmarks keep building and don't panic.
+# benchsmoke compiles and runs every Go micro-benchmark exactly once —
+# a CI guard that they keep building and don't panic.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# servesmoke boots permadeadd over a small universe, curls every
-# endpoint, and drives it with loadgen — zero 5xx required.
-servesmoke:
-	./scripts/service_smoke.sh
 
 # retrysmoke runs the retry-policy ablation over a fully flaky small
 # universe and fails unless the false-dead rate strictly decreases
 # single-GET -> retry -> confirmation (DESIGN.md 3.4).
 retrysmoke:
 	$(GO) run ./cmd/ablate -scale 0.06 -seed 1 -flaky 1 -flaky-rate 0.6 -smoke
-
-# batchsmoke drives zipf-skewed NDJSON batch load against a live
-# permadeadd twice (capture prefilter on and off) — zero 5xx and a p99
-# bound required — and records both runs in BENCH_PR6.json.
-batchsmoke:
-	./scripts/batch_smoke.sh
-
-# persistsmoke exercises the paged (format v4) universe store:
-# generate gob, convert with universeconv, cold-start permadeadd from
-# the paged file — startup budget, >= 50x cold-start speedup,
-# byte-identical /v1/classify verdicts vs the gob path, and batch
-# throughput parity all required. Records BENCH_PR7.json.
-persistsmoke:
-	./scripts/persist_smoke.sh
-
-# shardsmoke boots router+shard fleets at 1, 2, and 4 shards over one
-# paged universe and checks the fleet contracts: /v1/classify byte-
-# identical to a standalone server, scatter-gathered /v1/sample totals
-# matching, a killed shard degrading to flagged partials with
-# Retry-After (zero 5xx on healthy-shard traffic), a rebalance
-# handoff, and 4-shard classify throughput >= 3x the 1-shard figure.
-# Records per-fleet-size throughput and scatter p99 in BENCH_PR9.json.
-shardsmoke:
-	./scripts/shard_smoke.sh
-
-# fedsmoke boots federation-less, single-member-federation, and
-# 3-member-federation permadeadd servers over one paged universe and
-# checks the federation contracts: single-member responses byte-
-# identical to the bare archive, usable coverage strictly increased by
-# the skewed secondaries, hedged availability p99 <= 2x the single-
-# archive p99, zero 5xx with one archive member killed (degraded
-# coverage surfaced, not failure), and the per-scenario x per-policy
-# false-dead grid in its expected shape. Records availability
-# throughput and the grid in BENCH_PR10.json.
-fedsmoke:
-	./scripts/fed_smoke.sh
-
-# streamsmoke exercises the continuous verdict monitor against a live
-# permadeadd over a fully flaky universe: exactly-once SSE delivery,
-# Last-Event-ID resume, suspect flagging, IABot repairs landing in
-# wikitext, and a non-empty on-disk journal — then benches SSE fan-out
-# with loadgen's stream workload into BENCH_PR8.json.
-streamsmoke:
-	./scripts/stream_smoke.sh

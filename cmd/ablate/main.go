@@ -249,8 +249,8 @@ func main() {
 
 // runScenarioGrid sweeps the per-scenario × per-policy false-dead
 // grid, prints it, emits one `go test -bench`-format line per cell
-// (so `ablate -scenarios | benchjson` lands the grid in the PR's
-// benchmark record), and enforces its expected shape.
+// (the machine-readable form of the table), and enforces its expected
+// shape.
 func runScenarioGrid(u *worldgen.Universe, records []core.LinkRecord) {
 	grid := ablation.ScenarioSweep(u.World, records, u.Params.StudyTime,
 		ablation.DefaultScenarios(), ablation.DefaultRetryPolicySpecs())

@@ -39,7 +39,6 @@ func main() {
 		quiet   = flag.Bool("quiet", false, "print only the paper-vs-measured comparison")
 		figs    = flag.String("figs", "", "also write SVG figures into this directory")
 		load    = flag.String("load", "", "measure a universe saved by 'worldgen -save' instead of generating one")
-		paged   = flag.Bool("universe.paged", true, "mmap a paged (format v4) universe file and read it page-on-demand; =false reads the file fully into memory")
 		md      = flag.String("md", "", "write a Markdown experiment report to this file")
 		compare = flag.Bool("compare", false, "with -figs: also run the random sample and write both-sample overlays (the paper's Figure 3/4 style)")
 		timeout = flag.Duration("timeout", 15*time.Minute, "overall run timeout")
@@ -59,7 +58,7 @@ func main() {
 	var bundle *persist.Bundle
 	if *load != "" {
 		start := time.Now()
-		b, err := openUniverse(*load, *paged)
+		b, err := persist.OpenPaged(*load)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
 			os.Exit(1)
@@ -88,7 +87,7 @@ func main() {
 
 	// World generation is done; freeze the archive so the parallel
 	// analysis stages read the freeze-time CDX indexes lock-free
-	// (idempotent: worldgen.Generate and persist.Load already froze).
+	// (idempotent: worldgen.Generate and persist.OpenPaged already froze).
 	bundle.Archive.Freeze()
 
 	cfg := core.DefaultConfig()
@@ -180,19 +179,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d SVG figures to %s\n", len(paths), *figs)
 	}
-}
-
-// openUniverse loads a saved universe. Paged (format v4) files are
-// mmap'd and read page-on-demand unless -universe.paged=false, which
-// forces a full read into memory; gob (v3) files always load fully.
-func openUniverse(path string, paged bool) (*persist.Bundle, error) {
-	if paged {
-		return persist.Open(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return persist.Load(f)
 }

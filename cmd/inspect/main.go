@@ -1,14 +1,21 @@
-// Command inspect examines a saved universe ('worldgen -save'): list
-// articles in the permanently-dead tracking category, print an
-// article's wikitext and its links' edit-history facts, or trace one
-// URL across all three substrates — the live web over time, the wiki,
-// and the archive.
+// Command inspect examines a saved universe ('worldgen -save'): verify
+// the file end to end, list articles in the permanently-dead tracking
+// category, print an article's wikitext and its links' edit-history
+// facts, or trace one URL across all three substrates — the live web
+// over time, the wiki, and the archive.
 //
 // Usage:
 //
-//	inspect -load u.gob -category
-//	inspect -load u.gob -article "Some Title"
-//	inspect -load u.gob -url http://host/path.html
+//	inspect -load u.pduniv              # full checksum + structure pass, then a summary
+//	inspect -load u.pduniv -category
+//	inspect -load u.pduniv -article "Some Title"
+//	inspect -load u.pduniv -url http://host/path.html
+//
+// With a mode flag the file is mmap'd and read page-on-demand, so
+// inspecting one article or URL touches only its pages. Without one,
+// inspect first runs persist.VerifyPaged — serving skips checksums by
+// design, so this is where a damaged file is caught — and exits
+// non-zero naming the failing section.
 package main
 
 import (
@@ -28,7 +35,6 @@ import (
 func main() {
 	var (
 		load     = flag.String("load", "", "universe file saved by 'worldgen -save' (required)")
-		paged    = flag.Bool("universe.paged", true, "mmap a paged (format v4) universe file and read it page-on-demand; =false reads the file fully into memory")
 		category = flag.Bool("category", false, "list articles in the permanently-dead tracking category")
 		article  = flag.String("article", "", "print an article's wikitext and link histories")
 		url      = flag.String("url", "", "trace one URL across the web, wiki, and archive")
@@ -40,7 +46,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	b, err := openUniverse(*load, *paged)
+	b, err := persist.OpenPaged(*load)
 	if err != nil {
 		fail(err)
 	}
@@ -58,6 +64,10 @@ func main() {
 	case *url != "":
 		traceURL(b, *url)
 	default:
+		if err := persist.VerifyPaged(*load); err != nil {
+			fail(err)
+		}
+		fmt.Printf("%s: verified (checksums and structure)\n", *load)
 		fmt.Printf("universe: %d sites, %d articles, %d snapshots\n",
 			b.World.Sites(), b.Wiki.Len(), b.Archive.TotalSnapshots())
 		fmt.Println("use -category, -article, or -url to inspect")
@@ -138,22 +148,6 @@ func traceURL(b *persist.Bundle, url string) {
 	if !found {
 		fmt.Println("  not cited in any article")
 	}
-}
-
-// openUniverse loads a saved universe. Paged (format v4) files are
-// mmap'd and read page-on-demand — inspecting one article or URL
-// touches only its pages — unless -universe.paged=false forces a full
-// read; gob (v3) files always load fully.
-func openUniverse(path string, paged bool) (*persist.Bundle, error) {
-	if paged {
-		return persist.Open(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return persist.Load(f)
 }
 
 func fail(err error) {

@@ -6,17 +6,16 @@
 // Usage:
 //
 //	permadeadd [-addr host:port] [-scale f] [-seed n] [-load file]
-//	           [-universe.paged=bool] [-flaky f] [-flaky-stream-days n]
-//	           [-monitor-ttl days] [-journal file] [-repair]
+//	           [-flaky f] [-flaky-stream-days n] [-monitor-ttl days]
+//	           [-journal file] [-repair]
 //	           [-archives manifest.json] [-fed-budget ms] [-fed-hedge f]
 //
 // The universe is generated at startup (or loaded from a 'worldgen
 // -save' file); the server then answers queries until SIGINT/SIGTERM,
 // at which point it drains gracefully: in-flight requests complete,
-// new ones get 503. Paged (format v4) universe files are mmap'd and
-// served page-on-demand, so cold start is milliseconds and resident
-// memory tracks the touched working set; -universe.paged=false forces
-// the whole file into memory instead.
+// new ones get 503. Universe files are mmap'd and served
+// page-on-demand, so cold start is milliseconds and resident memory
+// tracks the touched working set.
 package main
 
 import (
@@ -44,7 +43,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation and sampling seed")
 		sample   = flag.Int("sample", 0, "sample size override (0 = scaled default)")
 		load     = flag.String("load", "", "serve a universe saved by 'worldgen -save' instead of generating one")
-		paged    = flag.Bool("universe.paged", true, "mmap a paged (format v4) universe file and serve it page-on-demand; =false reads the file fully into memory")
 
 		maxInFlight     = flag.Int("max-inflight", defaults.MaxInFlight, "bound on concurrently admitted requests")
 		classifyWorkers = flag.Int("classify-workers", defaults.ClassifyWorkers, "bound on concurrent classifications")
@@ -54,8 +52,6 @@ func main() {
 		negCacheEntries = flag.Int("neg-cache-entries", defaults.NegCacheEntries, "negative-result cache capacity in entries (0 disables)")
 		maxBatch        = flag.Int("max-batch", defaults.MaxBatchLinks, "max links per /v1/classify/batch request")
 		batchWorkers    = flag.Int("batch-workers", defaults.BatchWorkers, "per-batch classify fan-out (clamped to -classify-workers)")
-		noPrefilter     = flag.Bool("no-prefilter", false, "disable the frozen archive's capture prefilter (for benchmarking)")
-		liveLatency     = flag.Duration("live-latency", 0, "floor each classification's service time with this wall-clock wait, modeling real live-web I/O (0 = simulator full speed)")
 		memoCap         = flag.Int("memo-cap", defaults.MemoCap, "per-map entry bound on the archive memo (0 = unbounded)")
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
@@ -87,7 +83,7 @@ func main() {
 	var loadDur time.Duration
 	if *load != "" {
 		start := time.Now()
-		b, err := openUniverse(*load, *paged)
+		b, err := persist.OpenPaged(*load)
 		if err != nil {
 			fatal(err)
 		}
@@ -129,8 +125,6 @@ func main() {
 	cfg.NegCacheEntries = *negCacheEntries
 	cfg.MaxBatchLinks = *maxBatch
 	cfg.BatchWorkers = *batchWorkers
-	cfg.DisablePrefilter = *noPrefilter
-	cfg.SimLiveLatency = *liveLatency
 	cfg.MemoCap = *memoCap
 	cfg.DisableMonitor = *noMonitor
 	cfg.MonitorTTLDays = *monitorTTL
@@ -217,21 +211,6 @@ func main() {
 		fatal(fmt.Errorf("drain incomplete: %w", err))
 	}
 	fmt.Fprintln(os.Stderr, "permadeadd: drained cleanly")
-}
-
-// openUniverse loads a saved universe. Paged (format v4) files are
-// mmap'd and served page-on-demand unless -universe.paged=false, which
-// forces a full read into memory; gob (v3) files always load fully.
-func openUniverse(path string, paged bool) (*persist.Bundle, error) {
-	if paged {
-		return persist.Open(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return persist.Load(f)
 }
 
 func fatal(err error) {

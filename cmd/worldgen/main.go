@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	worldgen [-scale f] [-seed n] [-save u.pduniv] [-save-format paged|gob]
-//	         [-json plans.json] [-v]
+//	worldgen [-scale f] [-seed n] [-save u.pduniv] [-json plans.json] [-v]
 package main
 
 import (
@@ -27,7 +26,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		jsonPath = flag.String("json", "", "write link plans as JSON to this file")
 		savePath = flag.String("save", "", "persist the generated universe to this file")
-		saveFmt  = flag.String("save-format", "paged", `persist format: "paged" (format v4: mmap-able, millisecond loads) or "gob" (legacy format v3)`)
 		dumpPath = flag.String("dump", "", "export the simulated wiki as a MediaWiki XML dump to this file")
 		verbose  = flag.Bool("v", false, "print per-fate counts")
 
@@ -71,26 +69,17 @@ func main() {
 	}
 
 	if *savePath != "" {
-		save := persist.SavePaged
-		switch *saveFmt {
-		case "paged":
-		case "gob":
-			save = persist.Save
-		default:
-			fmt.Fprintf(os.Stderr, "worldgen: unknown -save-format %q (want paged or gob)\n", *saveFmt)
-			os.Exit(2)
-		}
 		f, err := os.Create(*savePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
 			os.Exit(1)
 		}
-		if err := save(f, persist.FromUniverse(u)); err != nil {
+		if err := persist.SavePaged(f, persist.FromUniverse(u)); err != nil {
 			fmt.Fprintf(os.Stderr, "worldgen: save: %v\n", err)
 			os.Exit(1)
 		}
 		f.Close()
-		fmt.Printf("saved universe (%s) to %s\n", *saveFmt, *savePath)
+		fmt.Printf("saved universe (paged) to %s\n", *savePath)
 	}
 
 	if *dumpPath != "" {

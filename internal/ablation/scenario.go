@@ -2,6 +2,7 @@ package ablation
 
 import (
 	"permadead/internal/core"
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 )
@@ -59,7 +60,7 @@ func (sc Scenario) hits(host string) bool {
 	if sc.SiteFrac <= 0 {
 		return false
 	}
-	h := hashMix(hashString(sc.Key) ^ hashString(host))
+	h := hashx.Mix64(hashx.FNV1a(sc.Key) ^ hashx.FNV1a(host))
 	return float64(h>>11)/float64(1<<53) < sc.SiteFrac
 }
 
@@ -125,7 +126,7 @@ func plantScenario(world *simweb.World, sc Scenario, studyTime simclock.Day) []p
 			To:   studyTime.Add(sc.ToOffset),
 			Mode: sc.Mode,
 			Rate: sc.Rate,
-			Seed: hashMix(hashString(sc.Key+"|"+host) ^ 0x5ce9a610),
+			Seed: hashx.Mix64(hashx.FNV1a(sc.Key+"|"+host) ^ 0x5ce9a610),
 		})
 	}
 	return planted
@@ -135,22 +136,4 @@ func unplant(planted []plantedSite) {
 	for _, p := range planted {
 		p.site.Faults = p.site.Faults[:p.orig]
 	}
-}
-
-// hashString is FNV-1a over s.
-func hashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// hashMix is the splitmix64 finalizer.
-func hashMix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

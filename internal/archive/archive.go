@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/urlutil"
 )
@@ -81,7 +82,7 @@ type BulkRegion struct {
 
 // PathAt returns the i-th URL path in the region (0 <= i < Count).
 func (r BulkRegion) PathAt(i int) string {
-	v := mix64(r.Seed + uint64(i)*0x9e3779b97f4a7c15)
+	v := hashx.Mix64(r.Seed + uint64(i)*hashx.Golden)
 	return fmt.Sprintf("%sitem-%06d-%04x.html", r.DirPrefix, i, v&0xffff)
 }
 
@@ -91,14 +92,7 @@ func (r BulkRegion) DayAt(i int) simclock.Day {
 		return r.FirstDay
 	}
 	span := int(r.LastDay - r.FirstDay)
-	return r.FirstDay.Add(int(mix64(r.Seed^uint64(i)) % uint64(span+1)))
-}
-
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return r.FirstDay.Add(int(hashx.Mix64(r.Seed^uint64(i)) % uint64(span+1)))
 }
 
 // Archive is the snapshot store.
@@ -395,8 +389,7 @@ func (a *Archive) EachLookupLatency(fn func(key string, ms int)) {
 	}
 }
 
-// SetLookupLatencyKey sets a latency override by pre-computed key
-// (used when restoring a persisted archive).
+// SetLookupLatencyKey sets a latency override by pre-computed key.
 func (a *Archive) SetLookupLatencyKey(key string, ms int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

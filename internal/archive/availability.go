@@ -70,8 +70,8 @@ type AvailabilityQuery struct {
 
 // EffectiveAccept folds the query's Before/AsOf bounds into its Accept
 // filter and returns the per-snapshot predicate the lookup actually
-// applies. It is exported so layers that aggregate archives (the pool,
-// internal/federation) evaluate candidate snapshots with exactly the
+// applies. It is exported so layers that aggregate archives
+// (internal/federation) evaluate candidate snapshots with exactly the
 // semantics of a single-archive lookup instead of re-deriving — and
 // eventually diverging from — the composition.
 func (q AvailabilityQuery) EffectiveAccept() func(Snapshot) bool {

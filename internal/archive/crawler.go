@@ -2,9 +2,9 @@ package archive
 
 import (
 	"errors"
-	"hash/fnv"
 	"strings"
 
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/urlutil"
@@ -81,14 +81,8 @@ func (c *Crawler) store(snap *Snapshot, body string) {
 		body = body[:BodyLimit]
 	}
 	snap.Body = body
-	snap.Digest = digest(body)
+	snap.Digest = hashx.FNV1a(body)
 	c.Archive.Add(*snap)
-}
-
-func digest(body string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(body))
-	return h.Sum64()
 }
 
 func schemeOf(url string) string {

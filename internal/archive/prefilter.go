@@ -3,6 +3,7 @@ package archive
 import (
 	"sync/atomic"
 
+	"permadead/internal/hashx"
 	"permadead/internal/urlutil"
 )
 
@@ -53,13 +54,9 @@ func newCapturePrefilter(n int) *capturePrefilter {
 
 // hash2 derives the two independent hash values double hashing mixes.
 func hash2(s string) (uint64, uint64) {
-	// FNV-1a 64-bit, then a mix64 finalizer for the second stream.
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h, mix64(h)
+	// FNV-1a, then a splitmix64 step for the second stream.
+	h := hashx.FNV1a(s)
+	return h, hashx.Mix64(h)
 }
 
 func (f *capturePrefilter) add(key string) {

@@ -92,8 +92,8 @@ type CDXRow struct {
 // ExportCDX calls fn once per host, in sorted hostname order, with the
 // host's explicit index rows in capture-insertion order and its bulk
 // regions in attachment order. It is the persistence export of the CDX
-// side of the archive; store-backed archives cannot export (convert
-// through the gob path instead).
+// side of the archive; store-backed archives cannot export (copy the
+// paged file instead).
 func (a *Archive) ExportCDX(fn func(host string, rows []CDXRow, bulk []BulkRegion)) {
 	if a.store != nil {
 		panic("archive: ExportCDX on a store-backed archive")

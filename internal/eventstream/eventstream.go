@@ -130,6 +130,8 @@ func DefaultDelay(ev wikimedia.LinkAddedEvent) (int, bool) {
 	}
 }
 
+// hashString is not hashx.FNV1a: its offset basis is one digit short of
+// FNV's, and DefaultDelay's draws are defined by the values it yields.
 func hashString(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {

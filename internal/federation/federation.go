@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"permadead/internal/archive"
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/urlutil"
 )
@@ -41,7 +42,7 @@ func (m *Member) keepsIndex(key string, i int) bool {
 	if m.Spec.Coverage <= 0 || m.Spec.Coverage >= 1 {
 		return true
 	}
-	h := mix64(m.seed ^ stableHash(key) ^ mix64(uint64(i)+0x5eed))
+	h := hashx.Mix64(m.seed ^ hashx.FNV1a(key) ^ hashx.Mix64(uint64(i)+0x5eed))
 	return float64(h>>11)/float64(1<<53) < m.Spec.Coverage
 }
 
@@ -71,7 +72,7 @@ func (m *Member) Latency(url string) time.Duration {
 	}
 	lat := time.Duration(m.Spec.LatencyMS) * time.Millisecond
 	if m.Spec.JitterMS > 0 {
-		h := mix64(m.seed ^ stableHash(urlutil.SchemeAgnosticKey(url)) ^ 0x1a7e)
+		h := hashx.Mix64(m.seed ^ hashx.FNV1a(urlutil.SchemeAgnosticKey(url)) ^ 0x1a7e)
 		lat += time.Duration(h%uint64(m.Spec.JitterMS)) * time.Millisecond
 	}
 	return lat
@@ -143,7 +144,7 @@ func New(base *archive.Archive, m Manifest) (*Federation, error) {
 			Spec:     ms,
 			base:     base,
 			identity: isIdentitySpec(ms),
-			seed:     mix64(uint64(ms.Seed) ^ mix64(uint64(i)+0xfed)),
+			seed:     hashx.Mix64(uint64(ms.Seed) ^ hashx.Mix64(uint64(i)+0xfed)),
 		})
 	}
 	return f, nil
@@ -372,23 +373,4 @@ func hasUsable(m *Member, url string) bool {
 		}
 	}
 	return false
-}
-
-// stableHash is FNV-1a over s.
-func stableHash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer used for deterministic per-capture
-// coverage and per-URL jitter draws.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -13,6 +13,21 @@ import (
 // degrades to the surviving members' coverage instead of failing.
 var ErrMemberDown = errors.New("federation: member down")
 
+// MemberError records one member's lookup failure during a federated
+// query. A later member's hit does not erase it: the caller can tell
+// "every member agreed the copies are absent" apart from "the primary
+// was unreachable but a secondary answered" — partial coverage, not
+// certainty.
+type MemberError struct {
+	Member string
+	Err    error
+}
+
+func (e MemberError) Error() string { return e.Member + ": " + e.Err.Error() }
+
+// Unwrap exposes the underlying failure to errors.Is/As.
+func (e MemberError) Unwrap() error { return e.Err }
+
 // Result is one hedged availability lookup's outcome.
 type Result struct {
 	// Snapshot/Member identify the winning copy when Found.
@@ -31,7 +46,7 @@ type Result struct {
 	// MemberErrors lists members that were consulted and failed (down
 	// or over budget), in priority order — partial coverage rides
 	// along with the answer instead of vanishing behind it.
-	MemberErrors []archive.MemberError
+	MemberErrors []MemberError
 }
 
 // consult is one member's planned participation in a lookup.
@@ -68,8 +83,7 @@ const noDeadline = time.Duration(1<<63 - 1)
 // member runs under the ONE federation-wide budget; the first usable
 // copy — earliest completion, member priority breaking ties — wins and
 // the rest are cancelled. With no budget there is no hedge deadline,
-// so the plan degrades to fallthrough at primary completion, exactly
-// the sequential pool semantics.
+// so the plan degrades to sequential fallthrough at primary completion.
 func (f *Federation) plan(q archive.AvailabilityQuery) lookupPlan {
 	budget := q.Timeout
 	if budget == 0 {
@@ -179,7 +193,7 @@ func (f *Federation) Query(ctx context.Context, q archive.AvailabilityQuery) (Re
 		switch {
 		case c.err != nil:
 			ms.errors.Add(1)
-			res.MemberErrors = append(res.MemberErrors, archive.MemberError{
+			res.MemberErrors = append(res.MemberErrors, MemberError{
 				Member: f.members[c.idx].Spec.Name, Err: c.err,
 			})
 			if !errors.Is(c.err, archive.ErrAvailabilityTimeout) {

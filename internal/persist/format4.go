@@ -2,10 +2,9 @@ package persist
 
 // Persist format v4: the paged universe file (DESIGN.md §3.6).
 //
-// Format v3 is one gob stream: loading it decodes, allocates, and
-// re-indexes the whole universe before the first query can run. v4
-// instead lays the universe out so the serving process can answer
-// queries directly against the file bytes:
+// The file lays the universe out so the serving process can answer
+// queries directly against the file bytes, with no decode, allocation,
+// or re-indexing pass before the first query:
 //
 //	superblock (24 B)
 //	section directory (sectionCount × 32 B)
@@ -24,9 +23,7 @@ package persist
 // -1); string references with length 0 mean "".
 
 const (
-	// magic4 begins every v4 file. Gob streams cannot start with these
-	// bytes (gob's first byte is a small length), so format detection
-	// is a 4-byte sniff.
+	// magic4 begins every v4 file.
 	magic4 = "PDU4"
 	// version4 is the format version stored in the superblock.
 	version4 = 4
@@ -74,4 +71,10 @@ const (
 	latencyRecSize = 16
 	siteDirRecSize = 24
 	wikiDirRecSize = 24
+
+	// Within one siteblobs record: the fixed header, then a u32 count
+	// and that many fault windows, then a u32 count and that many pages.
+	siteHeaderSize = 56
+	faultRecSize   = 36
+	pageRecSize    = 56
 )

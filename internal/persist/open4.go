@@ -14,31 +14,6 @@ import (
 	"permadead/internal/worldgen"
 )
 
-// Open loads a universe from path, auto-detecting the format: a
-// format-v4 file is mapped and served page-on-demand (OpenPaged); a
-// gob stream is decoded and materialized in memory (Load). Call
-// Close on the returned bundle when done with it.
-func Open(path string) (*Bundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: read %s: %w", path, err)
-	}
-	if string(magic[:]) == magic4 {
-		f.Close()
-		return OpenPaged(path)
-	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return Load(f)
-}
-
 // OpenPaged maps a format-v4 file and returns a bundle whose world,
 // wiki, and archive serve lazily from the mapping: startup cost is
 // bounds validation plus a handful of tiny header sections, not the
@@ -76,10 +51,11 @@ func OpenPaged(path string) (*Bundle, error) {
 }
 
 // VerifyPaged checks a format-v4 file end to end: superblock and
-// directory sanity, section bounds, per-section CRC-64 checksums, and
-// record-level structure. The returned error names the first failing
-// section. It reads the whole file — use it in converters and smoke
-// checks, not on the serving startup path.
+// directory sanity, section bounds, per-section CRC-64 checksums,
+// record-level structure, and a full decode of every site record
+// against the length its directory entry recorded. The returned error
+// names the first failing section. It reads the whole file — 'inspect
+// -load' runs it; the serving startup path does not.
 func VerifyPaged(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -108,8 +84,16 @@ func VerifyPaged(path string) error {
 			return fmt.Errorf("persist: section %q: checksum mismatch (file corrupt)", sectionNames[kind])
 		}
 	}
-	_, err = newPagedStore(sec)
-	return err
+	p, err := newPagedStore(sec)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < p.numSites; i++ {
+		if _, err := p.siteAt(i, p.siteHostAt(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 type closerFunc func() error

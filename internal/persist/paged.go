@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -443,13 +444,73 @@ func (p *pagedStore) LoadSite(hostname string) *simweb.Site {
 	if !found {
 		return nil
 	}
-	d := p.sec[secSiteDir]
-	base := int(rdU64(d, i*siteDirRecSize+8))
-	ln := int(rdU32(d, i*siteDirRecSize+16))
-	b := p.sec[secSiteBlobs][base : base+ln]
+	s, err := p.siteAt(i, hostname)
+	if err != nil {
+		// SiteSource has no error return; VerifyPaged is where a damaged
+		// file is meant to be caught.
+		panic(err)
+	}
+	return s
+}
 
-	day := func(off int) simclock.Day { return simclock.Day(rdI32(b, off)) }
-	s := simweb.NewSite(hostname, day(4))
+// siteAt decodes the site sitedir record i points at. The decode must
+// consume exactly the length the directory recorded, so a writer and a
+// reader that disagree on the record layout fail here — and under
+// VerifyPaged, which walks every record — naming the section.
+func (p *pagedStore) siteAt(i int, hostname string) (*simweb.Site, error) {
+	d := p.sec[secSiteDir]
+	base := rdU64(d, i*siteDirRecSize+8)
+	ln := uint64(rdU32(d, i*siteDirRecSize+16))
+	blobs := p.sec[secSiteBlobs]
+	fail := func(err error) (*simweb.Site, error) {
+		return nil, fmt.Errorf("persist: section %q: site %q: %w", sectionNames[secSiteBlobs], hostname, err)
+	}
+	if base > uint64(len(blobs)) || ln > uint64(len(blobs))-base {
+		return fail(fmt.Errorf("directory entry (offset %d, length %d) outside the %d-byte section", base, ln, len(blobs)))
+	}
+	s, used, err := p.decodeSite(hostname, blobs[base:base+ln])
+	if err != nil {
+		return fail(err)
+	}
+	if uint64(used) != ln {
+		return fail(fmt.Errorf("decode consumed %d of the %d bytes the directory records", used, ln))
+	}
+	return s, nil
+}
+
+// decodeSite decodes one siteblobs record (encodeSite is the writer)
+// and reports how many bytes of b it occupied.
+func (p *pagedStore) decodeSite(hostname string, b []byte) (s *simweb.Site, off int, err error) {
+	if len(b) < siteHeaderSize {
+		return nil, 0, fmt.Errorf("record is %d bytes, shorter than the %d-byte site header", len(b), siteHeaderSize)
+	}
+	// count and str leave the first failure in err and then yield zero
+	// values, so the loops below fall through to the one check at the end.
+	//
+	// count reads the u32 record count at off, steps past it, and
+	// requires that many size-byte records to fit in what is left of b.
+	count := func(size int, what string) int {
+		if err != nil {
+			return 0
+		}
+		if len(b)-off < 4 || uint64(rdU32(b, off)) > uint64((len(b)-off-4)/size) {
+			err = fmt.Errorf("%s do not fit in the record's %d bytes (count at offset %d)", what, len(b), off)
+			return 0
+		}
+		off += 4
+		return int(rdU32(b, off-4))
+	}
+	str := func(at int) string {
+		o, n := rdU32(b, at), rdU32(b, at+4)
+		if uint64(o)+uint64(n) > uint64(len(p.sec[secArena])) {
+			err = fmt.Errorf("string reference (%d, %d) outside the arena", o, n)
+			return ""
+		}
+		return p.str(o, n)
+	}
+	day := func(at int) simclock.Day { return simclock.Day(rdI32(b, at)) }
+
+	s = simweb.NewSite(hostname, day(4))
 	s.Rank = rdI32(b, 0)
 	s.DNSDiesAt = day(8)
 	s.TimeoutFrom = day(12)
@@ -460,40 +521,38 @@ func (p *pagedStore) LoadSite(hostname string) *simweb.Site {
 	s.ErrorStyle = simweb.ErrorStyle(rdU16(b, 32))
 	s.ErrorStyleAfter = simweb.ErrorStyle(rdU16(b, 34))
 	s.ErrorStyleSwitchAt = day(36)
-	s.LoginPath = p.str(rdU32(b, 40), rdU32(b, 44))
+	s.LoginPath = str(40)
 	s.Seed = rdU64(b, 48)
 
-	off := 56
-	nFaults := int(rdU32(b, off))
-	off += 4
-	for j := 0; j < nFaults; j++ {
+	off = siteHeaderSize
+	for j, n := 0, count(faultRecSize, "fault windows"); j < n; j++ {
 		s.Faults = append(s.Faults, simweb.FaultWindow{
 			From:          day(off),
 			To:            day(off + 4),
 			Mode:          simweb.FaultMode(rdU32(b, off+8)),
 			Rate:          rdF64(b, off+12),
 			RetryAfterSec: rdI32(b, off+20),
-			Seed:          rdU64(b, off+24),
+			// off+24 is a u32 pad.
+			Seed: rdU64(b, off+28),
 		})
-		off += 32
+		off += faultRecSize
 	}
-
-	nPages := int(rdU32(b, off))
-	off += 4
-	for j := 0; j < nPages; j++ {
-		path := p.str(rdU32(b, off), rdU32(b, off+4))
-		pg := s.AddPage(path, day(off+8))
+	for j, n := 0, count(pageRecSize, "pages"); j < n && err == nil; j++ {
+		pg := s.AddPage(str(off), day(off+8))
 		pg.DeletedAt = day(off + 12)
 		pg.RestoredAt = day(off + 16)
 		pg.MovedAt = day(off + 20)
-		pg.NewPath = p.str(rdU32(b, off+24), rdU32(b, off+28))
+		pg.NewPath = str(off + 24)
 		pg.RedirectFrom = day(off + 32)
 		pg.RedirectUntil = day(off + 36)
-		pg.Content = p.str(rdU32(b, off+40), rdU32(b, off+44))
-		pg.Title = p.str(rdU32(b, off+48), rdU32(b, off+52))
-		off += 56
+		pg.Content = str(off + 40)
+		pg.Title = str(off + 48)
+		off += pageRecSize
 	}
-	return s
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, off, nil
 }
 
 // --- wikimedia.ArticleSource ----------------------------------------

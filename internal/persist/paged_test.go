@@ -3,8 +3,8 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -304,51 +304,36 @@ func TestPagedWikiStaysEditable(t *testing.T) {
 	}
 }
 
-// TestConverterDeterministic is the v3→v4 golden property: converting
-// the same gob file twice yields byte-identical paged files, so
-// converted artifacts can be checksummed and cached.
+// TestConverterDeterministic is the golden property saved artifacts
+// rely on: SavePaged twice over one universe is byte-identical, so
+// saved files can be checksummed and cached.
 func TestConverterDeterministic(t *testing.T) {
-	u := worldgen.Generate(worldgen.SmallParams().Scale(0.3))
-	var gobBuf bytes.Buffer
-	if err := Save(&gobBuf, FromUniverse(u)); err != nil {
-		t.Fatal(err)
-	}
-
-	convert := func() []byte {
-		b, err := Load(bytes.NewReader(gobBuf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
+	mem := FromUniverse(worldgen.Generate(worldgen.SmallParams().Scale(0.3)))
+	save := func() []byte {
 		var out bytes.Buffer
-		if err := SavePaged(&out, b); err != nil {
+		if err := SavePaged(&out, mem); err != nil {
 			t.Fatal(err)
 		}
 		return out.Bytes()
 	}
-	a, b := convert(), convert()
+	a, b := save(), save()
 	if sha256.Sum256(a) != sha256.Sum256(b) {
-		t.Fatal("two conversions of the same gob file produced different paged bytes")
+		t.Fatal("two saves of the same universe produced different paged bytes")
 	}
 
-	// And the converted file still answers like the gob-loaded one.
-	ref, err := Load(bytes.NewReader(gobBuf.Bytes()))
+	// And the saved bytes still answer like the universe they came from.
+	paged, err := Load(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := Load(bytes.NewReader(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conv.Close()
-	pp := &pagedPair{mem: ref, paged: conv}
+	pp := &pagedPair{mem: mem, paged: paged}
 	pp.checkArchive(t)
 	pp.checkWorldWiki(t)
 }
 
-// writePagedFile saves a small universe to disk and returns its path.
-func writePagedFile(t *testing.T) string {
+// savePagedFile saves u to a fresh file and returns its path.
+func savePagedFile(t *testing.T, u *worldgen.Universe) string {
 	t.Helper()
-	u := worldgen.Generate(worldgen.SmallParams().Scale(0.2))
 	path := filepath.Join(t.TempDir(), "u.pduniv")
 	f, err := os.Create(path)
 	if err != nil {
@@ -361,6 +346,12 @@ func writePagedFile(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// writePagedFile saves a small universe to disk and returns its path.
+func writePagedFile(t *testing.T) string {
+	t.Helper()
+	return savePagedFile(t, worldgen.Generate(worldgen.SmallParams().Scale(0.2)))
 }
 
 // TestVerifyPagedNamesCorruptedSection flips one byte inside every
@@ -459,61 +450,49 @@ func TestOpenPagedReportsFoundVersion(t *testing.T) {
 	}
 }
 
-// TestLoadStagedRestoreNamesFailure hand-encodes corrupt v3 bodies and
-// asserts the staged restore fails with errors naming the failing
-// article and revision index (or duplicate site) instead of panicking
-// or returning partial state.
-func TestLoadStagedRestoreNamesFailure(t *testing.T) {
-	encode := func(f *file) *bytes.Buffer {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(fileHeader{Version: formatVersion}); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(f); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+// TestVerifyPagedDecodesSiteRecords damages one site record's fault
+// count and re-checksums the section, so only the decode pass can
+// notice: VerifyPaged must fail naming siteblobs, the way it would if
+// encodeSite and decodeSite drifted apart.
+func TestVerifyPagedDecodesSiteRecords(t *testing.T) {
+	p := worldgen.SmallParams().Scale(0.2)
+	p.FlakySiteFrac = 1
+	p.FlakyRate = 0.7
+	path := savePagedFile(t, worldgen.Generate(p))
+	if err := VerifyPaged(path); err != nil {
+		t.Fatalf("pristine flaky file failed verification: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Out-of-order revision days: Edit must reject, Load must name the
-	// article and the revision index.
-	bad := encode(&file{Articles: []articleRec{
-		{Title: "Fine", Revisions: []revisionRec{{Day: 10, User: "a", Text: "x"}}},
-		{Title: "Broken", Revisions: []revisionRec{
-			{Day: 100, User: "a", Text: "x"},
-			{Day: 200, User: "a", Text: "y"},
-			{Day: 50, User: "a", Text: "z"}, // predates revision 2
-		}},
-	}})
-	_, err := Load(bad)
+	dirEntry := func(kind int) (off, length uint64) {
+		base := superblockSize + kind*dirEntrySize
+		return rdU64(data, base+8), rdU64(data, base+16)
+	}
+	dirOff, _ := dirEntry(secSiteDir)
+	blobOff, blobLen := dirEntry(secSiteBlobs)
+	// The first site's record: its fault count sits after the header.
+	rec := blobOff + rdU64(data, int(dirOff)+8)
+	count := data[rec+siteHeaderSize:]
+	if rdU32(count, 0) == 0 {
+		t.Fatal("first site of a fully flaky universe has no fault windows")
+	}
+	le.PutUint32(count, rdU32(count, 0)-1)
+	crc := crc64.Checksum(data[blobOff:blobOff+blobLen], crcTable)
+	le.PutUint64(data[superblockSize+secSiteBlobs*dirEntrySize+24:], crc)
+
+	bad := filepath.Join(t.TempDir(), "bad.pduniv")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = VerifyPaged(bad)
 	if err == nil {
-		t.Fatal("out-of-order revisions loaded without error")
+		t.Fatal("a site record that no longer fills its directory length verified clean")
 	}
-	for _, want := range []string{`"Broken"`, "revision 2 of 3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not contain %q", err, want)
-		}
-	}
-
-	// Duplicate article titles must error, not panic.
-	dup := encode(&file{Articles: []articleRec{
-		{Title: "Twice", Revisions: []revisionRec{{Day: 1, User: "a", Text: "x"}}},
-		{Title: "Twice", Revisions: []revisionRec{{Day: 2, User: "a", Text: "y"}}},
-	}})
-	if _, err := Load(dup); err == nil || !strings.Contains(err.Error(), `"Twice"`) {
-		t.Errorf("duplicate title: %v", err)
-	}
-
-	// Duplicate sites must error and name the site and index.
-	dupSite := encode(&file{Sites: []siteRec{
-		{Hostname: "twice.simtest", Created: 1},
-		{Hostname: "twice.simtest", Created: 2},
-	}})
-	if _, err := Load(dupSite); err == nil ||
-		!strings.Contains(err.Error(), `"twice.simtest"`) ||
-		!strings.Contains(err.Error(), "index 1") {
-		t.Errorf("duplicate site: %v", err)
+	if !strings.Contains(err.Error(), fmt.Sprintf("%q", sectionNames[secSiteBlobs])) {
+		t.Errorf("error does not name siteblobs: %v", err)
 	}
 }
 

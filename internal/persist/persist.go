@@ -1,37 +1,28 @@
 // Package persist saves and restores a generated universe's observable
 // state — the synthetic web, the wiki with its full revision history,
-// and the archive — as a single gob-encoded stream. A restored bundle
-// supports everything the study pipeline needs; the generator's plan
-// (ground-truth labels) is deliberately not persisted, keeping saved
-// universes measurement-only.
+// and the archive — as one paged (format v4) file that is served
+// directly from its mapped bytes (format4.go describes the layout). A
+// restored bundle supports everything the study pipeline needs; the
+// generator's plan (ground-truth labels) is deliberately not persisted,
+// keeping saved universes measurement-only.
 //
-//	f, _ := os.Create("universe.gob")
-//	persist.Save(f, persist.FromUniverse(u))
+//	f, _ := os.Create("u.pduniv")
+//	persist.SavePaged(f, persist.FromUniverse(u))
 //
-//	b, _ := persist.Load(f)
+//	b, _ := persist.OpenPaged("u.pduniv")
+//	defer b.Close()
 //	study := &core.Study{Wiki: b.Wiki, Arch: b.Archive, ...}
 package persist
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"permadead/internal/archive"
-	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
 	"permadead/internal/worldgen"
 )
-
-// formatVersion guards against decoding streams written by an
-// incompatible build. Version 2 moved the header to its own gob value
-// ahead of the body, so a mismatched stream can report the version it
-// actually carries instead of failing opaquely mid-decode. Version 3
-// added per-site transient-fault windows — semantic state a fault-
-// unaware reader would silently drop, hence the bump.
-const formatVersion = 3
 
 // Bundle is the restorable state of a universe.
 type Bundle struct {
@@ -64,286 +55,19 @@ func FromUniverse(u *worldgen.Universe) *Bundle {
 	return &Bundle{Params: params, World: u.World, Wiki: u.Wiki, Archive: u.Archive}
 }
 
-// --- flat serialized form (everything exported for gob) ---
-
-type fileHeader struct {
-	Version int
-}
-
-type siteRec struct {
-	Hostname           string
-	Rank               int
-	Seed               uint64
-	Created            simclock.Day
-	DNSDiesAt          simclock.Day
-	TimeoutFrom        simclock.Day
-	ParkedAt           simclock.Day
-	GeoBlockedFrom     simclock.Day
-	OutageFrom         simclock.Day
-	OutageTo           simclock.Day
-	ErrorStyle         uint8
-	ErrorStyleSwitchAt simclock.Day
-	ErrorStyleAfter    uint8
-	LoginPath          string
-	Faults             []faultRec
-	Pages              []pageRec
-}
-
-type faultRec struct {
-	From          simclock.Day
-	To            simclock.Day
-	Mode          uint8
-	Rate          float64
-	RetryAfterSec int
-	Seed          uint64
-}
-
-type pageRec struct {
-	Path          string
-	Created       simclock.Day
-	DeletedAt     simclock.Day
-	RestoredAt    simclock.Day
-	MovedAt       simclock.Day
-	NewPath       string
-	RedirectFrom  simclock.Day
-	RedirectUntil simclock.Day
-	Content       string
-	Title         string
-}
-
-type articleRec struct {
-	Title     string
-	Revisions []revisionRec
-}
-
-type revisionRec struct {
-	Day     simclock.Day
-	User    string
-	Comment string
-	Text    string
-}
-
-type latencyRec struct {
-	Key string
-	MS  int
-}
-
-type file struct {
-	Params    worldgen.Params
-	Sites     []siteRec
-	Articles  []articleRec
-	Snapshots []archive.Snapshot
-	Bulk      []archive.BulkRegion
-	Latencies []latencyRec
-}
-
 // saveBufferSize sizes the write buffer: universes serialize to tens
-// of megabytes of small gob writes, so batching them matters when w is
-// an *os.File.
+// of megabytes of small writes, so batching them matters when w is an
+// *os.File.
 const saveBufferSize = 1 << 20
 
-// Save writes the bundle to w. Writes are buffered; the stream is a
-// gob-encoded header (format version) followed by the body.
-func Save(w io.Writer, b *Bundle) error {
-	f := file{Params: b.Params}
-
-	b.World.EachSite(func(s *simweb.Site) {
-		rec := siteRec{
-			Hostname:           s.Hostname,
-			Rank:               s.Rank,
-			Seed:               s.Seed,
-			Created:            s.Created,
-			DNSDiesAt:          s.DNSDiesAt,
-			TimeoutFrom:        s.TimeoutFrom,
-			ParkedAt:           s.ParkedAt,
-			GeoBlockedFrom:     s.GeoBlockedFrom,
-			OutageFrom:         s.OutageFrom,
-			OutageTo:           s.OutageTo,
-			ErrorStyle:         uint8(s.ErrorStyle),
-			ErrorStyleSwitchAt: s.ErrorStyleSwitchAt,
-			ErrorStyleAfter:    uint8(s.ErrorStyleAfter),
-			LoginPath:          s.LoginPath,
-		}
-		for _, fw := range s.Faults {
-			rec.Faults = append(rec.Faults, faultRec{
-				From: fw.From, To: fw.To, Mode: uint8(fw.Mode),
-				Rate: fw.Rate, RetryAfterSec: fw.RetryAfterSec, Seed: fw.Seed,
-			})
-		}
-		s.EachPage(func(p *simweb.Page) {
-			rec.Pages = append(rec.Pages, pageRec{
-				Path:          p.Path,
-				Created:       p.Created,
-				DeletedAt:     p.DeletedAt,
-				RestoredAt:    p.RestoredAt,
-				MovedAt:       p.MovedAt,
-				NewPath:       p.NewPath,
-				RedirectFrom:  p.RedirectFrom,
-				RedirectUntil: p.RedirectUntil,
-				Content:       p.Content,
-				Title:         p.Title,
-			})
-		})
-		f.Sites = append(f.Sites, rec)
-	})
-
-	b.Wiki.EachArticle(func(a *wikimedia.Article) {
-		rec := articleRec{Title: a.Title}
-		for _, rev := range a.Revisions {
-			rec.Revisions = append(rec.Revisions, revisionRec{
-				Day: rev.Day, User: rev.User, Comment: rev.Comment, Text: rev.Text,
-			})
-		}
-		f.Articles = append(f.Articles, rec)
-	})
-
-	b.Archive.EachSnapshot(func(s archive.Snapshot) {
-		f.Snapshots = append(f.Snapshots, s)
-	})
-	b.Archive.EachBulkRegion(func(r archive.BulkRegion) {
-		f.Bulk = append(f.Bulk, r)
-	})
-	b.Archive.EachLookupLatency(func(key string, ms int) {
-		f.Latencies = append(f.Latencies, latencyRec{Key: key, MS: ms})
-	})
-
-	bw := bufio.NewWriterSize(w, saveBufferSize)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(fileHeader{Version: formatVersion}); err != nil {
-		return fmt.Errorf("persist: encode header: %w", err)
-	}
-	if err := enc.Encode(&f); err != nil {
-		return fmt.Errorf("persist: encode: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads a bundle from r. Reads are buffered. The stream format
-// is auto-detected: a gob stream (format v3) is decoded and replayed
-// into fresh in-memory state; a paged (format v4) stream is read
-// fully into memory and served from the buffer — use Open/OpenPaged
-// with a file path to get demand paging instead. A stream written by
-// an incompatible build fails with an error naming the version found.
-//
-// The restore is staged: the world, wiki, and archive are each built
-// completely — with errors naming the failing site, article, or
-// revision index — before the bundle is assembled, so a corrupt
-// stream can never hand back a half-built universe.
+// Load reads a paged (format v4) stream fully into memory and serves
+// it from the buffer — use OpenPaged with a file path to get demand
+// paging instead. A stream that is not a v4 universe, or was written
+// by an incompatible build, fails with an error saying so.
 func Load(r io.Reader) (*Bundle, error) {
-	br := bufio.NewReaderSize(r, saveBufferSize)
-	if magic, err := br.Peek(len(magic4)); err == nil && string(magic) == magic4 {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("persist: read paged stream: %w", err)
-		}
-		return openPagedBytes(data, nil)
-	}
-
-	dec := gob.NewDecoder(br)
-	var hdr fileHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("persist: decode header: %w", err)
-	}
-	if hdr.Version != formatVersion {
-		return nil, fmt.Errorf("persist: incompatible save file: format version %d found, this build reads version %d", hdr.Version, formatVersion)
-	}
-	var f file
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decode: %w", err)
-	}
-
-	world, err := restoreWorld(f.Sites)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("persist: read paged stream: %w", err)
 	}
-	wiki, err := restoreWiki(f.Articles)
-	if err != nil {
-		return nil, err
-	}
-	arch := restoreArchive(&f)
-	return &Bundle{Params: f.Params, World: world, Wiki: wiki, Archive: arch}, nil
-}
-
-// restoreWorld rebuilds the synthetic web. Errors name the failing
-// site by hostname and index.
-func restoreWorld(sites []siteRec) (*simweb.World, error) {
-	world := simweb.NewWorld()
-	for i, rec := range sites {
-		if world.Site(rec.Hostname) != nil {
-			return nil, fmt.Errorf("persist: restore site %q (index %d): duplicate hostname", rec.Hostname, i)
-		}
-		s := world.AddSite(rec.Hostname, rec.Created)
-		s.Rank = rec.Rank
-		s.Seed = rec.Seed
-		s.DNSDiesAt = rec.DNSDiesAt
-		s.TimeoutFrom = rec.TimeoutFrom
-		s.ParkedAt = rec.ParkedAt
-		s.GeoBlockedFrom = rec.GeoBlockedFrom
-		s.OutageFrom = rec.OutageFrom
-		s.OutageTo = rec.OutageTo
-		s.ErrorStyle = simweb.ErrorStyle(rec.ErrorStyle)
-		s.ErrorStyleSwitchAt = rec.ErrorStyleSwitchAt
-		s.ErrorStyleAfter = simweb.ErrorStyle(rec.ErrorStyleAfter)
-		s.LoginPath = rec.LoginPath
-		for _, fr := range rec.Faults {
-			s.Faults = append(s.Faults, simweb.FaultWindow{
-				From: fr.From, To: fr.To, Mode: simweb.FaultMode(fr.Mode),
-				Rate: fr.Rate, RetryAfterSec: fr.RetryAfterSec, Seed: fr.Seed,
-			})
-		}
-		for _, pr := range rec.Pages {
-			p := s.AddPage(pr.Path, pr.Created)
-			p.DeletedAt = pr.DeletedAt
-			p.RestoredAt = pr.RestoredAt
-			p.MovedAt = pr.MovedAt
-			p.NewPath = pr.NewPath
-			p.RedirectFrom = pr.RedirectFrom
-			p.RedirectUntil = pr.RedirectUntil
-			p.Content = pr.Content
-			p.Title = pr.Title
-		}
-	}
-	return world, nil
-}
-
-// restoreWiki replays every article's history through Create/Edit so
-// revision IDs and link events are assigned exactly as live edits
-// would. Errors name the failing article and revision index.
-func restoreWiki(articles []articleRec) (*wikimedia.Wiki, error) {
-	wiki := wikimedia.NewWiki()
-	for _, rec := range articles {
-		if len(rec.Revisions) == 0 {
-			continue
-		}
-		if wiki.Article(rec.Title) != nil {
-			return nil, fmt.Errorf("persist: restore article %q: duplicate title", rec.Title)
-		}
-		r0 := rec.Revisions[0]
-		wiki.Create(rec.Title, r0.Day, r0.User, r0.Text)
-		for i, rev := range rec.Revisions[1:] {
-			if _, err := wiki.Edit(rec.Title, rev.Day, rev.User, rev.Comment, rev.Text); err != nil {
-				return nil, fmt.Errorf("persist: restore article %q: revision %d of %d: %w", rec.Title, i+1, len(rec.Revisions), err)
-			}
-		}
-	}
-	return wiki, nil
-}
-
-// restoreArchive rebuilds the snapshot store and freezes it.
-func restoreArchive(f *file) *archive.Archive {
-	arch := archive.New()
-	for _, s := range f.Snapshots {
-		arch.Add(s)
-	}
-	for _, r := range f.Bulk {
-		arch.AddBulkCoverage(r)
-	}
-	for _, l := range f.Latencies {
-		arch.SetLookupLatencyKey(l.Key, l.MS)
-	}
-	// A loaded universe's history is complete; freeze the archive so
-	// analysis reads run lock-free against the freeze-time CDX indexes
-	// (DESIGN.md §3.2) and stray writes fail loudly.
-	arch.Freeze()
-	return arch
+	return openPagedBytes(data, nil)
 }

@@ -3,8 +3,6 @@ package persist
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -14,21 +12,20 @@ import (
 	"permadead/internal/worldgen"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	u := worldgen.Generate(worldgen.SmallParams().Scale(0.5))
-
-	var buf bytes.Buffer
-	if err := Save(&buf, FromUniverse(u)); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty save")
-	}
-
-	b, err := Load(&buf)
+// saveOpen round-trips u through SavePaged to a file and OpenPaged.
+func saveOpen(t *testing.T, u *worldgen.Universe) *Bundle {
+	t.Helper()
+	b, err := OpenPaged(savePagedFile(t, u))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	u := worldgen.Generate(worldgen.SmallParams().Scale(0.5))
+	b := saveOpen(t, u)
 
 	// Structure survives.
 	if b.World.Sites() != u.World.Sites() {
@@ -47,14 +44,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadedUniverseMeasuresIdentically(t *testing.T) {
 	u := worldgen.Generate(worldgen.SmallParams().Scale(0.5))
-	var buf bytes.Buffer
-	if err := Save(&buf, FromUniverse(u)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := saveOpen(t, u)
 
 	mk := func(bundleWiki *Bundle, orig bool) *core.Report {
 		cfg := core.DefaultConfig()
@@ -99,7 +89,7 @@ func TestLoadedUniverseMeasuresIdentically(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a paged universe stream"))); err == nil {
 		t.Error("garbage should fail to load")
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
@@ -108,26 +98,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadReportsFoundVersion checks a version-mismatched stream fails
-// with an error naming the version actually found, not an opaque
-// decode failure.
+// with an error naming the version actually found and the one this
+// build reads, not an opaque decode failure.
 func TestLoadReportsFoundVersion(t *testing.T) {
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(fileHeader{Version: 99}); err != nil {
+	if err := SavePaged(&buf, FromUniverse(worldgen.Generate(worldgen.SmallParams().Scale(0.2)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(&file{}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf)
+	data := buf.Bytes()
+	le.PutUint32(data[4:], 99)
+	_, err := Load(bytes.NewReader(data))
 	if err == nil {
 		t.Fatal("version-99 stream loaded without error")
 	}
-	if !strings.Contains(err.Error(), "version 99 found") {
-		t.Errorf("error does not name the found version: %v", err)
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("version %d", formatVersion)) {
-		t.Errorf("error does not name the supported version: %v", err)
+	if !strings.Contains(err.Error(), "version 99 found") || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("error does not name both versions: %v", err)
 	}
 }
 
@@ -152,14 +137,7 @@ func TestFaultWindowsRoundTrip(t *testing.T) {
 		t.Fatal("generation planted no fault windows")
 	}
 
-	var buf bytes.Buffer
-	if err := Save(&buf, FromUniverse(u)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := saveOpen(t, u)
 	gotSites, gotWindows := count(b.World)
 	if gotSites != origSites || gotWindows != origWindows {
 		t.Fatalf("faults: %d sites/%d windows vs %d/%d", gotSites, gotWindows, origSites, origWindows)

@@ -396,7 +396,7 @@ func TestNegativeCacheAvailability(t *testing.T) {
 // TestBatchPrefilterDifferential: the prefilter is an optimization,
 // not a semantics change — a server with it disabled streams
 // byte-identical batch responses. (The servers share the fixture
-// archive, so they run sequentially: construction toggles the filter.)
+// archive, so they run sequentially around the archive-level switch.)
 func TestBatchPrefilterDifferential(t *testing.T) {
 	_, r := fixture(t)
 	urls := make([]string, 0, r.N())
@@ -404,13 +404,16 @@ func TestBatchPrefilterDifferential(t *testing.T) {
 		urls = append(urls, rec.URL)
 	}
 
-	off := newServer(t, func(c *Config) { c.DisablePrefilter = true })
+	fixtureBundle.Archive.SetPrefilterEnabled(false)
+	defer fixtureBundle.Archive.SetPrefilterEnabled(true)
+	off := newServer(t, nil)
 	_, offLines := postBatch(t, off.Handler(), urls, http.StatusOK)
 	offStats := fixtureBundle.Archive.PrefilterStats()
 	if offStats.Enabled {
-		t.Fatal("DisablePrefilter did not disable the archive prefilter")
+		t.Fatal("SetPrefilterEnabled(false) did not disable the archive prefilter")
 	}
 
+	fixtureBundle.Archive.SetPrefilterEnabled(true)
 	on := newServer(t, nil)
 	_, onLines := postBatch(t, on.Handler(), urls, http.StatusOK)
 	onStats := fixtureBundle.Archive.PrefilterStats()

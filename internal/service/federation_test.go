@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	neturl "net/url"
+	"sort"
 	"strings"
 	"testing"
 
@@ -175,5 +176,50 @@ func TestFederationDegradedServing(t *testing.T) {
 		http.StatusOK, &revived)
 	if revived.Federation != nil && len(revived.Federation.Degraded) != 0 {
 		t.Fatalf("revived member still degraded: %v", revived.Federation.Degraded)
+	}
+	if n := s.met.count5xx(); n != 0 {
+		t.Errorf("%d 5xx responses with a member down", n)
+	}
+}
+
+// TestFederationHedgedTailAndGain is what the skewed secondaries buy
+// over every sampled link, in simulated time and so deterministically:
+// the budget-and-hedge bound keeps the served lookup latency's p99
+// within 2x the bare archive's (whose tail is the planted slow lookups
+// of §4.1), hedges actually fire, and at least one sampled link gains a
+// usable copy the primary alone cannot deliver.
+func TestFederationHedgedTailAndGain(t *testing.T) {
+	b, _ := fixture(t)
+	m := worldgen.FederationManifest(b.Params, 3)
+	bare := newServer(t, nil)
+	fed := newServer(t, func(c *Config) { c.Federation = &m })
+
+	p99 := func(s *Server) int64 {
+		h := s.Handler()
+		lats := make([]int64, 0, len(s.order))
+		for _, rec := range s.order {
+			var a availabilityResponse
+			getJSON(t, h, "/v1/availability?url="+neturl.QueryEscape(rec.URL), http.StatusOK, &a)
+			lats = append(lats, a.LatencyMS)
+		}
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		return lats[len(lats)*99/100]
+	}
+	bareP99, fedP99 := p99(bare), p99(fed)
+	t.Logf("bare p99 %dms, hedged p99 %dms", bareP99, fedP99)
+	if fedP99 > 2*bareP99 {
+		t.Errorf("hedged p99 %dms exceeds 2x the single-archive p99 %dms", fedP99, bareP99)
+	}
+
+	var info federationInfoResponse
+	getJSON(t, fed.Handler(), "/v1/federation/info", http.StatusOK, &info)
+	if info.Stats.HedgesFired < 1 {
+		t.Errorf("no hedges fired across %d lookups", len(fed.order))
+	}
+	if info.UsableGain < 1 {
+		t.Errorf("3-member federation adds no usable coverage (gain %d)", info.UsableGain)
+	}
+	if n := bare.met.count5xx() + fed.met.count5xx(); n != 0 {
+		t.Errorf("%d 5xx responses", n)
 	}
 }

@@ -590,18 +590,6 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 		if s.testHookClassify != nil {
 			s.testHookClassify()
 		}
-		// SimLiveLatency models the live-web round trip the simulator
-		// otherwise skips: a real classification spends most of its
-		// wall-clock in network I/O, and restoring that service time
-		// (while a worker slot is held) makes measured capacity
-		// worker-bound, as in production, rather than CPU-bound.
-		if s.cfg.SimLiveLatency > 0 {
-			select {
-			case <-time.After(s.cfg.SimLiveLatency):
-			case <-cctx.Done():
-				return nil, &classifyError{http.StatusServiceUnavailable, "deadline", cctx.Err().Error()}
-			}
-		}
 		c, err := s.study.ClassifyLink(cctx, rec)
 		if err != nil {
 			return nil, err

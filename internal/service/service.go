@@ -111,17 +111,6 @@ type Config struct {
 	// ClassifyWorkers: the pool is the real limit, and a wider fan-out
 	// would only queue.
 	BatchWorkers int
-	// DisablePrefilter turns off the frozen archive's capture
-	// prefilter (for benchmarking the filter's effect).
-	DisablePrefilter bool
-	// SimLiveLatency, when > 0, floors each classification's service
-	// time with a wall-clock wait while its worker slot is held. The
-	// simulated web answers instantly, but the system being modeled
-	// spends most of a classification in live-web I/O; restoring that
-	// makes measured throughput worker-bound (as in production), which
-	// is what fleet-scaling benchmarks need on small machines. Zero
-	// (the default) leaves the simulator at full speed.
-	SimLiveLatency time.Duration
 	// MemoCap bounds the study memo's per-map entries
 	// (archive.NewMemoCapped); 0 means unbounded.
 	MemoCap int
@@ -296,7 +285,6 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		cfg.BatchWorkers = cfg.ClassifyWorkers
 	}
 	b.Archive.Freeze()
-	b.Archive.SetPrefilterEnabled(!cfg.DisablePrefilter)
 
 	study := &core.Study{
 		Config:  cfg.Study,

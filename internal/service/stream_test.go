@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,14 +34,17 @@ var (
 
 func streamFixture(t *testing.T) *persist.Bundle {
 	t.Helper()
-	streamOnce.Do(func() {
-		p := worldgen.SmallParams()
-		p.FlakySiteFrac = 1
-		p.FlakyRate = 0.85
-		p.FlakyStreamDays = 400
-		streamBundle = persist.FromUniverse(worldgen.Generate(p))
-	})
+	streamOnce.Do(func() { streamBundle = flakyBundle() })
 	return streamBundle
+}
+
+// flakyBundle generates a universe with a continuous flip supply.
+func flakyBundle() *persist.Bundle {
+	p := worldgen.SmallParams()
+	p.FlakySiteFrac = 1
+	p.FlakyRate = 0.85
+	p.FlakyStreamDays = 400
+	return persist.FromUniverse(worldgen.Generate(p))
 }
 
 // newStreamServer builds a monitor-enabled server over the flaky
@@ -50,7 +55,11 @@ func streamFixture(t *testing.T) *persist.Bundle {
 // never waits on a live stream.
 func newStreamServer(t *testing.T, mut func(*Config)) (*Server, string) {
 	t.Helper()
-	b := streamFixture(t)
+	return newStreamServerOver(t, streamFixture(t), mut)
+}
+
+func newStreamServerOver(t *testing.T, b *persist.Bundle, mut func(*Config)) (*Server, string) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Study.SampleSize = b.Params.SampleSize
 	cfg.Study.CrawlArticles = 0
@@ -267,6 +276,9 @@ func TestStreamDeliversFlipsLive(t *testing.T) {
 		if e.EmittedUnixNs == 0 {
 			t.Fatalf("event %d: live event carries no emission stamp", i)
 		}
+		if len(e.Articles) == 0 {
+			t.Fatalf("event %d: flip names no citing articles", i)
+		}
 	}
 
 	// The wire and the journal must agree entry for entry.
@@ -283,6 +295,9 @@ func TestStreamDeliversFlipsLive(t *testing.T) {
 			t.Fatalf("event %d diverges from journal: wire %+v, journal %+v", i, e.Entry, je)
 		}
 	}
+	if n := s.met.count5xx(); n != 0 {
+		t.Errorf("%d 5xx responses while streaming", n)
+	}
 }
 
 // TestStreamResumeExactlyOnce: a client that reconnects with
@@ -290,7 +305,7 @@ func TestStreamDeliversFlipsLive(t *testing.T) {
 // duplicate at the replay/live seam — and new flips after the
 // reconnect continue the sequence on the same stream.
 func TestStreamResumeExactlyOnce(t *testing.T) {
-	_, base := newStreamServer(t, nil)
+	s, base := newStreamServer(t, nil)
 
 	watchSampleArticles(t, base, 120)
 	last := tickUntilFlips(t, base, 4, 15, 120)
@@ -335,6 +350,92 @@ func TestStreamResumeExactlyOnce(t *testing.T) {
 		if want := int64(n + i + 1); ev.id != want {
 			t.Fatalf("post-resume live event %d: id %d, want %d", i, ev.id, want)
 		}
+	}
+	if n := s.met.count5xx(); n != 0 {
+		t.Errorf("%d 5xx responses across the resume", n)
+	}
+}
+
+// TestRepairLoopEndToEnd is the -repair / -journal wiring at service
+// level, over a long enough horizon (150 sim days across 120 sampled
+// links) for fault windows to open and close: flips run in both
+// directions and some dead verdict is flagged suspect; the IABot loop
+// edits a watched article whose link flipped to dead, visibly in
+// /v1/sim/article; and the on-disk journal survives shutdown, one flip
+// per line from seq 1. The universe is private because the bot edits
+// its articles.
+func TestRepairLoopEndToEnd(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.ndjson")
+	s, base := newStreamServerOver(t, flakyBundle(), func(c *Config) {
+		c.EnableRepair = true
+		c.JournalPath = jpath
+	})
+	watchSampleArticles(t, base, 120)
+	for spent := 0; spent < 150; spent += 15 {
+		postJSON(t, base, "/v1/sim/tick", map[string]int{"days": 15}, http.StatusOK, nil)
+	}
+
+	entries := s.Monitor().Journal().After(0)
+	var toDead, toAlive, suspect int
+	for _, e := range entries {
+		switch e.New {
+		case "dead":
+			toDead++
+			if e.Suspect {
+				suspect++
+			}
+		case "alive":
+			toAlive++
+		}
+	}
+	if toDead == 0 || toAlive == 0 {
+		t.Fatalf("flips are one-directional: %d to dead, %d to alive (fault windows should open and close)", toDead, toAlive)
+	}
+	if suspect == 0 {
+		t.Error("no dead verdict was flagged suspect despite fault windows")
+	}
+
+	st, err := s.Monitor().Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RepairsEdited == 0 {
+		t.Fatal("EnableRepair set, links flipped to dead, but repairs_edited = 0")
+	}
+	marked := false
+	for _, e := range entries {
+		if e.New != "dead" {
+			continue
+		}
+		for _, title := range e.Articles {
+			var ar struct {
+				Text string `json:"text"`
+			}
+			getJSON(t, s.Handler(), "/v1/sim/article?title="+queryEscape(title), http.StatusOK, &ar)
+			if strings.Contains(ar.Text, "archive-url=") || strings.Contains(ar.Text, "{{Dead link") {
+				marked = true
+			}
+		}
+	}
+	if !marked {
+		t.Errorf("%d repairs counted but no flipped article carries archive-url or {{Dead link}}", st.RepairsEdited)
+	}
+	if n := s.met.count5xx(); n != 0 {
+		t.Errorf("%d 5xx responses during the repair run", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != len(entries) || !strings.Contains(lines[0], `"seq":1,`) {
+		t.Fatalf("journal file holds %d lines for %d flips, first line %q", len(lines), len(entries), lines[0])
 	}
 }
 

@@ -20,11 +20,11 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 
+	"permadead/internal/hashx"
 	"permadead/internal/urlutil"
 )
 
@@ -242,17 +242,5 @@ func cloneState(st RingState) RingState {
 // table-free, so every process in the fleet agrees with no
 // coordination.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s)) //nolint:errcheck // fnv never errors
-	return mix64(h.Sum64())
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return hashx.Mix64(hashx.FNV1a(s) - hashx.Golden) // the bare finalizer
 }

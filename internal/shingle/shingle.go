@@ -15,6 +15,8 @@ import (
 	"hash/fnv"
 	"strings"
 	"unicode"
+
+	"permadead/internal/hashx"
 )
 
 // DefaultK is the shingle width used by the soft-404 detector. Broder's
@@ -144,21 +146,15 @@ func NewSketch(text string, k, n int) Sketch {
 	}
 	for s := range set {
 		for i := 0; i < n; i++ {
-			// Mix the shingle hash with the permutation index using a
-			// splitmix64-style finalizer: cheap, well-distributed.
-			v := mix(s + uint64(i)*0x9e3779b97f4a7c15)
+			// Mix the shingle hash with the permutation index using
+			// the bare splitmix64 finalizer: cheap, well-distributed.
+			v := hashx.Mix64(s + uint64(i)*hashx.Golden - hashx.Golden)
 			if v < sk[i] {
 				sk[i] = v
 			}
 		}
 	}
 	return sk
-}
-
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Estimate returns the estimated Jaccard resemblance between the two

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+
+	"permadead/internal/hashx"
 )
 
 // Deterministic body generation. Every page body is a function of the
@@ -40,19 +42,12 @@ func hash64(parts ...string) uint64 {
 	return h.Sum64()
 }
 
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // words produces n deterministic words from the bank for the given seed.
 func words(seed uint64, n int) []string {
 	out := make([]string, n)
 	s := seed
 	for i := range out {
-		s = mix64(s)
+		s = hashx.Mix64(s)
 		out[i] = wordBank[s%uint64(len(wordBank))]
 	}
 	return out

@@ -1,6 +1,7 @@
 package simweb
 
 import (
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 )
 
@@ -111,7 +112,7 @@ func (fw FaultWindow) fires(day simclock.Day, attempt int) bool {
 	if attempt < 0 || fw.Rate <= 0 || !fw.ActiveOn(day) {
 		return false
 	}
-	x := mix64(fw.Seed ^ mix64(uint64(int64(day))) ^ mix64(uint64(int64(attempt))+0x51ab))
+	x := hashx.Mix64(fw.Seed ^ hashx.Mix64(uint64(int64(day))) ^ hashx.Mix64(uint64(int64(attempt))+0x51ab))
 	return float64(x>>11)/float64(1<<53) < fw.Rate
 }
 

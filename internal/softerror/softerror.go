@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"permadead/internal/fetch"
+	"permadead/internal/hashx"
 	"permadead/internal/shingle"
 	"permadead/internal/urlutil"
 )
@@ -150,11 +151,7 @@ func (d *Detector) ProbeURLFor(url string) string {
 const probeAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 func randomString(seedStr string, n int) string {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(seedStr); i++ {
-		h ^= uint64(seedStr[i])
-		h *= 1099511628211
-	}
+	h := hashx.FNV1a(seedStr)
 	b := make([]byte, n)
 	for i := range b {
 		h ^= h << 13

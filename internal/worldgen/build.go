@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"permadead/internal/archive"
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 )
@@ -24,7 +25,7 @@ const (
 // slowLookupLatency derives a deterministic heavy-tailed latency above
 // the production timeout for one URL.
 func slowLookupLatency(url string) time.Duration {
-	h := stableHash(url)
+	h := hashx.FNV1a(url)
 	base := slowLookupMin + time.Duration(h%4000)*time.Millisecond // 2.5–6.5s
 	if h%5 == 0 {
 		// One in five lookups is pathologically slow, out to a minute.
@@ -69,7 +70,7 @@ func buildSites(w *simweb.World, pl *Plan, d *DomainPlan) map[string]*simweb.Sit
 	for _, host := range d.Hosts {
 		s := w.AddSite(host, d.Created)
 		s.Rank = d.Rank
-		s.Seed = stableHash(d.Domain)
+		s.Seed = hashx.FNV1a(d.Domain)
 
 		switch d.Live {
 		case LiveDNS:
@@ -292,7 +293,7 @@ func plantNoneCoverage(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, arch 
 			Count:     dirCount,
 			FirstDay:  firstDay,
 			LastDay:   lastDay,
-			Seed:      stableHash(lp.URL) ^ 0xd1d1,
+			Seed:      hashx.FNV1a(lp.URL) ^ 0xd1d1,
 		})
 	}
 	// §5.2 implication (b): some query-heavy URLs were archived under a
@@ -300,7 +301,7 @@ func plantNoneCoverage(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, arch 
 	// same page; the archive holds only the permuted spelling, so the
 	// posted URL itself shows "no captures" yet is rescuable by
 	// canonicalizing the query.
-	if lp.QueryStyle && !lp.Typo && lp.DirNeighbors > 0 && stableHash(lp.URL)%10 < 4 {
+	if lp.QueryStyle && !lp.Typo && lp.DirNeighbors > 0 && hashx.FNV1a(lp.URL)%10 < 4 {
 		if perm := permuteQuery(lp.Path); perm != lp.Path && site.Page(perm) == nil {
 			pg := site.Page(lp.Path)
 			if pg != nil {
@@ -326,7 +327,7 @@ func plantNoneCoverage(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, arch 
 			Count:     extra,
 			FirstDay:  firstDay,
 			LastDay:   lastDay,
-			Seed:      stableHash(lp.URL) ^ 0x4040,
+			Seed:      hashx.FNV1a(lp.URL) ^ 0x4040,
 		})
 	}
 }

@@ -3,6 +3,7 @@ package worldgen
 import (
 	"math/rand"
 
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 )
@@ -53,7 +54,7 @@ func plantFaults(p Params, world *simweb.World) {
 				Mode:          modes[rng.Intn(len(modes))],
 				Rate:          p.FlakyRate,
 				RetryAfterSec: p.FlakyRetryAfterSec,
-				Seed:          stableHash(host) ^ (0x9e3779b97f4a7c15 * uint64(i+1)),
+				Seed:          hashx.FNV1a(host) ^ (hashx.Golden * uint64(i+1)),
 			}
 		}
 		// The study-time window.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 )
 
@@ -1123,7 +1124,7 @@ func firstScanAfter(p Params, title string, created, from simclock.Day) simclock
 	if interval <= 0 {
 		interval = 150
 	}
-	offset := int(stableHash(title) % uint64(interval))
+	offset := int(hashx.FNV1a(title) % uint64(interval))
 	first := p.IABotStart.Add(offset)
 	lo := from
 	if created.After(lo) {
@@ -1146,7 +1147,7 @@ func ScanDays(p Params, title string, created simclock.Day) []simclock.Day {
 	if interval <= 0 {
 		interval = 150
 	}
-	offset := int(stableHash(title) % uint64(interval))
+	offset := int(hashx.FNV1a(title) % uint64(interval))
 	var out []simclock.Day
 	for d := p.IABotStart.Add(offset); !d.After(p.StudyTime); d = d.Add(interval) {
 		if !d.Before(created) {
@@ -1154,15 +1155,6 @@ func ScanDays(p Params, title string, created simclock.Day) []simclock.Day {
 		}
 	}
 	return out
-}
-
-func stableHash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 func clampDay(d, lo, hi simclock.Day) simclock.Day {

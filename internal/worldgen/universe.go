@@ -10,6 +10,7 @@ import (
 	"permadead/internal/archive"
 	"permadead/internal/eventstream"
 	"permadead/internal/fetch"
+	"permadead/internal/hashx"
 	"permadead/internal/iabot"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
@@ -290,7 +291,7 @@ func (u *Universe) userMark(ev event) {
 		return
 	}
 	doc.AddCategory(iabot.Category)
-	u.Wiki.Edit(ev.article, ev.day, "Editor"+fmt.Sprint(1+int(stableHash(bg.URL)%500)),
+	u.Wiki.Edit(ev.article, ev.day, "Editor"+fmt.Sprint(1+int(hashx.FNV1a(bg.URL)%500)),
 		"Tagging dead link", doc.Render()) //nolint:errcheck
 }
 
