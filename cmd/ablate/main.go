@@ -269,14 +269,6 @@ func runScenarioGrid(u *worldgen.Universe, records []core.LinkRecord) {
 	}
 	fmt.Println(t.String())
 
-	for i, sc := range grid.Scenarios {
-		for j, spec := range grid.Specs {
-			pt := grid.Cells[i][j]
-			fmt.Printf("BenchmarkScenario/%s/%s 1 %d false-dead %.4f rate %d fetches\n",
-				sc.Key, spec.Key, pt.FalseDead, pt.Rate, pt.Fetches)
-		}
-	}
-
 	if err := checkGrid(&grid); err != nil {
 		fmt.Fprintf(os.Stderr, "ablate: scenario grid FAILED: %v\n", err)
 		os.Exit(1)

@@ -9,12 +9,16 @@
 // Usage:
 //
 //	permadead-router -members s1=127.0.0.1:9001,s2=127.0.0.1:9002 \
-//	                 [-addr host:port] [-vnodes n] [-shard-timeout d]
+//	                 [-addr host:port] [-addr-file file] [-shard-timeout d]
 //
 // Member names must match each shard's -shard-name; the shards must
 // have been started with the same member list (the ring is rebuilt
 // identically everywhere from the names alone). Runtime rebalances go
-// through POST /admin/rebalance {"domain": ..., "to": ...}.
+// through POST /admin/rebalance {"domain": ..., "to": ...}. Everything
+// else — virtual nodes per member, health-poll cadence, Retry-After,
+// the batch bound, the rebalance drain bound — is a constant in
+// internal/shard. On SIGINT/SIGTERM the router drains: new proxied
+// requests get 503 while in-flight ones finish.
 package main
 
 import (
@@ -37,12 +41,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 		members      = flag.String("members", "", "comma-separated name=host:port fleet members, in ring order")
-		vnodes       = flag.Int("vnodes", 0, "consistent-hash virtual nodes per member (0 = default)")
 		shardTimeout = flag.Duration("shard-timeout", 15*time.Second, "per-shard deadline on proxied and scattered requests")
-		healthEvery  = flag.Duration("health-interval", time.Second, "shard /healthz polling cadence")
-		retryAfter   = flag.Int("retry-after", 2, "Retry-After seconds advertised on degraded responses")
-		maxBatch     = flag.Int("max-batch", 10000, "max links per /v1/classify/batch request")
-		drainWait    = flag.Duration("drain-timeout", 5*time.Second, "rebalance bound on draining the old owner's in-flight range")
 	)
 	flag.Parse()
 
@@ -50,15 +49,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	r, err := shard.NewRouter(shard.RouterConfig{
-		Members:        fleet,
-		VNodes:         *vnodes,
-		ShardTimeout:   *shardTimeout,
-		HealthInterval: *healthEvery,
-		RetryAfterSec:  *retryAfter,
-		MaxBatchLinks:  *maxBatch,
-		DrainTimeout:   *drainWait,
-	})
+	r, err := shard.NewRouter(shard.RouterConfig{Members: fleet, ShardTimeout: *shardTimeout})
 	if err != nil {
 		fatal(err)
 	}
@@ -74,12 +65,8 @@ func main() {
 			fatal(err)
 		}
 	}()
-	names := make([]string, len(fleet))
-	for i, m := range fleet {
-		names[i] = m.Name
-	}
 	fmt.Fprintf(os.Stderr, "permadead-router: routing for [%s] on http://%s\n",
-		strings.Join(names, " "), ln.Addr())
+		strings.Join(r.Ring().Members(), " "), ln.Addr())
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			fatal(err)
@@ -90,6 +77,7 @@ func main() {
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-sigs
 	fmt.Fprintf(os.Stderr, "permadead-router: %v received, shutting down...\n", sig)
+	r.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx) //nolint:errcheck // the router holds no state worth a forced drain

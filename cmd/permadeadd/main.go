@@ -5,10 +5,19 @@
 //
 // Usage:
 //
-//	permadeadd [-addr host:port] [-scale f] [-seed n] [-load file]
-//	           [-flaky f] [-flaky-stream-days n] [-monitor-ttl days]
-//	           [-journal file] [-repair]
-//	           [-archives manifest.json] [-fed-budget ms] [-fed-hedge f]
+//	permadeadd [-addr host:port] [-addr-file file]
+//	           [-scale f] [-seed n] [-sample n] [-load file]
+//	           [-max-inflight n] [-request-timeout d] [-cache-entries n]
+//	           [-drain-timeout d]
+//	           [-flaky f] [-flaky-rate f] [-flaky-stream-days n]
+//	           [-no-monitor] [-monitor-ttl days] [-journal file] [-repair]
+//	           [-shard-name s -shard-members a,b,c] [-archives manifest.json]
+//
+// Those twenty flags are the whole option surface: every other serving
+// size (worker pools, negative cache, memo, SSE buffers, journal
+// window, batch bound, ring virtual nodes) is a constant or derived
+// from -max-inflight in internal/service, and a federation's budget,
+// hedge fraction and time scale are fields of the -archives manifest.
 //
 // The universe is generated at startup (or loaded from a 'worldgen
 // -save' file); the server then answers queries until SIGINT/SIGTERM,
@@ -35,48 +44,33 @@ import (
 )
 
 func main() {
-	defaults := service.DefaultConfig()
+	cfg := service.DefaultConfig()
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 		scale    = flag.Float64("scale", 0.25, "universe scale relative to the paper's 10,000-link study")
-		seed     = flag.Int64("seed", 1, "generation and sampling seed")
 		sample   = flag.Int("sample", 0, "sample size override (0 = scaled default)")
 		load     = flag.String("load", "", "serve a universe saved by 'worldgen -save' instead of generating one")
 
-		maxInFlight     = flag.Int("max-inflight", defaults.MaxInFlight, "bound on concurrently admitted requests")
-		classifyWorkers = flag.Int("classify-workers", defaults.ClassifyWorkers, "bound on concurrent classifications")
-		reqTimeout      = flag.Duration("request-timeout", defaults.RequestTimeout, "per-request deadline (admission wait included)")
-		cacheEntries    = flag.Int("cache-entries", defaults.CacheEntries, "response cache capacity in entries (0 disables)")
-		cacheShards     = flag.Int("cache-shards", defaults.CacheShards, "response cache shard count")
-		negCacheEntries = flag.Int("neg-cache-entries", defaults.NegCacheEntries, "negative-result cache capacity in entries (0 disables)")
-		maxBatch        = flag.Int("max-batch", defaults.MaxBatchLinks, "max links per /v1/classify/batch request")
-		batchWorkers    = flag.Int("batch-workers", defaults.BatchWorkers, "per-batch classify fan-out (clamped to -classify-workers)")
-		memoCap         = flag.Int("memo-cap", defaults.MemoCap, "per-map entry bound on the archive memo (0 = unbounded)")
-		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
 		flaky           = flag.Float64("flaky", -1, "fraction of sites with recurring fault windows (generated universes only; <0 keeps the scaled default)")
 		flakyRate       = flag.Float64("flaky-rate", -1, "per-window error rate on flaky sites (<0 keeps the default)")
 		flakyStreamDays = flag.Int("flaky-stream-days", 0, "extend flaky fault windows this many days past the study day (continuous flip supply for the monitor)")
 
-		noMonitor      = flag.Bool("no-monitor", false, "disable the continuous verdict monitor and its endpoints")
-		monitorTTL     = flag.Int("monitor-ttl", defaults.MonitorTTLDays, "days before a warm verdict goes stale and is re-checked")
-		monitorWorkers = flag.Int("monitor-checkers", defaults.MonitorCheckers, "concurrent re-check workers in the monitor")
-		sseBuffer      = flag.Int("sse-buffer", defaults.SSESubscriberBuffer, "per-subscriber event buffer; slow consumers past it are dropped")
-		maxSubs        = flag.Int("max-subscribers", defaults.MaxSSESubscribers, "bound on concurrent /v1/stream/verdicts subscribers")
-		journalPath    = flag.String("journal", "", "append verdict flips to this NDJSON file (empty = in-memory only)")
-		journalWindow  = flag.Int("journal-window", defaults.JournalWindow, "in-memory flip-journal window; older SSE resume cursors replay from -journal or get 410 (0 = unbounded)")
-		repair         = flag.Bool("repair", false, "run the IABot repair loop: rescue links that flip to dead with archive URLs")
-
-		shardName    = flag.String("shard-name", "", "run as this member of a sharded fleet (requires -shard-members)")
 		shardMembers = flag.String("shard-members", "", "comma-separated fleet member names, identical on every shard and the router")
-		shardVNodes  = flag.Int("shard-vnodes", 0, "consistent-hash virtual nodes per member (0 = default)")
-
-		archivesPath = flag.String("archives", "", "federate archive reads across the member manifest in this JSON file (see 'worldgen -archives'); empty serves the bare archive")
-		fedBudget    = flag.Int("fed-budget", -1, "federation-wide lookup budget in ms, overriding the manifest (<0 keeps the manifest's; 0 = unbounded)")
-		fedHedge     = flag.Float64("fed-hedge", -1, "hedge deadline as a fraction of the budget, overriding the manifest (<0 keeps the manifest's)")
-		fedTimeScale = flag.Float64("fed-timescale", -1, "wall-clock seconds per simulated second for federated lookups, overriding the manifest (<0 keeps the manifest's; 0 = instant)")
+		archivesPath = flag.String("archives", "", "federate archive reads across the member manifest in this JSON file (see 'worldgen -archives'; budget, hedge fraction and time scale are manifest fields); empty serves the bare archive")
 	)
+	// Options that are service.Config fields parse straight into cfg.
+	flag.Int64Var(&cfg.Study.Seed, "seed", 1, "generation and sampling seed")
+	flag.IntVar(&cfg.MaxInFlight, "max-inflight", cfg.MaxInFlight, "bound on concurrently admitted requests; classification runs on half of it, one batch fans out over a quarter")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline (admission wait included)")
+	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "response cache capacity in entries (0 disables)")
+	flag.BoolVar(&cfg.DisableMonitor, "no-monitor", false, "disable the continuous verdict monitor and its endpoints")
+	flag.IntVar(&cfg.MonitorTTLDays, "monitor-ttl", cfg.MonitorTTLDays, "days before a warm verdict goes stale and is re-checked")
+	flag.StringVar(&cfg.JournalPath, "journal", "", "append verdict flips to this NDJSON file (empty = in-memory only; SSE resume cursors older than the in-memory window replay from it)")
+	flag.BoolVar(&cfg.EnableRepair, "repair", false, "run the IABot repair loop: rescue links that flip to dead with archive URLs")
+	flag.StringVar(&cfg.ShardName, "shard-name", "", "run as this member of a sharded fleet (requires -shard-members)")
 	flag.Parse()
 
 	var bundle *persist.Bundle
@@ -91,7 +85,7 @@ func main() {
 		loadDur = time.Since(start)
 	} else {
 		params := worldgen.DefaultParams().Scale(*scale)
-		params.Seed = *seed
+		params.Seed = cfg.Study.Seed
 		if *flaky >= 0 {
 			params.FlakySiteFrac = *flaky
 		}
@@ -101,7 +95,7 @@ func main() {
 		if *flakyStreamDays > 0 {
 			params.FlakyStreamDays = *flakyStreamDays
 		}
-		fmt.Fprintf(os.Stderr, "generating universe (scale %.2f, seed %d)...\n", *scale, *seed)
+		fmt.Fprintf(os.Stderr, "generating universe (scale %.2f, seed %d)...\n", *scale, cfg.Study.Seed)
 		start := time.Now()
 		u := worldgen.Generate(params)
 		loadDur = time.Since(start)
@@ -110,57 +104,24 @@ func main() {
 	}
 	defer bundle.Close()
 
-	cfg := defaults
-	cfg.Study.Seed = *seed
 	cfg.Study.SampleSize = bundle.Params.SampleSize
 	if *sample > 0 {
 		cfg.Study.SampleSize = *sample
 	}
 	cfg.Study.CrawlArticles = 0
-	cfg.MaxInFlight = *maxInFlight
-	cfg.ClassifyWorkers = *classifyWorkers
-	cfg.RequestTimeout = *reqTimeout
-	cfg.CacheEntries = *cacheEntries
-	cfg.CacheShards = *cacheShards
-	cfg.NegCacheEntries = *negCacheEntries
-	cfg.MaxBatchLinks = *maxBatch
-	cfg.BatchWorkers = *batchWorkers
-	cfg.MemoCap = *memoCap
-	cfg.DisableMonitor = *noMonitor
-	cfg.MonitorTTLDays = *monitorTTL
-	cfg.MonitorCheckers = *monitorWorkers
-	cfg.SSESubscriberBuffer = *sseBuffer
-	cfg.MaxSSESubscribers = *maxSubs
-	cfg.JournalPath = *journalPath
-	cfg.JournalWindow = *journalWindow
-	cfg.EnableRepair = *repair
-	if *shardName != "" {
+	if cfg.ShardName != "" {
 		if *shardMembers == "" {
 			fatal(fmt.Errorf("-shard-name requires -shard-members"))
 		}
-		cfg.ShardName = *shardName
 		for _, m := range strings.Split(*shardMembers, ",") {
 			if m = strings.TrimSpace(m); m != "" {
 				cfg.ShardMembers = append(cfg.ShardMembers, m)
 			}
 		}
-		cfg.ShardVNodes = *shardVNodes
 	}
 	if *archivesPath != "" {
 		m, err := federation.LoadManifest(*archivesPath)
 		if err != nil {
-			fatal(err)
-		}
-		if *fedBudget >= 0 {
-			m.BudgetMS = *fedBudget
-		}
-		if *fedHedge >= 0 {
-			m.HedgeFraction = *fedHedge
-		}
-		if *fedTimeScale >= 0 {
-			m.TimeScale = *fedTimeScale
-		}
-		if err := m.Validate(); err != nil {
 			fatal(err)
 		}
 		cfg.Federation = &m
@@ -180,15 +141,13 @@ func main() {
 		fatal(err)
 	}
 	listenDur := time.Since(listenStart)
-	srv.RecordStartupPhase("load", loadDur)
-	srv.RecordStartupPhase("freeze", freezeDur)
-	srv.RecordStartupPhase("listen", listenDur)
+	srv.RecordStartup(loadDur, freezeDur, listenDur)
 	fmt.Fprintf(os.Stderr, "permadeadd: startup load=%dms freeze=%dms listen=%dms total=%dms\n",
 		loadDur.Milliseconds(), freezeDur.Milliseconds(), listenDur.Milliseconds(),
 		(loadDur + freezeDur + listenDur).Milliseconds())
 	fmt.Fprintf(os.Stderr, "permadeadd: serving %d sampled links on http://%s\n", srv.SampleSize(), srv.Addr())
-	if *shardName != "" {
-		fmt.Fprintf(os.Stderr, "permadeadd: fleet member %s of [%s]\n", *shardName, *shardMembers)
+	if cfg.ShardName != "" {
+		fmt.Fprintf(os.Stderr, "permadeadd: fleet member %s of [%s]\n", cfg.ShardName, *shardMembers)
 	}
 	if cfg.Federation != nil {
 		fmt.Fprintf(os.Stderr, "permadeadd: federating %d archive members (budget %dms, hedge %.2f)\n",

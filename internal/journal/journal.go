@@ -15,6 +15,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,40 +91,62 @@ func New() *Journal {
 // mode. Existing entries are loaded so the sequence counter continues
 // from the last line and After can replay history from before the
 // restart.
+//
+// A crash mid-append leaves a final record cut short. An unparsable
+// last line with no trailing newline is that torn tail: the file is
+// truncated back to the end of the last complete record (the dropped
+// byte count is reported once on stderr) and the journal continues from
+// that record's seq. An unparsable line anywhere else is corruption,
+// and refuses to open.
 func OpenFile(path string) (*Journal, error) {
 	j := &Journal{}
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	keep := len(data) // bytes of data that stay in the file
+	for off := 0; off < len(data); {
+		line, next := data[off:], len(data)
+		nl := bytes.IndexByte(line, '\n')
+		if nl >= 0 {
+			line, next = line[:nl], off+nl+1
+		}
+		if len(line) > 0 {
 			var e Entry
 			if err := json.Unmarshal(line, &e); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("journal %s: corrupt line after seq %d: %w", path, j.seq, err)
+				if nl >= 0 {
+					return nil, fmt.Errorf("journal %s: corrupt line after seq %d: %w", path, j.seq, err)
+				}
+				keep = off
+				fmt.Fprintf(os.Stderr, "journal %s: dropped %d bytes of a torn final record after seq %d\n",
+					path, len(data)-off, j.seq)
+				break
 			}
 			j.entries = append(j.entries, e)
 			if e.Seq > j.seq {
 				j.seq = e.Seq
 			}
 		}
-		if err := sc.Err(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal %s: %w", path, err)
+		off = next
+	}
+	if keep < len(data) {
+		if err := os.Truncate(path, int64(keep)); err != nil {
+			return nil, fmt.Errorf("journal %s: truncating torn tail: %w", path, err)
 		}
-		f.Close()
-	} else if !os.IsNotExist(err) {
-		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if st, err := f.Stat(); err == nil {
-		j.bytes = st.Size()
+	j.bytes = int64(keep)
+	if keep > 0 && data[keep-1] != '\n' {
+		// The crash cut exactly the record's newline: the record parsed
+		// and stays, but the next append must start its own line.
+		if _, err := f.WriteString("\n"); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal %s: terminating last record: %w", path, err)
+		}
+		j.bytes++
 	}
 	j.path = path
 	j.file = f

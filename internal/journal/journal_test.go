@@ -118,6 +118,81 @@ func TestOpenFileCorrupt(t *testing.T) {
 	}
 }
 
+// TestOpenFileTruncatesTornTail: a crash mid-append leaves a final
+// record cut short; the next boot drops exactly those bytes and carries
+// on from the last complete record.
+func TestOpenFileTruncatesTornTail(t *testing.T) {
+	complete := "{\"seq\":1,\"url\":\"http://a.simtest/1\"}\n{\"seq\":2,\"url\":\"http://a.simtest/2\"}\n"
+	for name, tail := range map[string]string{
+		"cut mid-record":         `{"seq":3,"url":"http://a.sim`,
+		"cut before the newline": `{"seq":3,"url":"http://a.simtest/3"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.ndjson")
+			if err := os.WriteFile(path, []byte(complete+tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenFile(path)
+			if err != nil {
+				t.Fatalf("a torn final record must not brick the boot: %v", err)
+			}
+			// The cut-before-newline record is whole and stays.
+			want := int64(2)
+			if json.Valid([]byte(tail)) {
+				want = 3
+			}
+			if j.LastSeq() != want || j.Len() != int(want) {
+				t.Fatalf("reopened at seq %d with %d entries, want %d", j.LastSeq(), j.Len(), want)
+			}
+			if e := j.Append(Entry{URL: "http://b.simtest/next"}); e.Seq != want+1 {
+				t.Errorf("next append got seq %d, want %d", e.Seq, want+1)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// What is on disk is again a clean journal, sized as reported.
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(raw)) != j.Bytes() {
+				t.Errorf("file holds %d bytes, journal reports %d", len(raw), j.Bytes())
+			}
+			j2, err := OpenFile(path)
+			if err != nil {
+				t.Fatalf("repaired journal does not reopen: %v\n%s", err, raw)
+			}
+			defer j2.Close()
+			if j2.LastSeq() != want+1 || j2.Len() != int(want+1) {
+				t.Errorf("repaired journal reopened at seq %d with %d entries, want %d", j2.LastSeq(), j2.Len(), want+1)
+			}
+		})
+	}
+}
+
+// TestOpenFileRejectsMidFileCorruption: an unparsable line with data
+// after it is corruption, not a torn tail — refuse, and leave the file
+// alone.
+func TestOpenFileRejectsMidFileCorruption(t *testing.T) {
+	for name, content := range map[string]string{
+		"followed by a record":    "{\"seq\":1}\nnot json\n{\"seq\":2}\n",
+		"followed by a torn tail": "{\"seq\":1}\nnot json\n{\"seq\":2",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.ndjson")
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenFile(path); err == nil {
+				t.Fatal("mid-file corruption should fail to open")
+			}
+			if raw, _ := os.ReadFile(path); string(raw) != content {
+				t.Errorf("refused journal was modified: %q", raw)
+			}
+		})
+	}
+}
+
 func TestConcurrentAppend(t *testing.T) {
 	j := New()
 	const workers, per = 8, 50

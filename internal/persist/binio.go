@@ -33,12 +33,6 @@ func (w *secWriter) pad8() {
 	}
 }
 
-// patchU32 overwrites a previously written u32 (for back-filled
-// lengths and offsets).
-func (w *secWriter) patchU32(off int, v uint32) {
-	le.PutUint32(w.buf[off:], v)
-}
-
 // arena interns every string the file references. Identical strings
 // share one copy; references are (offset, length) uint32 pairs.
 type arena struct {

@@ -1,15 +1,13 @@
 // Package report writes the study's results as a Markdown document —
-// the generator behind EXPERIMENTS.md: the paper-vs-measured table,
-// per-figure ASCII sketches, and (optionally) ablation tables.
+// the generator behind EXPERIMENTS.md: the paper-vs-measured table
+// and per-figure ASCII sketches.
 package report
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"permadead/internal/ablation"
 	"permadead/internal/core"
 )
 
@@ -57,104 +55,6 @@ func WriteMarkdown(w io.Writer, r *core.Report, o Options) error {
 		bw.WriteString("\n")
 		bw.WriteString(r.RenderSpatial())
 		bw.WriteString("```\n\n")
-	}
-	return bw.err
-}
-
-// AblationResults collects the sweeps for the ablation section.
-type AblationResults struct {
-	Timeouts  []ablation.TimeoutPoint
-	Redirects []ablation.RedirectPoint
-	Delays    []ablation.DelayPoint
-	Rechecks  []ablation.RecheckPoint
-	Medic     *ablation.MedicResult
-	Query     *ablation.QueryRescueResult
-	EditCheck *ablation.EditCheckResult
-	// SampleSize normalizes fractions.
-	SampleSize int
-}
-
-// WriteAblations appends the ablation tables to the document.
-func WriteAblations(w io.Writer, a AblationResults) error {
-	bw := &errWriter{w: w}
-	n := float64(a.SampleSize)
-	pct := func(v int) string {
-		if n == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%d (%.1f%%)", v, float64(v)/n*100)
-	}
-
-	bw.WriteString("## Ablations\n\n")
-	if len(a.Timeouts) > 0 {
-		bw.WriteString("### §4.1 availability-lookup timeout\n\n")
-		writeMDTable(bw,
-			[]string{"Timeout", "Copies found", "Copies missed", "Lookup time"},
-			func(add func(...string)) {
-				for _, pt := range a.Timeouts {
-					label := pt.Timeout.String()
-					if pt.Timeout == 0 {
-						label = "none"
-					}
-					add(label, fmt.Sprint(pt.FoundCopies), pct(pt.Missed),
-						pt.LookupCost.Round(time.Second).String())
-				}
-			})
-		bw.WriteString("\n")
-	}
-	if len(a.Redirects) > 0 {
-		bw.WriteString("### §4.2 redirect-validation parameters\n\n")
-		writeMDTable(bw,
-			[]string{"Window (days)", "Max siblings", "Validated", "Condemned"},
-			func(add func(...string)) {
-				for _, pt := range a.Redirects {
-					add(fmt.Sprint(pt.WindowDays), fmt.Sprint(pt.MaxSiblings),
-						pct(pt.Validated), fmt.Sprint(pt.Condemned))
-				}
-			})
-		bw.WriteString("\n")
-	}
-	if len(a.Delays) > 0 {
-		bw.WriteString("### §5.1 capture delay after posting\n\n")
-		writeMDTable(bw,
-			[]string{"Delay (days)", "Would have usable copy", "Unreachable"},
-			func(add func(...string)) {
-				for _, pt := range a.Delays {
-					add(fmt.Sprint(pt.DelayDays), pct(pt.WouldHaveUsableCopy), fmt.Sprint(pt.Unreachable))
-				}
-			})
-		bw.WriteString("\n")
-	}
-	if len(a.Rechecks) > 0 {
-		bw.WriteString("### §3 re-check cadence\n\n")
-		writeMDTable(bw,
-			[]string{"Interval (days)", "Answer 200", "Genuine", "Fetches"},
-			func(add func(...string)) {
-				for _, pt := range a.Rechecks {
-					add(fmt.Sprint(pt.IntervalDays), fmt.Sprint(pt.Recovered),
-						fmt.Sprint(pt.Genuine), fmt.Sprint(pt.Fetches))
-				}
-			})
-		bw.WriteString("\n")
-	}
-	if a.Medic != nil {
-		bw.WriteString("### WaybackMedic intervention\n\n")
-		writeMDTable(bw,
-			[]string{"Variant", "Rescued (200)", "Rescued (redirect)", "Unfixable"},
-			func(add func(...string)) {
-				add("untimed lookups", fmt.Sprint(a.Medic.Basic.Patched), "-", fmt.Sprint(a.Medic.Basic.Unfixable))
-				add("+ validated redirects", fmt.Sprint(a.Medic.WithRedirects.Patched),
-					fmt.Sprint(a.Medic.WithRedirects.RedirectPatched), fmt.Sprint(a.Medic.WithRedirects.Unfixable))
-			})
-		bw.WriteString("\n")
-	}
-	if a.Query != nil {
-		fmt.Fprintf(bw, "### Query-permutation rescue (§5.2 implication b)\n\n%d of %d never-archived query URLs have an archived permuted-order variant.\n\n",
-			a.Query.Rescuable, a.Query.QueryLinks)
-	}
-	if a.EditCheck != nil {
-		fmt.Fprintf(bw, "### Edit-time link check\n\n%d of %d links would have been flagged as dysfunctional on the day they were posted.\n\n",
-			a.EditCheck.WouldHaveFlagged, a.EditCheck.Checked)
 	}
 	return bw.err
 }

@@ -4,16 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
-	"permadead/internal/ablation"
 	"permadead/internal/core"
 	"permadead/internal/fetch"
 	"permadead/internal/simweb"
 	"permadead/internal/worldgen"
 )
 
-func sampleReport(t *testing.T) (*worldgen.Universe, *core.Report, []core.LinkRecord) {
+func sampleReport(t *testing.T) *core.Report {
 	t.Helper()
 	u := worldgen.Generate(worldgen.SmallParams())
 	cfg := core.DefaultConfig()
@@ -28,11 +26,11 @@ func sampleReport(t *testing.T) (*worldgen.Universe, *core.Report, []core.LinkRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	return u, r, r.Records
+	return r
 }
 
 func TestWriteMarkdown(t *testing.T) {
-	_, r, _ := sampleReport(t)
+	r := sampleReport(t)
 	var buf bytes.Buffer
 	err := WriteMarkdown(&buf, r, Options{
 		Title:          "Test report",
@@ -66,7 +64,7 @@ func TestWriteMarkdown(t *testing.T) {
 }
 
 func TestWriteMarkdownDefaults(t *testing.T) {
-	_, r, _ := sampleReport(t)
+	r := sampleReport(t)
 	var buf bytes.Buffer
 	if err := WriteMarkdown(&buf, r, Options{}); err != nil {
 		t.Fatal(err)
@@ -80,46 +78,8 @@ func TestWriteMarkdownDefaults(t *testing.T) {
 	}
 }
 
-func TestWriteAblations(t *testing.T) {
-	u, _, recs := sampleReport(t)
-	res := AblationResults{
-		SampleSize: len(recs),
-		Timeouts: ablation.TimeoutSweep(u.Archive, recs,
-			[]time.Duration{2 * time.Second, 0}),
-		Redirects: ablation.RedirectSweep(u.Archive, recs, []int{90}, []int{6}),
-		Delays:    ablation.ArchiveDelaySweep(u.World, recs, []int{0, 365}),
-		Rechecks:  ablation.RecheckSweep(u.World, recs, u.Params.StudyTime, []int{180}),
-	}
-	medic := ablation.MedicExperiment(u.Wiki, u.Archive, u.Params.StudyTime)
-	res.Medic = &medic
-	query := ablation.QueryPermutationRescue(u.Archive, recs)
-	res.Query = &query
-	check := ablation.EditTimeCheck(u.World, recs)
-	res.EditCheck = &check
-
-	var buf bytes.Buffer
-	if err := WriteAblations(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"## Ablations",
-		"§4.1 availability-lookup timeout",
-		"§4.2 redirect-validation",
-		"§5.1 capture delay",
-		"§3 re-check cadence",
-		"WaybackMedic intervention",
-		"Query-permutation rescue",
-		"Edit-time link check",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ablations missing %q", want)
-		}
-	}
-}
-
 func TestErrWriterStopsOnError(t *testing.T) {
-	_, r, _ := sampleReport(t)
+	r := sampleReport(t)
 	w := &failAfter{n: 50}
 	if err := WriteMarkdown(w, r, Options{IncludeFigures: true}); err == nil {
 		t.Error("expected propagated write error")

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"permadead/internal/core"
+	"permadead/internal/edge"
+	"permadead/internal/shard"
 )
 
 // flushCountingRecorder counts Flush calls reaching the underlying
@@ -31,7 +33,7 @@ type batchLine struct {
 	URL     string          `json:"url"`
 	Verdict core.Verdict    `json:"verdict"`
 	Live    core.LiveStatus `json:"live"`
-	Error   *errorBody      `json:"error"`
+	Error   *edge.ErrorBody `json:"error"`
 }
 
 func postBatch(t *testing.T, h http.Handler, urls []string, wantStatus int) (*flushCountingRecorder, []batchLine) {
@@ -93,7 +95,7 @@ func TestBatchMatchesOfflineStudy(t *testing.T) {
 	if w.flushes < len(urls) {
 		t.Errorf("%d flushes for %d lines; the stream is buffering", w.flushes, len(urls))
 	}
-	if n := s.met.count5xx(); n != 0 {
+	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses during batch golden", n)
 	}
 
@@ -147,12 +149,12 @@ func TestBatchLimits(t *testing.T) {
 	s := newServer(t, func(c *Config) { c.MaxBatchLinks = 3 })
 	h := s.Handler()
 
-	postErr := func(body string) errorEnvelope {
+	postErr := func(body string) edge.ErrorEnvelope {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodPost, "/v1/classify/batch", strings.NewReader(body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
-		var env errorEnvelope
+		var env edge.ErrorEnvelope
 		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 			t.Fatalf("bad envelope %q: %v", w.Body.String(), err)
 		}
@@ -174,7 +176,7 @@ func TestBatchLimits(t *testing.T) {
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch = %d, want 413 (body: %s)", w.Code, w.Body.String())
 	}
-	var env errorEnvelope
+	var env edge.ErrorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
@@ -183,66 +185,117 @@ func TestBatchLimits(t *testing.T) {
 	}
 }
 
-// TestMethodContract pins the per-route method restructuring: the
-// batch route accepts POST (the old blanket GET-only middleware
-// rejected it), GET routes reject POST, and every 405 names the
-// allowed method in an Allow header.
+// TestMethodContract pins the edge contract on both binaries' route
+// trees — a shard-mode server's and a router's in front of it: every
+// route names its one method (405 + Allow + the error envelope), the
+// query and stream tiers answer 503 + Retry-After once draining, and
+// the admin tier (metrics, ring and ownership routes) keeps answering.
 func TestMethodContract(t *testing.T) {
-	s := newServer(t, nil)
-	h := s.Handler()
+	asShard := func(c *Config) {
+		c.ShardName = "s1"
+		c.ShardMembers = []string{"s1"}
+	}
+	member := newServer(t, asShard)
+	// The router gets its own (undrained) shard to proxy to.
+	backend := httptest.NewServer(newServer(t, asShard).Handler())
+	defer backend.Close()
+	router, err := shard.NewRouter(shard.RouterConfig{
+		Members:        []shard.Member{{Name: "s1", Base: backend.URL}},
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
 
-	for _, tc := range []struct {
-		method, path, allow string
-	}{
-		{http.MethodGet, "/v1/classify/batch", http.MethodPost},
-		{http.MethodPost, "/v1/classify", http.MethodGet},
-		{http.MethodPost, "/v1/availability", http.MethodGet},
-		{http.MethodDelete, "/v1/status", http.MethodGet},
-		{http.MethodPost, "/v1/sample", http.MethodGet},
-	} {
-		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader("{}"))
+	do := func(h http.Handler, method, path string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader("{}"))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
-		if w.Code != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s = %d, want 405", tc.method, tc.path, w.Code)
-			continue
+		return w
+	}
+	envelope := func(w *httptest.ResponseRecorder) string {
+		var env edge.ErrorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+			return "not an envelope: " + w.Body.String()
 		}
-		if got := w.Header().Get("Allow"); got != tc.allow {
-			t.Errorf("%s %s Allow = %q, want %q", tc.method, tc.path, got, tc.allow)
-		}
-		var env errorEnvelope
-		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code != "method_not_allowed" {
-			t.Errorf("%s %s envelope = %q (err %v)", tc.method, tc.path, w.Body.String(), err)
+		return env.Error.Code
+	}
+
+	for _, tree := range []struct {
+		name   string
+		h      http.Handler
+		drain  func()
+		stream []string // drained routes beyond the shared query ones
+		admin  []string // GET routes that must outlive the drain
+	}{
+		{"service", member.Handler(), member.BeginDrain, []string{"/v1/stream/verdicts"}, []string{"/metrics", "/v1/shard/info"}},
+		{"router", router.Handler(), router.BeginDrain, nil, []string{"/metrics", "/admin/ring"}},
+	} {
+		t.Run(tree.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				method, path, allow string
+			}{
+				{http.MethodGet, "/v1/classify/batch", http.MethodPost},
+				{http.MethodPost, "/v1/classify", http.MethodGet},
+				{http.MethodPost, "/v1/availability", http.MethodGet},
+				{http.MethodDelete, "/v1/status", http.MethodGet},
+				{http.MethodPost, "/v1/sample", http.MethodGet},
+				{http.MethodPost, "/metrics", http.MethodGet},
+				{http.MethodPost, tree.admin[1], http.MethodGet},
+			} {
+				w := do(tree.h, tc.method, tc.path)
+				if w.Code != http.StatusMethodNotAllowed {
+					t.Errorf("%s %s = %d, want 405", tc.method, tc.path, w.Code)
+					continue
+				}
+				if got := w.Header().Get("Allow"); got != tc.allow {
+					t.Errorf("%s %s Allow = %q, want %q", tc.method, tc.path, got, tc.allow)
+				}
+				if code := envelope(w); code != "method_not_allowed" {
+					t.Errorf("%s %s envelope = %q", tc.method, tc.path, code)
+				}
+			}
+
+			url := "?url=" + queryEscape(member.order[0].URL)
+			if w := do(tree.h, http.MethodGet, "/v1/classify"+url); w.Code != http.StatusOK {
+				t.Fatalf("classify before the drain = %d: %s", w.Code, w.Body)
+			}
+			tree.drain()
+			for _, path := range append([]string{"/v1/classify" + url, "/v1/sample"}, tree.stream...) {
+				w := do(tree.h, http.MethodGet, path)
+				if w.Code != http.StatusServiceUnavailable || envelope(w) != "draining" || w.Header().Get("Retry-After") == "" {
+					t.Errorf("%s while draining = %d %q Retry-After=%q, want 503 draining", path, w.Code, envelope(w), w.Header().Get("Retry-After"))
+				}
+			}
+			for _, path := range tree.admin {
+				if w := do(tree.h, http.MethodGet, path); w.Code != http.StatusOK {
+					t.Errorf("admin route %s while draining = %d, want 200", path, w.Code)
+				}
+			}
+
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(do(tree.h, http.MethodGet, "/metrics").Body.Bytes(), &m); err != nil {
+				t.Fatalf("/metrics: %v", err)
+			}
+			for _, key := range []string{"requests_classify", "latency_classify"} {
+				if _, ok := m[key]; !ok {
+					t.Errorf("/metrics lacks %q", key)
+				}
+			}
+		})
+	}
+
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(do(router.Handler(), http.MethodGet, "/metrics").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"generation", "degraded", "shards"} {
+		if _, ok := m[key]; !ok {
+			t.Errorf("router /metrics lacks published key %q", key)
 		}
 	}
 }
-
-// TestStatusRecorderForwardsFlush is the unit pin for the satellite
-// bug: the metrics wrapper used to swallow the Flusher upgrade, so
-// streaming handlers silently buffered.
-func TestStatusRecorderForwardsFlush(t *testing.T) {
-	under := &flushCountingRecorder{ResponseRecorder: httptest.NewRecorder()}
-	rec := &statusRecorder{ResponseWriter: under, status: http.StatusOK}
-	var w http.ResponseWriter = rec
-	f, ok := w.(http.Flusher)
-	if !ok {
-		t.Fatal("statusRecorder does not implement http.Flusher")
-	}
-	f.Flush()
-	f.Flush()
-	if under.flushes != 2 {
-		t.Errorf("underlying writer saw %d flushes, want 2", under.flushes)
-	}
-	// A non-Flusher underlying writer must not panic.
-	plain := &statusRecorder{ResponseWriter: nopWriter{}, status: http.StatusOK}
-	plain.Flush()
-}
-
-type nopWriter struct{}
-
-func (nopWriter) Header() http.Header         { return http.Header{} }
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (nopWriter) WriteHeader(int)             {}
 
 // TestClassifySingleflight: N concurrent identical /v1/classify
 // requests perform exactly one classification. The hook blocks the
@@ -290,9 +343,9 @@ func TestClassifySingleflight(t *testing.T) {
 	// inside the flight group holding their gate slots), then let the
 	// single computation finish.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.gate.inFlight() < n {
+	for s.edge.Gate.InFlight() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests admitted", s.gate.inFlight(), n)
+			t.Fatalf("only %d of %d requests admitted", s.edge.Gate.InFlight(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}

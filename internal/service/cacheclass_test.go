@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"permadead/internal/core"
+	"permadead/internal/edge"
 )
 
 // newFlakyServer builds a monitor-less server over the flaky stream
@@ -47,7 +48,7 @@ func TestClassifyTransientNotMemoized(t *testing.T) {
 	s := newFlakyServer(t)
 	h := s.Handler()
 
-	var sr sampleResponse
+	var sr edge.SampleResponse
 	getJSON(t, h, "/v1/sample?n=120", http.StatusOK, &sr)
 	if len(sr.URLs) == 0 {
 		t.Fatal("empty sample")
@@ -97,7 +98,7 @@ func TestStatusTransientNotMemoized(t *testing.T) {
 	s := newFlakyServer(t)
 	h := s.Handler()
 
-	var sr sampleResponse
+	var sr edge.SampleResponse
 	getJSON(t, h, "/v1/sample?n=120", http.StatusOK, &sr)
 
 	var transientURL, durableURL string
@@ -143,7 +144,7 @@ func TestAvailabilityTimeoutNotMemoized(t *testing.T) {
 	s := newFlakyServer(t)
 	h := s.Handler()
 
-	var sr sampleResponse
+	var sr edge.SampleResponse
 	getJSON(t, h, "/v1/sample?n=120", http.StatusOK, &sr)
 
 	// Hunt for a URL whose simulated lookup latency blows a 1ms budget.

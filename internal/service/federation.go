@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"permadead/internal/archive"
+	"permadead/internal/edge"
 	"permadead/internal/federation"
 )
 
@@ -57,12 +58,7 @@ func (s *Server) federatedAvailability(ctx context.Context, resp availabilityRes
 	case res.Found:
 		resp.Available = true
 		info.Member = res.Member
-		resp.Snapshot = &availabilitySnapshot{
-			URL:        res.Snapshot.URL,
-			Timestamp:  res.Snapshot.Day.Timestamp(),
-			Status:     res.Snapshot.InitialStatus,
-			WaybackURL: res.Snapshot.WaybackURL(),
-		}
+		resp.Snapshot = snapshotView(res.Snapshot)
 	}
 	// Any error still unhandled here is partial coverage (down
 	// members): the consulted survivors answered, so the response
@@ -95,15 +91,10 @@ type federationInfoResponse struct {
 
 // handleFederationInfo reports the federation manifest, per-member
 // liveness, hedging counters, and the manifest's usable-coverage gain
-// over the sampled links. Like the shard admin plane it lives outside
-// the v1 wrapper: operators inspect a degraded federation precisely
+// over the sampled links. Like the shard admin plane it sits in the
+// edge's admin tier: operators inspect a degraded federation precisely
 // when the data plane is saturated.
 func (s *Server) handleFederationInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
 	s.fedGainOnce.Do(func() {
 		urls := make([]string, len(s.order))
 		for i, rec := range s.order {
@@ -131,7 +122,7 @@ func (s *Server) handleFederationInfo(w http.ResponseWriter, r *http.Request) {
 			Down:       mem.Down(),
 		})
 	}
-	writeJSON(w, out)
+	edge.WriteJSON(w, out)
 }
 
 // handleFederationMember flips one member's liveness:
@@ -142,29 +133,24 @@ func (s *Server) handleFederationInfo(w http.ResponseWriter, r *http.Request) {
 // coverage. The flip bumps the federation epoch, invalidating
 // availability answers cached under the previous member population.
 func (s *Server) handleFederationMember(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return
-	}
 	var req struct {
 		Member string `json:"member"`
 		Down   bool   `json:"down"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "malformed member flip: %v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_body", "malformed member flip: %v", err)
 		return
 	}
 	mem := s.fed.Member(req.Member)
 	if mem == nil {
-		writeError(w, http.StatusNotFound, "unknown_member", "no federation member %q", req.Member)
+		edge.WriteError(w, http.StatusNotFound, "unknown_member", "no federation member %q", req.Member)
 		return
 	}
 	if mem.Down() != req.Down {
 		mem.SetDown(req.Down)
 		s.fedEpoch.Add(1)
 	}
-	writeJSON(w, map[string]any{
+	edge.WriteJSON(w, map[string]any{
 		"member": req.Member,
 		"down":   req.Down,
 		"epoch":  s.fedEpoch.Load(),

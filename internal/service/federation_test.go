@@ -177,7 +177,7 @@ func TestFederationDegradedServing(t *testing.T) {
 	if revived.Federation != nil && len(revived.Federation.Degraded) != 0 {
 		t.Fatalf("revived member still degraded: %v", revived.Federation.Degraded)
 	}
-	if n := s.met.count5xx(); n != 0 {
+	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses with a member down", n)
 	}
 }
@@ -219,7 +219,7 @@ func TestFederationHedgedTailAndGain(t *testing.T) {
 	if info.UsableGain < 1 {
 		t.Errorf("3-member federation adds no usable coverage (gain %d)", info.UsableGain)
 	}
-	if n := bare.met.count5xx() + fed.met.count5xx(); n != 0 {
+	if n := bare.edge.Count5xx() + fed.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses", n)
 	}
 }

@@ -12,148 +12,45 @@ import (
 
 	"permadead/internal/archive"
 	"permadead/internal/core"
+	"permadead/internal/edge"
 	"permadead/internal/fetch"
 	"permadead/internal/simclock"
 	"permadead/internal/urlutil"
 )
 
-// errorEnvelope is the one error shape every endpoint speaks:
-//
-//	{"error":{"code":"overloaded","message":"..."}}
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorEnvelope{ //nolint:errcheck // headers are out
-		Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
-// statusRecorder captures the response status for metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards http.Flusher to the wrapped writer, so streaming
-// handlers (the NDJSON batch endpoint) can push each line to the
-// client as it is produced instead of buffering the whole response.
-// Wrapping a ResponseWriter loses its interface upgrades by default;
-// Flusher is the only one this API needs — nothing here hijacks
-// connections (no websockets) or uses HTTP/2 push, and io.ReaderFrom
-// is merely a copy optimization the envelope writers never exercise.
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
+// routes builds the route tree. Every route but /healthz is registered
+// through the edge wrapper (internal/edge), in one of its three tiers:
+// queries are drained, deadlined, gated and counted; the SSE stream is
+// drained and counted but holds no gate slot; the admin plane — metrics,
+// a router's ring push, a federation member flip — lands even when the
+// data plane is saturated or draining.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/availability", s.v1("availability", http.MethodGet, s.handleAvailability))
-	mux.Handle("/v1/status", s.v1("status", http.MethodGet, s.handleStatus))
-	mux.Handle("/v1/classify", s.v1("classify", http.MethodGet, s.handleClassify))
-	mux.Handle("/v1/classify/batch", s.v1("batch", http.MethodPost, s.handleClassifyBatch))
-	mux.Handle("/v1/sample", s.v1("sample", http.MethodGet, s.handleSample))
-	mux.Handle("/v1/watch", s.v1("watch", http.MethodPost, s.handleWatch))
-	mux.Handle("/v1/watched", s.v1("watched", http.MethodGet, s.handleWatched))
-	mux.Handle("/v1/stream/verdicts", s.sse("stream", s.handleStreamVerdicts))
-	mux.Handle("/v1/sim/tick", s.v1("sim", http.MethodPost, s.handleSimTick))
-	mux.Handle("/v1/sim/edit", s.v1("sim", http.MethodPost, s.handleSimEdit))
-	mux.Handle("/v1/sim/article", s.v1("sim", http.MethodGet, s.handleSimArticle))
-	mux.Handle("/metrics", s.met.handler())
+	handle := func(path, name, method string, tier edge.Tier, h http.HandlerFunc) {
+		mux.Handle(path, s.edge.Handle(name, method, tier, h))
+	}
+	handle("/v1/availability", "availability", http.MethodGet, edge.Query, s.handleAvailability)
+	handle("/v1/status", "status", http.MethodGet, edge.Query, s.handleStatus)
+	handle("/v1/classify", "classify", http.MethodGet, edge.Query, s.handleClassify)
+	handle("/v1/classify/batch", "batch", http.MethodPost, edge.Query, s.handleClassifyBatch)
+	handle("/v1/sample", "sample", http.MethodGet, edge.Query, s.handleSample)
+	handle("/v1/watch", "watch", http.MethodPost, edge.Query, s.monitored(s.handleWatch))
+	handle("/v1/watched", "watched", http.MethodGet, edge.Query, s.monitored(s.handleWatched))
+	handle("/v1/stream/verdicts", "stream", http.MethodGet, edge.Stream, s.monitored(s.handleStreamVerdicts))
+	handle("/v1/sim/tick", "sim", http.MethodPost, edge.Query, s.monitored(s.handleSimTick))
+	handle("/v1/sim/edit", "sim", http.MethodPost, edge.Query, s.monitored(s.handleSimEdit))
+	handle("/v1/sim/article", "sim", http.MethodGet, edge.Query, s.monitored(s.handleSimArticle))
+	handle("/metrics", "metrics", http.MethodGet, edge.Admin, s.edge.ServeMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if s.ring.Load() != nil {
-		// Fleet admin plane, deliberately outside the v1 wrapper: a
-		// router's ring push must land even when the data plane is
-		// saturated (admission gate full) or draining.
-		mux.HandleFunc("/v1/shard/info", s.handleShardInfo)
-		mux.HandleFunc("/v1/shard/ownership", s.handleShardOwnership)
+		handle("/v1/shard/info", "shard", http.MethodGet, edge.Admin, s.handleShardInfo)
+		handle("/v1/shard/ownership", "shard", http.MethodPost, edge.Admin, s.handleShardOwnership)
 	}
 	if s.fed != nil {
-		// Federation admin plane, also outside the v1 wrapper: flipping
-		// a member down (or inspecting a degraded federation) must land
-		// even when the data plane is saturated or draining.
-		mux.HandleFunc("/v1/federation/info", s.handleFederationInfo)
-		mux.HandleFunc("/v1/federation/member", s.handleFederationMember)
+		handle("/v1/federation/info", "federation", http.MethodGet, edge.Admin, s.handleFederationInfo)
+		handle("/v1/federation/member", "federation", http.MethodPost, edge.Admin, s.handleFederationMember)
 	}
 	return mux
-}
-
-// v1 wraps an endpoint handler with the serving-layer contract, in
-// order: per-route method check (405s carry an Allow header), drain
-// check (503 while shutting down), the per-request deadline, the
-// admission-control semaphore (queue, then shed at the deadline), and
-// metrics (status class + latency, measured to include admission
-// wait — that is the latency a client sees).
-func (s *Server) v1(name, method string, h func(w http.ResponseWriter, r *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		defer func() { s.met.observe(name, rec.status, time.Since(start)) }()
-
-		if r.Method != method {
-			rec.Header().Set("Allow", method)
-			writeError(rec, http.StatusMethodNotAllowed, "method_not_allowed", "use %s", method)
-			return
-		}
-		if s.draining.Load() {
-			rec.Header().Set("Retry-After", "1")
-			writeError(rec, http.StatusServiceUnavailable, "draining", "server is shutting down")
-			return
-		}
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-
-		if err := s.gate.acquire(ctx); err != nil {
-			rec.Header().Set("Retry-After", "1")
-			writeError(rec, http.StatusServiceUnavailable, "overloaded",
-				"no capacity within the request deadline: %v", err)
-			return
-		}
-		defer s.gate.release()
-
-		h(rec, r.WithContext(ctx))
-	})
-}
-
-// tryServeCached serves the cached body for key if present — probing
-// the positive cache first, then the negative class — returning
-// whether it did. An empty key never hits.
-func (s *Server) tryServeCached(w http.ResponseWriter, key string) bool {
-	if key == "" {
-		return false
-	}
-	body, ok := s.cache.Get(key)
-	if !ok {
-		body, ok = s.negCache.Get(key)
-	}
-	if !ok {
-		return false
-	}
-	w.Header().Set("X-Cache", "hit")
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(body) //nolint:errcheck
-	return true
 }
 
 // cacheClass says where (whether) a computed response body may be
@@ -177,81 +74,55 @@ const (
 	cacheSkip
 )
 
-// cachedJSON consults the response caches before computing; on a miss
-// it renders v() to JSON, stores it according to class (nil = always
-// positive), and serves it. Only successful computations are cached.
-// An empty key bypasses the cache entirely.
-func (s *Server) cachedJSON(w http.ResponseWriter, key string, class func(v any) cacheClass, v func() (any, error)) {
-	if s.tryServeCached(w, key) {
-		return
+// lookup probes the response caches for key — the positive class
+// first, then the negative.
+func (s *Server) lookup(key string) ([]byte, bool) {
+	if body, ok := s.cache.Get(key); ok {
+		return body, true
 	}
-	val, err := v()
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
+	return s.negCache.Get(key)
+}
+
+// store memoizes a rendered body in the capacity class it belongs to;
+// cacheSkip stores nothing.
+func (s *Server) store(key string, class cacheClass, body []byte) {
+	switch class {
+	case cachePositive:
+		s.cache.Put(key, body)
+	case cacheNegative:
+		s.negCache.Put(key, body)
 	}
-	body, err := json.Marshal(val)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode", "%v", err)
-		return
-	}
-	body = append(body, '\n')
-	if key != "" {
-		cl := cachePositive
-		if class != nil {
-			cl = class(val)
-		}
-		switch cl {
-		case cachePositive:
-			s.cache.Put(key, body)
-		case cacheNegative:
-			s.negCache.Put(key, body)
-		}
-	}
-	w.Header().Set("X-Cache", "miss")
+}
+
+// serveBody writes a rendered JSON body; src is the X-Cache value
+// naming the layer that produced it.
+func serveBody(w http.ResponseWriter, src string, body []byte) {
+	w.Header().Set("X-Cache", src)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Write(body) //nolint:errcheck
 }
 
-// statusClientClosedRequest is nginx's non-standard 499: the client
-// went away before we could answer. It keeps client-side aborts in the
-// 4xx class so they don't pollute server-error (5xx) accounting.
-const statusClientClosedRequest = 499
-
-// classifyError is a per-link failure that already knows its envelope:
-// the single-link endpoint maps it to an HTTP status, the batch
-// endpoint renders it as an NDJSON error line.
-type classifyError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *classifyError) Error() string { return e.msg }
-
-// errorParts maps any handler-level failure to (status, code, message)
-// for the envelope: deadline exhaustion becomes 504, a client
-// disconnect becomes 499 (a 4xx — the server did nothing wrong),
-// classifyErrors carry their own mapping, everything else 500.
-func errorParts(err error) (int, string, string) {
-	var ce *classifyError
-	switch {
-	case errors.As(err, &ce):
-		return ce.status, ce.code, ce.msg
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline", fmt.Sprintf("request deadline exceeded: %v", err)
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest, "client_closed_request", fmt.Sprintf("client closed request: %v", err)
+// cachedJSON consults the response caches before computing; on a miss
+// it renders v() to JSON, stores it according to class, and serves it.
+// Only successful computations are cached.
+func (s *Server) cachedJSON(w http.ResponseWriter, key string, class func(v any) cacheClass, v func() (any, error)) {
+	if body, ok := s.lookup(key); ok {
+		serveBody(w, "hit", body)
+		return
 	}
-	return http.StatusInternalServerError, "internal", err.Error()
-}
-
-func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
-	status, code, msg := errorParts(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+	val, err := v()
+	if err != nil {
+		edge.WriteFailure(w, err)
+		return
 	}
-	writeError(w, status, code, "%s", msg)
+	body, err := json.Marshal(val)
+	if err != nil {
+		edge.WriteError(w, http.StatusInternalServerError, "encode", "%v", err)
+		return
+	}
+	body = append(body, '\n')
+	s.store(key, class(val), body)
+	serveBody(w, "miss", body)
 }
 
 // --- /v1/availability ---
@@ -262,6 +133,15 @@ type availabilitySnapshot struct {
 	Timestamp  string `json:"timestamp"`
 	Status     int    `json:"status"`
 	WaybackURL string `json:"wayback_url"`
+}
+
+func snapshotView(snap archive.Snapshot) *availabilitySnapshot {
+	return &availabilitySnapshot{
+		URL:        snap.URL,
+		Timestamp:  snap.Day.Timestamp(),
+		Status:     snap.InitialStatus,
+		WaybackURL: snap.WaybackURL(),
+	}
 }
 
 type availabilityResponse struct {
@@ -300,14 +180,14 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rawURL := q.Get("url")
 	if rawURL == "" {
-		writeError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
+		edge.WriteError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
 		return
 	}
 	want := s.cfg.Study.StudyTime
 	if ts := q.Get("ts"); ts != "" {
 		d, err := simclock.ParseTimestamp(ts)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_ts", "malformed ts %q: %v", ts, err)
+			edge.WriteError(w, http.StatusBadRequest, "bad_ts", "malformed ts %q: %v", ts, err)
 			return
 		}
 		want = d
@@ -316,14 +196,14 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("asof"); v != "" {
 		d, err := simclock.ParseTimestamp(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_asof", "malformed asof %q: %v", v, err)
+			edge.WriteError(w, http.StatusBadRequest, "bad_asof", "malformed asof %q: %v", v, err)
 			return
 		}
 		asOf = d
 	}
 	timeout, err := parseTimeout(q.Get("timeout"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_timeout", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_timeout", "%v", err)
 		return
 	}
 	acceptName := q.Get("accept")
@@ -337,7 +217,7 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	case "any":
 		accept = archive.AcceptAny
 	default:
-		writeError(w, http.StatusBadRequest, "bad_accept", "accept must be 'usable' or 'any', got %q", acceptName)
+		edge.WriteError(w, http.StatusBadRequest, "bad_accept", "accept must be 'usable' or 'any', got %q", acceptName)
 		return
 	}
 
@@ -395,12 +275,7 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		case ok:
 			resp.Available = true
-			resp.Snapshot = &availabilitySnapshot{
-				URL:        snap.URL,
-				Timestamp:  snap.Day.Timestamp(),
-				Status:     snap.InitialStatus,
-				WaybackURL: snap.WaybackURL(),
-			}
+			resp.Snapshot = snapshotView(snap)
 		}
 		return resp, nil
 	})
@@ -453,22 +328,22 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rawURL := q.Get("url")
 	if rawURL == "" {
-		writeError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
+		edge.WriteError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
 		return
 	}
 	retries, err := parseKnob(q.Get("retries"), 1, 1, 10)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_retries", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_retries", "%v", err)
 		return
 	}
 	confirm, err := parseKnob(q.Get("confirm"), 1, 1, 10)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_confirm", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_confirm", "%v", err)
 		return
 	}
 	spacing, err := parseKnob(q.Get("spacing"), 30, 0, 3650)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_spacing", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_spacing", "%v", err)
 		return
 	}
 
@@ -556,12 +431,12 @@ func parseKnob(v string, def, lo, hi int) (int, error) {
 // computation), or "coalesced" (another call's computation answered).
 func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, src string, err error) {
 	if rawURL == "" {
-		return nil, "", &classifyError{http.StatusBadRequest, "missing_url", "missing url parameter"}
+		return nil, "", &edge.Error{Status: http.StatusBadRequest, Code: "missing_url", Msg: "missing url parameter"}
 	}
 	rec, ok := s.records[urlutil.SchemeAgnosticKey(rawURL)]
 	if !ok {
-		return nil, "", &classifyError{http.StatusNotFound, "unknown_link",
-			fmt.Sprintf("%s is not in the served sample of %d permanently dead links", rawURL, len(s.order))}
+		return nil, "", &edge.Error{Status: http.StatusNotFound, Code: "unknown_link",
+			Msg: fmt.Sprintf("%s is not in the served sample of %d permanently dead links", rawURL, len(s.order))}
 	}
 
 	// Probe the caches before the flight group and pool: a hit costs
@@ -569,10 +444,7 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 	// heavy-work pool. The body is rendered from rec, so the canonical
 	// key is safe to share across raw spellings.
 	key := "c\x00" + urlutil.SchemeAgnosticKey(rec.URL)
-	if body, ok := s.cache.Get(key); ok {
-		return body, "hit", nil
-	}
-	if body, ok := s.negCache.Get(key); ok {
+	if body, ok := s.lookup(key); ok {
 		return body, "hit", nil
 	}
 
@@ -582,11 +454,11 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 		// must not die with the leader's client.
 		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 		defer cancel()
-		if err := s.classifyPool.acquire(cctx); err != nil {
-			return nil, &classifyError{http.StatusServiceUnavailable, "overloaded",
-				fmt.Sprintf("classification pool full within the request deadline: %v", err)}
+		if err := s.classifyPool.Acquire(cctx); err != nil {
+			return nil, &edge.Error{Status: http.StatusServiceUnavailable, Code: "overloaded",
+				Msg: fmt.Sprintf("classification pool full within the request deadline: %v", err)}
 		}
-		defer s.classifyPool.release()
+		defer s.classifyPool.Release()
 		if s.testHookClassify != nil {
 			s.testHookClassify()
 		}
@@ -596,21 +468,21 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 		}
 		b, err := json.Marshal(c)
 		if err != nil {
-			return nil, &classifyError{http.StatusInternalServerError, "encode", err.Error()}
+			return nil, &edge.Error{Status: http.StatusInternalServerError, Code: "encode", Msg: err.Error()}
 		}
 		b = append(b, '\n')
 		// A verdict measured through a transient live failure (a 5xx,
 		// a 429, a timeout during a fault window) is served to this
 		// flight but never memoized: the archive half is durable, the
 		// live half is not, and the next request should re-measure.
+		class := cachePositive
 		switch {
 		case c.Live.Transient():
-			// skip both caches
+			class = cacheSkip
 		case c.Archive.NeverArchived:
-			s.negCache.Put(key, b)
-		default:
-			s.cache.Put(key, b)
+			class = cacheNegative
 		}
+		s.store(key, class, b)
 		return b, nil
 	})
 	if err != nil {
@@ -630,28 +502,13 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	body, src, err := s.classifyBody(r.Context(), r.URL.Query().Get("url"))
 	if err != nil {
-		s.writeComputeError(w, err)
+		edge.WriteFailure(w, err)
 		return
 	}
-	w.Header().Set("X-Cache", src)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(body) //nolint:errcheck
+	serveBody(w, src, body)
 }
 
 // --- /v1/classify/batch ---
-
-// maxBatchBodyBytes bounds the request body a batch may post; at the
-// 10k-link default cap and generous URL lengths this is far above any
-// legitimate request.
-const maxBatchBodyBytes = 32 << 20
-
-// batchErrorLine is the NDJSON shape of a per-link failure: the same
-// error envelope as every endpoint, plus the URL so an out-of-band
-// reader can still pair lines with inputs.
-type batchErrorLine struct {
-	URL   string    `json:"url"`
-	Error errorBody `json:"error"`
-}
 
 // handleClassifyBatch classifies up to MaxBatchLinks URLs in one POST,
 // streaming verdicts back as NDJSON — one JSON object per line, in
@@ -665,119 +522,69 @@ type batchErrorLine struct {
 // Body: {"urls": ["http://...", ...]}. The whole stream runs under the
 // request deadline; size batches so they fit, or raise -request-timeout.
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		URLs []string `json:"urls"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding request body: %v", err)
+	urls, ok := edge.DecodeBatch(w, r, s.cfg.MaxBatchLinks)
+	if !ok {
 		return
 	}
-	if len(req.URLs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", `body must carry a non-empty "urls" array`)
-		return
-	}
-	if len(req.URLs) > s.cfg.MaxBatchLinks {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			"%d urls exceeds the %d-link batch bound; split the request", len(req.URLs), s.cfg.MaxBatchLinks)
-		return
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	w.Header().Set("X-Batch-Links", strconv.Itoa(len(req.URLs)))
-	flusher, _ := w.(http.Flusher) // statusRecorder forwards the upgrade
+	w.Header().Set("X-Batch-Links", strconv.Itoa(len(urls)))
 
 	//nolint:errcheck // a mid-stream failure (client gone, write error)
 	// cannot change the already-sent status; the stream just ends.
-	core.StreamOrdered(r.Context(), len(req.URLs), s.cfg.BatchWorkers,
+	core.StreamOrdered(r.Context(), len(urls), s.batchWorkers,
 		func(i int) []byte {
-			body, _, err := s.classifyBody(r.Context(), req.URLs[i])
+			body, _, err := s.classifyBody(r.Context(), urls[i])
 			if err != nil {
-				_, code, msg := errorParts(err)
-				line, _ := json.Marshal(batchErrorLine{URL: req.URLs[i], Error: errorBody{Code: code, Message: msg}})
-				return append(line, '\n')
+				_, code, msg := edge.ErrorParts(err)
+				return edge.ErrLine(urls[i], code, msg)
 			}
 			return body
 		},
-		func(i int, line []byte) error {
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
+		edge.LineWriter(w))
 }
 
 // --- /v1/sample ---
 
-type sampleResponse struct {
-	Total  int      `json:"total"`
-	Offset int      `json:"offset"`
-	Count  int      `json:"count"`
-	URLs   []string `json:"urls"`
-	// Articles, present with ?articles=1, carries each URL's citing
-	// article title, index-aligned with URLs — what a stream driver
-	// needs to build /v1/watch requests.
-	Articles []string `json:"articles,omitempty"`
-}
-
 // handleSample lists the served link population in sample order, so
 // load generators and clients can discover classifiable URLs.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n := 100
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, "bad_n", "malformed n %q", v)
-			return
-		}
-		n = parsed
+	win, ok := edge.ParseSampleWindow(w, r)
+	if !ok {
+		return
 	}
-	offset := 0
-	if v := q.Get("offset"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			writeError(w, http.StatusBadRequest, "bad_offset", "malformed offset %q", v)
-			return
-		}
-		offset = parsed
-	}
-	withArticles := q.Get("articles") == "1" || q.Get("articles") == "true"
 
 	// view=owned (shard mode) restricts the listing to links whose
 	// registrable domain this fleet member owns on the current ring —
 	// the slice a router concatenates across shards. Standalone servers
 	// own everything, so the filter passes all records through there.
 	owned := func(int) bool { return true }
-	if q.Get("view") == "owned" {
+	if r.URL.Query().Get("view") == "owned" {
 		if ring := s.ring.Load(); ring != nil {
 			owned = func(i int) bool { return ring.Owner(s.recordDomains[i]) == s.shardName }
 		}
 	}
 
-	resp := sampleResponse{Offset: offset}
+	resp := edge.SampleResponse{Offset: win.Offset}
 	seen := 0
 	for i := 0; i < len(s.order); i++ {
 		if !owned(i) {
 			continue
 		}
 		resp.Total++
-		if seen < offset {
+		if seen < win.Offset {
 			seen++
 			continue
 		}
-		if len(resp.URLs) >= n {
+		if len(resp.URLs) >= win.N {
 			continue // keep counting Total past the window
 		}
 		resp.URLs = append(resp.URLs, s.order[i].URL)
-		if withArticles {
+		if win.Articles {
 			resp.Articles = append(resp.Articles, s.order[i].Article)
 		}
 	}
 	resp.Count = len(resp.URLs)
-	writeJSON(w, resp)
+	edge.WriteJSON(w, resp)
 }
 
 // --- /healthz ---
@@ -794,14 +601,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:     "ok",
 		UptimeS:    time.Since(s.started).Seconds(),
 		SampleSize: len(s.order),
-		InFlight:   s.gate.inFlight(),
+		InFlight:   s.edge.Gate.InFlight(),
 	}
-	if s.draining.Load() {
+	if s.edge.Draining() {
 		resp.Status = "draining"
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(resp) //nolint:errcheck
 		return
 	}
-	writeJSON(w, resp)
+	edge.WriteJSON(w, resp)
 }

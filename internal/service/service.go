@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"permadead/internal/core"
+	"permadead/internal/edge"
 	"permadead/internal/eventstream"
 	"permadead/internal/federation"
 	"permadead/internal/fetch"
@@ -84,36 +85,22 @@ type Config struct {
 	Study core.Config
 
 	// MaxInFlight bounds concurrently admitted /v1 requests. Requests
-	// beyond it queue until a slot frees or their deadline expires.
+	// beyond it queue until a slot frees or their deadline expires. The
+	// classification worker pool nested inside that gate is half of it
+	// (classification is the heavy endpoint: live fetch + soft-404 probe
+	// + archive scans), and one batch fans out over half the pool.
 	MaxInFlight int
-	// ClassifyWorkers bounds the classification worker pool nested
-	// inside the global gate (classification is the heavy endpoint:
-	// live fetch + soft-404 probe + archive scans).
-	ClassifyWorkers int
 	// RequestTimeout is the per-request deadline applied to every /v1
 	// request (admission wait included).
 	RequestTimeout time.Duration
 	// CacheEntries bounds the response cache (0 disables it);
-	// CacheShards is its shard count.
+	// CacheShards is its shard count. The negative-result cache beside
+	// it is sized by negCacheEntries.
 	CacheEntries int
 	CacheShards  int
-	// NegCacheEntries bounds the negative-result cache — "never
-	// archived" classify verdicts and "no usable snapshot" availability
-	// answers. It is a separate capacity class so the unbounded
-	// population of negative lookups cannot evict positive results
-	// (0 disables it). Entries are cheap, so the default runs larger
-	// than CacheEntries.
-	NegCacheEntries int
 	// MaxBatchLinks caps how many URLs one /v1/classify/batch request
 	// may carry; larger batches are rejected with 413.
 	MaxBatchLinks int
-	// BatchWorkers bounds per-batch classify fan-out. It is clamped to
-	// ClassifyWorkers: the pool is the real limit, and a wider fan-out
-	// would only queue.
-	BatchWorkers int
-	// MemoCap bounds the study memo's per-map entries
-	// (archive.NewMemoCapped); 0 means unbounded.
-	MemoCap int
 
 	// DisableMonitor turns off the continuous verdict monitor and its
 	// endpoints (/v1/watch, /v1/watched, /v1/stream/verdicts, /v1/sim/*).
@@ -122,14 +109,10 @@ type Config struct {
 	// settled verdict is re-measured this many simulated days after its
 	// last check (sooner when a fault window makes it suspect).
 	MonitorTTLDays int
-	// MonitorCheckers sizes the monitor's concurrent check worker pool.
-	MonitorCheckers int
 	// SSESubscriberBuffer is each /v1/stream/verdicts subscriber's
 	// bounded event buffer; a subscriber that falls this far behind is
 	// dropped and flagged rather than ever blocking the monitor.
 	SSESubscriberBuffer int
-	// MaxSSESubscribers caps concurrent verdict-stream subscriptions.
-	MaxSSESubscribers int
 	// JournalPath, when set, appends every verdict flip to this NDJSON
 	// file (sequence numbers resume from its existing entries); empty
 	// keeps the journal in memory only.
@@ -152,11 +135,10 @@ type Config struct {
 	// still serves the full universe on the verdict endpoints —
 	// ownership shapes only the population view — which is what makes
 	// restart-free rebalancing possible. ShardMembers lists every
-	// fleet member name (must include ShardName); ShardVNodes is the
-	// ring's per-member virtual-node count (0 = shard.DefaultVNodes).
+	// fleet member name (must include ShardName); the ring is built
+	// with shard.DefaultVNodes virtual nodes per member, as the router's.
 	ShardName    string
 	ShardMembers []string
-	ShardVNodes  int
 
 	// Federation, when set, federates the server's archive reads across
 	// the manifest's member views of the bundle archive: /v1/availability
@@ -172,29 +154,41 @@ type Config struct {
 // study configuration.
 func DefaultConfig() Config {
 	return Config{
-		Study:           core.DefaultConfig(),
-		MaxInFlight:     64,
-		ClassifyWorkers: 32,
-		RequestTimeout:  10 * time.Second,
-		CacheEntries:    4096,
-		CacheShards:     16,
-		NegCacheEntries: 16384,
-		MaxBatchLinks:   10000,
-		BatchWorkers:    16,
-		MemoCap:         1 << 16,
+		Study:          core.DefaultConfig(),
+		MaxInFlight:    64,
+		RequestTimeout: 10 * time.Second,
+		CacheEntries:   4096,
+		CacheShards:    16,
+		MaxBatchLinks:  10000,
 
 		MonitorTTLDays:      30,
-		MonitorCheckers:     8,
 		SSESubscriberBuffer: 256,
-		MaxSSESubscribers:   64,
 		JournalWindow:       8192,
 	}
 }
 
-// feedBuffer bounds the edit-event queue between the wiki and the
-// monitor. Events beyond it are dropped and counted (the EventStream
-// consumer-falls-behind failure mode), never blocking an editor.
-const feedBuffer = 4096
+// Sizes no deployment, bench workload or test has ever varied; each was
+// a Config field and a permadeadd flag until only its default was left
+// in use.
+const (
+	// negCacheEntries bounds the negative-result cache — "never
+	// archived" classify verdicts and "no usable snapshot" availability
+	// answers. It is a separate capacity class so the unbounded
+	// population of negative lookups cannot evict positive results.
+	// Entries are cheap, so it runs larger than CacheEntries.
+	negCacheEntries = 16384
+	// memoCap bounds the study memo's per-map entries
+	// (archive.NewMemoCapped).
+	memoCap = 1 << 16
+	// monitorCheckers sizes the monitor's concurrent check worker pool.
+	monitorCheckers = 8
+	// maxSSESubscribers caps concurrent verdict-stream subscriptions.
+	maxSSESubscribers = 64
+	// feedBuffer bounds the edit-event queue between the wiki and the
+	// monitor. Events beyond it are dropped and counted (the EventStream
+	// consumer-falls-behind failure mode), never blocking an editor.
+	feedBuffer = 4096
+)
 
 // Server is the link-status query service.
 type Server struct {
@@ -207,19 +201,18 @@ type Server struct {
 	order   []core.LinkRecord
 
 	cache        *Cache
-	negCache     *Cache       // negative results: own, shorter capacity class
+	negCache     *Cache       // negative results: own capacity class
 	flight       *flightGroup // coalesces identical classify computations
-	gate         *admission   // global in-flight bound
-	classifyPool *admission   // nested classify worker pool
-	met          *metrics
+	edge         *edge.Edge   // request wrapper, global gate, drain flag, metrics
+	classifyPool *edge.Gate   // classify worker pool, nested inside the gate
+	batchWorkers int          // per-batch classify fan-out
 	// retryStats aggregates fetch.Retrier activity across all
 	// /v1/status requests that opt into a retry policy.
 	retryStats *fetch.RetryStats
 
-	draining atomic.Bool
-	httpSrv  *http.Server
-	ln       net.Listener
-	started  time.Time
+	httpSrv *http.Server
+	ln      net.Listener
+	started time.Time
 
 	// Shard mode (ring holds nil when standalone): the fleet member
 	// name this process serves as, the current ownership ring —
@@ -241,12 +234,6 @@ type Server struct {
 	fedEpoch    atomic.Int64
 	fedGainOnce sync.Once
 	fedGain     int
-
-	// startupMS holds named startup-phase durations (load, freeze,
-	// listen) recorded by the serving binary and exported under the
-	// /metrics key "startup_ms".
-	startupMu sync.Mutex
-	startupMS map[string]int64
 
 	// Continuous-monitor wiring (nil when DisableMonitor is set): the
 	// live wiki for watch resolution and sim edits, the monitor itself,
@@ -275,15 +262,10 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: config requires MaxInFlight > 0 and RequestTimeout > 0 (got %d, %v)",
 			cfg.MaxInFlight, cfg.RequestTimeout)
 	}
-	if cfg.ClassifyWorkers <= 0 || cfg.ClassifyWorkers > cfg.MaxInFlight {
-		cfg.ClassifyWorkers = cfg.MaxInFlight
-	}
 	if cfg.MaxBatchLinks <= 0 {
 		cfg.MaxBatchLinks = DefaultConfig().MaxBatchLinks
 	}
-	if cfg.BatchWorkers <= 0 || cfg.BatchWorkers > cfg.ClassifyWorkers {
-		cfg.BatchWorkers = cfg.ClassifyWorkers
-	}
+	classifyWorkers := max(1, cfg.MaxInFlight/2)
 	b.Archive.Freeze()
 
 	study := &core.Study{
@@ -292,7 +274,7 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		Arch:    b.Archive,
 		Client:  fetch.New(simweb.NewTransport(b.World, cfg.Study.StudyTime)),
 		Ranks:   b.World,
-		MemoCap: cfg.MemoCap,
+		MemoCap: memoCap,
 	}
 	var fed *federation.Federation
 	if cfg.Federation != nil {
@@ -315,14 +297,13 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		records:      make(map[string]core.LinkRecord, len(records)),
 		order:        records,
 		cache:        NewCache(cfg.CacheEntries, cfg.CacheShards),
-		negCache:     NewCache(cfg.NegCacheEntries, cfg.CacheShards),
+		negCache:     NewCache(negCacheEntries, cfg.CacheShards),
 		flight:       newFlightGroup(),
-		gate:         newAdmission(cfg.MaxInFlight),
-		classifyPool: newAdmission(cfg.ClassifyWorkers),
-		met:          newMetrics([]string{"availability", "status", "classify", "batch", "sample", "watch", "watched", "stream", "sim"}),
+		edge:         edge.New(cfg.MaxInFlight, cfg.RequestTimeout),
+		classifyPool: edge.NewGate(classifyWorkers),
+		batchWorkers: max(1, classifyWorkers/2),
 		retryStats:   new(fetch.RetryStats),
 		started:      time.Now(),
-		startupMS:    make(map[string]int64),
 		fed:          fed,
 	}
 	for _, rec := range records {
@@ -344,36 +325,24 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		}
 	}
 
-	s.met.publishFunc("cache", func() any { return s.cache.Stats() })
-	s.met.publishFunc("negcache", func() any { return s.negCache.Stats() })
-	s.met.publishFunc("singleflight", func() any { return s.flight.stats() })
-	s.met.publishFunc("prefilter", func() any { return b.Archive.PrefilterStats() })
-	s.met.publishFunc("retry", func() any { return s.retryStats.Snapshot() })
-	s.met.publishFunc("memo", func() any { return s.study.Memo().Stats() })
-	s.met.publishFunc("startup_ms", func() any {
-		s.startupMu.Lock()
-		defer s.startupMu.Unlock()
-		out := make(map[string]int64, len(s.startupMS)+1)
-		var total int64
-		for k, v := range s.startupMS {
-			out[k] = v
-			total += v
-		}
-		out["total_ms"] = total
-		return out
-	})
+	s.edge.Publish("cache", func() any { return s.cache.Stats() })
+	s.edge.Publish("negcache", func() any { return s.negCache.Stats() })
+	s.edge.Publish("singleflight", func() any { return s.flight.stats() })
+	s.edge.Publish("prefilter", func() any { return b.Archive.PrefilterStats() })
+	s.edge.Publish("retry", func() any { return s.retryStats.Snapshot() })
+	s.edge.Publish("memo", func() any { return s.study.Memo().Stats() })
 	if s.fed != nil {
-		s.met.publishFunc("federation", func() any { return s.fed.Stats() })
+		s.edge.Publish("federation", func() any { return s.fed.Stats() })
 	}
-	s.met.publishFunc("mem", func() any { return memSnapshot() })
-	s.met.publishFunc("admission", func() any {
+	s.edge.Publish("mem", func() any { return memSnapshot() })
+	s.edge.Publish("admission", func() any {
 		return map[string]any{
-			"in_flight":         s.gate.inFlight(),
-			"max_in_flight":     s.gate.max(),
-			"rejected":          s.gate.rejectedCount(),
-			"classify_in_use":   s.classifyPool.inFlight(),
-			"classify_workers":  s.classifyPool.max(),
-			"classify_rejected": s.classifyPool.rejectedCount(),
+			"in_flight":         s.edge.Gate.InFlight(),
+			"max_in_flight":     s.edge.Gate.Max(),
+			"rejected":          s.edge.Gate.Rejected(),
+			"classify_in_use":   s.classifyPool.InFlight(),
+			"classify_workers":  s.classifyPool.Max(),
+			"classify_rejected": s.classifyPool.Rejected(),
 		}
 	})
 	return s, nil
@@ -406,9 +375,9 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 	}
 	mon, err := monitor.New(monitor.Config{
 		TTLDays:          cfg.MonitorTTLDays,
-		Checkers:         cfg.MonitorCheckers,
+		Checkers:         monitorCheckers,
 		SubscriberBuffer: cfg.SSESubscriberBuffer,
-		MaxSubscribers:   cfg.MaxSSESubscribers,
+		MaxSubscribers:   maxSSESubscribers,
 		Clock:            simclock.NewClock(cfg.Study.StudyTime),
 		Checker:          &monitor.LiveChecker{World: b.World},
 		Journal:          jrnl,
@@ -420,7 +389,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 		return err
 	}
 	s.mon, s.jrnl = mon, jrnl
-	s.met.publishFunc("monitor", func() any {
+	s.edge.Publish("monitor", func() any {
 		st, err := mon.Stats()
 		if err != nil {
 			return map[string]string{"error": err.Error()}
@@ -428,7 +397,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 		return st
 	})
 	if s.bot != nil {
-		s.met.publishFunc("iabot", func() any { return s.bot.Stats() })
+		s.edge.Publish("iabot", func() any { return s.bot.Stats() })
 	}
 	return nil
 }
@@ -436,15 +405,18 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 // Monitor exposes the continuous verdict monitor (nil when disabled).
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
-// RecordStartupPhase publishes a named startup-phase duration
-// (rounded to milliseconds) under the /metrics "startup_ms" map. The
-// serving binary records its load/freeze/listen phases here so the
-// cold-start profile is observable on a running server, not only in
-// its boot log.
-func (s *Server) RecordStartupPhase(name string, d time.Duration) {
-	s.startupMu.Lock()
-	s.startupMS[name+"_ms"] = d.Milliseconds()
-	s.startupMu.Unlock()
+// RecordStartup publishes the serving binary's startup-phase durations
+// (load or generate, freeze = New, listen = Start) under the /metrics
+// key "startup_ms", so the cold-start profile is observable on a running
+// server, not only in its boot log.
+func (s *Server) RecordStartup(load, freeze, listen time.Duration) {
+	ms := map[string]int64{
+		"load_ms":   load.Milliseconds(),
+		"freeze_ms": freeze.Milliseconds(),
+		"listen_ms": listen.Milliseconds(),
+		"total_ms":  (load + freeze + listen).Milliseconds(),
+	}
+	s.edge.Publish("startup_ms", func() any { return ms })
 }
 
 // SampleSize reports how many links the server can classify.
@@ -483,7 +455,7 @@ func (s *Server) Addr() string {
 // reports draining, while in-flight requests keep running. Load
 // balancers use the health flip to stop routing here before Shutdown
 // closes the listener.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (s *Server) BeginDrain() { s.edge.BeginDrain() }
 
 // Shutdown drains the server gracefully: it begins draining (new
 // requests get 503), stops the monitor — which closes every stream
@@ -492,7 +464,7 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // ctx, for in-flight requests to complete before closing the listener
 // and connections.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.edge.BeginDrain()
 	var jerr error
 	if s.mon != nil {
 		s.mon.Close()
@@ -506,6 +478,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return jerr
 }
-
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"permadead/internal/core"
+	"permadead/internal/edge"
 	"permadead/internal/fetch"
 	"permadead/internal/persist"
 	"permadead/internal/simweb"
@@ -110,7 +111,7 @@ func TestClassifyMatchesOfflineStudy(t *testing.T) {
 			t.Errorf("echoed URL %q, want %q", c.URL, rec.URL)
 		}
 	}
-	if n := s.met.count5xx(); n != 0 {
+	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses during golden sweep", n)
 	}
 }
@@ -119,7 +120,7 @@ func TestClassifyMatchesOfflineStudy(t *testing.T) {
 // sample.
 func TestClassifyUnknownLink(t *testing.T) {
 	s := newServer(t, nil)
-	var env errorEnvelope
+	var env edge.ErrorEnvelope
 	getJSON(t, s.Handler(), "/v1/classify?url=http://not.in.sample/x", http.StatusNotFound, &env)
 	if env.Error.Code != "unknown_link" {
 		t.Errorf("code = %q, want unknown_link", env.Error.Code)
@@ -185,7 +186,7 @@ func TestAvailabilityEndpoint(t *testing.T) {
 	}
 
 	// Malformed knobs are envelope'd 400s.
-	var env errorEnvelope
+	var env edge.ErrorEnvelope
 	getJSON(t, h, "/v1/availability?url="+queryEscape(pre)+"&timeout=banana", http.StatusBadRequest, &env)
 	if env.Error.Code != "bad_timeout" {
 		t.Errorf("code = %q, want bad_timeout", env.Error.Code)
@@ -204,12 +205,12 @@ func TestAvailabilityEndpoint(t *testing.T) {
 func TestSampleEndpoint(t *testing.T) {
 	_, r := fixture(t)
 	s := newServer(t, nil)
-	var resp sampleResponse
+	var resp edge.SampleResponse
 	getJSON(t, s.Handler(), "/v1/sample?n=5", http.StatusOK, &resp)
 	if resp.Total != r.N() || resp.Count != 5 || len(resp.URLs) != 5 {
 		t.Errorf("sample: %+v, want total %d count 5", resp, r.N())
 	}
-	var page2 sampleResponse
+	var page2 edge.SampleResponse
 	getJSON(t, s.Handler(), "/v1/sample?n=5&offset=5", http.StatusOK, &page2)
 	if page2.URLs[0] == resp.URLs[0] {
 		t.Error("offset=5 returned the first page again")
@@ -327,14 +328,14 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("queued request = %d, want 503 (body: %s)", w.Code, w.Body.String())
 	}
-	var env errorEnvelope
+	var env edge.ErrorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
 	if env.Error.Code != "overloaded" {
 		t.Errorf("code = %q, want overloaded", env.Error.Code)
 	}
-	if s.gate.rejectedCount() == 0 {
+	if s.edge.Gate.Rejected() == 0 {
 		t.Error("admission rejected counter did not move")
 	}
 
@@ -392,7 +393,7 @@ func TestStatusRetryKnobs(t *testing.T) {
 		t.Error("default request served the policy variant from cache")
 	}
 
-	var env errorEnvelope
+	var env edge.ErrorEnvelope
 	getJSON(t, h, "/v1/status?url="+url+"&retries=0", http.StatusBadRequest, &env)
 	if env.Error.Code != "bad_retries" {
 		t.Errorf("code = %q", env.Error.Code)

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
+	"permadead/internal/edge"
 	"permadead/internal/shard"
 	"permadead/internal/urlutil"
 )
@@ -14,18 +16,11 @@ import (
 // configured member list and precompute each sampled record's
 // registrable domain for the owned /v1/sample view.
 func (s *Server) initShard(cfg Config) error {
-	ring, err := shard.New(cfg.ShardMembers, cfg.ShardVNodes)
+	ring, err := shard.New(cfg.ShardMembers, shard.DefaultVNodes)
 	if err != nil {
 		return fmt.Errorf("service: building shard ring: %w", err)
 	}
-	found := false
-	for _, m := range ring.Members() {
-		if m == cfg.ShardName {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(ring.Members(), cfg.ShardName) {
 		return fmt.Errorf("service: shard name %q is not in the member list %v", cfg.ShardName, cfg.ShardMembers)
 	}
 	s.shardName = cfg.ShardName
@@ -34,17 +29,7 @@ func (s *Server) initShard(cfg Config) error {
 	for i, rec := range s.order {
 		s.recordDomains[i] = urlutil.Domain(rec.URL)
 	}
-	s.met.publishFunc("shard", func() any {
-		r := s.ring.Load()
-		owned, total := s.ownedCount()
-		return map[string]any{
-			"name":        s.shardName,
-			"generation":  r.Generation(),
-			"members":     r.Members(),
-			"owned_links": owned,
-			"total_links": total,
-		}
-	})
+	s.edge.Publish("shard", func() any { return s.shardInfo() })
 	return nil
 }
 
@@ -59,8 +44,8 @@ func (s *Server) ownedCount() (owned, total int) {
 	return owned, len(s.order)
 }
 
-// shardInfoResponse is GET /v1/shard/info: this member's identity and
-// its current slice of the population.
+// shardInfoResponse is GET /v1/shard/info and the /metrics "shard" key:
+// this member's identity and its current slice of the population.
 type shardInfoResponse struct {
 	Name       string   `json:"name"`
 	Generation int64    `json:"generation"`
@@ -70,23 +55,21 @@ type shardInfoResponse struct {
 	TotalLinks int      `json:"total_links"`
 }
 
-func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
-	ring := s.ring.Load()
-	st := ring.State()
+func (s *Server) shardInfo() shardInfoResponse {
+	st := s.ring.Load().State()
 	owned, total := s.ownedCount()
-	writeJSON(w, shardInfoResponse{
+	return shardInfoResponse{
 		Name:       s.shardName,
 		Generation: st.Generation,
 		VNodes:     st.VNodes,
 		Members:    st.Members,
 		OwnedLinks: owned,
 		TotalLinks: total,
-	})
+	}
+}
+
+func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
+	edge.WriteJSON(w, s.shardInfo())
 }
 
 // handleShardOwnership installs a router-pushed ring update. Updates
@@ -94,25 +77,20 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // answers 409 so a delayed push can never roll ownership back. Equal
 // generations are accepted idempotently (the router retries pushes).
 func (s *Server) handleShardOwnership(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return
-	}
 	var st shard.RingState
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&st); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding ring state: %v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_body", "decoding ring state: %v", err)
 		return
 	}
 	next, err := shard.FromState(st)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_ring", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_ring", "%v", err)
 		return
 	}
 	for {
 		cur := s.ring.Load()
 		if next.Generation() < cur.Generation() {
-			writeError(w, http.StatusConflict, "stale_ring",
+			edge.WriteError(w, http.StatusConflict, "stale_ring",
 				"pushed generation %d is older than installed generation %d", next.Generation(), cur.Generation())
 			return
 		}
@@ -121,7 +99,7 @@ func (s *Server) handleShardOwnership(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	owned, total := s.ownedCount()
-	writeJSON(w, map[string]any{
+	edge.WriteJSON(w, map[string]any{
 		"name":        s.shardName,
 		"generation":  next.Generation(),
 		"owned_links": owned,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"permadead/internal/core"
+	"permadead/internal/edge"
 )
 
 // TestGracefulShutdown drives the full drain sequence over a real
@@ -58,7 +59,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env errorEnvelope
+	var env edge.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
+	"permadead/internal/edge"
 	"permadead/internal/journal"
 	"permadead/internal/monitor"
 )
@@ -17,31 +17,31 @@ import (
 // the simulation drivers (clock tick, wiki edit, article inspection)
 // that let external load generators and smoke tests move the world.
 
-// requireMonitor answers 404 when the monitor is disabled, reporting
-// whether the handler may proceed.
-func (s *Server) requireMonitor(w http.ResponseWriter) bool {
-	if s.mon == nil {
-		writeError(w, http.StatusNotFound, "monitor_disabled",
-			"the continuous monitor is disabled on this server (-no-monitor)")
-		return false
+// monitored guards a monitor endpoint: with the monitor disabled the
+// route answers 404 instead of running h.
+func (s *Server) monitored(h http.HandlerFunc) http.HandlerFunc {
+	if s.mon != nil {
+		return h
 	}
-	return true
+	return func(w http.ResponseWriter, _ *http.Request) {
+		edge.WriteError(w, http.StatusNotFound, "monitor_disabled",
+			"the continuous monitor is disabled on this server (-no-monitor)")
+	}
 }
 
 // writeMonitorError maps monitor API failures onto the error envelope:
 // a closed monitor and a full subscriber table are both retryable 503s
-// (the server is shutting down, or the client should back off), and an
-// in-progress advance is a 409 — the caller raced another tick.
+// (the server is shutting down, or the client should back off; every
+// 503 envelope carries Retry-After), and an in-progress advance is a
+// 409 — the caller raced another tick.
 func writeMonitorError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, monitor.ErrClosed):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "monitor_closed", "%v", err)
+		edge.WriteError(w, http.StatusServiceUnavailable, "monitor_closed", "%v", err)
 	case errors.Is(err, monitor.ErrTooManySubscribers):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "too_many_subscribers", "%v", err)
+		edge.WriteError(w, http.StatusServiceUnavailable, "too_many_subscribers", "%v", err)
 	default:
-		writeError(w, http.StatusConflict, "monitor", "%v", err)
+		edge.WriteError(w, http.StatusConflict, "monitor", "%v", err)
 	}
 }
 
@@ -68,16 +68,12 @@ type watchResponse struct {
 // after every newly watched link has its initial verdict, so a
 // follow-up /v1/watched read is never a table of unknowns.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMonitor(w) {
-		return
-	}
 	var body watchRequestBody
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding request body: %v", err)
+	if !edge.DecodeBody(w, r, &body) {
 		return
 	}
 	if len(body.URLs) == 0 && len(body.Articles) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_watch", `body must name "urls" and/or "articles"`)
+		edge.WriteError(w, http.StatusBadRequest, "empty_watch", `body must name "urls" and/or "articles"`)
 		return
 	}
 	req := monitor.WatchRequest{URLs: body.URLs}
@@ -86,7 +82,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		for _, title := range body.Articles {
 			art := s.wiki.Article(title)
 			if art == nil {
-				writeError(w, http.StatusNotFound, "unknown_article", "no article titled %q", title)
+				edge.WriteError(w, http.StatusNotFound, "unknown_article", "no article titled %q", title)
 				return
 			}
 			if body.Remove {
@@ -115,7 +111,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if st, err := s.mon.Stats(); err == nil {
 		resp.WatchedLinks = st.Watched
 	}
-	writeJSON(w, resp)
+	edge.WriteJSON(w, resp)
 }
 
 // --- /v1/watched ---
@@ -128,15 +124,12 @@ type watchedResponse struct {
 
 // handleWatched snapshots the warm verdict table, sorted by URL.
 func (s *Server) handleWatched(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMonitor(w) {
-		return
-	}
 	links, err := s.mon.Watched()
 	if err != nil {
 		writeMonitorError(w, err)
 		return
 	}
-	writeJSON(w, watchedResponse{Date: s.mon.Day().String(), Count: len(links), Links: links})
+	edge.WriteJSON(w, watchedResponse{Date: s.mon.Day().String(), Count: len(links), Links: links})
 }
 
 // --- /v1/stream/verdicts ---
@@ -172,21 +165,18 @@ func parseLastEventID(r *http.Request) (int64, error) {
 // reconnects with its last seen id gets every flip exactly once.
 //
 // The stream holds no admission slot and has no request deadline (it
-// is bounded by MaxSSESubscribers instead). A subscriber that falls a
+// is bounded by maxSSESubscribers instead). A subscriber that falls a
 // full buffer behind is dropped: the stream ends with a final
 // "dropped" event telling the client to reconnect with its cursor.
 func (s *Server) handleStreamVerdicts(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMonitor(w) {
-		return
-	}
 	lastSeq, err := parseLastEventID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_last_event_id", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "bad_last_event_id", "%v", err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "no_flush", "streaming unsupported by this connection")
+		edge.WriteError(w, http.StatusInternalServerError, "no_flush", "streaming unsupported by this connection")
 		return
 	}
 	sub, err := s.mon.Subscribe(lastSeq)
@@ -198,7 +188,7 @@ func (s *Server) handleStreamVerdicts(w http.ResponseWriter, r *http.Request) {
 		// else would silently skip the evicted flips.
 		var trunc *journal.TruncatedError
 		if errors.As(err, &trunc) {
-			writeError(w, http.StatusGone, "replay_gone",
+			edge.WriteError(w, http.StatusGone, "replay_gone",
 				"cursor %d predates the retained journal window (oldest replayable seq is %d); reconnect without Last-Event-ID and resync",
 				trunc.RequestedSeq, trunc.OldestSeq)
 			return
@@ -271,18 +261,14 @@ type tickResponse struct {
 // response carries the new date and a stats snapshot, so a driver can
 // assert on flip counts without a second request.
 func (s *Server) handleSimTick(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMonitor(w) {
-		return
-	}
 	var body struct {
 		Days int `json:"days"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding request body: %v", err)
+	if !edge.DecodeBody(w, r, &body) {
 		return
 	}
 	if body.Days < 0 {
-		writeError(w, http.StatusBadRequest, "bad_days", "cannot advance %d days", body.Days)
+		edge.WriteError(w, http.StatusBadRequest, "bad_days", "cannot advance %d days", body.Days)
 		return
 	}
 	day, err := s.mon.Advance(body.Days)
@@ -295,7 +281,7 @@ func (s *Server) handleSimTick(w http.ResponseWriter, r *http.Request) {
 		writeMonitorError(w, err)
 		return
 	}
-	writeJSON(w, tickResponse{Date: day.String(), Stats: st})
+	edge.WriteJSON(w, tickResponse{Date: day.String(), Stats: st})
 }
 
 // --- /v1/sim/edit ---
@@ -312,21 +298,17 @@ type editResponse struct {
 // does not exist. Link additions and removals the edit causes flow to
 // the monitor through the event feed, exactly as organic edits do.
 func (s *Server) handleSimEdit(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMonitor(w) {
-		return
-	}
 	var body struct {
 		Title   string `json:"title"`
 		User    string `json:"user"`
 		Comment string `json:"comment"`
 		Text    string `json:"text"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding request body: %v", err)
+	if !edge.DecodeBody(w, r, &body) {
 		return
 	}
 	if body.Title == "" {
-		writeError(w, http.StatusBadRequest, "missing_title", `body must carry a "title"`)
+		edge.WriteError(w, http.StatusBadRequest, "missing_title", `body must carry a "title"`)
 		return
 	}
 	if body.User == "" {
@@ -335,15 +317,15 @@ func (s *Server) handleSimEdit(w http.ResponseWriter, r *http.Request) {
 	day := s.mon.Day()
 	if s.wiki.Article(body.Title) == nil {
 		art := s.wiki.Create(body.Title, day, body.User, body.Text)
-		writeJSON(w, editResponse{Title: body.Title, RevID: art.Current().ID, Date: day.String(), Created: true})
+		edge.WriteJSON(w, editResponse{Title: body.Title, RevID: art.Current().ID, Date: day.String(), Created: true})
 		return
 	}
 	rev, err := s.wiki.Edit(body.Title, day, body.User, body.Comment, body.Text)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "edit", "%v", err)
+		edge.WriteError(w, http.StatusBadRequest, "edit", "%v", err)
 		return
 	}
-	writeJSON(w, editResponse{Title: body.Title, RevID: rev.ID, Date: rev.Day.String()})
+	edge.WriteJSON(w, editResponse{Title: body.Title, RevID: rev.ID, Date: rev.Day.String()})
 }
 
 // --- /v1/sim/article ---
@@ -362,47 +344,19 @@ type articleResponse struct {
 // external links, and provenance — so drivers can verify what a repair
 // pass actually wrote.
 func (s *Server) handleSimArticle(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMonitor(w) {
-		return
-	}
 	title := r.URL.Query().Get("title")
 	if title == "" {
-		writeError(w, http.StatusBadRequest, "missing_title", "missing title parameter")
+		edge.WriteError(w, http.StatusBadRequest, "missing_title", "missing title parameter")
 		return
 	}
 	art := s.wiki.Article(title)
 	if art == nil {
-		writeError(w, http.StatusNotFound, "unknown_article", "no article titled %q", title)
+		edge.WriteError(w, http.StatusNotFound, "unknown_article", "no article titled %q", title)
 		return
 	}
 	rev := art.Current()
-	writeJSON(w, articleResponse{
+	edge.WriteJSON(w, articleResponse{
 		Title: art.Title, RevID: rev.ID, Date: rev.Day.String(), User: rev.User,
 		Revisions: len(art.Revisions), URLs: rev.Doc().ExternalURLs(), Text: rev.Text,
-	})
-}
-
-// sse wraps a streaming endpoint with the serving-layer contract minus
-// the pieces that would kill a long-lived stream: no per-request
-// deadline and no admission slot (streams are bounded by
-// MaxSSESubscribers; a stream holding a gate slot for hours would
-// starve query traffic). Method, drain, and metrics behave as in v1.
-func (s *Server) sse(name string, h func(w http.ResponseWriter, r *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		defer func() { s.met.observe(name, rec.status, time.Since(start)) }()
-
-		if r.Method != http.MethodGet {
-			rec.Header().Set("Allow", http.MethodGet)
-			writeError(rec, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-			return
-		}
-		if s.draining.Load() {
-			rec.Header().Set("Retry-After", "1")
-			writeError(rec, http.StatusServiceUnavailable, "draining", "server is shutting down")
-			return
-		}
-		h(rec, r)
 	})
 }

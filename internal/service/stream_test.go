@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"permadead/internal/edge"
 	"permadead/internal/monitor"
 	"permadead/internal/persist"
 	"permadead/internal/worldgen"
@@ -114,7 +115,7 @@ func watchSampleArticles(t *testing.T, base string, n int) watchResponse {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr sampleResponse
+	var sr edge.SampleResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestStreamDeliversFlipsLive(t *testing.T) {
 			t.Fatalf("event %d diverges from journal: wire %+v, journal %+v", i, e.Entry, je)
 		}
 	}
-	if n := s.met.count5xx(); n != 0 {
+	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses while streaming", n)
 	}
 }
@@ -351,7 +352,7 @@ func TestStreamResumeExactlyOnce(t *testing.T) {
 			t.Fatalf("post-resume live event %d: id %d, want %d", i, ev.id, want)
 		}
 	}
-	if n := s.met.count5xx(); n != 0 {
+	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses across the resume", n)
 	}
 }
@@ -420,7 +421,7 @@ func TestRepairLoopEndToEnd(t *testing.T) {
 	if !marked {
 		t.Errorf("%d repairs counted but no flipped article carries archive-url or {{Dead link}}", st.RepairsEdited)
 	}
-	if n := s.met.count5xx(); n != 0 {
+	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses during the repair run", n)
 	}
 
@@ -556,7 +557,7 @@ func TestSimEditMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr sampleResponse
+	var sr edge.SampleResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +667,7 @@ func TestStreamResumeBeyondWindowGone(t *testing.T) {
 		t.Fatalf("resume at 0 past a 1-entry window = %d, want 410 (body: %s)", resp.StatusCode, raw)
 	}
 	var env struct {
-		Error errorBody `json:"error"`
+		Error edge.ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatalf("410 body is not the error envelope: %v (%s)", err, raw)
@@ -734,5 +735,27 @@ func TestStreamResumeBeyondWindowFromDisk(t *testing.T) {
 		if e.Seq != ev.id || e.URL == "" {
 			t.Fatalf("disk replay event %d malformed: %+v", i, e)
 		}
+	}
+}
+
+// TestBootOverTornJournal: a kill -9 during an append leaves the flip
+// journal's last line cut short. The next server over that file must
+// boot, and its first flip must take the seq after the last complete
+// record — no seq lost, none reused.
+func TestBootOverTornJournal(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "flips.ndjson")
+	torn := `{"seq":1,"day":1,"date":"","url":"http://a.simtest/1","old":"alive","new":"dead"}` + "\n" +
+		`{"seq":2,"day":2,"date":"","url":"http://a.simtest/2","old":"dead","new":"alive"}` + "\n" +
+		`{"seq":3,"day":3,"date":"","url":"http://a.simt`
+	if err := os.WriteFile(jpath, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, base := newStreamServer(t, func(cfg *Config) { cfg.JournalPath = jpath })
+
+	watchSampleArticles(t, base, 120)
+	tickUntilFlips(t, base, 3, 15, 120)
+	fresh := s.jrnl.After(2)
+	if len(fresh) == 0 || fresh[0].Seq != 3 || fresh[0].URL == "http://a.simtest/3" {
+		t.Fatalf("first flip after the torn boot = %+v, want a new entry at seq 3", fresh)
 	}
 }

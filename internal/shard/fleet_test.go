@@ -355,6 +355,59 @@ func TestFleetKilledShard(t *testing.T) {
 	}
 }
 
+// TestFleetClientDisconnectKeepsShardHealthy: a caller that hangs up is
+// not a shard failure. A pre-cancelled request on each of the three leg
+// kinds (single proxy, batch sub-stream, sample scatter) must leave
+// every member healthy and the degraded counter at zero, so the next
+// well-behaved request for the same URL is a plain 200.
+func TestFleetClientDisconnectKeepsShardHealthy(t *testing.T) {
+	b := fleetFixture(t)
+	_, fleet, _ := newFleet(t, b, 2)
+	urls := sampleURLs(t, fleet, 10)
+	classify := "/v1/classify?url=" + url.QueryEscape(urls[0])
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := httptest.NewRecorder()
+	fleet.ServeHTTP(w, httptest.NewRequest(http.MethodGet, classify, nil).WithContext(gone))
+	if w.Code != 499 || !strings.Contains(w.Body.String(), "client_closed_request") {
+		t.Errorf("cancelled classify = %d %s, want 499 client_closed_request", w.Code, w.Body)
+	}
+	w = httptest.NewRecorder()
+	fleet.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sample?n=5", nil).WithContext(gone))
+	if w.Code != 499 {
+		t.Errorf("cancelled sample = %d %s, want 499", w.Code, w.Body)
+	}
+	raw, _ := json.Marshal(map[string][]string{"urls": urls})
+	w = httptest.NewRecorder()
+	fleet.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/classify/batch", bytes.NewReader(raw)).WithContext(gone))
+	if strings.Contains(w.Body.String(), "shard_unreachable") {
+		t.Errorf("cancelled batch blamed a shard: %s", w.Body)
+	}
+
+	if w := get(t, fleet, classify); w.Code != http.StatusOK {
+		t.Fatalf("classify after a client hang-up = %d %s, want 200", w.Code, w.Body)
+	}
+	var m struct {
+		Degraded int64 `json:"degraded"`
+		Shards   map[string]struct {
+			Healthy bool  `json:"healthy"`
+			Failed  int64 `json:"failed"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal(get(t, fleet, "/metrics").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Degraded != 0 {
+		t.Errorf("/metrics degraded = %d after client hang-ups, want 0", m.Degraded)
+	}
+	for name, sh := range m.Shards {
+		if !sh.Healthy || sh.Failed != 0 {
+			t.Errorf("shard %s: healthy=%v failed=%d after client hang-ups", name, sh.Healthy, sh.Failed)
+		}
+	}
+}
+
 // TestFleetRebalance moves one domain's hash range to another member
 // and checks the full handoff: generation bump, router cutover, shard
 // owned views converging, verdicts still byte-identical.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"permadead/internal/core"
+	"permadead/internal/edge"
 	"permadead/internal/urlutil"
 )
 
@@ -30,45 +31,25 @@ type RouterConfig struct {
 	// Members is the fleet, in ring order. Names must match the
 	// -shard-name each permadeadd was started with.
 	Members []Member
-	// VNodes is the ring's per-member virtual-node count.
-	VNodes int
 	// ShardTimeout is the per-shard deadline on every proxied or
 	// scattered leg — the bound that turns a hung shard into a flagged
-	// partial result instead of a hung client.
+	// partial result instead of a hung client. Default 15s.
 	ShardTimeout time.Duration
 	// HealthInterval is the /healthz polling cadence. Proxy failures
-	// mark a member down immediately; polling brings it back.
+	// mark a member down immediately; polling brings it back. Default 1s.
 	HealthInterval time.Duration
-	// RetryAfterSec is the Retry-After advertisement on degraded
-	// (shard-down) responses.
-	RetryAfterSec int
-	// MaxBatchLinks mirrors the shard-side bound on one batch request.
-	MaxBatchLinks int
-	// DrainTimeout bounds how long a rebalance waits for the old
-	// owner's in-flight requests on the moved range to finish.
-	DrainTimeout time.Duration
 }
 
-func (c *RouterConfig) fillDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 15 * time.Second
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = time.Second
-	}
-	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = 2
-	}
-	if c.MaxBatchLinks <= 0 {
-		c.MaxBatchLinks = 10000
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-}
+const (
+	// retryAfter is the Retry-After advertisement on degraded
+	// (shard-down) responses, in seconds.
+	retryAfter = "2"
+	// maxBatchLinks mirrors the shard-side default bound on one batch.
+	maxBatchLinks = 10000
+	// drainTimeout bounds how long a rebalance waits for the old
+	// owner's in-flight requests on the moved range to finish.
+	drainTimeout = 5 * time.Second
+)
 
 // member is the router's live view of one shard.
 type member struct {
@@ -111,6 +92,7 @@ type Router struct {
 	members map[string]*member
 	order   []string
 	client  *http.Client
+	edge    *edge.Edge // request wrapper, drain flag, metrics
 
 	rebalanceMu sync.Mutex // serializes handoffs
 	stop        chan struct{}
@@ -123,7 +105,12 @@ type Router struct {
 // the first health sweep (and any proxy failure) corrects that.
 // Call Close to stop the health loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	cfg.fillDefaults()
+	if cfg.ShardTimeout <= 0 {
+		cfg.ShardTimeout = 15 * time.Second
+	}
+	if cfg.HealthInterval <= 0 {
+		cfg.HealthInterval = time.Second
+	}
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one member")
 	}
@@ -131,7 +118,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for i, m := range cfg.Members {
 		names[i] = m.Name
 	}
-	ring, err := New(names, cfg.VNodes)
+	ring, err := New(names, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -140,9 +127,24 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		members: make(map[string]*member, len(cfg.Members)),
 		order:   names,
 		client:  &http.Client{}, // per-leg deadlines ride on contexts
+		edge:    edge.New(0, 0), // no query-tier routes: the shards gate and deadline
 		stop:    make(chan struct{}),
 	}
 	r.ring.Store(ring)
+	r.edge.Publish("generation", func() any { return r.ring.Load().Generation() })
+	r.edge.Publish("degraded", func() any { return r.degraded.Load() })
+	r.edge.Publish("shards", func() any {
+		shards := make(map[string]any, len(r.order))
+		for _, name := range r.order {
+			m := r.members[name]
+			shards[name] = map[string]any{
+				"healthy": m.healthy.Load(),
+				"proxied": m.proxied.Load(),
+				"failed":  m.failed.Load(),
+			}
+		}
+		return shards
+	})
 	for _, m := range cfg.Members {
 		base := m.Base
 		if !strings.Contains(base, "://") {
@@ -180,61 +182,86 @@ func (r *Router) healthLoop() {
 // probe asks one shard's /healthz; only a 200 counts (a draining shard
 // answers 503 and must stop receiving traffic).
 func (r *Router) probe(m *member) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthInterval)
+	resp, cancel, err := r.leg(context.Background(), r.cfg.HealthInterval, m, "/healthz", nil)
+	if err != nil {
+		return false
+	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }
 
-// Handler returns the router's route tree. The surface mirrors the
-// shard API where proxying is transparent; fleet-only routes live
-// under /admin.
+// leg sends member m one request under a deadline of timeout layered on
+// ctx: a GET of path, or — with a payload — a POST of it as JSON. On
+// success the caller closes the response body, then calls cancel.
+func (r *Router) leg(ctx context.Context, timeout time.Duration, m *member, path string, payload []byte) (*http.Response, context.CancelFunc, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	method, body := http.MethodGet, io.Reader(nil)
+	if payload != nil {
+		method, body = http.MethodPost, bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, m.base+path, body)
+	if err == nil {
+		if payload != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		var resp *http.Response
+		if resp, err = r.client.Do(req); err == nil {
+			return resp, cancel, nil
+		}
+	}
+	cancel()
+	return nil, nil, err
+}
+
+// Handler returns the router's route tree, built from the same edge
+// wrapper as the shard server's. The surface mirrors the shard API where
+// proxying is transparent; fleet-only routes live under /admin. Proxied
+// routes sit in the stream tier — refused while draining and counted,
+// but neither gated nor deadlined here: each leg carries ShardTimeout
+// and the shard it lands on does the admitting.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	single := http.HandlerFunc(r.handleSingle)
-	mux.Handle("/v1/availability", single)
-	mux.Handle("/v1/status", single)
-	mux.Handle("/v1/classify", single)
-	mux.HandleFunc("/v1/classify/batch", r.handleBatch)
-	mux.HandleFunc("/v1/sample", r.handleSample)
+	handle := func(path, name, method string, tier edge.Tier, h http.HandlerFunc) {
+		mux.Handle(path, r.edge.Handle(name, method, tier, h))
+	}
+	handle("/v1/availability", "availability", http.MethodGet, edge.Stream, r.handleSingle)
+	handle("/v1/status", "status", http.MethodGet, edge.Stream, r.handleSingle)
+	handle("/v1/classify", "classify", http.MethodGet, edge.Stream, r.handleSingle)
+	handle("/v1/classify/batch", "batch", http.MethodPost, edge.Stream, r.handleBatch)
+	handle("/v1/sample", "sample", http.MethodGet, edge.Stream, r.handleSample)
 	mux.HandleFunc("/healthz", r.handleHealthz)
-	mux.HandleFunc("/metrics", r.handleMetrics)
-	mux.HandleFunc("/admin/ring", r.handleRing)
-	mux.HandleFunc("/admin/rebalance", r.handleRebalance)
+	handle("/metrics", "metrics", http.MethodGet, edge.Admin, r.edge.ServeMetrics)
+	handle("/admin/ring", "admin", http.MethodGet, edge.Admin, r.handleRing)
+	handle("/admin/rebalance", "admin", http.MethodPost, edge.Admin, r.handleRebalance)
 	return mux
 }
 
-// writeError mirrors the shard-side error envelope so fleet clients
-// parse one shape everywhere.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
-		"error": map[string]string{"code": code, "message": fmt.Sprintf(format, args...)},
-	})
-}
+// BeginDrain makes the router refuse new proxied requests with 503
+// draining while in-flight ones finish; /admin and /metrics still land.
+func (r *Router) BeginDrain() { r.edge.BeginDrain() }
 
-func (r *Router) degrade(w http.ResponseWriter, status int, code, format string, args ...any) {
+// degrade answers 503 for a hash range whose owner cannot serve it.
+func (r *Router) degrade(w http.ResponseWriter, code, format string, args ...any) {
 	r.degraded.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(r.cfg.RetryAfterSec))
-	writeError(w, status, code, format, args...)
+	w.Header().Set("Retry-After", retryAfter)
+	edge.WriteError(w, http.StatusServiceUnavailable, code, format, args...)
 }
 
-// route resolves a raw URL to its owning member and the ring point
-// that made the decision.
-func (r *Router) route(rawURL string) (*member, uint64) {
-	ring := r.ring.Load()
-	domain := urlutil.Domain(rawURL)
-	return r.members[ring.Owner(domain)], ring.PointOf(domain)
+// legFailed accounts for a shard leg whose client.Do returned an error
+// and reports whether the shard is to blame. inbound is the request's
+// own context (not the leg's): when it is done the caller hung up or
+// ran out of time, which says nothing about the shard — only a leg
+// deadline or transport error on a live inbound request marks the
+// member down, until the health loop's next sweep.
+func (m *member) legFailed(inbound context.Context) bool {
+	if inbound.Err() != nil {
+		return false
+	}
+	m.healthy.Store(false)
+	m.failed.Add(1)
+	return true
 }
 
 // handleSingle proxies /v1/availability, /v1/status, and /v1/classify
@@ -242,42 +269,33 @@ func (r *Router) route(rawURL string) (*member, uint64) {
 // response — status, body, cache headers — passes through verbatim, so
 // a fleet answer is byte-identical to the owning shard's; the router
 // adds only X-Fleet-Shard. A down or unreachable owner answers 503
-// with Retry-After instead of hanging.
+// with Retry-After instead of hanging; a caller that hangs up first is
+// a 499 and leaves the owner's health alone.
 func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
 	rawURL := req.URL.Query().Get("url")
 	if rawURL == "" {
-		writeError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
+		edge.WriteError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
 		return
 	}
-	m, point := r.route(rawURL)
+	// The owning member, and the ring point that made the decision.
+	ring, domain := r.ring.Load(), urlutil.Domain(rawURL)
+	m := r.members[ring.Owner(domain)]
 	if !m.healthy.Load() {
-		r.degrade(w, http.StatusServiceUnavailable, "shard_down",
-			"shard %s (owner of %s) is down; retry shortly", m.name, urlutil.Domain(rawURL))
+		r.degrade(w, "shard_down", "shard %s (owner of %s) is down; retry shortly", m.name, domain)
 		return
 	}
-	done := m.track(point)
-	defer done()
+	defer m.track(ring.PointOf(domain))()
 
-	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.ShardTimeout)
+	resp, cancel, err := r.leg(req.Context(), r.cfg.ShardTimeout, m, req.URL.Path+"?"+req.URL.RawQuery, nil)
+	if err != nil {
+		if !m.legFailed(req.Context()) {
+			edge.WriteFailure(w, req.Context().Err())
+			return
+		}
+		r.degrade(w, "shard_unreachable", "shard %s did not answer within %v: %v", m.name, r.cfg.ShardTimeout, err)
+		return
+	}
 	defer cancel()
-	out, err := http.NewRequestWithContext(ctx, http.MethodGet, m.base+req.URL.Path+"?"+req.URL.RawQuery, nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	resp, err := r.client.Do(out)
-	if err != nil {
-		m.healthy.Store(false)
-		m.failed.Add(1)
-		r.degrade(w, http.StatusServiceUnavailable, "shard_unreachable",
-			"shard %s did not answer within %v: %v", m.name, r.cfg.ShardTimeout, err)
-		return
-	}
 	defer resp.Body.Close()
 	m.proxied.Add(1)
 	for _, h := range []string{"Content-Type", "X-Cache", "Retry-After"} {
@@ -290,23 +308,6 @@ func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
 	io.Copy(w, resp.Body) //nolint:errcheck // headers are out; the stream just ends
 }
 
-// batchLine pairs a global input index with its rendered NDJSON line.
-type errLine struct {
-	URL   string `json:"url"`
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-func renderErrLine(url, code, msg string) []byte {
-	var l errLine
-	l.URL = url
-	l.Error.Code, l.Error.Message = code, msg
-	b, _ := json.Marshal(l) //nolint:errcheck // struct of strings cannot fail
-	return append(b, '\n')
-}
-
 // handleBatch splits one bulk-classify request by owning shard, posts
 // each shard its sub-batch concurrently, and re-merges the streamed
 // NDJSON lines into global input order via core.StreamOrdered — line i
@@ -317,25 +318,8 @@ func renderErrLine(url, code, msg string) []byte {
 // X-Fleet-Partial and Retry-After, and a shard that dies mid-stream
 // fails only its own remaining lines.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return
-	}
-	var body struct {
-		URLs []string `json:"urls"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 32<<20)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding request body: %v", err)
-		return
-	}
-	if len(body.URLs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", `body must carry a non-empty "urls" array`)
-		return
-	}
-	if len(body.URLs) > r.cfg.MaxBatchLinks {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			"%d urls exceeds the %d-link batch bound; split the request", len(body.URLs), r.cfg.MaxBatchLinks)
+	urls, ok := edge.DecodeBatch(w, req, maxBatchLinks)
+	if !ok {
 		return
 	}
 
@@ -344,26 +328,25 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	ring := r.ring.Load()
 	type part struct {
 		m      *member
-		point  uint64 // any routed point; per-index points tracked below
 		idxs   []int
-		points []uint64
+		points map[uint64]struct{} // the distinct ring points that routed idxs
 	}
 	parts := make(map[string]*part)
-	for i, u := range body.URLs {
+	for i, u := range urls {
 		d := urlutil.Domain(u)
 		name := ring.Owner(d)
 		p := parts[name]
 		if p == nil {
-			p = &part{m: r.members[name]}
+			p = &part{m: r.members[name], points: make(map[uint64]struct{})}
 			parts[name] = p
 		}
 		p.idxs = append(p.idxs, i)
-		p.points = append(p.points, ring.PointOf(d))
+		p.points[ring.PointOf(d)] = struct{}{}
 	}
 
 	// slots[i] carries exactly one line for global index i; capacity 1
 	// means shard readers never block on the merger.
-	n := len(body.URLs)
+	n := len(urls)
 	slots := make([]chan []byte, n)
 	for i := range slots {
 		slots[i] = make(chan []byte, 1)
@@ -377,7 +360,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		if !p.m.healthy.Load() {
 			down = append(down, p.m.name)
 			for _, i := range p.idxs {
-				slots[i] <- renderErrLine(body.URLs[i], "shard_down",
+				slots[i] <- edge.ErrLine(urls[i], "shard_down",
 					fmt.Sprintf("shard %s is down; retry shortly", p.m.name))
 			}
 			continue
@@ -385,7 +368,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		wg.Add(1)
 		go func(p *part) {
 			defer wg.Done()
-			r.streamSubBatch(ctx, p.m, p.points, body.URLs, p.idxs, slots)
+			r.streamSubBatch(ctx, p.m, p.points, urls, p.idxs, slots)
 		}(p)
 	}
 
@@ -394,10 +377,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if len(down) > 0 {
 		sort.Strings(down)
 		w.Header().Set("X-Fleet-Partial", strings.Join(down, ","))
-		w.Header().Set("Retry-After", strconv.Itoa(r.cfg.RetryAfterSec))
+		w.Header().Set("Retry-After", retryAfter)
 		r.degraded.Add(1)
 	}
-	flusher, _ := w.(http.Flusher)
 
 	// The merge: workers claim global indices and wait on that index's
 	// slot; emit runs in strict input order. Width tracks the fleet —
@@ -411,18 +393,10 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			case line := <-slots[i]:
 				return line
 			case <-ctx.Done():
-				return renderErrLine(body.URLs[i], "client_closed_request", "request canceled")
+				return edge.ErrLine(urls[i], "client_closed_request", "request canceled")
 			}
 		},
-		func(i int, line []byte) error {
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
+		edge.LineWriter(w))
 	cancel()
 	wg.Wait()
 }
@@ -431,11 +405,12 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 // streamed lines back into the global slots. Any leg failure —
 // unreachable shard, non-200, truncated stream — turns the remaining
 // indices into shard_unreachable error lines; it never hangs past the
-// per-shard deadline.
-func (r *Router) streamSubBatch(ctx context.Context, m *member, points []uint64, urls []string, idxs []int, slots []chan []byte) {
-	for k, point := range points {
-		defer m.track(point)() //nolint:gocritic // balanced at stream end by design
-		_ = k
+// per-shard deadline. ctx is the batch's own context: once it is done
+// (client gone, or the merge gave up on a write error) a failing leg is
+// the caller's doing, not the shard's.
+func (r *Router) streamSubBatch(ctx context.Context, m *member, points map[uint64]struct{}, urls []string, idxs []int, slots []chan []byte) {
+	for point := range points {
+		defer m.track(point)() // one in-flight count per routed ring point, held to stream end
 	}
 	sub := make([]string, len(idxs))
 	for k, i := range idxs {
@@ -445,25 +420,20 @@ func (r *Router) streamSubBatch(ctx context.Context, m *member, points []uint64,
 
 	failFrom := func(k int, code string, msg string) {
 		for ; k < len(idxs); k++ {
-			slots[idxs[k]] <- renderErrLine(urls[idxs[k]], code, msg)
+			slots[idxs[k]] <- edge.ErrLine(urls[idxs[k]], code, msg)
 		}
 	}
 
-	legCtx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(legCtx, http.MethodPost, m.base+"/v1/classify/batch", bytes.NewReader(payload))
+	resp, cancel, err := r.leg(ctx, r.cfg.ShardTimeout, m, "/v1/classify/batch", payload)
 	if err != nil {
-		failFrom(0, "internal", err.Error())
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		m.healthy.Store(false)
-		m.failed.Add(1)
+		if !m.legFailed(ctx) {
+			failFrom(0, "client_closed_request", "request canceled")
+			return
+		}
 		failFrom(0, "shard_unreachable", fmt.Sprintf("shard %s: %v", m.name, err))
 		return
 	}
+	defer cancel()
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -493,11 +463,7 @@ func (r *Router) streamSubBatch(ctx context.Context, m *member, points []uint64,
 // appear only when a shard could not contribute, so healthy-fleet
 // responses stay shaped like a single shard's.
 type routerSample struct {
-	Total    int      `json:"total"`
-	Offset   int      `json:"offset"`
-	Count    int      `json:"count"`
-	URLs     []string `json:"urls"`
-	Articles []string `json:"articles,omitempty"`
+	edge.SampleResponse
 	// ByShard reports each contributing shard's owned-population size.
 	ByShard map[string]int `json:"by_shard"`
 	// Partial is set when at least one shard's slice is missing; the
@@ -513,39 +479,17 @@ type routerSample struct {
 // deadline — yields a flagged partial result with Retry-After instead
 // of an error or a hang.
 func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+	win, ok := edge.ParseSampleWindow(w, req)
+	if !ok {
 		return
 	}
-	q := req.URL.Query()
-	n := 100
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, "bad_n", "malformed n %q", v)
-			return
-		}
-		n = parsed
-	}
-	offset := 0
-	if v := q.Get("offset"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			writeError(w, http.StatusBadRequest, "bad_offset", "malformed offset %q", v)
-			return
-		}
-		offset = parsed
-	}
-	withArticles := q.Get("articles") == "1" || q.Get("articles") == "true"
 
-	type slice struct {
-		total    int
-		urls     []string
-		articles []string
-		err      error
-	}
-	slices := make([]slice, len(r.order))
+	// slices[i] is member i's owned slice of the population, or why it
+	// is missing.
+	slices := make([]struct {
+		edge.SampleResponse
+		err error
+	}, len(r.order))
 	var wg sync.WaitGroup
 	for i, name := range r.order {
 		m := r.members[name]
@@ -556,48 +500,37 @@ func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(req.Context(), r.cfg.ShardTimeout)
-			defer cancel()
 			// Each shard is asked for enough of its slice to cover the
-			// merged window: offset+n is an upper bound on any one
+			// merged window: win.Offset+win.N is an upper bound on any one
 			// shard's contribution.
-			target := fmt.Sprintf("%s/v1/sample?view=owned&n=%d", m.base, offset+n)
-			if withArticles {
+			target := fmt.Sprintf("/v1/sample?view=owned&n=%d", win.Offset+win.N)
+			if win.Articles {
 				target += "&articles=1"
 			}
-			out, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+			resp, cancel, err := r.leg(req.Context(), r.cfg.ShardTimeout, m, target, nil)
 			if err != nil {
+				m.legFailed(req.Context())
 				slices[i].err = err
 				return
 			}
-			resp, err := r.client.Do(out)
-			if err != nil {
-				m.healthy.Store(false)
-				m.failed.Add(1)
-				slices[i].err = err
-				return
-			}
+			defer cancel()
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				slices[i].err = fmt.Errorf("shard answered %d", resp.StatusCode)
 				return
 			}
 			m.proxied.Add(1)
-			var sr struct {
-				Total    int      `json:"total"`
-				URLs     []string `json:"urls"`
-				Articles []string `json:"articles"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-				slices[i].err = err
-				return
-			}
-			slices[i] = slice{total: sr.Total, urls: sr.URLs, articles: sr.Articles}
+			slices[i].err = json.NewDecoder(resp.Body).Decode(&slices[i].SampleResponse)
 		}(i, m)
 	}
 	wg.Wait()
+	if err := req.Context().Err(); err != nil {
+		edge.WriteFailure(w, err) // the caller is gone: no partial result to flag
+		return
+	}
 
-	out := routerSample{Offset: offset, ByShard: make(map[string]int, len(r.order))}
+	out := routerSample{ByShard: make(map[string]int, len(r.order))}
+	out.Offset = win.Offset
 	for i, name := range r.order {
 		sl := slices[i]
 		if sl.err != nil {
@@ -605,8 +538,8 @@ func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 			out.MissingShards = append(out.MissingShards, name)
 			continue
 		}
-		out.Total += sl.total
-		out.ByShard[name] = sl.total
+		out.Total += sl.Total
+		out.ByShard[name] = sl.Total
 	}
 	// Interleave the slices round-robin rather than concatenating them:
 	// any prefix of the merged listing then spreads across the whole
@@ -614,12 +547,12 @@ func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 	// shard instead of hammering whichever member sorts first — the
 	// sampling property the fleet workload's scaling measurement (and
 	// any client wanting a representative cross-section) relies on.
-	skip := offset
-	for j := 0; len(out.URLs) < n; j++ {
+	skip := win.Offset
+	for j := 0; len(out.URLs) < win.N; j++ {
 		advanced := false
 		for i := range r.order {
 			sl := slices[i]
-			if sl.err != nil || j >= len(sl.urls) {
+			if sl.err != nil || j >= len(sl.URLs) {
 				continue
 			}
 			advanced = true
@@ -627,12 +560,12 @@ func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 				skip--
 				continue
 			}
-			if len(out.URLs) >= n {
+			if len(out.URLs) >= win.N {
 				break
 			}
-			out.URLs = append(out.URLs, sl.urls[j])
-			if withArticles && j < len(sl.articles) {
-				out.Articles = append(out.Articles, sl.articles[j])
+			out.URLs = append(out.URLs, sl.URLs[j])
+			if win.Articles && j < len(sl.Articles) {
+				out.Articles = append(out.Articles, sl.Articles[j])
 			}
 		}
 		if !advanced {
@@ -641,11 +574,10 @@ func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 	}
 	out.Count = len(out.URLs)
 	if out.Partial {
-		w.Header().Set("Retry-After", strconv.Itoa(r.cfg.RetryAfterSec))
+		w.Header().Set("Retry-After", retryAfter)
 		r.degraded.Add(1)
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(out) //nolint:errcheck
+	edge.WriteJSON(w, out)
 }
 
 // handleHealthz reports fleet health: 200 with per-shard status. The
@@ -662,64 +594,37 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 		shards[name] = map[string]any{"base": m.base, "healthy": h}
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
+	edge.WriteJSON(w, map[string]any{
 		"status":     status,
 		"generation": r.ring.Load().Generation(),
 		"shards":     shards,
 	})
 }
 
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	shards := make(map[string]any, len(r.order))
-	for _, name := range r.order {
-		m := r.members[name]
-		shards[name] = map[string]any{
-			"healthy": m.healthy.Load(),
-			"proxied": m.proxied.Load(),
-			"failed":  m.failed.Load(),
-		}
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
-		"generation": r.ring.Load().Generation(),
-		"degraded":   r.degraded.Load(),
-		"shards":     shards,
-	})
-}
-
 func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(r.ring.Load().State()) //nolint:errcheck
+	edge.WriteJSON(w, r.ring.Load().State())
 }
 
 // handleRebalance moves the hash range owning a domain to another
 // member. See Rebalance for the protocol.
 func (r *Router) handleRebalance(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
-		return
-	}
 	var body struct {
 		Domain string `json:"domain"`
 		To     string `json:"to"`
 	}
-	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "decoding request body: %v", err)
+	if !edge.DecodeBody(w, req, &body) {
 		return
 	}
 	if body.Domain == "" || body.To == "" {
-		writeError(w, http.StatusBadRequest, "bad_rebalance", `body must carry "domain" and "to"`)
+		edge.WriteError(w, http.StatusBadRequest, "bad_rebalance", `body must carry "domain" and "to"`)
 		return
 	}
 	res, err := r.Rebalance(req.Context(), body.Domain, body.To)
 	if err != nil {
-		writeError(w, http.StatusConflict, "rebalance_failed", "%v", err)
+		edge.WriteError(w, http.StatusConflict, "rebalance_failed", "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(res) //nolint:errcheck
+	edge.WriteJSON(w, res)
 }
 
 // RebalanceResult reports one completed handoff.
@@ -730,7 +635,7 @@ type RebalanceResult struct {
 	To         string `json:"to"`
 	Generation int64  `json:"generation"`
 	// Drained reports whether the old owner's in-flight requests on the
-	// moved range hit zero within DrainTimeout (false means the wait
+	// moved range hit zero within drainTimeout (false means the wait
 	// timed out; the handoff still completed — shards serve the full
 	// universe, so a straggler finishes correctly on the old owner).
 	Drained     bool  `json:"drained"`
@@ -744,7 +649,7 @@ type RebalanceResult struct {
 //  2. the router cuts over — new requests for the range route to the
 //     new owner;
 //  3. the old owner's in-flight requests on the moved range drain
-//     (bounded by DrainTimeout; stragglers finish correctly because
+//     (bounded by drainTimeout; stragglers finish correctly because
 //     every shard can classify the full universe);
 //  4. the updated ring propagates to the remaining members, best
 //     effort, so their owned views converge.
@@ -784,7 +689,7 @@ func (r *Router) Rebalance(ctx context.Context, domain, to string) (*RebalanceRe
 	// 3. Drain the old owner's in-flight work on the moved range.
 	old := r.members[from]
 	start := time.Now()
-	deadline := start.Add(r.cfg.DrainTimeout)
+	deadline := start.Add(drainTimeout)
 	for old.inflightOn(point) > 0 && time.Now().Before(deadline) {
 		select {
 		case <-ctx.Done():
@@ -816,17 +721,11 @@ func (r *Router) pushOwnership(ctx context.Context, m *member, st RingState) err
 	if err != nil {
 		return err
 	}
-	legCtx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+	resp, cancel, err := r.leg(ctx, r.cfg.ShardTimeout, m, "/v1/shard/ownership", payload)
+	if err != nil {
+		return err
+	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(legCtx, http.MethodPost, m.base+"/v1/shard/ownership", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))

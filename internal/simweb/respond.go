@@ -65,13 +65,8 @@ func (w *World) GetAttempt(rawURL string, day simclock.Day, attempt int) Result 
 	return w.GetPathAttempt(host, pq, day, attempt)
 }
 
-// GetPath is Get for an already-split hostname and path?query string.
-func (w *World) GetPath(host, pathQuery string, day simclock.Day) Result {
-	return w.GetPathAttempt(host, pathQuery, day, 0)
-}
-
-// GetPathAttempt is GetPath with an explicit attempt number (see
-// GetAttempt).
+// GetPathAttempt is GetAttempt for an already-split hostname and
+// path?query string.
 func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt int) Result {
 	if !w.Resolves(host, day) {
 		return Result{Kind: KindDNSFailure}

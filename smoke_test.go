@@ -11,6 +11,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -211,6 +213,28 @@ func TestSmoke(t *testing.T) {
 	if len(archives.Members) != 3 || archives.Members[0].Name != "wayback" {
 		t.Fatalf("archives manifest: %+v", archives)
 	}
+
+	// The serving binaries' whole option surface, so that adding a flag
+	// is a reviewed diff here rather than an accretion.
+	t.Run("flag surface", func(t *testing.T) {
+		flagLine := regexp.MustCompile(`(?m)^  -([a-z-]+)`)
+		for name, want := range map[string]string{
+			"permadeadd": "addr addr-file archives cache-entries drain-timeout flaky flaky-rate flaky-stream-days " +
+				"journal load max-inflight monitor-ttl no-monitor repair request-timeout sample scale seed " +
+				"shard-members shard-name",
+			"permadead-router": "addr addr-file members shard-timeout",
+		} {
+			usage, _ := run(bin(name), "-h") // -h exits 2 by design
+			var got []string
+			for _, m := range flagLine.FindAllStringSubmatch(usage, -1) {
+				got = append(got, m[1])
+			}
+			sort.Strings(got)
+			if strings.Join(got, " ") != want {
+				t.Errorf("%s flags:\n got %s\nwant %s", name, strings.Join(got, " "), want)
+			}
+		}
+	})
 
 	t.Run("inspect verifies the file", func(t *testing.T) {
 		out, err := run(bin("inspect"), "-load", universe)
