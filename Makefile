@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: check build test vet race bench benchsmoke retrysmoke
+.PHONY: check fmt build test vet race fuzzsmoke bench benchsmoke retrysmoke
 
-check: vet build test race retrysmoke
+check: fmt vet build test race fuzzsmoke retrysmoke
+
+# fmt fails when any file is not gofmt-clean, naming it.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -19,6 +23,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzzsmoke gives each differential fuzz target ten seconds beyond its
+# seed corpus (go test takes one -fuzz target per invocation): the
+# first-byte wikitext parser against the byte-at-a-time reference, the
+# banded edit distance against the full matrix, the URL helpers.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
+	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

@@ -93,6 +93,26 @@ func BenchmarkDataset(b *testing.B) {
 	b.ReportMetric(float64(r.NumDomains), "domains")
 }
 
+// BenchmarkCollect is Collect on a wiki nothing has read yet: each
+// iteration clones the article store (untimed), so the figure is the
+// whole §2.4 mining cost — one parse per revision of every category
+// article — that a cold study and every server boot pay. With nothing
+// cached in Wiki or Study it reads as BenchmarkDataset does; the clone
+// is what keeps it the cold cost if that ever changes.
+func BenchmarkCollect(b *testing.B) {
+	u, s, _ := benchSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cold := &core.Study{Config: s.Config, Wiki: u.Wiki.Clone()}
+		b.StartTimer()
+		n = len(cold.Collect())
+	}
+	b.ReportMetric(float64(n), "links")
+}
+
 // BenchmarkFigure3a regenerates the per-domain URL-count CDF.
 func BenchmarkFigure3a(b *testing.B) {
 	_, s, base := benchSetup(b)
@@ -493,6 +513,31 @@ func BenchmarkEditDistance(b *testing.B) {
 		if urlutil.EditDistance(a, c) != 1 {
 			b.Fatal("unexpected distance")
 		}
+	}
+}
+
+// BenchmarkEditDistanceAtMost is the typo probe's per-candidate call,
+// k = 1, on the three kinds of same-domain pair it meets: the typo
+// itself (distance 1, the whole band runs), a near miss (distance 2)
+// and an unrelated page of the site (the early exit).
+func BenchmarkEditDistanceAtMost(b *testing.B) {
+	dead := "www.lnr.fr/top-14-orange-histoire-parc-des-princes-paris-26-may-1984.html"
+	for _, c := range []struct {
+		name, cand string
+		want       bool
+	}{
+		{"distance-1", "www.lnr.fr/top-14-orange-histoire-parc-des-princes-paris-26-mai-1984.html", true},
+		{"distance-2", "www.lnr.fr/top-14-orange-histoire-parc-des-princes-paris-26-mai-1985.html", false},
+		{"distant", "www.lnr.fr/pro-d2-calendrier-resultats-saison-2009-2010-journee-14.html", false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if urlutil.EditDistanceAtMost(c.cand, dead, 1) != c.want {
+					b.Fatal("unexpected verdict")
+				}
+			}
+		})
 	}
 }
 

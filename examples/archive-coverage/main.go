@@ -54,9 +54,14 @@ func main() {
 	// §5.2's typo probe: exactly one archived URL at edit distance 1?
 	domain := urlutil.Domain(dead)
 	matches := []string{}
+	self := strip(dead)
 	for _, cand := range arch.ArchivedURLsUnderDomain(domain, 20000) {
-		if urlutil.EditDistanceAtMost(strip(cand), strip(dead), 1) &&
-			urlutil.EditDistance(strip(cand), strip(dead)) == 1 {
+		sc := strip(cand)
+		if sc == self {
+			continue // distance 0: an http/https variant, not a typo
+		}
+		// Distance <= 1 and != 0 is exactly 1: one bounded call.
+		if urlutil.EditDistanceAtMost(sc, self, 1) {
 			matches = append(matches, cand)
 		}
 	}

@@ -20,6 +20,7 @@ package archive
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,8 +83,27 @@ type BulkRegion struct {
 
 // PathAt returns the i-th URL path in the region (0 <= i < Count).
 func (r BulkRegion) PathAt(i int) string {
-	v := hashx.Mix64(r.Seed + uint64(i)*hashx.Golden)
-	return fmt.Sprintf("%sitem-%06d-%04x.html", r.DirPrefix, i, v&0xffff)
+	var name [bulkNameCap]byte
+	return r.DirPrefix + string(r.appendName(name[:0], i))
+}
+
+// bulkNameCap holds any generated file name: a 64-bit index has at
+// most 19 digits.
+const bulkNameCap = len("item-") + 19 + len("-ffff.html")
+
+// appendName appends the i-th entry's file name — what
+// fmt.Sprintf("item-%06d-%04x.html", i, v&0xffff) prints — without
+// fmt: enumeration materializes one name per synthetic row.
+func (r BulkRegion) appendName(dst []byte, i int) []byte {
+	v := hashx.Mix64(r.Seed+uint64(i)*hashx.Golden) & 0xffff
+	dst = append(dst, "item-"...)
+	for pad := 100000; pad > i && pad > 1; pad /= 10 {
+		dst = append(dst, '0')
+	}
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	const hex = "0123456789abcdef"
+	dst = append(dst, '-', hex[v>>12], hex[v>>8&15], hex[v>>4&15], hex[v&15])
+	return append(dst, ".html"...)
 }
 
 // DayAt returns the capture day of the i-th entry.

@@ -1,11 +1,13 @@
 package archive
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"permadead/internal/hashx"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 )
@@ -247,6 +249,34 @@ func TestCDXCountAndList(t *testing.T) {
 	limited := a.CDXList(CDXQuery{Host: "h.simtest", Limit: 2})
 	if len(limited) != 2 {
 		t.Errorf("limited list = %d", len(limited))
+	}
+}
+
+// TestPathAtMatchesSprintf holds the strconv/append name formatting to
+// the fmt form it replaced, across the %06d width boundary, and the
+// enumerated URL to "http://" + host + PathAt.
+func TestPathAtMatchesSprintf(t *testing.T) {
+	for _, seed := range []uint64{42, 0xdeadbeefcafef00d} {
+		r := BulkRegion{
+			Host: "big.simtest", DirPrefix: "/news/2014/", Count: 12,
+			FirstDay: d(100), LastDay: d(5000), Seed: seed,
+		}
+		for _, i := range []int{0, 9, 10, 999999, 1000000, 12345678} {
+			v := hashx.Mix64(r.Seed + uint64(i)*hashx.Golden)
+			want := fmt.Sprintf("%sitem-%06d-%04x.html", r.DirPrefix, i, v&0xffff)
+			if got := r.PathAt(i); got != want {
+				t.Errorf("seed %#x: PathAt(%d) = %q, want %q", seed, i, got, want)
+			}
+		}
+		rows := appendBulk(nil, r, CDXQuery{Host: r.Host}, r.Count)
+		if len(rows) != r.Count {
+			t.Fatalf("seed %#x: appendBulk gave %d rows, want %d", seed, len(rows), r.Count)
+		}
+		for i, e := range rows {
+			if want := "http://" + r.Host + r.PathAt(i); e.URL != want {
+				t.Errorf("seed %#x: row %d URL = %q, want %q", seed, i, e.URL, want)
+			}
+		}
 	}
 }
 

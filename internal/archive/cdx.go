@@ -163,9 +163,11 @@ func appendBulk(out []CDXEntry, r BulkRegion, q CDXQuery, limit int) []CDXEntry 
 	if bulkMatchCount(r, q) == 0 {
 		return out
 	}
+	prefix := "http://" + r.Host + r.DirPrefix
+	var name [bulkNameCap]byte
 	for i := 0; i < r.Count && len(out) < limit; i++ {
 		out = append(out, CDXEntry{
-			URL:           "http://" + r.Host + r.PathAt(i),
+			URL:           prefix + string(r.appendName(name[:0], i)),
 			Day:           r.DayAt(i),
 			InitialStatus: 200,
 		})
@@ -264,11 +266,18 @@ func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated
 		sort.Strings(hosts)
 	}
 
-	seen := make(map[string]struct{})
+	var seen map[string]struct{}
 	var out []string
 	for _, h := range hosts {
 		// Enumerate one row beyond the cap so truncation is detectable.
-		for _, e := range a.CDXList(CDXQuery{Host: h, Limit: limit + 1}) {
+		rows := a.CDXList(CDXQuery{Host: h, Limit: limit + 1})
+		if seen == nil {
+			// Most domains are one host; size for it so neither the
+			// set nor the output regrows while it is enumerated.
+			seen = make(map[string]struct{}, len(rows))
+			out = make([]string, 0, min(len(rows), limit))
+		}
+		for _, e := range rows {
 			if _, dup := seen[e.URL]; dup {
 				continue
 			}

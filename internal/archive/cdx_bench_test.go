@@ -26,8 +26,9 @@ var (
 
 // benchArchives builds (once) the two identical archives: one big
 // host with benchHostEntries explicit captures across 64 directories
-// plus query-bearing rows, and 600 small hosts across 200 registrable
-// domains for the domain-enumeration benchmarks.
+// plus query-bearing rows, 600 small hosts across 200 registrable
+// domains for the domain-enumeration benchmarks, and one host whose
+// rows are almost all synthetic (a 4 000-row bulk region).
 func benchArchives(b *testing.B) (naive, indexed *Archive) {
 	b.Helper()
 	if benchNaive != nil {
@@ -70,6 +71,18 @@ func benchArchives(b *testing.B) (naive, indexed *Archive) {
 				})
 			}
 		}
+		for p := 0; p < 5; p++ {
+			a.Add(Snapshot{
+				URL:           fmt.Sprintf("http://www.bulk.simtest/news/page-%d.html", p),
+				Day:           d(50 + p),
+				InitialStatus: 200,
+				FinalStatus:   200,
+			})
+		}
+		a.AddBulkCoverage(BulkRegion{
+			Host: "www.bulk.simtest", DirPrefix: "/news/", Count: 4000,
+			FirstDay: d(100), LastDay: d(5000), Seed: 42,
+		})
 		return a
 	}
 	benchNaive = build()
@@ -141,16 +154,26 @@ func BenchmarkCDXCountSelf(b *testing.B) {
 // BenchmarkDomainURLs is the §5.2 typo-probe enumeration: all
 // archived URLs under one registrable domain. The naive path derives
 // the registrable domain of every host in the archive per call; the
-// indexed path probes the freeze-time domain → hosts map.
+// indexed path probes the freeze-time domain → hosts map. "explicit"
+// is a domain of three small hosts; "bulk" is one host whose 4 000
+// rows are generated per call (BulkRegion name formatting, the
+// dedupe set's growth).
 func BenchmarkDomainURLs(b *testing.B) {
-	runPair(b, func(b *testing.B, a *Archive) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			urls, _ := a.DomainURLs("dom42.simtest", 4000)
-			n = len(urls)
-		}
-		b.ReportMetric(float64(n), "urls")
-	})
+	for _, c := range []struct{ name, domain string }{
+		{"explicit", "dom42.simtest"},
+		{"bulk", "bulk.simtest"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			runPair(b, func(b *testing.B, a *Archive) {
+				var n int
+				for i := 0; i < b.N; i++ {
+					urls, _ := a.DomainURLs(c.domain, 4000)
+					n = len(urls)
+				}
+				b.ReportMetric(float64(n), "urls")
+			})
+		})
+	}
 }
 
 // BenchmarkFindQueryPermutation is the §5.2 implication (b) rescue

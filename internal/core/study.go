@@ -219,14 +219,16 @@ func (s *Study) Collect() []LinkRecord {
 	seen := make(map[string]struct{})
 	var candidates []LinkRecord
 	for _, title := range titles {
-		for _, cl := range s.Wiki.DeadLinks(title) {
+		// One parse per revision serves every dead link of the article.
+		hist := s.Wiki.MineHistory(title)
+		for _, cl := range hist.Dead {
 			if cl.URL == "" {
 				continue
 			}
 			if _, dup := seen[cl.URL]; dup {
 				continue
 			}
-			h, ok := s.Wiki.HistoryOf(title, cl.URL)
+			h, ok := hist.Link(cl.URL)
 			if !ok || !h.MarkedDead.Valid() {
 				continue
 			}

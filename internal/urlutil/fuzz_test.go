@@ -67,6 +67,11 @@ func FuzzEditDistance(f *testing.F) {
 	f.Add("kitten", "sitting")
 	f.Add("", "abc")
 	f.Add("http://a/x", "http://a/y")
+	f.Add("h.simtest/news/item-000123-ab12.html", "h.simtest/news/item-000132-ab12.html")
+	f.Add("h.simtest/a/b.html", "h.simtest/a/b.htm")
+	f.Add("abcdefghijklmnopqrstuvwxyz", "zyxwvutsrqponmlkjihgfedcba")
+	f.Add("aaaa", "aa")
+	f.Add("xabcdefghij", "abcdefghijy")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		d := EditDistance(a, b)
 		if d != EditDistance(b, a) {
@@ -82,8 +87,12 @@ func FuzzEditDistance(f *testing.F) {
 		if d > max {
 			t.Fatalf("distance %d exceeds max length %d", d, max)
 		}
-		if got := EditDistanceAtMost(a, b, d); !got {
-			t.Fatalf("EditDistanceAtMost(%q,%q,%d) = false", a, b, d)
+		// The banded predicate against the full matrix, on both sides
+		// of the true distance and across the stack/heap row boundary.
+		for k := -1; k <= d+1; k++ {
+			if got := EditDistanceAtMost(a, b, k); got != (d <= k) {
+				t.Fatalf("EditDistanceAtMost(%q,%q,%d) = %v, distance is %d", a, b, k, got, d)
+			}
 		}
 	})
 }

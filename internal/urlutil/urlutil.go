@@ -7,7 +7,10 @@
 //   - directory prefixes ("share the same URL prefix until the last '/'",
 //     §4.2 and §5.2)
 //   - SURT-style canonicalization used by the archive's CDX index
-//   - Levenshtein edit distance for the §5.2 typo analysis
+//   - Levenshtein edit distance for the §5.2 typo analysis:
+//     EditDistance is the full matrix; EditDistanceAtMost answers
+//     "within k?" from a band of 2k+1 cells per row, without
+//     allocating, and is what the per-candidate typo probe calls
 //   - query-parameter decomposition for the §5.2 "unbounded query
 //     arguments" analysis
 package urlutil
@@ -237,19 +240,99 @@ func EditDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// EditDistanceAtMost reports whether EditDistance(a, b) <= k without
-// computing the full matrix when the strings' lengths already rule it
-// out. The spatial analysis compares a dead URL to every archived URL
-// under the same domain, so the early exit matters at scale.
+// bandStackK is the largest k whose two band rows fit the fixed-size
+// array EditDistanceAtMost keeps on its stack.
+const bandStackK = 8
+
+// EditDistanceAtMost reports whether EditDistance(a, b) <= k, in
+// O(len + k·len) time and, for k <= bandStackK, without allocating.
+// The spatial analysis compares a dead URL to every archived URL under
+// the same domain with k = 1, so the bound is what keeps the typo
+// probe linear in the candidate's length.
+//
+// The common prefix and suffix are stripped first: they never take
+// part in an optimal alignment's edits, and archived URLs of one
+// domain share a long prefix. What remains runs through Ukkonen's
+// band — an alignment within k edits never strays more than k cells
+// from the diagonal, so only cells with |i-j| <= k are filled — and
+// stops at the first row whose minimum already exceeds k. Bytes, not
+// runes, as EditDistance.
 func EditDistanceAtMost(a, b string, k int) bool {
-	d := len(a) - len(b)
-	if d < 0 {
-		d = -d
-	}
-	if d > k {
+	if k < 0 {
 		return false
 	}
-	return EditDistance(a, b) <= k
+	p := 0
+	for p < len(a) && p < len(b) && a[p] == b[p] {
+		p++
+	}
+	a, b = a[p:], b[p:]
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	if len(a)-len(b) > k {
+		return false
+	}
+	if len(a) <= k {
+		// Covers an empty remainder: the distance is at most len(a).
+		return true
+	}
+
+	// Cell (i, j) of the matrix lives at band offset d = j-i+k of row
+	// i, so its neighbours are prev[d] (diagonal), prev[d+1] (above)
+	// and curr[d-1] (left). Every value is capped at over = k+1, which
+	// also stands for cells outside the band or the matrix.
+	over := k + 1
+	width := 2*k + 1
+	var stack [2 * (2*bandStackK + 1)]int
+	rows := stack[:]
+	if 2*width > len(rows) {
+		rows = make([]int, 2*width)
+	}
+	prev, curr := rows[:width], rows[width:2*width]
+	for d := range prev {
+		if j := d - k; j >= 0 && j <= len(b) {
+			prev[d] = j
+		} else {
+			prev[d] = over
+		}
+	}
+	for i := 1; i <= len(a); i++ {
+		ca := a[i-1]
+		rowMin := over
+		for d := 0; d < width; d++ {
+			j := i + d - k
+			v := over
+			if j == 0 {
+				v = i
+			} else if j > 0 && j <= len(b) {
+				v = prev[d]
+				if ca != b[j-1] {
+					v++
+				}
+				if d+1 < width && prev[d+1]+1 < v {
+					v = prev[d+1] + 1
+				}
+				if d > 0 && curr[d-1]+1 < v {
+					v = curr[d-1] + 1
+				}
+			}
+			if v > over {
+				v = over
+			}
+			curr[d] = v
+			if v < rowMin {
+				rowMin = v
+			}
+		}
+		if rowMin > k {
+			return false
+		}
+		prev, curr = curr, prev
+	}
+	return prev[len(b)-len(a)+k] <= k
 }
 
 func min3(a, b, c int) int {

@@ -196,6 +196,63 @@ func TestEditDistanceAtMost(t *testing.T) {
 	if EditDistanceAtMost("a", "abcdef", 2) {
 		t.Error("length gap exceeds k")
 	}
+	if EditDistanceAtMost("abc", "abc", -1) {
+		t.Error("no distance is within a negative bound")
+	}
+}
+
+// TestEditDistanceAtMostMatchesFullMatrix holds the banded predicate
+// to EditDistance on every pair of strings over {a,b} up to length 6
+// and every k from -1 past the longest possible distance, then on
+// longer pairs with k across the stack/heap row boundary.
+func TestEditDistanceAtMostMatchesFullMatrix(t *testing.T) {
+	var words []string
+	for n := 0; n <= 6; n++ {
+		for bits := 0; bits < 1<<n; bits++ {
+			w := make([]byte, n)
+			for i := range w {
+				w[i] = 'a' + byte(bits>>i&1)
+			}
+			words = append(words, string(w))
+		}
+	}
+	for _, a := range words {
+		for _, b := range words {
+			d := EditDistance(a, b)
+			for k := -1; k <= 7; k++ {
+				if got := EditDistanceAtMost(a, b, k); got != (d <= k) {
+					t.Fatalf("EditDistanceAtMost(%q, %q, %d) = %v, distance is %d", a, b, k, got, d)
+				}
+			}
+		}
+	}
+	long := []string{
+		"www.h.simtest/news/2014/item-000123-ab12.html",
+		"www.h.simtest/news/2014/item-000132-ab12.html",
+		"www.h.simtest/news/2041/item-00123-ab12.htm",
+		"h.simtest/sports/2009/the-quick-brown-fox-jumps.html?page=2",
+		"completely different and rather longer than the others, to be sure",
+	}
+	for _, a := range long {
+		for _, b := range long {
+			d := EditDistance(a, b)
+			for _, k := range []int{0, 1, 2, d - 1, d, d + 1, bandStackK, bandStackK + 1, 2 * d, 1 << 40} {
+				if got := EditDistanceAtMost(a, b, k); got != (d <= k) {
+					t.Fatalf("EditDistanceAtMost(%q, %q, %d) = %v, distance is %d", a, b, k, got, d)
+				}
+			}
+		}
+	}
+}
+
+// The typo probe calls EditDistanceAtMost once per archived URL of a
+// domain; at k = 1 its rows must stay on the stack.
+func TestEditDistanceAtMostDoesNotAllocate(t *testing.T) {
+	x := "www.h.simtest/news/2014/item-000123-ab12.html"
+	y := "www.h.simtest/news/2014/item-000132-ab12.html"
+	if n := testing.AllocsPerRun(100, func() { EditDistanceAtMost(x, y, 1) }); n != 0 {
+		t.Errorf("EditDistanceAtMost(x, y, 1) allocates %v times per call, want 0", n)
+	}
 }
 
 func TestQueryParams(t *testing.T) {

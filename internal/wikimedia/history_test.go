@@ -1,0 +1,265 @@
+package wikimedia_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"permadead/internal/core"
+	"permadead/internal/iabot"
+	"permadead/internal/simclock"
+	"permadead/internal/urlutil"
+	"permadead/internal/wikimedia"
+	"permadead/internal/wikitext"
+	"permadead/internal/worldgen"
+)
+
+// perURLWalk is the per-URL history walk MineHistory replaced: one
+// pass over every revision for one URL, re-parsing each, first match
+// per revision deciding. It is kept, test-only, as the statement of the
+// §2.4 rules the one-pass fold is held to.
+func perURLWalk(w *wikimedia.Wiki, title, url string) (wikimedia.LinkHistory, bool) {
+	a := w.Article(title)
+	if a == nil {
+		return wikimedia.LinkHistory{}, false
+	}
+	h := wikimedia.LinkHistory{
+		Title:      title,
+		URL:        url,
+		Added:      simclock.Never,
+		MarkedDead: simclock.Never,
+	}
+	for i := range a.Revisions {
+		rev := &a.Revisions[i]
+		link := firstLink(rev.Doc(), url)
+		if link == nil {
+			continue
+		}
+		if !h.Added.Valid() {
+			h.Added = rev.Day
+			h.AddedBy = rev.User
+		}
+		if !h.MarkedDead.Valid() && link.IsDead() {
+			h.MarkedDead = rev.Day
+			h.MarkedDeadBy = rev.User
+			h.DeadLinkBot = link.DeadLinkBot()
+		}
+	}
+	if !h.Added.Valid() {
+		return wikimedia.LinkHistory{}, false
+	}
+	if cur := firstLink(a.Current().Doc(), url); cur != nil {
+		h.ArchiveURL = cur.ArchiveURL()
+		h.Patched = h.ArchiveURL != ""
+	}
+	return h, true
+}
+
+func firstLink(doc *wikitext.Document, url string) *wikitext.CitedLink {
+	for _, cl := range doc.CitedLinks() {
+		if cl.URL == url {
+			return cl
+		}
+	}
+	return nil
+}
+
+// smallUniverse is the generated universe both golden tests read.
+var smallUniverse = sync.OnceValue(func() *worldgen.Universe {
+	return worldgen.Generate(worldgen.DefaultParams().Scale(0.05))
+})
+
+// checkArticle holds HistoryOf, MineHistory and DeadLinks to the
+// per-URL walk for every given URL of one article.
+func checkArticle(t *testing.T, w *wikimedia.Wiki, title string, urls []string) {
+	t.Helper()
+	mined := w.MineHistory(title)
+	for _, u := range urls {
+		want, wantOK := perURLWalk(w, title, u)
+		if got, ok := w.HistoryOf(title, u); ok != wantOK || got != want {
+			t.Fatalf("HistoryOf(%q, %q) = %+v, %v; per-URL walk gives %+v, %v\nrevisions:\n%s",
+				title, u, got, ok, want, wantOK, revisionsOf(w, title))
+		}
+		if got, ok := mined.Link(u); ok != wantOK || got != want {
+			t.Fatalf("MineHistory(%q).Link(%q) = %+v, %v; per-URL walk gives %+v, %v",
+				title, u, got, ok, want, wantOK)
+		}
+	}
+	dead := w.DeadLinks(title)
+	if len(mined.Dead) != len(dead) {
+		t.Fatalf("MineHistory(%q).Dead has %d links, DeadLinks %d", title, len(mined.Dead), len(dead))
+	}
+	for i := range dead {
+		if mined.Dead[i].URL != dead[i].URL || mined.Dead[i].DeadLinkBot() != dead[i].DeadLinkBot() {
+			t.Fatalf("MineHistory(%q).Dead[%d] = %q, DeadLinks gives %q", title, i, mined.Dead[i].URL, dead[i].URL)
+		}
+	}
+}
+
+func revisionsOf(w *wikimedia.Wiki, title string) string {
+	var b strings.Builder
+	for _, r := range w.Article(title).Revisions {
+		fmt.Fprintf(&b, "  day %d by %s: %q\n", r.Day, r.User, r.Text)
+	}
+	return b.String()
+}
+
+// citation renders one citation of url in a random style, tagged and
+// patched at random, so that random revisions cover: the same URL cited
+// twice with only one occurrence tagged, tags by the bot, by another
+// bot and by hand, archive-url and {{webarchive}} patches, citations in
+// and out of <ref>, and an empty url= parameter.
+func citation(rng *rand.Rand, url string) string {
+	archive := "https://web.archive.org/web/2015/" + url
+	var s string
+	switch rng.Intn(4) {
+	case 0:
+		s = "[" + url + " label]"
+		if url == "" {
+			s = "{{cite web|url=|title=lost}}"
+		}
+	case 1:
+		s = "{{cite web|url=" + url + "|title=T}}"
+	case 2:
+		s = "{{cite news|url=" + url + "|archive-url=" + archive + "}}"
+	default:
+		s = url
+		if url == "" {
+			s = "{{citation|url= }}"
+		}
+	}
+	switch rng.Intn(6) {
+	case 0:
+		s += " {{dead link|date=May 2020|bot=InternetArchiveBot}}"
+	case 1:
+		s += " {{Dead link|date=May 2020}}"
+	case 2:
+		s += "{{dead link|bot=OtherBot}}"
+	case 3:
+		s += " {{webarchive|url=" + archive + "}}"
+	}
+	if rng.Intn(2) == 0 {
+		s = "<ref>" + s + "</ref>"
+	}
+	return s
+}
+
+func TestHistoryOfMatchesPerURLWalk(t *testing.T) {
+	pool := []string{
+		"http://a.simtest/1", "http://a.simtest/2", "https://b.simtest/x?q=1",
+		"http://c.simtest/dir/page.html", "",
+	}
+	probe := append([]string{"http://never.simtest/cited"}, pool...)
+	users := []string{"Alice", "Bob", iabot.DefaultName}
+
+	t.Run("random histories", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		w := wikimedia.NewWiki()
+		for n := 0; n < 300; n++ {
+			title := fmt.Sprintf("Article %d", n)
+			day := simclock.Day(rng.Intn(50))
+			for rev := 0; rev < 1+rng.Intn(7); rev++ {
+				// Up to six citations over a pool of five URLs: repeats
+				// within a revision and removal/re-adding across
+				// revisions are both common.
+				parts := []string{"Prose about the subject."}
+				for c := rng.Intn(7); c > 0; c-- {
+					parts = append(parts, citation(rng, pool[rng.Intn(len(pool))]))
+				}
+				text := strings.Join(parts, "\n")
+				user := users[rng.Intn(len(users))]
+				if rev == 0 {
+					w.Create(title, day, user, text)
+				} else if _, err := w.Edit(title, day, user, "edit", text); err != nil {
+					t.Fatal(err)
+				}
+				checkArticle(t, w, title, probe)
+				day = day.Add(rng.Intn(40))
+			}
+		}
+		checkArticle(t, w, "No such article", probe)
+	})
+
+	t.Run("second occurrence tagged", func(t *testing.T) {
+		w := wikimedia.NewWiki()
+		w.Create("A", 10, "Alice", "[http://a.simtest/1 one] and <ref>[http://a.simtest/1 again] {{dead link|bot=InternetArchiveBot}}</ref>")
+		checkArticle(t, w, "A", probe)
+		if h, ok := w.HistoryOf("A", "http://a.simtest/1"); !ok || h.MarkedDead.Valid() {
+			t.Errorf("only the first occurrence of a URL in a revision may tag it: %+v, %v", h, ok)
+		}
+		if dead := w.MineHistory("A").Dead; len(dead) != 1 {
+			t.Errorf("Dead lists every tagged occurrence, first or not: got %d", len(dead))
+		}
+	})
+
+	t.Run("generated universe", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("generates a universe")
+		}
+		u := smallUniverse()
+		u.Wiki.EachArticle(func(a *wikimedia.Article) {
+			seen := map[string]bool{}
+			urls := []string{"http://never.simtest/cited"}
+			for i := range a.Revisions {
+				for _, cl := range a.Revisions[i].Doc().CitedLinks() {
+					if !seen[cl.URL] {
+						seen[cl.URL] = true
+						urls = append(urls, cl.URL)
+					}
+				}
+			}
+			checkArticle(t, u.Wiki, a.Title, urls)
+		})
+	})
+}
+
+// TestCollectMatchesPerURLWalk is the Collect golden: the §2.4 dataset
+// of a generated universe, in candidate order, equals the one built
+// from DeadLinks and the per-URL walk the way Collect used to.
+func TestCollectMatchesPerURLWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a universe")
+	}
+	u := smallUniverse()
+
+	var want []core.LinkRecord
+	seen := make(map[string]struct{})
+	for _, title := range u.Wiki.InCategory(iabot.Category) {
+		for _, cl := range u.Wiki.DeadLinks(title) {
+			if cl.URL == "" {
+				continue
+			}
+			if _, dup := seen[cl.URL]; dup {
+				continue
+			}
+			h, ok := perURLWalk(u.Wiki, title, cl.URL)
+			if !ok || !h.MarkedDead.Valid() {
+				continue
+			}
+			seen[cl.URL] = struct{}{}
+			if h.MarkedDeadBy != iabot.DefaultName {
+				continue
+			}
+			want = append(want, core.LinkRecord{
+				URL: cl.URL, Article: title,
+				Host: urlutil.Hostname(cl.URL), Domain: urlutil.Domain(cl.URL),
+				Added: h.Added, AddedBy: h.AddedBy,
+				Marked: h.MarkedDead, MarkedBy: h.MarkedDeadBy,
+			})
+		}
+	}
+
+	cfg := core.DefaultConfig()
+	cfg.SampleSize, cfg.CrawlArticles = 0, 0 // every candidate, in candidate order
+	got := (&core.Study{Config: cfg, Wiki: u.Wiki}).Collect()
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("Collect gave %d records, the per-URL walk %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, the per-URL walk gives %+v", i, got[i], want[i])
+		}
+	}
+}

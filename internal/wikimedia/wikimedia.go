@@ -9,7 +9,10 @@
 // Every edit is a complete new revision, as in MediaWiki. The edit
 // history is the source of truth for the three per-link facts the
 // study extracts (§2.4): when a link was added, when it was marked
-// permanently dead, and by which username.
+// permanently dead, and by which username. MineHistory extracts them
+// for every URL of an article in one oldest-first pass that parses
+// each revision once; HistoryOf is a lookup into that pass, so the
+// rules live in one place. Nothing mined is retained.
 package wikimedia
 
 import (
@@ -245,21 +248,23 @@ func emitLinkDiff(added []func(LinkAddedEvent), removed []func(LinkRemovedEvent)
 	if len(added) == 0 && len(removed) == 0 {
 		return
 	}
-	prev := make(map[string]struct{})
+	var prevList []string
 	if prevText != nil {
-		for _, u := range wikitext.Parse(*prevText).ExternalURLs() {
-			prev[u] = struct{}{}
-		}
+		prevList = wikitext.Parse(*prevText).ExternalURLs()
+	}
+	prev := make(map[string]struct{}, len(prevList))
+	for _, u := range prevList {
+		prev[u] = struct{}{}
 	}
 	curList := wikitext.Parse(text).ExternalURLs()
 	cur := make(map[string]struct{}, len(curList))
 	for _, u := range curList {
 		cur[u] = struct{}{}
 	}
-	if len(removed) > 0 && prevText != nil {
+	if len(removed) > 0 {
 		// Iterate the parse-order list of the previous revision so
 		// removal order is deterministic.
-		for _, u := range wikitext.Parse(*prevText).ExternalURLs() {
+		for _, u := range prevList {
 			if _, still := cur[u]; still {
 				continue
 			}

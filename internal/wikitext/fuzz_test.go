@@ -27,6 +27,7 @@ func FuzzParse(f *testing.F) {
 		"|}}{{|[]][[",
 		"<REF NAME=\"Q\">x</REF>",
 		"{{x|a=b=c|=d}}",
+		"<ref name=00\"000>", // a quote inside an unquoted ref name
 	}
 	for _, s := range seeds {
 		f.Add(s)

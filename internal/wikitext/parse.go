@@ -10,7 +10,7 @@ import (
 // and our simulated articles containing user typos — are messy.
 func Parse(src string) *Document {
 	p := &parser{src: src}
-	return p.parseUntil("")
+	return p.parseUntil(false)
 }
 
 // Comment is an HTML comment (<!-- ... -->), preserved verbatim so
@@ -30,9 +30,19 @@ type parser struct {
 	pos int
 }
 
-// parseUntil consumes nodes until the terminator (e.g. "</ref>") or
-// end of input. The terminator itself is consumed when found.
-func (p *parser) parseUntil(term string) *Document {
+// refClose ends a <ref> body; it is matched case-insensitively.
+const refClose = "</ref>"
+
+// parseUntil consumes nodes until end of input or, inside a <ref>
+// body, until refClose, which is consumed as well.
+//
+// Every construct the parser recognises, and refClose, begins with
+// '<', '{', '[' or a lowercase 'h' (bare URLs are matched
+// case-sensitively), so the loop dispatches on the byte at pos and
+// any other byte is prose. A construct that fails to parse degrades
+// to text: its opening bytes are skipped, not retried as a shorter
+// construct.
+func (p *parser) parseUntil(inRef bool) *Document {
 	doc := &Document{}
 	textStart := p.pos
 	flush := func(end int) {
@@ -40,68 +50,60 @@ func (p *parser) parseUntil(term string) *Document {
 			doc.Nodes = append(doc.Nodes, &Text{Value: p.src[textStart:end]})
 		}
 	}
+	// emit appends n, which began at start and ends at pos.
+	emit := func(start int, n Node) {
+		flush(start)
+		doc.Nodes = append(doc.Nodes, n)
+		textStart = p.pos
+	}
 	for p.pos < len(p.src) {
-		if term != "" && p.hasPrefixFold(term) {
-			flush(p.pos)
-			p.pos += len(term)
-			return doc
-		}
-		switch {
-		case p.hasPrefix("<!--"):
-			start := p.pos
-			if c, ok := p.parseComment(); ok {
+		start := p.pos
+		switch p.src[start] {
+		case '<':
+			switch {
+			case inRef && p.hasPrefixFold(refClose):
 				flush(start)
-				doc.Nodes = append(doc.Nodes, c)
-				textStart = p.pos
-				continue
+				p.pos += len(refClose)
+				return doc
+			case p.hasPrefix("<!--"):
+				emit(start, p.parseComment())
+			case p.hasPrefixFold("<ref"):
+				if r, ok := p.parseRef(); ok {
+					emit(start, r)
+				} else {
+					p.pos = start + 4
+				}
+			default:
+				p.pos++
 			}
-			p.pos = start + 4
-		case p.hasPrefix("{{"):
-			start := p.pos
-			if t, ok := p.parseTemplate(); ok {
-				flush(start)
-				doc.Nodes = append(doc.Nodes, t)
-				textStart = p.pos
-				continue
+		case '{':
+			if !p.hasPrefix("{{") {
+				p.pos++
+			} else if t, ok := p.parseTemplate(); ok {
+				emit(start, t)
+			} else {
+				p.pos = start + 2 // skip the braces as text
 			}
-			p.pos = start + 2 // skip the braces as text
-		case p.hasPrefix("[["):
-			start := p.pos
-			if wl, ok := p.parseWikiLink(); ok {
-				flush(start)
-				doc.Nodes = append(doc.Nodes, wl)
-				textStart = p.pos
-				continue
+		case '[':
+			if p.hasPrefix("[[") {
+				if wl, ok := p.parseWikiLink(); ok {
+					emit(start, wl)
+				} else {
+					p.pos = start + 2
+				}
+			} else if el, ok := p.parseExtLink(); ok {
+				emit(start, el)
+			} else {
+				p.pos = start + 1
 			}
-			p.pos = start + 2
-		case p.hasPrefix("["):
-			start := p.pos
-			if el, ok := p.parseExtLink(); ok {
-				flush(start)
-				doc.Nodes = append(doc.Nodes, el)
-				textStart = p.pos
-				continue
+		case 'h':
+			if !p.hasPrefix("http://") && !p.hasPrefix("https://") {
+				p.pos++
+			} else if url := p.scanBareURL(); url != "" {
+				emit(start, &ExtLink{URL: url, Bare: true})
+			} else {
+				p.pos = start + 4
 			}
-			p.pos = start + 1
-		case p.hasPrefixFold("<ref"):
-			start := p.pos
-			if r, ok := p.parseRef(); ok {
-				flush(start)
-				doc.Nodes = append(doc.Nodes, r)
-				textStart = p.pos
-				continue
-			}
-			p.pos = start + 4
-		case p.hasPrefix("http://") || p.hasPrefix("https://"):
-			start := p.pos
-			url := p.scanBareURL()
-			if url != "" {
-				flush(start)
-				doc.Nodes = append(doc.Nodes, &ExtLink{URL: url, Bare: true})
-				textStart = p.pos
-				continue
-			}
-			p.pos = start + 4
 		default:
 			p.pos++
 		}
@@ -142,6 +144,11 @@ func (p *parser) parseTemplate() (*Template, bool) {
 	return t, true
 }
 
+// pairAt reports whether s holds the doubled delimiter cc at i.
+func pairAt(s string, i int, c byte) bool {
+	return i+1 < len(s) && s[i] == c && s[i+1] == c
+}
+
 // splitParam splits "key=value" at the first top-level '=', treating
 // the parameter as positional when none exists. MediaWiki semantics:
 // the key is trimmed; the value keeps its exact text.
@@ -149,10 +156,10 @@ func splitParam(part string) Param {
 	depth := 0
 	for i := 0; i < len(part); i++ {
 		switch {
-		case strings.HasPrefix(part[i:], "{{") || strings.HasPrefix(part[i:], "[["):
+		case pairAt(part, i, '{') || pairAt(part, i, '['):
 			depth++
 			i++
-		case strings.HasPrefix(part[i:], "}}") || strings.HasPrefix(part[i:], "]]"):
+		case pairAt(part, i, '}') || pairAt(part, i, ']'):
 			depth--
 			i++
 		case part[i] == '=' && depth == 0:
@@ -172,10 +179,10 @@ func matchBraces(s string, start int) int {
 	depth := 0
 	for i := start; i < len(s); i++ {
 		switch {
-		case strings.HasPrefix(s[i:], "{{"):
+		case pairAt(s, i, '{'):
 			depth++
 			i++
-		case strings.HasPrefix(s[i:], "}}"):
+		case pairAt(s, i, '}'):
 			depth--
 			i++
 			if depth == 0 {
@@ -194,10 +201,10 @@ func splitTop(s string, sep byte) []string {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		switch {
-		case strings.HasPrefix(s[i:], "{{") || strings.HasPrefix(s[i:], "[["):
+		case pairAt(s, i, '{') || pairAt(s, i, '['):
 			depth++
 			i++
-		case strings.HasPrefix(s[i:], "}}") || strings.HasPrefix(s[i:], "]]"):
+		case pairAt(s, i, '}') || pairAt(s, i, ']'):
 			depth--
 			i++
 		case s[i] == sep && depth == 0:
@@ -261,15 +268,15 @@ func (p *parser) scanBareURL() string {
 
 // parseComment parses an HTML comment at "<!--". Unterminated
 // comments run to end of input, as MediaWiki treats them.
-func (p *parser) parseComment() (*Comment, bool) {
+func (p *parser) parseComment() *Comment {
 	rest := p.src[p.pos+4:]
 	end := strings.Index(rest, "-->")
 	if end < 0 {
 		p.pos = len(p.src)
-		return &Comment{Value: rest}, true
+		return &Comment{Value: rest}
 	}
 	p.pos += 4 + end + 3
-	return &Comment{Value: rest[:end]}, true
+	return &Comment{Value: rest[:end]}
 }
 
 // parseRef parses <ref>...</ref>, <ref name="x">...</ref>, or a
@@ -296,7 +303,7 @@ func (p *parser) parseRef() (*Ref, bool) {
 		return &Ref{Name: name}, true
 	}
 	p.pos += gt + 1
-	body := p.parseUntil("</ref>")
+	body := p.parseUntil(true)
 	return &Ref{Name: name, Body: body}, true
 }
 

@@ -172,9 +172,21 @@ type Ref struct {
 func (r *Ref) render(b *strings.Builder) {
 	b.WriteString("<ref")
 	if r.Name != "" {
-		b.WriteString(` name="`)
+		// Quote with a delimiter the name does not contain, so the
+		// rendered tag re-parses to the same name. A name holding both
+		// quotes can only have been parsed from the unquoted form,
+		// which has no space, '/' or '>' in it.
+		quote := `"`
+		if strings.Contains(r.Name, `"`) {
+			quote = `'`
+			if strings.Contains(r.Name, `'`) {
+				quote = ""
+			}
+		}
+		b.WriteString(" name=")
+		b.WriteString(quote)
 		b.WriteString(r.Name)
-		b.WriteString(`"`)
+		b.WriteString(quote)
 	}
 	if r.Body == nil {
 		b.WriteString(" />")

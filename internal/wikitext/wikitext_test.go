@@ -190,10 +190,29 @@ func TestParseSelfClosingRef(t *testing.T) {
 }
 
 func TestParseRefUnquotedName(t *testing.T) {
-	doc := Parse(`<ref name=abc>body</ref>`)
-	r, ok := doc.Nodes[0].(*Ref)
-	if !ok || r.Name != "abc" {
-		t.Fatalf("nodes = %+v", doc.Nodes)
+	cases := []struct {
+		src, name, rendered string
+	}{
+		{`<ref name=abc>body</ref>`, `abc`, `<ref name="abc">body</ref>`},
+		// A name containing a quote must not be wrapped in that quote:
+		// name="00"000" would re-parse as 00 and orphan the ref's uses.
+		{`<ref name=00"000>body</ref>`, `00"000`, `<ref name='00"000'>body</ref>`},
+		{`<ref name=it's>body</ref>`, `it's`, `<ref name="it's">body</ref>`},
+		{`<ref name=a"b'c />`, `a"b'c`, `<ref name=a"b'c />`},
+	}
+	for _, c := range cases {
+		doc := Parse(c.src)
+		r, ok := doc.Nodes[0].(*Ref)
+		if !ok || r.Name != c.name {
+			t.Fatalf("Parse(%q) nodes = %+v, want ref named %q", c.src, doc.Nodes, c.name)
+		}
+		out := doc.Render()
+		if out != c.rendered {
+			t.Errorf("Render(%q) = %q, want %q", c.src, out, c.rendered)
+		}
+		if r2, ok := Parse(out).Nodes[0].(*Ref); !ok || r2.Name != c.name {
+			t.Errorf("re-parse of %q lost the name %q", out, c.name)
+		}
 	}
 }
 
