@@ -65,16 +65,30 @@ func freshReport(s *core.Study, base *core.Report) *core.Report {
 
 // BenchmarkGenerateUniverse measures building and executing a complete
 // (small) universe: web, wiki, archive, capture services, and the full
-// IABot timeline.
+// IABot timeline. One fixed seed: universes differ by 30 % in cost from
+// seed to seed, so a per-iteration seed made ns/op depend on b.N.
 func BenchmarkGenerateUniverse(b *testing.B) {
 	p := worldgen.DefaultParams().Scale(0.02)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 100)
 		u := worldgen.Generate(p)
 		if len(u.Plan.Links) == 0 {
 			b.Fatal("empty universe")
 		}
+	}
+}
+
+// TestGenerateAllocCeiling keeps the generator's allocation count from
+// rotting back: the same universe as BenchmarkGenerateUniverse took
+// 692 k allocations while every bot fetch rendered a page body and
+// built an http.Client timer, and takes 330 k since (PR 23). The count
+// repeats to within ten from run to run, so the ceiling trips on a
+// regression, not on noise.
+func TestGenerateAllocCeiling(t *testing.T) {
+	const ceiling = 400_000
+	p := worldgen.DefaultParams().Scale(0.02)
+	if n := testing.AllocsPerRun(1, func() { worldgen.Generate(p) }); n > ceiling {
+		t.Errorf("worldgen.Generate at Scale(0.02): %.0f allocations, ceiling %d", n, ceiling)
 	}
 }
 
@@ -91,26 +105,6 @@ func BenchmarkDataset(b *testing.B) {
 	}
 	b.ReportMetric(float64(n), "links")
 	b.ReportMetric(float64(r.NumDomains), "domains")
-}
-
-// BenchmarkCollect is Collect on a wiki nothing has read yet: each
-// iteration clones the article store (untimed), so the figure is the
-// whole §2.4 mining cost — one parse per revision of every category
-// article — that a cold study and every server boot pay. With nothing
-// cached in Wiki or Study it reads as BenchmarkDataset does; the clone
-// is what keeps it the cold cost if that ever changes.
-func BenchmarkCollect(b *testing.B) {
-	u, s, _ := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cold := &core.Study{Config: s.Config, Wiki: u.Wiki.Clone()}
-		b.StartTimer()
-		n = len(cold.Collect())
-	}
-	b.ReportMetric(float64(n), "links")
 }
 
 // BenchmarkFigure3a regenerates the per-domain URL-count CDF.

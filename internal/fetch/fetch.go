@@ -101,6 +101,7 @@ type Result struct {
 // usable; construct with New.
 type Client struct {
 	hc           *http.Client
+	timeout      time.Duration
 	maxRedirects int
 	maxBody      int64
 	userAgent    string
@@ -109,9 +110,10 @@ type Client struct {
 // Option configures a Client.
 type Option func(*Client)
 
-// WithTimeout bounds each fetch end-to-end. Default 30s.
+// WithTimeout bounds each fetch end-to-end — the whole redirect chain
+// and the body read, as one context deadline. Default 30s; 0 sets none.
 func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.hc.Timeout = d }
+	return func(c *Client) { c.timeout = d }
 }
 
 // WithMaxRedirects bounds the redirect chain length. Default 10,
@@ -134,7 +136,8 @@ func WithUserAgent(ua string) Option {
 // for simulated fetches or an *http.Transport for real ones.
 func New(rt http.RoundTripper, opts ...Option) *Client {
 	c := &Client{
-		hc:           &http.Client{Transport: rt, Timeout: 30 * time.Second},
+		hc:           &http.Client{Transport: rt},
+		timeout:      30 * time.Second,
 		maxRedirects: 10,
 		maxBody:      256 << 10,
 		userAgent:    "permadead-study/1.0 (link-rot measurement)",
@@ -162,6 +165,11 @@ func (c *Client) Fetch(ctx context.Context, rawURL string) Result {
 func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http.Header) Result {
 	res := Result{URL: rawURL}
 	current := rawURL
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
 	for hop := 0; ; hop++ {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, current, nil)
 		if err != nil {
@@ -192,7 +200,7 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 		res.FinalStatus = resp.StatusCode
 		res.FinalURL = current
 		res.Body = body
-		res.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), responseTime(resp.Header))
+		res.RetryAfter = retryAfter(resp.Header.Get("Retry-After"), func() time.Time { return responseTime(resp.Header) })
 		if readErr != nil {
 			// The transport died mid-body: a truncated read is a failed
 			// fetch, not a Cat200 with a short body (which would poison
@@ -284,14 +292,15 @@ func readBody(resp *http.Response, limit int64) (string, error) {
 	return string(b), err
 }
 
-// parseRetryAfter reads a Retry-After header in either form RFC 9110
+// retryAfter reads a Retry-After header in either form RFC 9110
 // allows: delay-seconds ("120") or an HTTP-date ("Fri, 31 Dec 1999
 // 23:59:59 GMT"). Dates are converted to a delay relative to `now`
 // (the response's own Date header when present, else wall clock), so
 // an origin advertising an absolute retry time is honored instead of
 // silently parsing to 0 and defeating the retry layer's backoff.
-// Absent, malformed, negative, or already-elapsed values are 0.
-func parseRetryAfter(v string, now time.Time) time.Duration {
+// Absent, malformed, negative, or already-elapsed values are 0. now is
+// called only for the date form: most responses carry no Retry-After.
+func retryAfter(v string, now func() time.Time) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0
@@ -306,7 +315,7 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 	if err != nil {
 		return 0
 	}
-	d := when.Sub(now)
+	d := when.Sub(now())
 	if d < 0 {
 		return 0
 	}

@@ -279,3 +279,118 @@ func TestResponseTimeAnchorsOnDateHeader(t *testing.T) {
 		t.Errorf("responseTime without Date header should be ~now, got %v", before)
 	}
 }
+
+// parseRetryAfter is retryAfter against a fixed anchor.
+func parseRetryAfter(v string, now time.Time) time.Duration {
+	return retryAfter(v, func() time.Time { return now })
+}
+
+// TestRetryAfterReadsClockOnlyForDates: the anchor — the Date header
+// parsed against three layouts, then the wall clock — matters only to
+// the HTTP-date form, so a response with no Retry-After (nearly all of
+// them) or an integer one must not resolve it.
+func TestRetryAfterReadsClockOnlyForDates(t *testing.T) {
+	now := time.Date(2022, 6, 15, 12, 0, 0, 0, time.UTC)
+	reads := 0
+	clock := func() time.Time { reads++; return now }
+	for _, tc := range []struct {
+		v         string
+		want      time.Duration
+		wantReads int
+	}{
+		{"", 0, 0},
+		{"120", 120 * time.Second, 0},
+		{"-5", 0, 0},
+		{"soon", 0, 0},
+		{now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second, 1},
+	} {
+		reads = 0
+		if got := retryAfter(tc.v, clock); got != tc.want || reads != tc.wantReads {
+			t.Errorf("retryAfter(%q) = %v after %d anchor reads, want %v after %d",
+				tc.v, got, reads, tc.want, tc.wantReads)
+		}
+	}
+
+	// What Fetch runs per hop, on a header-less response: no clock
+	// read, no failed time.Parse, so nothing allocated.
+	h := http.Header{}
+	if n := testing.AllocsPerRun(100, func() {
+		retryAfter(h.Get("Retry-After"), func() time.Time { return responseTime(h) })
+	}); n != 0 {
+		t.Errorf("header-less Retry-After resolution allocates %.0f times, want 0", n)
+	}
+}
+
+// slowRedirects is a transport whose every hop takes `hop` to answer
+// (or until the request's context ends, whichever is first, as a real
+// dial would) and then redirects to the next of `chain` hops before a
+// final 200. It records whether requests carried a deadline.
+type slowRedirects struct {
+	hop       time.Duration
+	chain     int
+	deadlines []bool
+}
+
+func (s *slowRedirects) RoundTrip(req *http.Request) (*http.Response, error) {
+	_, has := req.Context().Deadline()
+	s.deadlines = append(s.deadlines, has)
+	select {
+	case <-time.After(s.hop):
+	case <-req.Context().Done():
+		return nil, req.Context().Err()
+	}
+	resp := &http.Response{
+		StatusCode: 200, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{}, Body: http.NoBody, Request: req,
+	}
+	if n := len(s.deadlines); n <= s.chain {
+		resp.StatusCode = 302
+		resp.Header.Set("Location", "/hop"+strings.Repeat("x", n))
+	}
+	return resp, nil
+}
+
+// TestTimeoutBoundsWholeFetch: WithTimeout(d) is one deadline for the
+// redirect chain, not a fresh d per hop. Each hop below takes 0.6·d, so
+// a per-hop bound would never fire and the chain would end 200 after
+// 3·d; the per-fetch bound fires once, during the second hop.
+func TestTimeoutBoundsWholeFetch(t *testing.T) {
+	const d = 200 * time.Millisecond
+	rt := &slowRedirects{hop: d * 6 / 10, chain: 4}
+	start := time.Now()
+	res := New(rt, WithTimeout(d)).Fetch(context.Background(), "http://slow.simtest/")
+	elapsed := time.Since(start)
+	if res.Category != CatTimeout {
+		t.Fatalf("category = %v (err %v, hops %d), want Timeout", res.Category, res.Err, len(res.Hops))
+	}
+	if len(res.Hops) > 1 || len(rt.deadlines) > 2 {
+		t.Errorf("%d hops answered, %d sent: the bound restarted per hop", len(res.Hops), len(rt.deadlines))
+	}
+	if elapsed < d || elapsed > 5*d/2 {
+		t.Errorf("timed out after %v, want ≈ %v", elapsed, d)
+	}
+}
+
+// TestTimeoutZeroSetsNoDeadline: WithTimeout(0) leaves the caller's
+// context alone; the default puts a deadline on every hop's request.
+func TestTimeoutZeroSetsNoDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want bool
+	}{
+		{"default 30s", nil, true},
+		{"WithTimeout(0)", []Option{WithTimeout(0)}, false},
+	} {
+		rt := &slowRedirects{chain: 2}
+		res := New(rt, tc.opts...).Fetch(context.Background(), "http://slow.simtest/")
+		if res.Category != Cat200 || len(res.Hops) != 3 {
+			t.Fatalf("%s: category %v, %d hops (err %v)", tc.name, res.Category, len(res.Hops), res.Err)
+		}
+		for hop, has := range rt.deadlines {
+			if has != tc.want {
+				t.Errorf("%s: hop %d request has deadline = %v, want %v", tc.name, hop, has, tc.want)
+			}
+		}
+	}
+}

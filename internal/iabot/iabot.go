@@ -120,15 +120,16 @@ type linkOutcome struct {
 // with a single GET — broken links get a usable archived copy patched
 // in, or failing that the {{dead link}} mark (§2.1, §4). Both
 // ScanArticle and ScanLink route through here, so a targeted re-scan
-// cannot diverge from the full-article policy.
-func (b *Bot) maintainLink(ctx context.Context, client *fetch.Client, title string, cl *wikitext.CitedLink, day simclock.Day) linkOutcome {
+// cannot diverge from the full-article policy. client is called only
+// when the link needs a GET.
+func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, title string, cl *wikitext.CitedLink, day simclock.Day) linkOutcome {
 	var out linkOutcome
 	if cl.IsDead() {
 		if !b.RecheckDead {
 			b.count(func(s *Stats) { s.SkippedDead++ })
 			return out
 		}
-		res := client.Fetch(ctx, cl.URL)
+		res := client().Fetch(ctx, cl.URL)
 		b.count(func(s *Stats) { s.LinksChecked++ })
 		if res.FinalStatus == 200 {
 			cl.RemoveDeadTag()
@@ -144,7 +145,7 @@ func (b *Bot) maintainLink(ctx context.Context, client *fetch.Client, title stri
 		return out
 	}
 
-	res := client.Fetch(ctx, cl.URL)
+	res := client().Fetch(ctx, cl.URL)
 	b.count(func(s *Stats) { s.LinksChecked++ })
 	if res.FinalStatus == 200 {
 		// One attempt; 200 after redirections means alive (§2.1).
@@ -176,7 +177,7 @@ func (b *Bot) scanLinks(ctx context.Context, title, onlyURL string, day simclock
 	if art == nil {
 		return false, nil
 	}
-	client := b.NewClient(day)
+	client := sync.OnceValue(func() *fetch.Client { return b.NewClient(day) })
 	doc := art.Current().Doc()
 	links := doc.CitedLinks()
 

@@ -375,3 +375,36 @@ func TestScanLinkPatchesWithUsableCopy(t *testing.T) {
 		t.Errorf("text = %q", cur)
 	}
 }
+
+// TestClientBuiltOnlyWhenALinkNeedsAGET: a scan asks NewClient for a
+// client on the first link it has to fetch, once per scan, and not at
+// all for an article whose links are all already dead-tagged or
+// already archived (half the timeline's link visits).
+func TestClientBuiltOnlyWhenALinkNeedsAGET(t *testing.T) {
+	f := newFixture()
+	built := 0
+	inner := f.bot.NewClient
+	f.bot.NewClient = func(day simclock.Day) *fetch.Client { built++; return inner(day) }
+	s := f.world.AddSite("ok.simtest", d(2008, 1, 1))
+	s.AddPage("/a.html", d(2008, 1, 1))
+	s.AddPage("/b.html", d(2008, 1, 1))
+
+	f.wiki.Create("Skips", d(2010, 5, 1), "User",
+		`<ref>[http://gone.simtest/x X]{{dead link|date=May 2015|bot=InternetArchiveBot}}</ref>`+
+			`<ref>{{cite web|url=http://gone.simtest/p|title=T|archive-url=https://web.archive.org/web/2011/http://gone.simtest/p|archive-date=2011}}</ref>`)
+	if _, err := f.bot.ScanArticle(context.Background(), "Skips", d(2018, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.bot.Stats(); built != 0 || st.SkippedDead != 1 || st.SkippedArchived != 1 {
+		t.Fatalf("all-skip article: %d clients built, stats %+v", built, st)
+	}
+
+	f.wiki.Create("Two", d(2010, 5, 1), "User",
+		`<ref>[http://ok.simtest/a.html A]</ref><ref>[http://ok.simtest/b.html B]</ref>`)
+	if _, err := f.bot.ScanArticle(context.Background(), "Two", d(2018, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.bot.Stats(); built != 1 || st.LinksAlive != 2 {
+		t.Fatalf("two-link article: %d clients built (want 1), stats %+v", built, st)
+	}
+}

@@ -369,7 +369,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 	var repairer monitor.Repairer
 	if cfg.EnableRepair {
 		s.bot = iabot.New(b.Wiki, b.Archive, func(day simclock.Day) *fetch.Client {
-			return fetch.New(simweb.NewTransport(b.World, day))
+			return fetch.New(simweb.NewTransport(b.World, day), fetch.WithMaxBody(0))
 		})
 		repairer = s.bot
 	}

@@ -42,66 +42,96 @@ func hash64(parts ...string) uint64 {
 	return h.Sum64()
 }
 
-// words produces n deterministic words from the bank for the given seed.
-func words(seed uint64, n int) []string {
-	out := make([]string, n)
-	s := seed
-	for i := range out {
-		s = hashx.Mix64(s)
-		out[i] = wordBank[s%uint64(len(wordBank))]
+// writeWords appends n deterministic words from the bank for the given
+// seed, joined by sep, the first caps of them title-cased (every bank
+// word is lower-case ASCII).
+func writeWords(b *strings.Builder, seed uint64, n, caps int, sep string) {
+	for i := 0; i < n; i++ {
+		seed = hashx.Mix64(seed)
+		w := wordBank[seed%uint64(len(wordBank))]
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		if i < caps {
+			b.WriteByte(w[0] - 'a' + 'A')
+			w = w[1:]
+		}
+		b.WriteString(w)
 	}
-	return out
+}
+
+// wordsLen is the total length of the n words writeWords draws for seed.
+func wordsLen(seed uint64, n int) (total int) {
+	for ; n > 0; n-- {
+		seed = hashx.Mix64(seed)
+		total += len(wordBank[seed%uint64(len(wordBank))])
+	}
+	return total
 }
 
 // sentence builds a capitalized sentence of n words.
 func sentence(seed uint64, n int) string {
-	ws := words(seed, n)
-	ws[0] = titleCase(ws[0])
-	return strings.Join(ws, " ") + "."
+	var b strings.Builder
+	writeWords(&b, seed, n, 1, " ")
+	b.WriteByte('.')
+	return b.String()
 }
 
-// titleCase upper-cases the first byte of an ASCII word.
-func titleCase(w string) string {
-	if w == "" || w[0] < 'a' || w[0] > 'z' {
-		return w
-	}
-	return string(w[0]-'a'+'A') + w[1:]
-}
+// pageFixedLen is a generated page's markup: the tags and, for each
+// of its 20 sentences, seven word gaps and ". ".
+const pageFixedLen = len("<html><head><title></title></head><body>\n<h1></h1>\n<footer></footer></body></html>\n") +
+	4*len("<p></p>\n") + 20*9
 
-// titleWords joins words in title case.
-func titleWords(ws []string) string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = titleCase(w)
+// pageBodyLen is len(pageBody(s, p)) without building the body, so the
+// transport can state Content-Length for a page it has not rendered.
+func pageBodyLen(s *Site, p *Page) int {
+	if p.Content != "" {
+		return len(p.Content)
 	}
-	return strings.Join(out, " ")
+	seed := hash64(s.Hostname, p.Path) ^ s.Seed
+	n := pageFixedLen + 2*len(p.Title) + len(s.Hostname)
+	if p.Title == "" {
+		n += 2 * (wordsLen(seed, 4) + 3)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			n += wordsLen(seed+uint64(i*7+j+1), 8)
+		}
+	}
+	return n
 }
 
 // pageBody renders the page's content, generating a deterministic
-// document when none was set explicitly.
+// document when none was set explicitly: a title (four words unless the
+// page names one) and four paragraphs of ~40 words, enough text for
+// shingle similarity to be meaningful, in one buffer of the exact size.
 func pageBody(s *Site, p *Page) string {
 	if p.Content != "" {
 		return p.Content
 	}
 	seed := hash64(s.Hostname, p.Path) ^ s.Seed
-	title := p.Title
-	if title == "" {
-		title = titleWords(words(seed, 4))
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "<html><head><title>%s</title></head><body>\n", title)
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", title)
-	// Four paragraphs of ~40 words each: enough text for shingle
-	// similarity to be meaningful.
+	b.Grow(pageBodyLen(s, p))
+	for _, open := range [2]string{"<html><head><title>", "</title></head><body>\n<h1>"} {
+		b.WriteString(open)
+		if p.Title != "" {
+			b.WriteString(p.Title)
+		} else {
+			writeWords(&b, seed, 4, 4, " ")
+		}
+	}
+	b.WriteString("</h1>\n")
 	for i := 0; i < 4; i++ {
 		b.WriteString("<p>")
 		for j := 0; j < 5; j++ {
-			b.WriteString(sentence(seed+uint64(i*7+j+1), 8))
-			b.WriteByte(' ')
+			writeWords(&b, seed+uint64(i*7+j+1), 8, 1, " ")
+			b.WriteString(". ")
 		}
 		b.WriteString("</p>\n")
 	}
-	fmt.Fprintf(&b, "<footer>%s</footer></body></html>\n", s.Hostname)
+	b.WriteString("<footer>")
+	b.WriteString(s.Hostname)
+	b.WriteString("</footer></body></html>\n")
 	return b.String()
 }
 
@@ -131,12 +161,14 @@ func softErrorBody(s *Site) string {
 // parkedBody mimics a domain parker's landing page. All paths on a
 // parked site serve this page (§3's znaci.net example).
 func parkedBody(s *Site) string {
+	var related strings.Builder
+	writeWords(&related, hash64(s.Hostname, "parked"), 6, 0, ", ")
 	return fmt.Sprintf(
 		"<html><head><title>%s is for sale</title></head><body>"+
 			"<h1>%s</h1><p>This domain may be for sale. Buy this domain.</p>"+
 			"<p>Related searches: %s</p>"+
 			"<p>Sponsored listings provided by the registrar.</p></body></html>\n",
-		s.Hostname, s.Hostname, strings.Join(words(hash64(s.Hostname, "parked"), 6), ", "))
+		s.Hostname, s.Hostname, related.String())
 }
 
 // loginBody is the login page served by LoginRedirect sites.

@@ -68,8 +68,18 @@ func (w *World) GetAttempt(rawURL string, day simclock.Day, attempt int) Result 
 // GetPathAttempt is GetAttempt for an already-split hostname and
 // path?query string.
 func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt int) Result {
+	res, s, p := w.resolve(host, pathQuery, day, attempt)
+	if p != nil {
+		res.Body = pageBody(s, p)
+	}
+	return res
+}
+
+// resolve is GetPathAttempt short of rendering: a live page's own 200
+// comes back as the page and its site, Body unset until someone reads it.
+func (w *World) resolve(host, pathQuery string, day simclock.Day, attempt int) (Result, *Site, *Page) {
 	if !w.Resolves(host, day) {
-		return Result{Kind: KindDNSFailure}
+		return Result{Kind: KindDNSFailure}, nil, nil
 	}
 	s := w.Site(host)
 
@@ -77,7 +87,7 @@ func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt
 	// front end — before the origin's own lifecycle state is consulted.
 	if len(s.Faults) > 0 {
 		if fw, ok := s.faultAt(day, attempt); ok {
-			return faultResult(s, fw)
+			return faultResult(s, fw), nil, nil
 		}
 	}
 
@@ -85,17 +95,17 @@ func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt
 	// hangs does so before any HTTP exchange; parking replaces all
 	// content; outages and geo-blocks produce HTTP errors.
 	if s.TimeoutFrom.Valid() && !day.Before(s.TimeoutFrom) {
-		return Result{Kind: KindTimeout}
+		return Result{Kind: KindTimeout}, nil, nil
 	}
 	if s.ParkedAt.Valid() && !day.Before(s.ParkedAt) {
-		return okResult(parkedBody(s))
+		return okResult(parkedBody(s)), nil, nil
 	}
 	if s.OutageFrom.Valid() && !day.Before(s.OutageFrom) &&
 		(!s.OutageTo.Valid() || day.Before(s.OutageTo)) {
-		return Result{Kind: KindResponse, Status: 503, Body: outageBody(s)}
+		return Result{Kind: KindResponse, Status: 503, Body: outageBody(s)}, nil, nil
 	}
 	if s.GeoBlockedFrom.Valid() && !day.Before(s.GeoBlockedFrom) {
-		return Result{Kind: KindResponse, Status: 403, Body: geoBlockBody(s)}
+		return Result{Kind: KindResponse, Status: 403, Body: geoBlockBody(s)}, nil, nil
 	}
 
 	pathQuery = normalizePath(pathQuery)
@@ -105,10 +115,10 @@ func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt
 
 	switch {
 	case p == nil || day.Before(p.Created):
-		return w.errorResult(s, pathQuery, day)
+		return w.errorResult(s, pathQuery, day), nil, nil
 	case p.DeletedAt.Valid() && !day.Before(p.DeletedAt) &&
 		!(p.RestoredAt.Valid() && !day.Before(p.RestoredAt)):
-		return w.errorResult(s, pathQuery, day)
+		return w.errorResult(s, pathQuery, day), nil, nil
 	case p.MovedAt.Valid() && !day.Before(p.MovedAt):
 		redirectActive := p.RedirectFrom.Valid() && !day.Before(p.RedirectFrom) &&
 			!(p.RedirectUntil.Valid() && !day.Before(p.RedirectUntil))
@@ -118,11 +128,11 @@ func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt
 				Status:   301,
 				Location: p.NewPath,
 				Body:     redirectBody(p.NewPath),
-			}
+			}, nil, nil
 		}
-		return w.errorResult(s, pathQuery, day)
+		return w.errorResult(s, pathQuery, day), nil, nil
 	default:
-		return okResult(pageBody(s, p))
+		return okResult(""), s, p
 	}
 }
 

@@ -1,7 +1,6 @@
 package simweb
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -84,7 +83,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		pq += "?" + req.URL.RawQuery
 	}
 
-	res := t.World.GetPathAttempt(host, pq, day, attempt)
+	res, site, page := t.World.resolve(host, pq, day, attempt)
 	switch res.Kind {
 	case KindDNSFailure:
 		return nil, &net.DNSError{
@@ -101,8 +100,31 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &timeoutError{addr: dialAddr(req)}
 	}
 
-	return buildResponse(req, res), nil
+	return buildResponse(req, res, &lazyBody{site, page, res.Body}), nil
 }
+
+// lazyBody is every simulated response's body. A live page renders on
+// the first Read, so a status-only check (IABot's, §2.1) that closes it
+// unread never builds the document; other bodies arrive built, in rest.
+type lazyBody struct {
+	site *Site
+	page *Page // nil once rendered, or when rest was prebuilt
+	rest string
+}
+
+func (b *lazyBody) Read(dst []byte) (int, error) {
+	if b.page != nil {
+		b.rest, b.page = pageBody(b.site, b.page), nil
+	}
+	if b.rest == "" {
+		return 0, io.EOF
+	}
+	n := copy(dst, b.rest)
+	b.rest = b.rest[n:]
+	return n, nil
+}
+
+func (b *lazyBody) Close() error { *b = lazyBody{}; return nil }
 
 // dialAddr reconstructs the host:port a real dialer would have been
 // connecting to, defaulting the port from the request's scheme.
@@ -119,18 +141,21 @@ func dialAddr(req *http.Request) string {
 	return net.JoinHostPort(host, port)
 }
 
-// buildResponse assembles an *http.Response from a Result.
-func buildResponse(req *http.Request, res Result) *http.Response {
+// buildResponse assembles an *http.Response from a Result and its body.
+func buildResponse(req *http.Request, res Result, body *lazyBody) *http.Response {
 	// Headers describe the full entity; real servers answer HEAD with
 	// the GET entity's Content-Length and an empty body.
-	body := res.Body
+	n := len(body.rest)
+	if body.page != nil {
+		n = pageBodyLen(body.site, body.page)
+	}
 	h := make(http.Header, 4)
 	ct := res.ContentType
 	if ct == "" {
 		ct = "text/html; charset=utf-8"
 	}
 	h.Set("Content-Type", ct)
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Length", strconv.Itoa(n))
 	if res.Location != "" {
 		h.Set("Location", ResolveLocation(schemeOf(req), req.URL.Host, res.Location))
 	}
@@ -138,7 +163,7 @@ func buildResponse(req *http.Request, res Result) *http.Response {
 		h.Set("Retry-After", strconv.Itoa(res.RetryAfterSec))
 	}
 	if req.Method == http.MethodHead {
-		body = ""
+		body.Close()
 	}
 	return &http.Response{
 		Status:        fmt.Sprintf("%d %s", res.Status, http.StatusText(res.Status)),
@@ -147,8 +172,8 @@ func buildResponse(req *http.Request, res Result) *http.Response {
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        h,
-		Body:          io.NopCloser(bytes.NewReader([]byte(body))),
-		ContentLength: int64(len(res.Body)),
+		Body:          body,
+		ContentLength: int64(n),
 		Request:       req,
 	}
 }

@@ -1,10 +1,11 @@
 package worldgen
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"permadead/internal/archive"
@@ -65,7 +66,9 @@ func Generate(p Params) *Universe {
 	plantArchiveState(plan, rng, crawler, arch)
 
 	bot := iabot.New(wiki, arch, func(day simclock.Day) *fetch.Client {
-		return fetch.New(simweb.NewTransport(world, day))
+		// The bot reads FinalStatus only (§2.1); with no body retained
+		// the simulated transport never renders one.
+		return fetch.New(simweb.NewTransport(world, day), fetch.WithMaxBody(0))
 	})
 
 	u := &Universe{
@@ -156,7 +159,7 @@ func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) 
 		for _, bi := range ap.Background {
 			refs = append(refs, linkRef{pl.Background[bi].PostDay, -1, bi})
 		}
-		sort.SliceStable(refs, func(i, j int) bool { return refs[i].day < refs[j].day })
+		slices.SortStableFunc(refs, func(a, b linkRef) int { return cmp.Compare(a.day, b.day) })
 
 		events = append(events, event{day: refs[0].day, kind: evCreate,
 			article: ap.Title, linkIdx: refs[0].linkIdx, bgIdx: refs[0].bgIdx})
@@ -175,11 +178,8 @@ func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) 
 		}
 	}
 
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].day != events[j].day {
-			return events[i].day < events[j].day
-		}
-		return events[i].kind < events[j].kind
+	slices.SortStableFunc(events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.day, b.day), cmp.Compare(a.kind, b.kind))
 	})
 
 	ctx := context.Background()

@@ -322,3 +322,26 @@ func TestScaleParams(t *testing.T) {
 		t.Errorf("hist quota sum drift = %d", d)
 	}
 }
+
+// TestBotCheckIsStatusOnly: the generator's IABot reads FinalStatus
+// only (§2.1), and its client says so — a live page answers 200 with no
+// body retained, which is what lets the simulated transport skip
+// rendering one on each of the timeline's fetches.
+func TestBotCheckIsStatusOnly(t *testing.T) {
+	u := universe(t)
+	for _, bg := range u.Plan.Background {
+		if bg.Kind != BgHealthy {
+			continue
+		}
+		res := u.Bot.NewClient(u.Params.StudyTime).Fetch(context.Background(), bg.URL)
+		if res.FinalStatus != 200 || res.Body != "" {
+			t.Fatalf("bot check of healthy %s: status %d, %d body bytes retained; want 200 and none",
+				bg.URL, res.FinalStatus, len(res.Body))
+		}
+		if full := fetch.New(simweb.NewTransport(u.World, u.Params.StudyTime)).Fetch(context.Background(), bg.URL); full.Body == "" {
+			t.Fatalf("study-style fetch of %s read no body", bg.URL)
+		}
+		return
+	}
+	t.Fatal("no healthy background link in the small universe")
+}
