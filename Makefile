@@ -27,11 +27,14 @@ race:
 # fuzzsmoke gives each differential fuzz target ten seconds beyond its
 # seed corpus (go test takes one -fuzz target per invocation): the
 # first-byte wikitext parser against the byte-at-a-time reference, the
-# banded edit distance against the full matrix, the URL helpers.
+# banded edit distance against the full matrix, the URL helpers (with
+# the prefix-only scheme match against its ToLower reference), and
+# Normalize's byte-scan early return against its net/url body.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

@@ -67,6 +67,16 @@ func parallelFor(n, c int, fn func(i int)) {
 // error is returned. work itself is responsible for honoring ctx in
 // long computations.
 func StreamOrdered[T any](ctx context.Context, n, c int, work func(i int) T, emit func(i int, v T) error) error {
+	return StreamOrderedIdle(ctx, n, c, work, emit, func() {})
+}
+
+// StreamOrderedIdle is StreamOrdered for an emit that buffers: idle
+// runs on the calling goroutine whenever results have been emitted
+// since its last run and the emitter is about to wait for a later one,
+// and before returning. With idle as the flush, results that are ready
+// together share one write, and a ready result is never held while a
+// later one computes.
+func StreamOrderedIdle[T any](ctx context.Context, n, c int, work func(i int) T, emit func(i int, v T) error, idle func()) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -81,6 +91,7 @@ func StreamOrdered[T any](ctx context.Context, n, c int, work func(i int) T, emi
 			if err := emit(i, work(i)); err != nil {
 				return err
 			}
+			idle() // the next work(i) is the wait
 		}
 		return nil
 	}
@@ -119,6 +130,7 @@ func StreamOrdered[T any](ctx context.Context, n, c int, work func(i int) T, emi
 	// plus one in-hand result per worker), so len(pending) <= 2c.
 	pending := make(map[int]T, 2*c)
 	want := 0
+	unflushed := false // emitted since idle last ran
 	var firstErr error
 	stop := func(err error) {
 		if firstErr == nil {
@@ -146,7 +158,16 @@ func StreamOrdered[T any](ctx context.Context, n, c int, work func(i int) T, emi
 				break
 			}
 			want++
+			unflushed = true
 		}
+		// Nothing queued: the next receive waits on a worker.
+		if unflushed && len(results) == 0 {
+			idle()
+			unflushed = false
+		}
+	}
+	if unflushed {
+		idle()
 	}
 	return firstErr
 }

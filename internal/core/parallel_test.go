@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"permadead/internal/fetch"
 	"permadead/internal/simweb"
@@ -229,5 +231,77 @@ func TestStreamOrderedCancellation(t *testing.T) {
 	}
 	if emits >= 1000 {
 		t.Error("cancellation did not stop the stream")
+	}
+}
+
+// goroutineID is the "goroutine N" prefix of the caller's stack header.
+func goroutineID() string {
+	var buf [64]byte
+	header := string(buf[:runtime.Stack(buf[:], false)])
+	return header[:strings.IndexByte(header, '[')]
+}
+
+// TestStreamOrderedIdle pins the idle hook's contract: it runs on the
+// calling goroutine, before every wait that follows an emit, only when
+// something was emitted since its last run, and last of all after the
+// final emit. Items 3 and 6 cannot finish until idle has run with all
+// their predecessors emitted, so an emitter that waits on them without
+// running idle first never finishes — the deadline turns that into a
+// failure.
+func TestStreamOrderedIdle(t *testing.T) {
+	const n = 9
+	for _, conc := range []int{1, 3, 16} {
+		gates := map[int]chan struct{}{3: make(chan struct{}), 6: make(chan struct{})}
+		var log []string // emit and idle share it unsynchronised: one goroutine, or -race objects
+		emitted := 0
+		var caller string
+		done := make(chan error, 1)
+		go func() {
+			caller = goroutineID()
+			done <- StreamOrderedIdle(context.Background(), n, conc,
+				func(i int) int {
+					if g := gates[i]; g != nil {
+						<-g
+					}
+					return i
+				},
+				func(i, _ int) error {
+					if id := goroutineID(); id != caller {
+						t.Errorf("conc=%d: emit on %s, caller is %s", conc, id, caller)
+					}
+					emitted++
+					log = append(log, "emit")
+					return nil
+				},
+				func() {
+					if id := goroutineID(); id != caller {
+						t.Errorf("conc=%d: idle on %s, caller is %s", conc, id, caller)
+					}
+					log = append(log, "idle")
+					if g := gates[emitted]; g != nil {
+						close(g)
+					}
+				})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("conc=%d: %v", conc, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("conc=%d: stream stuck: it waited on a held item without running idle", conc)
+		}
+		if emitted != n || log[len(log)-1] != "idle" {
+			t.Errorf("conc=%d: %d emits, last event %q; want %d and a closing idle", conc, emitted, log[len(log)-1], n)
+		}
+		for i := 1; i < len(log); i++ {
+			if log[i] == "idle" && log[i-1] == "idle" {
+				t.Errorf("conc=%d: idle ran twice with nothing emitted between: %v", conc, log)
+				break
+			}
+		}
+		if log[0] == "idle" {
+			t.Errorf("conc=%d: idle ran before anything was emitted: %v", conc, log)
+		}
 	}
 }

@@ -170,18 +170,19 @@ func ErrLine(url, code, msg string) []byte {
 	return append(line, '\n')
 }
 
-// LineWriter returns a core.StreamOrdered emit function that writes
-// each line to w and flushes it, so a client reads line i while line
-// i+k is still being produced.
-func LineWriter(w http.ResponseWriter) func(i int, line []byte) error {
-	flusher, _ := w.(http.Flusher)
-	return func(_ int, line []byte) error {
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+// LineWriter returns the emit and idle functions of a
+// core.StreamOrderedIdle that streams NDJSON to w: emit appends a line
+// to w's buffer, flush sends what has gathered. The emitter flushes
+// whenever it is about to wait, so a client reads line i while line
+// i+k is still being produced, and lines that are ready together share
+// one write.
+func LineWriter(w http.ResponseWriter) (emit func(i int, line []byte) error, flush func()) {
+	emit = func(_ int, line []byte) error {
+		_, err := w.Write(line)
+		return err
 	}
+	if flusher, ok := w.(http.Flusher); ok {
+		return emit, flusher.Flush
+	}
+	return emit, func() {}
 }

@@ -288,6 +288,9 @@ dispatch:
 
 func readBody(resp *http.Response, limit int64) (string, error) {
 	defer resp.Body.Close()
+	if limit == 0 {
+		return "", nil // status-only: ReadAll would buy 512 bytes to read none
+	}
 	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	return string(b), err
 }

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,11 +19,12 @@ import (
 	"permadead/internal/core"
 	"permadead/internal/edge"
 	"permadead/internal/shard"
+	"permadead/internal/urlutil"
 )
 
 // flushCountingRecorder counts Flush calls reaching the underlying
-// writer, proving the batch endpoint pushes each NDJSON line through
-// the statusRecorder wrapper instead of buffering the stream.
+// writer: the batch endpoint's flushes pass through the statusRecorder
+// wrapper, and each one is a write(2) on a real connection.
 type flushCountingRecorder struct {
 	*httptest.ResponseRecorder
 	flushes int
@@ -67,7 +72,8 @@ func postBatch(t *testing.T, h http.Handler, urls []string, wantStatus int) (*fl
 
 // TestBatchMatchesOfflineStudy is the batch golden: one POST carrying
 // the whole sample must stream back, in input order, exactly the
-// verdicts the offline batch study assigned, one flushed line each.
+// verdicts the offline batch study assigned. When lines reach the
+// client is TestBatchStreamsWhileComputing's subject.
 func TestBatchMatchesOfflineStudy(t *testing.T) {
 	_, r := fixture(t)
 	s := newServer(t, nil)
@@ -92,8 +98,8 @@ func TestBatchMatchesOfflineStudy(t *testing.T) {
 			t.Errorf("%s: batch verdict %q, offline study %q", urls[i], l.Verdict, r.Verdicts[i])
 		}
 	}
-	if w.flushes < len(urls) {
-		t.Errorf("%d flushes for %d lines; the stream is buffering", w.flushes, len(urls))
+	if w.flushes < 1 || w.flushes > len(urls) {
+		t.Errorf("%d flushes for %d lines; want at least one and at most one per line", w.flushes, len(urls))
 	}
 	if n := s.edge.Count5xx(); n != 0 {
 		t.Errorf("%d 5xx responses during batch golden", n)
@@ -115,6 +121,138 @@ func TestBatchMatchesOfflineStudy(t *testing.T) {
 	}
 	if got := int(s.flight.stats().Leaders - leadersBefore); got > transient {
 		t.Errorf("repeat batch led %d new computations, want at most the %d transient lines", got, transient)
+	}
+}
+
+// flushTrackingWriter sits between a real connection's ResponseWriter
+// and the handler, counting flushes and remembering whether bytes were
+// written after the last one.
+type flushTrackingWriter struct {
+	http.ResponseWriter
+	flushes int
+	dirty   bool
+}
+
+func (f *flushTrackingWriter) Write(p []byte) (int, error) {
+	f.dirty = true
+	return f.ResponseWriter.Write(p)
+}
+
+func (f *flushTrackingWriter) Flush() {
+	f.flushes++
+	f.dirty = false
+	f.ResponseWriter.(http.Flusher).Flush()
+}
+
+// TestBatchStreamsWhileComputing is the streaming contract, over a
+// real loopback connection: a ready line is never held while a later
+// one computes. Line k of a batch is the only cache miss and its
+// computation is parked on the test hook; the client must receive
+// lines 0..k-1 in full while it is parked. The stream buffers between
+// waits — at most one flush per line — and ends flushed.
+func TestBatchStreamsWhileComputing(t *testing.T) {
+	_, r := fixture(t)
+	const n, k = 12, 7
+
+	// Warm a window of the sample and keep the n-1 lines that cached
+	// (a transient live half is never memoized); line k is a link from
+	// outside the window, so it alone misses.
+	s := newServer(t, nil)
+	window := make([]string, 4*n)
+	seen := make(map[string]bool)
+	for i := range window {
+		window[i] = r.Records[i].URL
+		seen[urlutil.SchemeAgnosticKey(window[i])] = true
+	}
+	_, warmed := postBatch(t, s.Handler(), window, http.StatusOK)
+	var urls []string
+	for i, l := range warmed {
+		if len(urls) < n-1 && l.Error == nil && !l.Live.Transient() {
+			urls = append(urls, window[i])
+		}
+	}
+	var held string
+	for _, rec := range r.Records[len(window):] {
+		if !seen[urlutil.SchemeAgnosticKey(rec.URL)] {
+			held = rec.URL
+			break
+		}
+	}
+	if len(urls) < n-1 || held == "" {
+		t.Fatalf("fixture too small: %d cacheable lines, held %q", len(urls), held)
+	}
+	urls = append(urls[:k], append([]string{held}, urls[k:]...)...)
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	s.testHookClassify = func() {
+		close(entered) // a second miss would panic here: only line k computes
+		<-release
+	}
+
+	var tw *flushTrackingWriter
+	served := make(chan struct{})
+	h := s.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		tw = &flushTrackingWriter{ResponseWriter: w}
+		h.ServeHTTP(tw, req)
+		close(served)
+	}))
+	defer srv.Close()
+	defer unpark() // before Close, which waits for the parked handler
+
+	body, err := json.Marshal(map[string][]string{"urls": urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The deadline turns a stream that holds lines back into a failed
+	// read rather than a hung test.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/classify/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := bufio.NewReader(resp.Body)
+	readLine := func(i int) {
+		t.Helper()
+		raw, err := lines.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("line %d: %v (read %q)", i, err, raw)
+		}
+		var l batchLine
+		if err := json.Unmarshal(raw, &l); err != nil || l.URL != urls[i] || l.Error != nil {
+			t.Fatalf("line %d = %q (%v), want the verdict for %s", i, raw, err, urls[i])
+		}
+	}
+	for i := 0; i < k; i++ {
+		readLine(i)
+	}
+	select {
+	case <-entered:
+	case <-ctx.Done():
+		t.Fatal("line k never reached the classify hook")
+	}
+	unpark()
+	for i := k; i < n; i++ {
+		readLine(i)
+	}
+	if _, err := lines.ReadByte(); err != io.EOF {
+		t.Fatalf("after %d lines: %v, want EOF", n, err)
+	}
+	<-served
+	if tw.dirty {
+		t.Error("the stream ended with unflushed bytes")
+	}
+	if tw.flushes < 2 || tw.flushes > n {
+		t.Errorf("%d flushes for %d lines with one wait; want at least 2 and at most one per line", tw.flushes, n)
 	}
 }
 
@@ -510,4 +648,47 @@ func TestMetricsBatchSurface(t *testing.T) {
 	if fs.Leaders == 0 {
 		t.Errorf("singleflight leaders = 0 after a batch: %s", m["singleflight"])
 	}
+}
+
+// BenchmarkBatchHotLines is the handler-depth cost of a cached batch
+// line: after one warming pass, whole-sample POSTs go straight into a
+// recorder (no socket), so what is timed is decode, one records probe
+// and one cache probe per line, the ordered emitter and the writes.
+// flushes/POST counts the write(2)s a real connection would make.
+func BenchmarkBatchHotLines(b *testing.B) {
+	_, r := fixture(b)
+	s := newServer(b, func(c *Config) { c.DisableMonitor = true })
+	h := s.Handler()
+	urls := make([]string, r.N())
+	for i, rec := range r.Records {
+		urls[i] = rec.URL
+	}
+	body, err := json.Marshal(map[string][]string{"urls": urls})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() *flushCountingRecorder {
+		w := &flushCountingRecorder{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/classify/batch", bytes.NewReader(body)))
+		if w.Code != http.StatusOK || bytes.Count(w.Body.Bytes(), []byte("\n")) != len(urls) {
+			b.Fatalf("POST = %d with %d bytes, want %d lines", w.Code, w.Body.Len(), len(urls))
+		}
+		return w
+	}
+	post()
+
+	var before, after runtime.MemStats
+	flushes := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flushes += post().flushes
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	lines := float64(b.N * len(urls))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines, "ns/line")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/lines, "allocs/line")
+	b.ReportMetric(float64(flushes)/float64(b.N), "flushes/POST")
+	b.ReportMetric(float64(len(urls)), "lines/POST")
 }

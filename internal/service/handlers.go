@@ -433,7 +433,7 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 	if rawURL == "" {
 		return nil, "", &edge.Error{Status: http.StatusBadRequest, Code: "missing_url", Msg: "missing url parameter"}
 	}
-	rec, ok := s.records[urlutil.SchemeAgnosticKey(rawURL)]
+	served, ok := s.records[urlutil.SchemeAgnosticKey(rawURL)]
 	if !ok {
 		return nil, "", &edge.Error{Status: http.StatusNotFound, Code: "unknown_link",
 			Msg: fmt.Sprintf("%s is not in the served sample of %d permanently dead links", rawURL, len(s.order))}
@@ -443,7 +443,7 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 	// nothing, so it must not queue behind (or be shed from) the small
 	// heavy-work pool. The body is rendered from rec, so the canonical
 	// key is safe to share across raw spellings.
-	key := "c\x00" + urlutil.SchemeAgnosticKey(rec.URL)
+	rec, key := served.rec, served.classifyKey
 	if body, ok := s.lookup(key); ok {
 		return body, "hit", nil
 	}
@@ -512,12 +512,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 // handleClassifyBatch classifies up to MaxBatchLinks URLs in one POST,
 // streaming verdicts back as NDJSON — one JSON object per line, in
-// input order, flushed as produced — so a client reads verdict i while
-// verdict i+k is still computing. Per-link failures become error lines
-// ({"url":...,"error":{...}}) instead of aborting the stream; each
-// line goes through the same cache → singleflight → pool path as
-// /v1/classify, so a batch and concurrent single-link requests for the
-// same URL do the classify work once.
+// input order, flushed whenever the stream is about to wait for a
+// verdict — so a client reads verdict i while verdict i+k is still
+// computing, and verdicts ready together share a write. Per-link
+// failures become error lines ({"url":...,"error":{...}}) instead of
+// aborting the stream; each line goes through the same cache →
+// singleflight → pool path as /v1/classify, so a batch and concurrent
+// single-link requests for the same URL do the classify work once.
 //
 // Body: {"urls": ["http://...", ...]}. The whole stream runs under the
 // request deadline; size batches so they fit, or raise -request-timeout.
@@ -529,9 +530,10 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.Header().Set("X-Batch-Links", strconv.Itoa(len(urls)))
 
+	emit, flush := edge.LineWriter(w)
 	//nolint:errcheck // a mid-stream failure (client gone, write error)
 	// cannot change the already-sent status; the stream just ends.
-	core.StreamOrdered(r.Context(), len(urls), s.batchWorkers,
+	core.StreamOrderedIdle(r.Context(), len(urls), s.batchWorkers,
 		func(i int) []byte {
 			body, _, err := s.classifyBody(r.Context(), urls[i])
 			if err != nil {
@@ -540,7 +542,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return body
 		},
-		edge.LineWriter(w))
+		emit, flush)
 }
 
 // --- /v1/sample ---

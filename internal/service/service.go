@@ -190,6 +190,13 @@ const (
 	feedBuffer = 4096
 )
 
+// servedLink is one sampled link with the response-cache key of its
+// classify body, built once so a cached verdict costs no key assembly.
+type servedLink struct {
+	rec         core.LinkRecord
+	classifyKey string
+}
+
 // Server is the link-status query service.
 type Server struct {
 	cfg   Config
@@ -197,7 +204,7 @@ type Server struct {
 
 	// records maps canonical (scheme/www-agnostic) URL keys to the
 	// sampled link records; order preserves sample order for /v1/sample.
-	records map[string]core.LinkRecord
+	records map[string]servedLink
 	order   []core.LinkRecord
 
 	cache        *Cache
@@ -294,7 +301,7 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		study:        study,
-		records:      make(map[string]core.LinkRecord, len(records)),
+		records:      make(map[string]servedLink, len(records)),
 		order:        records,
 		cache:        NewCache(cfg.CacheEntries, cfg.CacheShards),
 		negCache:     NewCache(negCacheEntries, cfg.CacheShards),
@@ -309,7 +316,7 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 	for _, rec := range records {
 		key := urlutil.SchemeAgnosticKey(rec.URL)
 		if _, dup := s.records[key]; !dup {
-			s.records[key] = rec
+			s.records[key] = servedLink{rec: rec, classifyKey: "c\x00" + key}
 		}
 	}
 

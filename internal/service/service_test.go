@@ -28,7 +28,7 @@ var (
 	fixtureErr    error
 )
 
-func fixture(t *testing.T) (*persist.Bundle, *core.Report) {
+func fixture(t testing.TB) (*persist.Bundle, *core.Report) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		u := worldgen.Generate(worldgen.SmallParams())
@@ -58,7 +58,7 @@ func fixture(t *testing.T) (*persist.Bundle, *core.Report) {
 
 // newServer builds a Server over the shared bundle with the study
 // configured identically to the offline run.
-func newServer(t *testing.T, mut func(*Config)) *Server {
+func newServer(t testing.TB, mut func(*Config)) *Server {
 	t.Helper()
 	b, _ := fixture(t)
 	cfg := DefaultConfig()

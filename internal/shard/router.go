@@ -310,9 +310,10 @@ func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
 
 // handleBatch splits one bulk-classify request by owning shard, posts
 // each shard its sub-batch concurrently, and re-merges the streamed
-// NDJSON lines into global input order via core.StreamOrdered — line i
-// flushes as soon as it and its predecessors are ready, no matter
-// which shard computed it. Links owned by a down shard become
+// NDJSON lines into global input order via core.StreamOrderedIdle —
+// line i is sent as soon as it and its predecessors are ready, no
+// matter which shard computed it, sharing a write with the lines that
+// are ready with it. Links owned by a down shard become
 // {"error":{"code":"shard_down"}} lines (the same per-line degradation
 // contract as unknown links), the response is flagged with
 // X-Fleet-Partial and Retry-After, and a shard that dies mid-stream
@@ -386,8 +387,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	// one in-flight index per shard stream plus slack — because each
 	// claimed index blocks until its shard delivers.
 	width := 2*len(parts) + 1
+	emit, flush := edge.LineWriter(w)
 	//nolint:errcheck // a mid-stream client disconnect just ends the stream
-	core.StreamOrdered(ctx, n, width,
+	core.StreamOrderedIdle(ctx, n, width,
 		func(i int) []byte {
 			select {
 			case line := <-slots[i]:
@@ -396,7 +398,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 				return edge.ErrLine(urls[i], "client_closed_request", "request canceled")
 			}
 		},
-		edge.LineWriter(w))
+		emit, flush)
 	cancel()
 	wg.Wait()
 }

@@ -21,11 +21,42 @@ func FuzzURLHelpers(f *testing.F) {
 		"http://",
 		"http://h.com/a b c",
 		"http://xn--bcher-kva.example/path",
+		// stripScheme compares the scheme's bytes only: mixed case,
+		// non-ASCII and invalid UTF-8 after it, look-alike runes in it,
+		// and the inputs that send Directory to rawDirectory.
+		"HtTpS://H.com/A/B?q#f",
+		"hTTp://h.com/Ünï/cödé",
+		" \tHTTPS://h.com/%zz/x ",
+		"https://h.com/\xff\xfe/\x80",
+		"httpſ://h.com/x",
+		"HTTP\x1a//h.com/x",
+		"HTTPS://%zz/a/b?c",
+		"https:/h.com/x",
+		// Found by this target: the fragment hid a query ending in space,
+		// and Normalize was not idempotent on it.
+		"http://0? #",
+		"http://0?\u00a0#f",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
+		// The prefix-only scheme match against the whole-URL ToLower it
+		// replaced, and rawDirectory's scheme against the same reference.
+		rest, ok := stripScheme(raw)
+		if wantRest, wantOK := stripSchemeRef(raw); rest != wantRest || ok != wantOK {
+			t.Fatalf("stripScheme(%q) = %q, %v; reference %q, %v", raw, rest, ok, wantRest, wantOK)
+		}
+		if ok {
+			scheme := "http://"
+			if strings.HasPrefix(strings.ToLower(strings.TrimSpace(raw)), "https") {
+				scheme = "https://"
+			}
+			if d := rawDirectory(raw); !strings.HasPrefix(d, scheme) {
+				t.Fatalf("rawDirectory(%q) = %q, want scheme %q", raw, d, scheme)
+			}
+		}
+
 		// None of these may panic.
 		host := Hostname(raw)
 		_ = Domain(raw)
@@ -58,6 +89,66 @@ func FuzzURLHelpers(f *testing.F) {
 					t.Logf("reconstruction differs (escaping): %q vs %q", rec, raw)
 				}
 			}
+		}
+	})
+}
+
+// stripSchemeRef is stripScheme as it was before the prefix compare:
+// lower-case the whole URL, then match. Kept as the reference.
+func stripSchemeRef(rawURL string) (string, bool) {
+	s := strings.TrimSpace(rawURL)
+	lower := strings.ToLower(s)
+	switch {
+	case strings.HasPrefix(lower, "http://"):
+		return s[len("http://"):], true
+	case strings.HasPrefix(lower, "https://"):
+		return s[len("https://"):], true
+	}
+	return "", false
+}
+
+// FuzzNormalizeDifferential holds Normalize's byte-scan early return
+// to the net/url body it skips: for any input, Normalize and
+// SchemeAgnosticKey must equal what normalizeParsed (the production
+// fallback) and the reference scheme strip produce on their own.
+func FuzzNormalizeDifferential(f *testing.F) {
+	for _, s := range []string{
+		"http://a.com", // empty path: the slow path adds '/'
+		"http://a.com/?",
+		"http://A.com/x",
+		"HTTP://a.com/x",
+		"http://a.com:80/",
+		"http://a.com/x#f",
+		"http://a.com/a%2fb",
+		"http://a.com/a b",
+		"http://a.com/x?a=\x7f",
+		" http://a.com/",
+		"http://www./x",
+		"http://u@a.com/",
+		"http://[::1]/",
+		"http://a.com/x?a=b#c",
+		"http://a.com/x?a=b c",
+		"http://a.com/x?a=b ",
+		"http://a.com/x ",
+		"https://www.a-b.co.uk/A/b_c~d/e.html?x=%zz&y=\"<>\\^`{|}",
+		"http://a.com//x/../y/./",
+		"https://a.com/x?a=\u00e9",
+		"http:///x",
+		"https://-./",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want := normalizeParsed(raw)
+		if got := Normalize(raw); got != want {
+			t.Fatalf("Normalize(%q) = %q, net/url form %q", raw, got, want)
+		}
+		wantKey := want
+		if rest, ok := stripSchemeRef(want); ok {
+			wantKey = strings.TrimPrefix(rest, "www.")
+		}
+		if got := SchemeAgnosticKey(raw); got != wantKey {
+			t.Fatalf("SchemeAgnosticKey(%q) = %q, net/url form %q", raw, got, wantKey)
 		}
 	})
 }

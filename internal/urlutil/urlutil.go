@@ -46,18 +46,36 @@ func Hostname(rawURL string) string {
 	return strings.ToLower(strings.TrimSuffix(rest, "."))
 }
 
-// stripScheme removes a leading http:// or https:// (case-insensitive)
-// and reports whether one was present.
+// stripScheme removes a leading http:// or https:// (ASCII
+// case-insensitive) and reports whether one was present. Only the
+// scheme's own bytes are compared: every lookup key goes through here.
 func stripScheme(rawURL string) (string, bool) {
 	s := strings.TrimSpace(rawURL)
-	lower := strings.ToLower(s)
 	switch {
-	case strings.HasPrefix(lower, "http://"):
+	case hasPrefixFold(s, "http://"):
 		return s[len("http://"):], true
-	case strings.HasPrefix(lower, "https://"):
+	case hasPrefixFold(s, "https://"):
 		return s[len("https://"):], true
 	}
 	return "", false
+}
+
+// hasPrefixFold reports whether s begins with prefix (lowercase ASCII),
+// folding only A–Z in s.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Domain maps rawURL's hostname to its registrable domain using the
@@ -109,8 +127,9 @@ func rawDirectory(rawURL string) string {
 	if !ok {
 		return ""
 	}
+	// stripScheme matched, so byte 4 is the ':' of "http:" or an 's'.
 	scheme := "http"
-	if strings.HasPrefix(strings.ToLower(strings.TrimSpace(rawURL)), "https") {
+	if strings.TrimSpace(rawURL)[4] != ':' {
 		scheme = "https"
 	}
 	// Drop query/fragment.
@@ -173,7 +192,59 @@ func ReplaceLastSegment(rawURL, segment string) string {
 // scheme and host, strip default ports, strip fragments, ensure a path.
 // It deliberately preserves the query string byte-for-byte — the §5.2
 // analysis depends on parameter order being significant.
+//
+// Nearly every URL the pipeline names is already in that form, and
+// every archive lookup and response-cache key starts here, so such
+// input is recognised by one byte scan and returned as is; everything
+// else goes through net/url.
 func Normalize(rawURL string) string {
+	if isNormalized(rawURL) {
+		return rawURL
+	}
+	return normalizeParsed(rawURL)
+}
+
+// isNormalized reports whether s is certainly its own Normalize: a
+// lowercase http(s) scheme, a host of [a-z0-9.-] (so no port, userinfo
+// or IP literal), a non-empty path of unreserved bytes and '/', then
+// optionally '?' and graphic ASCII without '#'. It errs towards false
+// — an escape, a space or a capital in the host means net/url decides.
+func isNormalized(s string) bool {
+	var i int
+	switch {
+	case strings.HasPrefix(s, "http://"):
+		i = len("http://")
+	case strings.HasPrefix(s, "https://"):
+		i = len("https://")
+	default:
+		return false
+	}
+	hostStart := i
+	for ; i < len(s) && s[i] != '/'; i++ {
+		if c := s[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return false
+		}
+	}
+	if i == hostStart || i == len(s) {
+		return false
+	}
+	for ; i < len(s) && s[i] != '?'; i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '/' || c == '-' || c == '.' || c == '_' || c == '~') {
+			return false
+		}
+	}
+	for ; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= 0x7f || c == '#' {
+			return false
+		}
+	}
+	return true
+}
+
+// normalizeParsed is Normalize for arbitrary input.
+func normalizeParsed(rawURL string) string {
 	u, err := url.Parse(strings.TrimSpace(rawURL))
 	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
 		return strings.TrimSpace(rawURL)
@@ -189,7 +260,9 @@ func Normalize(rawURL string) string {
 	if u.Path == "" {
 		u.Path = "/"
 	}
-	return u.String()
+	// Dropping the fragment can expose a query that ends in space
+	// ("http://h?q #f"); trimmed here, or a second pass would trim it.
+	return strings.TrimSpace(u.String())
 }
 
 // SchemeAgnosticKey returns a key under which http:// and https://

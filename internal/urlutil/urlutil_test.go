@@ -115,6 +115,37 @@ func TestSchemeAgnosticKey(t *testing.T) {
 	}
 }
 
+// A URL already in Normalize's output form is keyed by slicing it:
+// every archive lookup and every cached verdict pays this call.
+func TestSchemeAgnosticKeyCanonicalDoesNotAllocate(t *testing.T) {
+	for _, u := range []string{keyBenchCanonical, "http://h.simtest/"} {
+		if n := testing.AllocsPerRun(100, func() { SchemeAgnosticKey(u) }); n != 0 {
+			t.Errorf("SchemeAgnosticKey(%q) allocates %v times per call, want 0", u, n)
+		}
+	}
+}
+
+const keyBenchCanonical = "https://www.coastadvocate5.simtest/History/2017/closing-memorial-8402940.html?page=2&ref=a"
+
+var keySink string
+
+// BenchmarkSchemeAgnosticKey prices URL identity on input Normalize
+// recognises as its own output, and on the same URL spelled so that
+// net/url has to decide (a capital in the host).
+func BenchmarkSchemeAgnosticKey(b *testing.B) {
+	for _, c := range []struct{ name, url string }{
+		{"canonical", keyBenchCanonical},
+		{"non-canonical", strings.Replace(keyBenchCanonical, "www.c", "www.C", 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keySink = SchemeAgnosticKey(c.url)
+			}
+		})
+	}
+}
+
 func TestEditDistance(t *testing.T) {
 	cases := []struct {
 		a, b string
