@@ -29,12 +29,15 @@ race:
 # first-byte wikitext parser against the byte-at-a-time reference, the
 # banded edit distance against the full matrix, the URL helpers (with
 # the prefix-only scheme match against its ToLower reference), and
-# Normalize's byte-scan early return against its net/url body.
+# Normalize's byte-scan early return against its net/url body; and
+# FuzzPagedCDX, damaged CDX sections of a paged file, which must open
+# with an error or answer every CDX query without a panic.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz='^FuzzPagedCDX$$' -fuzztime=10s ./internal/persist
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

@@ -55,7 +55,8 @@ func main() {
 	domain := urlutil.Domain(dead)
 	matches := []string{}
 	self := strip(dead)
-	for _, cand := range arch.ArchivedURLsUnderDomain(domain, 20000) {
+	cands, _ := arch.DomainURLs(domain, 20000)
+	for _, cand := range cands {
 		sc := strip(cand)
 		if sc == self {
 			continue // distance 0: an http/https variant, not a typo

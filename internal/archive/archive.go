@@ -132,11 +132,10 @@ type Archive struct {
 	// latency overrides for the Availability API, keyed like byKey.
 	latency map[string]int // milliseconds
 
-	// index and domains are the freeze-time read-optimized CDX
-	// indexes (see index.go). Built once by Freeze; nil while the
-	// archive is mutable, when CDX queries fall back to linear scans.
-	index   map[string]*frozenHostIndex
-	domains map[string][]string
+	// cdx is the frozen CDX index (index.go), built by Freeze or
+	// opened over the store's sections. nil while the archive is
+	// mutable, when CDX queries are linear scans.
+	cdx *CDXIndex
 	// prefilter is the freeze-time Bloom filter over snapshot keys
 	// (see prefilter.go); prefilterOn gates its use.
 	prefilter   *capturePrefilter
@@ -144,7 +143,7 @@ type Archive struct {
 
 	// store, when non-nil, backs every read with an external Store
 	// (a paged on-disk universe, see store.go). A store-backed archive
-	// is frozen from construction; byKey/byHost/index stay empty.
+	// is frozen from construction; byKey/byHost stay empty.
 	store Store
 }
 
@@ -172,10 +171,9 @@ func New() *Archive {
 
 // Freeze marks the store immutable: subsequent writes panic and reads
 // no longer take the lock. It is also the single build point of the
-// read-optimized CDX indexes (index.go): sorted per-host prefix
-// ranges, status partitions, the canonical-query-key map, the
-// domain → hosts map, and the capture prefilter (prefilter.go), which
-// every CDX read uses from then on. Call it
+// CDX index (index.go) — sorted per-host rows, status partitions,
+// query-key groups, the domain → hosts table — which every CDX read
+// uses from then on, and of the capture prefilter (prefilter.go). Call it
 // once world generation (and any post-run state planting) is
 // complete, before fanning analysis out across goroutines. Idempotent.
 func (a *Archive) Freeze() {
@@ -184,7 +182,7 @@ func (a *Archive) Freeze() {
 	if a.frozen.Load() {
 		return
 	}
-	a.buildFrozenIndexesLocked()
+	a.buildIndexLocked()
 	a.frozen.Store(true)
 }
 
@@ -341,7 +339,7 @@ func (a *Archive) TotalSnapshots() int {
 // Hosts returns every hostname with explicit or bulk coverage, sorted.
 func (a *Archive) Hosts() []string {
 	if a.store != nil {
-		return a.store.Hosts()
+		return a.cdx.hosts()
 	}
 	defer a.rlock()()
 	hs := make([]string, 0, len(a.byHost))
@@ -384,7 +382,7 @@ func (a *Archive) EachSnapshot(fn func(Snapshot)) {
 // EachBulkRegion calls fn for every bulk-coverage region.
 func (a *Archive) EachBulkRegion(fn func(BulkRegion)) {
 	if a.store != nil {
-		a.store.EachBulkRegion(fn)
+		a.cdx.eachBulk(fn)
 		return
 	}
 	defer a.rlock()()
@@ -407,12 +405,4 @@ func (a *Archive) EachLookupLatency(fn func(key string, ms int)) {
 	for k, ms := range a.latency {
 		fn(k, ms)
 	}
-}
-
-// SetLookupLatencyKey sets a latency override by pre-computed key.
-func (a *Archive) SetLookupLatencyKey(key string, ms int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.checkWritable("SetLookupLatencyKey")
-	a.latency[key] = ms
 }

@@ -45,11 +45,8 @@ const DefaultCDXLimit = 10000
 // is a linear scan under the read lock.
 func (a *Archive) CDXCount(q CDXQuery) int {
 	host := strings.ToLower(q.Host)
-	if a.store != nil {
-		return a.store.CDXCount(host, q)
-	}
 	if a.frozen.Load() {
-		return a.cdxCountFrozen(host, q)
+		return a.cdx.count(host, q)
 	}
 	defer a.rlock()()
 	return a.cdxCountScan(host, q)
@@ -79,7 +76,7 @@ func (a *Archive) cdxCountScan(host string, q CDXQuery) int {
 // CDXList enumerates matching rows up to the limit: explicit entries
 // in capture-insertion order, then bulk-region rows (which
 // materialize deterministically). On a frozen archive the matching
-// rows come from a binary-search range with prebuilt URLs; while
+// rows come from the index's binary-search ranges; while
 // mutable they come from a linear scan under the read lock.
 func (a *Archive) CDXList(q CDXQuery) []CDXEntry {
 	host := strings.ToLower(q.Host)
@@ -87,11 +84,8 @@ func (a *Archive) CDXList(q CDXQuery) []CDXEntry {
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
-	if a.store != nil {
-		return a.store.CDXList(host, q, limit)
-	}
 	if a.frozen.Load() {
-		return a.cdxListFrozen(host, q, limit)
+		return a.cdx.list(host, q, limit)
 	}
 	defer a.rlock()()
 	return a.cdxListScan(host, q, limit)
@@ -204,11 +198,8 @@ func (a *Archive) CountOnHostname(url string) int {
 }
 
 func (a *Archive) countSelf(host, pathQuery string) int {
-	if a.store != nil {
-		return a.store.CountSelf(host, pathQuery)
-	}
 	if a.frozen.Load() {
-		return a.countSelfFrozen(host, pathQuery)
+		return a.cdx.countSelf(host, pathQuery)
 	}
 	defer a.rlock()()
 	return a.countSelfScan(host, pathQuery)
@@ -230,31 +221,20 @@ func (a *Archive) countSelfScan(host, pathQuery string) int {
 	return n
 }
 
-// ArchivedURLsUnderDomain lists distinct archived URLs (any status)
-// across every indexed hostname belonging to the registrable domain,
-// up to limit. The §5.2 typo analysis compares a never-archived URL
-// against these.
-func (a *Archive) ArchivedURLsUnderDomain(domain string, limit int) []string {
-	urls, _ := a.DomainURLs(domain, limit)
-	return urls
-}
-
-// DomainURLs is ArchivedURLsUnderDomain plus an explicit truncation
-// signal: truncated is true when the domain holds more distinct
-// archived URLs than limit, so callers (the typo probe's "no silent
-// caps" accounting) can tell an exhaustive scan from a capped one.
+// DomainURLs lists distinct archived URLs (any status) across every
+// indexed hostname belonging to the registrable domain, up to limit —
+// the §5.2 typo analysis compares a never-archived URL against these.
+// truncated is true when the domain holds more distinct archived URLs
+// than limit, so callers (the typo probe's "no silent caps"
+// accounting) can tell an exhaustive scan from a capped one.
 func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated bool) {
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
 	domain = strings.ToLower(domain)
 	var hosts []string
-	if a.store != nil {
-		hosts = a.store.DomainHosts(domain)
-	} else if a.frozen.Load() {
-		// Freeze-time map: only the queried domain's hosts, already
-		// sorted, no per-host registrable-domain derivation.
-		hosts = a.domainHostsFrozen(domain)
+	if a.frozen.Load() {
+		hosts = a.cdx.domainHosts(domain)
 	} else {
 		unlock := a.rlock()
 		for h := range a.byHost {
@@ -309,8 +289,8 @@ func pathDirOf(rawURL string) string {
 // §5.2 implication (b): some query-heavy URLs were archived under a
 // permuted parameter order and can be rescued by canonicalizing.
 // Explicit entries only; bulk regions carry no query strings. On a
-// frozen archive this is a probe of the freeze-time canonical-query-
-// key map; while mutable it scans the URL's host index and normalizes
+// frozen archive this is a lookup of the index's canonical-query-key
+// groups; while mutable it scans the URL's host index and normalizes
 // every query-bearing candidate.
 func (a *Archive) FindQueryPermutation(rawURL string) (string, bool) {
 	if !urlutil.HasQuery(rawURL) {
@@ -319,11 +299,8 @@ func (a *Archive) FindQueryPermutation(rawURL string) (string, bool) {
 	want := urlutil.CanonicalQueryKey(rawURL)
 	self := urlutil.Normalize(rawURL)
 	host := urlutil.Hostname(rawURL)
-	if a.store != nil {
-		return a.store.FindQueryPermutation(host, want, self)
-	}
 	if a.frozen.Load() {
-		return a.findQueryPermutationFrozen(host, want, self)
+		return a.cdx.findPermutation(host, want, self)
 	}
 
 	unlock := a.rlock()

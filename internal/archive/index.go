@@ -1,314 +1,697 @@
 package archive
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
+	"permadead/internal/simclock"
 	"permadead/internal/urlutil"
 )
 
-// Freeze-time CDX indexing. While an Archive is mutable, every CDX
-// query is a linear scan of the host's insertion-ordered entry slice —
-// simple, obviously correct, and cheap to keep consistent under
-// writes. Once the world's history is complete, Freeze builds the
-// immutable read-optimized indexes below and every CDX read routes
-// through them:
+// The frozen CDX index (DESIGN §3.2). While an Archive is mutable,
+// every CDX query is a linear scan of the host's insertion-ordered
+// entry slice — simple, obviously correct, and the reference the
+// differential tests compare against. Freeze builds the index once,
+// directly in the form persist format v4 stores (DESIGN §3.6):
 //
-//   - a (pathQuery, day)-sorted permutation of each host's entries, so
-//     path-prefix and exact-path queries resolve as binary-search
-//     ranges: O(log n + k) instead of O(n);
-//   - the same permutation partitioned by initial status, so
-//     status-filtered counts (the Figure 6 "Status: 200" queries) are
-//     range-width subtractions with no row walk;
-//   - per-entry prebuilt replay URLs ("http://" + host + pathQuery),
-//     backed by one shared string, so CDXList emits rows without
-//     re-concatenating per row;
-//   - a urlutil.CanonicalQueryKey → entries map over the query-bearing
-//     entries, so FindQueryPermutation is a map probe instead of a
-//     host-wide scan plus per-candidate normalization;
-//   - a registrable-domain → hosts map, so DomainURLs touches only the
-//     queried domain's hosts instead of re-deriving the domain of
-//     every host in the archive per call.
+//   - cdxhosts: per host, in name order, a 48-byte record locating its
+//     rows, aux blob and bulk regions;
+//   - cdxdata: per host, the rows by sorted position — (pathQuery, day,
+//     insertion) order — as columns, with sorted-position ↔
+//     insertion-rank columns, so path-prefix and exact-path queries are
+//     binary-search ranges;
+//   - cdxaux: per host, the status partitions (per initial status,
+//     ascending, the run of sorted positions carrying it, so
+//     status-filtered counts are range widths) and the query-key groups
+//     (per urlutil.CanonicalQueryKey, ascending, the insertion ranks of
+//     the query-bearing rows under it, so FindQueryPermutation is one
+//     group lookup);
+//   - bulk: the hosts' bulk regions;
+//   - domains: registrable domain → sorted hosts, so DomainURLs touches
+//     only the queried domain's hosts;
+//   - the arena every string reference points into.
 //
-// The unfrozen scan path is retained verbatim as the reference
-// implementation; the differential test in index_test.go asserts the
-// two paths agree query-for-query on randomized worlds.
+// The five index queries are written once, below, over those bytes.
+// A paged file maps the same sections and serves them through the same
+// code (OpenCDX); SavePaged copies Freeze's sections instead of
+// rebuilding them.
 
-// frozenHostIndex is one host's read-optimized view of its cdxRecord
-// slice. All int32 values are indexes into hostIndex.entries.
-type frozenHostIndex struct {
-	// sortedAll is a permutation of entry indexes ordered by
-	// (pathQuery, day, insertion index).
-	sortedAll []int32
-	// sortedByStatus partitions sortedAll by initial status,
-	// preserving its order, so a prefix range inside a partition is
-	// both a status-filtered count and an enumerable row set.
-	sortedByStatus map[int][]int32
-	// insByStatus holds the same partitions in insertion order, for
-	// whole-host status-filtered listings (CDXList output preserves
-	// the mutable path's insertion order).
-	insByStatus map[int][]int32
-	// urls[i] is the prebuilt row URL of entries[i]; all slices share
-	// one backing string.
-	urls []string
-	// queryKeys maps CanonicalQueryKey(url) to the query-bearing
-	// entries under that key, in insertion order.
-	queryKeys map[string][]int32
+// Fixed record sizes of the cdxhosts and bulk sections.
+const (
+	CDXHostRecSize = 48
+	bulkRecSize    = 32
+)
+
+// CDXSections is the frozen CDX index as stored. Strings are (u32
+// offset, u32 length) references into Arena; offset 0 is reserved, so
+// (0, 0) is "".
+type CDXSections struct {
+	Hosts, Data, Aux, Bulk, Domains []byte
+	Arena                           string
 }
 
-// buildFrozenIndexesLocked constructs every host's frozenHostIndex and
-// the domain → hosts map. Caller holds the write lock; the archive is
-// not yet marked frozen.
-func (a *Archive) buildFrozenIndexesLocked() {
-	a.index = make(map[string]*frozenHostIndex, len(a.byHost))
-	a.domains = make(map[string][]string)
-	for host, hi := range a.byHost {
-		a.index[host] = buildHostIndex(host, hi.entries)
-		d := urlutil.DomainOfHost(host)
-		a.domains[d] = append(a.domains[d], host)
-	}
-	// DomainURLs enumerates a domain's hosts in sorted order; fix that
-	// order once here instead of per query.
-	for _, hosts := range a.domains {
-		sort.Strings(hosts)
-	}
-	a.buildPrefilterLocked()
+// CDXIndex serves the CDX index queries from its sections: Freeze's,
+// in memory, or a paged file's, mapped (OpenCDX).
+type CDXIndex struct {
+	s                  CDXSections
+	numHosts, numBulk  int
+	numDomains, domIdx int
+	byName             map[string]int // in memory: host → record; else binary search
+	urls               [][]string     // in memory: each record's row URLs by sorted position
 }
 
-func buildHostIndex(host string, entries []cdxRecord) *frozenHostIndex {
-	fz := &frozenHostIndex{
-		sortedByStatus: make(map[int][]int32),
-		insByStatus:    make(map[int][]int32),
-	}
+var le = binary.LittleEndian
 
-	// One builder holds every row URL; the per-entry strings are
-	// substrings of its single backing allocation.
-	var b strings.Builder
-	size := 0
-	for i := range entries {
-		size += len("http://") + len(host) + len(entries[i].pathQuery)
-	}
-	b.Grow(size)
-	offs := make([]int, len(entries)+1)
-	for i := range entries {
-		b.WriteString("http://")
-		b.WriteString(host)
-		b.WriteString(entries[i].pathQuery)
-		offs[i+1] = b.Len()
-	}
-	backing := b.String()
-	fz.urls = make([]string, len(entries))
-	for i := range entries {
-		fz.urls[i] = backing[offs[i]:offs[i+1]]
-	}
+func u32(b []byte, off int) int { return int(le.Uint32(b[off:])) }
 
-	fz.sortedAll = make([]int32, len(entries))
-	for i := range fz.sortedAll {
-		fz.sortedAll[i] = int32(i)
-	}
-	sort.Slice(fz.sortedAll, func(x, y int) bool {
-		ei, ej := &entries[fz.sortedAll[x]], &entries[fz.sortedAll[y]]
-		if ei.pathQuery != ej.pathQuery {
-			return ei.pathQuery < ej.pathQuery
+// OpenCDX checks the sections' record-level structure — counts and
+// record sizes, O(1), no record is read — and returns the index over
+// them. Each host's extents are checked when a query reads the host, so
+// a damaged record answers as an absent host instead of a read outside
+// its section; Verify checks them all.
+func OpenCDX(s CDXSections) (*CDXIndex, error) {
+	for _, c := range []struct {
+		name string
+		b    []byte
+		size int
+	}{{"cdxhosts", s.Hosts, CDXHostRecSize}, {"bulk", s.Bulk, bulkRecSize}} {
+		if len(c.b)%c.size != 0 {
+			return nil, fmt.Errorf("section %q: length %d is not a multiple of its %d-byte record size", c.name, len(c.b), c.size)
 		}
-		if ei.day != ej.day {
-			return ei.day < ej.day
-		}
-		return fz.sortedAll[x] < fz.sortedAll[y]
-	})
-	for _, idx := range fz.sortedAll {
-		st := entries[idx].initialStatus
-		fz.sortedByStatus[st] = append(fz.sortedByStatus[st], idx)
 	}
-	for i := range entries {
-		st := entries[i].initialStatus
-		fz.insByStatus[st] = append(fz.insByStatus[st], int32(i))
+	x := &CDXIndex{s: s, numHosts: len(s.Hosts) / CDXHostRecSize, numBulk: len(s.Bulk) / bulkRecSize}
+	if len(s.Domains) < 4 {
+		return nil, fmt.Errorf("section %q: too short (%d bytes)", "domains", len(s.Domains))
 	}
-
-	for i := range entries {
-		if !strings.ContainsRune(entries[i].pathQuery, '?') {
-			continue
-		}
-		if fz.queryKeys == nil {
-			fz.queryKeys = make(map[string][]int32)
-		}
-		key := urlutil.CanonicalQueryKey(fz.urls[i])
-		fz.queryKeys[key] = append(fz.queryKeys[key], int32(i))
+	x.numDomains = u32(s.Domains, 0)
+	if x.domIdx = 4 + 16*x.numDomains; x.domIdx > len(s.Domains) {
+		return nil, fmt.Errorf("section %q: domain table (%d entries) exceeds section length %d", "domains", x.numDomains, len(s.Domains))
 	}
-	return fz
+	return x, nil
 }
 
-// sortedView returns the (pathQuery, day)-ordered entry-index view for
-// a status filter: the full permutation for status 0, the status
-// partition otherwise (nil when the host has no such rows).
-func (fz *frozenHostIndex) sortedView(status int) []int32 {
+// Verify checks every cdxhosts record's extents, naming the section.
+func (x *CDXIndex) Verify() error {
+	for rec := 0; rec < x.numHosts; rec++ {
+		var r hostRows
+		err := x.rows(rec, &r)
+		if err == nil {
+			if _, _, _, _, ok := r.keys(); !ok {
+				err = fmt.Errorf("query-key table overruns its aux blob")
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("section %q: host %q: %w", "cdxhosts", x.hostName(rec), err)
+		}
+	}
+	return nil
+}
+
+// arenaStr is the arena string at (o, n); one outside the arena (a
+// damaged file) reads as "".
+func (x *CDXIndex) arenaStr(o, n int) string {
+	if n == 0 || o+n > len(x.s.Arena) {
+		return ""
+	}
+	return x.s.Arena[o : o+n]
+}
+
+// str resolves the string reference at off in b.
+func (x *CDXIndex) str(b []byte, off int) string { return x.arenaStr(u32(b, off), u32(b, off+4)) }
+
+func (x *CDXIndex) hostName(rec int) string { return x.str(x.s.Hosts, rec*CDXHostRecSize) }
+
+// hostRows is one cdxhosts record's rows, decoded in place. At data in
+// cdxdata: pathOff[n] pathLen[n] day[n] status[n] (u16, padded to 4
+// bytes) insRank[n] insPerm[n]. In cdxaux, from parts-4 to auxEnd: u32
+// #parts, {status, start, count} per part, n partition positions, u32
+// #keys, {key ref, start, count} per key, key ranks.
+type hostRows struct {
+	x                       *CDXIndex
+	rec, n, data            int
+	parts, numParts, auxEnd int
+	urls                    []string // in memory only
+}
+
+// rows fills r with record rec's view, checking the extents the
+// record declares against their sections — O(1), no row is read. The
+// key table, read only by FindQueryPermutation, is checked by keys.
+func (x *CDXIndex) rows(rec int, r *hostRows) error {
+	h := x.s.Hosts[rec*CDXHostRecSize:]
+	n := u32(h, 16)
+	base, size := le.Uint64(h[8:]), uint64(22*n+2*(n%2))
+	if base > uint64(len(x.s.Data)) || size > uint64(len(x.s.Data))-base {
+		return fmt.Errorf("%d rows at offset %d overrun the %d-byte %q section", n, base, len(x.s.Data), "cdxdata")
+	}
+	if start, count := u32(h, 20), u32(h, 24); start+count > x.numBulk {
+		return fmt.Errorf("bulk range [%d, +%d) overruns the %d %q records", start, count, x.numBulk, "bulk")
+	}
+	aux, auxSize := le.Uint64(h[32:]), uint64(u32(h, 40))
+	if aux > uint64(len(x.s.Aux)) || auxSize > uint64(len(x.s.Aux))-aux || auxSize < 4 {
+		return fmt.Errorf("aux blob (offset %d, length %d) overruns the %d-byte %q section", aux, auxSize, len(x.s.Aux), "cdxaux")
+	}
+	*r = hostRows{x: x, rec: rec, n: n, data: int(base),
+		parts: int(aux) + 4, numParts: u32(x.s.Aux, int(aux)), auxEnd: int(aux + auxSize)}
+	if r.parts+12*r.numParts+4*n+4 > r.auxEnd {
+		return fmt.Errorf("aux blob of %d bytes cannot hold %d partitions of %d rows", auxSize, r.numParts, n)
+	}
+	if x.urls != nil {
+		r.urls = x.urls[rec]
+	}
+	return nil
+}
+
+// host fills r with a host's view; false when the host is absent or
+// its record is damaged.
+func (x *CDXIndex) host(name string, r *hostRows) bool {
+	rec, ok := x.byName[name]
+	if x.byName == nil {
+		rec = sort.Search(x.numHosts, func(i int) bool { return x.hostName(i) >= name })
+		ok = rec < x.numHosts && x.hostName(rec) == name
+	}
+	return ok && x.rows(rec, r) == nil
+}
+
+// row clamps a stored row index into [0, n): a damaged file yields
+// wrong rows, never a read outside the host's block. Callers hold a
+// position or rank below n, so n > 0.
+func (r *hostRows) row(v int) int {
+	if v >= r.n {
+		return r.n - 1
+	}
+	return v
+}
+
+func (r *hostRows) path(pos int) string {
+	d := r.x.s.Data
+	return r.x.arenaStr(u32(d, r.data+4*pos), u32(d, r.data+4*(r.n+pos)))
+}
+
+func (r *hostRows) day(pos int) simclock.Day {
+	return simclock.Day(int32(le.Uint32(r.x.s.Data[r.data+4*(2*r.n+pos):])))
+}
+
+func (r *hostRows) status(pos int) int {
+	return int(le.Uint16(r.x.s.Data[r.data+12*r.n+2*pos:]))
+}
+
+// rank and pos read insRank and insPerm, after the padded status column.
+func (r *hostRows) rank(pos int) int { return r.row(u32(r.x.s.Data, r.data+14*r.n+2*(r.n%2)+4*pos)) }
+func (r *hostRows) pos(rank int) int { return r.row(u32(r.x.s.Data, r.data+18*r.n+2*(r.n%2)+4*rank)) }
+
+// url is the row's replay URL: prebuilt in memory, concatenated when
+// mapped.
+func (r *hostRows) url(pos int) string {
+	if r.urls != nil {
+		return r.urls[pos]
+	}
+	return "http://" + r.x.hostName(r.rec) + r.path(pos)
+}
+
+// keys locates the key table: its offset and entry count, and the
+// offset and count of the key ranks, which run to the blob's end. ok
+// is false when they do not fit the blob (the host then has no keys).
+func (r *hostRows) keys() (table, n, ranks, numRanks int, ok bool) {
+	table = r.parts + 12*r.numParts + 4*r.n + 4
+	n = u32(r.x.s.Aux, table-4)
+	ranks = table + 16*n
+	if ranks > r.auxEnd || (r.auxEnd-ranks)/4 > r.n {
+		return 0, 0, 0, 0, false
+	}
+	return table, n, ranks, (r.auxEnd - ranks) / 4, true
+}
+
+// numBulk and bulk read the host's bulk regions.
+func (r *hostRows) numBulk() int { return u32(r.x.s.Hosts, r.rec*CDXHostRecSize+24) }
+
+func (r *hostRows) bulk(i int) BulkRegion {
+	b := r.x.s.Bulk
+	off := (u32(r.x.s.Hosts, r.rec*CDXHostRecSize+20) + i) * bulkRecSize
+	return BulkRegion{
+		Host:      r.x.hostName(r.rec),
+		DirPrefix: r.x.str(b, off),
+		Count:     u32(b, off+8),
+		FirstDay:  simclock.Day(int32(le.Uint32(b[off+12:]))),
+		LastDay:   simclock.Day(int32(le.Uint32(b[off+16:]))),
+		Seed:      le.Uint64(b[off+24:]),
+	}
+}
+
+// rowRun is a (pathQuery, day, insertion)-ordered run of sorted
+// positions: every row, or one status partition.
+type rowRun struct {
+	part     bool
+	start, n int
+}
+
+// run returns the run a status filter selects (0 = every row). A
+// partition whose extent overruns the n partition positions is empty.
+func (r *hostRows) run(status int) rowRun {
 	if status == 0 {
-		return fz.sortedAll
+		return rowRun{n: r.n}
 	}
-	return fz.sortedByStatus[status]
+	aux := r.x.s.Aux
+	for e := r.parts; e < r.parts+12*r.numParts; e += 12 {
+		if u32(aux, e) == status {
+			if start, n := u32(aux, e+4), u32(aux, e+8); start+n <= r.n {
+				return rowRun{part: true, start: start, n: n}
+			}
+			break
+		}
+	}
+	return rowRun{part: true}
 }
 
-// prefixRange returns the half-open range of view whose pathQuery
-// starts with prefix. view must be (pathQuery, …)-ordered.
-func prefixRange(entries []cdxRecord, view []int32, prefix string) (lo, hi int) {
+// at is the sorted position of the run's i-th row.
+func (r *hostRows) at(run rowRun, i int) int {
+	if run.part {
+		return r.row(u32(r.x.s.Aux, r.parts+12*r.numParts+4*(run.start+i)))
+	}
+	return i
+}
+
+// search binary-searches run from lo for the first path that sorts
+// after key (after) or not before it (!after). With cut, each path is
+// first cut to len(key), so "after" means "past the paths key
+// prefixes".
+func (r *hostRows) search(run rowRun, lo int, key string, after, cut bool) int {
+	hi := run.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		p := r.path(r.at(run, m))
+		if cut && len(p) > len(key) {
+			p = p[:len(key)]
+		}
+		if c := strings.Compare(p, key); c > 0 || c == 0 && !after {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// prefixRange returns the half-open range of run whose pathQuery
+// starts with prefix (the whole run for "").
+func (r *hostRows) prefixRange(run rowRun, prefix string) (lo, hi int) {
 	if prefix == "" {
-		return 0, len(view)
+		return 0, run.n
 	}
-	lo = sort.Search(len(view), func(i int) bool {
-		return entries[view[i]].pathQuery >= prefix
-	})
-	// Matching rows are contiguous from lo; find the first that no
-	// longer carries the prefix.
-	hi = lo + sort.Search(len(view)-lo, func(j int) bool {
-		return !strings.HasPrefix(entries[view[lo+j]].pathQuery, prefix)
-	})
-	return lo, hi
+	lo = r.search(run, 0, prefix, false, false)
+	return lo, r.search(run, lo, prefix, true, true)
 }
 
-// exactRange returns the half-open range of view whose pathQuery
-// equals key exactly.
-func exactRange(entries []cdxRecord, view []int32, key string) (lo, hi int) {
-	lo = sort.Search(len(view), func(i int) bool {
-		return entries[view[i]].pathQuery >= key
-	})
-	hi = lo + sort.Search(len(view)-lo, func(j int) bool {
-		return entries[view[lo+j]].pathQuery > key
-	})
-	return lo, hi
-}
-
-// cdxCountFrozen answers CDXCount from the frozen index: a binary-
-// search range width plus the O(#regions) bulk arithmetic.
-func (a *Archive) cdxCountFrozen(host string, q CDXQuery) int {
-	hi := a.byHost[host]
-	if hi == nil {
-		return 0
-	}
-	fz := a.index[host]
-	view := fz.sortedView(q.Status)
-	lo, up := prefixRange(hi.entries, view, q.PathPrefix)
-	n := up - lo
+// bulkCount is the number of the host's bulk rows q matches.
+func (r *hostRows) bulkCount(q CDXQuery) int {
+	n := 0
 	if q.Status == 0 || q.Status == 200 {
-		for _, r := range hi.bulk {
-			n += bulkMatchCount(r, q)
+		for i := 0; i < r.numBulk(); i++ {
+			n += bulkMatchCount(r.bulk(i), q)
 		}
 	}
 	return n
 }
 
-// countSelfFrozen answers countSelf (exact path, status 200) from the
-// 200 partition in O(log n).
-func (a *Archive) countSelfFrozen(host, pathQuery string) int {
-	hi := a.byHost[host]
-	if hi == nil {
+// count answers CDXCount: a binary-search range width plus the
+// O(#regions) bulk arithmetic.
+func (x *CDXIndex) count(host string, q CDXQuery) int {
+	var r hostRows
+	if !x.host(host, &r) {
 		return 0
 	}
-	fz := a.index[host]
-	lo, up := exactRange(hi.entries, fz.sortedByStatus[200], pathQuery)
-	return up - lo
+	lo, hi := r.prefixRange(r.run(q.Status), q.PathPrefix)
+	return hi - lo + r.bulkCount(q)
 }
 
-// cdxListFrozen answers CDXList from the frozen index. Output order
-// matches the mutable path exactly: explicit entries in insertion
-// order, then bulk regions. For prefix queries the matched range is
-// re-sorted back to insertion order — O(k log k) on the k matches
-// rather than O(n) on the host.
-func (a *Archive) cdxListFrozen(host string, q CDXQuery, limit int) []CDXEntry {
-	hi := a.byHost[host]
-	if hi == nil {
+// countSelf answers the exact-path, status-200 count in O(log n).
+func (x *CDXIndex) countSelf(host, pathQuery string) int {
+	var r hostRows
+	if !x.host(host, &r) {
+		return 0
+	}
+	run := r.run(200)
+	lo := r.search(run, 0, pathQuery, false, false)
+	return r.search(run, lo, pathQuery, true, false) - lo
+}
+
+// list answers CDXList. Output order matches the scan exactly:
+// explicit rows in insertion order, then bulk regions. A prefix match
+// is found in sorted order and re-sorted by rank — O(k log k) on the k
+// matches; without a prefix the ranks are walked in order until the
+// run's rows (or the limit) are emitted.
+func (x *CDXIndex) list(host string, q CDXQuery, limit int) []CDXEntry {
+	var r hostRows
+	if !x.host(host, &r) {
 		return nil
 	}
-	fz := a.index[host]
-
-	var sel []int32 // matched entry indexes in insertion order
-	if q.PathPrefix == "" {
-		if q.Status == 0 {
-			// Whole host: entries are already insertion-ordered; the
-			// index list for "all" is sortedAll re-sorted, so avoid it
-			// and synthesize the identity lazily below.
-			sel = nil
-		} else {
-			sel = fz.insByStatus[q.Status]
+	run := r.run(q.Status)
+	lo, hi := r.prefixRange(run, q.PathPrefix)
+	var ranks []int32
+	if q.PathPrefix != "" && hi > lo {
+		ranks = make([]int32, hi-lo)
+		for i := range ranks {
+			ranks[i] = int32(r.rank(r.at(run, lo+i)))
 		}
-	} else {
-		view := fz.sortedView(q.Status)
-		lo, up := prefixRange(hi.entries, view, q.PathPrefix)
-		if up > lo {
-			sel = make([]int32, up-lo)
-			copy(sel, view[lo:up])
-			slices.Sort(sel) // back to insertion order
-		}
+		slices.Sort(ranks)
 	}
-
-	nExplicit := len(sel)
-	wholeHost := q.PathPrefix == "" && q.Status == 0
-	if wholeHost {
-		nExplicit = len(hi.entries)
-	}
-	total := nExplicit
-	if q.Status == 0 || q.Status == 200 {
-		for _, r := range hi.bulk {
-			total += bulkMatchCount(r, q)
-		}
-	}
+	total := hi - lo + r.bulkCount(q)
 	if total == 0 {
 		return nil
 	}
 	out := make([]CDXEntry, 0, min(limit, total))
-
-	emit := func(idx int32) {
-		e := &hi.entries[idx]
-		out = append(out, CDXEntry{
-			URL:           fz.urls[idx],
-			Day:           e.day,
-			InitialStatus: e.initialStatus,
-		})
+	emit := func(pos int) {
+		out = append(out, CDXEntry{URL: r.url(pos), Day: r.day(pos), InitialStatus: r.status(pos)})
 	}
-	if wholeHost {
-		for i := 0; i < len(hi.entries) && len(out) < limit; i++ {
-			emit(int32(i))
+	if q.PathPrefix == "" {
+		for rank, want := 0, min(limit, run.n); rank < r.n && len(out) < want; rank++ {
+			if pos := r.pos(rank); q.Status == 0 || r.status(pos) == q.Status {
+				emit(pos)
+			}
 		}
 	} else {
-		for _, idx := range sel {
-			if len(out) >= limit {
-				break
-			}
-			emit(idx)
+		for _, rank := range ranks[:min(limit, len(ranks))] {
+			emit(r.pos(int(rank)))
 		}
 	}
 	if q.Status == 0 || q.Status == 200 {
-		for _, r := range hi.bulk {
-			if len(out) >= limit {
-				break
-			}
-			out = appendBulk(out, r, q, limit)
+		for i := 0; i < r.numBulk() && len(out) < limit; i++ {
+			out = appendBulk(out, r.bulk(i), q, limit)
 		}
 	}
 	return out
 }
 
-// findQueryPermutationFrozen answers FindQueryPermutation with a map
-// probe: candidates sharing the canonical query key are precomputed,
-// so only they — typically zero or one — are normalized per call.
-func (a *Archive) findQueryPermutationFrozen(host, want, self string) (string, bool) {
-	hi := a.byHost[host]
-	if hi == nil {
+// lookup binary-searches n name-sorted 16-byte {name ref, start,
+// count} entries at table in b for name and returns the entry's extent
+// (0, 0 when absent, or when the extent overruns limit).
+func (x *CDXIndex) lookup(b []byte, table, n int, name string, limit int) (start, count int) {
+	i := sort.Search(n, func(i int) bool { return x.str(b, table+16*i) >= name })
+	if i == n || x.str(b, table+16*i) != name {
+		return 0, 0
+	}
+	if start, count = u32(b, table+16*i+8), u32(b, table+16*i+12); start+count > limit {
+		return 0, 0
+	}
+	return start, count
+}
+
+// findPermutation answers FindQueryPermutation with one group lookup:
+// only the candidates sharing the canonical query key — typically zero
+// or one — are normalized.
+func (x *CDXIndex) findPermutation(host, want, self string) (string, bool) {
+	var r hostRows
+	if !x.host(host, &r) {
 		return "", false
 	}
-	fz := a.index[host]
-	for _, idx := range fz.queryKeys[want] {
-		cand := fz.urls[idx]
-		if urlutil.Normalize(cand) == self {
-			continue
+	table, n, ranks, numRanks, _ := r.keys()
+	start, count := x.lookup(x.s.Aux, table, n, want, numRanks)
+	for j := start; j < start+count; j++ {
+		if cand := r.url(r.pos(r.row(u32(x.s.Aux, ranks+4*j)))); urlutil.Normalize(cand) != self {
+			return cand, true
 		}
-		return cand, true
 	}
 	return "", false
 }
 
-// domainHostsFrozen returns the sorted hosts under a registrable
-// domain from the freeze-time map.
-func (a *Archive) domainHostsFrozen(domain string) []string {
-	return a.domains[domain]
+// domainHosts returns the sorted hosts under a registrable domain.
+func (x *CDXIndex) domainHosts(domain string) []string {
+	d := x.s.Domains
+	start, n := x.lookup(d, 4, x.numDomains, domain, (len(d)-x.domIdx)/4)
+	if n == 0 {
+		return nil
+	}
+	hosts := make([]string, n)
+	for j := range hosts {
+		if rec := u32(d, x.domIdx+4*(start+j)); rec < x.numHosts {
+			hosts[j] = x.hostName(rec)
+		}
+	}
+	return hosts
+}
+
+// hosts returns every indexed hostname, sorted.
+func (x *CDXIndex) hosts() []string {
+	hs := make([]string, x.numHosts)
+	for i := range hs {
+		hs[i] = x.hostName(i)
+	}
+	return hs
+}
+
+// eachBulk calls fn for every bulk region, host by host.
+func (x *CDXIndex) eachBulk(fn func(BulkRegion)) {
+	var r hostRows
+	for rec := 0; rec < x.numHosts; rec++ {
+		if x.rows(rec, &r) == nil {
+			for i := 0; i < r.numBulk(); i++ {
+				fn(r.bulk(i))
+			}
+		}
+	}
+}
+
+// --- building ---------------------------------------------------------
+
+// cdxBuilder appends the sections; ref interns each string into the
+// arena once, at its first reference.
+type cdxBuilder struct {
+	hosts, data, aux, bulk []byte
+	arena                  []byte
+	idx                    map[string]int
+}
+
+func (b *cdxBuilder) ref(dst []byte, s string) []byte {
+	off, ok := b.idx[s]
+	if !ok && s != "" {
+		off = len(b.arena)
+		b.arena = append(b.arena, s...)
+		b.idx[s] = off
+	}
+	return app32(dst, off, len(s))
+}
+
+func pad8(b []byte) []byte {
+	for len(b)%8 != 0 {
+		b = append(b, 0)
+	}
+	return b
+}
+
+func app32(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// eachRun calls fn once per maximal run of xs sharing key(x), in
+// order; xs must be sorted by key.
+func eachRun[T any, K comparable](xs []T, key func(T) K, fn func(k K, start, n int)) {
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && key(xs[j]) == key(xs[i]) {
+			j++
+		}
+		fn(key(xs[i]), i, j-i)
+		i = j
+	}
+}
+
+// buildIndexLocked builds the CDX index and the capture prefilter.
+// Caller holds the write lock; the archive is not yet marked frozen.
+func (a *Archive) buildIndexLocked() {
+	b := &cdxBuilder{arena: []byte{0}, idx: make(map[string]int)}
+	x := &CDXIndex{byName: make(map[string]int, len(a.byHost))}
+	names := make([]string, 0, len(a.byHost))
+	for h := range a.byHost {
+		names = append(names, h)
+	}
+	sort.Strings(names)
+	for rec, h := range names {
+		x.byName[h] = rec
+		x.urls = append(x.urls, b.addHost(h, a.byHost[h]))
+	}
+
+	type hostDomain struct {
+		domain string
+		rec    int
+	}
+	hds := make([]hostDomain, len(names))
+	for rec, h := range names {
+		hds[rec] = hostDomain{urlutil.DomainOfHost(h), rec}
+	}
+	slices.SortStableFunc(hds, func(p, q hostDomain) int { return strings.Compare(p.domain, q.domain) })
+	var table, idx []byte
+	n := 0
+	eachRun(hds, func(hd hostDomain) string { return hd.domain }, func(d string, start, count int) {
+		table = app32(b.ref(table, d), start, count)
+		n++
+	})
+	for _, hd := range hds {
+		idx = app32(idx, hd.rec)
+	}
+
+	x.s = CDXSections{
+		Hosts: b.hosts, Data: b.data, Aux: b.aux, Bulk: b.bulk,
+		Domains: append(append(app32(nil, n), table...), idx...),
+		Arena:   string(b.arena),
+	}
+	x.numHosts, x.numBulk, x.numDomains, x.domIdx = len(names), len(b.bulk)/bulkRecSize, n, 4+16*n
+	a.cdx = x
+	a.buildPrefilterLocked()
+}
+
+// addHost appends one host's rows, aux blob, bulk regions and record,
+// and returns its row URLs by sorted position.
+func (b *cdxBuilder) addHost(host string, hi *hostIndex) []string {
+	entries := hi.entries
+	n := len(entries)
+	rank := make([]int, n) // sorted position → insertion rank
+	for i := range rank {
+		rank[i] = i
+	}
+	sort.Slice(rank, func(p, q int) bool {
+		ep, eq := &entries[rank[p]], &entries[rank[q]]
+		if ep.pathQuery != eq.pathQuery {
+			return ep.pathQuery < eq.pathQuery
+		}
+		if ep.day != eq.day {
+			return ep.day < eq.day
+		}
+		return rank[p] < rank[q]
+	})
+	pos := make([]int, n)
+	for p, rk := range rank {
+		pos[rk] = p
+	}
+	row := func(p int) *cdxRecord { return &entries[rank[p]] }
+
+	// One builder holds every row URL; the per-row strings are
+	// substrings of its single backing allocation.
+	var ub strings.Builder
+	offs := make([]int, n+1)
+	for p := range rank {
+		ub.WriteString("http://")
+		ub.WriteString(host)
+		ub.WriteString(row(p).pathQuery)
+		offs[p+1] = ub.Len()
+	}
+	backing := ub.String()
+	urls := make([]string, n)
+	for p := range urls {
+		urls[p] = backing[offs[p]:offs[p+1]]
+	}
+
+	b.data = pad8(b.data)
+	rowBase := len(b.data)
+	var lens []byte
+	for p := range rank {
+		ref := b.ref(nil, row(p).pathQuery)
+		b.data, lens = append(b.data, ref[:4]...), append(lens, ref[4:]...)
+	}
+	b.data = append(b.data, lens...)
+	for p := range rank {
+		b.data = app32(b.data, int(row(p).day))
+	}
+	for p := range rank {
+		b.data = le.AppendUint16(b.data, uint16(row(p).initialStatus))
+	}
+	if n%2 == 1 {
+		b.data = le.AppendUint16(b.data, 0)
+	}
+	b.data = app32(app32(b.data, rank...), pos...)
+
+	// Status partitions: the sorted positions, stably grouped by status.
+	parts := make([]int, n)
+	for p := range parts {
+		parts[p] = p
+	}
+	status := func(p int) int { return row(p).initialStatus }
+	slices.SortStableFunc(parts, func(p, q int) int { return cmp.Compare(status(p), status(q)) })
+	var table []byte
+	numParts := 0
+	eachRun(parts, status, func(st, start, count int) {
+		table = app32(table, st, start, count)
+		numParts++
+	})
+	b.aux = pad8(b.aux)
+	auxBase := len(b.aux)
+	b.aux = app32(append(app32(b.aux, numParts), table...), parts...)
+
+	// Query-key groups: the query-bearing ranks, stably grouped by key.
+	type keyed struct {
+		key  string
+		rank int
+	}
+	var ks []keyed
+	for rk := range entries {
+		if strings.ContainsRune(entries[rk].pathQuery, '?') {
+			ks = append(ks, keyed{urlutil.CanonicalQueryKey(urls[pos[rk]]), rk})
+		}
+	}
+	slices.SortStableFunc(ks, func(p, q keyed) int { return strings.Compare(p.key, q.key) })
+	table = table[:0]
+	numKeys := 0
+	eachRun(ks, func(k keyed) string { return k.key }, func(key string, start, count int) {
+		table = app32(b.ref(table, key), start, count)
+		numKeys++
+	})
+	b.aux = append(app32(b.aux, numKeys), table...)
+	for _, k := range ks {
+		b.aux = app32(b.aux, k.rank)
+	}
+
+	bulkStart := len(b.bulk) / bulkRecSize
+	for _, r := range hi.bulk {
+		b.bulk = app32(b.ref(b.bulk, r.DirPrefix), r.Count, int(r.FirstDay), int(r.LastDay), 0)
+		b.bulk = le.AppendUint64(b.bulk, r.Seed)
+	}
+
+	b.hosts = le.AppendUint64(b.ref(b.hosts, host), uint64(rowBase))
+	b.hosts = le.AppendUint64(app32(b.hosts, n, bulkStart, len(hi.bulk), 0), uint64(auxBase))
+	b.hosts = app32(b.hosts, len(b.aux)-auxBase, 0)
+	return urls
+}
+
+// ExportCDX returns the frozen in-memory CDX index as its sections,
+// with every string they reference and its arena offset, so a
+// serialiser can append further strings to the same arena and still
+// store each string once. It freezes the archive first. Store-backed
+// archives cannot export (copy the paged file instead).
+func (a *Archive) ExportCDX() (CDXSections, map[string]uint32) {
+	if a.store != nil {
+		panic("archive: ExportCDX on a store-backed archive")
+	}
+	a.Freeze()
+	x := a.cdx
+	refs := make(map[string]uint32)
+	ref := func(b []byte, off int) {
+		if s := x.str(b, off); s != "" {
+			refs[s] = uint32(u32(b, off))
+		}
+	}
+	for rec := 0; rec < x.numHosts; rec++ {
+		ref(x.s.Hosts, rec*CDXHostRecSize)
+		var r hostRows
+		_ = x.rows(rec, &r) // Freeze's own records fit
+		for p := 0; p < r.n; p++ {
+			refs[r.path(p)] = uint32(u32(x.s.Data, r.data+4*p))
+		}
+		table, n, _, _, _ := r.keys()
+		for i := 0; i < n; i++ {
+			ref(x.s.Aux, table+16*i)
+		}
+	}
+	for i := 0; i < x.numBulk; i++ {
+		ref(x.s.Bulk, i*bulkRecSize)
+	}
+	for i := 0; i < x.numDomains; i++ {
+		ref(x.s.Domains, 4+16*i)
+	}
+	delete(refs, "")
+	return x.s, refs
 }

@@ -214,3 +214,31 @@ func TestCDXListFrozenAllocs(t *testing.T) {
 		t.Errorf("whole-host CDXList allocs/op = %.1f, want <= 1", allocs)
 	}
 }
+
+// TestCDXIndexAllocs pins the index queries that allocate nothing on
+// the in-memory backing: counts, the self-capture count, and a
+// query-key miss. A status-only listing walks ranks in order and needs
+// only its output slice. internal/persist pins the paged backing.
+func TestCDXIndexAllocs(t *testing.T) {
+	a := New()
+	for i := 0; i < 2000; i++ {
+		a.Add(snap(fmt.Sprintf("http://alloc.simtest/dir%d/p%04d.html", i%8, i), 10+i%900, 200))
+	}
+	a.Add(snap("http://alloc.simtest/v?b=1&a=2", 10, 200))
+	a.Freeze()
+	for _, c := range []struct {
+		name string
+		fn   func()
+		max  float64
+	}{
+		{"CDXCount", func() { a.CDXCount(CDXQuery{Host: "alloc.simtest", PathPrefix: "/dir3/", Status: 200}) }, 0},
+		{"countSelf", func() { a.countSelf("alloc.simtest", "/dir3/p0003.html") }, 0},
+		{"CountInDirectory", func() { a.CountInDirectory("http://alloc.simtest/dir3/p0003.html") }, 0},
+		{"findPermutation miss", func() { a.cdx.findPermutation("alloc.simtest", "alloc.simtest/v?c=1", "self") }, 0},
+		{"status-only CDXList", func() { a.CDXList(CDXQuery{Host: "alloc.simtest", Status: 200, Limit: 100}) }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
+			t.Errorf("%s allocs/op = %.1f, want <= %.0f", c.name, got, c.max)
+		}
+	}
+}

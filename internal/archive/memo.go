@@ -108,9 +108,6 @@ func (m *Memo) Stats() MemoStats {
 	}
 }
 
-// EntryCap returns the per-map entry bound (0 = unbounded).
-func (m *Memo) EntryCap() int { return m.cap }
-
 // lookup runs the double-checked read-compute-store cycle shared by
 // every memoized query.
 func memoGet[K comparable, V any](m *Memo, cache map[K]V, key K, compute func() V) V {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func coverageFixture() *Archive {
@@ -143,10 +144,6 @@ func TestDomainURLsTruncation(t *testing.T) {
 	if truncated || len(urls) != 10 {
 		t.Errorf("limit above count: got %d urls, truncated=%v", len(urls), truncated)
 	}
-	// ArchivedURLsUnderDomain keeps its historical shape.
-	if got := a.ArchivedURLsUnderDomain("big.simtest", 4); len(got) != 4 {
-		t.Errorf("ArchivedURLsUnderDomain = %d urls", len(got))
-	}
 }
 
 // TestFrozenArchiveConcurrentReads hammers a frozen archive (and a
@@ -214,7 +211,7 @@ func TestWriteAfterFreezePanics(t *testing.T) {
 		{"AddBulkCoverage", func(a *Archive) {
 			a.AddBulkCoverage(BulkRegion{Host: "x.simtest", DirPrefix: "/a/", Count: 5, FirstDay: d(10), LastDay: d(20)})
 		}},
-		{"SetLookupLatencyKey", func(a *Archive) { a.SetLookupLatencyKey("x", 100) }},
+		{"SetLookupLatency", func(a *Archive) { a.SetLookupLatency("http://x.simtest/p", time.Second) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -242,9 +239,6 @@ func TestMemoEntryCap(t *testing.T) {
 
 	const cap = 8
 	m := NewMemoCapped(a, cap)
-	if m.EntryCap() != cap {
-		t.Fatalf("EntryCap() = %d, want %d", m.EntryCap(), cap)
-	}
 	for i := 0; i < 32; i++ {
 		q := CDXQuery{Host: fmt.Sprintf("h%02d.simtest", 10+i), Status: 200}
 		if got, want := m.CDXCount(q), a.CDXCount(q); got != want {

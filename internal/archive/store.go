@@ -3,20 +3,14 @@ package archive
 import (
 	"sort"
 	"time"
-
-	"permadead/internal/simclock"
 )
 
 // Store is the read-side backing a frozen Archive can serve from
 // instead of its in-memory maps — the seam the paged on-disk universe
-// format (internal/persist format v4, DESIGN.md §3.6) plugs into. A
-// Store answers exactly the queries the freeze-time indexes answer
-// (index.go), with the same ordering contracts:
-//
-//   - CDXList emits explicit rows in capture-insertion order, then
-//     bulk-region rows;
-//   - Snapshots returns per-key captures oldest-first;
-//   - FindQueryPermutation scans candidates in insertion order.
+// format (internal/persist format v4, DESIGN.md §3.6) plugs into.
+// Snapshots returns per-key captures oldest-first, as the in-memory
+// map does; CDX queries run the one set of index queries (index.go)
+// over the store's CDX sections.
 //
 // Implementations must be safe for concurrent readers; a store-backed
 // Archive is born frozen, so every read is lock-free and every write
@@ -28,19 +22,9 @@ type Store interface {
 	Snapshots(key string) []Snapshot
 	// TotalSnapshots is the number of explicit snapshots stored.
 	TotalSnapshots() int
-	// Hosts returns every hostname with explicit or bulk coverage,
-	// sorted.
-	Hosts() []string
-
-	// CDXCount/CDXList/CountSelf/FindQueryPermutation mirror the
-	// frozen-index queries; host is already lowercased.
-	CDXCount(host string, q CDXQuery) int
-	CDXList(host string, q CDXQuery, limit int) []CDXEntry
-	CountSelf(host, pathQuery string) int
-	FindQueryPermutation(host, want, self string) (string, bool)
-	// DomainHosts returns the sorted hostnames under a registrable
-	// domain.
-	DomainHosts(domain string) []string
+	// CDXIndex is the store's CDX index (OpenCDX over its sections),
+	// which also answers Hosts and EachBulkRegion.
+	CDXIndex() *CDXIndex
 
 	// LookupLatencyMS returns the availability-lookup latency override
 	// for a key, if one exists.
@@ -53,7 +37,6 @@ type Store interface {
 
 	// Bulk enumeration, used by re-saves and coverage analyses.
 	EachSnapshot(fn func(Snapshot))
-	EachBulkRegion(fn func(BulkRegion))
 	EachLookupLatency(fn func(key string, ms int))
 }
 
@@ -62,6 +45,7 @@ type Store interface {
 func NewFromStore(st Store) *Archive {
 	a := New()
 	a.store = st
+	a.cdx = st.CDXIndex()
 	if words, keys := st.PrefilterBits(); len(words) > 0 {
 		a.prefilter = &capturePrefilter{
 			bits: words,
@@ -79,40 +63,6 @@ func NewFromStore(st Store) *Archive {
 func (a *Archive) StoreBacked() bool { return a.store != nil }
 
 // --- export hooks for persisting an in-memory archive ---
-
-// CDXRow is one host-index row as persisted: the row's path?query
-// part, capture day, and initial status. Rows are exported in
-// capture-insertion order, the order CDXList reproduces.
-type CDXRow struct {
-	PathQuery     string
-	Day           simclock.Day
-	InitialStatus int
-}
-
-// ExportCDX calls fn once per host, in sorted hostname order, with the
-// host's explicit index rows in capture-insertion order and its bulk
-// regions in attachment order. It is the persistence export of the CDX
-// side of the archive; store-backed archives cannot export (copy the
-// paged file instead).
-func (a *Archive) ExportCDX(fn func(host string, rows []CDXRow, bulk []BulkRegion)) {
-	if a.store != nil {
-		panic("archive: ExportCDX on a store-backed archive")
-	}
-	defer a.rlock()()
-	hosts := make([]string, 0, len(a.byHost))
-	for h := range a.byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		hi := a.byHost[h]
-		rows := make([]CDXRow, len(hi.entries))
-		for i, e := range hi.entries {
-			rows[i] = CDXRow{PathQuery: e.pathQuery, Day: e.day, InitialStatus: e.initialStatus}
-		}
-		fn(h, rows, hi.bulk)
-	}
-}
 
 // EachSnapshotsByKey calls fn once per scheme-agnostic URL key, in
 // sorted key order, with the key's snapshots oldest-first. It is the
@@ -140,17 +90,6 @@ func (a *Archive) PrefilterBits() (words []uint64, keys int) {
 		return nil, 0
 	}
 	return f.bits, f.keys
-}
-
-// BulkMatchCount reports how many of a bulk region's entries match the
-// query — exported so on-disk Store implementations share the exact
-// bulk arithmetic the in-memory paths use.
-func BulkMatchCount(r BulkRegion, q CDXQuery) int { return bulkMatchCount(r, q) }
-
-// AppendBulkEntries materializes a bulk region's matching rows onto
-// out, up to limit — the enumeration counterpart of BulkMatchCount.
-func AppendBulkEntries(out []CDXEntry, r BulkRegion, q CDXQuery, limit int) []CDXEntry {
-	return appendBulk(out, r, q, limit)
 }
 
 // --- store-backed dispatch -----------------------------------------

@@ -40,10 +40,6 @@ type arena struct {
 	idx map[string]uint32
 }
 
-func newArena() *arena {
-	return &arena{idx: make(map[string]uint32)}
-}
-
 // ref interns s and returns its reference. The empty string is
 // (0, 0).
 func (a *arena) ref(s string) (off, ln uint32) {

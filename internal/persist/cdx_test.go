@@ -1,0 +1,321 @@
+package persist
+
+import (
+	"bytes"
+	"fmt"
+	"hash/crc64"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"permadead/internal/archive"
+	"permadead/internal/simclock"
+	"permadead/internal/simweb"
+	"permadead/internal/urlutil"
+	"permadead/internal/wikimedia"
+)
+
+// cdxWorld adds one randomized capture history to every archive in as:
+// hosts sharing registrable domains, directories, paths repeated on
+// different days, five initial statuses, query strings in permuted
+// orders, and bulk regions. It returns the hosts and paths it used.
+func cdxWorld(rng *rand.Rand, as ...*archive.Archive) (hosts, paths []string) {
+	for d := 0; d < 2+rng.Intn(4); d++ {
+		domain := fmt.Sprintf("dom%d.simtest", d)
+		for _, sub := range []string{"", "www.", "news.", "blog."}[:1+rng.Intn(4)] {
+			hosts = append(hosts, sub+domain)
+		}
+	}
+	dirs := []string{"/", "/a/", "/a/b/", "/ab/", "/news/2014/", "/x/"}
+	leaves := []string{"p.html", "q.html", "r", "item?b=2&a=1", "item?a=1&b=2", "item?a=1&c=3", ""}
+	statuses := []int{200, 200, 200, 404, 301, 302, 503}
+	for i := 0; i < 50+rng.Intn(150); i++ {
+		host := hosts[rng.Intn(len(hosts))]
+		path := dirs[rng.Intn(len(dirs))] + leaves[rng.Intn(len(leaves))]
+		paths = append(paths, path)
+		s := archive.Snapshot{
+			URL:           "http://" + host + path,
+			Day:           simclock.Day(rng.Intn(5000)),
+			InitialStatus: statuses[rng.Intn(len(statuses))],
+			FinalStatus:   200,
+		}
+		for _, a := range as {
+			a.Add(s)
+		}
+	}
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		r := archive.BulkRegion{
+			Host:      hosts[rng.Intn(len(hosts))],
+			DirPrefix: dirs[rng.Intn(len(dirs))],
+			Count:     1 + rng.Intn(500),
+			FirstDay:  100, LastDay: 4000,
+			Seed: rng.Uint64(),
+		}
+		for _, a := range as {
+			a.AddBulkCoverage(r)
+		}
+	}
+	return hosts, paths
+}
+
+// savedArchive saves a as a paged file's bytes, with an empty world
+// and wiki.
+func savedArchive(t testing.TB, a *archive.Archive) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SavePaged(&buf, &Bundle{World: simweb.NewWorld(), Wiki: wikimedia.NewWiki(), Archive: a}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPagedIndexMatchesNaiveScan is the paged backing's differential:
+// randomized worlds, saved and reopened, must answer every CDX query
+// kind exactly as the mutable archive's linear scan does — the scan
+// the in-memory index is held to in internal/archive.
+func TestPagedIndexMatchesNaiveScan(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			naive, saved := archive.New(), archive.New()
+			hosts, paths := cdxWorld(rng, naive, saved)
+			b, err := Load(bytes.NewReader(savedArchive(t, saved)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pa := b.Archive
+
+			for i := 0; i < 200; i++ {
+				q := archive.CDXQuery{Host: hosts[rng.Intn(len(hosts))]}
+				switch rng.Intn(4) {
+				case 1:
+					q.PathPrefix = []string{"/", "/a", "/a/", "/a/b/", "/news/2014/", "/missing/"}[rng.Intn(6)]
+				case 2:
+					q.PathPrefix = paths[rng.Intn(len(paths))]
+				case 3: // a prefix cut mid-segment
+					p := paths[rng.Intn(len(paths))]
+					q.PathPrefix = p[:1+rng.Intn(len(p))]
+				}
+				q.Status = []int{0, 0, 200, 404, 301, 302, 503, 418}[rng.Intn(8)]
+				if rng.Intn(3) == 0 {
+					q.Limit = 1 + rng.Intn(40)
+				}
+				if got, want := pa.CDXCount(q), naive.CDXCount(q); got != want {
+					t.Errorf("CDXCount(%+v) = %d, want %d", q, got, want)
+				}
+				if got, want := pa.CDXList(q), naive.CDXList(q); !reflect.DeepEqual(got, want) {
+					t.Errorf("CDXList(%+v):\n got %v\nwant %v", q, got, want)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				url := "http://" + hosts[rng.Intn(len(hosts))] + paths[rng.Intn(len(paths))]
+				if got, want := pa.CountInDirectory(url), naive.CountInDirectory(url); got != want {
+					t.Errorf("CountInDirectory(%s) = %d, want %d", url, got, want)
+				}
+				if got, want := pa.CountOnHostname(url), naive.CountOnHostname(url); got != want {
+					t.Errorf("CountOnHostname(%s) = %d, want %d", url, got, want)
+				}
+				probe := "http://" + hosts[rng.Intn(len(hosts))] + []string{
+					"/a/item?a=1&b=2", "/a/item?b=2&a=1", "/x/item?c=3&a=1", "/news/2014/item?a=1&c=3", "/a/b/p.html",
+				}[rng.Intn(5)]
+				gu, gok := pa.FindQueryPermutation(probe)
+				wu, wok := naive.FindQueryPermutation(probe)
+				if gu != wu || gok != wok {
+					t.Errorf("FindQueryPermutation(%s) = %q/%v, want %q/%v", probe, gu, gok, wu, wok)
+				}
+			}
+			for _, h := range append(hosts, "none.simtest") {
+				d := urlutil.DomainOfHost(h)
+				limit := 1 + rng.Intn(80)
+				gu, gt := pa.DomainURLs(d, limit)
+				wu, wt := naive.DomainURLs(d, limit)
+				if gt != wt || !reflect.DeepEqual(gu, wu) {
+					t.Errorf("DomainURLs(%s, %d) = %v/%v, want %v/%v", d, limit, gu, gt, wu, wt)
+				}
+			}
+		})
+	}
+}
+
+// sectionAt returns the file bytes of one section (aliasing data).
+func sectionAt(data []byte, kind int) []byte {
+	base := superblockSize + kind*dirEntrySize
+	off, length := rdU64(data, base+8), rdU64(data, base+16)
+	return data[off : off+length]
+}
+
+// rechecksum rewrites one section's directory CRC after an edit.
+func rechecksum(data []byte, kind int) {
+	le.PutUint64(data[superblockSize+kind*dirEntrySize+24:], crc64.Checksum(sectionAt(data, kind), crcTable))
+}
+
+// exerciseCDX runs every CDX query kind on hosts, on prefixes and URLs
+// taken from their rows, and on their domains. It checks nothing: on a
+// damaged file the answers may be wrong, but each call must return.
+func exerciseCDX(a *archive.Archive, hosts []string) {
+	for _, h := range hosts {
+		urls := []string{"http://" + h + "/a/item?a=1&b=2"}
+		for _, e := range a.CDXList(archive.CDXQuery{Host: h, Limit: 4}) {
+			urls = append(urls, e.URL)
+		}
+		for _, u := range urls {
+			for _, st := range []int{0, 200, 404} {
+				for _, pre := range []string{"", urlutil.Directory(u), strings.TrimPrefix(u, "http://"+h)} {
+					q := archive.CDXQuery{Host: h, PathPrefix: pre, Status: st, Limit: 20}
+					a.CDXCount(q)
+					a.CDXList(q)
+				}
+			}
+			a.CountInDirectory(u)
+			a.CountOnHostname(u)
+			a.FindQueryPermutation(u)
+		}
+		a.DomainURLs(urlutil.DomainOfHost(h), 50)
+	}
+}
+
+// TestPagedCDXRejectsDamagedHostRecords damages every cdxhosts record
+// three ways — its row count, its aux length, its bulk range — and
+// re-checksums the section, so only the record-extent checks can
+// notice. Serving opens without VerifyPaged, so every CDX query must
+// still return; VerifyPaged must fail naming cdxhosts.
+func TestPagedCDXRejectsDamagedHostRecords(t *testing.T) {
+	a := archive.New()
+	cdxWorld(rand.New(rand.NewSource(7)), a)
+	clean := savedArchive(t, a)
+	hosts := a.Hosts()
+
+	for _, c := range []struct {
+		name  string
+		field int // byte offset within the 48-byte record
+		value uint32
+	}{
+		{"row count", 16, 1 << 20},
+		{"aux length", 40, 1 << 20},
+		{"bulk range", 24, 1 << 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data := bytes.Clone(clean)
+			for rec := 0; rec < len(hosts); rec++ {
+				le.PutUint32(sectionAt(data, secCDXHosts)[rec*archive.CDXHostRecSize+c.field:], c.value)
+			}
+			rechecksum(data, secCDXHosts)
+
+			b, err := Load(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			exerciseCDX(b.Archive, hosts)
+			if n := b.Archive.CDXCount(archive.CDXQuery{Host: hosts[0]}); n != 0 {
+				t.Errorf("damaged host answered CDXCount = %d, want 0 (absent)", n)
+			}
+
+			path := filepath.Join(t.TempDir(), "bad.pduniv")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = VerifyPaged(path)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", sectionNames[secCDXHosts])) {
+				t.Errorf("VerifyPaged = %v, want an error naming %q", err, sectionNames[secCDXHosts])
+			}
+		})
+	}
+}
+
+// fuzzedSections are the sections FuzzPagedCDX rewrites.
+var fuzzedSections = []int{secCDXHosts, secCDXData, secCDXAux, secBulk, secDomains}
+
+// FuzzPagedCDX rewrites bytes inside the CDX sections of a small saved
+// archive — each 6-byte group of ops picks a section, an offset and a
+// byte — then opens the result and runs every CDX query kind on the
+// hosts it names. The result must be answers or an open error, never a
+// panic or a hang.
+func FuzzPagedCDX(f *testing.F) {
+	a := archive.New()
+	cdxWorld(rand.New(rand.NewSource(3)), a)
+	clean := savedArchive(f, a)
+
+	f.Add([]byte{})
+	for i, kind := range fuzzedSections {
+		sec := sectionAt(clean, kind)
+		f.Add([]byte{byte(i), 16, 0, 0, 0, 0xff})
+		f.Add([]byte{byte(i), byte(len(sec) / 2), byte(len(sec) / 512), 0, 0, 0x7f})
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		data := bytes.Clone(clean)
+		for ; len(ops) >= 6; ops = ops[6:] {
+			sec := sectionAt(data, fuzzedSections[int(ops[0])%len(fuzzedSections)])
+			if len(sec) > 0 {
+				sec[int(le.Uint32(ops[1:5]))%len(sec)] = ops[5]
+			}
+		}
+		b, err := openPagedBytes(data, nil)
+		if err != nil {
+			return
+		}
+		hosts := b.Archive.Hosts()
+		if len(hosts) > 8 {
+			hosts = hosts[:8]
+		}
+		exerciseCDX(b.Archive, hosts)
+	})
+}
+
+// TestPagedCDXAllocs is the paged twin of TestCDXListFrozenAllocs: the
+// per-call allocations of the CDX queries on a paged archive. Counts,
+// coverage counts and index misses allocate nothing; a listing costs
+// its match ranks, its output and one URL per row (the paged file
+// stores paths, not URLs), as the parent's paged store did.
+func TestPagedCDXAllocs(t *testing.T) {
+	mem := archive.New()
+	saved := archive.New()
+	for _, a := range []*archive.Archive{mem, saved} {
+		for i := 0; i < 2000; i++ {
+			a.Add(archive.Snapshot{URL: fmt.Sprintf("http://alloc.simtest/dir%d/p%04d.html", i%8, i), Day: simclock.Day(10 + i%900), InitialStatus: 200, FinalStatus: 200})
+		}
+		a.Add(archive.Snapshot{URL: "http://alloc.simtest/v?b=1&a=2", Day: 10, InitialStatus: 200, FinalStatus: 200})
+	}
+	mem.Freeze()
+	b, err := Load(bytes.NewReader(savedArchive(t, saved)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := b.Archive
+
+	url := "http://alloc.simtest/dir3/p0003.html"
+	miss := "http://alloc.simtest/v?c=1"
+	for _, c := range []struct {
+		name string
+		fn   func(a *archive.Archive)
+		max  float64
+	}{
+		{"CDXCount", func(a *archive.Archive) {
+			a.CDXCount(archive.CDXQuery{Host: "alloc.simtest", PathPrefix: "/dir3/", Status: 200})
+		}, 0},
+		{"CountInDirectory", func(a *archive.Archive) { a.CountInDirectory(url) }, 0},
+		{"CountOnHostname", func(a *archive.Archive) { a.CountOnHostname(url) }, 0},
+		{"CDXList prefix", func(a *archive.Archive) {
+			a.CDXList(archive.CDXQuery{Host: "alloc.simtest", PathPrefix: "/dir3/", Status: 200, Limit: 100})
+		}, 102},
+		{"CDXList whole host", func(a *archive.Archive) { a.CDXList(archive.CDXQuery{Host: "alloc.simtest", Limit: 100}) }, 101},
+		{"CDXList status", func(a *archive.Archive) { a.CDXList(archive.CDXQuery{Host: "alloc.simtest", Status: 200, Limit: 100}) }, 102},
+	} {
+		if got := testing.AllocsPerRun(100, func() { c.fn(pa) }); got > c.max {
+			t.Errorf("paged %s allocs/op = %.1f, want <= %.0f", c.name, got, c.max)
+		}
+	}
+
+	// A FindQueryPermutation miss allocates only in urlutil's
+	// canonicalisation of the probe, on either backing: the paged index
+	// adds nothing to what the in-memory one (0, pinned in
+	// internal/archive) does.
+	fqp := func(a *archive.Archive) float64 {
+		return testing.AllocsPerRun(100, func() { a.FindQueryPermutation(miss) })
+	}
+	if got, want := fqp(pa), fqp(mem); got != want {
+		t.Errorf("paged FindQueryPermutation miss allocs/op = %.1f, in-memory %.1f", got, want)
+	}
+}

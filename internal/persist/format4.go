@@ -64,8 +64,6 @@ var sectionNames = [numSections]string{
 // Fixed record sizes (bytes). Changing any layout is a format-version
 // bump, not a silent re-interpretation.
 const (
-	cdxHostRecSize = 48
-	bulkRecSize    = 32
 	snapKeyRecSize = 16
 	snapRowRecSize = 40
 	latencyRecSize = 16

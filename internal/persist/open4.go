@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"unsafe"
 
 	"permadead/internal/archive"
 	"permadead/internal/simweb"
@@ -52,10 +53,11 @@ func OpenPaged(path string) (*Bundle, error) {
 
 // VerifyPaged checks a format-v4 file end to end: superblock and
 // directory sanity, section bounds, per-section CRC-64 checksums,
-// record-level structure, and a full decode of every site record
-// against the length its directory entry recorded. The returned error
-// names the first failing section. It reads the whole file — 'inspect
-// -load' runs it; the serving startup path does not.
+// record-level structure, the extents of every cdxhosts record, and a
+// full decode of every site record against the length its directory
+// entry recorded. The returned error names the first failing section.
+// It reads the whole file — 'inspect -load' runs it; the serving
+// startup path does not.
 func VerifyPaged(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -87,6 +89,9 @@ func VerifyPaged(path string) error {
 	p, err := newPagedStore(sec)
 	if err != nil {
 		return err
+	}
+	if err := p.cdx.Verify(); err != nil {
+		return fmt.Errorf("persist: %w", err)
 	}
 	for i := 0; i < p.numSites; i++ {
 		if _, err := p.siteAt(i, p.siteHostAt(i)); err != nil {
@@ -182,21 +187,27 @@ func parseSections(data []byte) ([numSections][]byte, error) {
 
 // newPagedStore validates record-level structure (counts and fixed
 // record sizes — cheap arithmetic, no row reads) and builds the store.
+// Per-host CDX extents are checked when a query reads the host
+// (archive.OpenCDX), so opening does no per-host work.
 func newPagedStore(sec [numSections][]byte) (*pagedStore, error) {
 	p := &pagedStore{sec: sec}
+	if a := sec[secArena]; len(a) > 0 {
+		p.arena = unsafe.String(&a[0], len(a))
+	}
+	cdx, err := archive.OpenCDX(archive.CDXSections{
+		Hosts: sec[secCDXHosts], Data: sec[secCDXData], Aux: sec[secCDXAux],
+		Bulk: sec[secBulk], Domains: sec[secDomains], Arena: p.arena,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	p.cdx = cdx
 
 	recs := func(kind, recSize int) (int, error) {
 		if len(sec[kind])%recSize != 0 {
 			return 0, fmt.Errorf("persist: section %q: length %d is not a multiple of its %d-byte record size", sectionNames[kind], len(sec[kind]), recSize)
 		}
 		return len(sec[kind]) / recSize, nil
-	}
-	var err error
-	if p.numHosts, err = recs(secCDXHosts, cdxHostRecSize); err != nil {
-		return nil, err
-	}
-	if p.numBulk, err = recs(secBulk, bulkRecSize); err != nil {
-		return nil, err
 	}
 	if p.numSnapKeys, err = recs(secSnapKeys, snapKeyRecSize); err != nil {
 		return nil, err
@@ -226,17 +237,6 @@ func newPagedStore(sec [numSections][]byte) (*pagedStore, error) {
 	p.pfWords = make([]uint64, words)
 	for i := range p.pfWords {
 		p.pfWords[i] = rdU64(pf, 16+8*i)
-	}
-
-	dom := sec[secDomains]
-	if len(dom) < 4 {
-		return nil, fmt.Errorf("persist: section %q: too short (%d bytes)", sectionNames[secDomains], len(dom))
-	}
-	p.numDomains = int(rdU32(dom, 0))
-	p.domTable = 4
-	p.domIdx = 4 + 16*p.numDomains
-	if p.domIdx > len(dom) {
-		return nil, fmt.Errorf("persist: section %q: domain table (%d entries) exceeds section length %d", sectionNames[secDomains], p.numDomains, len(dom))
 	}
 
 	meta := sec[secWikiMeta]

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"unsafe"
 
 	"permadead/internal/archive"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
-	"permadead/internal/urlutil"
 	"permadead/internal/wikimedia"
 	"permadead/internal/wikitext"
 )
@@ -25,31 +22,32 @@ import (
 // and the store holds no mutable state.
 type pagedStore struct {
 	sec [numSections][]byte
+	// arena is the arena section as one string; every string the store
+	// hands out is a substring of it.
+	arena string
+	cdx   *archive.CDXIndex
 
 	// Decoded once at open: tiny, and needed before first query.
 	pfWords  []uint64
 	pfKeys   int
 	maxRevID int
 
-	numHosts, numBulk     int
 	numSnapKeys, numSnaps int
 	numLat                int
 	numSites, numArticles int
 
-	// domains section internal offsets (byte offsets into secDomains).
-	numDomains, domTable, domIdx int
 	// wikimeta internal offsets (byte offsets into secWikiMeta).
 	numCats, catTable, catIdx int
 }
 
 // str returns the arena string for a reference, as a zero-copy view
 // into the mapping. Views stay valid until the bundle is closed.
+// A reference outside the arena (a damaged file) reads as "".
 func (p *pagedStore) str(off, ln uint32) string {
-	if ln == 0 {
+	if ln == 0 || uint64(off)+uint64(ln) > uint64(len(p.arena)) {
 		return ""
 	}
-	b := p.sec[secArena][off : uint64(off)+uint64(ln)]
-	return unsafe.String(&b[0], len(b))
+	return p.arena[off : off+ln]
 }
 
 // refAt reads a (offset, length) string reference at a byte offset.
@@ -66,290 +64,9 @@ func searchRecs(n int, key string, at func(i int) string) (int, bool) {
 
 // --- CDX -------------------------------------------------------------
 
-// hostAt returns the hostname of cdxhosts record i.
-func (p *pagedStore) hostAt(i int) string {
-	return p.refAt(secCDXHosts, i*cdxHostRecSize)
-}
-
-func (p *pagedStore) findHost(host string) (int, bool) {
-	return searchRecs(p.numHosts, host, p.hostAt)
-}
-
-// cdxCols is the columnar view of one host's rows: byte offsets of
-// each column within the cdxdata section. Rows are addressed by
-// sorted position; insRank/insPerm translate to and from
-// capture-insertion rank.
-type cdxCols struct {
-	p                *pagedStore
-	n                int
-	pathOff, pathLen int
-	day, status      int
-	insRank, insPerm int
-}
-
-func (p *pagedStore) cols(rec int) cdxCols {
-	b := p.sec[secCDXHosts]
-	base := int(rdU64(b, rec*cdxHostRecSize+8))
-	n := int(rdU32(b, rec*cdxHostRecSize+16))
-	pad := 0
-	if n%2 == 1 {
-		pad = 2
-	}
-	c := cdxCols{p: p, n: n}
-	c.pathOff = base
-	c.pathLen = base + 4*n
-	c.day = base + 8*n
-	c.status = base + 12*n
-	c.insRank = base + 14*n + pad
-	c.insPerm = c.insRank + 4*n
-	return c
-}
-
-func (c cdxCols) path(pos int) string {
-	b := c.p.sec[secCDXData]
-	return c.p.str(rdU32(b, c.pathOff+4*pos), rdU32(b, c.pathLen+4*pos))
-}
-func (c cdxCols) dayAt(pos int) simclock.Day {
-	return simclock.Day(rdI32(c.p.sec[secCDXData], c.day+4*pos))
-}
-func (c cdxCols) statusAt(pos int) int {
-	return int(rdU16(c.p.sec[secCDXData], c.status+2*pos))
-}
-func (c cdxCols) rankOf(pos int) int {
-	return int(rdU32(c.p.sec[secCDXData], c.insRank+4*pos))
-}
-func (c cdxCols) posOfRank(rank int) int {
-	return int(rdU32(c.p.sec[secCDXData], c.insPerm+4*rank))
-}
-
-// auxOf returns the host's aux blob and its row count.
-func (p *pagedStore) auxOf(rec int) (blob []byte, n int) {
-	b := p.sec[secCDXHosts]
-	base := int(rdU64(b, rec*cdxHostRecSize+32))
-	ln := int(rdU32(b, rec*cdxHostRecSize+40))
-	n = int(rdU32(b, rec*cdxHostRecSize+16))
-	return p.sec[secCDXAux][base : base+ln], n
-}
-
-// cdxView is a (pathQuery, day, insertion)-ordered sequence of sorted
-// positions: the identity over all rows (idx nil), or one status
-// partition (idx = the partition's u32 position array).
-type cdxView struct {
-	c   cdxCols
-	idx []byte
-	n   int
-}
-
-func (v cdxView) pos(i int) int {
-	if v.idx == nil {
-		return i
-	}
-	return int(rdU32(v.idx, 4*i))
-}
-func (v cdxView) path(i int) string { return v.c.path(v.pos(i)) }
-
-// view returns the ordered position view for a status filter.
-func (p *pagedStore) view(rec, status int) cdxView {
-	c := p.cols(rec)
-	if status == 0 {
-		return cdxView{c: c, n: c.n}
-	}
-	aux, n := p.auxOf(rec)
-	numStatuses := int(rdU32(aux, 0))
-	posArea := 4 + 12*numStatuses
-	for i := 0; i < numStatuses; i++ {
-		if int(rdU32(aux, 4+12*i)) != status {
-			continue
-		}
-		start := int(rdU32(aux, 4+12*i+4))
-		count := int(rdU32(aux, 4+12*i+8))
-		return cdxView{c: c, idx: aux[posArea+4*start : posArea+4*(start+count)], n: count}
-	}
-	_ = n
-	return cdxView{c: c, n: 0, idx: aux[posArea:posArea]}
-}
-
-// prefixRange returns the half-open range of v whose pathQuery starts
-// with prefix (the whole view for "").
-func prefixRangePaged(v cdxView, prefix string) (lo, hi int) {
-	if prefix == "" {
-		return 0, v.n
-	}
-	lo = sort.Search(v.n, func(i int) bool { return v.path(i) >= prefix })
-	hi = lo + sort.Search(v.n-lo, func(j int) bool { return !strings.HasPrefix(v.path(lo+j), prefix) })
-	return lo, hi
-}
-
-// bulkAt materializes bulk record i for the given host.
-func (p *pagedStore) bulkAt(i int, host string) archive.BulkRegion {
-	b := p.sec[secBulk]
-	off := i * bulkRecSize
-	return archive.BulkRegion{
-		Host:      host,
-		DirPrefix: p.refAt(secBulk, off),
-		Count:     int(rdU32(b, off+8)),
-		FirstDay:  simclock.Day(rdI32(b, off+12)),
-		LastDay:   simclock.Day(rdI32(b, off+16)),
-		Seed:      rdU64(b, off+24),
-	}
-}
-
-// bulkRange returns the host's [start, start+count) bulk record range.
-func (p *pagedStore) bulkRange(rec int) (start, count int) {
-	b := p.sec[secCDXHosts]
-	return int(rdU32(b, rec*cdxHostRecSize+20)), int(rdU32(b, rec*cdxHostRecSize+24))
-}
-
-func (p *pagedStore) CDXCount(host string, q archive.CDXQuery) int {
-	rec, ok := p.findHost(host)
-	if !ok {
-		return 0
-	}
-	v := p.view(rec, q.Status)
-	lo, hi := prefixRangePaged(v, q.PathPrefix)
-	n := hi - lo
-	if q.Status == 0 || q.Status == 200 {
-		start, count := p.bulkRange(rec)
-		for i := start; i < start+count; i++ {
-			n += archive.BulkMatchCount(p.bulkAt(i, host), q)
-		}
-	}
-	return n
-}
-
-func (p *pagedStore) CDXList(host string, q archive.CDXQuery, limit int) []archive.CDXEntry {
-	rec, ok := p.findHost(host)
-	if !ok {
-		return nil
-	}
-	c := p.cols(rec)
-
-	// ranks holds matched rows as insertion ranks, the order CDXList
-	// emits; the whole-host unfiltered case walks ranks implicitly.
-	wholeHost := q.PathPrefix == "" && q.Status == 0
-	var ranks []int
-	nExplicit := c.n
-	if !wholeHost {
-		v := p.view(rec, q.Status)
-		lo, hi := prefixRangePaged(v, q.PathPrefix)
-		ranks = make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			ranks = append(ranks, c.rankOf(v.pos(i)))
-		}
-		sort.Ints(ranks)
-		nExplicit = len(ranks)
-	}
-
-	bStart, bCount := p.bulkRange(rec)
-	total := nExplicit
-	if q.Status == 0 || q.Status == 200 {
-		for i := bStart; i < bStart+bCount; i++ {
-			total += archive.BulkMatchCount(p.bulkAt(i, host), q)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-
-	out := make([]archive.CDXEntry, 0, min(limit, total))
-	emit := func(pos int) {
-		out = append(out, archive.CDXEntry{
-			URL:           "http://" + host + c.path(pos),
-			Day:           c.dayAt(pos),
-			InitialStatus: c.statusAt(pos),
-		})
-	}
-	if wholeHost {
-		for rank := 0; rank < c.n && len(out) < limit; rank++ {
-			emit(c.posOfRank(rank))
-		}
-	} else {
-		for _, rank := range ranks {
-			if len(out) >= limit {
-				break
-			}
-			emit(c.posOfRank(rank))
-		}
-	}
-	if q.Status == 0 || q.Status == 200 {
-		for i := bStart; i < bStart+bCount; i++ {
-			if len(out) >= limit {
-				break
-			}
-			out = archive.AppendBulkEntries(out, p.bulkAt(i, host), q, limit)
-		}
-	}
-	return out
-}
-
-func (p *pagedStore) CountSelf(host, pathQuery string) int {
-	rec, ok := p.findHost(host)
-	if !ok {
-		return 0
-	}
-	v := p.view(rec, 200)
-	lo := sort.Search(v.n, func(i int) bool { return v.path(i) >= pathQuery })
-	hi := lo + sort.Search(v.n-lo, func(j int) bool { return v.path(lo+j) > pathQuery })
-	return hi - lo
-}
-
-func (p *pagedStore) FindQueryPermutation(host, want, self string) (string, bool) {
-	rec, ok := p.findHost(host)
-	if !ok {
-		return "", false
-	}
-	aux, n := p.auxOf(rec)
-	numStatuses := int(rdU32(aux, 0))
-	qkBase := 4 + 12*numStatuses + 4*n
-	numKeys := int(rdU32(aux, qkBase))
-	table := qkBase + 4
-	ranksArea := table + 16*numKeys
-	keyAt := func(i int) string {
-		return p.str(rdU32(aux, table+16*i), rdU32(aux, table+16*i+4))
-	}
-	i, found := searchRecs(numKeys, want, keyAt)
-	if !found {
-		return "", false
-	}
-	c := p.cols(rec)
-	start := int(rdU32(aux, table+16*i+8))
-	count := int(rdU32(aux, table+16*i+12))
-	for j := start; j < start+count; j++ {
-		rank := int(rdU32(aux, ranksArea+4*j))
-		cand := "http://" + host + c.path(c.posOfRank(rank))
-		if urlutil.Normalize(cand) == self {
-			continue
-		}
-		return cand, true
-	}
-	return "", false
-}
-
-func (p *pagedStore) DomainHosts(domain string) []string {
-	b := p.sec[secDomains]
-	at := func(i int) string {
-		return p.str(rdU32(b, p.domTable+16*i), rdU32(b, p.domTable+16*i+4))
-	}
-	i, found := searchRecs(p.numDomains, domain, at)
-	if !found {
-		return nil
-	}
-	start := int(rdU32(b, p.domTable+16*i+8))
-	count := int(rdU32(b, p.domTable+16*i+12))
-	hosts := make([]string, count)
-	for j := 0; j < count; j++ {
-		hosts[j] = p.hostAt(int(rdU32(b, p.domIdx+4*(start+j))))
-	}
-	return hosts
-}
-
-func (p *pagedStore) Hosts() []string {
-	hs := make([]string, p.numHosts)
-	for i := range hs {
-		hs[i] = p.hostAt(i)
-	}
-	return hs
-}
+// CDXIndex serves the archive's CDX queries (and its host list and
+// bulk regions) from the mapped CDX sections.
+func (p *pagedStore) CDXIndex() *archive.CDXIndex { return p.cdx }
 
 // --- snapshots -------------------------------------------------------
 
@@ -391,16 +108,6 @@ func (p *pagedStore) TotalSnapshots() int { return p.numSnaps }
 func (p *pagedStore) EachSnapshot(fn func(archive.Snapshot)) {
 	for i := 0; i < p.numSnaps; i++ {
 		fn(p.snapAt(i))
-	}
-}
-
-func (p *pagedStore) EachBulkRegion(fn func(archive.BulkRegion)) {
-	for rec := 0; rec < p.numHosts; rec++ {
-		host := p.hostAt(rec)
-		start, count := p.bulkRange(rec)
-		for i := start; i < start+count; i++ {
-			fn(p.bulkAt(i, host))
-		}
 	}
 }
 

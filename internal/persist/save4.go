@@ -8,11 +8,9 @@ import (
 	"hash/crc64"
 	"io"
 	"sort"
-	"strings"
 
 	"permadead/internal/archive"
 	"permadead/internal/simweb"
-	"permadead/internal/urlutil"
 	"permadead/internal/wikimedia"
 	"permadead/internal/wikitext"
 )
@@ -37,12 +35,8 @@ func SavePaged(w io.Writer, b *Bundle) error {
 	}
 	b.Archive.Freeze()
 
-	ar := newArena()
-	// Reserve arena offset 0 so a (0, 0) reference unambiguously means
-	// the empty string even for a string that would land at offset 0.
-	ar.buf = append(ar.buf, 0)
-
 	secs := make([][]byte, numSections)
+	ar := encodeCDX(secs, b.Archive)
 
 	// params: small, structured, and already gob-friendly.
 	var pbuf bytes.Buffer
@@ -53,8 +47,6 @@ func SavePaged(w io.Writer, b *Bundle) error {
 	}
 	secs[secParams] = pbuf.Bytes()
 
-	hostNames := encodeCDX(secs, ar, b.Archive)
-	encodeDomains(secs, ar, hostNames)
 	encodeSnapshots(secs, ar, b.Archive)
 	encodeLatencies(secs, ar, b.Archive)
 	encodePrefilter(secs, b.Archive)
@@ -117,200 +109,15 @@ func SavePaged(w io.Writer, b *Bundle) error {
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// encodeCDX writes the cdxhosts/cdxdata/cdxaux/bulk sections and
-// returns the sorted host list (the domains section indexes into it).
-func encodeCDX(secs [][]byte, ar *arena, a *archive.Archive) []string {
-	hostsW := &secWriter{}
-	dataW := &secWriter{}
-	auxW := &secWriter{}
-	bulkW := &secWriter{}
-	var hostNames []string
-	bulkCount := 0
-
-	a.ExportCDX(func(host string, rows []archive.CDXRow, bulk []archive.BulkRegion) {
-		hostNames = append(hostNames, host)
-		n := len(rows)
-
-		// perm: sorted position → insertion rank, ordered by
-		// (pathQuery, day, insertion) — the frozen in-memory index's
-		// sort key, so on-disk binary searches see the same ranges.
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.Slice(perm, func(x, y int) bool {
-			ri, rj := &rows[perm[x]], &rows[perm[y]]
-			if ri.PathQuery != rj.PathQuery {
-				return ri.PathQuery < rj.PathQuery
-			}
-			if ri.Day != rj.Day {
-				return ri.Day < rj.Day
-			}
-			return perm[x] < perm[y]
-		})
-		inv := make([]int, n) // insertion rank → sorted position
-		for pos, rank := range perm {
-			inv[rank] = pos
-		}
-
-		dataW.pad8()
-		rowBase := dataW.len()
-		for _, rank := range perm {
-			off, _ := ar.ref(rows[rank].PathQuery)
-			dataW.u32(off)
-		}
-		for _, rank := range perm {
-			dataW.u32(uint32(len(rows[rank].PathQuery)))
-		}
-		for _, rank := range perm {
-			dataW.i32(int(rows[rank].Day))
-		}
-		for _, rank := range perm {
-			dataW.u16(uint16(rows[rank].InitialStatus))
-		}
-		if n%2 == 1 {
-			dataW.u16(0)
-		}
-		for _, rank := range perm {
-			dataW.u32(uint32(rank))
-		}
-		for _, pos := range inv {
-			dataW.u32(uint32(pos))
-		}
-
-		// Status partitions: each is the subsequence of sorted
-		// positions carrying one status, so a partition is itself
-		// (pathQuery, day)-ordered and binary-searchable.
-		type part struct {
-			status int
-			pos    []uint32
-		}
-		var parts []part
-		partIdx := make(map[int]int)
-		for pos, rank := range perm {
-			st := rows[rank].InitialStatus
-			pi, ok := partIdx[st]
-			if !ok {
-				pi = len(parts)
-				partIdx[st] = pi
-				parts = append(parts, part{status: st})
-			}
-			parts[pi].pos = append(parts[pi].pos, uint32(pos))
-		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].status < parts[j].status })
-
-		// Query-key table: canonical query key → insertion ranks, the
-		// candidate order FindQueryPermutation scans.
-		type qk struct {
-			key   string
-			ranks []uint32
-		}
-		var qks []qk
-		qkIdx := make(map[string]int)
-		for rank := 0; rank < n; rank++ {
-			if !strings.ContainsRune(rows[rank].PathQuery, '?') {
-				continue
-			}
-			key := urlutil.CanonicalQueryKey("http://" + host + rows[rank].PathQuery)
-			qi, ok := qkIdx[key]
-			if !ok {
-				qi = len(qks)
-				qkIdx[key] = qi
-				qks = append(qks, qk{key: key})
-			}
-			qks[qi].ranks = append(qks[qi].ranks, uint32(rank))
-		}
-		sort.Slice(qks, func(i, j int) bool { return qks[i].key < qks[j].key })
-
-		auxW.pad8()
-		auxBase := auxW.len()
-		auxW.u32(uint32(len(parts)))
-		start := 0
-		for _, p := range parts {
-			auxW.u32(uint32(p.status))
-			auxW.u32(uint32(start))
-			auxW.u32(uint32(len(p.pos)))
-			start += len(p.pos)
-		}
-		for _, p := range parts {
-			for _, v := range p.pos {
-				auxW.u32(v)
-			}
-		}
-		auxW.u32(uint32(len(qks)))
-		start = 0
-		for _, k := range qks {
-			auxW.writeRef(ar, k.key)
-			auxW.u32(uint32(start))
-			auxW.u32(uint32(len(k.ranks)))
-			start += len(k.ranks)
-		}
-		for _, k := range qks {
-			for _, v := range k.ranks {
-				auxW.u32(v)
-			}
-		}
-		auxLen := auxW.len() - auxBase
-
-		bulkStart := bulkCount
-		for _, r := range bulk {
-			bulkW.writeRef(ar, r.DirPrefix)
-			bulkW.u32(uint32(r.Count))
-			bulkW.i32(int(r.FirstDay))
-			bulkW.i32(int(r.LastDay))
-			bulkW.u32(0)
-			bulkW.u64(r.Seed)
-			bulkCount++
-		}
-
-		hostsW.writeRef(ar, host)
-		hostsW.u64(uint64(rowBase))
-		hostsW.u32(uint32(n))
-		hostsW.u32(uint32(bulkStart))
-		hostsW.u32(uint32(len(bulk)))
-		hostsW.u32(0)
-		hostsW.u64(uint64(auxBase))
-		hostsW.u32(uint32(auxLen))
-		hostsW.u32(0)
-	})
-
-	secs[secCDXHosts] = hostsW.buf
-	secs[secCDXData] = dataW.buf
-	secs[secCDXAux] = auxW.buf
-	secs[secBulk] = bulkW.buf
-	return hostNames
-}
-
-// encodeDomains writes the registrable-domain → host table. hostNames
-// is sorted, so each domain's host-index list is ascending and the
-// referenced hostnames enumerate in sorted order.
-func encodeDomains(secs [][]byte, ar *arena, hostNames []string) {
-	byDomain := make(map[string][]uint32)
-	for i, h := range hostNames {
-		d := urlutil.DomainOfHost(h)
-		byDomain[d] = append(byDomain[d], uint32(i))
-	}
-	doms := make([]string, 0, len(byDomain))
-	for d := range byDomain {
-		doms = append(doms, d)
-	}
-	sort.Strings(doms)
-
-	w := &secWriter{}
-	w.u32(uint32(len(doms)))
-	start := 0
-	for _, d := range doms {
-		w.writeRef(ar, d)
-		w.u32(uint32(start))
-		w.u32(uint32(len(byDomain[d])))
-		start += len(byDomain[d])
-	}
-	for _, d := range doms {
-		for _, idx := range byDomain[d] {
-			w.u32(idx)
-		}
-	}
-	secs[secDomains] = w.buf
+// encodeCDX stores the archive's frozen CDX index — its sections as
+// Freeze built them — and returns the arena, opened with the index's
+// strings, which every later section appends to (DESIGN §3.6). The
+// index's arena reserves offset 0, so a (0, 0) reference means "".
+func encodeCDX(secs [][]byte, a *archive.Archive) *arena {
+	s, refs := a.ExportCDX()
+	secs[secCDXHosts], secs[secCDXData], secs[secCDXAux] = s.Hosts, s.Data, s.Aux
+	secs[secBulk], secs[secDomains] = s.Bulk, s.Domains
+	return &arena{buf: []byte(s.Arena), idx: refs}
 }
 
 func encodeSnapshots(secs [][]byte, ar *arena, a *archive.Archive) {
