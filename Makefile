@@ -30,14 +30,15 @@ race:
 # banded edit distance against the full matrix, the URL helpers (with
 # the prefix-only scheme match against its ToLower reference), and
 # Normalize's byte-scan early return against its net/url body; and
-# FuzzPagedCDX, damaged CDX sections of a paged file, which must open
-# with an error or answer every CDX query without a panic.
+# FuzzPagedSections, damaged CDX, snapshot-key, article and category
+# sections of a paged file, which must open with an error or answer
+# every reader without a panic.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil
-	$(GO) test -run '^$$' -fuzz='^FuzzPagedCDX$$' -fuzztime=10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz='^FuzzPagedSections$$' -fuzztime=10s ./internal/persist
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

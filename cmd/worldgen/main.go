@@ -33,8 +33,7 @@ func main() {
 		flakyRate      = flag.Float64("flaky-rate", 0.5, "per-attempt failure probability inside a fault window")
 		flakyRetryWait = flag.Int("flaky-retry-after", 0, "Retry-After seconds advertised by injected 429/503 responses (0 = per-window default)")
 
-		shards  = flag.Int("shards", 0, "report how an N-member fleet would partition the universe's link domains; with -save, also write a <save>.fleet.json manifest")
-		svnodes = flag.Int("shard-vnodes", 0, "virtual nodes per member for the -shards report (0 = default)")
+		shards = flag.Int("shards", 0, "report how an N-member fleet would partition the universe's link domains; with -save, also write a <save>.fleet.json manifest")
 
 		archives = flag.Int("archives", 0, "derive an N-member archive-federation manifest with seed-deterministic coverage/latency skew; with -save, write it to <save>.archives.json")
 	)
@@ -97,7 +96,7 @@ func main() {
 	}
 
 	if *shards > 0 {
-		if err := reportShards(u, *shards, *svnodes, *savePath); err != nil {
+		if err := reportShards(u, *shards, *savePath); err != nil {
 			fmt.Fprintf(os.Stderr, "worldgen: shards: %v\n", err)
 			os.Exit(1)
 		}
@@ -179,12 +178,12 @@ func reportArchives(u *worldgen.Universe, n int, savePath string) error {
 // With -save set, the same numbers land in <save>.fleet.json, the
 // manifest a fleet launcher feeds to permadeadd -shard-members and
 // permadead-router -members.
-func reportShards(u *worldgen.Universe, n, vnodes int, savePath string) error {
+func reportShards(u *worldgen.Universe, n int, savePath string) error {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("s%d", i+1)
 	}
-	ring, err := shard.New(names, vnodes)
+	ring, err := shard.New(names, 0)
 	if err != nil {
 		return err
 	}

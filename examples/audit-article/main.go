@@ -17,6 +17,7 @@ import (
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
+	"permadead/internal/worldgen"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 
 	// --- The archive: only the first page was ever captured. ---
 	arch := archive.New()
-	crawler := archive.NewCrawler(world, arch)
+	crawler := worldgen.NewCrawler(world, arch)
 	if _, err := crawler.Capture("http://www.mars-gazette.simnews/science/express-mission.html",
 		simclock.FromDate(2010, 5, 20)); err != nil {
 		log.Fatal(err)

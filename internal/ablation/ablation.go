@@ -176,7 +176,7 @@ func ArchiveDelaySweep(world *simweb.World, records []core.LinkRecord, delays []
 	for _, d := range delays {
 		pt := DelayPoint{DelayDays: d}
 		scratch := archive.New()
-		crawler := archive.NewCrawler(world, scratch)
+		crawler := worldgen.NewCrawler(world, scratch)
 		for i := range records {
 			rec := &records[i]
 			snap, err := crawler.Capture(rec.URL, rec.Added.Add(d))

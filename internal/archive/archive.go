@@ -1,8 +1,10 @@
 // Package archive simulates the Internet Archive's Wayback Machine as
-// the study interacts with it: a snapshot store fed by a capture
-// crawler, the Wayback Availability API (including the lookup latency
-// that IABot's timeout interacts with, §4.1), and the CDX index used
-// for prefix/host coverage queries (§5.2).
+// the study interacts with it: a snapshot store, the Wayback
+// Availability API (including the lookup latency that IABot's timeout
+// interacts with, §4.1), and the CDX index used for prefix/host
+// coverage queries (§5.2). It is a data source and imports no world
+// package: the captures are taken at generation time by the world's
+// crawler (worldgen.Crawler), which stores them with Add.
 //
 // Each snapshot records the *initial* HTTP status observed when the
 // copy was captured — the field IABot's usability policy keys on — and
@@ -185,9 +187,6 @@ func (a *Archive) Freeze() {
 	a.buildIndexLocked()
 	a.frozen.Store(true)
 }
-
-// Frozen reports whether Freeze has been called.
-func (a *Archive) Frozen() bool { return a.frozen.Load() }
 
 func (a *Archive) checkWritable(op string) {
 	if a.frozen.Load() {

@@ -152,8 +152,8 @@ func TestDomainURLsTruncation(t *testing.T) {
 func TestFrozenArchiveConcurrentReads(t *testing.T) {
 	a := coverageFixture()
 	a.Freeze()
-	if !a.Frozen() {
-		t.Fatal("Frozen() = false after Freeze")
+	if !a.frozen.Load() {
+		t.Fatal("not frozen after Freeze")
 	}
 	m := NewMemo(a)
 

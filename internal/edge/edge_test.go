@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -171,45 +170,6 @@ func TestErrorParts(t *testing.T) {
 	} {
 		if status, code, _ := ErrorParts(tc.err); status != tc.status || code != tc.code {
 			t.Errorf("ErrorParts(%v) = %d %q, want %d %q", tc.err, status, code, tc.status, tc.code)
-		}
-	}
-}
-
-// goList runs `go list` with a template over patterns and returns the
-// output lines.
-func goList(t *testing.T, format string, patterns ...string) []string {
-	t.Helper()
-	out, err := exec.Command("go", append([]string{"list", "-f", format}, patterns...)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, out)
-	}
-	return strings.Fields(string(out))
-}
-
-// TestDependencyDirection is the layering rule in CI: edge is a leaf,
-// the router does not reach into the shard server, and nothing but the
-// two serving packages and the binaries builds on edge.
-func TestDependencyDirection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list")
-	}
-	const mod, self = "permadead/", "permadead/internal/edge"
-	for _, dep := range goList(t, `{{join .Deps "\n"}}`, self) {
-		if strings.HasPrefix(dep, mod) {
-			t.Errorf("internal/edge depends on %s; it must import no permadead package", dep)
-		}
-	}
-	for _, dep := range goList(t, `{{join .Deps "\n"}}`, "permadead/internal/shard") {
-		if dep == "permadead/internal/service" {
-			t.Error("internal/shard (non-test) depends on internal/service")
-		}
-	}
-	for _, line := range goList(t, `{{$p := .ImportPath}}{{range .Imports}}{{$p}}<-{{.}}{{"\n"}}{{end}}`, "permadead/...") {
-		importer, imported, _ := strings.Cut(line, "<-")
-		allowed := importer == "permadead/internal/service" || importer == "permadead/internal/shard" ||
-			strings.HasPrefix(importer, "permadead/cmd/")
-		if imported == self && !allowed {
-			t.Errorf("%s imports internal/edge; only internal/service, internal/shard and cmd/ may", importer)
 		}
 	}
 }

@@ -32,6 +32,10 @@ type Member struct {
 // Down reports whether the member is administratively down.
 func (m *Member) Down() bool { return m.down.Load() }
 
+// Identity reports whether the member's view keeps every capture of the
+// base archive: full coverage under the keep-all policy.
+func (m *Member) Identity() bool { return m.identity }
+
 // SetDown flips the member's liveness. Queries skip down members and
 // report them as member errors — degraded coverage, not failure.
 func (m *Member) SetDown(down bool) { m.down.Store(down) }
@@ -247,12 +251,6 @@ func (f *Federation) FirstAfter(url string, day simclock.Day) (archive.Snapshot,
 		return archive.Snapshot{}, false
 	}
 	return snaps[i], true
-}
-
-// Closest returns the union-view capture closest to want among those
-// the accept filter admits.
-func (f *Federation) Closest(url string, want simclock.Day, accept func(archive.Snapshot) bool) (archive.Snapshot, bool) {
-	return closestIn(f.Snapshots(url), want, accept)
 }
 
 // MemberSnapshot is one row of the attributed merged listing.

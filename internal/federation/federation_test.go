@@ -74,11 +74,6 @@ func TestSingleMemberDifferential(t *testing.T) {
 					if gok != wok || gs != ws {
 						t.Errorf("FirstAfter(%s, %d) = %+v/%v, want %+v/%v", url, day, gs, gok, ws, wok)
 					}
-					gs, gok = fed.Closest(url, d(day), archive.AcceptUsable)
-					ws, wok = base.Closest(url, d(day), archive.AcceptUsable)
-					if gok != wok || gs != ws {
-						t.Errorf("Closest(%s, %d) = %+v/%v, want %+v/%v", url, day, gs, gok, ws, wok)
-					}
 
 					q := archive.AvailabilityQuery{
 						URL: url, Want: d(day), Accept: archive.AcceptUsable,

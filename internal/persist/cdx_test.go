@@ -16,6 +16,7 @@ import (
 	"permadead/internal/simweb"
 	"permadead/internal/urlutil"
 	"permadead/internal/wikimedia"
+	"permadead/internal/worldgen"
 )
 
 // cdxWorld adds one randomized capture history to every archive in as:
@@ -82,7 +83,7 @@ func TestPagedIndexMatchesNaiveScan(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			naive, saved := archive.New(), archive.New()
 			hosts, paths := cdxWorld(rng, naive, saved)
-			b, err := Load(bytes.NewReader(savedArchive(t, saved)))
+			b, err := openPagedBytes(savedArchive(t, saved), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +205,7 @@ func TestPagedCDXRejectsDamagedHostRecords(t *testing.T) {
 			}
 			rechecksum(data, secCDXHosts)
 
-			b, err := Load(bytes.NewReader(data))
+			b, err := openPagedBytes(data, nil)
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -225,18 +226,139 @@ func TestPagedCDXRejectsDamagedHostRecords(t *testing.T) {
 	}
 }
 
-// fuzzedSections are the sections FuzzPagedCDX rewrites.
-var fuzzedSections = []int{secCDXHosts, secCDXData, secCDXAux, secBulk, secDomains}
+// exercisePaged runs the readers that serve by stored record extents —
+// Snapshots (snapkeys), Article (wikidir) and InCategory (the wikimeta
+// category table) — on urls, titles and categories. Like exerciseCDX
+// it checks nothing: each call must return.
+func exercisePaged(b *Bundle, urls, titles, cats []string) {
+	for _, u := range urls {
+		b.Archive.Snapshots(u)
+	}
+	for _, t := range titles {
+		b.Wiki.Article(t)
+	}
+	for _, c := range cats {
+		b.Wiki.InCategory(c)
+	}
+}
 
-// FuzzPagedCDX rewrites bytes inside the CDX sections of a small saved
-// archive — each 6-byte group of ops picks a section, an offset and a
-// byte — then opens the result and runs every CDX query kind on the
-// hosts it names. The result must be answers or an open error, never a
-// panic or a hang.
-func FuzzPagedCDX(f *testing.F) {
+// TestPagedRejectsDamagedRecords damages, in every record, the stored
+// extents the non-CDX readers follow — a snapkeys row count, a wikidir
+// record length, a category's index count, a category's title indexes —
+// and re-checksums the section, so only the extent checks can notice.
+// Serving opens without VerifyPaged, so every reader must return and
+// read the damaged record as absent; VerifyPaged must fail naming the
+// section.
+func TestPagedRejectsDamagedRecords(t *testing.T) {
+	u := worldgen.Generate(worldgen.SmallParams().Scale(0.2))
+	var buf bytes.Buffer
+	if err := SavePaged(&buf, FromUniverse(u)); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	var urls []string
+	for _, lp := range u.Plan.Links {
+		if len(u.Archive.Snapshots(lp.URL)) > 0 {
+			urls = append(urls, lp.URL)
+		}
+	}
+	titles := u.Wiki.Titles()
+	const cat = "Simulated articles"
+	if len(urls) == 0 || len(u.Wiki.InCategory(cat)) == 0 {
+		t.Fatal("universe has no captured link or no categorised article")
+	}
+	// perCat calls fn on the byte offset of every category record of a
+	// wikimeta section, and perIdx on every entry of its index table.
+	perCat := func(meta []byte, fn func(rec int)) {
+		for i := 0; i < int(rdU32(meta, 8)); i++ {
+			fn(16 + 16*i)
+		}
+	}
+	perIdx := func(meta []byte, fn func(off int)) {
+		for off := 16 + 16*int(rdU32(meta, 8)); off < len(meta); off += 4 {
+			fn(off)
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		kind   int
+		damage func(sec []byte)
+		absent func(b *Bundle) bool
+	}{
+		{"snapkeys row count", secSnapKeys, func(sec []byte) {
+			for off := 0; off < len(sec); off += snapKeyRecSize {
+				le.PutUint32(sec[off+12:], 1<<20)
+			}
+		}, func(b *Bundle) bool { return len(b.Archive.Snapshots(urls[0])) == 0 }},
+		{"wikidir length", secWikiDir, func(sec []byte) {
+			for off := 0; off < len(sec); off += wikiDirRecSize {
+				le.PutUint32(sec[off+16:], 1<<30)
+			}
+		}, func(b *Bundle) bool { return b.Wiki.Article(titles[0]) == nil }},
+		{"category count", secWikiMeta, func(sec []byte) {
+			perCat(sec, func(rec int) { le.PutUint32(sec[rec+12:], 1<<20) })
+		}, func(b *Bundle) bool { return len(b.Wiki.InCategory(cat)) == 0 }},
+		{"category title index", secWikiMeta, func(sec []byte) {
+			perIdx(sec, func(off int) { le.PutUint32(sec[off:], 1<<30) })
+		}, func(b *Bundle) bool { return len(b.Wiki.InCategory(cat)) == 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data := bytes.Clone(clean)
+			c.damage(sectionAt(data, c.kind))
+			rechecksum(data, c.kind)
+
+			b, err := openPagedBytes(data, nil)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			// Absent first: InCategory also consults articles already loaded.
+			if !c.absent(b) {
+				t.Error("the damaged record answered; want it read as absent")
+			}
+			exercisePaged(b, urls, titles, []string{cat, "Articles with permanently dead external links"})
+
+			path := filepath.Join(t.TempDir(), "bad.pduniv")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = VerifyPaged(path)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", sectionNames[c.kind])) {
+				t.Errorf("VerifyPaged = %v, want an error naming %q", err, sectionNames[c.kind])
+			}
+		})
+	}
+}
+
+// fuzzedSections are the sections FuzzPagedSections rewrites: the CDX
+// sections, and those whose records the other readers follow by stored
+// extents.
+var fuzzedSections = []int{secCDXHosts, secCDXData, secCDXAux, secBulk, secDomains,
+	secSnapKeys, secWikiDir, secWikiBlobs, secWikiMeta}
+
+// FuzzPagedSections rewrites bytes inside the fuzzed sections of a
+// small saved universe — each 6-byte group of ops picks a section, an
+// offset and a byte — then opens the result and runs every CDX query
+// kind on the hosts it names, and the snapshot, article and category
+// readers. The result must be answers or an open error, never a panic
+// or a hang.
+func FuzzPagedSections(f *testing.F) {
 	a := archive.New()
-	cdxWorld(rand.New(rand.NewSource(3)), a)
-	clean := savedArchive(f, a)
+	hosts, paths := cdxWorld(rand.New(rand.NewSource(3)), a)
+	wiki := wikimedia.NewWiki()
+	var urls, titles []string
+	for i := 0; i < 8; i++ {
+		url := "http://" + hosts[i%len(hosts)] + paths[i%len(paths)]
+		title := fmt.Sprintf("Article %d", i)
+		wiki.Create(title, simclock.Day(i), "U", fmt.Sprintf("[%s source]\n[[Category:Group %d]] [[Category:All]]", url, i%3))
+		urls, titles = append(urls, url), append(titles, title)
+	}
+	cats := []string{"All", "Group 0", "Group 1", "Group 2"}
+	var buf bytes.Buffer
+	if err := SavePaged(&buf, &Bundle{World: simweb.NewWorld(), Wiki: wiki, Archive: a}); err != nil {
+		f.Fatal(err)
+	}
+	clean := buf.Bytes()
 
 	f.Add([]byte{})
 	for i, kind := range fuzzedSections {
@@ -261,6 +383,7 @@ func FuzzPagedCDX(f *testing.F) {
 			hosts = hosts[:8]
 		}
 		exerciseCDX(b.Archive, hosts)
+		exercisePaged(b, urls, append(titles, b.Wiki.Titles()...), cats)
 	})
 }
 
@@ -279,7 +402,7 @@ func TestPagedCDXAllocs(t *testing.T) {
 		a.Add(archive.Snapshot{URL: "http://alloc.simtest/v?b=1&a=2", Day: 10, InitialStatus: 200, FinalStatus: 200})
 	}
 	mem.Freeze()
-	b, err := Load(bytes.NewReader(savedArchive(t, saved)))
+	b, err := openPagedBytes(savedArchive(t, saved), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

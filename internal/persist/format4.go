@@ -75,4 +75,7 @@ const (
 	siteHeaderSize = 56
 	faultRecSize   = 36
 	pageRecSize    = 56
+
+	// Within one wikiblobs record: a u32 count and that many revisions.
+	revRecSize = 32
 )

@@ -53,9 +53,10 @@ func OpenPaged(path string) (*Bundle, error) {
 
 // VerifyPaged checks a format-v4 file end to end: superblock and
 // directory sanity, section bounds, per-section CRC-64 checksums,
-// record-level structure, the extents of every cdxhosts record, and a
-// full decode of every site record against the length its directory
-// entry recorded. The returned error names the first failing section.
+// record-level structure, the extents of every cdxhosts, snapkeys,
+// wikidir and category record, and a full decode of every site and
+// article record against the length its directory entry recorded. The
+// returned error names the first failing section.
 // It reads the whole file — 'inspect -load' runs it; the serving
 // startup path does not.
 func VerifyPaged(path string) error {
@@ -93,8 +94,23 @@ func VerifyPaged(path string) error {
 	if err := p.cdx.Verify(); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	for i := 0; i < p.numSnapKeys; i++ {
+		if _, _, err := p.snapExtent(i); err != nil {
+			return err
+		}
+	}
 	for i := 0; i < p.numSites; i++ {
 		if _, err := p.siteAt(i, p.siteHostAt(i)); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < p.numArticles; i++ {
+		if _, err := p.articleAt(i, p.titleAt(i)); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < p.numCats; i++ {
+		if _, err := p.categoryAt(i); err != nil {
 			return err
 		}
 	}

@@ -93,14 +93,27 @@ func (p *pagedStore) Snapshots(key string) []archive.Snapshot {
 	if !found {
 		return nil
 	}
-	b := p.sec[secSnapKeys]
-	start := int(rdU32(b, i*snapKeyRecSize+8))
-	count := int(rdU32(b, i*snapKeyRecSize+12))
+	start, count, err := p.snapExtent(i)
+	if err != nil {
+		return nil // a damaged record reads as absent; VerifyPaged names it
+	}
 	snaps := make([]archive.Snapshot, count)
-	for j := 0; j < count; j++ {
+	for j := range snaps {
 		snaps[j] = p.snapAt(start + j)
 	}
 	return snaps
+}
+
+// snapExtent reads snapkeys record i's run of snapshot rows, which must
+// lie inside the snaprows section.
+func (p *pagedStore) snapExtent(i int) (start, count int, err error) {
+	b := p.sec[secSnapKeys]
+	st, n := rdU32(b, i*snapKeyRecSize+8), rdU32(b, i*snapKeyRecSize+12)
+	if uint64(st)+uint64(n) > uint64(p.numSnaps) {
+		return 0, 0, fmt.Errorf("persist: section %q: record %d (rows %d+%d) outside the %d snapshot rows",
+			sectionNames[secSnapKeys], i, st, n, p.numSnaps)
+	}
+	return int(st), int(n), nil
 }
 
 func (p *pagedStore) TotalSnapshots() int { return p.numSnaps }
@@ -284,15 +297,33 @@ func (p *pagedStore) LoadArticle(title string) *wikimedia.Article {
 	if !found {
 		return nil
 	}
-	d := p.sec[secWikiDir]
-	base := int(rdU64(d, i*wikiDirRecSize+8))
-	ln := int(rdU32(d, i*wikiDirRecSize+16))
-	b := p.sec[secWikiBlobs][base : base+ln]
+	a, err := p.articleAt(i, title)
+	if err != nil {
+		return nil // a damaged record reads as absent; VerifyPaged names it
+	}
+	return a
+}
 
-	nRevs := int(rdU32(b, 0))
-	a := &wikimedia.Article{Title: title, Revisions: make([]wikimedia.Revision, nRevs)}
+// articleAt decodes the wikiblobs record wikidir record i points at. The
+// record must lie inside the section and be exactly its revision count
+// of revisions long.
+func (p *pagedStore) articleAt(i int, title string) (*wikimedia.Article, error) {
+	d := p.sec[secWikiDir]
+	base := rdU64(d, i*wikiDirRecSize+8)
+	ln := uint64(rdU32(d, i*wikiDirRecSize+16))
+	blobs := p.sec[secWikiBlobs]
+	if base > uint64(len(blobs)) || ln > uint64(len(blobs))-base {
+		return nil, fmt.Errorf("persist: section %q: article %q: entry (offset %d, length %d) outside the %d-byte %q section",
+			sectionNames[secWikiDir], title, base, ln, len(blobs), sectionNames[secWikiBlobs])
+	}
+	b := blobs[base : base+ln]
+	if ln < 4 || uint64(rdU32(b, 0))*revRecSize != ln-4 {
+		return nil, fmt.Errorf("persist: section %q: article %q: revision count does not fill the %d bytes its directory entry records",
+			sectionNames[secWikiBlobs], title, ln)
+	}
+	a := &wikimedia.Article{Title: title, Revisions: make([]wikimedia.Revision, rdU32(b, 0))}
 	off := 4
-	for j := 0; j < nRevs; j++ {
+	for j := range a.Revisions {
 		a.Revisions[j] = wikimedia.Revision{
 			ID:      int(rdU32(b, off)),
 			Day:     simclock.Day(rdI32(b, off+4)),
@@ -300,9 +331,9 @@ func (p *pagedStore) LoadArticle(title string) *wikimedia.Article {
 			Comment: p.str(rdU32(b, off+16), rdU32(b, off+20)),
 			Text:    p.str(rdU32(b, off+24), rdU32(b, off+28)),
 		}
-		off += 32
+		off += revRecSize
 	}
-	return a
+	return a, nil
 }
 
 func (p *pagedStore) CategoryTitles(category string) []string {
@@ -315,13 +346,34 @@ func (p *pagedStore) CategoryTitles(category string) []string {
 	if !found {
 		return nil
 	}
-	start := int(rdU32(b, p.catTable+16*i+8))
-	count := int(rdU32(b, p.catTable+16*i+12))
-	titles := make([]string, count)
-	for j := 0; j < count; j++ {
-		titles[j] = p.titleAt(int(rdU32(b, p.catIdx+4*(start+j))))
+	titles, err := p.categoryAt(i)
+	if err != nil {
+		return nil // a damaged record reads as absent; VerifyPaged names it
 	}
 	return titles
+}
+
+// categoryAt reads category record i's member titles. Its run of title
+// indexes must lie inside the index table, and each must name an
+// article.
+func (p *pagedStore) categoryAt(i int) ([]string, error) {
+	b := p.sec[secWikiMeta]
+	start := rdU32(b, p.catTable+16*i+8)
+	count := rdU32(b, p.catTable+16*i+12)
+	if uint64(start)+uint64(count) > uint64((len(b)-p.catIdx)/4) {
+		return nil, fmt.Errorf("persist: section %q: category %d (indexes %d+%d) outside the index table",
+			sectionNames[secWikiMeta], i, start, count)
+	}
+	titles := make([]string, count)
+	for j := range titles {
+		idx := rdU32(b, p.catIdx+4*(int(start)+j))
+		if uint64(idx) >= uint64(p.numArticles) {
+			return nil, fmt.Errorf("persist: section %q: category %d names article %d of %d",
+				sectionNames[secWikiMeta], i, idx, p.numArticles)
+		}
+		titles[j] = p.titleAt(int(idx))
+	}
+	return titles, nil
 }
 
 func rdF64(b []byte, off int) float64 {

@@ -35,7 +35,7 @@ func makePagedPair(t *testing.T, scale float64) *pagedPair {
 	if err := SavePaged(&buf, mem); err != nil {
 		t.Fatal(err)
 	}
-	paged, err := Load(bytes.NewReader(buf.Bytes()))
+	paged, err := openPagedBytes(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestConverterDeterministic(t *testing.T) {
 	}
 
 	// And the saved bytes still answer like the universe they came from.
-	paged, err := Load(bytes.NewReader(a))
+	paged, err := openPagedBytes(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 package persist
 
 import (
-	"fmt"
 	"io"
 
 	"permadead/internal/archive"
@@ -59,15 +58,3 @@ func FromUniverse(u *worldgen.Universe) *Bundle {
 // of megabytes of small writes, so batching them matters when w is an
 // *os.File.
 const saveBufferSize = 1 << 20
-
-// Load reads a paged (format v4) stream fully into memory and serves
-// it from the buffer — use OpenPaged with a file path to get demand
-// paging instead. A stream that is not a v4 universe, or was written
-// by an incompatible build, fails with an error saying so.
-func Load(r io.Reader) (*Bundle, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: read paged stream: %w", err)
-	}
-	return openPagedBytes(data, nil)
-}

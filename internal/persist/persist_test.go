@@ -89,10 +89,10 @@ func TestLoadedUniverseMeasuresIdentically(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a paged universe stream"))); err == nil {
+	if _, err := openPagedBytes([]byte("not a paged universe stream"), nil); err == nil {
 		t.Error("garbage should fail to load")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := openPagedBytes(nil, nil); err == nil {
 		t.Error("empty stream should fail to load")
 	}
 }
@@ -107,7 +107,7 @@ func TestLoadReportsFoundVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	le.PutUint32(data[4:], 99)
-	_, err := Load(bytes.NewReader(data))
+	_, err := openPagedBytes(data, nil)
 	if err == nil {
 		t.Fatal("version-99 stream loaded without error")
 	}
@@ -124,12 +124,12 @@ func TestFaultWindowsRoundTrip(t *testing.T) {
 	u := worldgen.Generate(p)
 
 	count := func(w *simweb.World) (sites, windows int) {
-		w.EachSite(func(s *simweb.Site) {
-			if len(s.Faults) > 0 {
+		for _, h := range w.Hostnames() {
+			if s := w.Site(h); len(s.Faults) > 0 {
 				sites++
 				windows += len(s.Faults)
 			}
-		})
+		}
 		return
 	}
 	origSites, origWindows := count(u.World)

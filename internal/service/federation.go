@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -113,12 +111,9 @@ func (s *Server) handleFederationInfo(w http.ResponseWriter, r *http.Request) {
 		Stats:         s.fed.Stats(),
 	}
 	for _, mem := range s.fed.Members() {
-		spec := mem.Spec
-		fullCoverage := spec.Coverage <= 0 || spec.Coverage >= 1
-		keepAll := spec.Policy == "" || spec.Policy == federation.PolicyKeepAll
 		out.Members = append(out.Members, federationMemberView{
-			MemberSpec: spec,
-			Identity:   fullCoverage && keepAll,
+			MemberSpec: mem.Spec,
+			Identity:   mem.Identity(),
 			Down:       mem.Down(),
 		})
 	}
@@ -137,8 +132,7 @@ func (s *Server) handleFederationMember(w http.ResponseWriter, r *http.Request) 
 		Member string `json:"member"`
 		Down   bool   `json:"down"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		edge.WriteError(w, http.StatusBadRequest, "bad_body", "malformed member flip: %v", err)
+	if !edge.DecodeBody(w, r, &req) {
 		return
 	}
 	mem := s.fed.Member(req.Member)

@@ -62,7 +62,6 @@ import (
 
 	"permadead/internal/core"
 	"permadead/internal/edge"
-	"permadead/internal/eventstream"
 	"permadead/internal/federation"
 	"permadead/internal/fetch"
 	"permadead/internal/iabot"
@@ -371,7 +370,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 		}
 	}
 	jrnl.SetWindow(cfg.JournalWindow)
-	feed := eventstream.NewFeed(feedBuffer)
+	feed := wikimedia.NewFeed(feedBuffer)
 	feed.Attach(b.Wiki)
 	var repairer monitor.Repairer
 	if cfg.EnableRepair {
@@ -408,9 +407,6 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 	}
 	return nil
 }
-
-// Monitor exposes the continuous verdict monitor (nil when disabled).
-func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
 // RecordStartup publishes the serving binary's startup-phase durations
 // (load or generate, freeze = New, listen = Start) under the /metrics

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 
@@ -78,8 +76,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // generations are accepted idempotently (the router retries pushes).
 func (s *Server) handleShardOwnership(w http.ResponseWriter, r *http.Request) {
 	var st shard.RingState
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&st); err != nil {
-		edge.WriteError(w, http.StatusBadRequest, "bad_body", "decoding ring state: %v", err)
+	if !edge.DecodeBody(w, r, &st) {
 		return
 	}
 	next, err := shard.FromState(st)

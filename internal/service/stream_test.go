@@ -283,7 +283,7 @@ func TestStreamDeliversFlipsLive(t *testing.T) {
 	}
 
 	// The wire and the journal must agree entry for entry.
-	jentries := s.Monitor().Journal().After(0)
+	jentries := s.jrnl.After(0)
 	if len(jentries) != n {
 		t.Fatalf("journal holds %d entries, stats said %d", len(jentries), n)
 	}
@@ -376,7 +376,7 @@ func TestRepairLoopEndToEnd(t *testing.T) {
 		postJSON(t, base, "/v1/sim/tick", map[string]int{"days": 15}, http.StatusOK, nil)
 	}
 
-	entries := s.Monitor().Journal().After(0)
+	entries := s.jrnl.After(0)
 	var toDead, toAlive, suspect int
 	for _, e := range entries {
 		switch e.New {
@@ -396,7 +396,7 @@ func TestRepairLoopEndToEnd(t *testing.T) {
 		t.Error("no dead verdict was flagged suspect despite fault windows")
 	}
 
-	st, err := s.Monitor().Stats()
+	st, err := s.mon.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestStreamSlowConsumerDropped(t *testing.T) {
 	ch, _ := openStream(t, base, 0)
 
 	tickUntilFlips(t, base, 3, 15, 120)
-	st, err := s.Monitor().Stats()
+	st, err := s.mon.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestStreamSlowConsumerDropped(t *testing.T) {
 		}
 	}
 	// The journal kept everything the slow consumer missed.
-	if got := s.Monitor().Journal().Len(); got < 3 {
+	if got := s.jrnl.Len(); got < 3 {
 		t.Fatalf("journal holds %d entries, want >= 3", got)
 	}
 }

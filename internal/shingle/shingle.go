@@ -6,17 +6,13 @@
 //
 // A document's shingle set is the set of all contiguous k-word windows
 // of its token stream. Similarity between two documents is the Jaccard
-// resemblance of their shingle sets. For large documents the package
-// also offers a min-hash sketch that estimates the resemblance with a
-// bounded number of hashes.
+// resemblance of their shingle sets.
 package shingle
 
 import (
 	"hash/fnv"
 	"strings"
 	"unicode"
-
-	"permadead/internal/hashx"
 )
 
 // DefaultK is the shingle width used by the soft-404 detector. Broder's
@@ -126,52 +122,4 @@ func Resemblance(a, b Set) float64 {
 // and returns their resemblance.
 func Similarity(textA, textB string) float64 {
 	return Resemblance(New(textA, DefaultK), New(textB, DefaultK))
-}
-
-// Sketch is a min-hash sketch of a shingle set: the n smallest shingle
-// hashes under a common permutation. E[overlap of sketches] approximates
-// the Jaccard resemblance, letting the detector compare large documents
-// in O(n) instead of O(|set|).
-type Sketch []uint64
-
-// NewSketch builds an n-hash min-wise sketch of text.
-func NewSketch(text string, k, n int) Sketch {
-	if n <= 0 {
-		n = 64
-	}
-	set := New(text, k)
-	sk := make(Sketch, n)
-	for i := range sk {
-		sk[i] = ^uint64(0)
-	}
-	for s := range set {
-		for i := 0; i < n; i++ {
-			// Mix the shingle hash with the permutation index using
-			// the bare splitmix64 finalizer: cheap, well-distributed.
-			v := hashx.Mix64(s + uint64(i)*hashx.Golden - hashx.Golden)
-			if v < sk[i] {
-				sk[i] = v
-			}
-		}
-	}
-	return sk
-}
-
-// Estimate returns the estimated Jaccard resemblance between the two
-// sketched documents: the fraction of sketch positions that agree.
-func (s Sketch) Estimate(other Sketch) float64 {
-	n := len(s)
-	if len(other) < n {
-		n = len(other)
-	}
-	if n == 0 {
-		return 0
-	}
-	match := 0
-	for i := 0; i < n; i++ {
-		if s[i] == other[i] {
-			match++
-		}
-	}
-	return float64(match) / float64(n)
 }

@@ -2,7 +2,6 @@ package shingle
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,42 +121,5 @@ func TestResemblanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(self, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSketchEstimatesResemblance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mkdoc := func(shared, unique int) string {
-		var sb strings.Builder
-		for i := 0; i < shared; i++ {
-			fmt.Fprintf(&sb, "shared%d ", i)
-		}
-		for i := 0; i < unique; i++ {
-			fmt.Fprintf(&sb, "u%d%d ", rng.Int(), i)
-		}
-		return sb.String()
-	}
-	a := mkdoc(200, 50)
-	b := mkdoc(200, 50)
-	exact := Resemblance(New(a, DefaultK), New(b, DefaultK))
-	est := NewSketch(a, DefaultK, 256).Estimate(NewSketch(b, DefaultK, 256))
-	if diff := est - exact; diff > 0.15 || diff < -0.15 {
-		t.Errorf("sketch estimate %v too far from exact %v", est, exact)
-	}
-}
-
-func TestSketchIdentical(t *testing.T) {
-	text := strings.Repeat("identical content here ", 30)
-	a := NewSketch(text, DefaultK, 64)
-	b := NewSketch(text, DefaultK, 64)
-	if est := a.Estimate(b); est != 1 {
-		t.Errorf("identical sketches estimate = %v, want 1", est)
-	}
-}
-
-func TestSketchEmpty(t *testing.T) {
-	var empty Sketch
-	if got := empty.Estimate(NewSketch("abc", DefaultK, 16)); got != 0 {
-		t.Errorf("empty sketch estimate = %v, want 0", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // derived from a Clock is deterministic.
 //
 // Safe for concurrent use. Reads never block behind an in-progress
-// Advance.
+// AdvanceTo.
 type Clock struct {
 	mu  sync.RWMutex
 	day Day
@@ -28,20 +28,6 @@ func (c *Clock) Now() Day {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.day
-}
-
-// Advance moves the clock forward n days (n >= 0) and returns the new
-// day. Negative n is rejected: simulated time never rewinds, because
-// every consumer's scheduling state (recheck heaps, journals) assumes
-// monotonic days.
-func (c *Clock) Advance(n int) (Day, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("simclock: cannot advance clock by %d days (time never rewinds)", n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.day = c.day.Add(n)
-	return c.day, nil
 }
 
 // AdvanceTo moves the clock to day, which must not precede the

@@ -123,11 +123,3 @@ func ParseTimestamp(ts string) (Day, error) {
 	}
 	return FromTime(t), nil
 }
-
-// Range iterates from lo to hi inclusive, calling fn for each day. It is
-// a convenience for generators that sweep the timeline.
-func Range(lo, hi Day, fn func(Day)) {
-	for d := lo; d <= hi; d++ {
-		fn(d)
-	}
-}

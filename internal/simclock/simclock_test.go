@@ -139,11 +139,3 @@ func TestStudyTimes(t *testing.T) {
 		t.Error("StudyTime should precede ResampleTime")
 	}
 }
-
-func TestRange(t *testing.T) {
-	var got []Day
-	Range(5, 8, func(d Day) { got = append(got, d) })
-	if len(got) != 4 || got[0] != 5 || got[3] != 8 {
-		t.Errorf("Range produced %v", got)
-	}
-}

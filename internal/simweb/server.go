@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"permadead/internal/simclock"
@@ -246,12 +245,4 @@ func selfSignedCert() (tls.Certificate, error) {
 		return tls.Certificate{}, fmt.Errorf("simweb: create cert: %w", err)
 	}
 	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}, nil
-}
-
-// HostsFileEntry renders an /etc/hosts-style line mapping the given
-// simulated hostname to the server, for operators who want to point
-// external tools at a running simwebd.
-func (s *Server) HostsFileEntry(hostname string) string {
-	host, _, _ := net.SplitHostPort(s.HTTPAddr())
-	return fmt.Sprintf("%s\t%s", host, strings.ToLower(hostname))
 }

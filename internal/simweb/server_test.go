@@ -164,14 +164,6 @@ func TestServerHEADHasNoBody(t *testing.T) {
 	}
 }
 
-func TestServerHostsFileEntry(t *testing.T) {
-	srv, _ := startServer(t, serverWorld())
-	entry := srv.HostsFileEntry("SRV.simtest")
-	if !strings.HasPrefix(entry, "127.0.0.1\t") || !strings.HasSuffix(entry, "srv.simtest") {
-		t.Errorf("hosts entry %q", entry)
-	}
-}
-
 func TestServerCloseIdempotent(t *testing.T) {
 	srv := NewServer(serverWorld(), simclock.StudyTime)
 	// Close before Start is a no-op.

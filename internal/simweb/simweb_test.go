@@ -284,17 +284,17 @@ func TestWorldAccessors(t *testing.T) {
 	if page.Path != "/articles/alpha.html" {
 		t.Errorf("page path = %q", page.Path)
 	}
-	n := 0
-	w.EachSite(func(*Site) { n++ })
-	if n != 10 {
-		t.Errorf("EachSite visited %d", n)
+	if n := len(w.Hostnames()); n != 10 {
+		t.Errorf("Hostnames listed %d", n)
 	}
 }
 
 func TestSitePageHelpers(t *testing.T) {
 	s := NewSite("x.simtest", 0)
-	if s.Pages() != 1 { // implicit homepage
-		t.Errorf("new site pages = %d", s.Pages())
+	pages := 0
+	s.EachPage(func(*Page) { pages++ })
+	if pages != 1 { // implicit homepage
+		t.Errorf("new site pages = %d", pages)
 	}
 	s.AddPage("no-slash", 5)
 	if s.Page("/no-slash") == nil {

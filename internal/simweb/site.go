@@ -182,9 +182,6 @@ func (s *Site) Page(path string) *Page {
 	return s.pages[normalizePath(path)]
 }
 
-// Pages returns the number of pages registered on the site.
-func (s *Site) Pages() int { return len(s.pages) }
-
 // EachPage calls fn for every page on the site in unspecified order.
 func (s *Site) EachPage(fn func(*Page)) {
 	for _, p := range s.pages {

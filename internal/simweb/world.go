@@ -123,29 +123,6 @@ func (w *World) Hostnames() []string {
 	return hs
 }
 
-// EachSite calls fn for every site in unspecified order. On a
-// source-backed world this materializes every site — it is the
-// whole-universe escape hatch (re-saves, spot audits), not a serving
-// path.
-func (w *World) EachSite(fn func(*Site)) {
-	w.mu.RLock()
-	src := w.src
-	w.mu.RUnlock()
-	if src != nil {
-		for _, h := range src.Hostnames() {
-			if s := w.Site(h); s != nil {
-				fn(s)
-			}
-		}
-		return
-	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	for _, s := range w.sites {
-		fn(s)
-	}
-}
-
 // Resolves reports whether DNS resolution for hostname succeeds on the
 // given day: the site must exist, have come online, and not have let
 // its registration lapse.

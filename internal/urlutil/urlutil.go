@@ -148,35 +148,6 @@ func rawDirectory(rawURL string) string {
 	return scheme + "://" + host + path
 }
 
-// LastSegment returns the portion of the URL's path after the final
-// '/', including any query string — the suffix that the soft-404 probe
-// (§3) replaces with a random string.
-func LastSegment(rawURL string) string {
-	rest, ok := stripScheme(rawURL)
-	if !ok {
-		return ""
-	}
-	if i := strings.IndexByte(rest, '#'); i >= 0 {
-		rest = rest[:i]
-	}
-	slash := strings.IndexByte(rest, '/')
-	if slash < 0 {
-		return ""
-	}
-	pathq := rest[slash:]
-	// Split off the query so the '/' search stays within the path, then
-	// reattach it: Directory(u) + LastSegment(u) reconstructs u.
-	path, query, hasQ := strings.Cut(pathq, "?")
-	seg := path
-	if k := strings.LastIndexByte(path, '/'); k >= 0 {
-		seg = path[k+1:]
-	}
-	if hasQ {
-		seg += "?" + query
-	}
-	return seg
-}
-
 // ReplaceLastSegment rebuilds rawURL with its last path segment (and
 // query) replaced by segment. Used by the soft-404 probe to construct
 // the known-invalid sibling URL u'.
@@ -418,29 +389,21 @@ func min3(a, b, c int) int {
 	return a
 }
 
-// QueryParams decomposes rawURL's query string into key/value pairs in
-// order of appearance. Unlike url.Values it preserves duplicates and
-// ordering, which §5.2 needs to reason about parameter-order variants.
-func QueryParams(rawURL string) []Param {
-	u, err := url.Parse(strings.TrimSpace(rawURL))
-	if err != nil {
-		return nil
-	}
-	return parseQuery(u.RawQuery)
-}
-
-// Param is a single query parameter occurrence.
-type Param struct {
+// param is a single query parameter occurrence.
+type param struct {
 	Key   string
 	Value string
 }
 
-func parseQuery(q string) []Param {
+// parseQuery decomposes a raw query string into key/value pairs in
+// order of appearance. Unlike url.Values it preserves duplicates and
+// ordering, which §5.2 needs to reason about parameter-order variants.
+func parseQuery(q string) []param {
 	if q == "" {
 		return nil
 	}
 	parts := strings.Split(q, "&")
-	params := make([]Param, 0, len(parts))
+	params := make([]param, 0, len(parts))
 	for _, p := range parts {
 		if p == "" {
 			continue
@@ -454,7 +417,7 @@ func parseQuery(q string) []Param {
 		if err != nil {
 			vu = v
 		}
-		params = append(params, Param{Key: ku, Value: vu})
+		params = append(params, param{Key: ku, Value: vu})
 	}
 	return params
 }
@@ -496,14 +459,4 @@ func CanonicalQueryKey(rawURL string) string {
 func HasQuery(rawURL string) bool {
 	u, err := url.Parse(strings.TrimSpace(rawURL))
 	return err == nil && u.RawQuery != ""
-}
-
-// IsValid reports whether rawURL parses as an absolute http(s) URL with
-// a hostname — the minimal bar for a link to even be testable.
-func IsValid(rawURL string) bool {
-	u, err := url.Parse(strings.TrimSpace(rawURL))
-	if err != nil {
-		return false
-	}
-	return (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }

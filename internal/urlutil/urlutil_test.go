@@ -67,12 +67,9 @@ func TestLastSegmentAndReplace(t *testing.T) {
 		{"http://h.com/", ""},
 	}
 	for _, c := range cases {
-		if got := LastSegment(c.url); got != c.seg {
-			t.Errorf("LastSegment(%q) = %q, want %q", c.url, got, c.seg)
-		}
-		// Directory + LastSegment reconstructs the URL.
-		if rec := Directory(c.url) + LastSegment(c.url); !equalURL(rec, c.url) {
-			t.Errorf("Directory+LastSegment(%q) = %q", c.url, rec)
+		// Replacing the last segment with itself reconstructs the URL.
+		if rec := ReplaceLastSegment(c.url, c.seg); !equalURL(rec, c.url) {
+			t.Errorf("ReplaceLastSegment(%q, %q) = %q", c.url, c.seg, rec)
 		}
 	}
 	got := ReplaceLastSegment("http://h.com/a/b/c.html", "XYZ")
@@ -287,8 +284,8 @@ func TestEditDistanceAtMostDoesNotAllocate(t *testing.T) {
 }
 
 func TestQueryParams(t *testing.T) {
-	params := QueryParams("http://h.com/x?a=1&b=2&a=3&empty=&novalue")
-	want := []Param{{"a", "1"}, {"b", "2"}, {"a", "3"}, {"empty", ""}, {"novalue", ""}}
+	params := parseQuery("a=1&b=2&a=3&empty=&novalue")
+	want := []param{{"a", "1"}, {"b", "2"}, {"a", "3"}, {"empty", ""}, {"novalue", ""}}
 	if len(params) != len(want) {
 		t.Fatalf("got %d params, want %d: %v", len(params), len(want), params)
 	}
@@ -297,7 +294,7 @@ func TestQueryParams(t *testing.T) {
 			t.Errorf("param[%d] = %v, want %v", i, params[i], want[i])
 		}
 	}
-	if QueryParams("http://h.com/x") != nil {
+	if parseQuery("") != nil {
 		t.Error("no query should give nil params")
 	}
 }
@@ -314,17 +311,9 @@ func TestCanonicalQueryKey(t *testing.T) {
 	}
 }
 
-func TestHasQueryAndIsValid(t *testing.T) {
+func TestHasQuery(t *testing.T) {
 	if !HasQuery("http://h.com/x?a=1") || HasQuery("http://h.com/x") {
 		t.Error("HasQuery misclassifies")
-	}
-	if !IsValid("http://h.com/x") || !IsValid("https://h.com") {
-		t.Error("IsValid rejects valid URLs")
-	}
-	for _, bad := range []string{"", "h.com/x", "ftp://h.com", "http://"} {
-		if IsValid(bad) {
-			t.Errorf("IsValid(%q) should be false", bad)
-		}
 	}
 }
 
@@ -377,12 +366,8 @@ func TestReplaceLastSegmentInvalid(t *testing.T) {
 }
 
 func TestQueryParamsEdgeCases(t *testing.T) {
-	// Unparseable URL yields nil.
-	if QueryParams("http://h.com/%zz?x=1") != nil {
-		t.Error("unparseable URL should yield nil params")
-	}
 	// Escaped keys/values are decoded; invalid escapes are kept raw.
-	p := QueryParams("http://h.com/x?a%20b=c%20d&bad=%zz")
+	p := parseQuery("a%20b=c%20d&bad=%zz")
 	if len(p) != 2 || p[0].Key != "a b" || p[0].Value != "c d" {
 		t.Errorf("params = %+v", p)
 	}
@@ -390,15 +375,9 @@ func TestQueryParamsEdgeCases(t *testing.T) {
 		t.Errorf("invalid escape should stay raw: %+v", p[1])
 	}
 	// Empty segments between && are skipped.
-	p2 := QueryParams("http://h.com/x?a=1&&b=2")
+	p2 := parseQuery("a=1&&b=2")
 	if len(p2) != 2 {
 		t.Errorf("params = %+v", p2)
-	}
-}
-
-func TestIsValidUnparseable(t *testing.T) {
-	if IsValid("http://h com/with space in host") {
-		t.Error("URL with space in host should be invalid")
 	}
 }
 

@@ -4,14 +4,10 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
-	"time"
-
-	"permadead/internal/simclock"
 )
 
-// MediaWiki XML dump interchange: the simulated wiki exports and
-// imports the subset of the real dump schema
+// MediaWiki XML dump export: the simulated wiki writes the subset of
+// the real dump schema
 // (https://www.mediawiki.org/xml/export-0.11/) that the study needs —
 // page titles and full revision histories with timestamps,
 // contributors, comments, and wikitext. The paper's pipeline could run
@@ -89,63 +85,4 @@ func (w *Wiki) WriteDump(out io.Writer) error {
 	}
 	_, err := io.WriteString(out, "\n")
 	return err
-}
-
-// ReadDump builds a wiki from a MediaWiki XML dump. Revisions are
-// replayed oldest-first per page; revision IDs are re-assigned in
-// global timestamp order, matching what a fresh wiki would have done.
-func ReadDump(in io.Reader) (*Wiki, error) {
-	var dump xmlDump
-	if err := xml.NewDecoder(in).Decode(&dump); err != nil {
-		return nil, fmt.Errorf("wikimedia: read dump: %w", err)
-	}
-
-	// Replay every revision across all pages in day order so edits to
-	// different articles interleave exactly as they originally did.
-	type pending struct {
-		title string
-		rev   xmlRevision
-		day   simclock.Day
-		first bool
-	}
-	var all []pending
-	for _, p := range dump.Pages {
-		for i, rev := range p.Revisions {
-			day, err := parseDumpTime(rev.Timestamp)
-			if err != nil {
-				return nil, fmt.Errorf("wikimedia: read dump: page %q: %w", p.Title, err)
-			}
-			all = append(all, pending{title: p.Title, rev: rev, day: day, first: i == 0})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].day != all[j].day {
-			return all[i].day < all[j].day
-		}
-		return all[i].rev.ID < all[j].rev.ID
-	})
-
-	w := NewWiki()
-	for _, p := range all {
-		if p.first {
-			w.Create(p.title, p.day, p.rev.Contributor.Username, p.rev.Text.Value)
-			continue
-		}
-		if _, err := w.Edit(p.title, p.day, p.rev.Contributor.Username, p.rev.Comment, p.rev.Text.Value); err != nil {
-			return nil, fmt.Errorf("wikimedia: read dump: %w", err)
-		}
-	}
-	return w, nil
-}
-
-func parseDumpTime(ts string) (simclock.Day, error) {
-	if len(ts) < 10 {
-		return 0, fmt.Errorf("malformed timestamp %q", ts)
-	}
-	// The date prefix is all the simulation needs (day granularity).
-	var y, m, d int
-	if _, err := fmt.Sscanf(ts[:10], "%04d-%02d-%02d", &y, &m, &d); err != nil {
-		return 0, fmt.Errorf("malformed timestamp %q: %w", ts, err)
-	}
-	return simclock.FromDate(y, time.Month(m), d), nil
 }

@@ -2,9 +2,10 @@
 // an article store with full edit history, category membership derived
 // from wikitext, an alphabetical article listing (the paper crawls the
 // first 10,000 articles of a category listing in title order, §2.4),
-// and an event stream of external-link additions and removals; the
-// Internet Archive's capture services consume the additions (§5.1)
-// and the continuous verdict monitor consumes both.
+// and the edit stream of external-link additions and removals. Listeners
+// registered with Subscribe see each edit synchronously (generation's
+// capture on post, §5.1, is one); Feed is the wiki's EventStream API,
+// the bounded asynchronous queue the continuous verdict monitor reads.
 //
 // Every edit is a complete new revision, as in MediaWiki. The edit
 // history is the source of truth for the three per-link facts the
@@ -57,19 +58,6 @@ func (a *Article) Current() *Revision {
 		return nil
 	}
 	return &a.Revisions[len(a.Revisions)-1]
-}
-
-// RevisionAt returns the article text as of the given day: the last
-// revision saved on or before it (nil when the article didn't exist).
-func (a *Article) RevisionAt(day simclock.Day) *Revision {
-	var found *Revision
-	for i := range a.Revisions {
-		if a.Revisions[i].Day.After(day) {
-			break
-		}
-		found = &a.Revisions[i]
-	}
-	return found
 }
 
 // LinkAddedEvent is emitted when an edit introduces a previously-unseen

@@ -62,29 +62,6 @@ func TestEditHistory(t *testing.T) {
 	}
 }
 
-func TestRevisionAt(t *testing.T) {
-	w := NewWiki()
-	w.Create("Alpha", d(100), "U", "v1")
-	w.Edit("Alpha", d(200), "U", "c", "v2")
-	w.Edit("Alpha", d(300), "U", "c", "v3")
-	a := w.Article("Alpha")
-	cases := []struct {
-		day  simclock.Day
-		text string
-	}{
-		{d(100), "v1"}, {d(150), "v1"}, {d(200), "v2"}, {d(299), "v2"}, {d(1000), "v3"},
-	}
-	for _, c := range cases {
-		rev := a.RevisionAt(c.day)
-		if rev == nil || rev.Text != c.text {
-			t.Errorf("RevisionAt(%v) = %+v, want %q", c.day, rev, c.text)
-		}
-	}
-	if a.RevisionAt(d(99)) != nil {
-		t.Error("before creation should be nil")
-	}
-}
-
 func TestTitlesSorted(t *testing.T) {
 	w := NewWiki()
 	for _, title := range []string{"Charlie", "Alpha", "Bravo"} {

@@ -82,17 +82,6 @@ func (t *Template) Set(key, value string) {
 	t.Params = append(t.Params, Param{Key: key, Value: value})
 }
 
-// Remove deletes the named parameter, reporting whether it was present.
-func (t *Template) Remove(key string) bool {
-	for i := range t.Params {
-		if strings.EqualFold(t.Params[i].Key, key) {
-			t.Params = append(t.Params[:i], t.Params[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // NameIs reports whether the template's name matches (case-insensitive,
 // space/underscore-insensitive, as MediaWiki treats template names).
 func (t *Template) NameIs(name string) bool {
@@ -276,16 +265,4 @@ func (d *Document) Walk(fn func(Node)) {
 			r.Body.Walk(fn)
 		}
 	}
-}
-
-// Templates returns every template in the document (including inside
-// refs) whose name matches, in document order.
-func (d *Document) Templates(name string) []*Template {
-	var out []*Template
-	d.Walk(func(n Node) {
-		if t, ok := n.(*Template); ok && t.NameIs(name) {
-			out = append(out, t)
-		}
-	})
-	return out
 }

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// templates returns every template in d (including inside refs) whose
+// name matches, in document order.
+func templates(d *Document, name string) []*Template {
+	var out []*Template
+	d.Walk(func(n Node) {
+		if t, ok := n.(*Template); ok && t.NameIs(name) {
+			out = append(out, t)
+		}
+	})
+	return out
+}
+
 func TestParsePlainText(t *testing.T) {
 	doc := Parse("just some plain prose, nothing else.")
 	if len(doc.Nodes) != 1 {
@@ -17,7 +29,7 @@ func TestParsePlainText(t *testing.T) {
 
 func TestParseTemplate(t *testing.T) {
 	doc := Parse(`{{cite web|url=http://example.com/a|title=A Title|access-date=2015-01-02}}`)
-	tmpls := doc.Templates("cite web")
+	tmpls := templates(doc, "cite web")
 	if len(tmpls) != 1 {
 		t.Fatalf("templates = %d", len(tmpls))
 	}
@@ -35,18 +47,18 @@ func TestParseTemplate(t *testing.T) {
 
 func TestParseTemplateCaseInsensitive(t *testing.T) {
 	doc := Parse(`{{Cite Web|url=http://x.com}}`)
-	if len(doc.Templates("cite web")) != 1 {
+	if len(templates(doc, "cite web")) != 1 {
 		t.Error("template name matching should be case-insensitive")
 	}
 	doc2 := Parse(`{{dead_link|date=July 2021}}`)
-	if len(doc2.Templates("dead link")) != 1 {
+	if len(templates(doc2, "dead link")) != 1 {
 		t.Error("underscores should match spaces in template names")
 	}
 }
 
 func TestParseNestedTemplate(t *testing.T) {
 	doc := Parse(`{{outer|param={{inner|x=1}}|other=2}}`)
-	tmpls := doc.Templates("outer")
+	tmpls := templates(doc, "outer")
 	if len(tmpls) != 1 {
 		t.Fatalf("outer templates = %d", len(tmpls))
 	}
@@ -60,7 +72,7 @@ func TestParseNestedTemplate(t *testing.T) {
 
 func TestParsePositionalParams(t *testing.T) {
 	doc := Parse(`{{lang|fr|bonjour}}`)
-	tm := doc.Templates("lang")[0]
+	tm := templates(doc, "lang")[0]
 	if len(tm.Params) != 2 || tm.Params[0].Value != "fr" || tm.Params[1].Value != "bonjour" {
 		t.Errorf("params = %+v", tm.Params)
 	}
@@ -71,7 +83,7 @@ func TestParsePositionalParams(t *testing.T) {
 
 func TestParamValueWithEquals(t *testing.T) {
 	doc := Parse(`{{cite web|url=http://h.com/x?a=1&b=2|title=T}}`)
-	tm := doc.Templates("cite web")[0]
+	tm := templates(doc, "cite web")[0]
 	if v, _ := tm.Get("url"); v != "http://h.com/x?a=1&b=2" {
 		t.Errorf("url with query = %q", v)
 	}
@@ -83,7 +95,7 @@ func TestUnterminatedTemplateDegradesToText(t *testing.T) {
 	if doc.Render() != src {
 		t.Errorf("render = %q", doc.Render())
 	}
-	if len(doc.Templates("broken")) != 0 {
+	if len(templates(doc, "broken")) != 0 {
 		t.Error("unterminated template must not parse")
 	}
 }
@@ -164,7 +176,7 @@ func TestParseRef(t *testing.T) {
 	if refs[0].Name != "src1" {
 		t.Errorf("ref name = %q", refs[0].Name)
 	}
-	if refs[0].Body == nil || len(refs[0].Body.Templates("cite web")) != 1 {
+	if refs[0].Body == nil || len(templates(refs[0].Body, "cite web")) != 1 {
 		t.Error("ref body should contain the cite template")
 	}
 	out := doc.Render()
@@ -216,7 +228,7 @@ func TestParseRefUnquotedName(t *testing.T) {
 	}
 }
 
-func TestTemplateSetRemove(t *testing.T) {
+func TestTemplateSet(t *testing.T) {
 	tm := &Template{Name: "cite web"}
 	tm.Set("url", "http://a.com")
 	tm.Set("title", "T")
@@ -226,15 +238,6 @@ func TestTemplateSetRemove(t *testing.T) {
 	}
 	if len(tm.Params) != 2 {
 		t.Errorf("params = %d", len(tm.Params))
-	}
-	if !tm.Remove("title") {
-		t.Error("Remove should report true")
-	}
-	if _, ok := tm.Get("title"); ok {
-		t.Error("title should be gone")
-	}
-	if tm.Remove("title") {
-		t.Error("second Remove should report false")
 	}
 }
 
@@ -268,7 +271,7 @@ Also see [http://www.fishman.com/artists/steve Steve's page] and more.
 	// Semantic round-trip: re-parsing the render gives the same links,
 	// templates, and categories.
 	doc2 := Parse(out)
-	if len(doc2.Templates("cite web")) != 1 {
+	if len(templates(doc2, "cite web")) != 1 {
 		t.Error("cite survived")
 	}
 	urls1 := doc.ExternalURLs()
@@ -293,7 +296,7 @@ func TestParseComments(t *testing.T) {
 		t.Fatalf("comments = %d", len(comments))
 	}
 	// Markup inside comments is inert.
-	if len(doc.Templates("not a template")) != 0 {
+	if len(templates(doc, "not a template")) != 0 {
 		t.Error("template inside comment parsed")
 	}
 	if len(doc.ExternalURLs()) != 0 {
@@ -307,7 +310,7 @@ func TestParseComments(t *testing.T) {
 
 func TestParseUnterminatedComment(t *testing.T) {
 	doc := Parse("text <!-- runs to the end {{x}}")
-	if len(doc.Templates("x")) != 0 {
+	if len(templates(doc, "x")) != 0 {
 		t.Error("template inside unterminated comment parsed")
 	}
 	if doc.Render() != "text <!-- runs to the end {{x}}-->" {

@@ -183,18 +183,17 @@ func pathOf(url string) string {
 }
 
 // plantArchiveState plants everything the archive must hold beyond the
-// eventstream-driven first captures: pre-posting captures, extra
+// capture-on-post first captures: pre-posting captures, extra
 // captures, sibling redirect captures (§4.2 validation material), typo
 // correct-URL captures, bulk coverage regions (Figure 6), and the
 // availability latencies that realize §4.1.
-func plantArchiveState(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, arch *archive.Archive) {
-	p := pl.Params
+func plantArchiveState(pl *Plan, rng *rand.Rand, crawler *Crawler, arch *archive.Archive) {
 	for _, lp := range pl.Links {
 		if lp.SlowLookup {
 			arch.SetLookupLatency(lp.URL, slowLookupLatency(lp.URL))
 		}
 		// Pre-posting first captures are planted directly: the
-		// on-post capture service cannot see a link before it exists.
+		// capture on post cannot see a link before it exists.
 		if lp.PrePost && lp.FirstCapture.Valid() {
 			crawler.Capture(lp.URL, lp.FirstCapture) //nolint:errcheck
 		}
@@ -211,16 +210,15 @@ func plantArchiveState(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, arch 
 			plantNoneCoverage(pl, rng, crawler, arch, lp)
 		}
 	}
-	// Background patched links need their usable copy; the on-post
-	// service plants it (see delayModel), nothing to do here.
-	_ = p
+	// Background patched links need their usable copy; capture on post
+	// plants it (see planDelays), nothing to do here.
 }
 
 // plantValidSiblings creates sibling pages that moved around the same
 // time with their own distinct targets, and captures them inside their
 // redirect windows within ±90 days of the link's capture — the §4.2
 // cross-examination material that validates the link's redirect.
-func plantValidSiblings(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, lp *LinkPlan) {
+func plantValidSiblings(pl *Plan, rng *rand.Rand, crawler *Crawler, lp *LinkPlan) {
 	site := crawler.World.Site(lp.Host)
 	dir := dirOf(lp.Path)
 	n := 2 + rng.Intn(3)
@@ -244,7 +242,7 @@ func plantValidSiblings(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, lp *
 // plantErrSiblings captures other (never-existing) URLs in the same
 // directory during the site's soft-redirect era; they all bounce to
 // the homepage, condemning the link's own redirect as a mass redirect.
-func plantErrSiblings(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, lp *LinkPlan) {
+func plantErrSiblings(pl *Plan, rng *rand.Rand, crawler *Crawler, lp *LinkPlan) {
 	dir := dirOf(lp.Path)
 	for i := 0; i < 2; i++ {
 		path := fmt.Sprintf("%sretired-%d.html", dir, rng.Intn(1_000_000))
@@ -266,7 +264,7 @@ func plantErrSiblings(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, lp *Li
 // surroundings: bulk 200-status coverage in its directory and host
 // (Figure 6), and — for typos — captures of the corrected URL that
 // §5.2's edit-distance probe will find.
-func plantNoneCoverage(pl *Plan, rng *rand.Rand, crawler *archive.Crawler, arch *archive.Archive, lp *LinkPlan) {
+func plantNoneCoverage(pl *Plan, rng *rand.Rand, crawler *Crawler, arch *archive.Archive, lp *LinkPlan) {
 	p := pl.Params
 	site := crawler.World.Site(lp.Host)
 	firstDay := clampDay(site.Created.Add(200), site.Created.Add(1), p.StudyTime.Add(-200))

@@ -235,19 +235,6 @@ func SmallParams() Params {
 	return DefaultParams().Scale(0.06)
 }
 
-// TotalLiveQuota sums the Figure 4 outcome quotas (the PD population
-// before the PopulationFactor inflation).
-func (p Params) TotalLiveQuota() int {
-	return p.QuotaDNS + p.Quota404 + p.QuotaTimeout + p.QuotaOther +
-		p.Quota200Real + p.Quota200Soft
-}
-
-// TotalHistQuota sums the §4 archive-history quotas.
-func (p Params) TotalHistQuota() int {
-	return p.QuotaHistPre200 + p.QuotaHistRedirValid + p.QuotaHistRedirErr +
-		p.QuotaHistErrOnly + p.QuotaHistNone
-}
-
 // PopulationSize is the number of PD links generated before sampling.
 func (p Params) PopulationSize() int {
 	n := int(float64(p.SampleSize) * p.PopulationFactor)

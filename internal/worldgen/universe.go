@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"permadead/internal/archive"
-	"permadead/internal/eventstream"
 	"permadead/internal/fetch"
 	"permadead/internal/hashx"
 	"permadead/internal/iabot"
@@ -28,7 +27,6 @@ type Universe struct {
 	Wiki    *wikimedia.Wiki
 	Archive *archive.Archive
 	Bot     *iabot.Bot
-	Stream  *eventstream.Service
 
 	// Unmarked lists destined-PD URLs the timeline failed to mark
 	// (generation slippage; expected to be empty or tiny).
@@ -51,17 +49,18 @@ func Generate(p Params) *Universe {
 	// universe is byte-identical whether injection is on or off.
 	plantFaults(p, world)
 	arch := archive.New()
-	crawler := archive.NewCrawler(world, arch)
+	crawler := NewCrawler(world, arch)
 
-	// The on-post capture service realizes each link's planned first-
-	// capture delay (§5.1); links destined to be never archived are
-	// never picked up.
-	svc := eventstream.New(crawler)
-	svc.ActiveFrom = 0 // plan-driven delays stand in for all capture channels
-	svc.Delay = planDelayModel(plan)
-
+	// Capture on post (§5.1): each link is captured its planned first-
+	// capture delay after it is posted, standing in for every capture
+	// channel; links destined to be never archived are never picked up.
+	delays := planDelays(plan)
 	wiki := wikimedia.NewWiki()
-	svc.Attach(wiki)
+	wiki.Subscribe(func(ev wikimedia.LinkAddedEvent) {
+		if delay, ok := delays[ev.URL]; ok {
+			crawler.Capture(ev.URL, ev.Day.Add(delay)) //nolint:errcheck
+		}
+	})
 
 	plantArchiveState(plan, rng, crawler, arch)
 
@@ -73,7 +72,7 @@ func Generate(p Params) *Universe {
 
 	u := &Universe{
 		Params: p, Plan: plan, World: world, Wiki: wiki,
-		Archive: arch, Bot: bot, Stream: svc,
+		Archive: arch, Bot: bot,
 	}
 	progress("running timeline", 0, 0)
 	u.runTimeline(rng, progress)
@@ -88,37 +87,26 @@ func Generate(p Params) *Universe {
 	return u
 }
 
-// planDelayModel maps every planned URL to its destined first-capture
-// delay for the on-post capture service.
-func planDelayModel(pl *Plan) eventstream.DelayModel {
-	type sched struct {
-		delay  int
-		pickup bool
-	}
-	m := make(map[string]sched, len(pl.Links)+len(pl.Background))
+// planDelays maps every planned URL that capture on post picks up to
+// its destined first-capture delay in days. Should a URL be planned
+// twice, its last plan entry decides.
+func planDelays(pl *Plan) map[string]int {
+	m := make(map[string]int, len(pl.Links)+len(pl.Background))
 	for _, lp := range pl.Links {
-		s := sched{}
 		if lp.FirstCapture.Valid() && !lp.PrePost {
-			s.delay = lp.FirstCapture.Sub(lp.PostDay)
-			s.pickup = true
+			m[lp.URL] = lp.FirstCapture.Sub(lp.PostDay)
+		} else {
+			delete(m, lp.URL)
 		}
-		m[lp.URL] = s
 	}
 	for _, bg := range pl.Background {
-		s := sched{}
 		if bg.Kind == BgPatched {
-			s.delay = bg.CaptureDay.Sub(bg.PostDay)
-			s.pickup = true
+			m[bg.URL] = bg.CaptureDay.Sub(bg.PostDay)
+		} else {
+			delete(m, bg.URL)
 		}
-		m[bg.URL] = s
 	}
-	return func(ev wikimedia.LinkAddedEvent) (int, bool) {
-		s, ok := m[ev.URL]
-		if !ok {
-			return 0, false
-		}
-		return s.delay, s.pickup
-	}
+	return m
 }
 
 // timeline event kinds, in same-day execution order.
@@ -306,7 +294,7 @@ func (u *Universe) userMark(ev event) {
 // plantPostRunState applies the world changes that, by construction,
 // happen after IABot marked each link: §3 recoveries (redirects
 // installed, pages restored) and post-mark archive captures.
-func (u *Universe) plantPostRunState(rng *rand.Rand, crawler *archive.Crawler) {
+func (u *Universe) plantPostRunState(rng *rand.Rand, crawler *Crawler) {
 	p := u.Params
 	for _, lp := range u.Plan.Links {
 		if !lp.MarkDay.Valid() {

@@ -315,10 +315,12 @@ func TestScaleParams(t *testing.T) {
 		t.Error("fractions must not scale")
 	}
 	// Quota sums stay close to the sample size.
-	if d := p.TotalLiveQuota() - p.SampleSize; d < -20 || d > 20 {
+	live := p.QuotaDNS + p.Quota404 + p.QuotaTimeout + p.QuotaOther + p.Quota200Real + p.Quota200Soft
+	if d := live - p.SampleSize; d < -20 || d > 20 {
 		t.Errorf("live quota sum drift = %d", d)
 	}
-	if d := p.TotalHistQuota() - p.SampleSize; d < -20 || d > 20 {
+	hist := p.QuotaHistPre200 + p.QuotaHistRedirValid + p.QuotaHistRedirErr + p.QuotaHistErrOnly + p.QuotaHistNone
+	if d := hist - p.SampleSize; d < -20 || d > 20 {
 		t.Errorf("hist quota sum drift = %d", d)
 	}
 }
