@@ -30,9 +30,10 @@ race:
 # banded edit distance against the full matrix, the URL helpers (with
 # the prefix-only scheme match against its ToLower reference), and
 # Normalize's byte-scan early return against its net/url body; and
-# FuzzPagedSections, damaged CDX, snapshot-key, article and category
-# sections of a paged file, which must open with an error or answer
-# every reader without a panic.
+# FuzzPagedSections, a paged file with a damaged superblock, section
+# directory, or any section but params and the arena (the archive's
+# nine, the site and the wiki sections), which must open with an error
+# or answer every reader without a panic.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil

@@ -17,6 +17,11 @@
 // regions answer count queries in O(1) and enumerate lazily, so the
 // simulation can model hosts with tens of thousands of archived pages
 // (Figure 6's x-axis) without materializing them up front.
+//
+// An archive is written through maps while it is generated, and read
+// through one representation once frozen: the nine byte sections of
+// the paged universe file (sections.go), which Freeze builds on the
+// heap and Open serves from a mapped file, through the same code.
 package archive
 
 import (
@@ -127,26 +132,24 @@ func (r BulkRegion) DayAt(i int) simclock.Day {
 type Archive struct {
 	mu     sync.RWMutex
 	frozen atomic.Bool
-	// byKey maps urlutil.SchemeAgnosticKey(url) → snapshots sorted by Day.
-	byKey map[string][]Snapshot
-	// byHost maps hostname → capture records for CDX queries.
-	byHost map[string]*hostIndex
-	// latency overrides for the Availability API, keyed like byKey.
-	latency map[string]int // milliseconds
+	// The mutable store, nil once frozen. byKey maps
+	// urlutil.SchemeAgnosticKey(url) → snapshots sorted by Day; byHost
+	// maps hostname → capture records for CDX queries; latency holds
+	// the Availability API's overrides in milliseconds, keyed like byKey.
+	byKey   map[string][]Snapshot
+	byHost  map[string]*hostIndex
+	latency map[string]int
 
-	// cdx is the frozen CDX index (index.go), built by Freeze or
-	// opened over the store's sections. nil while the archive is
-	// mutable, when CDX queries are linear scans.
-	cdx *CDXIndex
-	// prefilter is the freeze-time Bloom filter over snapshot keys
-	// (see prefilter.go); prefilterOn gates its use.
+	// The frozen store: the readers over the sections (sections.go)
+	// that Freeze builds or Open is given.
+	cdx   *cdxIndex
+	snaps *snapIndex
+	// prefilter is the capture prefilter over the snapshot keys (see
+	// prefilter.go); prefilterOn gates its use.
 	prefilter   *capturePrefilter
 	prefilterOn atomic.Bool
-
-	// store, when non-nil, backs every read with an external Store
-	// (a paged on-disk universe, see store.go). A store-backed archive
-	// is frozen from construction; byKey/byHost stay empty.
-	store Store
+	// opened marks an archive Open serves from a file's sections.
+	opened bool
 }
 
 type hostIndex struct {
@@ -173,18 +176,25 @@ func New() *Archive {
 
 // Freeze marks the store immutable: subsequent writes panic and reads
 // no longer take the lock. It is also the single build point of the
-// CDX index (index.go) — sorted per-host rows, status partitions,
-// query-key groups, the domain → hosts table — which every CDX read
-// uses from then on, and of the capture prefilter (prefilter.go). Call it
-// once world generation (and any post-run state planting) is
-// complete, before fanning analysis out across goroutines. Idempotent.
+// archive's sections (sections.go) — the CDX index, the snapshot keys
+// and rows, the latency overrides and the capture prefilter — which
+// every read uses from then on, in place of the maps it drops. Call it
+// once world generation (and any post-run state planting) is complete,
+// before fanning analysis out across goroutines. Idempotent.
 func (a *Archive) Freeze() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.frozen.Load() {
 		return
 	}
-	a.buildIndexLocked()
+	b := &builder{arena: []byte{0}, idx: make(map[string]int)}
+	byName, urls := b.addCDX(a.byHost)
+	b.addSnapshots(a.byKey, a.latency)
+	if err := a.open(b.sections()); err != nil {
+		panic("archive: Freeze built sections Open rejects: " + err.Error())
+	}
+	a.cdx.byName, a.cdx.urls = byName, urls
+	a.byKey, a.byHost, a.latency = nil, nil, nil
 	a.frozen.Store(true)
 }
 
@@ -243,72 +253,82 @@ func (a *Archive) AddBulkCoverage(r BulkRegion) {
 	hi.bulk = append(hi.bulk, r)
 }
 
-// rlock takes the read lock unless the store is frozen; it returns the
-// matching unlock (a no-op when frozen). Every read path funnels
-// through it so frozen archives serve lock-free reads.
-func (a *Archive) rlock() func() {
-	if a.frozen.Load() {
-		return func() {}
+// rlock reports whether the archive is frozen, when reads go to the
+// sections lock-free; otherwise it takes the read lock for a read of
+// the maps and returns the matching unlock. A reader that waited on
+// the lock while Freeze ran finds the archive frozen and the maps gone,
+// so every read funnels through it.
+func (a *Archive) rlock() (frozen bool, unlock func()) {
+	if !a.frozen.Load() {
+		a.mu.RLock()
+		if !a.frozen.Load() {
+			return false, a.mu.RUnlock
+		}
+		a.mu.RUnlock()
 	}
-	a.mu.RLock()
-	return a.mu.RUnlock
+	return true, nil
+}
+
+// captures returns url's captures (any scheme/www variant).
+func (a *Archive) captures(url string) captures {
+	key := urlutil.SchemeAgnosticKey(url)
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		snaps := a.byKey[key]
+		return captures{snaps: snaps, n: len(snaps)}
+	}
+	// The compact prefilter settles the dominant "no captures at all"
+	// case without a search.
+	if !a.mightHaveCapturesKey(key) {
+		return captures{}
+	}
+	return a.snaps.find(key)
 }
 
 // Snapshots returns all captures of url (any scheme/www variant),
 // oldest first. The returned slice must not be modified.
 func (a *Archive) Snapshots(url string) []Snapshot {
-	key := urlutil.SchemeAgnosticKey(url)
-	// Once frozen, the compact prefilter settles the dominant
-	// "no captures at all" case without touching the backing store.
-	if a.frozen.Load() && !a.mightHaveCapturesKey(key) {
-		return nil
-	}
-	if a.store != nil {
-		return a.store.Snapshots(key)
-	}
-	defer a.rlock()()
-	return a.byKey[key]
+	c := a.captures(url)
+	return c.slice(0, c.n)
 }
 
 // SnapshotsBetween returns captures of url with from <= Day < to.
 func (a *Archive) SnapshotsBetween(url string, from, to simclock.Day) []Snapshot {
-	snaps := a.Snapshots(url)
-	lo := sort.Search(len(snaps), func(i int) bool { return snaps[i].Day >= from })
-	hi := sort.Search(len(snaps), func(i int) bool { return snaps[i].Day >= to })
-	return snaps[lo:hi]
+	c := a.captures(url)
+	return c.slice(c.search(from), c.search(to))
 }
 
 // First returns the earliest capture of url.
 func (a *Archive) First(url string) (Snapshot, bool) {
-	snaps := a.Snapshots(url)
-	if len(snaps) == 0 {
+	c := a.captures(url)
+	if c.n == 0 {
 		return Snapshot{}, false
 	}
-	return snaps[0], true
+	return c.at(0), true
 }
 
 // FirstAfter returns the earliest capture of url on or after day.
 func (a *Archive) FirstAfter(url string, day simclock.Day) (Snapshot, bool) {
-	snaps := a.Snapshots(url)
-	i := sort.Search(len(snaps), func(i int) bool { return snaps[i].Day >= day })
-	if i == len(snaps) {
+	c := a.captures(url)
+	i := c.search(day)
+	if i == c.n {
 		return Snapshot{}, false
 	}
-	return snaps[i], true
+	return c.at(i), true
 }
 
 // Closest returns the capture of url closest in time to want among
 // those accepted by the filter (nil filter accepts all) — the Wayback
 // Availability API's contract.
 func (a *Archive) Closest(url string, want simclock.Day, accept func(Snapshot) bool) (Snapshot, bool) {
-	snaps := a.Snapshots(url)
+	c := a.captures(url)
 	best := -1
 	bestDist := 0
-	for i := range snaps {
-		if accept != nil && !accept(snaps[i]) {
+	for i := 0; i < c.n; i++ {
+		if accept != nil && !accept(c.at(i)) {
 			continue
 		}
-		d := snaps[i].Day.Sub(want)
+		d := c.day(i).Sub(want)
 		if d < 0 {
 			d = -d
 		}
@@ -319,34 +339,29 @@ func (a *Archive) Closest(url string, want simclock.Day, accept func(Snapshot) b
 	if best < 0 {
 		return Snapshot{}, false
 	}
-	return snaps[best], true
+	return c.at(best), true
 }
 
 // TotalSnapshots returns the number of explicit snapshots stored.
 func (a *Archive) TotalSnapshots() int {
-	if a.store != nil {
-		return a.store.TotalSnapshots()
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		n := 0
+		for _, s := range a.byKey {
+			n += len(s)
+		}
+		return n
 	}
-	defer a.rlock()()
-	n := 0
-	for _, s := range a.byKey {
-		n += len(s)
-	}
-	return n
+	return a.snaps.numRows()
 }
 
 // Hosts returns every hostname with explicit or bulk coverage, sorted.
 func (a *Archive) Hosts() []string {
-	if a.store != nil {
-		return a.cdx.hosts()
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		return sortedKeys(a.byHost)
 	}
-	defer a.rlock()()
-	hs := make([]string, 0, len(a.byHost))
-	for h := range a.byHost {
-		hs = append(hs, h)
-	}
-	sort.Strings(hs)
-	return hs
+	return a.cdx.hosts()
 }
 
 func pathQueryOf(rawURL string) string {
@@ -364,44 +379,32 @@ func pathQueryOf(rawURL string) string {
 }
 
 // EachSnapshot calls fn for every explicit snapshot, grouped by URL
-// key in unspecified order, oldest-first within a key.
+// key — in key order once frozen — oldest-first within a key.
 func (a *Archive) EachSnapshot(fn func(Snapshot)) {
-	if a.store != nil {
-		a.store.EachSnapshot(fn)
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		for _, snaps := range a.byKey {
+			for _, s := range snaps {
+				fn(s)
+			}
+		}
 		return
 	}
-	defer a.rlock()()
-	for _, snaps := range a.byKey {
-		for _, s := range snaps {
-			fn(s)
-		}
+	for i := 0; i < a.snaps.numRows(); i++ {
+		fn(a.snaps.at(i))
 	}
 }
 
 // EachBulkRegion calls fn for every bulk-coverage region.
 func (a *Archive) EachBulkRegion(fn func(BulkRegion)) {
-	if a.store != nil {
-		a.cdx.eachBulk(fn)
-		return
-	}
-	defer a.rlock()()
-	for _, hi := range a.byHost {
-		for _, r := range hi.bulk {
-			fn(r)
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		for _, hi := range a.byHost {
+			for _, r := range hi.bulk {
+				fn(r)
+			}
 		}
-	}
-}
-
-// EachLookupLatency calls fn for every per-URL availability-latency
-// override (key is the scheme-agnostic URL key, latency in
-// milliseconds).
-func (a *Archive) EachLookupLatency(fn func(key string, ms int)) {
-	if a.store != nil {
-		a.store.EachLookupLatency(fn)
 		return
 	}
-	defer a.rlock()()
-	for k, ms := range a.latency {
-		fn(k, ms)
-	}
+	a.cdx.eachBulk(fn)
 }

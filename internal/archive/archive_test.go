@@ -3,13 +3,13 @@ package archive
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"permadead/internal/hashx"
 	"permadead/internal/simclock"
-	"permadead/internal/urlutil"
 )
 
 func d(n int) simclock.Day { return simclock.Day(n) }
@@ -345,35 +345,31 @@ func TestEachAccessors(t *testing.T) {
 	a.AddBulkCoverage(BulkRegion{Host: "e.simtest", DirPrefix: "/bulk/", Count: 5, FirstDay: d(1), LastDay: d(2)})
 	a.SetLookupLatency("http://e.simtest/a", 5*time.Second)
 
-	snapsSeen := 0
-	a.EachSnapshot(func(Snapshot) { snapsSeen++ })
-	if snapsSeen != 3 {
-		t.Errorf("EachSnapshot saw %d", snapsSeen)
-	}
-	bulkSeen := 0
-	a.EachBulkRegion(func(r BulkRegion) {
-		bulkSeen++
-		if r.Count != 5 {
-			t.Errorf("bulk region %+v", r)
+	// Mutable, then from the sections Freeze builds.
+	for _, frozen := range []bool{false, true} {
+		if frozen {
+			a.Freeze()
 		}
-	})
-	if bulkSeen != 1 {
-		t.Errorf("EachBulkRegion saw %d", bulkSeen)
-	}
-	latSeen := 0
-	a.EachLookupLatency(func(key string, ms int) {
-		latSeen++
-		if ms != 5000 {
-			t.Errorf("latency %d ms", ms)
+		snapsSeen := 0
+		a.EachSnapshot(func(Snapshot) { snapsSeen++ })
+		if snapsSeen != 3 {
+			t.Errorf("frozen=%v: EachSnapshot saw %d", frozen, snapsSeen)
 		}
-		// The key is the one LookupLatency probes, so a store keyed by
-		// it (the paged file) answers the same lookups.
-		if key != urlutil.SchemeAgnosticKey("https://www.e.simtest/a") {
-			t.Errorf("latency key %q is not the URL's scheme-agnostic key", key)
+		bulkSeen := 0
+		a.EachBulkRegion(func(r BulkRegion) {
+			bulkSeen++
+			if r.Count != 5 {
+				t.Errorf("frozen=%v: bulk region %+v", frozen, r)
+			}
+		})
+		if bulkSeen != 1 {
+			t.Errorf("frozen=%v: EachBulkRegion saw %d", frozen, bulkSeen)
 		}
-	})
-	if latSeen != 1 {
-		t.Errorf("EachLookupLatency saw %d", latSeen)
+		// The override is keyed by the URL's scheme-agnostic key, so any
+		// scheme/www spelling finds it.
+		if got := a.LookupLatency("https://www.e.simtest/a"); got != 5*time.Second {
+			t.Errorf("frozen=%v: LookupLatency = %v, want 5s", frozen, got)
+		}
 	}
 }
 
@@ -397,5 +393,48 @@ func TestSnapshotsSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadsAcrossFreeze reads from several goroutines while Freeze runs.
+// A reader that waited on the lock while Freeze built the sections and
+// dropped the maps must answer from the sections, with the answers it
+// would have had before. Run it under -race.
+func TestReadsAcrossFreeze(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		a := New()
+		for i := 0; i < 400; i++ {
+			a.Add(snap(fmt.Sprintf("http://f.simtest/p%d", i%40), 10+i, 200))
+		}
+		a.SetLookupLatency("http://f.simtest/p3", 5*time.Second)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 400; i++ {
+					u := fmt.Sprintf("http://f.simtest/p%d", i%40)
+					if n := len(a.Snapshots(u)); n != 10 {
+						t.Errorf("round %d: Snapshots(%s) = %d rows, want 10", round, u, n)
+						return
+					}
+					if n := a.CDXCount(CDXQuery{Host: "f.simtest"}); n != 400 {
+						t.Errorf("round %d: CDXCount = %d, want 400", round, n)
+						return
+					}
+					if want := map[bool]time.Duration{true: 5 * time.Second, false: DefaultLookupLatency}[i%40 == 3]; a.LookupLatency(u) != want {
+						t.Errorf("round %d: LookupLatency(%s) = %v, want %v", round, u, a.LookupLatency(u), want)
+						return
+					}
+					a.MightHaveCaptures(u)
+					a.PrefilterStats()
+				}
+			}()
+		}
+		close(start)
+		a.Freeze()
+		wg.Wait()
 	}
 }

@@ -36,14 +36,18 @@ func (a *Archive) SetLookupLatency(url string, d time.Duration) {
 // lookup for url.
 func (a *Archive) LookupLatency(url string) time.Duration {
 	key := urlutil.SchemeAgnosticKey(url)
-	if a.store != nil {
-		return a.storeLookupLatency(key)
+	var ms int
+	var ok bool
+	if frozen, unlock := a.rlock(); frozen {
+		ms, ok = a.snaps.latency(key)
+	} else {
+		ms, ok = a.latency[key]
+		unlock()
 	}
-	defer a.rlock()()
-	if ms, ok := a.latency[key]; ok {
-		return time.Duration(ms) * time.Millisecond
+	if !ok {
+		return DefaultLookupLatency
 	}
-	return DefaultLookupLatency
+	return time.Duration(ms) * time.Millisecond
 }
 
 // AvailabilityQuery is one request to the Availability API.

@@ -45,11 +45,11 @@ const DefaultCDXLimit = 10000
 // is a linear scan under the read lock.
 func (a *Archive) CDXCount(q CDXQuery) int {
 	host := strings.ToLower(q.Host)
-	if a.frozen.Load() {
-		return a.cdx.count(host, q)
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		return a.cdxCountScan(host, q)
 	}
-	defer a.rlock()()
-	return a.cdxCountScan(host, q)
+	return a.cdx.count(host, q)
 }
 
 // cdxCountScan is the mutable-path (and reference) implementation:
@@ -84,11 +84,11 @@ func (a *Archive) CDXList(q CDXQuery) []CDXEntry {
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
-	if a.frozen.Load() {
-		return a.cdx.list(host, q, limit)
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		return a.cdxListScan(host, q, limit)
 	}
-	defer a.rlock()()
-	return a.cdxListScan(host, q, limit)
+	return a.cdx.list(host, q, limit)
 }
 
 // cdxListScan is the mutable-path (and reference) implementation.
@@ -198,11 +198,11 @@ func (a *Archive) CountOnHostname(url string) int {
 }
 
 func (a *Archive) countSelf(host, pathQuery string) int {
-	if a.frozen.Load() {
-		return a.cdx.countSelf(host, pathQuery)
+	if frozen, unlock := a.rlock(); !frozen {
+		defer unlock()
+		return a.countSelfScan(host, pathQuery)
 	}
-	defer a.rlock()()
-	return a.countSelfScan(host, pathQuery)
+	return a.cdx.countSelf(host, pathQuery)
 }
 
 // countSelfScan is the mutable-path (and reference) implementation.
@@ -233,10 +233,9 @@ func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated
 	}
 	domain = strings.ToLower(domain)
 	var hosts []string
-	if a.frozen.Load() {
+	if frozen, unlock := a.rlock(); frozen {
 		hosts = a.cdx.domainHosts(domain)
 	} else {
-		unlock := a.rlock()
 		for h := range a.byHost {
 			if urlutil.DomainOfHost(h) == domain {
 				hosts = append(hosts, h)
@@ -299,11 +298,10 @@ func (a *Archive) FindQueryPermutation(rawURL string) (string, bool) {
 	want := urlutil.CanonicalQueryKey(rawURL)
 	self := urlutil.Normalize(rawURL)
 	host := urlutil.Hostname(rawURL)
-	if a.frozen.Load() {
+	frozen, unlock := a.rlock()
+	if frozen {
 		return a.cdx.findPermutation(host, want, self)
 	}
-
-	unlock := a.rlock()
 	hi := a.byHost[host]
 	var candidates []string
 	if hi != nil {

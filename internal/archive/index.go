@@ -37,7 +37,7 @@ import (
 //
 // The five index queries are written once, below, over those bytes.
 // A paged file maps the same sections and serves them through the same
-// code (OpenCDX); SavePaged copies Freeze's sections instead of
+// code (Open); SavePaged copies Freeze's sections (Export) instead of
 // rebuilding them.
 
 // Fixed record sizes of the cdxhosts and bulk sections.
@@ -46,18 +46,10 @@ const (
 	bulkRecSize    = 32
 )
 
-// CDXSections is the frozen CDX index as stored. Strings are (u32
-// offset, u32 length) references into Arena; offset 0 is reserved, so
-// (0, 0) is "".
-type CDXSections struct {
-	Hosts, Data, Aux, Bulk, Domains []byte
-	Arena                           string
-}
-
-// CDXIndex serves the CDX index queries from its sections: Freeze's,
-// in memory, or a paged file's, mapped (OpenCDX).
-type CDXIndex struct {
-	s                  CDXSections
+// cdxIndex serves the CDX index queries from the CDX sections of s:
+// Freeze's, in memory, or a paged file's, mapped.
+type cdxIndex struct {
+	s                  Sections
 	numHosts, numBulk  int
 	numDomains, domIdx int
 	byName             map[string]int // in memory: host → record; else binary search
@@ -68,22 +60,12 @@ var le = binary.LittleEndian
 
 func u32(b []byte, off int) int { return int(le.Uint32(b[off:])) }
 
-// OpenCDX checks the sections' record-level structure — counts and
-// record sizes, O(1), no record is read — and returns the index over
-// them. Each host's extents are checked when a query reads the host, so
-// a damaged record answers as an absent host instead of a read outside
-// its section; Verify checks them all.
-func OpenCDX(s CDXSections) (*CDXIndex, error) {
-	for _, c := range []struct {
-		name string
-		b    []byte
-		size int
-	}{{"cdxhosts", s.Hosts, CDXHostRecSize}, {"bulk", s.Bulk, bulkRecSize}} {
-		if len(c.b)%c.size != 0 {
-			return nil, fmt.Errorf("section %q: length %d is not a multiple of its %d-byte record size", c.name, len(c.b), c.size)
-		}
-	}
-	x := &CDXIndex{s: s, numHosts: len(s.Hosts) / CDXHostRecSize, numBulk: len(s.Bulk) / bulkRecSize}
+// openCDX returns the index over the CDX sections, whose record sizes
+// open checked, after checking the domain table's length. Each host's
+// extents are checked when a query reads the host, so a damaged record
+// answers as an absent host.
+func openCDX(s Sections) (*cdxIndex, error) {
+	x := &cdxIndex{s: s, numHosts: len(s.Hosts) / CDXHostRecSize, numBulk: len(s.Bulk) / bulkRecSize}
 	if len(s.Domains) < 4 {
 		return nil, fmt.Errorf("section %q: too short (%d bytes)", "domains", len(s.Domains))
 	}
@@ -94,8 +76,8 @@ func OpenCDX(s CDXSections) (*CDXIndex, error) {
 	return x, nil
 }
 
-// Verify checks every cdxhosts record's extents, naming the section.
-func (x *CDXIndex) Verify() error {
+// verify checks every cdxhosts record's extents, naming the section.
+func (x *cdxIndex) verify() error {
 	for rec := 0; rec < x.numHosts; rec++ {
 		var r hostRows
 		err := x.rows(rec, &r)
@@ -113,17 +95,19 @@ func (x *CDXIndex) Verify() error {
 
 // arenaStr is the arena string at (o, n); one outside the arena (a
 // damaged file) reads as "".
-func (x *CDXIndex) arenaStr(o, n int) string {
-	if n == 0 || o+n > len(x.s.Arena) {
+func arenaStr(arena string, o, n int) string {
+	if n == 0 || o+n > len(arena) {
 		return ""
 	}
-	return x.s.Arena[o : o+n]
+	return arena[o : o+n]
 }
 
 // str resolves the string reference at off in b.
-func (x *CDXIndex) str(b []byte, off int) string { return x.arenaStr(u32(b, off), u32(b, off+4)) }
+func (x *cdxIndex) str(b []byte, off int) string {
+	return arenaStr(x.s.Arena, u32(b, off), u32(b, off+4))
+}
 
-func (x *CDXIndex) hostName(rec int) string { return x.str(x.s.Hosts, rec*CDXHostRecSize) }
+func (x *cdxIndex) hostName(rec int) string { return x.str(x.s.Hosts, rec*CDXHostRecSize) }
 
 // hostRows is one cdxhosts record's rows, decoded in place. At data in
 // cdxdata: pathOff[n] pathLen[n] day[n] status[n] (u16, padded to 4
@@ -131,7 +115,7 @@ func (x *CDXIndex) hostName(rec int) string { return x.str(x.s.Hosts, rec*CDXHos
 // #parts, {status, start, count} per part, n partition positions, u32
 // #keys, {key ref, start, count} per key, key ranks.
 type hostRows struct {
-	x                       *CDXIndex
+	x                       *cdxIndex
 	rec, n, data            int
 	parts, numParts, auxEnd int
 	urls                    []string // in memory only
@@ -140,7 +124,7 @@ type hostRows struct {
 // rows fills r with record rec's view, checking the extents the
 // record declares against their sections — O(1), no row is read. The
 // key table, read only by FindQueryPermutation, is checked by keys.
-func (x *CDXIndex) rows(rec int, r *hostRows) error {
+func (x *cdxIndex) rows(rec int, r *hostRows) error {
 	h := x.s.Hosts[rec*CDXHostRecSize:]
 	n := u32(h, 16)
 	base, size := le.Uint64(h[8:]), uint64(22*n+2*(n%2))
@@ -167,7 +151,7 @@ func (x *CDXIndex) rows(rec int, r *hostRows) error {
 
 // host fills r with a host's view; false when the host is absent or
 // its record is damaged.
-func (x *CDXIndex) host(name string, r *hostRows) bool {
+func (x *cdxIndex) host(name string, r *hostRows) bool {
 	rec, ok := x.byName[name]
 	if x.byName == nil {
 		rec = sort.Search(x.numHosts, func(i int) bool { return x.hostName(i) >= name })
@@ -188,7 +172,7 @@ func (r *hostRows) row(v int) int {
 
 func (r *hostRows) path(pos int) string {
 	d := r.x.s.Data
-	return r.x.arenaStr(u32(d, r.data+4*pos), u32(d, r.data+4*(r.n+pos)))
+	return arenaStr(r.x.s.Arena, u32(d, r.data+4*pos), u32(d, r.data+4*(r.n+pos)))
 }
 
 func (r *hostRows) day(pos int) simclock.Day {
@@ -318,7 +302,7 @@ func (r *hostRows) bulkCount(q CDXQuery) int {
 
 // count answers CDXCount: a binary-search range width plus the
 // O(#regions) bulk arithmetic.
-func (x *CDXIndex) count(host string, q CDXQuery) int {
+func (x *cdxIndex) count(host string, q CDXQuery) int {
 	var r hostRows
 	if !x.host(host, &r) {
 		return 0
@@ -328,7 +312,7 @@ func (x *CDXIndex) count(host string, q CDXQuery) int {
 }
 
 // countSelf answers the exact-path, status-200 count in O(log n).
-func (x *CDXIndex) countSelf(host, pathQuery string) int {
+func (x *cdxIndex) countSelf(host, pathQuery string) int {
 	var r hostRows
 	if !x.host(host, &r) {
 		return 0
@@ -343,7 +327,7 @@ func (x *CDXIndex) countSelf(host, pathQuery string) int {
 // is found in sorted order and re-sorted by rank — O(k log k) on the k
 // matches; without a prefix the ranks are walked in order until the
 // run's rows (or the limit) are emitted.
-func (x *CDXIndex) list(host string, q CDXQuery, limit int) []CDXEntry {
+func (x *cdxIndex) list(host string, q CDXQuery, limit int) []CDXEntry {
 	var r hostRows
 	if !x.host(host, &r) {
 		return nil
@@ -385,12 +369,20 @@ func (x *CDXIndex) list(host string, q CDXQuery, limit int) []CDXEntry {
 	return out
 }
 
-// lookup binary-searches n name-sorted 16-byte {name ref, start,
-// count} entries at table in b for name and returns the entry's extent
-// (0, 0 when absent, or when the extent overruns limit).
-func (x *CDXIndex) lookup(b []byte, table, n int, name string, limit int) (start, count int) {
-	i := sort.Search(n, func(i int) bool { return x.str(b, table+16*i) >= name })
-	if i == n || x.str(b, table+16*i) != name {
+// search binary-searches n name-sorted 16-byte records at table in b,
+// each led by a reference into arena, for name.
+func search(arena string, b []byte, table, n int, name string) (int, bool) {
+	at := func(i int) string { return arenaStr(arena, u32(b, table+16*i), u32(b, table+16*i+4)) }
+	i := sort.Search(n, func(i int) bool { return at(i) >= name })
+	return i, i < n && at(i) == name
+}
+
+// lookup searches n name-sorted 16-byte {name ref, start, count}
+// entries at table in b for name and returns the entry's extent (0, 0
+// when absent, or when the extent overruns limit).
+func lookup(arena string, b []byte, table, n int, name string, limit int) (start, count int) {
+	i, ok := search(arena, b, table, n, name)
+	if !ok {
 		return 0, 0
 	}
 	if start, count = u32(b, table+16*i+8), u32(b, table+16*i+12); start+count > limit {
@@ -402,13 +394,13 @@ func (x *CDXIndex) lookup(b []byte, table, n int, name string, limit int) (start
 // findPermutation answers FindQueryPermutation with one group lookup:
 // only the candidates sharing the canonical query key — typically zero
 // or one — are normalized.
-func (x *CDXIndex) findPermutation(host, want, self string) (string, bool) {
+func (x *cdxIndex) findPermutation(host, want, self string) (string, bool) {
 	var r hostRows
 	if !x.host(host, &r) {
 		return "", false
 	}
 	table, n, ranks, numRanks, _ := r.keys()
-	start, count := x.lookup(x.s.Aux, table, n, want, numRanks)
+	start, count := lookup(x.s.Arena, x.s.Aux, table, n, want, numRanks)
 	for j := start; j < start+count; j++ {
 		if cand := r.url(r.pos(r.row(u32(x.s.Aux, ranks+4*j)))); urlutil.Normalize(cand) != self {
 			return cand, true
@@ -418,9 +410,9 @@ func (x *CDXIndex) findPermutation(host, want, self string) (string, bool) {
 }
 
 // domainHosts returns the sorted hosts under a registrable domain.
-func (x *CDXIndex) domainHosts(domain string) []string {
+func (x *cdxIndex) domainHosts(domain string) []string {
 	d := x.s.Domains
-	start, n := x.lookup(d, 4, x.numDomains, domain, (len(d)-x.domIdx)/4)
+	start, n := lookup(x.s.Arena, d, 4, x.numDomains, domain, (len(d)-x.domIdx)/4)
 	if n == 0 {
 		return nil
 	}
@@ -434,7 +426,7 @@ func (x *CDXIndex) domainHosts(domain string) []string {
 }
 
 // hosts returns every indexed hostname, sorted.
-func (x *CDXIndex) hosts() []string {
+func (x *cdxIndex) hosts() []string {
 	hs := make([]string, x.numHosts)
 	for i := range hs {
 		hs[i] = x.hostName(i)
@@ -443,7 +435,7 @@ func (x *CDXIndex) hosts() []string {
 }
 
 // eachBulk calls fn for every bulk region, host by host.
-func (x *CDXIndex) eachBulk(fn func(BulkRegion)) {
+func (x *cdxIndex) eachBulk(fn func(BulkRegion)) {
 	var r hostRows
 	for rec := 0; rec < x.numHosts; rec++ {
 		if x.rows(rec, &r) == nil {
@@ -456,15 +448,24 @@ func (x *CDXIndex) eachBulk(fn func(BulkRegion)) {
 
 // --- building ---------------------------------------------------------
 
-// cdxBuilder appends the sections; ref interns each string into the
+// builder appends the sections; ref interns each string into the
 // arena once, at its first reference.
-type cdxBuilder struct {
-	hosts, data, aux, bulk []byte
-	arena                  []byte
-	idx                    map[string]int
+type builder struct {
+	hosts, data, aux, bulk, domains        []byte
+	snapKeys, snapRows, latency, prefilter []byte
+	arena                                  []byte
+	idx                                    map[string]int
 }
 
-func (b *cdxBuilder) ref(dst []byte, s string) []byte {
+func (b *builder) sections() Sections {
+	return Sections{
+		Hosts: b.hosts, Data: b.data, Aux: b.aux, Bulk: b.bulk, Domains: b.domains,
+		SnapKeys: b.snapKeys, SnapRows: b.snapRows, Latency: b.latency, Prefilter: b.prefilter,
+		Arena: string(b.arena),
+	}
+}
+
+func (b *builder) ref(dst []byte, s string) []byte {
 	off, ok := b.idx[s]
 	if !ok && s != "" {
 		off = len(b.arena)
@@ -501,19 +502,15 @@ func eachRun[T any, K comparable](xs []T, key func(T) K, fn func(k K, start, n i
 	}
 }
 
-// buildIndexLocked builds the CDX index and the capture prefilter.
-// Caller holds the write lock; the archive is not yet marked frozen.
-func (a *Archive) buildIndexLocked() {
-	b := &cdxBuilder{arena: []byte{0}, idx: make(map[string]int)}
-	x := &CDXIndex{byName: make(map[string]int, len(a.byHost))}
-	names := make([]string, 0, len(a.byHost))
-	for h := range a.byHost {
-		names = append(names, h)
-	}
-	sort.Strings(names)
+// addCDX appends the CDX sections for byHost and returns what the
+// in-memory index keeps beside them: host → record, and each record's
+// row URLs by sorted position.
+func (b *builder) addCDX(byHost map[string]*hostIndex) (byName map[string]int, urls [][]string) {
+	byName = make(map[string]int, len(byHost))
+	names := sortedKeys(byHost)
 	for rec, h := range names {
-		x.byName[h] = rec
-		x.urls = append(x.urls, b.addHost(h, a.byHost[h]))
+		byName[h] = rec
+		urls = append(urls, b.addHost(h, byHost[h]))
 	}
 
 	type hostDomain struct {
@@ -534,20 +531,13 @@ func (a *Archive) buildIndexLocked() {
 	for _, hd := range hds {
 		idx = app32(idx, hd.rec)
 	}
-
-	x.s = CDXSections{
-		Hosts: b.hosts, Data: b.data, Aux: b.aux, Bulk: b.bulk,
-		Domains: append(append(app32(nil, n), table...), idx...),
-		Arena:   string(b.arena),
-	}
-	x.numHosts, x.numBulk, x.numDomains, x.domIdx = len(names), len(b.bulk)/bulkRecSize, n, 4+16*n
-	a.cdx = x
-	a.buildPrefilterLocked()
+	b.domains = append(append(app32(nil, n), table...), idx...)
+	return byName, urls
 }
 
 // addHost appends one host's rows, aux blob, bulk regions and record,
 // and returns its row URLs by sorted position.
-func (b *cdxBuilder) addHost(host string, hi *hostIndex) []string {
+func (b *builder) addHost(host string, hi *hostIndex) []string {
 	entries := hi.entries
 	n := len(entries)
 	rank := make([]int, n) // sorted position → insertion rank
@@ -655,43 +645,4 @@ func (b *cdxBuilder) addHost(host string, hi *hostIndex) []string {
 	b.hosts = le.AppendUint64(app32(b.hosts, n, bulkStart, len(hi.bulk), 0), uint64(auxBase))
 	b.hosts = app32(b.hosts, len(b.aux)-auxBase, 0)
 	return urls
-}
-
-// ExportCDX returns the frozen in-memory CDX index as its sections,
-// with every string they reference and its arena offset, so a
-// serialiser can append further strings to the same arena and still
-// store each string once. It freezes the archive first. Store-backed
-// archives cannot export (copy the paged file instead).
-func (a *Archive) ExportCDX() (CDXSections, map[string]uint32) {
-	if a.store != nil {
-		panic("archive: ExportCDX on a store-backed archive")
-	}
-	a.Freeze()
-	x := a.cdx
-	refs := make(map[string]uint32)
-	ref := func(b []byte, off int) {
-		if s := x.str(b, off); s != "" {
-			refs[s] = uint32(u32(b, off))
-		}
-	}
-	for rec := 0; rec < x.numHosts; rec++ {
-		ref(x.s.Hosts, rec*CDXHostRecSize)
-		var r hostRows
-		_ = x.rows(rec, &r) // Freeze's own records fit
-		for p := 0; p < r.n; p++ {
-			refs[r.path(p)] = uint32(u32(x.s.Data, r.data+4*p))
-		}
-		table, n, _, _, _ := r.keys()
-		for i := 0; i < n; i++ {
-			ref(x.s.Aux, table+16*i)
-		}
-	}
-	for i := 0; i < x.numBulk; i++ {
-		ref(x.s.Bulk, i*bulkRecSize)
-	}
-	for i := 0; i < x.numDomains; i++ {
-		ref(x.s.Domains, 4+16*i)
-	}
-	delete(refs, "")
-	return x.s, refs
 }

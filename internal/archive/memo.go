@@ -202,8 +202,9 @@ func (m *Memo) FindQueryPermutation(rawURL string) (string, bool) {
 	return v.url, v.ok
 }
 
-// Snapshots passes through to the archive (per-URL snapshot lists are
-// already O(1) map lookups; caching them would only duplicate them).
+// Snapshots passes through to the archive (a per-URL snapshot list is
+// one key search and its rows decoded; caching it would only hold a
+// second copy of the rows).
 func (m *Memo) Snapshots(url string) []Snapshot { return m.a.Snapshots(url) }
 
 // SnapshotsBetween passes through to the archive.

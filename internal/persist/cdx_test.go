@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"permadead/internal/archive"
 	"permadead/internal/simclock"
@@ -61,6 +62,13 @@ func cdxWorld(rng *rand.Rand, as ...*archive.Archive) (hosts, paths []string) {
 	}
 	return hosts, paths
 }
+
+// Record sizes of the archive's snapkeys and latency sections, which
+// the damage tests step by.
+const (
+	snapKeyRecSize = 16
+	latencyRecSize = 16
+)
 
 // savedArchive saves a as a paged file's bytes, with an empty world
 // and wiki.
@@ -226,13 +234,25 @@ func TestPagedCDXRejectsDamagedHostRecords(t *testing.T) {
 	}
 }
 
-// exercisePaged runs the readers that serve by stored record extents —
-// Snapshots (snapkeys), Article (wikidir) and InCategory (the wikimeta
-// category table) — on urls, titles and categories. Like exerciseCDX
-// it checks nothing: each call must return.
+// exercisePaged runs the non-CDX readers — the snapshot, latency and
+// prefilter reads on urls, Site on every stored hostname, Article
+// (wikidir) on titles and InCategory (the wikimeta category table) on
+// cats. Like exerciseCDX it checks nothing: each call must return.
 func exercisePaged(b *Bundle, urls, titles, cats []string) {
+	a := b.Archive
+	a.EachSnapshot(func(archive.Snapshot) {})
 	for _, u := range urls {
-		b.Archive.Snapshots(u)
+		a.Snapshots(u)
+		a.SnapshotsBetween(u, 100, 3000)
+		a.First(u)
+		a.FirstAfter(u, 1000)
+		a.Closest(u, 1000, archive.AcceptUsable)
+		a.Query(archive.AvailabilityQuery{URL: u, Want: 1000, Before: 4000, Timeout: time.Second}) //nolint:errcheck
+		a.LookupLatency(u)
+		a.MightHaveCaptures(u)
+	}
+	for _, h := range b.World.Hostnames() {
+		b.World.Site(h)
 	}
 	for _, t := range titles {
 		b.Wiki.Article(t)
@@ -244,8 +264,9 @@ func exercisePaged(b *Bundle, urls, titles, cats []string) {
 
 // TestPagedRejectsDamagedRecords damages, in every record, the stored
 // extents the non-CDX readers follow — a snapkeys row count, a wikidir
-// record length, a category's index count, a category's title indexes —
-// and re-checksums the section, so only the extent checks can notice.
+// record length, a category's index count, a category's title indexes,
+// a site's fault count — and re-checksums the section, so only the
+// extent checks can notice.
 // Serving opens without VerifyPaged, so every reader must return and
 // read the damaged record as absent; VerifyPaged must fail naming the
 // section.
@@ -263,6 +284,7 @@ func TestPagedRejectsDamagedRecords(t *testing.T) {
 		}
 	}
 	titles := u.Wiki.Titles()
+	hosts := u.World.Hostnames()
 	const cat = "Simulated articles"
 	if len(urls) == 0 || len(u.Wiki.InCategory(cat)) == 0 {
 		t.Fatal("universe has no captured link or no categorised article")
@@ -302,6 +324,12 @@ func TestPagedRejectsDamagedRecords(t *testing.T) {
 		{"category title index", secWikiMeta, func(sec []byte) {
 			perIdx(sec, func(off int) { le.PutUint32(sec[off:], 1<<30) })
 		}, func(b *Bundle) bool { return len(b.Wiki.InCategory(cat)) == 0 }},
+		{"siteblobs fault count", secSiteBlobs, func(sec []byte) {
+			dir := sectionAt(clean, secSiteDir)
+			for off := 0; off < len(dir); off += siteDirRecSize {
+				le.PutUint32(sec[rdU64(dir, off+8)+siteHeaderSize:], 1<<20)
+			}
+		}, func(b *Bundle) bool { return b.World.Site(hosts[0]) == nil }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data := bytes.Clone(clean)
@@ -330,35 +358,46 @@ func TestPagedRejectsDamagedRecords(t *testing.T) {
 	}
 }
 
-// fuzzedSections are the sections FuzzPagedSections rewrites: the CDX
-// sections, and those whose records the other readers follow by stored
-// extents.
+// fuzzedSections are the sections FuzzPagedSections rewrites: every
+// section but params (gob's own decoder) and the arena (any bytes are
+// valid strings).
 var fuzzedSections = []int{secCDXHosts, secCDXData, secCDXAux, secBulk, secDomains,
-	secSnapKeys, secWikiDir, secWikiBlobs, secWikiMeta}
+	secSnapKeys, secWikiDir, secWikiBlobs, secWikiMeta,
+	secSnapRows, secLatency, secPrefilter, secSiteDir, secSiteBlobs}
 
-// FuzzPagedSections rewrites bytes inside the fuzzed sections of a
-// small saved universe — each 6-byte group of ops picks a section, an
-// offset and a byte — then opens the result and runs every CDX query
-// kind on the hosts it names, and the snapshot, article and category
+// FuzzPagedSections rewrites bytes of a small saved universe — each
+// 6-byte group of ops picks a fuzzed section, or (one past the last)
+// the superblock and section directory, an offset and a byte — then
+// opens the result and runs every CDX query kind on the hosts it names,
+// and the snapshot, latency, prefilter, site, article and category
 // readers. The result must be answers or an open error, never a panic
 // or a hang.
 func FuzzPagedSections(f *testing.F) {
 	a := archive.New()
 	hosts, paths := cdxWorld(rand.New(rand.NewSource(3)), a)
+	world := simweb.NewWorld()
+	for i, h := range hosts[:min(3, len(hosts))] {
+		s := world.AddSite(h, simclock.Day(i))
+		s.Faults = append(s.Faults, simweb.FaultWindow{From: 10, To: 4000, Mode: simweb.FaultMode(i), Rate: 0.5, Seed: uint64(i)})
+		pg := s.AddPage(paths[i], 5)
+		pg.Content, pg.Title = "<p>page</p>", "Page"
+	}
 	wiki := wikimedia.NewWiki()
 	var urls, titles []string
 	for i := 0; i < 8; i++ {
 		url := "http://" + hosts[i%len(hosts)] + paths[i%len(paths)]
+		a.SetLookupLatency(url, time.Duration(i)*time.Second)
 		title := fmt.Sprintf("Article %d", i)
 		wiki.Create(title, simclock.Day(i), "U", fmt.Sprintf("[%s source]\n[[Category:Group %d]] [[Category:All]]", url, i%3))
 		urls, titles = append(urls, url), append(titles, title)
 	}
 	cats := []string{"All", "Group 0", "Group 1", "Group 2"}
 	var buf bytes.Buffer
-	if err := SavePaged(&buf, &Bundle{World: simweb.NewWorld(), Wiki: wiki, Archive: a}); err != nil {
+	if err := SavePaged(&buf, &Bundle{World: world, Wiki: wiki, Archive: a}); err != nil {
 		f.Fatal(err)
 	}
 	clean := buf.Bytes()
+	header := len(fuzzedSections) // the op index that rewrites the header
 
 	f.Add([]byte{})
 	for i, kind := range fuzzedSections {
@@ -366,12 +405,23 @@ func FuzzPagedSections(f *testing.F) {
 		f.Add([]byte{byte(i), 16, 0, 0, 0, 0xff})
 		f.Add([]byte{byte(i), byte(len(sec) / 2), byte(len(sec) / 512), 0, 0, 0x7f})
 	}
+	// A section's offset, a section's length, and the section count.
+	for _, off := range []int{superblockSize + secSnapRows*dirEntrySize + 8, superblockSize + secPrefilter*dirEntrySize + 16, 8} {
+		f.Add([]byte{byte(header), byte(off), byte(off >> 8), 0, 0, 0x09})
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		data := bytes.Clone(clean)
 		for ; len(ops) >= 6; ops = ops[6:] {
-			sec := sectionAt(data, fuzzedSections[int(ops[0])%len(fuzzedSections)])
-			if len(sec) > 0 {
-				sec[int(le.Uint32(ops[1:5]))%len(sec)] = ops[5]
+			b := data[:superblockSize+numSections*dirEntrySize]
+			if k := int(ops[0]) % (header + 1); k < header {
+				// Where the section is in the clean file: an earlier op may
+				// have rewritten the directory.
+				e := superblockSize + fuzzedSections[k]*dirEntrySize
+				off := rdU64(clean, e+8)
+				b = data[off : off+rdU64(clean, e+16)]
+			}
+			if len(b) > 0 {
+				b[int(le.Uint32(ops[1:5]))%len(b)] = ops[5]
 			}
 		}
 		b, err := openPagedBytes(data, nil)

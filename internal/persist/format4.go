@@ -13,14 +13,18 @@ package persist
 // Every string lives once in a shared arena section and is referenced
 // elsewhere as a (offset, length) pair of uint32s; fixed-width record
 // sections are sorted by their lookup key (hostname, URL key, title)
-// so point queries are binary searches over the mapping, and the CDX
-// rows are columnar and (pathQuery, day, insertion)-sorted per host so
-// prefix queries are binary-search ranges. Sections carry CRC-64
+// so point queries are binary searches over the mapping. The nine
+// archive sections (cdxhosts through prefilter) are internal/archive's
+// layout, which it builds at Freeze, exports for SavePaged and serves
+// through archive.Open; this package owns the framing, params, the
+// arena's tail and the site and wiki sections. Sections carry CRC-64
 // checksums in the directory; openers verify bounds eagerly (errors
 // name the failing section) and checksums on demand (VerifyPaged).
 //
 // All integers are little-endian. Days are int32 (simclock.Never is
 // -1); string references with length 0 mean "".
+
+import "permadead/internal/archive"
 
 const (
 	// magic4 begins every v4 file.
@@ -54,6 +58,24 @@ const (
 	numSections
 )
 
+// archiveSections says which archive.Sections field each of the nine
+// archive section kinds holds; SavePaged and newPagedStore both copy
+// through it.
+var archiveSections = [...]struct {
+	kind  int
+	field func(*archive.Sections) *[]byte
+}{
+	{secCDXHosts, func(s *archive.Sections) *[]byte { return &s.Hosts }},
+	{secCDXData, func(s *archive.Sections) *[]byte { return &s.Data }},
+	{secCDXAux, func(s *archive.Sections) *[]byte { return &s.Aux }},
+	{secBulk, func(s *archive.Sections) *[]byte { return &s.Bulk }},
+	{secDomains, func(s *archive.Sections) *[]byte { return &s.Domains }},
+	{secSnapKeys, func(s *archive.Sections) *[]byte { return &s.SnapKeys }},
+	{secSnapRows, func(s *archive.Sections) *[]byte { return &s.SnapRows }},
+	{secLatency, func(s *archive.Sections) *[]byte { return &s.Latency }},
+	{secPrefilter, func(s *archive.Sections) *[]byte { return &s.Prefilter }},
+}
+
 // sectionNames are the human-readable names error messages use.
 var sectionNames = [numSections]string{
 	"params", "arena", "cdxhosts", "cdxdata", "cdxaux", "bulk",
@@ -64,9 +86,6 @@ var sectionNames = [numSections]string{
 // Fixed record sizes (bytes). Changing any layout is a format-version
 // bump, not a silent re-interpretation.
 const (
-	snapKeyRecSize = 16
-	snapRowRecSize = 40
-	latencyRecSize = 16
 	siteDirRecSize = 24
 	wikiDirRecSize = 24
 

@@ -53,10 +53,11 @@ func OpenPaged(path string) (*Bundle, error) {
 
 // VerifyPaged checks a format-v4 file end to end: superblock and
 // directory sanity, section bounds, per-section CRC-64 checksums,
-// record-level structure, the extents of every cdxhosts, snapkeys,
-// wikidir and category record, and a full decode of every site and
-// article record against the length its directory entry recorded. The
-// returned error names the first failing section.
+// record-level structure, the extents of every archive record
+// (archive.Verify: cdxhosts, snapkeys), wikidir and category record,
+// and a full decode of every site and article record against the
+// length its directory entry recorded. The returned error names the
+// first failing section.
 // It reads the whole file — 'inspect -load' runs it; the serving
 // startup path does not.
 func VerifyPaged(path string) error {
@@ -87,17 +88,12 @@ func VerifyPaged(path string) error {
 			return fmt.Errorf("persist: section %q: checksum mismatch (file corrupt)", sectionNames[kind])
 		}
 	}
-	p, err := newPagedStore(sec)
+	p, arch, err := newPagedStore(sec)
 	if err != nil {
 		return err
 	}
-	if err := p.cdx.Verify(); err != nil {
+	if err := arch.Verify(); err != nil {
 		return fmt.Errorf("persist: %w", err)
-	}
-	for i := 0; i < p.numSnapKeys; i++ {
-		if _, _, err := p.snapExtent(i); err != nil {
-			return err
-		}
 	}
 	for i := 0; i < p.numSites; i++ {
 		if _, err := p.siteAt(i, p.siteHostAt(i)); err != nil {
@@ -127,7 +123,7 @@ func openPagedBytes(data []byte, closer io.Closer) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := newPagedStore(sec)
+	store, arch, err := newPagedStore(sec)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +141,7 @@ func openPagedBytes(data []byte, closer io.Closer) (*Bundle, error) {
 		Params:  params,
 		World:   world,
 		Wiki:    wiki,
-		Archive: archive.NewFromStore(store),
+		Archive: arch,
 		closer:  closer,
 	}, nil
 }
@@ -202,22 +198,22 @@ func parseSections(data []byte) ([numSections][]byte, error) {
 }
 
 // newPagedStore validates record-level structure (counts and fixed
-// record sizes — cheap arithmetic, no row reads) and builds the store.
-// Per-host CDX extents are checked when a query reads the host
-// (archive.OpenCDX), so opening does no per-host work.
-func newPagedStore(sec [numSections][]byte) (*pagedStore, error) {
+// record sizes — cheap arithmetic, no row reads) and builds the site
+// and wiki store and, over the archive's nine sections, the archive
+// (archive.Open checks those, and does no per-record work either).
+func newPagedStore(sec [numSections][]byte) (*pagedStore, *archive.Archive, error) {
 	p := &pagedStore{sec: sec}
 	if a := sec[secArena]; len(a) > 0 {
 		p.arena = unsafe.String(&a[0], len(a))
 	}
-	cdx, err := archive.OpenCDX(archive.CDXSections{
-		Hosts: sec[secCDXHosts], Data: sec[secCDXData], Aux: sec[secCDXAux],
-		Bulk: sec[secBulk], Domains: sec[secDomains], Arena: p.arena,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+	s := archive.Sections{Arena: p.arena}
+	for _, f := range archiveSections {
+		*f.field(&s) = sec[f.kind]
 	}
-	p.cdx = cdx
+	arch, err := archive.Open(s)
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: %w", err)
+	}
 
 	recs := func(kind, recSize int) (int, error) {
 		if len(sec[kind])%recSize != 0 {
@@ -225,46 +221,23 @@ func newPagedStore(sec [numSections][]byte) (*pagedStore, error) {
 		}
 		return len(sec[kind]) / recSize, nil
 	}
-	if p.numSnapKeys, err = recs(secSnapKeys, snapKeyRecSize); err != nil {
-		return nil, err
-	}
-	if p.numSnaps, err = recs(secSnapRows, snapRowRecSize); err != nil {
-		return nil, err
-	}
-	if p.numLat, err = recs(secLatency, latencyRecSize); err != nil {
-		return nil, err
-	}
 	if p.numSites, err = recs(secSiteDir, siteDirRecSize); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.numArticles, err = recs(secWikiDir, wikiDirRecSize); err != nil {
-		return nil, err
-	}
-
-	pf := sec[secPrefilter]
-	if len(pf) < 16 {
-		return nil, fmt.Errorf("persist: section %q: too short (%d bytes)", sectionNames[secPrefilter], len(pf))
-	}
-	p.pfKeys = int(rdU64(pf, 0))
-	words := int(rdU64(pf, 8))
-	if 16+8*words != len(pf) {
-		return nil, fmt.Errorf("persist: section %q: declares %d words but holds %d bytes", sectionNames[secPrefilter], words, len(pf))
-	}
-	p.pfWords = make([]uint64, words)
-	for i := range p.pfWords {
-		p.pfWords[i] = rdU64(pf, 16+8*i)
+		return nil, nil, err
 	}
 
 	meta := sec[secWikiMeta]
 	if len(meta) < 16 {
-		return nil, fmt.Errorf("persist: section %q: too short (%d bytes)", sectionNames[secWikiMeta], len(meta))
+		return nil, nil, fmt.Errorf("persist: section %q: too short (%d bytes)", sectionNames[secWikiMeta], len(meta))
 	}
 	p.maxRevID = int(rdU64(meta, 0))
 	p.numCats = int(rdU32(meta, 8))
 	p.catTable = 16
 	p.catIdx = 16 + 16*p.numCats
 	if p.catIdx > len(meta) {
-		return nil, fmt.Errorf("persist: section %q: category table (%d entries) exceeds section length %d", sectionNames[secWikiMeta], p.numCats, len(meta))
+		return nil, nil, fmt.Errorf("persist: section %q: category table (%d entries) exceeds section length %d", sectionNames[secWikiMeta], p.numCats, len(meta))
 	}
-	return p, nil
+	return p, arch, nil
 }

@@ -5,15 +5,15 @@ import (
 	"math"
 	"sort"
 
-	"permadead/internal/archive"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
 	"permadead/internal/wikitext"
 )
 
-// pagedStore serves a format-v4 file. It implements archive.Store,
-// simweb.SiteSource, and wikimedia.ArticleSource directly against the
+// pagedStore serves the site and wiki sections of a format-v4 file
+// (the archive serves its own sections, archive.Open). It implements
+// simweb.SiteSource and wikimedia.ArticleSource directly against the
 // mapped bytes: point lookups are binary searches over fixed-width,
 // key-sorted record sections, strings are zero-copy views into the
 // arena, and nothing is materialized until a query touches it.
@@ -25,15 +25,9 @@ type pagedStore struct {
 	// arena is the arena section as one string; every string the store
 	// hands out is a substring of it.
 	arena string
-	cdx   *archive.CDXIndex
 
 	// Decoded once at open: tiny, and needed before first query.
-	pfWords  []uint64
-	pfKeys   int
-	maxRevID int
-
-	numSnapKeys, numSnaps int
-	numLat                int
+	maxRevID              int
 	numSites, numArticles int
 
 	// wikimeta internal offsets (byte offsets into secWikiMeta).
@@ -62,87 +56,6 @@ func searchRecs(n int, key string, at func(i int) string) (int, bool) {
 	return i, i < n && at(i) == key
 }
 
-// --- CDX -------------------------------------------------------------
-
-// CDXIndex serves the archive's CDX queries (and its host list and
-// bulk regions) from the mapped CDX sections.
-func (p *pagedStore) CDXIndex() *archive.CDXIndex { return p.cdx }
-
-// --- snapshots -------------------------------------------------------
-
-func (p *pagedStore) snapKeyAt(i int) string {
-	return p.refAt(secSnapKeys, i*snapKeyRecSize)
-}
-
-func (p *pagedStore) snapAt(i int) archive.Snapshot {
-	b := p.sec[secSnapRows]
-	off := i * snapRowRecSize
-	return archive.Snapshot{
-		URL:           p.refAt(secSnapRows, off),
-		Day:           simclock.Day(rdI32(b, off+8)),
-		InitialStatus: int(rdU16(b, off+12)),
-		FinalStatus:   int(rdU16(b, off+14)),
-		RedirectTo:    p.refAt(secSnapRows, off+16),
-		Body:          p.refAt(secSnapRows, off+24),
-		Digest:        rdU64(b, off+32),
-	}
-}
-
-func (p *pagedStore) Snapshots(key string) []archive.Snapshot {
-	i, found := searchRecs(p.numSnapKeys, key, p.snapKeyAt)
-	if !found {
-		return nil
-	}
-	start, count, err := p.snapExtent(i)
-	if err != nil {
-		return nil // a damaged record reads as absent; VerifyPaged names it
-	}
-	snaps := make([]archive.Snapshot, count)
-	for j := range snaps {
-		snaps[j] = p.snapAt(start + j)
-	}
-	return snaps
-}
-
-// snapExtent reads snapkeys record i's run of snapshot rows, which must
-// lie inside the snaprows section.
-func (p *pagedStore) snapExtent(i int) (start, count int, err error) {
-	b := p.sec[secSnapKeys]
-	st, n := rdU32(b, i*snapKeyRecSize+8), rdU32(b, i*snapKeyRecSize+12)
-	if uint64(st)+uint64(n) > uint64(p.numSnaps) {
-		return 0, 0, fmt.Errorf("persist: section %q: record %d (rows %d+%d) outside the %d snapshot rows",
-			sectionNames[secSnapKeys], i, st, n, p.numSnaps)
-	}
-	return int(st), int(n), nil
-}
-
-func (p *pagedStore) TotalSnapshots() int { return p.numSnaps }
-
-func (p *pagedStore) EachSnapshot(fn func(archive.Snapshot)) {
-	for i := 0; i < p.numSnaps; i++ {
-		fn(p.snapAt(i))
-	}
-}
-
-// --- latency / prefilter --------------------------------------------
-
-func (p *pagedStore) LookupLatencyMS(key string) (int, bool) {
-	at := func(i int) string { return p.refAt(secLatency, i*latencyRecSize) }
-	i, found := searchRecs(p.numLat, key, at)
-	if !found {
-		return 0, false
-	}
-	return rdI32(p.sec[secLatency], i*latencyRecSize+8), true
-}
-
-func (p *pagedStore) EachLookupLatency(fn func(key string, ms int)) {
-	for i := 0; i < p.numLat; i++ {
-		fn(p.refAt(secLatency, i*latencyRecSize), rdI32(p.sec[secLatency], i*latencyRecSize+8))
-	}
-}
-
-func (p *pagedStore) PrefilterBits() ([]uint64, int) { return p.pfWords, p.pfKeys }
-
 // --- simweb.SiteSource ----------------------------------------------
 
 func (p *pagedStore) siteHostAt(i int) string {
@@ -166,9 +79,7 @@ func (p *pagedStore) LoadSite(hostname string) *simweb.Site {
 	}
 	s, err := p.siteAt(i, hostname)
 	if err != nil {
-		// SiteSource has no error return; VerifyPaged is where a damaged
-		// file is meant to be caught.
-		panic(err)
+		return nil // a damaged record reads as absent; VerifyPaged names it
 	}
 	return s
 }

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"permadead/internal/archive"
 	"permadead/internal/iabot"
@@ -25,6 +27,7 @@ import (
 type pagedPair struct {
 	mem   *Bundle
 	paged *Bundle
+	saved []byte // the file bytes paged serves from
 }
 
 func makePagedPair(t *testing.T, scale float64) *pagedPair {
@@ -39,10 +42,10 @@ func makePagedPair(t *testing.T, scale float64) *pagedPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !paged.Archive.StoreBacked() {
-		t.Fatal("paged load did not produce a store-backed archive")
+	if _, _, err := paged.Archive.Export(); err == nil {
+		t.Fatal("paged load did not produce an archive serving the file's sections")
 	}
-	return &pagedPair{mem: mem, paged: paged}
+	return &pagedPair{mem: mem, paged: paged, saved: buf.Bytes()}
 }
 
 // checkArchive compares every archive query kind between the paged
@@ -61,7 +64,7 @@ func (pp *pagedPair) checkArchive(t *testing.T) {
 
 	// Snapshot store: every key's captures, plus misses.
 	var urls, queryURLs []string
-	ma.EachSnapshotsByKey(func(key string, snaps []archive.Snapshot) {
+	eachSnapshotsByKey(ma, func(key string, snaps []archive.Snapshot) {
 		if got := pa.Snapshots("http://" + key); !reflect.DeepEqual(got, snaps) {
 			t.Errorf("Snapshots(%q): %d vs %d rows", key, len(got), len(snaps))
 		}
@@ -132,8 +135,16 @@ func (pp *pagedPair) checkArchive(t *testing.T) {
 		t.Errorf("bulk regions differ: %d vs %d", len(got), len(want))
 	}
 	gotLat, wantLat := map[string]int{}, map[string]int{}
-	pa.EachLookupLatency(func(k string, ms int) { gotLat[k] = ms })
-	ma.EachLookupLatency(func(k string, ms int) { wantLat[k] = ms })
+	for _, k := range latencyKeys(t, sectionAt(pp.saved, secLatency), string(sectionAt(pp.saved, secArena))) {
+		gotLat[k] = int(pa.LookupLatency("http://"+k) / time.Millisecond)
+	}
+	s, _, err := ma.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range latencyKeys(t, s.Latency, s.Arena) {
+		wantLat[k] = int(ma.LookupLatency("http://"+k) / time.Millisecond)
+	}
 	if !reflect.DeepEqual(gotLat, wantLat) {
 		t.Errorf("latency overrides differ: %d vs %d", len(gotLat), len(wantLat))
 	}
@@ -206,6 +217,43 @@ func sample(xs []string, n int) []string {
 		out = append(out, xs[i])
 	}
 	return out
+}
+
+// eachSnapshotsByKey calls fn once per scheme-agnostic URL key, in key
+// order, with the key's snapshots oldest-first: EachSnapshot, grouped.
+func eachSnapshotsByKey(a *archive.Archive, fn func(key string, snaps []archive.Snapshot)) {
+	byKey := map[string][]archive.Snapshot{}
+	var keys []string
+	a.EachSnapshot(func(s archive.Snapshot) {
+		key := urlutil.SchemeAgnosticKey(s.URL)
+		if byKey[key] == nil {
+			keys = append(keys, key)
+		}
+		byKey[key] = append(byKey[key], s)
+	})
+	sort.Strings(keys)
+	for _, key := range keys {
+		fn(key, byKey[key])
+	}
+}
+
+// latencyKeys returns the keys of the availability-latency overrides a
+// latency section holds, whose references point into arena. A key
+// listed twice fails t.
+func latencyKeys(t *testing.T, sec []byte, arena string) []string {
+	t.Helper()
+	var keys []string
+	seen := map[string]bool{}
+	for off := 0; off < len(sec); off += latencyRecSize {
+		o := rdU32(sec, off)
+		k := arena[o : o+rdU32(sec, off+4)]
+		if seen[k] {
+			t.Errorf("latency override %q listed twice", k)
+		}
+		seen[k] = true
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 func regionSet(a *archive.Archive) map[archive.BulkRegion]bool {
@@ -326,7 +374,7 @@ func TestConverterDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := &pagedPair{mem: mem, paged: paged}
+	pp := &pagedPair{mem: mem, paged: paged, saved: a}
 	pp.checkArchive(t)
 	pp.checkWorldWiki(t)
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"sort"
 
-	"permadead/internal/archive"
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
 	"permadead/internal/wikitext"
@@ -21,22 +20,23 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // SavePaged writes the bundle to w in persist format v4 — the paged
 // layout OpenPaged serves queries from without materializing the
 // universe. Ordering is deterministic: directories are sorted by
-// their lookup key, CDX rows keep each host's capture-insertion order
-// recoverable through the stored permutations, and snapshots are
-// grouped by sorted key, oldest first. The archive is frozen as a
-// side effect (saving implies generation is complete) so the capture
-// prefilter exists to be persisted.
+// their lookup key. The archive's nine sections are copied as Freeze
+// built them (archive.Export) — the archive is frozen as a side effect,
+// saving implies generation is complete — and the arena they reference
+// is extended with the site and wiki strings (DESIGN §3.6).
 //
-// A store-backed bundle (one that is itself serving from a paged
-// file) cannot be re-saved; copy the file instead.
+// A bundle that is itself serving from a paged file cannot be re-saved;
+// copy the file instead.
 func SavePaged(w io.Writer, b *Bundle) error {
-	if b.Archive.StoreBacked() {
-		return fmt.Errorf("persist: SavePaged: bundle already serves from a paged file; copy that file instead")
+	s, refs, err := b.Archive.Export()
+	if err != nil {
+		return fmt.Errorf("persist: SavePaged: %w", err)
 	}
-	b.Archive.Freeze()
-
 	secs := make([][]byte, numSections)
-	ar := encodeCDX(secs, b.Archive)
+	for _, f := range archiveSections {
+		secs[f.kind] = *f.field(&s)
+	}
+	ar := &arena{buf: []byte(s.Arena), idx: refs}
 
 	// params: small, structured, and already gob-friendly.
 	var pbuf bytes.Buffer
@@ -47,9 +47,6 @@ func SavePaged(w io.Writer, b *Bundle) error {
 	}
 	secs[secParams] = pbuf.Bytes()
 
-	encodeSnapshots(secs, ar, b.Archive)
-	encodeLatencies(secs, ar, b.Archive)
-	encodePrefilter(secs, b.Archive)
 	encodeSites(secs, ar, b.World)
 	encodeWiki(secs, ar, b.Wiki)
 
@@ -108,70 +105,6 @@ func SavePaged(w io.Writer, b *Bundle) error {
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
-
-// encodeCDX stores the archive's frozen CDX index — its sections as
-// Freeze built them — and returns the arena, opened with the index's
-// strings, which every later section appends to (DESIGN §3.6). The
-// index's arena reserves offset 0, so a (0, 0) reference means "".
-func encodeCDX(secs [][]byte, a *archive.Archive) *arena {
-	s, refs := a.ExportCDX()
-	secs[secCDXHosts], secs[secCDXData], secs[secCDXAux] = s.Hosts, s.Data, s.Aux
-	secs[secBulk], secs[secDomains] = s.Bulk, s.Domains
-	return &arena{buf: []byte(s.Arena), idx: refs}
-}
-
-func encodeSnapshots(secs [][]byte, ar *arena, a *archive.Archive) {
-	keysW := &secWriter{}
-	rowsW := &secWriter{}
-	total := 0
-	a.EachSnapshotsByKey(func(key string, snaps []archive.Snapshot) {
-		keysW.writeRef(ar, key)
-		keysW.u32(uint32(total))
-		keysW.u32(uint32(len(snaps)))
-		for _, s := range snaps {
-			rowsW.writeRef(ar, s.URL)
-			rowsW.i32(int(s.Day))
-			rowsW.u16(uint16(s.InitialStatus))
-			rowsW.u16(uint16(s.FinalStatus))
-			rowsW.writeRef(ar, s.RedirectTo)
-			rowsW.writeRef(ar, s.Body)
-			rowsW.u64(s.Digest)
-		}
-		total += len(snaps)
-	})
-	secs[secSnapKeys] = keysW.buf
-	secs[secSnapRows] = rowsW.buf
-}
-
-func encodeLatencies(secs [][]byte, ar *arena, a *archive.Archive) {
-	type lat struct {
-		key string
-		ms  int
-	}
-	var lats []lat
-	a.EachLookupLatency(func(key string, ms int) {
-		lats = append(lats, lat{key, ms})
-	})
-	sort.Slice(lats, func(i, j int) bool { return lats[i].key < lats[j].key })
-	w := &secWriter{}
-	for _, l := range lats {
-		w.writeRef(ar, l.key)
-		w.i32(l.ms)
-		w.u32(0)
-	}
-	secs[secLatency] = w.buf
-}
-
-func encodePrefilter(secs [][]byte, a *archive.Archive) {
-	words, keys := a.PrefilterBits()
-	w := &secWriter{}
-	w.u64(uint64(keys))
-	w.u64(uint64(len(words)))
-	for _, v := range words {
-		w.u64(v)
-	}
-	secs[secPrefilter] = w.buf
-}
 
 func encodeSites(secs [][]byte, ar *arena, world *simweb.World) {
 	dirW := &secWriter{}

@@ -3,6 +3,7 @@ package permadead
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,13 +28,13 @@ import (
 // owning packages' tests (CHANGES.md maps every old script assertion to
 // its test).
 
-// buildBinaries builds the four binaries into a directory that lives as
+// buildBinaries builds the five binaries into a directory that lives as
 // long as t and returns a name → path lookup.
 func buildBinaries(t *testing.T) func(name string) string {
 	t.Helper()
 	dir := t.TempDir()
 	out, err := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"./cmd/worldgen", "./cmd/inspect", "./cmd/permadeadd", "./cmd/permadead-router").CombinedOutput()
+		"./cmd/worldgen", "./cmd/inspect", "./cmd/permadeadd", "./cmd/permadead-router", "./cmd/deadlinkstudy").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -255,6 +256,23 @@ func TestSmoke(t *testing.T) {
 		out, err = run(bin("inspect"), "-load", bad)
 		if err == nil || !strings.Contains(out, "section") || !strings.Contains(out, "checksum") {
 			t.Fatalf("inspect -load of a corrupted file: err %v\n%s", err, out)
+		}
+	})
+
+	// The third "same bytes" identity beside the two saved-universe
+	// hashes of TestGeneratedUniverseBytesPinned, under the same editing
+	// rule: the study's stdout, over the generated universe and over its
+	// paged reopen.
+	t.Run("deadlinkstudy stdout pinned", func(t *testing.T) {
+		const want = "fd88b155f3694ea3b7575e8995aee3814c576748305f47a34008dc783e6aa665"
+		for _, args := range [][]string{{"-scale", "0.05", "-seed", "1"}, {"-load", universe}} {
+			out, err := exec.Command(bin("deadlinkstudy"), append(args, "-quiet")...).Output()
+			if err != nil {
+				t.Fatalf("deadlinkstudy %v: %v", args, err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
+				t.Errorf("deadlinkstudy %v -quiet: stdout sha256 = %s, pinned %s", args, got, want)
+			}
 		}
 	})
 
