@@ -22,11 +22,9 @@ import (
 	"time"
 
 	"permadead/internal/core"
-	"permadead/internal/fetch"
 	"permadead/internal/figures"
 	"permadead/internal/persist"
 	mdreport "permadead/internal/report"
-	"permadead/internal/simweb"
 	"permadead/internal/worldgen"
 )
 
@@ -107,7 +105,7 @@ func main() {
 		Config: cfg,
 		Wiki:   bundle.Wiki,
 		Arch:   bundle.Archive,
-		Client: fetch.New(simweb.NewTransport(bundle.World, cfg.StudyTime)),
+		Client: bundle.Client(cfg.StudyTime),
 		Ranks:  bundle.World,
 	}
 
@@ -159,7 +157,7 @@ func main() {
 				Config: cfg2,
 				Wiki:   bundle.Wiki,
 				Arch:   bundle.Archive,
-				Client: fetch.New(simweb.NewTransport(bundle.World, cfg.StudyTime)),
+				Client: bundle.Client(cfg.StudyTime),
 				Ranks:  bundle.World,
 			}
 			fmt.Fprintf(os.Stderr, "running random representativeness sample...\n")

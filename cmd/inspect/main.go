@@ -24,11 +24,9 @@ import (
 	"fmt"
 	"os"
 
-	"permadead/internal/fetch"
 	"permadead/internal/iabot"
 	"permadead/internal/persist"
 	"permadead/internal/simclock"
-	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
 )
 
@@ -108,7 +106,7 @@ func traceURL(b *persist.Bundle, url string) {
 	ctx := context.Background()
 	for year := 2008; year <= 2022; year += 2 {
 		day := simclock.FromDate(year, 3, 15)
-		client := fetch.New(simweb.NewTransport(b.World, day))
+		client := b.Client(day)
 		res := client.Fetch(ctx, url)
 		fmt.Printf("  %d: %-12s", year, res.Category)
 		if res.FinalStatus != 0 {

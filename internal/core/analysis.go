@@ -56,11 +56,13 @@ func (s *Study) DatasetStats(r *Report) {
 // LiveCheck performs the §3 live-web measurement: one GET per sampled
 // URL, Figure 4 classification, and the soft-404 probe for the 200s.
 func (s *Study) LiveCheck(ctx context.Context, r *Report) error {
-	urls := make([]string, len(r.Records))
-	for i := range r.Records {
-		urls[i] = r.Records[i].URL
-	}
-	results := s.Fetcher().FetchAll(ctx, urls, s.Config.Concurrency)
+	f := s.Fetcher()
+	results := make([]fetch.Result, len(r.Records))
+	ParallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
+		if ctx.Err() == nil {
+			results[i] = f.Fetch(ctx, r.Records[i].URL)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -111,7 +113,7 @@ type archiveOutcome struct {
 func (s *Study) ArchiveAnalysis(r *Report) {
 	checker := redircheck.NewChecker(s.Memo())
 	outs := make([]archiveOutcome, len(r.Records))
-	parallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
+	ParallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
 		outs[i] = s.archiveOutcomeFor(&r.Records[i], checker)
 	})
 
@@ -194,7 +196,7 @@ func (s *Study) TemporalAnalysis(r *Report) {
 	}
 
 	outs := make([]temporalOutcome, len(r.Records))
-	parallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
+	ParallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
 		if _, ok := pre200[i]; ok {
 			return
 		}
@@ -272,7 +274,7 @@ type spatialOutcome struct {
 // the region, and each cold query is a binary search, not a scan.
 func (s *Study) SpatialAnalysis(r *Report) {
 	outs := make([]spatialOutcome, len(r.NoCopies))
-	parallelFor(len(r.NoCopies), s.Config.Concurrency, func(k int) {
+	ParallelFor(len(r.NoCopies), s.Config.Concurrency, func(k int) {
 		outs[k] = s.spatialOutcomeFor(&r.Records[r.NoCopies[k]])
 	})
 

@@ -6,9 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// parallelFor runs fn(i) for every i in [0, n) using at most c worker
-// goroutines. With c <= 1 it degenerates to the plain sequential loop,
-// so the two paths share one implementation and one set of semantics.
+// ParallelFor runs fn(i) for every i in [0, n) using at most c worker
+// goroutines and returns when every call has returned. With c <= 1 it
+// degenerates to the plain sequential loop, so the two paths share one
+// implementation and one set of semantics. It is the tree's one bounded
+// fan-out: the study's stages and live GETs, StreamOrdered's workers
+// and each monitor due-day all run on it.
 //
 // Workers claim indices from a shared atomic counter (work stealing by
 // another name): links vary wildly in archive-side cost — a link on a
@@ -20,7 +23,7 @@ import (
 // slot i of a pre-sized slice). Callers then merge those slots in
 // index order, which makes the result byte-identical to the
 // sequential path no matter how the indices interleave.
-func parallelFor(n, c int, fn func(i int)) {
+func ParallelFor(n, c int, fn func(i int)) {
 	if c > n {
 		c = n
 	}
@@ -55,9 +58,9 @@ func parallelFor(n, c int, fn func(i int)) {
 // while item 500 is still computing, yet output order always matches
 // input order. emit runs on the calling goroutine only.
 //
-// Workers claim indices from a shared counter (the parallelFor
-// discipline: per-item cost varies wildly, so static splitting would
-// idle workers behind heavy items). Completed out-of-order results
+// The workers are ParallelFor's: they claim indices from a shared
+// counter, since per-item cost varies wildly and static splitting would
+// idle workers behind heavy items. Completed out-of-order results
 // wait in a bounded reorder buffer; its size tracks the worker count,
 // so memory stays O(c), not O(n), no matter how far ahead a fast
 // worker runs.
@@ -101,26 +104,15 @@ func StreamOrderedIdle[T any](ctx context.Context, n, c int, work func(i int) T,
 		v T
 	}
 	var (
-		next    atomic.Int64
 		stopped atomic.Bool
-		wg      sync.WaitGroup
 		results = make(chan slot, c)
 	)
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stopped.Load() {
-					return
-				}
+	go func() {
+		ParallelFor(n, c, func(i int) {
+			if !stopped.Load() {
 				results <- slot{i: i, v: work(i)}
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
+		})
 		close(results)
 	}()
 

@@ -17,12 +17,41 @@ func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 		{0, 8}, {1, 8}, {7, 1}, {7, 3}, {100, 8}, {5, 50}, {10, 0}, {10, -4},
 	} {
 		visits := make([]atomic.Int32, c.n)
-		parallelFor(c.n, c.conc, func(i int) { visits[i].Add(1) })
+		ParallelFor(c.n, c.conc, func(i int) { visits[i].Add(1) })
 		for i := range visits {
 			if got := visits[i].Load(); got != 1 {
 				t.Errorf("n=%d conc=%d: index %d visited %d times", c.n, c.conc, i, got)
 			}
 		}
+	}
+}
+
+// TestParallelForBoundsConcurrency: at most c calls run at once, and c
+// are actually reached. The first calls hold until the peak reaches c
+// and 20 ms have passed, so a loop that ran sequentially fails on the
+// peak, and one that started more workers exceeds it.
+func TestParallelForBoundsConcurrency(t *testing.T) {
+	const n, c = 100, 4
+	var cur, peak atomic.Int32
+	start := time.Now()
+	ParallelFor(n, c, func(int) {
+		raise(&peak, cur.Add(1))
+		defer cur.Add(-1)
+		for p := peak.Load(); p < c || p == c && time.Since(start) < 20*time.Millisecond; p = peak.Load() {
+			if time.Since(start) > 2*time.Second {
+				break
+			}
+			runtime.Gosched()
+		}
+	})
+	if p := peak.Load(); p != c {
+		t.Errorf("peak concurrent calls = %d, want exactly the bound %d", p, c)
+	}
+}
+
+// raise lifts peak to k when k is higher.
+func raise(peak *atomic.Int32, k int32) {
+	for p := peak.Load(); k > p && !peak.CompareAndSwap(p, k); p = peak.Load() {
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -220,63 +219,6 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 		res.Redirected = true
 		current = next.String()
 	}
-}
-
-// FetchAll fetches urls with a pool of `concurrency` worker
-// goroutines, preserving input order in the returned slice. The
-// dispatcher stops handing out work as soon as ctx is cancelled;
-// URLs never dispatched come back with the context's error attached
-// (Category Other) so the result slice always lines up with the
-// input. At most `concurrency` goroutines ever exist, regardless of
-// len(urls).
-func (c *Client) FetchAll(ctx context.Context, urls []string, concurrency int) []Result {
-	return fetchAll(ctx, urls, concurrency, c.Fetch)
-}
-
-// fetchAll is the worker-pool engine shared by Client.FetchAll and
-// Retrier.FetchAll: fn is invoked once per URL from at most
-// `concurrency` goroutines.
-func fetchAll(ctx context.Context, urls []string, concurrency int, fn func(context.Context, string) Result) []Result {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if concurrency > len(urls) {
-		concurrency = len(urls)
-	}
-	results := make([]Result, len(urls))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(concurrency)
-	for w := 0; w < concurrency; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = fn(ctx, urls[i])
-			}
-		}()
-	}
-
-	next := 0
-dispatch:
-	for ; next < len(urls); next++ {
-		// Check first so an already-cancelled context dispatches
-		// nothing (select would pick randomly between ready cases).
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case jobs <- next:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	for i := next; i < len(urls); i++ {
-		results[i] = Result{URL: urls[i], Category: CatOther, Err: ctx.Err()}
-	}
-	return results
 }
 
 func readBody(resp *http.Response, limit int64) (string, error) {

@@ -169,29 +169,6 @@ func TestFetchInvalidURL(t *testing.T) {
 	}
 }
 
-func TestFetchAllPreservesOrder(t *testing.T) {
-	c := testClient(testWorld())
-	urls := []string{
-		"http://ok.simtest/page.html",
-		"http://ok.simtest/missing.html",
-		"http://dnsdead.simtest/x",
-		"http://geo.simtest/",
-	}
-	results := c.FetchAll(context.Background(), urls, 4)
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
-	}
-	want := []Category{Cat200, Cat404, CatDNSFailure, CatOther}
-	for i, r := range results {
-		if r.URL != urls[i] {
-			t.Errorf("result[%d] order broken: %q", i, r.URL)
-		}
-		if r.Category != want[i] {
-			t.Errorf("result[%d] = %v, want %v", i, r.Category, want[i])
-		}
-	}
-}
-
 func TestFetchContextCancelled(t *testing.T) {
 	c := testClient(testWorld())
 	ctx, cancel := context.WithCancel(context.Background())

@@ -26,7 +26,6 @@ import (
 // pipeline measures through it without caring whether retries are on.
 type Fetcher interface {
 	Fetch(ctx context.Context, rawURL string) Result
-	FetchAll(ctx context.Context, urls []string, concurrency int) []Result
 }
 
 var (
@@ -226,15 +225,6 @@ func (r *Retrier) Fetch(ctx context.Context, rawURL string) Result {
 	}
 	res.Attempts = attempt
 	return res
-}
-
-// FetchAll fetches urls through the policy with a bounded worker pool,
-// preserving input order (see Client.FetchAll for cancellation
-// semantics).
-func (r *Retrier) FetchAll(ctx context.Context, urls []string, concurrency int) []Result {
-	return fetchAll(ctx, urls, concurrency, func(ctx context.Context, u string) Result {
-		return r.Fetch(ctx, u)
-	})
 }
 
 // runCheck is one check: a fetch plus transient-failure retries.

@@ -274,7 +274,7 @@ func TestRetrierDefaultPolicyMatchesBareClient(t *testing.T) {
 	}
 }
 
-func TestRetrierFetchAllCancellationMidRetry(t *testing.T) {
+func TestRetrierFetchCancellationMidRetry(t *testing.T) {
 	w := flakyWorld(simweb.FaultServerBusy, 1, 0, 7)
 	c := New(simweb.NewTransport(w, simclock.StudyTime))
 	r := NewRetrier(c, RetryPolicy{MaxAttempts: 100, BaseBackoff: time.Millisecond})
@@ -283,42 +283,23 @@ func TestRetrierFetchAllCancellationMidRetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	r.Sleep = func(ctx context.Context, _ time.Duration) error {
-		// Cancel from inside the first backoff — mid-retry, mid-fetch.
+		// Cancel from inside the first backoff — mid-retry.
 		once.Do(cancel)
 		return ctx.Err()
 	}
 
-	urls := make([]string, 8)
-	for i := range urls {
-		urls[i] = flakyURL
-	}
-	done := make(chan []Result, 1)
-	go func() { done <- r.FetchAll(ctx, urls, 2) }()
+	done := make(chan Result, 1)
+	go func() { done <- r.Fetch(ctx, flakyURL) }()
 	select {
-	case results := <-done:
-		if len(results) != len(urls) {
-			t.Fatalf("results = %d", len(results))
+	case res := <-done:
+		if res.URL != flakyURL {
+			t.Errorf("result URL = %q", res.URL)
 		}
-		var dispatched int
-		for i, res := range results {
-			if res.URL != urls[i] {
-				t.Errorf("result[%d] misaligned: %q", i, res.URL)
-			}
-			if res.Attempts > 0 {
-				dispatched++
-				// A dispatched link stopped retrying early.
-				if res.Attempts >= 100 {
-					t.Errorf("result[%d] ran all attempts after cancel", i)
-				}
-			} else if res.Err == nil {
-				t.Errorf("result[%d] undispatched but no error", i)
-			}
-		}
-		if dispatched == 0 {
-			t.Error("nothing was dispatched before cancel")
+		if res.Attempts < 1 || res.Attempts >= 100 {
+			t.Errorf("attempts = %d: want the retries to stop at the cancelled backoff", res.Attempts)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("FetchAll did not return after cancellation")
+		t.Fatal("Fetch did not return after cancellation")
 	}
 }
 

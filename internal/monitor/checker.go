@@ -46,9 +46,9 @@ type CheckResult struct {
 	RecheckAt simclock.Day
 }
 
-// Checker measures one URL's liveness as of a simulated day. Checks
-// run concurrently on the monitor's worker pool, so implementations
-// must be safe for concurrent use.
+// Checker measures one URL's liveness as of a simulated day. The checks
+// of one due-day run concurrently, so implementations must be safe for
+// concurrent use.
 type Checker interface {
 	Check(ctx context.Context, url string, day simclock.Day) CheckResult
 }
@@ -61,22 +61,11 @@ type Checker interface {
 // the day the window clears, rather than after the full TTL.
 type LiveChecker struct {
 	World *simweb.World
-	// NewClient overrides the per-day client construction (tests, or
-	// callers that want retry policies). Nil builds a plain single-GET
-	// client over World.
-	NewClient func(day simclock.Day) *fetch.Client
-}
-
-func (lc *LiveChecker) client(day simclock.Day) *fetch.Client {
-	if lc.NewClient != nil {
-		return lc.NewClient(day)
-	}
-	return fetch.New(simweb.NewTransport(lc.World, day))
 }
 
 // Check implements Checker.
 func (lc *LiveChecker) Check(ctx context.Context, rawURL string, day simclock.Day) CheckResult {
-	client := lc.client(day)
+	client := fetch.New(simweb.NewTransport(lc.World, day))
 	res := client.Fetch(ctx, rawURL)
 	cr := CheckResult{Verdict: VerdictDead, Category: res.Category.String()}
 	if res.Category == fetch.Cat200 {

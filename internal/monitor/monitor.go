@@ -5,12 +5,14 @@
 // durable journal and to streaming subscribers.
 //
 // Concurrency model: ONE authoritative goroutine (the loop) owns all
-// monitor state. Checker workers and repair workers only receive jobs
-// and send results over channels; public API calls post closures onto
-// the command channel and wait for replies. Nothing outside the loop
-// ever touches the link table, the re-check schedule, or the
-// subscriber set, so the package needs no locks around its state and
-// is race-clean by construction.
+// monitor state. A due-day's checks run on one goroutine that fans them
+// out through core.ParallelFor and hands the outcomes back in one send;
+// a repair runs on one goroutine of its own, one at a time; public API
+// calls post closures onto the command channel and wait for replies.
+// Nothing outside the loop ever touches the link table, the re-check
+// schedule, or the subscriber set, so the package needs no locks around
+// its state and is race-clean by construction. While no check or repair
+// runs, the loop is the monitor's only goroutine.
 //
 // Time is the tickable simulated clock. Advance is synchronous: it
 // runs every re-check that falls due in the window — each executed at
@@ -19,9 +21,10 @@
 // runs over the same universe therefore produce the same verdict
 // flips, which is what makes the streaming smoke test assertable.
 //
-// Within one due-day, checks fan out across workers and results are
-// applied in URL-sorted order, so journal sequence numbers are also
-// deterministic, not an artifact of goroutine scheduling.
+// Within one due-day, checks fan out across at most Config.Checkers
+// goroutines and results are applied in URL-sorted order, so journal
+// sequence numbers are also deterministic, not an artifact of goroutine
+// scheduling.
 package monitor
 
 import (
@@ -34,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"permadead/internal/core"
 	"permadead/internal/journal"
 	"permadead/internal/simclock"
 	"permadead/internal/wikimedia"
@@ -56,7 +60,7 @@ type Repairer interface {
 type Config struct {
 	// TTLDays is the re-check cadence for settled verdicts (default 30).
 	TTLDays int
-	// Checkers is the size of the concurrent check worker pool
+	// Checkers bounds how many checks of one due-day run at once
 	// (default 8).
 	Checkers int
 	// SubscriberBuffer is each subscriber's bounded event buffer
@@ -281,14 +285,12 @@ type Monitor struct {
 	feedCh   <-chan wikimedia.LinkEvent
 
 	cmds       chan func()
-	jobs       chan checkJob
-	results    chan checkOutcome
-	repairCh   chan repairJob
+	batchDone  chan []checkOutcome
 	repairDone chan int
 	quit       chan struct{}
-	loopExited chan struct{}
 	closeOnce  sync.Once
-	wg         sync.WaitGroup
+	// wg counts the loop, the running batch and the running repair.
+	wg sync.WaitGroup
 
 	// Everything below is owned by the loop goroutine.
 	links           map[string]*linkState
@@ -298,10 +300,7 @@ type Monitor struct {
 	nextSubID       int
 	watches         []*watchOp
 
-	batchActive  bool
-	batchQueue   []checkJob
-	batchResults []checkOutcome
-	inflight     int
+	batchActive bool
 
 	repairQueue    []repairJob
 	repairInflight bool
@@ -335,12 +334,9 @@ func New(cfg Config) (*Monitor, error) {
 		feed:     cfg.Feed,
 
 		cmds:       make(chan func(), 64),
-		jobs:       make(chan checkJob),
-		results:    make(chan checkOutcome),
-		repairCh:   make(chan repairJob),
+		batchDone:  make(chan []checkOutcome),
 		repairDone: make(chan int),
 		quit:       make(chan struct{}),
-		loopExited: make(chan struct{}),
 
 		links:           make(map[string]*linkState),
 		watchedArticles: make(map[string]struct{}),
@@ -350,24 +346,17 @@ func New(cfg Config) (*Monitor, error) {
 	if m.feed != nil {
 		m.feedCh = m.feed.Events()
 	}
-	for i := 0; i < cfg.Checkers; i++ {
-		m.wg.Add(1)
-		go m.checkWorker()
-	}
 	m.wg.Add(1)
-	go m.repairWorker()
 	go m.loop()
 	return m, nil
 }
 
-// Close stops the loop and all workers. Pending Advance/Watch calls
-// return ErrClosed; subscriber channels are closed.
+// Close stops the loop and waits for it and for the running batch and
+// repair, if any. Pending Advance/Watch calls return ErrClosed;
+// subscriber channels are closed.
 func (m *Monitor) Close() {
 	m.closeOnce.Do(func() {
 		close(m.quit)
-		<-m.loopExited
-		close(m.jobs)
-		close(m.repairCh)
 		m.wg.Wait()
 	})
 }
@@ -385,39 +374,17 @@ func (m *Monitor) loop() {
 			close(sub.ch)
 			delete(m.subs, id)
 		}
-		close(m.loopExited)
+		m.wg.Done()
 	}()
 	for {
 		m.pump()
-
-		var jobsOut chan checkJob
-		var job checkJob
-		if len(m.batchQueue) > 0 {
-			jobsOut = m.jobs
-			job = m.batchQueue[0]
-		}
-		var repairOut chan repairJob
-		var rjob repairJob
-		if !m.repairInflight && len(m.repairQueue) > 0 {
-			repairOut = m.repairCh
-			rjob = m.repairQueue[0]
-		}
-
 		select {
 		case cmd := <-m.cmds:
 			cmd()
 		case ev := <-m.feedCh:
 			m.handleFeed(ev)
-		case out := <-m.results:
-			m.inflight--
-			m.checksExecuted++
-			m.batchResults = append(m.batchResults, out)
-		case jobsOut <- job:
-			m.batchQueue = m.batchQueue[1:]
-			m.inflight++
-		case repairOut <- rjob:
-			m.repairQueue = m.repairQueue[1:]
-			m.repairInflight = true
+		case outs := <-m.batchDone:
+			m.processBatch(outs)
 		case edited := <-m.repairDone:
 			m.repairInflight = false
 			m.repairsEdited += int64(edited)
@@ -427,17 +394,21 @@ func (m *Monitor) loop() {
 	}
 }
 
-// pump runs the loop's state machine between channel events: finish a
-// completed batch, start the next one if checks are due, and complete
-// a pending Advance once the window is fully settled.
+// pump runs the loop's state machine between channel events: start
+// the next batch if checks are due, start the next repair if none is
+// running, and complete a pending Advance once the window is fully
+// settled.
 func (m *Monitor) pump() {
 	m.drainFeed()
-	if m.batchActive && len(m.batchQueue) == 0 && m.inflight == 0 {
-		m.processBatch()
-		m.drainFeed()
-	}
 	if !m.batchActive {
 		m.startBatch()
+	}
+	if !m.repairInflight && len(m.repairQueue) > 0 {
+		job := m.repairQueue[0]
+		m.repairQueue = m.repairQueue[1:]
+		m.repairInflight = true
+		m.wg.Add(1)
+		go m.repair(job)
 	}
 	if m.adv != nil && !m.batchActive && !m.repairInflight && len(m.repairQueue) == 0 {
 		op := m.adv
@@ -488,9 +459,9 @@ func (m *Monitor) horizon() simclock.Day {
 }
 
 // startBatch collects every link due on the earliest pending check day
-// (within the horizon) into one dispatch batch. Checks execute at that
-// scheduled day — during an Advance the simulated web is queried as of
-// each due day in turn, not as of the target.
+// (within the horizon) into one batch and starts it. Checks execute at
+// that scheduled day — during an Advance the simulated web is queried
+// as of each due day in turn, not as of the target.
 func (m *Monitor) startBatch() {
 	if len(m.due) == 0 {
 		return
@@ -503,25 +474,65 @@ func (m *Monitor) startBatch() {
 	if day.Before(m.clock.Now()) {
 		day = m.clock.Now()
 	}
+	var jobs []checkJob
 	for len(m.due) > 0 && !m.due[0].nextCheck.After(day) {
 		ls := heap.Pop(&m.due).(*linkState)
 		ls.checking = true
-		m.batchQueue = append(m.batchQueue, checkJob{url: ls.url, day: day})
+		jobs = append(jobs, checkJob{url: ls.url, day: day})
 	}
 	m.batchActive = true
+	m.wg.Add(1)
+	go m.runBatch(jobs)
+}
+
+// runBatch runs one due-day's checks on at most Config.Checkers
+// goroutines and hands every outcome back to the loop in one send.
+// Once the monitor is closing it starts no further check.
+func (m *Monitor) runBatch(jobs []checkJob) {
+	defer m.wg.Done()
+	ctx := context.Background()
+	outs := make([]checkOutcome, len(jobs))
+	core.ParallelFor(len(jobs), m.cfg.Checkers, func(i int) {
+		select {
+		case <-m.quit:
+			return
+		default:
+		}
+		j := jobs[i]
+		outs[i] = checkOutcome{url: j.url, day: j.day, res: m.checker.Check(ctx, j.url, j.day)}
+	})
+	select {
+	case m.batchDone <- outs:
+	case <-m.quit:
+	}
+}
+
+// repair runs one repair job, title by title. The loop starts the next
+// only after this one reports back, so wiki edits land in queue order.
+func (m *Monitor) repair(job repairJob) {
+	defer m.wg.Done()
+	ctx := context.Background()
+	edited := 0
+	for _, title := range job.titles {
+		if ok, err := m.repairer.ScanLink(ctx, title, job.url, job.day); err == nil && ok {
+			edited++
+		}
+	}
+	select {
+	case m.repairDone <- edited:
+	case <-m.quit:
+	}
 }
 
 // processBatch applies a completed batch's results in URL order, so
 // journal sequence numbers do not depend on worker scheduling.
-func (m *Monitor) processBatch() {
+func (m *Monitor) processBatch(outs []checkOutcome) {
 	m.batchActive = false
-	sort.Slice(m.batchResults, func(i, j int) bool {
-		return m.batchResults[i].url < m.batchResults[j].url
-	})
-	for _, out := range m.batchResults {
+	m.checksExecuted += int64(len(outs))
+	sort.Slice(outs, func(i, j int) bool { return outs[i].url < outs[j].url })
+	for _, out := range outs {
 		m.applyResult(out)
 	}
-	m.batchResults = m.batchResults[:0]
 }
 
 func (m *Monitor) applyResult(out checkOutcome) {
@@ -644,33 +655,31 @@ func (m *Monitor) resolveWatches(url string) {
 
 // --- public API (each call posts a closure to the loop) ---
 
-func (m *Monitor) do(fn func()) error {
+// call runs fn on the loop and returns its result, or ErrClosed once
+// the monitor is closing. Every wait pairs with quit: a Close landing
+// between the enqueue and the loop running fn must not strand the
+// caller.
+func call[T any](m *Monitor, fn func() T) (T, error) {
+	var zero T
 	// Check quit on its own first: after Close, the select below could
 	// still enqueue into the buffered cmds channel (select picks
 	// randomly among ready cases) even though the loop is gone.
 	select {
 	case <-m.quit:
-		return ErrClosed
+		return zero, ErrClosed
 	default:
 	}
+	reply := make(chan T, 1)
 	select {
-	case m.cmds <- fn:
-		return nil
+	case m.cmds <- func() { reply <- fn() }:
 	case <-m.quit:
-		return ErrClosed
-	}
-}
-
-func (m *Monitor) doSync(fn func()) error {
-	done := make(chan struct{})
-	if err := m.do(func() { fn(); close(done) }); err != nil {
-		return err
+		return zero, ErrClosed
 	}
 	select {
-	case <-done:
-		return nil
+	case v := <-reply:
+		return v, nil
 	case <-m.quit:
-		return ErrClosed
+		return zero, ErrClosed
 	}
 }
 
@@ -680,8 +689,7 @@ func (m *Monitor) doSync(fn func()) error {
 // or broadcast for them. It returns how many links are newly watched.
 func (m *Monitor) Watch(ctx context.Context, req WatchRequest) (int, error) {
 	op := &watchOp{remaining: make(map[string]struct{}), done: make(chan struct{})}
-	addedCh := make(chan int, 1)
-	err := m.do(func() {
+	added, err := call(m, func() int {
 		before := len(m.links)
 		track := func(url, article string, explicit bool) {
 			if url == "" {
@@ -701,24 +709,15 @@ func (m *Monitor) Watch(ctx context.Context, req WatchRequest) (int, error) {
 				track(u, title, false)
 			}
 		}
-		addedCh <- len(m.links) - before
 		if len(op.remaining) == 0 {
 			close(op.done)
 		} else {
 			m.watches = append(m.watches, op)
 		}
+		return len(m.links) - before
 	})
 	if err != nil {
 		return 0, err
-	}
-	// Every post-enqueue wait pairs with quit: a Close landing between
-	// the enqueue and the loop executing the closure must not strand
-	// the caller.
-	var added int
-	select {
-	case added = <-addedCh:
-	case <-m.quit:
-		return 0, ErrClosed
 	}
 	select {
 	case <-op.done:
@@ -733,7 +732,7 @@ func (m *Monitor) Watch(ctx context.Context, req WatchRequest) (int, error) {
 // Unwatch stops watching the named links and articles. Article URL
 // lists in the request are ignored; current membership is used.
 func (m *Monitor) Unwatch(req WatchRequest) error {
-	return m.doSync(func() {
+	_, err := call(m, func() struct{} {
 		for _, u := range req.URLs {
 			if ls, ok := m.links[u]; ok {
 				ls.explicit = false
@@ -752,7 +751,9 @@ func (m *Monitor) Unwatch(req WatchRequest) error {
 				}
 			}
 		}
+		return struct{}{}
 	})
+	return err
 }
 
 // Advance moves the simulated clock forward n days, synchronously
@@ -765,25 +766,19 @@ func (m *Monitor) Advance(days int) (simclock.Day, error) {
 		return m.clock.Now(), fmt.Errorf("monitor: cannot advance %d days", days)
 	}
 	op := &advanceOp{done: make(chan advanceResult, 1)}
-	errCh := make(chan error, 1)
-	if err := m.do(func() {
+	busy, err := call(m, func() error {
 		if m.adv != nil {
-			errCh <- errors.New("monitor: advance already in progress")
-			return
+			return errors.New("monitor: advance already in progress")
 		}
 		op.target = m.clock.Now().Add(days)
 		m.adv = op
-		errCh <- nil
-	}); err != nil {
-		return m.clock.Now(), err
+		return nil
+	})
+	if err == nil {
+		err = busy
 	}
-	select {
-	case err := <-errCh:
-		if err != nil {
-			return m.clock.Now(), err
-		}
-	case <-m.quit:
-		return m.clock.Now(), ErrClosed
+	if err != nil {
+		return m.clock.Now(), err
 	}
 	select {
 	case r := <-op.done:
@@ -811,11 +806,9 @@ func (m *Monitor) Subscribe(lastSeq int64) (*Subscription, error) {
 		sub *Subscription
 		err error
 	}
-	ch := make(chan res, 1)
-	if err := m.do(func() {
+	r, err := call(m, func() res {
 		if len(m.subs) >= m.cfg.MaxSubscribers {
-			ch <- res{err: ErrTooManySubscribers}
-			return
+			return res{err: ErrTooManySubscribers}
 		}
 		// Replay, not After: a cursor older than the journal's
 		// in-memory window must come back from the file sink or fail
@@ -829,8 +822,7 @@ func (m *Monitor) Subscribe(lastSeq int64) (*Subscription, error) {
 			var err error
 			backlog, err = m.jrnl.Replay(lastSeq)
 			if err != nil {
-				ch <- res{err: err}
-				return
+				return res{err: err}
 			}
 		}
 		id := m.nextSubID
@@ -838,37 +830,34 @@ func (m *Monitor) Subscribe(lastSeq int64) (*Subscription, error) {
 		evCh := make(chan Event, m.cfg.SubscriberBuffer)
 		s := &Subscription{ID: id, Replay: backlog, Events: evCh}
 		m.subs[id] = &subscriber{id: id, ch: evCh, sub: s}
-		ch <- res{sub: s}
-	}); err != nil {
+		return res{sub: s}
+	})
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case r := <-ch:
-		return r.sub, r.err
-	case <-m.quit:
-		return nil, ErrClosed
-	}
+	return r.sub, r.err
 }
 
 // Unsubscribe closes a subscription. Safe to call for already-dropped
 // IDs.
 func (m *Monitor) Unsubscribe(id int) {
-	_ = m.doSync(func() {
+	_, _ = call(m, func() struct{} {
 		if sub, ok := m.subs[id]; ok {
 			close(sub.ch)
 			delete(m.subs, id)
 		}
+		return struct{}{}
 	})
 }
 
 // Watched returns a snapshot of all watched links, sorted by URL.
 func (m *Monitor) Watched() ([]LinkStatus, error) {
-	var out []LinkStatus
-	err := m.doSync(func() {
-		out = make([]LinkStatus, 0, len(m.links))
+	out, err := call(m, func() []LinkStatus {
+		out := make([]LinkStatus, 0, len(m.links))
 		for _, ls := range m.links {
 			out = append(out, ls.status())
 		}
+		return out
 	})
 	if err != nil {
 		return nil, err
@@ -879,9 +868,8 @@ func (m *Monitor) Watched() ([]LinkStatus, error) {
 
 // Stats returns a snapshot of monitor counters.
 func (m *Monitor) Stats() (Stats, error) {
-	var st Stats
-	err := m.doSync(func() {
-		st = Stats{
+	st, err := call(m, func() Stats {
+		st := Stats{
 			Day: m.clock.Now(), Date: m.clock.Now().String(),
 			Watched:         len(m.links),
 			WatchedArticles: len(m.watchedArticles),
@@ -912,6 +900,7 @@ func (m *Monitor) Stats() (Stats, error) {
 				st.Suspect++
 			}
 		}
+		return st
 	})
 	if err != nil {
 		return Stats{}, err
@@ -921,41 +910,6 @@ func (m *Monitor) Stats() (Stats, error) {
 		st.FeedDropped = m.feed.Dropped()
 	}
 	return st, nil
-}
-
-// --- workers ---
-
-func (m *Monitor) checkWorker() {
-	defer m.wg.Done()
-	ctx := context.Background()
-	for job := range m.jobs {
-		res := m.checker.Check(ctx, job.url, job.day)
-		select {
-		case m.results <- checkOutcome{url: job.url, day: job.day, res: res}:
-		case <-m.quit:
-			return
-		}
-	}
-}
-
-// repairWorker runs repairs strictly one at a time, in queue order, so
-// wiki edits land in ascending day order.
-func (m *Monitor) repairWorker() {
-	defer m.wg.Done()
-	ctx := context.Background()
-	for job := range m.repairCh {
-		edited := 0
-		for _, title := range job.titles {
-			if ok, err := m.repairer.ScanLink(ctx, title, job.url, job.day); err == nil && ok {
-				edited++
-			}
-		}
-		select {
-		case m.repairDone <- edited:
-		case <-m.quit:
-			return
-		}
-	}
 }
 
 func sortedKeys(m map[string]struct{}) []string {

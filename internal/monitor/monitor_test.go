@@ -2,8 +2,12 @@ package monitor
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"permadead/internal/journal"
 	"permadead/internal/simclock"
@@ -455,4 +459,118 @@ func TestCloseUnblocksEverything(t *testing.T) {
 	if _, err := m.Subscribe(0); err != ErrClosed {
 		t.Errorf("subscribe after close: %v", err)
 	}
+}
+
+// waitGoroutines polls until at most want goroutines run, failing after
+// two seconds: an exiting goroutine may still be counted for a moment.
+func waitGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > want; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", when, n, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func manyURLs(n int) []string {
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://l%02d.simtest/", i)
+	}
+	return urls
+}
+
+// TestIdleMonitorIsOneGoroutine: between calls a monitor is its loop
+// alone; checks and repairs run on goroutines that end with them.
+func TestIdleMonitorIsOneGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m, _ := newTestMonitor(t, Config{TTLDays: 10, Repairer: &recordingRepairer{}}, func(_ string, day simclock.Day) CheckResult {
+		if day.Before(110) {
+			return alive()
+		}
+		return dead()
+	})
+	waitGoroutines(t, base+1, "after New")
+	if _, err := m.Watch(context.Background(), WatchRequest{
+		Articles: map[string][]string{"Art": manyURLs(20)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Advance(15); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := m.Stats(); st.RepairsQueued == 0 {
+		t.Fatal("the advance ran no repair")
+	}
+	waitGoroutines(t, base+1, "after Advance")
+}
+
+// TestChecksBoundedByCheckers: one due-day's checks run Config.Checkers
+// at a time, not one per job. The first checks hold until the peak
+// reaches the bound and 20 ms have passed, so a batch that ran one at a
+// time fails on the peak, and one that ran every job at once exceeds it.
+func TestChecksBoundedByCheckers(t *testing.T) {
+	const bound = 3
+	var cur, peak atomic.Int32
+	start := time.Now()
+	m, _ := newTestMonitor(t, Config{Checkers: bound}, func(string, simclock.Day) CheckResult {
+		k := cur.Add(1)
+		defer cur.Add(-1)
+		for p := peak.Load(); k > p && !peak.CompareAndSwap(p, k); p = peak.Load() {
+		}
+		for p := peak.Load(); p < bound || p == bound && time.Since(start) < 20*time.Millisecond; p = peak.Load() {
+			if time.Since(start) > 2*time.Second {
+				break
+			}
+			runtime.Gosched()
+		}
+		return alive()
+	})
+	if _, err := m.Watch(context.Background(), WatchRequest{URLs: manyURLs(20)}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > bound || p <= 1 {
+		t.Errorf("peak concurrent checks = %d, want 2..%d", p, bound)
+	}
+}
+
+// TestCloseWaitsForRunningCheck: Close returns only once a blocked
+// check has been released, and leaves no goroutine behind.
+func TestCloseWaitsForRunningCheck(t *testing.T) {
+	base := runtime.NumGoroutine()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	m, _ := newTestMonitor(t, Config{}, func(string, simclock.Day) CheckResult {
+		once.Do(func() { close(entered) })
+		<-release
+		return alive()
+	})
+	watchErr := make(chan error, 1)
+	go func() {
+		_, err := m.Watch(context.Background(), WatchRequest{URLs: []string{"http://a.simtest/1"}})
+		watchErr <- err
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	if err := <-watchErr; err != ErrClosed {
+		t.Fatalf("watch during close: %v", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a check was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the check was released")
+	}
+	waitGoroutines(t, base, "after Close")
 }

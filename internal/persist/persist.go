@@ -18,6 +18,8 @@ import (
 	"io"
 
 	"permadead/internal/archive"
+	"permadead/internal/fetch"
+	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
 	"permadead/internal/worldgen"
@@ -45,6 +47,12 @@ func (b *Bundle) Close() error {
 	c := b.closer
 	b.closer = nil
 	return c.Close()
+}
+
+// Client is the host's one live-web client factory: a fetch.Client
+// over the bundle's simulated web as of day.
+func (b *Bundle) Client(day simclock.Day, opts ...fetch.Option) *fetch.Client {
+	return fetch.New(simweb.NewTransport(b.World, day), opts...)
 }
 
 // FromUniverse extracts the persistable parts of a generated universe.

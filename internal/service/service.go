@@ -70,7 +70,6 @@ import (
 	"permadead/internal/persist"
 	"permadead/internal/shard"
 	"permadead/internal/simclock"
-	"permadead/internal/simweb"
 	"permadead/internal/urlutil"
 	"permadead/internal/wikimedia"
 )
@@ -278,7 +277,7 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		Config:  cfg.Study,
 		Wiki:    b.Wiki,
 		Arch:    b.Archive,
-		Client:  fetch.New(simweb.NewTransport(b.World, cfg.Study.StudyTime)),
+		Client:  b.Client(cfg.Study.StudyTime),
 		Ranks:   b.World,
 		MemoCap: memoCap,
 	}
@@ -375,7 +374,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 	var repairer monitor.Repairer
 	if cfg.EnableRepair {
 		s.bot = iabot.New(b.Wiki, b.Archive, func(day simclock.Day) *fetch.Client {
-			return fetch.New(simweb.NewTransport(b.World, day), fetch.WithMaxBody(0))
+			return b.Client(day, fetch.WithMaxBody(0))
 		})
 		repairer = s.bot
 	}

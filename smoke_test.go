@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -273,6 +274,21 @@ func TestSmoke(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
 				t.Errorf("deadlinkstudy %v -quiet: stdout sha256 = %s, pinned %s", args, got, want)
 			}
+		}
+	})
+
+	// -timeout cancels the run mid-pipeline: the live GETs and every
+	// stage fan-out must stop and the binary exit 1, not hang.
+	t.Run("deadlinkstudy -timeout exits promptly", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, bin("deadlinkstudy"), "-scale", "0.05", "-timeout", "50ms").CombinedOutput()
+		if ctx.Err() != nil {
+			t.Fatalf("deadlinkstudy -timeout 50ms still running after 10s\n%s", out)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "context deadline exceeded") {
+			t.Fatalf("deadlinkstudy -timeout 50ms: %v, want exit 1 naming the deadline\n%s", err, out)
 		}
 	})
 
