@@ -29,8 +29,9 @@ race:
 # first-byte wikitext parser against the byte-at-a-time reference, the
 # banded edit distance against the full matrix, the URL helpers (with
 # the prefix-only scheme match against its ToLower reference), and
-# Normalize's byte-scan early return against its net/url body; and
-# FuzzPagedSections, a paged file with a damaged superblock, section
+# Normalize's byte-scan early return against its net/url body, the
+# typo probe's per-domain candidate set against the full DomainURLs
+# scan; and FuzzPagedSections, a paged file with a damaged superblock, section
 # directory, or any section but params and the arena (the archive's
 # nine, the site and the wiki sections), which must open with an error
 # or answer every reader without a panic.
@@ -39,6 +40,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz='^FuzzTypoCandidates$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz='^FuzzPagedSections$$' -fuzztime=10s ./internal/persist
 
 # bench runs the repo's one perf harness (bench/README.md) over every

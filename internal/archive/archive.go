@@ -102,7 +102,7 @@ const bulkNameCap = len("item-") + 19 + len("-ffff.html")
 // fmt.Sprintf("item-%06d-%04x.html", i, v&0xffff) prints — without
 // fmt: enumeration materializes one name per synthetic row.
 func (r BulkRegion) appendName(dst []byte, i int) []byte {
-	v := hashx.Mix64(r.Seed+uint64(i)*hashx.Golden) & 0xffff
+	v := r.tag(i)
 	dst = append(dst, "item-"...)
 	for pad := 100000; pad > i && pad > 1; pad /= 10 {
 		dst = append(dst, '0')
@@ -112,6 +112,9 @@ func (r BulkRegion) appendName(dst []byte, i int) []byte {
 	dst = append(dst, '-', hex[v>>12], hex[v>>8&15], hex[v>>4&15], hex[v&15])
 	return append(dst, ".html"...)
 }
+
+// tag is the i-th name's hash suffix, v&0xffff above.
+func (r BulkRegion) tag(i int) uint64 { return hashx.Mix64(r.Seed+uint64(i)*hashx.Golden) & 0xffff }
 
 // DayAt returns the capture day of the i-th entry.
 func (r BulkRegion) DayAt(i int) simclock.Day {

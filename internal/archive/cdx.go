@@ -231,23 +231,9 @@ func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
-	domain = strings.ToLower(domain)
-	var hosts []string
-	if frozen, unlock := a.rlock(); frozen {
-		hosts = a.cdx.domainHosts(domain)
-	} else {
-		for h := range a.byHost {
-			if urlutil.DomainOfHost(h) == domain {
-				hosts = append(hosts, h)
-			}
-		}
-		unlock()
-		sort.Strings(hosts)
-	}
-
 	var seen map[string]struct{}
 	var out []string
-	for _, h := range hosts {
+	for _, h := range a.domainHosts(domain) {
 		// Enumerate one row beyond the cap so truncation is detectable.
 		rows := a.CDXList(CDXQuery{Host: h, Limit: limit + 1})
 		if seen == nil {
@@ -268,6 +254,24 @@ func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated
 		}
 	}
 	return out, false
+}
+
+// domainHosts returns the sorted hosts under a registrable domain.
+func (a *Archive) domainHosts(domain string) []string {
+	domain = strings.ToLower(domain)
+	frozen, unlock := a.rlock()
+	if frozen {
+		return a.cdx.domainHosts(domain)
+	}
+	var hosts []string
+	for h := range a.byHost {
+		if urlutil.DomainOfHost(h) == domain {
+			hosts = append(hosts, h)
+		}
+	}
+	unlock()
+	sort.Strings(hosts)
+	return hosts
 }
 
 // pathDirOf returns the directory part of a URL's path ("/a/b/" for

@@ -10,7 +10,7 @@ import (
 
 // Memo caches the archive-side queries the §4–§5 analyses repeat
 // across links: CDX counts and listings (keyed by the full query) and
-// per-domain archived-URL enumerations (keyed by domain and limit).
+// per-domain typo-probe candidate sets (keyed by domain and limit).
 // The paper's 10,000 sampled links span only ~3,521 domains, so the
 // directory-, hostname- and domain-level scans behind Figure 6, the
 // typo probe, and the §4.2 sibling search hit the same CDX regions
@@ -21,7 +21,9 @@ import (
 // never invalidated (though capped memos may evict and recompute
 // them). On a miss two goroutines may both compute the same entry;
 // both compute identical values against the immutable store, so
-// last-writer-wins is deterministic.
+// last-writer-wins is deterministic. The typo probe's per-domain
+// candidate sets (DomainCandidates) are the exception: each is built
+// at most once while its entry is resident.
 type Memo struct {
 	a *Archive
 
@@ -34,12 +36,12 @@ type Memo struct {
 	// the immutable archive).
 	cap int
 
-	mu      sync.RWMutex
-	counts  map[CDXQuery]int
-	lists   map[CDXQuery][]CDXEntry
-	selves  map[hostPath]int
-	domains map[domainLimit]domainURLs
-	perms   map[string]permutation
+	mu     sync.RWMutex
+	counts map[CDXQuery]int
+	lists  map[CDXQuery][]CDXEntry
+	selves map[hostPath]int
+	cands  map[domainLimit]*candidateEntry
+	perms  map[string]permutation
 
 	hits, misses, evictions atomic.Int64
 }
@@ -51,9 +53,10 @@ type domainLimit struct {
 	limit  int
 }
 
-type domainURLs struct {
-	urls      []string
-	truncated bool
+// candidateEntry is one DomainCandidates entry; once runs its build.
+type candidateEntry struct {
+	once sync.Once
+	set  *CandidateSet
 }
 
 type permutation struct {
@@ -76,13 +79,13 @@ func NewMemoCapped(a *Archive, entryCap int) *Memo {
 		entryCap = 0
 	}
 	return &Memo{
-		a:       a,
-		cap:     entryCap,
-		counts:  make(map[CDXQuery]int),
-		lists:   make(map[CDXQuery][]CDXEntry),
-		selves:  make(map[hostPath]int),
-		domains: make(map[domainLimit]domainURLs),
-		perms:   make(map[string]permutation),
+		a:      a,
+		cap:    entryCap,
+		counts: make(map[CDXQuery]int),
+		lists:  make(map[CDXQuery][]CDXEntry),
+		selves: make(map[hostPath]int),
+		cands:  make(map[domainLimit]*candidateEntry),
+		perms:  make(map[string]permutation),
 	}
 }
 
@@ -98,7 +101,7 @@ type MemoStats struct {
 // Stats returns the memo's cumulative counters and resident size.
 func (m *Memo) Stats() MemoStats {
 	m.mu.RLock()
-	entries := len(m.counts) + len(m.lists) + len(m.selves) + len(m.domains) + len(m.perms)
+	entries := len(m.counts) + len(m.lists) + len(m.selves) + len(m.cands) + len(m.perms)
 	m.mu.RUnlock()
 	return MemoStats{
 		Hits:      m.hits.Load(),
@@ -121,11 +124,17 @@ func memoGet[K comparable, V any](m *Memo, cache map[K]V, key K, compute func() 
 	m.misses.Add(1)
 	v = compute()
 	m.mu.Lock()
+	memoPut(m, cache, key, v)
+	m.mu.Unlock()
+	return v
+}
+
+// memoPut stores v under key, first evicting an arbitrary resident
+// entry (Go's map iteration picks it) when a capped cache is full:
+// O(1), no recency bookkeeping on the hot read path; the worst case is
+// recomputing a pure function of the frozen archive. Caller holds mu.
+func memoPut[K comparable, V any](m *Memo, cache map[K]V, key K, v V) {
 	if _, resident := cache[key]; !resident && m.cap > 0 && len(cache) >= m.cap {
-		// Evict an arbitrary resident entry (Go's map iteration picks
-		// it). O(1), no recency bookkeeping on the hot read path; the
-		// worst case is recomputing a pure function of the frozen
-		// archive.
 		for k := range cache {
 			delete(cache, k)
 			m.evictions.Add(1)
@@ -133,8 +142,6 @@ func memoGet[K comparable, V any](m *Memo, cache map[K]V, key K, compute func() 
 		}
 	}
 	cache[key] = v
-	m.mu.Unlock()
-	return v
 }
 
 // CDXCount is Archive.CDXCount with per-query memoization.
@@ -178,16 +185,33 @@ func (m *Memo) countSelf(host, pathQuery string) int {
 	return memoGet(m, m.selves, key, func() int { return m.a.countSelf(host, pathQuery) })
 }
 
-// DomainURLs mirrors Archive.DomainURLs, sharing the domain-wide
-// enumeration between every link under the same registrable domain.
-// The returned slice is shared and must not be modified.
-func (m *Memo) DomainURLs(domain string, limit int) ([]string, bool) {
+// DomainCandidates returns the typo probe's CandidateSet for
+// Archive.DomainURLs(domain, limit), shared between every link under
+// the same registrable domain. A missing set is built once: the first
+// caller inserts the entry and builds it, and concurrent callers for
+// the key wait on that build. A capped memo may evict the entry
+// mid-build; callers already holding it still receive the complete
+// set, and a later call builds a fresh one.
+func (m *Memo) DomainCandidates(domain string, limit int) *CandidateSet {
 	key := domainLimit{domain, limit}
-	v := memoGet(m, m.domains, key, func() domainURLs {
-		urls, truncated := m.a.DomainURLs(domain, limit)
-		return domainURLs{urls: urls, truncated: truncated}
-	})
-	return v.urls, v.truncated
+	m.mu.RLock()
+	e, ok := m.cands[key]
+	m.mu.RUnlock()
+	if !ok {
+		m.mu.Lock()
+		if e, ok = m.cands[key]; !ok {
+			e = &candidateEntry{}
+			memoPut(m, m.cands, key, e)
+		}
+		m.mu.Unlock()
+	}
+	if ok {
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
+	}
+	e.once.Do(func() { e.set = m.a.candidateSet(domain, limit) })
+	return e.set
 }
 
 // FindQueryPermutation mirrors Archive.FindQueryPermutation with

@@ -51,10 +51,11 @@ func TestMemoMatchesArchive(t *testing.T) {
 		if got, want := m.CDXList(q), a.CDXList(q); len(got) != len(want) {
 			t.Errorf("pass %d CDXList = %d rows, want %d", pass, len(got), len(want))
 		}
-		gotURLs, gotTrunc := m.DomainURLs("news.simtest", 100)
-		wantURLs, wantTrunc := a.DomainURLs("news.simtest", 100)
+		set := m.DomainCandidates("news.simtest", 100)
+		gotURLs, gotTrunc := members(set), set.Truncated()
+		wantURLs, wantTrunc := strippedDomainURLs(a, "news.simtest", 100)
 		if gotTrunc != wantTrunc || fmt.Sprint(gotURLs) != fmt.Sprint(wantURLs) {
-			t.Errorf("pass %d DomainURLs = %v/%v, want %v/%v",
+			t.Errorf("pass %d DomainCandidates = %v/%v, want %v/%v",
 				pass, gotURLs, gotTrunc, wantURLs, wantTrunc)
 		}
 	}
@@ -71,7 +72,7 @@ func TestMemoCountsHits(t *testing.T) {
 		m.CountInDirectory("http://news.simtest/2014/a.html")
 		m.CountInDirectory("http://news.simtest/2014/b.html") // same dir, distinct self-count
 		m.CountOnHostname("http://news.simtest/2014/a.html")
-		m.DomainURLs("news.simtest", 50)
+		m.DomainCandidates("news.simtest", 50)
 	}
 	work()
 	first := m.Stats()
@@ -169,7 +170,7 @@ func TestFrozenArchiveConcurrentReads(t *testing.T) {
 				a.TotalSnapshots()
 				a.Hosts()
 				m.CountOnHostname("http://blog.news.simtest/post-1")
-				m.DomainURLs("news.simtest", 50)
+				m.DomainCandidates("news.simtest", 50).Each(len("news.simtest/about.html"), func(string) bool { return true })
 			}
 		}()
 	}

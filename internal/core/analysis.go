@@ -313,7 +313,7 @@ func (s *Study) spatialOutcomeFor(rec *LinkRecord) spatialOutcome {
 	o.dir = memo.CountInDirectory(rec.URL)
 	o.host = memo.CountOnHostname(rec.URL)
 	o.query = urlutil.HasQuery(rec.URL)
-	o.typo, o.truncated = s.isTypo(rec.URL)
+	o.typo, o.truncated = isTypo(memo, rec.URL, typoScanLimit)
 	return o
 }
 
@@ -325,35 +325,28 @@ const typoScanLimit = 4000
 // isTypo applies the §5.2 methodology: the dead URL is deemed a
 // potential typo iff exactly one archived URL under the same domain
 // has edit distance exactly 1. The second return reports whether the
-// domain scan hit typoScanLimit (so large domains can be surfaced
-// instead of silently misclassified).
-func (s *Study) isTypo(url string) (typo, truncated bool) {
+// domain scan hit limit (so large domains can be surfaced instead of
+// silently misclassified).
+func isTypo(memo *archive.Memo, url string, limit int) (typo, truncated bool) {
 	domain := urlutil.Domain(url)
 	if domain == "" {
 		return false, false
 	}
-	cands, truncated := s.Memo().DomainURLs(domain, typoScanLimit)
+	cands := memo.DomainCandidates(domain, limit)
 	self := stripScheme(url)
 	matches := 0
-	for _, cand := range cands {
-		if cand == url {
-			continue
-		}
-		sc := stripScheme(cand)
-		if sc == self {
-			// Distance 0: an http/https/www variant, not a typo.
-			continue
-		}
-		// Distance <= 1 and != 0 is exactly 1 — one bounded
-		// edit-distance computation per candidate.
-		if urlutil.EditDistanceAtMost(sc, self, 1) {
-			matches++
-			if matches > 1 {
-				return false, truncated
+	// Only candidates within one byte of self's length can be at
+	// distance 1; one bounded edit-distance computation each.
+	for n := len(self) - 1; n <= len(self)+1 && matches < 2; n++ {
+		cands.Each(n, func(sc string) bool {
+			// sc == self is distance 0: an http/https variant, not a typo.
+			if sc != self && urlutil.EditDistanceAtMost(sc, self, 1) {
+				matches++
 			}
-		}
+			return matches < 2
+		})
 	}
-	return matches == 1, truncated
+	return matches == 1, cands.Truncated()
 }
 
 // stripScheme drops the scheme so http/https variants of the same URL

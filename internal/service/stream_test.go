@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -548,6 +549,8 @@ func TestWatchValidation(t *testing.T) {
 // watched article citing it releases the watch; an edit adding a link
 // to a watched article starts watching it — the live-ingestion path
 // end to end over HTTP.
+var membershipRuns atomic.Int32
+
 func TestSimEditMembership(t *testing.T) {
 	_, base := newStreamServer(t, nil)
 
@@ -567,7 +570,9 @@ func TestSimEditMembership(t *testing.T) {
 	}
 	u1, u2 := sr.URLs[0], sr.URLs[1]
 
-	title := "Stream Membership Test"
+	// The fixture wiki is shared across repeats (-count), so each run
+	// creates its own article.
+	title := fmt.Sprintf("Stream Membership Test %d", membershipRuns.Add(1))
 	var er editResponse
 	postJSON(t, base, "/v1/sim/edit", map[string]string{
 		"title": title, "text": "A citation.[" + u1 + " src]",
