@@ -31,11 +31,14 @@ race:
 # the prefix-only scheme match against its ToLower reference), and
 # Normalize's byte-scan early return against its net/url body, the
 # typo probe's per-domain candidate set against the full DomainURLs
-# scan; and FuzzPagedSections, a paged file with a damaged superblock, section
+# scan; FuzzPagedSections, a paged file with a damaged superblock, section
 # directory, or any section but params and the arena (the archive's
 # nine, the site and the wiki sections), which must open with an error
-# or answer every reader without a panic.
+# or answer every reader without a panic; and FuzzParse, wikitext's
+# render fixed point (rendering a parse and parsing it again renders
+# the same bytes).
 fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil

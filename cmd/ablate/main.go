@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"permadead/internal/ablation"
-	"permadead/internal/archive"
 	"permadead/internal/core"
 	"permadead/internal/fetch"
 	"permadead/internal/figures"
@@ -184,9 +183,7 @@ func main() {
 	fmt.Println(t4.String())
 
 	// --- §5.2 implication (b): query-parameter permutation rescue. ---
-	// Probe through a memo so repeated URLs (and any later experiment
-	// sharing it) pay for one canonicalizing probe per link.
-	qr := ablation.QueryPermutationRescue(archive.NewMemo(u.Archive), records)
+	qr := ablation.QueryPermutationRescue(u.Archive, records)
 	t6 := stats.Table{
 		Title:   "Extension §5.2(b): rescuing query URLs via parameter-order permutations",
 		Headers: []string{"Quantity", "Value"},

@@ -297,18 +297,9 @@ type QueryRescueResult struct {
 	Rescuable int
 }
 
-// QuerySource is the archive surface the query-permutation rescue
-// needs. Both *archive.Archive and *archive.Memo satisfy it; pass the
-// memo to share the per-URL probe (and its canonical-query-key work)
-// with the rest of a study run.
-type QuerySource interface {
-	Snapshots(url string) []archive.Snapshot
-	FindQueryPermutation(rawURL string) (string, bool)
-}
-
 // QueryPermutationRescue scans the sample's never-archived links for
 // archived parameter-order permutations.
-func QueryPermutationRescue(arch QuerySource, records []core.LinkRecord) QueryRescueResult {
+func QueryPermutationRescue(arch *archive.Archive, records []core.LinkRecord) QueryRescueResult {
 	var res QueryRescueResult
 	for i := range records {
 		rec := &records[i]

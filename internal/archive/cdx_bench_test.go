@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Cold-query CDX benchmarks: every op hits the Archive directly (no
-// archive.Memo), so each measures one real index lookup — the cost a
-// cold CDX region pays during the §5.2 spatial analysis. Each
+// CDX benchmarks: every op hits the Archive directly, as the §4.2 and
+// §5.2 analyses do, so each measures one real index lookup. Each
 // benchmark runs the same query against two archives holding an
 // identical large-host world: "naive-scan" is unfrozen (the mutable
 // linear-scan reference path), "indexed" is frozen (the freeze-time

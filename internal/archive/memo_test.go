@@ -22,108 +22,55 @@ func coverageFixture() *Archive {
 	return a
 }
 
-// TestMemoMatchesArchive checks every memoized query returns exactly
-// what the direct archive call returns, on first and repeat use.
+// TestMemoMatchesArchive checks every memoized candidate set holds
+// exactly the scheme-stripped Archive.DomainURLs listing, with the same
+// truncation flag, on first and repeat use.
 func TestMemoMatchesArchive(t *testing.T) {
 	a := coverageFixture()
 	a.Freeze()
 	m := NewMemo(a)
 
-	urls := []string{
-		"http://news.simtest/2014/a.html",
-		"http://news.simtest/2014/missing.html",
-		"http://news.simtest/about.html",
-		"http://blog.news.simtest/post-1",
-	}
+	domains := []string{"news.simtest", "elsewhere.simtest", "none.simtest"}
 	for pass := 0; pass < 2; pass++ {
-		for _, u := range urls {
-			if got, want := m.CountInDirectory(u), a.CountInDirectory(u); got != want {
-				t.Errorf("pass %d CountInDirectory(%s) = %d, want %d", pass, u, got, want)
+		for _, domain := range domains {
+			for _, limit := range []int{1, 3, 100} {
+				set := m.DomainCandidates(domain, limit)
+				gotURLs, gotTrunc := members(set), set.Truncated()
+				wantURLs, wantTrunc := strippedDomainURLs(a, domain, limit)
+				if gotTrunc != wantTrunc || fmt.Sprint(gotURLs) != fmt.Sprint(wantURLs) {
+					t.Errorf("pass %d DomainCandidates(%s, %d) = %v/%v, want %v/%v",
+						pass, domain, limit, gotURLs, gotTrunc, wantURLs, wantTrunc)
+				}
 			}
-			if got, want := m.CountOnHostname(u), a.CountOnHostname(u); got != want {
-				t.Errorf("pass %d CountOnHostname(%s) = %d, want %d", pass, u, got, want)
-			}
-		}
-		q := CDXQuery{Host: "news.simtest", Status: 200}
-		if got, want := m.CDXCount(q), a.CDXCount(q); got != want {
-			t.Errorf("pass %d CDXCount = %d, want %d", pass, got, want)
-		}
-		if got, want := m.CDXList(q), a.CDXList(q); len(got) != len(want) {
-			t.Errorf("pass %d CDXList = %d rows, want %d", pass, len(got), len(want))
-		}
-		set := m.DomainCandidates("news.simtest", 100)
-		gotURLs, gotTrunc := members(set), set.Truncated()
-		wantURLs, wantTrunc := strippedDomainURLs(a, "news.simtest", 100)
-		if gotTrunc != wantTrunc || fmt.Sprint(gotURLs) != fmt.Sprint(wantURLs) {
-			t.Errorf("pass %d DomainCandidates = %v/%v, want %v/%v",
-				pass, gotURLs, gotTrunc, wantURLs, wantTrunc)
 		}
 	}
 }
 
-// TestMemoCountsHits asserts the memo actually collapses repeat scans:
-// the second pass over the same keys must be all hits, no new misses.
+// TestMemoCountsHits asserts the memo actually collapses repeat
+// enumerations: one miss per distinct (domain, limit), and the second
+// pass over the same keys is all hits returning the resident sets.
 func TestMemoCountsHits(t *testing.T) {
 	a := coverageFixture()
 	a.Freeze()
 	m := NewMemo(a)
 
-	work := func() {
-		m.CountInDirectory("http://news.simtest/2014/a.html")
-		m.CountInDirectory("http://news.simtest/2014/b.html") // same dir, distinct self-count
-		m.CountOnHostname("http://news.simtest/2014/a.html")
-		m.DomainCandidates("news.simtest", 50)
+	keys := []domainLimit{{"news.simtest", 50}, {"news.simtest", 2}, {"elsewhere.simtest", 50}}
+	first := make([]*CandidateSet, len(keys))
+	for i, k := range keys {
+		first[i] = m.DomainCandidates(k.domain, k.limit)
 	}
-	work()
-	first := m.Stats()
-	if first.Misses == 0 {
-		t.Fatal("first pass recorded no misses")
+	if st := m.Stats(); st.Misses != int64(len(keys)) || st.Hits != 0 || st.Entries != len(keys) {
+		t.Fatalf("first pass: misses/hits/entries = %d/%d/%d, want %d/0/%d",
+			st.Misses, st.Hits, st.Entries, len(keys), len(keys))
 	}
-	work()
-	second := m.Stats()
-	if second.Misses != first.Misses {
-		t.Errorf("repeat pass added misses: %d -> %d", first.Misses, second.Misses)
-	}
-	if second.Hits <= first.Hits {
-		t.Errorf("repeat pass added no hits: %d -> %d", first.Hits, second.Hits)
-	}
-}
-
-// TestMemoFindQueryPermutation checks the memoized §5.2 rescue probe
-// matches the archive on hits, misses, and query-less URLs, and that
-// repeat probes are cache hits rather than re-scans.
-func TestMemoFindQueryPermutation(t *testing.T) {
-	a := New()
-	a.Add(snap("http://q.simtest/view.asp?b=2&a=1", 100, 200))
-	a.Add(snap("http://q.simtest/plain.html", 100, 200))
-	a.Freeze()
-	m := NewMemo(a)
-
-	probes := []string{
-		"http://q.simtest/view.asp?a=1&b=2", // rescuable permutation
-		"http://q.simtest/view.asp?b=2&a=1", // identical URL: no rescue
-		"http://q.simtest/view.asp?a=9&b=2", // different values: no rescue
-		"http://q.simtest/plain.html",       // query-less: skipped
-		"http://none.simtest/x?a=1&b=2",     // unknown host
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, u := range probes {
-			gotURL, gotOK := m.FindQueryPermutation(u)
-			wantURL, wantOK := a.FindQueryPermutation(u)
-			if gotURL != wantURL || gotOK != wantOK {
-				t.Errorf("pass %d FindQueryPermutation(%s) = %q/%v, want %q/%v",
-					pass, u, gotURL, gotOK, wantURL, wantOK)
-			}
+	for i, k := range keys {
+		if m.DomainCandidates(k.domain, k.limit) != first[i] {
+			t.Errorf("repeat DomainCandidates(%s, %d) rebuilt its set", k.domain, k.limit)
 		}
 	}
-
-	st := m.Stats()
-	// First pass: one miss per distinct probe; second pass: all hits.
-	if want := int64(len(probes)); st.Misses != want {
-		t.Errorf("misses = %d, want %d", st.Misses, want)
-	}
-	if want := int64(len(probes)); st.Hits != want {
-		t.Errorf("hits = %d, want %d", st.Hits, want)
+	if st := m.Stats(); st.Misses != int64(len(keys)) || st.Hits != int64(len(keys)) {
+		t.Errorf("repeat pass: misses/hits = %d/%d, want %d/%d",
+			st.Misses, st.Hits, len(keys), len(keys))
 	}
 }
 
@@ -148,8 +95,9 @@ func TestDomainURLsTruncation(t *testing.T) {
 }
 
 // TestFrozenArchiveConcurrentReads hammers a frozen archive (and a
-// shared memo over it) from many goroutines; run with -race this
-// enforces the package's concurrency contract.
+// shared memo over it) from many goroutines with every read the study
+// makes; run with -race this enforces the package's concurrency
+// contract.
 func TestFrozenArchiveConcurrentReads(t *testing.T) {
 	a := coverageFixture()
 	a.Freeze()
@@ -169,7 +117,10 @@ func TestFrozenArchiveConcurrentReads(t *testing.T) {
 				a.CountInDirectory("http://news.simtest/2014/b.html")
 				a.TotalSnapshots()
 				a.Hosts()
-				m.CountOnHostname("http://blog.news.simtest/post-1")
+				a.CountOnHostname("http://blog.news.simtest/post-1")
+				a.CDXList(CDXQuery{Host: "news.simtest", PathPrefix: "/2014/", Limit: 500})
+				a.SnapshotsBetween("http://news.simtest/2014/a.html", d(0), d(100))
+				a.FindQueryPermutation("http://news.simtest/2014/a.html?b=1&a=2")
 				m.DomainCandidates("news.simtest", 50).Each(len("news.simtest/about.html"), func(string) bool { return true })
 			}
 		}()
@@ -228,44 +179,54 @@ func TestWriteAfterFreezePanics(t *testing.T) {
 	}
 }
 
-// TestMemoEntryCap checks a capped memo stays within its per-map bound
-// under a query stream of many distinct keys, counts evictions, and
-// keeps returning correct values for evicted (recomputed) entries.
+// TestMemoEntryCap checks a capped memo stays within its bound under a
+// stream of more domains than the cap, counts one eviction per insert
+// past the cap, and rebuilds an evicted domain's set correctly.
 func TestMemoEntryCap(t *testing.T) {
+	const domains, cap = 32, 8
 	a := New()
-	for i := 0; i < 32; i++ {
-		a.Add(snap(fmt.Sprintf("http://h%02d.simtest/p", 10+i), 10+i, 200))
+	for i := 0; i < domains; i++ {
+		for j := 0; j <= i%3; j++ {
+			a.Add(snap(fmt.Sprintf("http://h%02d.simtest/p%d", 10+i, j), 10+i, 200))
+		}
 	}
 	a.Freeze()
+	check := func(m *Memo, domain string) {
+		t.Helper()
+		set := m.DomainCandidates(domain, 100)
+		got := members(set)
+		want, _ := strippedDomainURLs(a, domain, 100)
+		if fmt.Sprint(got) != fmt.Sprint(want) || set.Truncated() {
+			t.Errorf("DomainCandidates(%s) = %v/%v, want %v/false", domain, got, set.Truncated(), want)
+		}
+	}
 
-	const cap = 8
 	m := NewMemoCapped(a, cap)
-	for i := 0; i < 32; i++ {
-		q := CDXQuery{Host: fmt.Sprintf("h%02d.simtest", 10+i), Status: 200}
-		if got, want := m.CDXCount(q), a.CDXCount(q); got != want {
-			t.Fatalf("CDXCount(%v) = %d, want %d", q, got, want)
+	for i := 0; i < domains; i++ {
+		check(m, fmt.Sprintf("h%02d.simtest", 10+i))
+		if st := m.Stats(); st.Entries > cap {
+			t.Fatalf("after %d domains Entries = %d, exceeds cap %d", i+1, st.Entries, cap)
 		}
 	}
 	st := m.Stats()
-	if st.Evictions != 32-cap {
-		t.Errorf("Evictions = %d, want %d", st.Evictions, 32-cap)
+	if st.Evictions != domains-cap || st.Misses != domains {
+		t.Errorf("Evictions/Misses = %d/%d, want %d/%d", st.Evictions, st.Misses, domains-cap, domains)
 	}
-	if st.Entries > cap {
-		t.Errorf("Entries = %d, exceeds cap %d", st.Entries, cap)
+	// Evicted domains still answer correctly: rebuilt, counted as a
+	// fresh miss — never a wrong or stale set.
+	for i := 0; i < domains; i += 5 {
+		check(m, fmt.Sprintf("h%02d.simtest", 10+i))
 	}
-	// Evicted keys still answer correctly (recomputed, counted as a
-	// fresh miss — never a wrong value).
-	q := CDXQuery{Host: "h10.simtest", Status: 200}
-	if got, want := m.CDXCount(q), a.CDXCount(q); got != want {
-		t.Errorf("post-eviction CDXCount = %d, want %d", got, want)
+	if st := m.Stats(); st.Entries > cap {
+		t.Errorf("Entries = %d after rebuilds, exceeds cap %d", st.Entries, cap)
 	}
 
 	// An unbounded memo never evicts.
 	u := NewMemo(a)
-	for i := 0; i < 32; i++ {
-		u.CDXCount(CDXQuery{Host: fmt.Sprintf("h%02d.simtest", 10+i), Status: 200})
+	for i := 0; i < domains; i++ {
+		u.DomainCandidates(fmt.Sprintf("h%02d.simtest", 10+i), 100)
 	}
-	if st := u.Stats(); st.Evictions != 0 || st.Entries != 32 {
-		t.Errorf("unbounded memo: evictions=%d entries=%d, want 0/32", st.Evictions, st.Entries)
+	if st := u.Stats(); st.Evictions != 0 || st.Entries != domains {
+		t.Errorf("unbounded memo: evictions=%d entries=%d, want 0/%d", st.Evictions, st.Entries, domains)
 	}
 }

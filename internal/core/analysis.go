@@ -107,11 +107,10 @@ type archiveOutcome struct {
 // copies that existed before IABot marked it dead, and validate 3xx
 // copies via sibling cross-examination. It also computes §3's post-
 // mark first-copy erroneousness. Links are classified by
-// Config.Concurrency workers; the redirect checker reads through the
-// study memo so sibling CDX scans are shared across links in the same
-// directory.
+// Config.Concurrency workers sharing one redirect checker, which reads
+// the sibling listings straight from the frozen CDX index.
 func (s *Study) ArchiveAnalysis(r *Report) {
-	checker := redircheck.NewChecker(s.Memo())
+	checker := redircheck.NewChecker(s.Arch)
 	outs := make([]archiveOutcome, len(r.Records))
 	ParallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
 		outs[i] = s.archiveOutcomeFor(&r.Records[i], checker)
@@ -267,11 +266,10 @@ type spatialOutcome struct {
 // SpatialAnalysis performs §5.2 on the never-archived links: CDX
 // coverage counts at directory and hostname granularity (Figure 6),
 // typo detection via a unique edit-distance-1 archived URL, and the
-// query-parameter share. All CDX queries go through the study memo —
-// and underneath it the frozen archive's sorted prefix ranges and
-// domain map (DESIGN.md §3.2) — so the per-directory, per-hostname,
-// and per-domain work is done once regardless of how many links share
-// the region, and each cold query is a binary search, not a scan.
+// query-parameter share. The coverage counts are binary searches over
+// the frozen archive's sorted prefix ranges (DESIGN.md §3.2); the typo
+// probe's per-domain candidate set is built once in the study memo,
+// however many links share the domain.
 func (s *Study) SpatialAnalysis(r *Report) {
 	outs := make([]spatialOutcome, len(r.NoCopies))
 	ParallelFor(len(r.NoCopies), s.Config.Concurrency, func(k int) {
@@ -308,12 +306,11 @@ func (s *Study) SpatialAnalysis(r *Report) {
 // spatialOutcomeFor measures one never-archived link's §5.2 facts —
 // shared by the batch fan-out above and ClassifyLink.
 func (s *Study) spatialOutcomeFor(rec *LinkRecord) spatialOutcome {
-	memo := s.Memo()
 	var o spatialOutcome
-	o.dir = memo.CountInDirectory(rec.URL)
-	o.host = memo.CountOnHostname(rec.URL)
+	o.dir = s.Arch.CountInDirectory(rec.URL)
+	o.host = s.Arch.CountOnHostname(rec.URL)
 	o.query = urlutil.HasQuery(rec.URL)
-	o.typo, o.truncated = isTypo(memo, rec.URL, typoScanLimit)
+	o.typo, o.truncated = isTypo(s.Memo(), rec.URL, typoScanLimit)
 	return o
 }
 

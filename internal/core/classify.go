@@ -214,9 +214,9 @@ type Classification struct {
 // classification with §4.2 redirect validation, the §5.1 temporal
 // partition, and — for never-archived links — the §5.2 spatial
 // probes. It reuses the study's memo, so repeated classifications of
-// links sharing CDX regions stay cheap, and it is safe for concurrent
-// use on a frozen archive (the serving layer fans it out across
-// request handlers).
+// links sharing a domain build its typo candidates once, and it is
+// safe for concurrent use on a frozen archive (the serving layer fans
+// it out across request handlers).
 //
 // The returned verdict is identical to what a batch Run would assign
 // the same record: both paths share the per-stage helpers and the
@@ -236,7 +236,7 @@ func (s *Study) ClassifyLink(ctx context.Context, rec LinkRecord) (Classificatio
 	c.Live = live
 
 	// §4: pre-mark archive history.
-	ao := s.archiveOutcomeFor(&rec, redircheck.NewChecker(s.Memo()))
+	ao := s.archiveOutcomeFor(&rec, redircheck.NewChecker(s.Arch))
 	c.Archive = ArchiveStatus{
 		Pre200Copy:        ao.pre200,
 		RedirectCopy:      ao.withRedir,
@@ -286,9 +286,9 @@ func (s *Study) ClassifyLink(ctx context.Context, rec LinkRecord) (Classificatio
 // batch; returning a non-nil error from emit stops the fan-out.
 //
 // Verdicts are identical to per-link ClassifyLink calls (both share
-// the stage helpers and the verdictFrom fold), and the fan-out reads
-// the archive through the shared study memo, so links in common CDX
-// regions amortize exactly as the batch Run stages do.
+// the stage helpers and the verdictFrom fold), and the fan-out shares
+// the study memo, so links under one domain share its typo candidates
+// exactly as the batch Run stages do.
 func (s *Study) ClassifyAll(ctx context.Context, recs []LinkRecord, conc int, emit func(i int, c Classification, err error) error) error {
 	if conc <= 0 {
 		conc = s.Config.Concurrency

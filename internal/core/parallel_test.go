@@ -115,9 +115,9 @@ func TestStudyRunConcurrent32(t *testing.T) {
 	}
 }
 
-// TestMemoEffectiveness asserts the memo layer actually collapses
-// repeated CDX scans during a study: links sharing directories, hosts,
-// and domains must turn repeat scans into cache hits.
+// TestMemoEffectiveness asserts the memo actually collapses repeated
+// domain enumerations during a study: never-archived links sharing a
+// domain must reuse its typo-probe candidate set.
 func TestMemoEffectiveness(t *testing.T) {
 	s := newStudy(t, 8)
 	if _, err := s.Run(context.Background()); err != nil {
@@ -125,10 +125,10 @@ func TestMemoEffectiveness(t *testing.T) {
 	}
 	stats := s.Memo().Stats()
 	if stats.Misses == 0 {
-		t.Fatal("study ran no memoized CDX queries")
+		t.Fatal("study built no typo-probe candidate sets")
 	}
 	if stats.Hits == 0 {
-		t.Errorf("memo never hit (misses %d): spatial scans are not being shared", stats.Misses)
+		t.Errorf("memo never hit (misses %d): candidate sets are not being shared", stats.Misses)
 	}
 }
 

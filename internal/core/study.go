@@ -104,10 +104,10 @@ type Study struct {
 	Client *fetch.Client
 	// Ranks supplies Figure 3(b) data (may be nil).
 	Ranks Ranker
-	// MemoCap bounds the study memo's per-map entry count (0 =
-	// unbounded). Batch runs have a naturally bounded key population
-	// and leave it 0; a long-running server over an open-ended query
-	// stream should set it (see archive.NewMemoCapped).
+	// MemoCap bounds how many typo-probe candidate sets the study memo
+	// holds (0 = unbounded). Batch runs have a naturally bounded domain
+	// population and leave it 0; a long-running server over an
+	// open-ended query stream should set it (see archive.NewMemoCapped).
 	MemoCap int
 
 	memoOnce sync.Once
@@ -146,14 +146,13 @@ func (s *Study) Fetcher() fetch.Fetcher {
 	return s.retrier
 }
 
-// Memo returns the study's memoization layer over Arch, building it on
-// first use. It persists across stages (and across repeated stage runs
-// in benchmarks), so the §4.2 sibling scans, Figure 6 coverage counts,
-// typo-probe domain enumerations, and §5.2 query-permutation probes
-// each run once per distinct CDX region instead of once per link. The
-// underlying queries hit Arch's freeze-time indexes (DESIGN.md §3.2);
-// the memo collapses the remaining per-region cost — row emission,
-// URL enumeration — across links sharing the region.
+// Memo returns the study's cache of typo-probe candidate sets over
+// Arch, building it on first use. It persists across stages (and
+// across repeated stage runs in benchmarks), so each domain's archived
+// URLs are enumerated once however many never-archived links it holds.
+// The study's other archive reads — sibling listings, coverage counts,
+// the query-permutation probe — go to Arch's freeze-time index
+// directly (DESIGN.md §3.2).
 func (s *Study) Memo() *archive.Memo {
 	s.memoOnce.Do(func() { s.memo = archive.NewMemoCapped(s.Arch, s.MemoCap) })
 	return s.memo

@@ -81,6 +81,41 @@ func savedArchive(t testing.TB, a *archive.Archive) []byte {
 	return buf.Bytes()
 }
 
+// TestFindQueryPermutationProbes holds the §5.2 rescue probe's five
+// cases — a rescuable permutation, the identical URL, different values,
+// a query-less URL and an unknown host — to the same answers on every
+// backing: the mutable archive's scan, the frozen in-memory index and
+// the paged file.
+func TestFindQueryPermutationProbes(t *testing.T) {
+	fill := func(a *archive.Archive) *archive.Archive {
+		for _, u := range []string{"http://q.simtest/view.asp?b=2&a=1", "http://q.simtest/plain.html"} {
+			a.Add(archive.Snapshot{URL: u, Day: 100, InitialStatus: 200, FinalStatus: 200})
+		}
+		return a
+	}
+	frozen := fill(archive.New())
+	frozen.Freeze()
+	b, err := openPagedBytes(savedArchive(t, fill(archive.New())), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := []struct{ url, want string }{
+		{"http://q.simtest/view.asp?a=1&b=2", "http://q.simtest/view.asp?b=2&a=1"}, // rescuable
+		{"http://q.simtest/view.asp?b=2&a=1", ""},                                  // identical URL: no rescue
+		{"http://q.simtest/view.asp?a=9&b=2", ""},                                  // different values
+		{"http://q.simtest/plain.html", ""},                                        // query-less: skipped
+		{"http://none.simtest/x?a=1&b=2", ""},                                      // unknown host
+	}
+	for name, a := range map[string]*archive.Archive{"mutable": fill(archive.New()), "frozen": frozen, "paged": b.Archive} {
+		for _, p := range probes {
+			got, ok := a.FindQueryPermutation(p.url)
+			if got != p.want || ok != (p.want != "") {
+				t.Errorf("%s FindQueryPermutation(%s) = %q/%v, want %q/%v", name, p.url, got, ok, p.want, p.want != "")
+			}
+		}
+	}
+}
+
 // TestPagedIndexMatchesNaiveScan is the paged backing's differential:
 // randomized worlds, saved and reopened, must answer every CDX query
 // kind exactly as the mutable archive's linear scan does — the scan

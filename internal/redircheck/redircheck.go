@@ -24,24 +24,13 @@ import (
 	"permadead/internal/urlutil"
 )
 
-// Source is the read-only archive surface the checker consumes: the
-// CDX sibling enumeration plus per-URL snapshot lookups. Both
-// *archive.Archive and *archive.Memo satisfy it; the study passes the
-// memo so sibling listings are shared across links in the same
-// directory (and across the parallel §4 workers). On a frozen archive
-// each cold listing resolves as a sorted prefix range (DESIGN.md
-// §3.2) rather than a host-wide scan.
-type Source interface {
-	CDXList(q archive.CDXQuery) []archive.CDXEntry
-	Snapshots(url string) []archive.Snapshot
-	SnapshotsBetween(url string, from, to simclock.Day) []archive.Snapshot
-}
-
 // Checker validates archived redirects against sibling captures. It
-// holds no mutable state, so one Checker may be shared by concurrent
-// goroutines as long as its Source is concurrency-safe.
+// holds no mutable state and archive.Archive is safe for concurrent
+// reads, so one Checker may be shared by concurrent goroutines. On a
+// frozen archive each sibling listing is a sorted prefix range of the
+// CDX index (DESIGN.md §3.2), not a host-wide scan.
 type Checker struct {
-	Archive Source
+	Archive *archive.Archive
 	// WindowDays is the ± window around the capture in which sibling
 	// redirects are comparable (paper: 90).
 	WindowDays int
@@ -52,8 +41,8 @@ type Checker struct {
 }
 
 // NewChecker returns a Checker with the paper's parameters.
-func NewChecker(src Source) *Checker {
-	return &Checker{Archive: src, WindowDays: 90, MaxSiblings: 6, CandidateLimit: 500}
+func NewChecker(a *archive.Archive) *Checker {
+	return &Checker{Archive: a, WindowDays: 90, MaxSiblings: 6, CandidateLimit: 500}
 }
 
 // Verdict is the outcome of validating one archived redirect.

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"permadead/internal/hashx"
 )
 
 // Cache is the response cache: a sharded LRU over rendered JSON
@@ -66,18 +68,8 @@ func NewCache(capacity, shards int) *Cache {
 	return c
 }
 
-// fnv32a hashes the key for shard selection.
-func fnv32a(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 func (c *Cache) shard(key string) *cacheShard {
-	return c.shards[fnv32a(key)%uint32(len(c.shards))]
+	return c.shards[hashx.FNV1a(key)%uint64(len(c.shards))]
 }
 
 // Get returns the cached value for key, promoting it to most recently

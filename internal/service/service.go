@@ -175,8 +175,8 @@ const (
 	// population of negative lookups cannot evict positive results.
 	// Entries are cheap, so it runs larger than CacheEntries.
 	negCacheEntries = 16384
-	// memoCap bounds the study memo's per-map entries
-	// (archive.NewMemoCapped).
+	// memoCap bounds how many typo-probe candidate sets the study
+	// memo holds (archive.NewMemoCapped).
 	memoCap = 1 << 16
 	// monitorCheckers sizes the monitor's concurrent check worker pool.
 	monitorCheckers = 8

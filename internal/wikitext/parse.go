@@ -9,7 +9,7 @@ import (
 // to plain text rather than failing, because real Wikipedia dumps —
 // and our simulated articles containing user typos — are messy.
 func Parse(src string) *Document {
-	p := &parser{src: src}
+	p := &parser{src: src, lastClose: lastRefClose(src)}
 	return p.parseUntil(false)
 }
 
@@ -28,10 +28,24 @@ func (c *Comment) render(b *strings.Builder) {
 type parser struct {
 	src string
 	pos int
+	// lastClose is where the last refClose in src starts (-1 if none):
+	// a <ref> open tag ending after it has no closer and is text.
+	lastClose int
 }
 
 // refClose ends a <ref> body; it is matched case-insensitively.
 const refClose = "</ref>"
+
+// lastRefClose returns the start of the last refClose in s, or -1.
+func lastRefClose(s string) int {
+	for i := len(s); i > 0; {
+		if i = strings.LastIndexByte(s[:i], '<'); i >= 0 && len(s)-i >= len(refClose) &&
+			strings.EqualFold(s[i:i+len(refClose)], refClose) {
+			return i
+		}
+	}
+	return -1
+}
 
 // parseUntil consumes nodes until end of input or, inside a <ref>
 // body, until refClose, which is consumed as well.
@@ -280,7 +294,9 @@ func (p *parser) parseComment() *Comment {
 }
 
 // parseRef parses <ref>...</ref>, <ref name="x">...</ref>, or a
-// self-closing <ref name="x" />.
+// self-closing <ref name="x" />. An open tag with no refClose anywhere
+// after it is not a ref: rendering one would add the closer the source
+// lacks, and the re-parse would then read different markup.
 func (p *parser) parseRef() (*Ref, bool) {
 	rest := p.src[p.pos:]
 	gt := strings.IndexByte(rest, '>')
@@ -301,6 +317,9 @@ func (p *parser) parseRef() (*Ref, bool) {
 		// Self-closing.
 		p.pos += gt + 1
 		return &Ref{Name: name}, true
+	}
+	if p.lastClose < p.pos+gt+1 {
+		return nil, false
 	}
 	p.pos += gt + 1
 	body := p.parseUntil(true)

@@ -16,7 +16,7 @@ import (
 type refParser struct{ parser }
 
 func referenceParse(src string) *Document {
-	p := &refParser{parser{src: src}}
+	p := &refParser{parser{src: src, lastClose: lastRefClose(src)}}
 	return p.parseUntil("")
 }
 
@@ -134,6 +134,9 @@ func (p *refParser) parseRef() (*Ref, bool) {
 	if strings.HasSuffix(strings.TrimSpace(openTag[:len(openTag)-1]), "/") {
 		p.pos += gt + 1
 		return &Ref{Name: name}, true
+	}
+	if p.lastClose < p.pos+gt+1 {
+		return nil, false
 	}
 	p.pos += gt + 1
 	body := p.parseUntil("</ref>")
