@@ -34,9 +34,10 @@ race:
 # scan; FuzzPagedSections, a paged file with a damaged superblock, section
 # directory, or any section but params and the arena (the archive's
 # nine, the site and the wiki sections), which must open with an error
-# or answer every reader without a panic; and FuzzParse, wikitext's
+# or answer every reader without a panic; FuzzParse, wikitext's
 # render fixed point (rendering a parse and parsing it again renders
-# the same bytes).
+# the same bytes); and FuzzCacheDifferential, the one response cache
+# against the two-cache + flight-group pair it replaced.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
@@ -45,6 +46,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzTypoCandidates$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz='^FuzzPagedSections$$' -fuzztime=10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz='^FuzzCacheDifferential$$' -fuzztime=10s ./internal/service
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

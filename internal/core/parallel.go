@@ -61,9 +61,10 @@ func ParallelFor(n, c int, fn func(i int)) {
 // The workers are ParallelFor's: they claim indices from a shared
 // counter, since per-item cost varies wildly and static splitting would
 // idle workers behind heavy items. Completed out-of-order results
-// wait in a bounded reorder buffer; its size tracks the worker count,
-// so memory stays O(c), not O(n), no matter how far ahead a fast
-// worker runs.
+// wait in a reorder buffer until their turn. Nothing ties the claim
+// counter to the emit frontier, so one slow item at the frontier lets
+// the workers run on and the buffer grow towards n results, not c
+// (ROADMAP item 4 adds the claim window that bounds it).
 //
 // Cancellation: when ctx is done or emit returns an error, no new
 // work is started, in-flight work is allowed to finish, and the first
@@ -117,9 +118,9 @@ func StreamOrderedIdle[T any](ctx context.Context, n, c int, work func(i int) T,
 	}()
 
 	// The reorder buffer: emit index `want` the moment it arrives,
-	// park later indices until their turn. Workers never run more
-	// than c items ahead of the emit frontier (the results channel
-	// plus one in-hand result per worker), so len(pending) <= 2c.
+	// park later indices until their turn. While index `want` is
+	// computing, the other workers keep claiming and finishing later
+	// indices, so len(pending) is bounded only by n (ROADMAP item 4).
 	pending := make(map[int]T, 2*c)
 	want := 0
 	unflushed := false // emitted since idle last ran

@@ -119,31 +119,34 @@ type Study struct {
 
 // Fetcher returns the §3 live-web fetcher: the bare Client under the
 // paper's single-GET policy, or a Retrier when Config enables retries
-// or confirmation. The Retrier pins its first check to StudyTime and
-// elides backoff waits (simulated time: delays are budget accounting,
-// not wall-clock).
+// or confirmation.
 func (s *Study) Fetcher() fetch.Fetcher {
 	if s.Config.Retries <= 1 && s.Config.ConfirmChecks <= 1 {
 		return s.Client
 	}
 	s.retrierOnce.Do(func() {
-		pol := fetch.DefaultRetryPolicy()
-		if s.Config.Retries > 1 {
-			pol.MaxAttempts = s.Config.Retries
-		} else {
-			pol.MaxAttempts = 1
-		}
-		if s.Config.ConfirmChecks > 1 {
-			pol.ConfirmChecks = s.Config.ConfirmChecks
-			pol.ConfirmSpacingDays = s.Config.ConfirmSpacingDays
-		}
-		pol.JitterSeed = s.Config.Seed
-		r := fetch.NewRetrier(s.Client, pol)
-		r.Day = int(s.Config.StudyTime)
-		r.Sleep = fetch.NopSleep
-		s.retrier = r
+		s.retrier = s.Retrier(s.Config.Retries, s.Config.ConfirmChecks, s.Config.ConfirmSpacingDays)
 	})
 	return s.retrier
+}
+
+// Retrier builds a simulated-time retry policy over Client: up to
+// retries attempts per check (at least one), confirm checks spaced
+// spacingDays apart when confirm > 1, jitter seeded by Config.Seed.
+// Its first check is pinned to StudyTime and backoff waits are elided
+// (simulated time: delays are budget accounting, not wall-clock).
+func (s *Study) Retrier(retries, confirm, spacingDays int) *fetch.Retrier {
+	pol := fetch.DefaultRetryPolicy()
+	pol.MaxAttempts = max(retries, 1)
+	if confirm > 1 {
+		pol.ConfirmChecks = confirm
+		pol.ConfirmSpacingDays = spacingDays
+	}
+	pol.JitterSeed = s.Config.Seed
+	r := fetch.NewRetrier(s.Client, pol)
+	r.Day = int(s.Config.StudyTime)
+	r.Sleep = fetch.NopSleep
+	return r
 }
 
 // Memo returns the study's cache of typo-probe candidate sets over

@@ -173,3 +173,28 @@ func TestErrorParts(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramSubMillisecondQuantiles: 50 µs observations read a p50
+// inside their own bucket, (40 µs, 80 µs]. With buckets starting at
+// 1 ms the same traffic read p50 ≈ 0.5 ms, a tenfold error.
+func TestHistogramSubMillisecondQuantiles(t *testing.T) {
+	h := newHistogram()
+	for i := 0; i < 1000; i++ {
+		h.observe(50 * time.Microsecond)
+	}
+	for _, q := range []float64{0.5, 0.99} {
+		if got := h.quantile(q); got <= 0.04 || got > 0.08 {
+			t.Errorf("p%g of 50 µs observations = %.4f ms, want in (0.04, 0.08]", 100*q, got)
+		}
+	}
+	var v struct {
+		P50     float64          `json:"p50_ms"`
+		Buckets map[string]int64 `json:"buckets"`
+	}
+	if err := json.Unmarshal([]byte(h.String()), &v); err != nil {
+		t.Fatalf("histogram JSON: %v", err)
+	}
+	if v.Buckets["le_0.08ms"] != 1000 {
+		t.Errorf("le_0.08ms = %d, want 1000 (buckets %v)", v.Buckets["le_0.08ms"], v.Buckets)
+	}
+}

@@ -17,9 +17,17 @@ import (
 // The /metrics endpoint serializes the map exactly the way
 // /debug/vars would.
 
-// latencyBucketsMS are the histogram upper bounds, in milliseconds.
-// The last bucket is +Inf.
-var latencyBucketsMS = []float64{1, 5, 25, 100, 500, 2500, 10000}
+// latencyBucketsMS are the histogram upper bounds, in milliseconds:
+// log-spaced from 10 µs, doubling up to 10.49 s, so a sub-millisecond
+// request's quantiles come from its own bucket rather than from
+// interpolating across the first millisecond. The last bucket is +Inf.
+var latencyBucketsMS = func() []float64 {
+	b := make([]float64, 21)
+	for i, ms := 0, 0.01; i < len(b); i, ms = i+1, ms*2 {
+		b[i] = ms
+	}
+	return b
+}()
 
 // histogram is a fixed-bucket latency histogram. It implements
 // expvar.Var: String() renders counts plus interpolated p50/p99.

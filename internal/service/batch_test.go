@@ -114,12 +114,12 @@ func TestBatchMatchesOfflineStudy(t *testing.T) {
 			transient++
 		}
 	}
-	leadersBefore := s.flight.stats().Leaders
+	leadersBefore := s.cache.flightStats().Leaders
 	_, again := postBatch(t, s.Handler(), urls, http.StatusOK)
 	if len(again) != len(urls) {
 		t.Fatalf("repeat batch: %d lines for %d urls", len(again), len(urls))
 	}
-	if got := int(s.flight.stats().Leaders - leadersBefore); got > transient {
+	if got := int(s.cache.flightStats().Leaders - leadersBefore); got > transient {
 		t.Errorf("repeat batch led %d new computations, want at most the %d transient lines", got, transient)
 	}
 }
@@ -511,7 +511,7 @@ func TestClassifySingleflight(t *testing.T) {
 	if len(bodies) != 1 {
 		t.Errorf("%d distinct bodies, want 1", len(bodies))
 	}
-	st := s.flight.stats()
+	st := s.cache.flightStats()
 	if st.Leaders != 1 {
 		t.Errorf("flight leaders = %d, want 1", st.Leaders)
 	}
@@ -533,7 +533,7 @@ func TestNegativeCacheClassify(t *testing.T) {
 
 	neg := queryEscape(r.Records[r.NoCopies[0]].URL)
 	getJSON(t, h, "/v1/classify?url="+neg, http.StatusOK, nil)
-	if st := s.negCache.Stats(); st.Entries != 1 {
+	if st := s.cache.classStats(cacheNegative); st.Entries != 1 {
 		t.Fatalf("negative cache holds %d entries after a never-archived classify, want 1", st.Entries)
 	}
 	if st := s.cache.Stats(); st.Entries != 0 {
@@ -543,7 +543,7 @@ func TestNegativeCacheClassify(t *testing.T) {
 	if got := w.Header().Get("X-Cache"); got != "hit" {
 		t.Errorf("repeat never-archived classify X-Cache = %q, want hit", got)
 	}
-	if st := s.negCache.Stats(); st.Hits != 1 {
+	if st := s.cache.classStats(cacheNegative); st.Hits != 1 {
 		t.Errorf("negative cache hits = %d, want 1", st.Hits)
 	}
 
@@ -552,7 +552,7 @@ func TestNegativeCacheClassify(t *testing.T) {
 	if st := s.cache.Stats(); st.Entries != 1 {
 		t.Errorf("positive cache holds %d entries after an archived classify, want 1", st.Entries)
 	}
-	if st := s.negCache.Stats(); st.Entries != 1 {
+	if st := s.cache.classStats(cacheNegative); st.Entries != 1 {
 		t.Errorf("negative cache grew to %d entries on an archived classify, want 1", st.Entries)
 	}
 }
@@ -567,9 +567,9 @@ func TestNegativeCacheAvailability(t *testing.T) {
 	s := newServer(t, nil)
 	h := s.Handler()
 
-	negBefore := s.negCache.Stats().Entries
+	negBefore := s.cache.classStats(cacheNegative).Entries
 	getJSON(t, h, "/v1/availability?url=http%3A%2F%2Fnever.archived.example%2Fpage", http.StatusOK, nil)
-	if got := s.negCache.Stats().Entries; got != negBefore+1 {
+	if got := s.cache.classStats(cacheNegative).Entries; got != negBefore+1 {
 		t.Errorf("negative cache entries = %d after an absent lookup, want %d", got, negBefore+1)
 	}
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestCacheRemainderDistribution(t *testing.T) {
 	c := NewCache(10, 4)
 	caps := make([]int, 4)
 	for i, s := range c.shards {
-		caps[i] = s.cap
+		caps[i] = s.lru[cachePositive].cap
 	}
 	if caps[0] != 3 || caps[1] != 3 || caps[2] != 2 || caps[3] != 2 {
 		t.Errorf("shard capacities = %v, want [3 3 2 2]", caps)
@@ -86,5 +87,72 @@ func TestCacheLRUWithinShard(t *testing.T) {
 	}
 	if got := c.Stats().Evictions; got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
+	}
+}
+
+// TestCachePutReplacesSettledValue pins Put where the one-entry-per-key
+// cache parts from the two caches it replaced: a settled key of either
+// class gets the new value in place and keeps its class, and a key in
+// flight is left alone — its computation settles it, and a waiter
+// still gets the computed body.
+func TestCachePutReplacesSettledValue(t *testing.T) {
+	c := newCache(2, 2, 1)
+	ctx := context.Background()
+	c.do(ctx, "neg", func() ([]byte, cacheClass, error) { return []byte("computed"), cacheNegative, nil })
+	c.Put("neg", []byte("put"))
+	if body, ok := c.Get("neg"); !ok || string(body) != "put" {
+		t.Errorf("Get after Put on a negative key = %q, %v; want \"put\", true", body, ok)
+	}
+	if pos, neg := c.Stats().Entries, c.classStats(cacheNegative).Entries; pos != 0 || neg != 1 {
+		t.Errorf("entries after Put on a negative key: positive %d, negative %d; want 0, 1", pos, neg)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan string)
+	go func() {
+		body, _, _ := c.do(ctx, "k", func() ([]byte, cacheClass, error) {
+			close(entered)
+			<-release
+			return []byte("computed"), cachePositive, nil
+		})
+		done <- string(body)
+	}()
+	<-entered
+	c.Put("k", []byte("put"))
+	if _, ok := c.Get("k"); ok {
+		t.Error("Put on a key in flight settled it")
+	}
+	close(release)
+	if got := <-done; got != "computed" {
+		t.Errorf("leader body = %q, want computed", got)
+	}
+	if body, ok := c.Get("k"); !ok || string(body) != "computed" {
+		t.Errorf("Get after the flight = %q, %v; want \"computed\", true", body, ok)
+	}
+}
+
+// TestCacheHitAllocs: a settled hit costs no allocation, through do
+// and through classifyBody — the cached batch line's zero-allocation
+// path.
+func TestCacheHitAllocs(t *testing.T) {
+	ctx := context.Background()
+	c := newCache(4, 4, 2)
+	compute := func() ([]byte, cacheClass, error) { return []byte("v"), cachePositive, nil }
+	c.do(ctx, "k", compute)
+	if n := testing.AllocsPerRun(100, func() { c.do(ctx, "k", compute) }); n != 0 {
+		t.Errorf("do hit: %v allocs, want 0", n)
+	}
+
+	_, r := fixture(t)
+	s := newServer(t, func(c *Config) { c.DisableMonitor = true })
+	u := r.Records[0].URL
+	if _, src, err := s.classifyBody(ctx, u); err != nil || src != "miss" {
+		t.Fatalf("first classify: src %q, err %v; want miss", src, err)
+	}
+	if _, src, err := s.classifyBody(ctx, u); err != nil || src != "hit" {
+		t.Fatalf("repeat classify: src %q, err %v; want hit", src, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.classifyBody(ctx, u) }); n != 0 {
+		t.Errorf("classifyBody hit: %v allocs, want 0", n)
 	}
 }

@@ -40,7 +40,7 @@ type availabilityFederation struct {
 // in the federation block) rather than failing the request: with one
 // archive down the survivors still answer, which is the point of
 // federating. Only a caller-context error propagates as a failure.
-func (s *Server) federatedAvailability(ctx context.Context, resp availabilityResponse, q archive.AvailabilityQuery) (any, error) {
+func (s *Server) federatedAvailability(ctx context.Context, resp availabilityResponse, q archive.AvailabilityQuery) (any, cacheClass, error) {
 	res, err := s.fed.Query(ctx, q)
 	resp.LatencyMS = int64(res.Elapsed / time.Millisecond)
 	info := &availabilityFederation{HedgeFired: res.HedgeFired, HedgeWin: res.HedgeWin}
@@ -50,7 +50,7 @@ func (s *Server) federatedAvailability(ctx context.Context, resp availabilityRes
 	resp.Federation = info
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return nil, err
+		return nil, cacheSkip, err
 	case errors.Is(err, archive.ErrAvailabilityTimeout):
 		resp.TimedOut = true
 	case res.Found:
@@ -61,7 +61,7 @@ func (s *Server) federatedAvailability(ctx context.Context, resp availabilityRes
 	// Any error still unhandled here is partial coverage (down
 	// members): the consulted survivors answered, so the response
 	// stands as a degraded miss rather than a 5xx.
-	return resp, nil
+	return resp, availabilityClass(resp), nil
 }
 
 // federationMemberView is one member's row in /v1/federation/info.

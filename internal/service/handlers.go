@@ -53,76 +53,38 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// cacheClass says where (whether) a computed response body may be
-// memoized.
-type cacheClass int
-
-const (
-	// cachePositive: a durable answer with archive substance; the main
-	// response cache.
-	cachePositive cacheClass = iota
-	// cacheNegative: a durable "nothing there" answer (no snapshot,
-	// never archived); the negative cache's own capacity class, so the
-	// unbounded population of negative lookups cannot evict positive
-	// results (§5.1: the majority of the paper's dead links were never
-	// archived at all — the negative case is the common one).
-	cacheNegative
-	// cacheSkip: the answer reflects a transient condition (a 5xx, a
-	// 429, a timeout) rather than frozen-index state. Serving it once
-	// is honest; memoizing it would let one bad moment poison every
-	// later request until eviction.
-	cacheSkip
-)
-
-// lookup probes the response caches for key — the positive class
-// first, then the negative.
-func (s *Server) lookup(key string) ([]byte, bool) {
-	if body, ok := s.cache.Get(key); ok {
-		return body, true
+// serveBody writes a do answer: the rendered JSON body, with src as
+// the X-Cache value naming the layer that produced it, or err's
+// envelope.
+func serveBody(w http.ResponseWriter, body []byte, src string, err error) {
+	if err != nil {
+		edge.WriteFailure(w, err)
+		return
 	}
-	return s.negCache.Get(key)
-}
-
-// store memoizes a rendered body in the capacity class it belongs to;
-// cacheSkip stores nothing.
-func (s *Server) store(key string, class cacheClass, body []byte) {
-	switch class {
-	case cachePositive:
-		s.cache.Put(key, body)
-	case cacheNegative:
-		s.negCache.Put(key, body)
-	}
-}
-
-// serveBody writes a rendered JSON body; src is the X-Cache value
-// naming the layer that produced it.
-func serveBody(w http.ResponseWriter, src string, body []byte) {
 	w.Header().Set("X-Cache", src)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Write(body) //nolint:errcheck
 }
 
-// cachedJSON consults the response caches before computing; on a miss
-// it renders v() to JSON, stores it according to class, and serves it.
-// Only successful computations are cached.
-func (s *Server) cachedJSON(w http.ResponseWriter, key string, class func(v any) cacheClass, v func() (any, error)) {
-	if body, ok := s.lookup(key); ok {
-		serveBody(w, "hit", body)
-		return
-	}
-	val, err := v()
-	if err != nil {
-		edge.WriteFailure(w, err)
-		return
-	}
-	body, err := json.Marshal(val)
-	if err != nil {
-		edge.WriteError(w, http.StatusInternalServerError, "encode", "%v", err)
-		return
-	}
-	body = append(body, '\n')
-	s.store(key, class(val), body)
-	serveBody(w, "miss", body)
+// do answers key through the response cache (Cache.do): on a miss,
+// compute's value is rendered as a JSON line and filed under the class
+// compute reports. The leader computes under the server's own budget,
+// detached from its request context: waiters share its result, so it
+// must not die with the leader's client.
+func (s *Server) do(ctx context.Context, key string, compute func(context.Context) (any, cacheClass, error)) ([]byte, string, error) {
+	return s.cache.do(ctx, key, func() ([]byte, cacheClass, error) {
+		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+		defer cancel()
+		v, class, err := compute(cctx)
+		if err != nil {
+			return nil, cacheSkip, err
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			return nil, cacheSkip, &edge.Error{Status: http.StatusInternalServerError, Code: "encode", Msg: err.Error()}
+		}
+		return append(b, '\n'), class, nil
+	})
 }
 
 // --- /v1/availability ---
@@ -234,28 +196,7 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		// the previous population.
 		key += "\x00fed" + strconv.FormatInt(s.fedEpoch.Load(), 10)
 	}
-	// "No usable snapshot" by frozen-index absence is the negative
-	// class: cheap to recompute, endless to enumerate. A §4.1 lookup
-	// timeout is NOT: the scan never finished, so "timed_out with no
-	// snapshot" is a fact about this lookup's budget, not about the
-	// archive — memoizing it would turn one slow moment into a durable
-	// (and wrong) no-snapshot answer.
-	class := func(v any) cacheClass {
-		resp := v.(availabilityResponse)
-		switch {
-		case resp.TimedOut:
-			return cacheSkip
-		case resp.Federation != nil && len(resp.Federation.Degraded) > 0:
-			// A degraded federated answer reflects which members were
-			// down or over budget this moment — transient, like a
-			// timeout, not a fact about the frozen indexes.
-			return cacheSkip
-		case !resp.Available:
-			return cacheNegative
-		}
-		return cachePositive
-	}
-	s.cachedJSON(w, key, class, func() (any, error) {
+	body, src, err := s.do(r.Context(), key, func(ctx context.Context) (any, cacheClass, error) {
 		resp := availabilityResponse{
 			URL:    rawURL,
 			Policy: availabilityPolicy{TimeoutMS: int64(timeout / time.Millisecond), Accept: acceptName},
@@ -264,7 +205,7 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 			URL: rawURL, Want: want, AsOf: asOf, Accept: accept, Timeout: timeout,
 		}
 		if s.federated() {
-			return s.federatedAvailability(r.Context(), resp, aq)
+			return s.federatedAvailability(ctx, resp, aq)
 		}
 		resp.LatencyMS = int64(s.study.Arch.LookupLatency(rawURL) / time.Millisecond)
 		snap, ok, err := s.study.Arch.Query(aq)
@@ -272,13 +213,35 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, archive.ErrAvailabilityTimeout):
 			resp.TimedOut = true
 		case err != nil:
-			return nil, err
+			return nil, cacheSkip, err
 		case ok:
 			resp.Available = true
 			resp.Snapshot = snapshotView(snap)
 		}
-		return resp, nil
+		return resp, availabilityClass(resp), nil
 	})
+	serveBody(w, body, src, err)
+}
+
+// availabilityClass files an availability answer. "No usable snapshot"
+// by frozen-index absence is the negative class: cheap to recompute,
+// endless to enumerate. A §4.1 lookup timeout is NOT: the scan never
+// finished, so "timed_out with no snapshot" is a fact about this
+// lookup's budget, not about the archive — memoizing it would turn one
+// slow moment into a durable (and wrong) no-snapshot answer.
+func availabilityClass(resp availabilityResponse) cacheClass {
+	switch {
+	case resp.TimedOut:
+		return cacheSkip
+	case resp.Federation != nil && len(resp.Federation.Degraded) > 0:
+		// A degraded federated answer reflects which members were
+		// down or over budget this moment — transient, like a
+		// timeout, not a fact about the frozen indexes.
+		return cacheSkip
+	case !resp.Available:
+		return cacheNegative
+	}
+	return cachePositive
 }
 
 func parseTimeout(v string) (time.Duration, error) {
@@ -354,50 +317,39 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		key += "\x00r" + strconv.Itoa(retries) + "\x00c" + strconv.Itoa(confirm) +
 			"\x00d" + strconv.Itoa(spacing)
 	}
-	// A live check that ran into a 5xx/429/timeout is a snapshot of a
-	// bad moment (a fault window, an overloaded origin) — serve it,
-	// never memoize it.
-	class := func(v any) cacheClass {
-		if v.(statusResponse).Live.Transient() {
-			return cacheSkip
-		}
-		return cachePositive
-	}
-	s.cachedJSON(w, key, class, func() (any, error) {
+	body, src, err := s.do(r.Context(), key, func(ctx context.Context) (any, cacheClass, error) {
 		resp := statusResponse{URL: rawURL}
 		var live core.LiveStatus
 		var err error
 		if retries > 1 || confirm > 1 {
-			live, err = s.study.CheckLiveWith(r.Context(), s.retrier(retries, confirm, spacing), rawURL)
+			live, err = s.study.CheckLiveWith(ctx, s.retrier(retries, confirm, spacing), rawURL)
 			resp.Policy = &statusPolicy{Retries: retries}
 			if confirm > 1 {
 				resp.Policy.ConfirmChecks = confirm
 				resp.Policy.SpacingDays = spacing
 			}
 		} else {
-			live, err = s.study.CheckLive(r.Context(), rawURL)
+			live, err = s.study.CheckLive(ctx, rawURL)
 		}
 		if err != nil {
-			return nil, err
+			return nil, cacheSkip, err
 		}
 		resp.Live = live
-		return resp, nil
+		// A live check that ran into a 5xx/429/timeout is a snapshot
+		// of a bad moment (a fault window, an overloaded origin) —
+		// serve it, never memoize it.
+		if live.Transient() {
+			return resp, cacheSkip, nil
+		}
+		return resp, cachePositive, nil
 	})
+	serveBody(w, body, src, err)
 }
 
 // retrier builds a per-request retry policy over the study's client,
 // feeding the server-wide retry counters.
 func (s *Server) retrier(retries, confirm, spacing int) *fetch.Retrier {
-	pol := fetch.DefaultRetryPolicy()
-	pol.MaxAttempts = retries
-	if confirm > 1 {
-		pol.ConfirmChecks = confirm
-		pol.ConfirmSpacingDays = spacing
-	}
-	pol.JitterSeed = s.cfg.Study.Seed
-	rt := fetch.NewRetrier(s.study.Client, pol)
-	rt.Day = int(s.cfg.Study.StudyTime)
-	rt.Sleep = fetch.NopSleep
+	rt := s.study.Retrier(retries, confirm, spacing)
 	rt.Stats = s.retryStats
 	return rt
 }
@@ -418,14 +370,11 @@ func parseKnob(v string, def, lo, hi int) (int, error) {
 
 // classifyBody produces the rendered classification body for one raw
 // URL, shared by the single-link and batch endpoints so the two paths
-// cannot diverge. The layers, cheapest first:
-//
-//  1. response caches — positive for links with archive history,
-//     negative (shorter capacity class) for never-archived verdicts,
-//     which §5.1 says is the common case among the paper's dead links;
-//  2. the singleflight group — concurrent identical requests, across
-//     both endpoints, coalesce onto one computation;
-//  3. the classify worker pool + the full ClassifyLink pipeline.
+// cannot diverge. It goes through the response cache (Cache.do), so
+// concurrent identical requests, across both endpoints, coalesce onto
+// one computation; that computation runs in the classify worker pool.
+// A never-archived verdict is filed in the negative class, which §5.1
+// says is the common case among the paper's dead links.
 //
 // src reports which layer answered: "hit", "miss" (this call led the
 // computation), or "coalesced" (another call's computation answered).
@@ -439,38 +388,23 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 			Msg: fmt.Sprintf("%s is not in the served sample of %d permanently dead links", rawURL, len(s.order))}
 	}
 
-	// Probe the caches before the flight group and pool: a hit costs
-	// nothing, so it must not queue behind (or be shed from) the small
-	// heavy-work pool. The body is rendered from rec, so the canonical
-	// key is safe to share across raw spellings.
-	rec, key := served.rec, served.classifyKey
-	if body, ok := s.lookup(key); ok {
-		return body, "hit", nil
-	}
-
-	body, shared, err := s.flight.do(ctx, key, func() ([]byte, error) {
-		// The leader computes under the server's own budget, detached
-		// from its request context: followers share this result, so it
-		// must not die with the leader's client.
-		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-		defer cancel()
+	// The cache answers before the pool: a hit costs nothing, so it
+	// must not queue behind (or be shed from) the small heavy-work
+	// pool. The body is rendered from served.rec, so the canonical key
+	// is safe to share across raw spellings.
+	return s.do(ctx, served.classifyKey, func(cctx context.Context) (any, cacheClass, error) {
 		if err := s.classifyPool.Acquire(cctx); err != nil {
-			return nil, &edge.Error{Status: http.StatusServiceUnavailable, Code: "overloaded",
+			return nil, cacheSkip, &edge.Error{Status: http.StatusServiceUnavailable, Code: "overloaded",
 				Msg: fmt.Sprintf("classification pool full within the request deadline: %v", err)}
 		}
 		defer s.classifyPool.Release()
 		if s.testHookClassify != nil {
 			s.testHookClassify()
 		}
-		c, err := s.study.ClassifyLink(cctx, rec)
+		c, err := s.study.ClassifyLink(cctx, served.rec)
 		if err != nil {
-			return nil, err
+			return nil, cacheSkip, err
 		}
-		b, err := json.Marshal(c)
-		if err != nil {
-			return nil, &edge.Error{Status: http.StatusInternalServerError, Code: "encode", Msg: err.Error()}
-		}
-		b = append(b, '\n')
 		// A verdict measured through a transient live failure (a 5xx,
 		// a 429, a timeout during a fault window) is served to this
 		// flight but never memoized: the archive half is durable, the
@@ -482,16 +416,8 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 		case c.Archive.NeverArchived:
 			class = cacheNegative
 		}
-		s.store(key, class, b)
-		return b, nil
+		return c, class, nil
 	})
-	if err != nil {
-		return nil, "", err
-	}
-	if shared {
-		return body, "coalesced", nil
-	}
-	return body, "miss", nil
 }
 
 // handleClassify serves the full study verdict for one sampled link.
@@ -501,11 +427,7 @@ func (s *Server) classifyBody(ctx context.Context, rawURL string) (body []byte, 
 // than cheap lookups.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	body, src, err := s.classifyBody(r.Context(), r.URL.Query().Get("url"))
-	if err != nil {
-		edge.WriteFailure(w, err)
-		return
-	}
-	serveBody(w, src, body)
+	serveBody(w, body, src, err)
 }
 
 // --- /v1/classify/batch ---
@@ -516,9 +438,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // verdict — so a client reads verdict i while verdict i+k is still
 // computing, and verdicts ready together share a write. Per-link
 // failures become error lines ({"url":...,"error":{...}}) instead of
-// aborting the stream; each line goes through the same cache →
-// singleflight → pool path as /v1/classify, so a batch and concurrent
-// single-link requests for the same URL do the classify work once.
+// aborting the stream; each line goes through the same cache → pool
+// path as /v1/classify, so a batch and concurrent single-link requests
+// for the same URL do the classify work once.
 //
 // Body: {"urls": ["http://...", ...]}. The whole stream runs under the
 // request deadline; size batches so they fit, or raise -request-timeout.

@@ -39,16 +39,15 @@
 // semaphore bounding total in-flight work (waiters queue until their
 // per-request deadline, then are shed with 503); classification
 // additionally runs inside a smaller bounded worker pool, since it
-// fans out into archive scans and live fetches. Classification work
-// dedupes through three layers, cheapest first: a sharded LRU response
-// cache keyed by canonical URL + policy knobs (never-archived and
-// no-snapshot answers live in a separate negative class so they cannot
-// evict positive results), a singleflight group coalescing concurrent
-// identical computations across the single-link and batch endpoints,
-// and — underneath everything — the frozen archive's Bloom prefilter
-// answering "no captures" without touching CDX indexes. Errors use one
-// JSON envelope. Shutdown drains: in-flight requests complete while
-// new ones get 503.
+// fans out into archive scans and live fetches. Every query that
+// computes goes through one response cache (Cache), keyed by canonical
+// URL + policy knobs: never-archived and no-snapshot answers live in a
+// negative capacity class so they cannot evict positive results, and
+// concurrent identical requests, across the single-link and batch
+// endpoints, wait on one in-flight computation. Underneath, the frozen
+// archive's Bloom prefilter answers "no captures" without touching CDX
+// indexes. Errors use one JSON envelope. Shutdown drains: in-flight
+// requests complete while new ones get 503.
 package service
 
 import (
@@ -91,9 +90,10 @@ type Config struct {
 	// RequestTimeout is the per-request deadline applied to every /v1
 	// request (admission wait included).
 	RequestTimeout time.Duration
-	// CacheEntries bounds the response cache (0 disables it);
-	// CacheShards is its shard count. The negative-result cache beside
-	// it is sized by negCacheEntries.
+	// CacheEntries bounds the response cache's positive class (0
+	// disables it; a request still coalesces onto an identical one in
+	// flight); CacheShards is the cache's shard count. The negative
+	// class is sized by negCacheEntries.
 	CacheEntries int
 	CacheShards  int
 	// MaxBatchLinks caps how many URLs one /v1/classify/batch request
@@ -169,11 +169,11 @@ func DefaultConfig() Config {
 // a Config field and a permadeadd flag until only its default was left
 // in use.
 const (
-	// negCacheEntries bounds the negative-result cache — "never
-	// archived" classify verdicts and "no usable snapshot" availability
-	// answers. It is a separate capacity class so the unbounded
-	// population of negative lookups cannot evict positive results.
-	// Entries are cheap, so it runs larger than CacheEntries.
+	// negCacheEntries bounds the response cache's negative class —
+	// "never archived" classify verdicts and "no usable snapshot"
+	// availability answers. It is a separate capacity class so the
+	// unbounded population of negative lookups cannot evict positive
+	// results. Entries are cheap, so it runs larger than CacheEntries.
 	negCacheEntries = 16384
 	// memoCap bounds how many typo-probe candidate sets the study
 	// memo holds (archive.NewMemoCapped).
@@ -205,12 +205,10 @@ type Server struct {
 	records map[string]servedLink
 	order   []core.LinkRecord
 
-	cache        *Cache
-	negCache     *Cache       // negative results: own capacity class
-	flight       *flightGroup // coalesces identical classify computations
-	edge         *edge.Edge   // request wrapper, global gate, drain flag, metrics
-	classifyPool *edge.Gate   // classify worker pool, nested inside the gate
-	batchWorkers int          // per-batch classify fan-out
+	cache        *Cache     // response cache: both classes, coalescing
+	edge         *edge.Edge // request wrapper, global gate, drain flag, metrics
+	classifyPool *edge.Gate // classify worker pool, nested inside the gate
+	batchWorkers int        // per-batch classify fan-out
 	// retryStats aggregates fetch.Retrier activity across all
 	// /v1/status requests that opt into a retry policy.
 	retryStats *fetch.RetryStats
@@ -301,9 +299,7 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		study:        study,
 		records:      make(map[string]servedLink, len(records)),
 		order:        records,
-		cache:        NewCache(cfg.CacheEntries, cfg.CacheShards),
-		negCache:     NewCache(negCacheEntries, cfg.CacheShards),
-		flight:       newFlightGroup(),
+		cache:        newCache(cfg.CacheEntries, negCacheEntries, cfg.CacheShards),
 		edge:         edge.New(cfg.MaxInFlight, cfg.RequestTimeout),
 		classifyPool: edge.NewGate(classifyWorkers),
 		batchWorkers: max(1, classifyWorkers/2),
@@ -331,8 +327,8 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 	}
 
 	s.edge.Publish("cache", func() any { return s.cache.Stats() })
-	s.edge.Publish("negcache", func() any { return s.negCache.Stats() })
-	s.edge.Publish("singleflight", func() any { return s.flight.stats() })
+	s.edge.Publish("negcache", func() any { return s.cache.classStats(cacheNegative) })
+	s.edge.Publish("singleflight", func() any { return s.cache.flightStats() })
 	s.edge.Publish("prefilter", func() any { return b.Archive.PrefilterStats() })
 	s.edge.Publish("retry", func() any { return s.retryStats.Snapshot() })
 	s.edge.Publish("memo", func() any { return s.study.Memo().Stats() })
