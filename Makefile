@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build test vet race fuzzsmoke bench benchsmoke retrysmoke
+.PHONY: check fmt build test vet race fuzzsmoke bench benchsmoke retrysmoke examplesmoke
 
-check: fmt vet build test race fuzzsmoke retrysmoke
+check: fmt vet build test race fuzzsmoke retrysmoke examplesmoke
 
 # fmt fails when any file is not gofmt-clean, naming it.
 fmt:
@@ -66,3 +66,8 @@ benchsmoke:
 # single-GET -> retry -> confirmation (DESIGN.md 3.4).
 retrysmoke:
 	$(GO) run ./cmd/ablate -scale 0.06 -seed 1 -flaky 1 -flaky-rate 0.6 -smoke
+
+# examplesmoke runs every program under examples/ and fails on the
+# first non-zero exit, naming it; no test runs them otherwise.
+examplesmoke:
+	@for d in examples/*/; do $(GO) run ./$$d > /dev/null || { echo "examplesmoke: $$d failed"; exit 1; }; done

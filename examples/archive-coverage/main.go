@@ -42,6 +42,9 @@ func main() {
 			FinalStatus:   200,
 		})
 	}
+	// The coverage and typo queries read the CDX index, which Freeze
+	// builds once every capture is in.
+	arch.Freeze()
 
 	// The permanently dead link — note the English "may" where the
 	// French site spells "mai" (the paper's lnr.fr example).

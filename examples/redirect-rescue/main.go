@@ -37,6 +37,9 @@ func main() {
 	for i, p := range []string{"/stories/2009/scandal.html", "/stories/2009/merger.html", "/stories/2009/final.html"} {
 		arch.Add(redirect("http://daily-bugle.simnews"+p, capDay.Add(i*7), "http://daily-bugle.simnews/"))
 	}
+	// The sibling check reads the CDX index, which Freeze builds once
+	// every capture is in.
+	arch.Freeze()
 
 	checker := redircheck.NewChecker(arch)
 	for _, url := range []string{valid, mass} {

@@ -22,6 +22,10 @@
 // through one representation once frozen: the nine byte sections of
 // the paged universe file (sections.go), which Freeze builds on the
 // heap and Open serves from a mapped file, through the same code.
+// Before Freeze only the point reads answer — a URL's captures and its
+// lookup latency, which IABot's timeline asks for during generation;
+// every whole-archive read (the CDX queries, the host and snapshot
+// listings) panics until the sections exist.
 package archive
 
 import (
@@ -127,18 +131,21 @@ func (r BulkRegion) DayAt(i int) simclock.Day {
 
 // Archive is the snapshot store.
 //
-// Concurrency contract: reads are safe concurrently with other reads;
-// captures take the write lock. Once the world is fully generated the
-// owner calls Freeze, after which the store is immutable — reads skip
-// the lock entirely (no shared cache-line traffic under a 32-way
-// analysis fan-out) and any further write panics. Freeze is idempotent.
+// Concurrency contract: before Freeze, point reads are safe
+// concurrently with writes (captures take the write lock, point reads
+// the read lock) and whole-archive reads panic. Once the world is fully
+// generated the owner calls Freeze, after which the store is immutable
+// — reads skip the lock entirely (no shared cache-line traffic under a
+// 32-way analysis fan-out) and any further write panics. Freeze is
+// idempotent.
 type Archive struct {
 	mu     sync.RWMutex
 	frozen atomic.Bool
 	// The mutable store, nil once frozen. byKey maps
 	// urlutil.SchemeAgnosticKey(url) → snapshots sorted by Day; byHost
-	// maps hostname → capture records for CDX queries; latency holds
-	// the Availability API's overrides in milliseconds, keyed like byKey.
+	// maps hostname → the capture records Freeze builds the CDX index
+	// from; latency holds the Availability API's overrides in
+	// milliseconds, keyed like byKey.
 	byKey   map[string][]Snapshot
 	byHost  map[string]*hostIndex
 	latency map[string]int
@@ -207,6 +214,14 @@ func (a *Archive) checkWritable(op string) {
 	}
 }
 
+// checkFrozen guards every whole-archive read: those answer from the
+// sections alone, which exist once Freeze has run.
+func (a *Archive) checkFrozen(op string) {
+	if !a.frozen.Load() {
+		panic("archive: " + op + " before Freeze")
+	}
+}
+
 // Add inserts a snapshot, keeping per-URL snapshots sorted by day.
 func (a *Archive) Add(s Snapshot) {
 	key := urlutil.SchemeAgnosticKey(s.URL)
@@ -233,10 +248,15 @@ func (a *Archive) Add(s Snapshot) {
 	})
 }
 
-// AddBulkCoverage attaches a bulk region to its host.
+// AddBulkCoverage attaches a bulk region to its host. The host must
+// not contain '/', as no host Add derives does: the typo probe's
+// candidate sets rely on it (candidateSet).
 func (a *Archive) AddBulkCoverage(r BulkRegion) {
 	if r.Count <= 0 {
 		return
+	}
+	if strings.Contains(r.Host, "/") {
+		panic("archive: AddBulkCoverage host " + r.Host + " contains '/'")
 	}
 	r.Host = strings.ToLower(r.Host)
 	if !strings.HasPrefix(r.DirPrefix, "/") {
@@ -256,11 +276,11 @@ func (a *Archive) AddBulkCoverage(r BulkRegion) {
 	hi.bulk = append(hi.bulk, r)
 }
 
-// rlock reports whether the archive is frozen, when reads go to the
-// sections lock-free; otherwise it takes the read lock for a read of
-// the maps and returns the matching unlock. A reader that waited on
+// rlock reports whether the archive is frozen, when point reads go to
+// the sections lock-free; otherwise it takes the read lock for a read
+// of the maps and returns the matching unlock. A reader that waited on
 // the lock while Freeze ran finds the archive frozen and the maps gone,
-// so every read funnels through it.
+// so every point read funnels through it.
 func (a *Archive) rlock() (frozen bool, unlock func()) {
 	if !a.frozen.Load() {
 		a.mu.RLock()
@@ -347,23 +367,13 @@ func (a *Archive) Closest(url string, want simclock.Day, accept func(Snapshot) b
 
 // TotalSnapshots returns the number of explicit snapshots stored.
 func (a *Archive) TotalSnapshots() int {
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		n := 0
-		for _, s := range a.byKey {
-			n += len(s)
-		}
-		return n
-	}
+	a.checkFrozen("TotalSnapshots")
 	return a.snaps.numRows()
 }
 
 // Hosts returns every hostname with explicit or bulk coverage, sorted.
 func (a *Archive) Hosts() []string {
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		return sortedKeys(a.byHost)
-	}
+	a.checkFrozen("Hosts")
 	return a.cdx.hosts()
 }
 
@@ -381,18 +391,10 @@ func pathQueryOf(rawURL string) string {
 	return "/"
 }
 
-// EachSnapshot calls fn for every explicit snapshot, grouped by URL
-// key — in key order once frozen — oldest-first within a key.
+// EachSnapshot calls fn for every explicit snapshot, in URL key order,
+// oldest-first within a key.
 func (a *Archive) EachSnapshot(fn func(Snapshot)) {
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		for _, snaps := range a.byKey {
-			for _, s := range snaps {
-				fn(s)
-			}
-		}
-		return
-	}
+	a.checkFrozen("EachSnapshot")
 	for i := 0; i < a.snaps.numRows(); i++ {
 		fn(a.snaps.at(i))
 	}
@@ -400,14 +402,6 @@ func (a *Archive) EachSnapshot(fn func(Snapshot)) {
 
 // EachBulkRegion calls fn for every bulk-coverage region.
 func (a *Archive) EachBulkRegion(fn func(BulkRegion)) {
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		for _, hi := range a.byHost {
-			for _, r := range hi.bulk {
-				fn(r)
-			}
-		}
-		return
-	}
+	a.checkFrozen("EachBulkRegion")
 	a.cdx.eachBulk(fn)
 }

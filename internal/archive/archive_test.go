@@ -32,8 +32,8 @@ func TestAddAndSnapshotsSorted(t *testing.T) {
 			t.Error("snapshots not sorted by day")
 		}
 	}
-	if a.TotalSnapshots() != 3 {
-		t.Errorf("total = %d", a.TotalSnapshots())
+	if n := naiveTotalSnapshots(a); n != 3 {
+		t.Errorf("total = %d", n)
 	}
 }
 
@@ -153,6 +153,7 @@ func TestCDXCountAndList(t *testing.T) {
 	a.Add(snap("http://h.simtest/dir/b.html", 110, 200))
 	a.Add(snap("http://h.simtest/dir/c.html", 120, 404))
 	a.Add(snap("http://h.simtest/other/x.html", 130, 200))
+	a.Freeze()
 
 	if n := a.CDXCount(CDXQuery{Host: "h.simtest"}); n != 4 {
 		t.Errorf("host count = %d", n)
@@ -210,6 +211,7 @@ func TestBulkCoverage(t *testing.T) {
 		Host: "big.simtest", DirPrefix: "/news/", Count: 50000,
 		FirstDay: d(100), LastDay: d(5000), Seed: 42,
 	})
+	a.Freeze()
 	if n := a.CDXCount(CDXQuery{Host: "big.simtest", Status: 200}); n != 50000 {
 		t.Errorf("bulk count = %d", n)
 	}
@@ -247,11 +249,12 @@ func TestBulkCoverage(t *testing.T) {
 func TestBulkRegionNormalization(t *testing.T) {
 	a := New()
 	a.AddBulkCoverage(BulkRegion{Host: "N.simtest", DirPrefix: "dir", Count: 5, FirstDay: d(1), LastDay: d(2)})
+	// Zero-count regions are dropped.
+	a.AddBulkCoverage(BulkRegion{Host: "n.simtest", DirPrefix: "/x/", Count: 0})
+	a.Freeze()
 	if n := a.CDXCount(CDXQuery{Host: "n.simtest", PathPrefix: "/dir/"}); n != 5 {
 		t.Errorf("normalized bulk count = %d", n)
 	}
-	// Zero-count regions are dropped.
-	a.AddBulkCoverage(BulkRegion{Host: "n.simtest", DirPrefix: "/x/", Count: 0})
 	if n := a.CDXCount(CDXQuery{Host: "n.simtest", PathPrefix: "/x/"}); n != 0 {
 		t.Errorf("zero bulk count = %d", n)
 	}
@@ -265,6 +268,7 @@ func TestCountInDirectoryAndHostname(t *testing.T) {
 	a.Add(snap("http://h.simtest/dir/b.html", 110, 200))
 	a.Add(snap("http://h.simtest/elsewhere/c.html", 120, 200))
 	a.Add(snap("http://h.simtest/dir/broken.html", 130, 404))
+	a.Freeze()
 
 	url := "http://h.simtest/dir/dead.html"
 	if n := a.CountInDirectory(url); n != 2 {
@@ -284,6 +288,7 @@ func TestArchivedURLsUnderDomain(t *testing.T) {
 	a.Add(snap("http://www.ex.simtest/a.html", 100, 200))
 	a.Add(snap("http://news.ex.simtest/b.html", 100, 200))
 	a.Add(snap("http://other.simtest/c.html", 100, 200))
+	a.Freeze()
 
 	got, _ := a.DomainURLs("ex.simtest", 0)
 	if len(got) != 2 {
@@ -303,6 +308,7 @@ func TestHosts(t *testing.T) {
 	a := New()
 	a.Add(snap("http://b.simtest/x", 1, 200))
 	a.Add(snap("http://a.simtest/y", 1, 200))
+	a.Freeze()
 	hs := a.Hosts()
 	if len(hs) != 2 || hs[0] != "a.simtest" || hs[1] != "b.simtest" {
 		t.Errorf("hosts = %v", hs)
@@ -313,6 +319,7 @@ func TestFindQueryPermutation(t *testing.T) {
 	a := New()
 	a.Add(snap("http://q.simtest/view.asp?b=2&a=1", 100, 200))
 	a.Add(snap("http://q.simtest/plain.html", 100, 200))
+	a.Freeze()
 
 	// Same params, different order: rescuable.
 	got, ok := a.FindQueryPermutation("http://q.simtest/view.asp?a=1&b=2")
@@ -345,18 +352,21 @@ func TestEachAccessors(t *testing.T) {
 	a.AddBulkCoverage(BulkRegion{Host: "e.simtest", DirPrefix: "/bulk/", Count: 5, FirstDay: d(1), LastDay: d(2)})
 	a.SetLookupLatency("http://e.simtest/a", 5*time.Second)
 
-	// Mutable, then from the sections Freeze builds.
+	// Mutable through the naive scans, then from the sections Freeze
+	// builds.
+	eachSnapshot, eachBulkRegion := naiveEachSnapshot, naiveEachBulkRegion
 	for _, frozen := range []bool{false, true} {
 		if frozen {
 			a.Freeze()
+			eachSnapshot, eachBulkRegion = (*Archive).EachSnapshot, (*Archive).EachBulkRegion
 		}
 		snapsSeen := 0
-		a.EachSnapshot(func(Snapshot) { snapsSeen++ })
+		eachSnapshot(a, func(Snapshot) { snapsSeen++ })
 		if snapsSeen != 3 {
 			t.Errorf("frozen=%v: EachSnapshot saw %d", frozen, snapsSeen)
 		}
 		bulkSeen := 0
-		a.EachBulkRegion(func(r BulkRegion) {
+		eachBulkRegion(a, func(r BulkRegion) {
 			bulkSeen++
 			if r.Count != 5 {
 				t.Errorf("frozen=%v: bulk region %+v", frozen, r)
@@ -420,8 +430,8 @@ func TestReadsAcrossFreeze(t *testing.T) {
 						t.Errorf("round %d: Snapshots(%s) = %d rows, want 10", round, u, n)
 						return
 					}
-					if n := a.CDXCount(CDXQuery{Host: "f.simtest"}); n != 400 {
-						t.Errorf("round %d: CDXCount = %d, want 400", round, n)
+					if s, ok := a.Closest(u, d(10), nil); !ok || s.Day != d(10+i%40) {
+						t.Errorf("round %d: Closest(%s) = %v/%v, want day %d", round, u, s.Day, ok, 10+i%40)
 						return
 					}
 					if want := map[bool]time.Duration{true: 5 * time.Second, false: DefaultLookupLatency}[i%40 == 3]; a.LookupLatency(u) != want {

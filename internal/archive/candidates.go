@@ -89,19 +89,19 @@ func (s *CandidateSet) Each(n int, fn func(string) bool) {
 //
 // A generated name can repeat a listed string only under the same
 // host+DirPrefix — as a listed explicit row, or as the same index and
-// tag in another region there — provided no host of the domain holds a
-// '/', the only way two hosts' strings can coincide. So regions are
-// listed by count, with only those repeats tracked, by (index, tag).
-// With such a host, past 10⁶ names (more digits) or on a mutable
-// archive, the set is DomainURLs' own list.
+// tag in another region there — because no host holds a '/' (Add cuts
+// hosts at the first '/', AddBulkCoverage rejects one), the only way
+// two hosts' strings could coincide. So regions are listed by count,
+// with only those repeats tracked, by (index, tag). Past 10⁶ names
+// (more digits) the set is DomainURLs' own list. It panics before
+// Freeze.
 func (a *Archive) candidateSet(domain string, limit int) *CandidateSet {
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
 	s := &CandidateSet{}
 	defer func() { slices.SortFunc(s.urls, func(p, q string) int { return cmp.Compare(len(p), len(q)) }) }()
-	hosts := a.domainHosts(domain)
-	if !a.frozen.Load() || limit >= 1e6 || slices.ContainsFunc(hosts, func(h string) bool { return strings.Contains(h, "/") }) {
+	if limit >= 1e6 {
 		var urls []string
 		urls, s.truncated = a.DomainURLs(domain, limit)
 		for _, u := range urls {
@@ -111,7 +111,7 @@ func (a *Archive) candidateSet(domain string, limit int) *CandidateSet {
 	}
 	seen := make(map[string]struct{})
 	listed := 0
-	for _, h := range hosts {
+	for _, h := range a.domainHosts(domain) {
 		rows, regions := a.hostListing(h, limit+1)
 		for _, u := range rows {
 			if _, dup := seen[u]; dup {

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"sort"
 	"strings"
 
 	"permadead/internal/simclock"
@@ -40,100 +39,24 @@ const DefaultCDXLimit = 10000
 
 // CDXCount returns the number of index rows matching the query,
 // including bulk-coverage regions (which count as initial-status-200
-// rows). Bulk regions are counted in O(1). On a frozen archive the
-// count is a binary-search range width (O(log n)); while mutable it
-// is a linear scan under the read lock.
+// rows): a binary-search range width (O(log n)), bulk regions counted
+// in O(1). It panics before Freeze.
 func (a *Archive) CDXCount(q CDXQuery) int {
-	host := strings.ToLower(q.Host)
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		return a.cdxCountScan(host, q)
-	}
-	return a.cdx.count(host, q)
-}
-
-// cdxCountScan is the mutable-path (and reference) implementation:
-// a full walk of the host's entries. Caller holds the read lock.
-func (a *Archive) cdxCountScan(host string, q CDXQuery) int {
-	hi := a.byHost[host]
-	if hi == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range hi.entries {
-		if matchEntry(e, q) {
-			n++
-		}
-	}
-	if q.Status == 0 || q.Status == 200 {
-		for _, r := range hi.bulk {
-			n += bulkMatchCount(r, q)
-		}
-	}
-	return n
+	a.checkFrozen("CDXCount")
+	return a.cdx.count(strings.ToLower(q.Host), q)
 }
 
 // CDXList enumerates matching rows up to the limit: explicit entries
 // in capture-insertion order, then bulk-region rows (which
-// materialize deterministically). On a frozen archive the matching
-// rows come from the index's binary-search ranges; while
-// mutable they come from a linear scan under the read lock.
+// materialize deterministically), taken from the index's binary-search
+// ranges. It panics before Freeze.
 func (a *Archive) CDXList(q CDXQuery) []CDXEntry {
-	host := strings.ToLower(q.Host)
+	a.checkFrozen("CDXList")
 	limit := q.Limit
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		return a.cdxListScan(host, q, limit)
-	}
-	return a.cdx.list(host, q, limit)
-}
-
-// cdxListScan is the mutable-path (and reference) implementation.
-// Caller holds the read lock.
-func (a *Archive) cdxListScan(host string, q CDXQuery, limit int) []CDXEntry {
-	hi := a.byHost[host]
-	if hi == nil {
-		return nil
-	}
-	out := make([]CDXEntry, 0, min(limit, len(hi.entries)))
-	prefix := "http://" + host
-	for _, e := range hi.entries {
-		if len(out) >= limit {
-			return out
-		}
-		if matchEntry(e, q) {
-			out = append(out, CDXEntry{
-				URL:           prefix + e.pathQuery,
-				Day:           e.day,
-				InitialStatus: e.initialStatus,
-			})
-		}
-	}
-	if q.Status == 0 || q.Status == 200 {
-		for _, r := range hi.bulk {
-			if len(out) >= limit {
-				break
-			}
-			out = appendBulk(out, r, q, limit)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-func matchEntry(e cdxRecord, q CDXQuery) bool {
-	if q.Status != 0 && e.initialStatus != q.Status {
-		return false
-	}
-	if q.PathPrefix != "" && !strings.HasPrefix(e.pathQuery, q.PathPrefix) {
-		return false
-	}
-	return true
+	return a.cdx.list(strings.ToLower(q.Host), q, limit)
 }
 
 // bulkMatchCount counts how many of a bulk region's entries fall under
@@ -198,27 +121,8 @@ func (a *Archive) CountOnHostname(url string) int {
 }
 
 func (a *Archive) countSelf(host, pathQuery string) int {
-	if frozen, unlock := a.rlock(); !frozen {
-		defer unlock()
-		return a.countSelfScan(host, pathQuery)
-	}
+	a.checkFrozen("countSelf")
 	return a.cdx.countSelf(host, pathQuery)
-}
-
-// countSelfScan is the mutable-path (and reference) implementation.
-// Caller holds the read lock.
-func (a *Archive) countSelfScan(host, pathQuery string) int {
-	hi := a.byHost[host]
-	if hi == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range hi.entries {
-		if e.pathQuery == pathQuery && e.initialStatus == 200 {
-			n++
-		}
-	}
-	return n
 }
 
 // DomainURLs lists distinct archived URLs (any status) across every
@@ -258,20 +162,8 @@ func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated
 
 // domainHosts returns the sorted hosts under a registrable domain.
 func (a *Archive) domainHosts(domain string) []string {
-	domain = strings.ToLower(domain)
-	frozen, unlock := a.rlock()
-	if frozen {
-		return a.cdx.domainHosts(domain)
-	}
-	var hosts []string
-	for h := range a.byHost {
-		if urlutil.DomainOfHost(h) == domain {
-			hosts = append(hosts, h)
-		}
-	}
-	unlock()
-	sort.Strings(hosts)
-	return hosts
+	a.checkFrozen("domainHosts")
+	return a.cdx.domainHosts(strings.ToLower(domain))
 }
 
 // pathDirOf returns the directory part of a URL's path ("/a/b/" for
@@ -291,39 +183,15 @@ func pathDirOf(rawURL string) string {
 // rawURL except for the order of its query parameters — the paper's
 // §5.2 implication (b): some query-heavy URLs were archived under a
 // permuted parameter order and can be rescued by canonicalizing.
-// Explicit entries only; bulk regions carry no query strings. On a
-// frozen archive this is a lookup of the index's canonical-query-key
-// groups; while mutable it scans the URL's host index and normalizes
-// every query-bearing candidate.
+// Explicit entries only; bulk regions carry no query strings. It is a
+// lookup of the index's canonical-query-key groups, and panics before
+// Freeze.
 func (a *Archive) FindQueryPermutation(rawURL string) (string, bool) {
+	a.checkFrozen("FindQueryPermutation")
 	if !urlutil.HasQuery(rawURL) {
 		return "", false
 	}
 	want := urlutil.CanonicalQueryKey(rawURL)
 	self := urlutil.Normalize(rawURL)
-	host := urlutil.Hostname(rawURL)
-	frozen, unlock := a.rlock()
-	if frozen {
-		return a.cdx.findPermutation(host, want, self)
-	}
-	hi := a.byHost[host]
-	var candidates []string
-	if hi != nil {
-		for _, e := range hi.entries {
-			if strings.ContainsRune(e.pathQuery, '?') {
-				candidates = append(candidates, "http://"+host+e.pathQuery)
-			}
-		}
-	}
-	unlock()
-
-	for _, cand := range candidates {
-		if urlutil.Normalize(cand) == self {
-			continue
-		}
-		if urlutil.CanonicalQueryKey(cand) == want {
-			return cand, true
-		}
-	}
-	return "", false
+	return a.cdx.findPermutation(urlutil.Hostname(rawURL), want, self)
 }

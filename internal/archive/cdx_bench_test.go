@@ -8,11 +8,9 @@ import (
 // CDX benchmarks: every op hits the Archive directly, as the §4.2 and
 // §5.2 analyses do, so each measures one real index lookup. Each
 // benchmark runs the same query against two archives holding an
-// identical large-host world: "naive-scan" is unfrozen (the mutable
-// linear-scan reference path), "indexed" is frozen (the freeze-time
-// sorted/partitioned indexes). The Makefile's bench target records
-// the pairs in BENCH_PR2.json, where indexed/naive is the PR's
-// speedup trajectory.
+// identical large-host world: "naive-scan" reads an unfrozen one
+// through the linear-scan reference (naive_test.go), "indexed" a
+// frozen one through the freeze-time sorted/partitioned indexes.
 
 // benchHostEntries sizes the large host: ~tens of thousands of rows,
 // the Figure 6 regime that motivated the indexes.
@@ -90,22 +88,36 @@ func benchArchives(b *testing.B) (naive, indexed *Archive) {
 	return benchNaive, benchIndexed
 }
 
+// cdxReads is one implementation of the benchmarked reads.
+type cdxReads struct {
+	count      func(*Archive, CDXQuery) int
+	list       func(*Archive, CDXQuery) []CDXEntry
+	inDir      func(*Archive, string) int
+	domainURLs func(*Archive, string, int) ([]string, bool)
+	findPerm   func(*Archive, string) (string, bool)
+}
+
+var (
+	naiveReads   = cdxReads{naiveCDXCount, naiveCDXList, naiveCountInDirectory, naiveDomainURLs, naiveFindQueryPermutation}
+	indexedReads = cdxReads{(*Archive).CDXCount, (*Archive).CDXList, (*Archive).CountInDirectory, (*Archive).DomainURLs, (*Archive).FindQueryPermutation}
+)
+
 // runPair benchmarks fn against the naive-scan and the indexed
 // archive under the same name.
-func runPair(b *testing.B, fn func(b *testing.B, a *Archive)) {
+func runPair(b *testing.B, fn func(b *testing.B, a *Archive, r cdxReads)) {
 	naive, indexed := benchArchives(b)
-	b.Run("naive-scan", func(b *testing.B) { b.ReportAllocs(); fn(b, naive) })
-	b.Run("indexed", func(b *testing.B) { b.ReportAllocs(); fn(b, indexed) })
+	b.Run("naive-scan", func(b *testing.B) { b.ReportAllocs(); fn(b, naive, naiveReads) })
+	b.Run("indexed", func(b *testing.B) { b.ReportAllocs(); fn(b, indexed, indexedReads) })
 }
 
 // BenchmarkCDXPrefixCount is the Figure 6 directory query: count the
 // 200-status rows under one directory of a huge host.
 func BenchmarkCDXPrefixCount(b *testing.B) {
 	q := CDXQuery{Host: "big.simtest", PathPrefix: "/dir17/", Status: 200}
-	runPair(b, func(b *testing.B, a *Archive) {
+	runPair(b, func(b *testing.B, a *Archive, r cdxReads) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = a.CDXCount(q)
+			n = r.count(a, q)
 		}
 		b.ReportMetric(float64(n), "rows")
 	})
@@ -115,10 +127,10 @@ func BenchmarkCDXPrefixCount(b *testing.B) {
 // 200-status row on the host.
 func BenchmarkCDXHostCount(b *testing.B) {
 	q := CDXQuery{Host: "big.simtest", Status: 200}
-	runPair(b, func(b *testing.B, a *Archive) {
+	runPair(b, func(b *testing.B, a *Archive, r cdxReads) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = a.CDXCount(q)
+			n = r.count(a, q)
 		}
 		b.ReportMetric(float64(n), "rows")
 	})
@@ -128,10 +140,10 @@ func BenchmarkCDXHostCount(b *testing.B) {
 // 500 rows under one directory.
 func BenchmarkCDXPrefixList(b *testing.B) {
 	q := CDXQuery{Host: "big.simtest", PathPrefix: "/dir17/", Limit: 500}
-	runPair(b, func(b *testing.B, a *Archive) {
+	runPair(b, func(b *testing.B, a *Archive, r cdxReads) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = len(a.CDXList(q))
+			n = len(r.list(a, q))
 		}
 		b.ReportMetric(float64(n), "rows")
 	})
@@ -141,10 +153,10 @@ func BenchmarkCDXPrefixList(b *testing.B) {
 // coverage counts subtract.
 func BenchmarkCDXCountSelf(b *testing.B) {
 	url := fmt.Sprintf("http://big.simtest/dir%02d/p%06d.html", 17, 17)
-	runPair(b, func(b *testing.B, a *Archive) {
+	runPair(b, func(b *testing.B, a *Archive, r cdxReads) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = a.CountInDirectory(url)
+			n = r.inDir(a, url)
 		}
 		b.ReportMetric(float64(n), "rows")
 	})
@@ -163,10 +175,10 @@ func BenchmarkDomainURLs(b *testing.B) {
 		{"bulk", "bulk.simtest"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			runPair(b, func(b *testing.B, a *Archive) {
+			runPair(b, func(b *testing.B, a *Archive, r cdxReads) {
 				var n int
 				for i := 0; i < b.N; i++ {
-					urls, _ := a.DomainURLs(c.domain, 4000)
+					urls, _ := r.domainURLs(a, c.domain, 4000)
 					n = len(urls)
 				}
 				b.ReportMetric(float64(n), "urls")
@@ -179,10 +191,10 @@ func BenchmarkDomainURLs(b *testing.B) {
 // probe on a query-heavy host.
 func BenchmarkFindQueryPermutation(b *testing.B) {
 	probe := "http://big.simtest/view.asp?a=7&b=13"
-	runPair(b, func(b *testing.B, a *Archive) {
+	runPair(b, func(b *testing.B, a *Archive, r cdxReads) {
 		found := 0
 		for i := 0; i < b.N; i++ {
-			if _, ok := a.FindQueryPermutation(probe); ok {
+			if _, ok := r.findPerm(a, probe); ok {
 				found++
 			}
 		}

@@ -50,6 +50,7 @@ func ExampleArchive_CountInDirectory() {
 		Host: "paper.example", DirPrefix: "/stories/", Count: 12000,
 		FirstDay: simclock.FromDate(2010, 1, 1), LastDay: simclock.FromDate(2020, 1, 1),
 	})
+	a.Freeze() // CDX reads answer from the frozen index
 	fmt.Println(a.CountInDirectory("http://paper.example/stories/lost.html"))
 	fmt.Println(a.CountInDirectory("http://paper.example/forum/lost.html"))
 	// Output:

@@ -25,7 +25,8 @@ import (
 // Handler serves both under one mux so a simulated "archive.org" can
 // be mounted next to the simulated web.
 
-// Handler returns an http.Handler exposing the archive's APIs.
+// Handler returns an http.Handler exposing the archive's APIs. The CDX
+// endpoint reads the index, so it needs a frozen archive.
 func (a *Archive) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/wayback/available", a.handleAvailable)

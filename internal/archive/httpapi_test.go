@@ -20,6 +20,7 @@ func apiFixture() *httptest.Server {
 		InitialStatus: 301, FinalStatus: 200,
 		RedirectTo: "http://api.simtest/new/moved.html",
 	})
+	a.Freeze()
 	return httptest.NewServer(a.Handler())
 }
 
@@ -197,6 +198,7 @@ func TestHTTPClientCDX(t *testing.T) {
 	// Agreement with the in-process API.
 	a := New()
 	a.Add(snap("http://agree.simtest/x/a.html", 500, 200))
+	a.Freeze()
 	srv2 := httptest.NewServer(a.Handler())
 	defer srv2.Close()
 	c2 := NewHTTPClient(srv2.URL)

@@ -12,11 +12,11 @@ import (
 	"permadead/internal/urlutil"
 )
 
-// The frozen CDX index (DESIGN §3.2). While an Archive is mutable,
-// every CDX query is a linear scan of the host's insertion-ordered
-// entry slice — simple, obviously correct, and the reference the
-// differential tests compare against. Freeze builds the index once,
-// directly in the form persist format v4 stores (DESIGN §3.6):
+// The frozen CDX index (DESIGN §3.2), the one implementation of every
+// CDX query; a mutable Archive answers none. The differential tests
+// hold it to naive linear scans of each host's insertion-ordered
+// entries (naive_test.go). Freeze builds the index once, directly in
+// the form persist format v4 stores (DESIGN §3.6):
 //
 //   - cdxhosts: per host, in name order, a 48-byte record locating its
 //     rows, aux blob and bulk regions;

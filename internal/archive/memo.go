@@ -14,10 +14,11 @@ import (
 // binary searches over the frozen index (DESIGN.md §3.2) and go to the
 // Archive directly.
 //
-// Memo is safe for concurrent use. It assumes the underlying Archive
-// is quiescent (ideally Frozen) for its lifetime: cached sets are never
-// invalidated, though a capped memo may evict and rebuild them. Each
-// set is built at most once while its entry is resident.
+// Memo is safe for concurrent use. It reads a frozen Archive (a set
+// built from an unfrozen one panics, as every whole-archive read does):
+// cached sets are never invalidated, though a capped memo may evict and
+// rebuild them. Each set is built at most once while its entry is
+// resident.
 type Memo struct {
 	a *Archive
 

@@ -79,6 +79,7 @@ func TestDomainURLsTruncation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Add(snap(fmt.Sprintf("http://big.simtest/page-%02d", i), 10+i, 200))
 	}
+	a.Freeze()
 
 	urls, truncated := a.DomainURLs("big.simtest", 4)
 	if !truncated || len(urls) != 4 {
@@ -147,7 +148,7 @@ func TestUnfrozenArchiveConcurrentReadWrite(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				a.Snapshots("http://news.simtest/2014/a.html")
-				a.CDXCount(CDXQuery{Host: "news.simtest"})
+				a.Closest("http://news.simtest/2014/b.html", d(11), AcceptUsable)
 			}
 		}()
 	}
@@ -176,6 +177,65 @@ func TestWriteAfterFreezePanics(t *testing.T) {
 			}()
 			c.write(a)
 		})
+	}
+}
+
+// TestWholeArchiveReadBeforeFreezePanics: every whole-archive read
+// answers from the frozen sections only, so on an unfrozen archive it
+// panics through checkFrozen (a missing guard shows as a nil-index
+// fault instead), while the point reads IABot makes during generation
+// still answer. AddBulkCoverage rejects a host holding '/', which the
+// typo probe's candidate sets rely on never seeing.
+func TestWholeArchiveReadBeforeFreezePanics(t *testing.T) {
+	const url = "http://news.simtest/2014/a.html"
+	cases := []struct {
+		name string
+		op   func(a *Archive)
+		want string
+	}{
+		{"CDXCount", func(a *Archive) { a.CDXCount(CDXQuery{Host: "news.simtest"}) }, "CDXCount before Freeze"},
+		{"CDXList", func(a *Archive) { a.CDXList(CDXQuery{Host: "news.simtest"}) }, "CDXList before Freeze"},
+		{"countSelf", func(a *Archive) { a.countSelf("news.simtest", "/2014/a.html") }, "countSelf before Freeze"},
+		{"domainHosts", func(a *Archive) { a.domainHosts("news.simtest") }, "domainHosts before Freeze"},
+		{"FindQueryPermutation", func(a *Archive) { a.FindQueryPermutation(url + "?b=1&a=2") }, "FindQueryPermutation before Freeze"},
+		{"TotalSnapshots", func(a *Archive) { a.TotalSnapshots() }, "TotalSnapshots before Freeze"},
+		{"Hosts", func(a *Archive) { a.Hosts() }, "Hosts before Freeze"},
+		{"EachSnapshot", func(a *Archive) { a.EachSnapshot(func(Snapshot) {}) }, "EachSnapshot before Freeze"},
+		{"EachBulkRegion", func(a *Archive) { a.EachBulkRegion(func(BulkRegion) {}) }, "EachBulkRegion before Freeze"},
+		{"AddBulkCoverage with a '/' host", func(a *Archive) {
+			a.AddBulkCoverage(BulkRegion{Host: "x.simtest/y", DirPrefix: "/", Count: 3, FirstDay: d(10), LastDay: d(20)})
+		}, "AddBulkCoverage host x.simtest/y contains '/'"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := coverageFixture()
+			defer func() {
+				if r := recover(); r != "archive: "+c.want {
+					t.Errorf("%s panicked with %v, want %q", c.name, r, "archive: "+c.want)
+				}
+			}()
+			c.op(a)
+		})
+	}
+
+	a := coverageFixture()
+	if n := len(a.Snapshots(url)); n != 1 {
+		t.Errorf("Snapshots = %d rows, want 1", n)
+	}
+	if n := len(a.SnapshotsBetween(url, d(0), d(100))); n != 1 {
+		t.Errorf("SnapshotsBetween = %d rows, want 1", n)
+	}
+	if s, ok := a.First(url); !ok || s.Day != d(10) {
+		t.Errorf("First = %v/%v, want day 10", s.Day, ok)
+	}
+	if s, ok := a.FirstAfter(url, d(5)); !ok || s.Day != d(10) {
+		t.Errorf("FirstAfter = %v/%v, want day 10", s.Day, ok)
+	}
+	if s, ok := a.Closest(url, d(50), AcceptUsable); !ok || s.Day != d(10) {
+		t.Errorf("Closest = %v/%v, want day 10", s.Day, ok)
+	}
+	if s, ok, err := a.Query(AvailabilityQuery{URL: url, Want: d(50), Timeout: time.Second}); err != nil || !ok || s.Day != d(10) {
+		t.Errorf("Query = %v/%v/%v, want day 10", s.Day, ok, err)
 	}
 }
 

@@ -155,6 +155,7 @@ func typoProbes(a *archive.Archive, domains ...string) []string {
 // in-memory and the paged form.
 func TestTypoProbeMatchesReferenceHandBuilt(t *testing.T) {
 	a := typoFixture()
+	a.Freeze()
 	probes := typoProbes(a, "t.simtest", "two.simtest")
 	limits := []int{1, 2, 3, 5, 8, 12, 13, 21, 30, 100, typoScanLimit}
 	checkTypoProbe(t, inMemoryAndPaged(t, a), probes, limits)
@@ -198,6 +199,7 @@ func FuzzTypoCandidates(f *testing.F) {
 			a.AddBulkCoverage(archive.BulkRegion{Host: hosts[regions[i]%3], DirPrefix: dirs[regions[i+1]%3],
 				Count: int(regions[i+2]), FirstDay: 1, LastDay: 9, Seed: uint64(regions[i+3] % 4)})
 		}
+		a.Freeze()
 		// pick: bits 0-1 host, bit 4 https, bit 5 start from a listed
 		// URL (bits 6-15 choose it); edit: bits 0-1 none, delete,
 		// insert or substitute, bits 2-7 the position.

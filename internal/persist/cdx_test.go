@@ -83,9 +83,8 @@ func savedArchive(t testing.TB, a *archive.Archive) []byte {
 
 // TestFindQueryPermutationProbes holds the §5.2 rescue probe's five
 // cases — a rescuable permutation, the identical URL, different values,
-// a query-less URL and an unknown host — to the same answers on every
-// backing: the mutable archive's scan, the frozen in-memory index and
-// the paged file.
+// a query-less URL and an unknown host — to the same answers on both
+// backings: the frozen in-memory index and the paged file.
 func TestFindQueryPermutationProbes(t *testing.T) {
 	fill := func(a *archive.Archive) *archive.Archive {
 		for _, u := range []string{"http://q.simtest/view.asp?b=2&a=1", "http://q.simtest/plain.html"} {
@@ -106,7 +105,7 @@ func TestFindQueryPermutationProbes(t *testing.T) {
 		{"http://q.simtest/plain.html", ""},                                        // query-less: skipped
 		{"http://none.simtest/x?a=1&b=2", ""},                                      // unknown host
 	}
-	for name, a := range map[string]*archive.Archive{"mutable": fill(archive.New()), "frozen": frozen, "paged": b.Archive} {
+	for name, a := range map[string]*archive.Archive{"frozen": frozen, "paged": b.Archive} {
 		for _, p := range probes {
 			got, ok := a.FindQueryPermutation(p.url)
 			if got != p.want || ok != (p.want != "") {
@@ -118,15 +117,18 @@ func TestFindQueryPermutationProbes(t *testing.T) {
 
 // TestPagedIndexMatchesNaiveScan is the paged backing's differential:
 // randomized worlds, saved and reopened, must answer every CDX query
-// kind exactly as the mutable archive's linear scan does — the scan
-// the in-memory index is held to in internal/archive.
+// kind exactly as the frozen in-memory archive the file was saved from
+// does. Both answer through the same reader, so this holds what persist
+// owns, the save and the open; internal/archive holds that reader to
+// the naive linear scans over the same world shapes.
 func TestPagedIndexMatchesNaiveScan(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			naive, saved := archive.New(), archive.New()
-			hosts, paths := cdxWorld(rng, naive, saved)
-			b, err := openPagedBytes(savedArchive(t, saved), nil)
+			mem := archive.New()
+			hosts, paths := cdxWorld(rng, mem)
+			mem.Freeze()
+			b, err := openPagedBytes(savedArchive(t, mem), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,26 +149,26 @@ func TestPagedIndexMatchesNaiveScan(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					q.Limit = 1 + rng.Intn(40)
 				}
-				if got, want := pa.CDXCount(q), naive.CDXCount(q); got != want {
+				if got, want := pa.CDXCount(q), mem.CDXCount(q); got != want {
 					t.Errorf("CDXCount(%+v) = %d, want %d", q, got, want)
 				}
-				if got, want := pa.CDXList(q), naive.CDXList(q); !reflect.DeepEqual(got, want) {
+				if got, want := pa.CDXList(q), mem.CDXList(q); !reflect.DeepEqual(got, want) {
 					t.Errorf("CDXList(%+v):\n got %v\nwant %v", q, got, want)
 				}
 			}
 			for i := 0; i < 100; i++ {
 				url := "http://" + hosts[rng.Intn(len(hosts))] + paths[rng.Intn(len(paths))]
-				if got, want := pa.CountInDirectory(url), naive.CountInDirectory(url); got != want {
+				if got, want := pa.CountInDirectory(url), mem.CountInDirectory(url); got != want {
 					t.Errorf("CountInDirectory(%s) = %d, want %d", url, got, want)
 				}
-				if got, want := pa.CountOnHostname(url), naive.CountOnHostname(url); got != want {
+				if got, want := pa.CountOnHostname(url), mem.CountOnHostname(url); got != want {
 					t.Errorf("CountOnHostname(%s) = %d, want %d", url, got, want)
 				}
 				probe := "http://" + hosts[rng.Intn(len(hosts))] + []string{
 					"/a/item?a=1&b=2", "/a/item?b=2&a=1", "/x/item?c=3&a=1", "/news/2014/item?a=1&c=3", "/a/b/p.html",
 				}[rng.Intn(5)]
 				gu, gok := pa.FindQueryPermutation(probe)
-				wu, wok := naive.FindQueryPermutation(probe)
+				wu, wok := mem.FindQueryPermutation(probe)
 				if gu != wu || gok != wok {
 					t.Errorf("FindQueryPermutation(%s) = %q/%v, want %q/%v", probe, gu, gok, wu, wok)
 				}
@@ -175,7 +177,7 @@ func TestPagedIndexMatchesNaiveScan(t *testing.T) {
 				d := urlutil.DomainOfHost(h)
 				limit := 1 + rng.Intn(80)
 				gu, gt := pa.DomainURLs(d, limit)
-				wu, wt := naive.DomainURLs(d, limit)
+				wu, wt := mem.DomainURLs(d, limit)
 				if gt != wt || !reflect.DeepEqual(gu, wu) {
 					t.Errorf("DomainURLs(%s, %d) = %v/%v, want %v/%v", d, limit, gu, gt, wu, wt)
 				}

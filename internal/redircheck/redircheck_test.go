@@ -27,6 +27,7 @@ func massRedirectArchive() *archive.Archive {
 	for i, p := range []string{"/old/a.html", "/old/b.html", "/old/c.html", "/old/d.html"} {
 		a.Add(redirectSnap("http://news.simtest"+p, 1000+i*10, home))
 	}
+	a.Freeze()
 	return a
 }
 
@@ -40,6 +41,7 @@ func uniqueRedirectArchive() *archive.Archive {
 		"http://ms.simtest/lokales/floersheim/other.htm"))
 	a.Add(redirectSnap("http://ms.simtest/region/floersheim/7777777.htm", 1020,
 		"http://ms.simtest/lokales/hochheim/index.htm"))
+	a.Freeze()
 	return a
 }
 
@@ -75,6 +77,7 @@ func TestNoSiblingsIsConservativelyErroneous(t *testing.T) {
 	a := archive.New()
 	url := "http://lonely.simtest/dir/page.html"
 	a.Add(redirectSnap(url, 1000, "http://lonely.simtest/new/page.html"))
+	a.Freeze()
 	c := NewChecker(a)
 	v := c.Check(url, a.Snapshots(url)[0])
 	if v.NonErroneous {
@@ -92,6 +95,7 @@ func TestWindowExcludesDistantSiblings(t *testing.T) {
 	// Sibling redirected to the same place, but two years earlier —
 	// outside the ±90-day window, so it cannot condemn (or validate).
 	a.Add(redirectSnap("http://w.simtest/dir/b.html", 270, "http://w.simtest/"))
+	a.Freeze()
 	c := NewChecker(a)
 	v := c.Check(url, a.Snapshots(url)[0])
 	if v.SiblingsCompared != 0 {
@@ -113,6 +117,7 @@ func TestMaxSiblingsBound(t *testing.T) {
 			1000+i,
 			"http://m.simtest/new/"+string(rune('a'+i))+".html"))
 	}
+	a.Freeze()
 	c := NewChecker(a)
 	v := c.Check(url, a.Snapshots(url)[0])
 	if v.SiblingsCompared != 6 {
@@ -145,6 +150,7 @@ func TestSiblingsWithOnlyOKSnapshotsIgnored(t *testing.T) {
 	// 6 other URLs" — only URLs with redirections participate.
 	a.Add(okSnap("http://y.simtest/dir/alive1.html", 1000))
 	a.Add(okSnap("http://y.simtest/dir/alive2.html", 1001))
+	a.Freeze()
 	c := NewChecker(a)
 	v := c.Check(url, a.Snapshots(url)[0])
 	if v.SiblingsCompared != 0 {

@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -179,7 +180,9 @@ func (c *Cache) insert(s *cacheShard, e *cacheEntry) {
 // runs compute to completion whatever becomes of its own request, so
 // compute must bound itself, and files the body under the class
 // compute reports. An error, cacheSkip or a class with no room in the
-// shard drops the entry, so the next request computes afresh.
+// shard drops the entry, so the next request computes afresh. A compute
+// that panics settles the entry too — its waiters get
+// errComputePanicked and the key is dropped — before the panic goes on.
 func (c *Cache) do(ctx context.Context, key string, compute func() ([]byte, cacheClass, error)) ([]byte, string, error) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -204,19 +207,30 @@ func (c *Cache) do(ctx context.Context, key string, compute func() ([]byte, cach
 		}
 	}
 	s.mu.Unlock()
+	return c.lead(s, e, compute)
+}
 
+// errComputePanicked is what waiters on a computation that panicked get.
+var errComputePanicked = errors.New("service: response computation panicked")
+
+// lead runs compute as e's leader and settles e on every exit, a panic
+// included: kept out of do, so a hit never sets up the deferred settle.
+func (c *Cache) lead(s *cacheShard, e *cacheEntry, compute func() ([]byte, cacheClass, error)) (val []byte, _ string, err error) {
 	c.leaders.Add(1)
-	val, class, err := compute()
-	s.mu.Lock()
-	done := e.done
-	e.val, e.err, e.class, e.done = val, err, class, nil
-	if err != nil || class == cacheSkip || s.lru[class].cap == 0 {
-		delete(s.items, key)
-	} else {
-		c.insert(s, e)
-	}
-	s.mu.Unlock()
-	close(done)
+	class, err := cacheSkip, errComputePanicked // unless compute returns
+	defer func() {
+		s.mu.Lock()
+		done := e.done
+		e.val, e.err, e.class, e.done = val, err, class, nil
+		if err != nil || class == cacheSkip || s.lru[class].cap == 0 {
+			delete(s.items, e.key)
+		} else {
+			c.insert(s, e)
+		}
+		s.mu.Unlock()
+		close(done)
+	}()
+	val, class, err = compute()
 	return val, "miss", err
 }
 

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestCacheCapacityNeverExceedsRequested pins the NewCache semantics
@@ -154,5 +156,59 @@ func TestCacheHitAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.classifyBody(ctx, u) }); n != 0 {
 		t.Errorf("classifyBody hit: %v allocs, want 0", n)
+	}
+}
+
+// TestCachePanickingComputeSettles: a computation that panics settles
+// its entry on the way out. A waiter parked on it gets an error at
+// once, not its own deadline, and the next request for the key leads a
+// fresh computation instead of waiting on the dead one.
+func TestCachePanickingComputeSettles(t *testing.T) {
+	c := newCache(4, 4, 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.do(context.Background(), "k", func() ([]byte, cacheClass, error) {
+			close(entered)
+			<-release
+			panic("damaged section")
+		})
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	waited := make(chan error)
+	go func() {
+		_, _, err := c.do(ctx, "k", func() ([]byte, cacheClass, error) {
+			t.Error("a waiter parked on the leader computed")
+			return nil, cacheSkip, nil
+		})
+		waited <- err
+	}()
+	for c.class[cachePositive].misses.Load() < 2 { // the waiter has probed
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-recovered; r != "damaged section" {
+		t.Errorf("leader recovered %v, want the compute's panic", r)
+	}
+	select {
+	case err := <-waited:
+		if err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("waiter err = %v, want the leader's failure", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("waiter still parked 1 s after the leader panicked")
+	}
+
+	start := time.Now()
+	body, src, err := c.do(ctx, "k", func() ([]byte, cacheClass, error) { return []byte("v"), cachePositive, nil })
+	if err != nil || src != "miss" || string(body) != "v" {
+		t.Errorf("do after the panic = %q, %q, %v; want v, miss, nil", body, src, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("do after the panic took %v", d)
 	}
 }

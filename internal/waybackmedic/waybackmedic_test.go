@@ -82,6 +82,7 @@ func TestMedicRedirectRescue(t *testing.T) {
 		InitialStatus: 301, FinalStatus: 200,
 		RedirectTo: "http://ms.simtest/lokales/town/other.htm",
 	})
+	arch.Freeze()
 
 	// Without redirect rescue the link is unfixable.
 	m1 := New(wiki, arch)
@@ -113,6 +114,7 @@ func TestMedicMassRedirectNotRescued(t *testing.T) {
 			InitialStatus: 302, FinalStatus: 200, RedirectTo: "http://news.simtest/",
 		})
 	}
+	arch.Freeze()
 	m := New(wiki, arch)
 	m.AcceptRedirects = true
 	m.Checker = redircheck.NewChecker(arch)

@@ -327,11 +327,14 @@ func (p *parser) parseRef() (*Ref, bool) {
 }
 
 // refNameAttr extracts the name="..." (or name=x) attribute from a
-// <ref ...> open tag.
+// <ref ...> open tag. "name" is matched in place, case-insensitively:
+// an offset into strings.ToLower(tag) can overrun tag, because lowering
+// rewrites each invalid UTF-8 byte as the 3-byte U+FFFD.
 func refNameAttr(tag string) string {
-	lower := strings.ToLower(tag)
-	i := strings.Index(lower, "name")
-	if i < 0 {
+	i := 0
+	for ; i+4 <= len(tag) && !strings.EqualFold(tag[i:i+4], "name"); i++ {
+	}
+	if i+4 > len(tag) {
 		return ""
 	}
 	rest := tag[i+4:]

@@ -82,6 +82,7 @@ func TestCrawlerUnreachable(t *testing.T) {
 	if _, err := c.Capture("http://dead.simtest/x", d(100)); err != ErrUnreachable {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
+	a.Freeze()
 	if a.TotalSnapshots() != 0 {
 		t.Error("unreachable capture must not store a snapshot")
 	}
