@@ -57,8 +57,9 @@ type Config struct {
 	RandomArticles bool
 	// StudyTime is the live-web measurement day.
 	StudyTime simclock.Day
-	// Concurrency bounds the study's parallel stages: the live-web
-	// fetch pool (§3) and the archive-side analysis workers (§4–§5.2).
+	// Concurrency bounds the study's parallel stages: the edit-history
+	// miners (§2.4), the live-web fetch pool (§3) and the archive-side
+	// analysis workers (§4–§5.2).
 	// 1 runs every stage sequentially; any value produces the same
 	// Report byte for byte.
 	Concurrency int
@@ -218,31 +219,23 @@ func (s *Study) Collect() []LinkRecord {
 		titles = titles[:n]
 	}
 
-	seen := make(map[string]struct{})
-	var candidates []LinkRecord
-	for _, title := range titles {
-		// One parse per revision serves every dead link of the article.
-		hist := s.Wiki.MineHistory(title)
+	// Each worker reduces one title to the records of its mark-dated
+	// dead links, one parse per revision; the fold below dedupes across
+	// articles in title order, as the sequential crawl does.
+	perTitle := make([][]LinkRecord, len(titles))
+	ParallelFor(len(titles), s.Config.Concurrency, func(i int) {
+		hist := s.Wiki.MineHistory(titles[i])
 		for _, cl := range hist.Dead {
 			if cl.URL == "" {
-				continue
-			}
-			if _, dup := seen[cl.URL]; dup {
 				continue
 			}
 			h, ok := hist.Link(cl.URL)
 			if !ok || !h.MarkedDead.Valid() {
 				continue
 			}
-			seen[cl.URL] = struct{}{}
-			// §2.4: the study keeps links marked by IABot, whose
-			// open-source policy it can reason about.
-			if h.MarkedDeadBy != iabot.DefaultName {
-				continue
-			}
-			candidates = append(candidates, LinkRecord{
+			perTitle[i] = append(perTitle[i], LinkRecord{
 				URL:      cl.URL,
-				Article:  title,
+				Article:  titles[i],
 				Host:     urlutil.Hostname(cl.URL),
 				Domain:   urlutil.Domain(cl.URL),
 				Added:    h.Added,
@@ -250,6 +243,23 @@ func (s *Study) Collect() []LinkRecord {
 				Marked:   h.MarkedDead,
 				MarkedBy: h.MarkedDeadBy,
 			})
+		}
+	})
+
+	seen := make(map[string]struct{})
+	var candidates []LinkRecord
+	for _, recs := range perTitle {
+		for _, rec := range recs {
+			if _, dup := seen[rec.URL]; dup {
+				continue
+			}
+			seen[rec.URL] = struct{}{}
+			// §2.4: the study keeps links marked by IABot, whose
+			// open-source policy it can reason about.
+			if rec.MarkedBy != iabot.DefaultName {
+				continue
+			}
+			candidates = append(candidates, rec)
 		}
 	}
 

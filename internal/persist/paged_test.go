@@ -352,6 +352,67 @@ func TestPagedWikiStaysEditable(t *testing.T) {
 	}
 }
 
+// TestPagedWikiListsLiveAdditions covers the two directions of
+// category change TestPagedWikiStaysEditable does not: an edit that
+// tags an article the stored index lists outside the category, and a
+// new article created with the tag. Both must be listed, and the
+// stored members must stay listed beside them.
+func TestPagedWikiListsLiveAdditions(t *testing.T) {
+	pp := makePagedPair(t, 0.3)
+	defer pp.paged.Close()
+	w := pp.paged.Wiki
+
+	stored := w.InCategory(iabot.Category)
+	listed := make(map[string]bool, len(stored))
+	for _, ts := range stored {
+		listed[ts] = true
+	}
+	var outside string
+	for _, ts := range w.Titles() {
+		if !listed[ts] {
+			outside = ts
+			break
+		}
+	}
+	if outside == "" || len(stored) == 0 {
+		t.Skip("generated universe has no article on both sides of the category")
+	}
+
+	cur := w.Article(outside).Current()
+	doc := cur.Doc()
+	doc.AddCategory(iabot.Category)
+	if _, err := w.Edit(outside, cur.Day+1, "Tagger", "tag", doc.Render()); err != nil {
+		t.Fatal(err)
+	}
+	const created = "Zz live-created article"
+	w.Create(created, cur.Day+1, "Author", "New text. [[Category:"+iabot.Category+"]]")
+
+	want := append([]string{outside, created}, stored...)
+	sort.Strings(want)
+	if got := w.InCategory(iabot.Category); !reflect.DeepEqual(got, want) {
+		t.Errorf("InCategory after tagging %q and creating %q: %d titles, want %d", outside, created, len(got), len(want))
+	}
+}
+
+// TestInCategoryFaultedInAllocs pins the category listing's cost to
+// the stored index: with every article faulted in and none edited,
+// listing allocates no more than twice what it does on a fresh bundle,
+// so it parses no loaded article.
+func TestInCategoryFaultedInAllocs(t *testing.T) {
+	pp := makePagedPair(t, 0.3)
+	defer pp.paged.Close()
+	w := pp.paged.Wiki
+	list := func() { w.InCategory(iabot.Category) }
+
+	cold := testing.AllocsPerRun(20, list)
+	for _, ts := range w.Titles() {
+		w.Article(ts)
+	}
+	if warm := testing.AllocsPerRun(20, list); warm > 2*cold {
+		t.Errorf("InCategory with every article faulted in: %.0f allocations, cold %.0f (ceiling 2x)", warm, cold)
+	}
+}
+
 // TestConverterDeterministic is the golden property saved artifacts
 // rely on: SavePaged twice over one universe is byte-identical, so
 // saved files can be checksummed and cached.

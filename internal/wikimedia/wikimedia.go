@@ -45,7 +45,10 @@ func (r *Revision) Doc() *wikitext.Document {
 }
 
 // Article is a titled page with its complete revision history, oldest
-// first.
+// first. A published *Article is immutable: Edit stores a new Article
+// rather than appending in place, so a caller holding one reads a
+// consistent history without the wiki's lock and sees later edits only
+// by fetching the article again.
 type Article struct {
 	Title     string
 	Revisions []Revision
@@ -99,6 +102,11 @@ type Wiki struct {
 	listeners        []func(LinkAddedEvent)
 	removedListeners []func(LinkRemovedEvent)
 	src              ArticleSource
+	// edited holds, on a source-backed wiki, every title created or
+	// edited through the wiki (and every title already in the map at
+	// SetSource): the articles whose category membership the source's
+	// stored index may no longer describe.
+	edited map[string]struct{}
 }
 
 // ArticleSource lazily supplies articles from external storage (a
@@ -128,12 +136,16 @@ func NewWiki() *Wiki {
 
 // SetSource backs the wiki with a lazy article source. Call it once,
 // before concurrent use; articles already in the map shadow the
-// source, and the revision-ID sequence continues from the source's
-// maximum.
+// source (InCategory re-checks them live), and the revision-ID
+// sequence continues from the source's maximum.
 func (w *Wiki) SetSource(src ArticleSource) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.src = src
+	w.edited = make(map[string]struct{}, len(w.articles))
+	for t := range w.articles {
+		w.edited[t] = struct{}{}
+	}
 	if id := src.MaxRevID() + 1; id > w.nextRevID {
 		w.nextRevID = id
 	}
@@ -191,7 +203,7 @@ func (w *Wiki) Create(title string, day simclock.Day, user, text string) *Articl
 		ID: w.nextRevID, Day: day, User: user, Comment: "Created page", Text: text,
 	})
 	w.nextRevID++
-	w.articles[title] = a
+	w.storeLocked(a)
 	added, removed := w.listeners, w.removedListeners
 	w.mu.Unlock()
 
@@ -201,7 +213,9 @@ func (w *Wiki) Create(title string, day simclock.Day, user, text string) *Articl
 
 // Edit appends a revision to an existing article and emits link-added
 // events for URLs that were not present in the previous revision. It
-// returns the new revision, or an error for unknown titles.
+// returns the new revision, or an error for unknown titles. The
+// article is replaced, not mutated: readers of the previous *Article
+// keep its history unchanged.
 func (w *Wiki) Edit(title string, day simclock.Day, user, comment, text string) (*Revision, error) {
 	w.mu.Lock()
 	a := w.lookupLocked(title)
@@ -214,17 +228,26 @@ func (w *Wiki) Edit(title string, day simclock.Day, user, comment, text string) 
 		w.mu.Unlock()
 		return nil, fmt.Errorf("wikimedia: edit to %q on %v predates last revision (%v)", title, day, prev.Day)
 	}
-	a.Revisions = append(a.Revisions, Revision{
+	n := len(a.Revisions)
+	a = &Article{Title: title, Revisions: append(a.Revisions[:n:n], Revision{
 		ID: w.nextRevID, Day: day, User: user, Comment: comment, Text: text,
-	})
+	})}
 	w.nextRevID++
-	rev := a.Current()
+	w.storeLocked(a)
 	added, removed := w.listeners, w.removedListeners
-	prevText := prev.Text
 	w.mu.Unlock()
 
-	emitLinkDiff(added, removed, title, &prevText, text, day, user)
-	return rev, nil
+	emitLinkDiff(added, removed, title, &prev.Text, text, day, user)
+	return a.Current(), nil
+}
+
+// storeLocked publishes a as its title's article, recording the title
+// as edited on a source-backed wiki. Caller holds the write lock.
+func (w *Wiki) storeLocked(a *Article) {
+	w.articles[a.Title] = a
+	if w.src != nil {
+		w.edited[a.Title] = struct{}{}
+	}
 }
 
 // emitLinkDiff walks the external-URL sets of the previous and new
@@ -278,7 +301,7 @@ func emitLinkDiff(added []func(LinkAddedEvent), removed []func(LinkRemovedEvent)
 // Article returns the article with the given title, or nil. On a
 // source-backed wiki a miss faults the article in from the source; the
 // loaded instance is cached, so concurrent callers converge on one
-// *Article per title.
+// *Article per title until the next edit replaces it.
 func (w *Wiki) Article(title string) *Article {
 	w.mu.RLock()
 	a, cached := w.articles[title]
@@ -364,46 +387,41 @@ func (w *Wiki) EachArticle(fn func(*Article)) {
 // belongs to the named category, sorted lexicographically — mirroring
 // https://en.wikipedia.org/wiki/Category:... listings.
 //
-// On a source-backed wiki the stored category index answers for
-// articles still on disk, while articles already faulted in (and
-// possibly edited since) are re-checked live — so membership stays
-// correct without materializing the whole wiki.
+// On a source-backed wiki the stored category index answers for every
+// article nobody created or edited through the wiki, faulted in or
+// not, and only the created or edited ones are re-checked live — so
+// membership stays correct without parsing the working set.
 func (w *Wiki) InCategory(category string) []string {
 	w.mu.RLock()
 	src := w.src
-	var loaded []*Article
+	var edited map[string]*Article
 	if src != nil {
-		loaded = make([]*Article, 0, len(w.articles))
-		for _, a := range w.articles {
-			loaded = append(loaded, a)
+		edited = make(map[string]*Article, len(w.edited))
+		for t := range w.edited {
+			edited[t] = w.articles[t]
 		}
 	}
 	w.mu.RUnlock()
 
+	var titles []string
 	if src != nil {
-		inMem := make(map[string]bool, len(loaded))
-		var titles []string
-		for _, a := range loaded {
-			inMem[a.Title] = true
+		for _, t := range src.CategoryTitles(category) {
+			if _, ok := edited[t]; !ok {
+				titles = append(titles, t)
+			}
+		}
+		for _, a := range edited {
 			if a.Current().Doc().HasCategory(category) {
 				titles = append(titles, a.Title)
 			}
 		}
-		for _, t := range src.CategoryTitles(category) {
-			if !inMem[t] {
-				titles = append(titles, t)
+	} else {
+		w.EachArticle(func(a *Article) {
+			if a.Current().Doc().HasCategory(category) {
+				titles = append(titles, a.Title)
 			}
-		}
-		sort.Strings(titles)
-		return titles
+		})
 	}
-
-	var titles []string
-	w.EachArticle(func(a *Article) {
-		if a.Current().Doc().HasCategory(category) {
-			titles = append(titles, a.Title)
-		}
-	})
 	sort.Strings(titles)
 	return titles
 }

@@ -1,6 +1,9 @@
 package wikimedia
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"permadead/internal/simclock"
@@ -83,6 +86,79 @@ func TestInCategory(t *testing.T) {
 	got := w.InCategory("Articles with permanently dead external links")
 	if len(got) != 2 || got[0] != "Later" || got[1] != "Tagged" {
 		t.Errorf("in category = %v", got)
+	}
+}
+
+// storedIndex is an ArticleSource holding no articles, only a category
+// index, so a test can make the index disagree with articles in memory.
+type storedIndex []string
+
+func (storedIndex) LoadArticle(string) *Article      { return nil }
+func (storedIndex) Titles() []string                 { return nil }
+func (storedIndex) NumArticles() int                 { return 0 }
+func (s storedIndex) CategoryTitles(string) []string { return s }
+func (storedIndex) MaxRevID() int                    { return 0 }
+
+// TestInCategoryRechecksArticlesHeldAtSetSource: articles in the map
+// when a source is attached are re-checked live, not read from the
+// source's index, which may describe them wrongly.
+func TestInCategoryRechecksArticlesHeldAtSetSource(t *testing.T) {
+	const cat = "Articles with permanently dead external links"
+	w := NewWiki()
+	w.Create("Tagged", d(1), "U", "text [[Category:"+cat+"]]")
+	w.Create("Untagged", d(1), "U", "text")
+	w.SetSource(storedIndex{"Stored", "Untagged"})
+	if got, want := w.InCategory(cat), []string{"Stored", "Tagged"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("InCategory = %v, want %v", got, want)
+	}
+}
+
+// TestEditConcurrentWithReads: readers holding an article without the
+// wiki's lock — Current, MineHistory, InCategory — run against a stream
+// of edits (under -race this checks that Edit never writes a published
+// Article), and an *Article fetched before the edits keeps the history
+// it had.
+func TestEditConcurrentWithReads(t *testing.T) {
+	const title, edits = "Alpha", 200
+	w := NewWiki()
+	w.Create(title, d(1), "U", "[http://x.simtest/0 Zero]")
+	held := w.Article(title)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i <= edits; i++ {
+			text := fmt.Sprintf("[http://x.simtest/%d Link]{{dead link|date=May 2020}}", i)
+			if _, err := w.Edit(title, d(1+i), "U", "c", text); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		a := w.Article(title)
+		if cur := a.Current(); cur.ID != a.Revisions[len(a.Revisions)-1].ID || cur.Text == "" {
+			t.Errorf("Current() = revision %d, history ends at %d", cur.ID, a.Revisions[len(a.Revisions)-1].ID)
+			break
+		}
+		w.MineHistory(title)
+		w.InCategory("Anything")
+	}
+	wg.Wait()
+
+	if len(held.Revisions) != 1 || held.Current().Text != "[http://x.simtest/0 Zero]" {
+		t.Errorf("article held across %d edits now has %d revisions, current %q", edits, len(held.Revisions), held.Current().Text)
+	}
+	if n := len(w.Article(title).Revisions); n != edits+1 {
+		t.Errorf("refetched article has %d revisions, want %d", n, edits+1)
 	}
 }
 
