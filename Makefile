@@ -66,9 +66,13 @@ benchsmoke:
 
 # retrysmoke runs the retry-policy ablation over a fully flaky small
 # universe and fails unless the false-dead rate strictly decreases
-# single-GET -> retry -> confirmation (DESIGN.md 3.4).
+# single-GET -> retry -> confirmation (DESIGN.md 3.4); then the
+# scenario x policy grid, which fails unless retries rescue flaky
+# windows, confirmation rescues paywalls and geo-blocks, and nothing
+# rescues parking.
 retrysmoke:
 	$(GO) run ./cmd/ablate -scale 0.06 -seed 1 -flaky 1 -flaky-rate 0.6 -smoke
+	$(GO) run ./cmd/ablate -scale 0.06 -seed 1 -scenarios
 
 # examplesmoke runs every program under examples/ and fails on the
 # first non-zero exit, naming it; no test runs them otherwise.

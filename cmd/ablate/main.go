@@ -11,70 +11,65 @@
 //
 // Usage:
 //
-//	ablate [-scale f] [-seed n] [-flaky f] [-flaky-rate f] [-smoke]
+//	ablate [-scale f] [-seed n] [-flaky f] [-flaky-rate f] [-smoke | -scenarios] [-figs dir]
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"time"
 
 	"permadead/internal/ablation"
 	"permadead/internal/core"
-	"permadead/internal/fetch"
 	"permadead/internal/figures"
-	"permadead/internal/simweb"
+	"permadead/internal/persist"
 	"permadead/internal/stats"
 	"permadead/internal/worldgen"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("ablate: ")
+	src := persist.NewSource(0.1)
+	src.Register(flag.CommandLine, "scale", "seed", "flaky", "flaky-rate")
 	var (
-		scale     = flag.Float64("scale", 0.1, "universe scale")
-		seed      = flag.Int64("seed", 1, "generation seed")
 		figsDir   = flag.String("figs", "", "write sweep SVG figures into this directory")
-		flaky     = flag.Float64("flaky", 0, "fraction of sites given transient-fault windows (enables the retry-policy ablation)")
-		flakyRate = flag.Float64("flaky-rate", 0.5, "per-attempt failure probability inside a fault window")
-		smoke     = flag.Bool("smoke", false, "run only the retry-policy ablation and fail unless the false-dead rate strictly decreases single-GET → retry → confirmation")
+		smoke     = flag.Bool("smoke", false, "run only the retry-policy ablation and fail unless the false-dead rate strictly decreases single-GET → retry → confirmation (requires -flaky > 0)")
 		scenarios = flag.Bool("scenarios", false, "run only the per-scenario × per-policy false-dead grid (flaky, paywall, geo-block, parking; forces -flaky 0 — the grid plants its own windows) and fail unless the grid matches the expected robustness shape")
 	)
 	flag.Parse()
 
-	if *smoke && *flaky <= 0 {
-		fmt.Fprintln(os.Stderr, "ablate: -smoke requires fault injection (-flaky > 0)")
+	if *smoke && src.Flaky <= 0 {
+		log.Print("-smoke requires fault injection (-flaky > 0)")
 		os.Exit(2)
 	}
-
-	params := worldgen.DefaultParams().Scale(*scale)
-	params.Seed = *seed
-	params.FlakySiteFrac = *flaky
-	params.FlakyRate = *flakyRate
 	if *scenarios {
 		// The grid's scenario axis includes its own flaky windows;
 		// generation-time ones would contaminate every other cell.
-		params.FlakySiteFrac = 0
+		src.Flaky = 0
 	}
-	fmt.Fprintf(os.Stderr, "generating universe (scale %.2f)...\n", *scale)
-	u := worldgen.Generate(params)
+	u, err := src.Open()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.SampleSize = params.SampleSize
+	cfg.Seed = src.Seed
+	cfg.SampleSize = u.Params.SampleSize
 	cfg.CrawlArticles = 0
 	study := &core.Study{
 		Config: cfg,
 		Wiki:   u.Wiki,
 		Arch:   u.Archive,
-		Client: fetch.New(simweb.NewTransport(u.World, cfg.StudyTime)),
+		Client: u.Client(cfg.StudyTime),
 		Ranks:  u.World,
 	}
 	records := study.Collect()
 	fmt.Fprintf(os.Stderr, "sampled %d permanently dead links\n\n", len(records))
 	n := float64(len(records))
-	_ = context.Background()
 
 	if *scenarios {
 		runScenarioGrid(u, records)
@@ -83,7 +78,7 @@ func main() {
 
 	// --- §3: false-dead rate vs retry policy (fault-injected universe). ---
 	var falseDeadPts []ablation.FalseDeadPoint
-	if *flaky > 0 {
+	if src.Flaky > 0 {
 		falseDeadPts = ablation.FalseDeadSweep(u.World, records, u.Params.StudyTime,
 			ablation.DefaultRetryPolicySpecs())
 		t9 := stats.Table{
@@ -100,12 +95,10 @@ func main() {
 
 	if *smoke {
 		if err := writeFigs(*figsDir, figures.FalseDeadFigure(falseDeadPts)); err != nil {
-			fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		if err := checkMonotone(falseDeadPts); err != nil {
-			fmt.Fprintf(os.Stderr, "ablate: smoke FAILED: %v\n", err)
-			os.Exit(1)
+			log.Fatalf("smoke FAILED: %v", err)
 		}
 		fmt.Fprintln(os.Stderr, "smoke OK: false-dead rate strictly decreases single-GET → retry → confirmation")
 		return
@@ -239,8 +232,7 @@ func main() {
 		figs[name] = svg
 	}
 	if err := writeFigs(*figsDir, figs); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 }
 
@@ -248,7 +240,7 @@ func main() {
 // grid, prints it, emits one `go test -bench`-format line per cell
 // (the machine-readable form of the table), and enforces its expected
 // shape.
-func runScenarioGrid(u *worldgen.Universe, records []core.LinkRecord) {
+func runScenarioGrid(u *persist.Bundle, records []core.LinkRecord) {
 	grid := ablation.ScenarioSweep(u.World, records, u.Params.StudyTime,
 		ablation.DefaultScenarios(), ablation.DefaultRetryPolicySpecs())
 
@@ -267,8 +259,7 @@ func runScenarioGrid(u *worldgen.Universe, records []core.LinkRecord) {
 	fmt.Println(t.String())
 
 	if err := checkGrid(&grid); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: scenario grid FAILED: %v\n", err)
-		os.Exit(1)
+		log.Fatalf("scenario grid FAILED: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "scenario grid OK: retries rescue flaky, confirmation rescues paywall/geo-block, nothing rescues parking")
 }
@@ -279,68 +270,41 @@ func runScenarioGrid(u *worldgen.Universe, records []core.LinkRecord) {
 // confirmation escapes their windows entirely, and parking (a 200
 // with a parked body) fools every status-based rung equally.
 func checkGrid(g *ablation.ScenarioGrid) error {
-	cell := func(s, p string) (*ablation.FalseDeadPoint, error) {
-		c := g.Cell(s, p)
-		if c == nil {
-			return nil, fmt.Errorf("grid is missing cell %s/%s", s, p)
+	// fd[scenario] is its false-dead count under single, retry, confirm.
+	fd := map[string][3]int{}
+	for _, sc := range []string{"flaky", "paywall", "geoblock", "parking"} {
+		var row [3]int
+		for j, p := range []string{"single", "retry", "confirm"} {
+			c := g.Cell(sc, p)
+			if c == nil {
+				return fmt.Errorf("grid is missing cell %s/%s", sc, p)
+			}
+			row[j] = c.FalseDead
 		}
-		return c, nil
+		fd[sc] = row
 	}
 
-	for _, key := range []string{"single", "retry", "confirm"} {
-		if _, err := cell("flaky", key); err != nil {
-			return err
-		}
+	if f := fd["flaky"]; !(f[0] > f[1] && f[1] > f[2]) {
+		return fmt.Errorf("flaky row should strictly decrease up the ladder, got %d/%d/%d", f[0], f[1], f[2])
 	}
-	fs, _ := cell("flaky", "single")
-	fr, _ := cell("flaky", "retry")
-	fc, _ := cell("flaky", "confirm")
-	if !(fs.FalseDead > fr.FalseDead && fr.FalseDead > fc.FalseDead) {
-		return fmt.Errorf("flaky row should strictly decrease up the ladder, got %d/%d/%d",
-			fs.FalseDead, fr.FalseDead, fc.FalseDead)
-	}
-
 	for _, key := range []string{"paywall", "geoblock"} {
-		single, err := cell(key, "single")
-		if err != nil {
-			return err
-		}
-		retry, err := cell(key, "retry")
-		if err != nil {
-			return err
-		}
-		confirm, err := cell(key, "confirm")
-		if err != nil {
-			return err
-		}
-		if single.FalseDead == 0 {
+		single, retry, confirm := fd[key][0], fd[key][1], fd[key][2]
+		if single == 0 {
 			return fmt.Errorf("%s scenario did not bite (0 false-dead under single GET)", key)
 		}
-		if retry.FalseDead != single.FalseDead {
-			return fmt.Errorf("same-day retries should not rescue rate-1 %s links, got %d vs %d",
-				key, retry.FalseDead, single.FalseDead)
+		if retry != single {
+			return fmt.Errorf("same-day retries should not rescue rate-1 %s links, got %d vs %d", key, retry, single)
 		}
-		if confirm.FalseDead != 0 {
-			return fmt.Errorf("spaced confirmation should escape the %s window, got %d false-dead",
-				key, confirm.FalseDead)
+		if confirm != 0 {
+			return fmt.Errorf("spaced confirmation should escape the %s window, got %d false-dead", key, confirm)
 		}
 	}
-
-	ps, err := cell("parking", "single")
-	if err != nil {
-		return err
-	}
-	pr, _ := cell("parking", "retry")
-	pc, _ := cell("parking", "confirm")
-	if pr == nil || pc == nil {
-		return fmt.Errorf("grid is missing parking cells")
-	}
-	if ps.FalseDead == 0 {
+	p := fd["parking"]
+	if p[0] == 0 {
 		return fmt.Errorf("parking scenario did not bite")
 	}
-	if ps.FalseDead != pr.FalseDead || ps.FalseDead != pc.FalseDead {
-		return fmt.Errorf("parking should fool every status-based rung equally, got %d/%d/%d",
-			ps.FalseDead, pr.FalseDead, pc.FalseDead)
+	if p[0] != p[1] || p[0] != p[2] {
+		return fmt.Errorf("parking should fool every status-based rung equally, got %d/%d/%d", p[0], p[1], p[2])
 	}
 	return nil
 }

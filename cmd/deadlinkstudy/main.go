@@ -6,7 +6,9 @@
 //
 // Usage:
 //
-//	deadlinkstudy [-scale f] [-seed n] [-sample n] [-random] [-quiet]
+//	deadlinkstudy [-scale f] [-seed n] [-flaky f] [-flaky-rate f] [-load file]
+//	              [-sample n] [-random] [-quiet] [-figs dir] [-compare] [-md file]
+//	              [-retries n] [-confirm-checks n] [-confirm-spacing days] [-timeout d]
 //
 // -scale 1.0 regenerates the full 10,000-link study (≈30s of timeline
 // simulation); -scale 0.1 gives a 1,000-link study in a few seconds.
@@ -16,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,72 +28,39 @@ import (
 	"permadead/internal/figures"
 	"permadead/internal/persist"
 	mdreport "permadead/internal/report"
-	"permadead/internal/worldgen"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("deadlinkstudy: ")
+	src := persist.NewSource(0.25)
+	src.Register(flag.CommandLine)
 	var (
-		scale   = flag.Float64("scale", 0.25, "universe scale relative to the paper's 10,000-link study")
-		seed    = flag.Int64("seed", 1, "generation and sampling seed")
 		sample  = flag.Int("sample", 0, "sample size override (0 = scaled default)")
 		random  = flag.Bool("random", false, "sample links across random articles (the paper's September 2022 representativeness check)")
 		quiet   = flag.Bool("quiet", false, "print only the paper-vs-measured comparison")
 		figs    = flag.String("figs", "", "also write SVG figures into this directory")
-		load    = flag.String("load", "", "measure a universe saved by 'worldgen -save' instead of generating one")
 		md      = flag.String("md", "", "write a Markdown experiment report to this file")
 		compare = flag.Bool("compare", false, "with -figs: also run the random sample and write both-sample overlays (the paper's Figure 3/4 style)")
 		timeout = flag.Duration("timeout", 15*time.Minute, "overall run timeout")
-		conc    = flag.Int("conc", core.DefaultConfig().Concurrency, "worker count for the fetch and analysis stages (1 = sequential; any value yields the same report)")
 
 		retries        = flag.Int("retries", 1, "max fetch attempts per live check (1 = the paper's single GET)")
 		confirmChecks  = flag.Int("confirm-checks", 1, "IABot-style confirmation checks before a dead verdict (1 = single check)")
 		confirmSpacing = flag.Int("confirm-spacing", 30, "simulated days between confirmation checks")
-		flaky          = flag.Float64("flaky", 0, "fraction of generated sites given transient-fault windows (0 = off)")
-		flakyRate      = flag.Float64("flaky-rate", 0.5, "per-attempt failure probability inside a fault window")
 	)
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	var bundle *persist.Bundle
-	if *load != "" {
-		start := time.Now()
-		b, err := persist.OpenPaged(*load)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-			os.Exit(1)
-		}
-		bundle = b
-		fmt.Fprintf(os.Stderr, "loaded universe from %s in %.3fs\n", *load, time.Since(start).Seconds())
-	} else {
-		params := worldgen.DefaultParams().Scale(*scale)
-		params.Seed = *seed
-		params.FlakySiteFrac = *flaky
-		params.FlakyRate = *flakyRate
-		params.Progress = func(stage string, done, total int) {
-			if total > 0 {
-				fmt.Fprintf(os.Stderr, "\r  %s: %d/%d        ", stage, done, total)
-			} else {
-				fmt.Fprintf(os.Stderr, "\r  %-40s\n", stage)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "generating universe (scale %.2f, seed %d)...\n", *scale, *seed)
-		start := time.Now()
-		u := worldgen.Generate(params)
-		fmt.Fprintf(os.Stderr, "generated in %.1fs\n%s", time.Since(start).Seconds(), u.Summary())
-		bundle = persist.FromUniverse(u)
+	bundle, err := src.Open()
+	if err != nil {
+		log.Fatal(err)
 	}
 	defer bundle.Close()
 
-	// World generation is done; freeze the archive so the parallel
-	// analysis stages read the freeze-time CDX indexes lock-free
-	// (idempotent: worldgen.Generate and persist.OpenPaged already froze).
-	bundle.Archive.Freeze()
-
 	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Concurrency = *conc
+	cfg.Seed = src.Seed
 	cfg.SampleSize = bundle.Params.SampleSize
 	if *sample > 0 {
 		cfg.SampleSize = *sample
@@ -113,8 +83,7 @@ func main() {
 	start := time.Now()
 	report, err := study.Run(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "measured %d links in %.1fs\n\n", report.N(), time.Since(start).Seconds())
 
@@ -127,8 +96,7 @@ func main() {
 	if *md != "" {
 		f, err := os.Create(*md)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		err = mdreport.WriteMarkdown(f, report, mdreport.Options{
 			Title:          "Experiments — paper vs. measured",
@@ -137,8 +105,7 @@ func main() {
 		})
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote Markdown report to %s\n", *md)
 	}
@@ -146,8 +113,7 @@ func main() {
 	if *figs != "" {
 		paths, err := figures.WriteAll(report, *figs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		if *compare {
 			cfg2 := cfg
@@ -163,14 +129,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "running random representativeness sample...\n")
 			report2, err := study2.Run(ctx)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-				os.Exit(1)
+				log.Fatal(err)
 			}
 			for name, svg := range figures.CompareReport(report, report2) {
 				path := filepath.Join(*figs, name)
 				if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "deadlinkstudy: %v\n", err)
-					os.Exit(1)
+					log.Fatal(err)
 				}
 				paths = append(paths, path)
 			}

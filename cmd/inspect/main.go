@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"permadead/internal/iabot"
@@ -31,6 +32,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("inspect: ")
 	var (
 		load     = flag.String("load", "", "universe file saved by 'worldgen -save' (required)")
 		category = flag.Bool("category", false, "list articles in the permanently-dead tracking category")
@@ -40,13 +43,13 @@ func main() {
 	flag.Parse()
 
 	if *load == "" {
-		fmt.Fprintln(os.Stderr, "inspect: -load is required")
+		log.Print("-load is required")
 		flag.Usage()
 		os.Exit(2)
 	}
 	b, err := persist.OpenPaged(*load)
 	if err != nil {
-		fail(err)
+		log.Fatal(err)
 	}
 	defer b.Close()
 
@@ -63,7 +66,7 @@ func main() {
 		traceURL(b, *url)
 	default:
 		if err := persist.VerifyPaged(*load); err != nil {
-			fail(err)
+			log.Fatal(err)
 		}
 		fmt.Printf("%s: verified (checksums and structure)\n", *load)
 		fmt.Printf("universe: %d sites, %d articles, %d snapshots\n",
@@ -75,7 +78,7 @@ func main() {
 func showArticle(b *persist.Bundle, title string) {
 	a := b.Wiki.Article(title)
 	if a == nil {
-		fail(fmt.Errorf("no article %q", title))
+		log.Fatalf("no article %q", title)
 	}
 	cur := a.Current()
 	fmt.Printf("%s — %d revisions, last edited %s by %s\n\n",
@@ -146,9 +149,4 @@ func traceURL(b *persist.Bundle, url string) {
 	if !found {
 		fmt.Println("  not cited in any article")
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "inspect: %v\n", err)
-	os.Exit(1)
 }

@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -37,6 +38,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("permadead-router: ")
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
@@ -47,36 +50,36 @@ func main() {
 
 	fleet, err := parseMembers(*members)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	r, err := shard.NewRouter(shard.RouterConfig{Members: fleet, ShardTimeout: *shardTimeout})
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	defer r.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	srv := &http.Server{Handler: r.Handler()}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fatal(err)
+			log.Fatal(err)
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "permadead-router: routing for [%s] on http://%s\n",
+	log.Printf("routing for [%s] on http://%s",
 		strings.Join(r.Ring().Members(), " "), ln.Addr())
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 	}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-sigs
-	fmt.Fprintf(os.Stderr, "permadead-router: %v received, shutting down...\n", sig)
+	log.Printf("%v received, shutting down...", sig)
 	r.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -101,9 +104,4 @@ func parseMembers(spec string) ([]shard.Member, error) {
 		out = append(out, shard.Member{Name: name, Base: base})
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "permadead-router: %v\n", err)
-	os.Exit(1)
 }

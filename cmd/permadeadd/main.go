@@ -30,7 +30,7 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
+	"log"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,29 +40,26 @@ import (
 	"permadead/internal/federation"
 	"permadead/internal/persist"
 	"permadead/internal/service"
-	"permadead/internal/worldgen"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("permadeadd: ")
 	cfg := service.DefaultConfig()
+	src := persist.NewSource(0.25)
+	src.Register(flag.CommandLine)
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		scale    = flag.Float64("scale", 0.25, "universe scale relative to the paper's 10,000-link study")
 		sample   = flag.Int("sample", 0, "sample size override (0 = scaled default)")
-		load     = flag.String("load", "", "serve a universe saved by 'worldgen -save' instead of generating one")
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-
-		flaky           = flag.Float64("flaky", -1, "fraction of sites with recurring fault windows (generated universes only; <0 keeps the scaled default)")
-		flakyRate       = flag.Float64("flaky-rate", -1, "per-window error rate on flaky sites (<0 keeps the default)")
-		flakyStreamDays = flag.Int("flaky-stream-days", 0, "extend flaky fault windows this many days past the study day (continuous flip supply for the monitor)")
 
 		shardMembers = flag.String("shard-members", "", "comma-separated fleet member names, identical on every shard and the router")
 		archivesPath = flag.String("archives", "", "federate archive reads across the member manifest in this JSON file (see 'worldgen -archives'; budget, hedge fraction and time scale are manifest fields); empty serves the bare archive")
 	)
+	flag.IntVar(&src.FlakyStreamDays, "flaky-stream-days", 0, "extend flaky fault windows this many days past the study day (continuous flip supply for the monitor)")
 	// Options that are service.Config fields parse straight into cfg.
-	flag.Int64Var(&cfg.Study.Seed, "seed", 1, "generation and sampling seed")
 	flag.IntVar(&cfg.MaxInFlight, "max-inflight", cfg.MaxInFlight, "bound on concurrently admitted requests; classification runs on half of it, one batch fans out over a quarter")
 	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline (admission wait included)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "response cache capacity in entries (0 disables)")
@@ -73,37 +70,15 @@ func main() {
 	flag.StringVar(&cfg.ShardName, "shard-name", "", "run as this member of a sharded fleet (requires -shard-members)")
 	flag.Parse()
 
-	var bundle *persist.Bundle
-	var loadDur time.Duration
-	if *load != "" {
-		start := time.Now()
-		b, err := persist.OpenPaged(*load)
-		if err != nil {
-			fatal(err)
-		}
-		bundle = b
-		loadDur = time.Since(start)
-	} else {
-		params := worldgen.DefaultParams().Scale(*scale)
-		params.Seed = cfg.Study.Seed
-		if *flaky >= 0 {
-			params.FlakySiteFrac = *flaky
-		}
-		if *flakyRate >= 0 {
-			params.FlakyRate = *flakyRate
-		}
-		if *flakyStreamDays > 0 {
-			params.FlakyStreamDays = *flakyStreamDays
-		}
-		fmt.Fprintf(os.Stderr, "generating universe (scale %.2f, seed %d)...\n", *scale, cfg.Study.Seed)
-		start := time.Now()
-		u := worldgen.Generate(params)
-		loadDur = time.Since(start)
-		fmt.Fprintf(os.Stderr, "generated in %.1fs\n", loadDur.Seconds())
-		bundle = persist.FromUniverse(u)
+	start := time.Now()
+	bundle, err := src.Open()
+	if err != nil {
+		log.Fatal(err)
 	}
+	loadDur := time.Since(start)
 	defer bundle.Close()
 
+	cfg.Study.Seed = src.Seed
 	cfg.Study.SampleSize = bundle.Params.SampleSize
 	if *sample > 0 {
 		cfg.Study.SampleSize = *sample
@@ -111,7 +86,7 @@ func main() {
 	cfg.Study.CrawlArticles = 0
 	if cfg.ShardName != "" {
 		if *shardMembers == "" {
-			fatal(fmt.Errorf("-shard-name requires -shard-members"))
+			log.Fatal("-shard-name requires -shard-members")
 		}
 		for _, m := range strings.Split(*shardMembers, ",") {
 			if m = strings.TrimSpace(m); m != "" {
@@ -122,7 +97,7 @@ func main() {
 	if *archivesPath != "" {
 		m, err := federation.LoadManifest(*archivesPath)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		cfg.Federation = &m
 	}
@@ -133,46 +108,41 @@ func main() {
 	freezeStart := time.Now()
 	srv, err := service.New(bundle, cfg)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	freezeDur := time.Since(freezeStart)
 	listenStart := time.Now()
 	if err := srv.Start(*addr); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	listenDur := time.Since(listenStart)
 	srv.RecordStartup(loadDur, freezeDur, listenDur)
-	fmt.Fprintf(os.Stderr, "permadeadd: startup load=%dms freeze=%dms listen=%dms total=%dms\n",
+	log.Printf("startup load=%dms freeze=%dms listen=%dms total=%dms",
 		loadDur.Milliseconds(), freezeDur.Milliseconds(), listenDur.Milliseconds(),
 		(loadDur + freezeDur + listenDur).Milliseconds())
-	fmt.Fprintf(os.Stderr, "permadeadd: serving %d sampled links on http://%s\n", srv.SampleSize(), srv.Addr())
+	log.Printf("serving %d sampled links on http://%s", srv.SampleSize(), srv.Addr())
 	if cfg.ShardName != "" {
-		fmt.Fprintf(os.Stderr, "permadeadd: fleet member %s of [%s]\n", cfg.ShardName, *shardMembers)
+		log.Printf("fleet member %s of [%s]", cfg.ShardName, *shardMembers)
 	}
 	if cfg.Federation != nil {
-		fmt.Fprintf(os.Stderr, "permadeadd: federating %d archive members (budget %dms, hedge %.2f)\n",
+		log.Printf("federating %d archive members (budget %dms, hedge %.2f)",
 			len(cfg.Federation.Members), cfg.Federation.BudgetMS, cfg.Federation.HedgeFraction)
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 	}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-sigs
-	fmt.Fprintf(os.Stderr, "permadeadd: %v received, draining (up to %v)...\n", sig, *drainTimeout)
+	log.Printf("%v received, draining (up to %v)...", sig, *drainTimeout)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fatal(fmt.Errorf("drain incomplete: %w", err))
+		log.Fatalf("drain incomplete: %v", err)
 	}
-	fmt.Fprintln(os.Stderr, "permadeadd: drained cleanly")
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "permadeadd: %v\n", err)
-	os.Exit(1)
+	log.Print("drained cleanly")
 }

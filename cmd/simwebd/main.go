@@ -2,55 +2,45 @@
 // HTTPS on the loopback interface, so the simulation can be explored
 // with curl or a browser. Virtual hosting is by Host header:
 //
-//	simwebd -scale 0.05
+//	simwebd [-scale f] [-seed n]
 //	curl -s -H 'Host: www.example.simnews' http://127.0.0.1:PORT/some/path
 //
-// The -day flag selects the simulated date the web is served "as of";
-// requests may override it per call with the X-Sim-Day header.
+// The web is served as of the study date; a request picks another
+// simulated day with the X-Sim-Day header (days since simclock.Epoch).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"time"
 
+	"permadead/internal/persist"
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/worldgen"
 )
 
+// sampleLinks is how many permanently dead links the banner lists.
+const sampleLinks = 10
+
 func main() {
-	var (
-		scale = flag.Float64("scale", 0.05, "universe scale")
-		seed  = flag.Int64("seed", 1, "generation seed")
-		day   = flag.String("day", "", "serve the web as of this date (YYYY-MM-DD; default: the study date)")
-		show  = flag.Int("show", 10, "print this many sample URLs")
-	)
+	log.SetFlags(0)
+	log.SetPrefix("simwebd: ")
+	src := persist.NewSource(0.05)
+	src.Register(flag.CommandLine, "scale", "seed")
 	flag.Parse()
 
+	fmt.Fprintf(os.Stderr, "generating universe (scale %.2f)...\n", src.Scale)
+	u := worldgen.Generate(src.Params())
+
 	at := simclock.StudyTime
-	if *day != "" {
-		t, err := time.Parse("2006-01-02", *day)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simwebd: bad -day: %v\n", err)
-			os.Exit(1)
-		}
-		at = simclock.FromTime(t)
-	}
-
-	params := worldgen.DefaultParams().Scale(*scale)
-	params.Seed = *seed
-	fmt.Fprintf(os.Stderr, "generating universe (scale %.2f)...\n", *scale)
-	u := worldgen.Generate(params)
-
 	srv := simweb.NewServer(u.World, at)
 	if err := srv.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "simwebd: %v\n", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	defer srv.Close()
 
@@ -58,8 +48,7 @@ func main() {
 	// ride along on their own listener.
 	apiLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simwebd: %v\n", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	apiSrv := &http.Server{Handler: u.Archive.Handler()}
 	go apiSrv.Serve(apiLn) //nolint:errcheck
@@ -80,7 +69,7 @@ func main() {
 
 	fmt.Println("\nsample permanently dead links to try:")
 	for i, lp := range u.Plan.Links {
-		if i >= *show {
+		if i >= sampleLinks {
 			break
 		}
 		fmt.Printf("  curl -si -H 'Host: %s' 'http://%s%s' | head -1   # destined: %s\n",

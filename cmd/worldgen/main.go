@@ -4,13 +4,16 @@
 //
 // Usage:
 //
-//	worldgen [-scale f] [-seed n] [-save u.pduniv] [-json plans.json] [-v]
+//	worldgen [-scale f] [-seed n] [-flaky f] [-flaky-rate f] [-v]
+//	         [-save u.pduniv] [-dump wiki.xml] [-json plans.json] [-shards n] [-archives n]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"time"
 
@@ -21,32 +24,22 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("worldgen: ")
+	src := persist.NewSource(0.25)
+	src.Register(flag.CommandLine, "scale", "seed", "flaky", "flaky-rate")
 	var (
-		scale    = flag.Float64("scale", 0.25, "universe scale relative to the paper's 10,000-link study")
-		seed     = flag.Int64("seed", 1, "generation seed")
 		jsonPath = flag.String("json", "", "write link plans as JSON to this file")
 		savePath = flag.String("save", "", "persist the generated universe to this file")
 		dumpPath = flag.String("dump", "", "export the simulated wiki as a MediaWiki XML dump to this file")
 		verbose  = flag.Bool("v", false, "print per-fate counts")
-
-		flaky          = flag.Float64("flaky", 0, "fraction of sites given transient-fault windows (0 = off; the study's default universe)")
-		flakyRate      = flag.Float64("flaky-rate", 0.5, "per-attempt failure probability inside a fault window")
-		flakyRetryWait = flag.Int("flaky-retry-after", 0, "Retry-After seconds advertised by injected 429/503 responses (0 = per-window default)")
-
-		shards = flag.Int("shards", 0, "report how an N-member fleet would partition the universe's link domains; with -save, also write a <save>.fleet.json manifest")
-
+		shards   = flag.Int("shards", 0, "report how an N-member fleet would partition the universe's link domains; with -save, also write a <save>.fleet.json manifest")
 		archives = flag.Int("archives", 0, "derive an N-member archive-federation manifest with seed-deterministic coverage/latency skew; with -save, write it to <save>.archives.json")
 	)
 	flag.Parse()
 
-	params := worldgen.DefaultParams().Scale(*scale)
-	params.Seed = *seed
-	params.FlakySiteFrac = *flaky
-	params.FlakyRate = *flakyRate
-	params.FlakyRetryAfterSec = *flakyRetryWait
-
 	start := time.Now()
-	u := worldgen.Generate(params)
+	u := worldgen.Generate(src.Params())
 	fmt.Printf("generated in %.1fs\n", time.Since(start).Seconds())
 	fmt.Print(u.Summary())
 
@@ -68,62 +61,62 @@ func main() {
 	}
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(*savePath, func(w io.Writer) error {
+			return persist.SavePaged(w, persist.FromUniverse(u))
+		}); err != nil {
+			log.Fatalf("save: %v", err)
 		}
-		if err := persist.SavePaged(f, persist.FromUniverse(u)); err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: save: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("saved universe (paged) to %s\n", *savePath)
 	}
 
 	if *dumpPath != "" {
-		f, err := os.Create(*dumpPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(*dumpPath, u.Wiki.WriteDump); err != nil {
+			log.Fatalf("dump: %v", err)
 		}
-		if err := u.Wiki.WriteDump(f); err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: dump: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("wrote MediaWiki XML dump to %s\n", *dumpPath)
 	}
 
 	if *shards > 0 {
 		if err := reportShards(u, *shards, *savePath); err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: shards: %v\n", err)
-			os.Exit(1)
+			log.Fatalf("shards: %v", err)
 		}
 	}
 
 	if *archives > 0 {
 		if err := reportArchives(u, *archives, *savePath); err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: archives: %v\n", err)
-			os.Exit(1)
+			log.Fatalf("archives: %v", err)
 		}
 	}
 
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
-			os.Exit(1)
+		if err := writeJSON(*jsonPath, u.Plan.Links); err != nil {
+			log.Fatalf("json: %v", err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(u.Plan.Links); err != nil {
-			fmt.Fprintf(os.Stderr, "worldgen: encode: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("wrote %d link plans to %s\n", len(u.Plan.Links), *jsonPath)
 	}
+}
+
+// writeFile creates path and fills it with write, reporting the first
+// error of the two and of the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // reportArchives derives the n-member federation manifest the
@@ -155,17 +148,7 @@ func reportArchives(u *worldgen.Universe, n int, savePath string) error {
 		return nil
 	}
 	path := savePath + ".archives.json"
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeJSON(path, m); err != nil {
 		return err
 	}
 	fmt.Printf("wrote federation manifest to %s\n", path)
@@ -209,17 +192,7 @@ func reportShards(u *worldgen.Universe, n int, savePath string) error {
 		OwnedLinks map[string]int `json:"owned_links"`
 	}{Members: names, VNodes: ring.State().VNodes, Links: len(domains), OwnedLinks: counts}
 	path := savePath + ".fleet.json"
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(manifest); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeJSON(path, manifest); err != nil {
 		return err
 	}
 	fmt.Printf("wrote fleet manifest to %s\n", path)

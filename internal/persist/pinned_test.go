@@ -23,21 +23,22 @@ import (
 // so in CHANGES.md with the old and new values. A PR that claims to
 // change none of them (an optimisation, a refactor) and trips this
 // test has changed behaviour: fix the PR, not the constants.
+//
+// The Params come from parsing those flags through Source, as worldgen
+// does, so the plain universe carries Source's -flaky-rate default
+// (0.5, shared by every binary) in its saved Params.
 func TestGeneratedUniverseBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		flaky, flakyRate float64
-		want             string
+		name  string
+		flags []string
+		want  string
 	}{
-		// 0.5 is cmd/worldgen's -flaky-rate default; Params are saved.
-		{"plain", 0, 0.5, "4847a48c24fa72a9fff21f66e7e650dae8a16834767a61e50519a76e6769ba45"},
-		{"flaky", 1, 0.7, "fd6b7837a1b40fea051fc99e3ff7e1d466701790eef75c4105726ab631750439"},
+		{"plain", nil, "4847a48c24fa72a9fff21f66e7e650dae8a16834767a61e50519a76e6769ba45"},
+		{"flaky", []string{"-flaky", "1", "-flaky-rate", "0.7"}, "fd6b7837a1b40fea051fc99e3ff7e1d466701790eef75c4105726ab631750439"},
 	} {
-		p := worldgen.DefaultParams().Scale(0.05)
-		p.Seed = 1
-		p.FlakySiteFrac, p.FlakyRate = tc.flaky, tc.flakyRate
+		src := parseSource(t, append([]string{"-scale", "0.05", "-seed", "1"}, tc.flags...)...)
 		var buf bytes.Buffer
-		if err := SavePaged(&buf, FromUniverse(worldgen.Generate(p))); err != nil {
+		if err := SavePaged(&buf, FromUniverse(worldgen.Generate(src.Params()))); err != nil {
 			t.Fatalf("%s: SavePaged: %v", tc.name, err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
