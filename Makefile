@@ -21,11 +21,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# race also repeats the tests of the wiki's immutable articles and of
-# Collect's fan-out ten times, so a rare interleaving gets more chances.
+# race also repeats the tests of the wiki's immutable articles, of
+# MineHistory's memo and of Collect's fan-out ten times, so a rare
+# interleaving gets more chances.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestCollect' ./internal/wikimedia ./internal/core
+	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestCollect|TestMineHistory' ./internal/wikimedia ./internal/core
 
 # fuzzsmoke gives each differential fuzz target ten seconds beyond its
 # seed corpus (go test takes one -fuzz target per invocation): the

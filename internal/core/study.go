@@ -220,24 +220,25 @@ func (s *Study) Collect() []LinkRecord {
 	}
 
 	// Each worker reduces one title to the records of its mark-dated
-	// dead links, one parse per revision; the fold below dedupes across
-	// articles in title order, as the sequential crawl does.
+	// dead links, one parse per revision the first time the wiki mines
+	// the article version; the fold below dedupes across articles in
+	// title order, as the sequential crawl does.
 	perTitle := make([][]LinkRecord, len(titles))
 	ParallelFor(len(titles), s.Config.Concurrency, func(i int) {
 		hist := s.Wiki.MineHistory(titles[i])
-		for _, cl := range hist.Dead {
-			if cl.URL == "" {
+		for _, url := range hist.Dead {
+			if url == "" {
 				continue
 			}
-			h, ok := hist.Link(cl.URL)
+			h, ok := hist.Link(url)
 			if !ok || !h.MarkedDead.Valid() {
 				continue
 			}
 			perTitle[i] = append(perTitle[i], LinkRecord{
-				URL:      cl.URL,
+				URL:      url,
 				Article:  titles[i],
-				Host:     urlutil.Hostname(cl.URL),
-				Domain:   urlutil.Domain(cl.URL),
+				Host:     urlutil.Hostname(url),
+				Domain:   urlutil.Domain(url),
 				Added:    h.Added,
 				AddedBy:  h.AddedBy,
 				Marked:   h.MarkedDead,

@@ -1,6 +1,8 @@
 package wikimedia
 
 import (
+	"slices"
+
 	"permadead/internal/simclock"
 	"permadead/internal/wikitext"
 )
@@ -32,67 +34,112 @@ type LinkHistory struct {
 
 // ArticleHistory is one article's edit history mined for every URL it
 // ever cited: the §2.4 facts per URL, plus the current revision's
-// dead-tagged links. It is computed on demand by MineHistory; nothing
-// retains it.
+// dead-tagged URLs. MineHistory keeps it on the wiki for as long as
+// the article version it was folded from is the published one, so its
+// slices are shared: a caller reads them and never writes them.
 type ArticleHistory struct {
-	// Dead lists every cited link of the current revision carrying a
-	// {{dead link}} tag, in CitedLinks order (what DeadLinks returns).
-	Dead []*wikitext.CitedLink
+	// Dead lists the URL of every cited link of the current revision
+	// carrying a {{dead link}} tag, in CitedLinks order (the URLs of
+	// what DeadLinks returns).
+	Dead []string
 
-	links []LinkHistory
-	index map[string]int // URL -> position in links
+	links []LinkHistory // one per URL, in first-citation order
 }
 
 // Link returns the LinkHistory of url, with ok=false when the article
 // never contained it.
 func (ah ArticleHistory) Link(url string) (LinkHistory, bool) {
-	i, ok := ah.index[url]
-	if !ok || !ah.links[i].Added.Valid() {
+	i := find(ah.links, url)
+	if i < 0 || !ah.links[i].Added.Valid() {
 		return LinkHistory{}, false
 	}
 	return ah.links[i], true
 }
 
-// MineHistory walks the titled article's revisions oldest-first,
-// parsing each revision once, and folds the LinkHistory of every URL
-// cited along the way. Within one revision only a URL's first
-// occurrence (in CitedLinks order) counts: a second citation of the
-// same URL neither tags it nor supplies its archive link. An unknown
+// find returns url's position in links, or -1. An article cites a few
+// URLs (at most 7 at Scale(0.1)), so a scan beats a map.
+func find(links []LinkHistory, url string) int {
+	for i := range links {
+		if links[i].URL == url {
+			return i
+		}
+	}
+	return -1
+}
+
+// minedArticle is MineHistory's memo entry for one title: the fold of
+// art, valid while art is the title's published article.
+type minedArticle struct {
+	art  *Article
+	hist ArticleHistory
+}
+
+// MineHistory returns the titled article's ArticleHistory (mine's
+// fold), folding each published version of an article once: the
+// result is kept until Create or Edit replaces the article. An unknown
 // title yields an empty history.
 func (w *Wiki) MineHistory(title string) ArticleHistory {
-	ah := ArticleHistory{index: make(map[string]int)}
 	a := w.Article(title)
 	if a == nil {
-		return ah
+		return ArticleHistory{}
 	}
+	w.mu.RLock()
+	e, ok := w.mined[title]
+	w.mu.RUnlock()
+	if ok && e.art == a {
+		return e.hist
+	}
+	// Fold without the lock; keep the result only if no Create or Edit
+	// replaced a meanwhile, so the memo never holds a superseded version.
+	ah := mine(a)
+	w.mu.Lock()
+	if w.articles[title] == a {
+		if w.mined == nil {
+			w.mined = make(map[string]minedArticle)
+		}
+		w.mined[title] = minedArticle{art: a, hist: ah}
+	}
+	w.mu.Unlock()
+	return ah
+}
+
+// mine walks a's revisions oldest-first, parsing each revision once,
+// and folds the LinkHistory of every URL cited along the way. Within
+// one revision only a URL's first occurrence (in CitedLinks order)
+// counts: a second citation of the same URL neither tags it nor
+// supplies its archive link.
+func mine(a *Article) ArticleHistory {
+	// The fold runs in stack buffers sized for the few URLs an article
+	// cites; the kept history is copied out at its final size.
+	var linkBuf [8]LinkHistory
+	var deadBuf [8]string
 	// foldedIn[i] is the last revision that folded links[i], so a
 	// repeat occurrence within one revision is recognised without a
 	// per-revision set.
-	var foldedIn []int
+	var foldedBuf [8]int
+	links, dead, foldedIn := linkBuf[:0], deadBuf[:0], foldedBuf[:0]
 	current := len(a.Revisions) - 1
 	for r := range a.Revisions {
 		rev := &a.Revisions[r]
 		for _, cl := range rev.Doc().CitedLinks() {
 			if r == current && cl.IsDead() {
-				ah.Dead = append(ah.Dead, cl)
+				dead = append(dead, cl.URL)
 			}
-			i, known := ah.index[cl.URL]
-			if known && foldedIn[i] == r {
-				continue
-			}
-			if !known {
-				i = len(ah.links)
-				ah.index[cl.URL] = i
-				ah.links = append(ah.links, LinkHistory{
-					Title:      title,
+			i := find(links, cl.URL)
+			if i < 0 {
+				i = len(links)
+				links = append(links, LinkHistory{
+					Title:      a.Title,
 					URL:        cl.URL,
 					Added:      simclock.Never,
 					MarkedDead: simclock.Never,
 				})
 				foldedIn = append(foldedIn, r)
+			} else if foldedIn[i] == r {
+				continue
 			}
 			foldedIn[i] = r
-			h := &ah.links[i]
+			h := &links[i]
 			if !h.Added.Valid() {
 				h.Added = rev.Day
 				h.AddedBy = rev.User
@@ -108,14 +155,22 @@ func (w *Wiki) MineHistory(title string) ArticleHistory {
 			}
 		}
 	}
+	// Clipped, so a caller's append copies instead of writing into
+	// spare capacity the memo shares.
+	var ah ArticleHistory
+	if len(dead) > 0 {
+		ah.Dead = slices.Clip(slices.Clone(dead))
+	}
+	if len(links) > 0 {
+		ah.links = slices.Clip(slices.Clone(links))
+	}
 	return ah
 }
 
 // HistoryOf reconstructs the LinkHistory for url in the titled article.
 // It returns ok=false when the article does not exist or never
-// contained the URL. Callers that need several URLs of one article
-// should hold on to MineHistory's result instead: each call here
-// re-mines the whole article.
+// contained the URL. It is a lookup into MineHistory's kept fold, so
+// only the first call per article version parses it.
 func (w *Wiki) HistoryOf(title, url string) (LinkHistory, bool) {
 	return w.MineHistory(title).Link(url)
 }

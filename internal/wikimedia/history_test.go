@@ -1,14 +1,19 @@
 package wikimedia_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"permadead/internal/core"
 	"permadead/internal/iabot"
+	"permadead/internal/persist"
 	"permadead/internal/simclock"
 	"permadead/internal/urlutil"
 	"permadead/internal/wikimedia"
@@ -92,8 +97,8 @@ func checkArticle(t *testing.T, w *wikimedia.Wiki, title string, urls []string) 
 		t.Fatalf("MineHistory(%q).Dead has %d links, DeadLinks %d", title, len(mined.Dead), len(dead))
 	}
 	for i := range dead {
-		if mined.Dead[i].URL != dead[i].URL || mined.Dead[i].DeadLinkBot() != dead[i].DeadLinkBot() {
-			t.Fatalf("MineHistory(%q).Dead[%d] = %q, DeadLinks gives %q", title, i, mined.Dead[i].URL, dead[i].URL)
+		if mined.Dead[i] != dead[i].URL {
+			t.Fatalf("MineHistory(%q).Dead[%d] = %q, DeadLinks gives %q", title, i, mined.Dead[i], dead[i].URL)
 		}
 	}
 }
@@ -261,5 +266,67 @@ func TestCollectMatchesPerURLWalk(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d = %+v, the per-URL walk gives %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestMineHistoryMemo: on a paged bundle, MineHistory (first call and
+// repeat) equals the uncached fold for every category article, a
+// repeat on an unedited article allocates nothing, and after an Edit
+// or a Create the memo answers with the new version's fold.
+func TestMineHistoryMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a universe")
+	}
+	var buf bytes.Buffer
+	if err := persist.SavePaged(&buf, persist.FromUniverse(smallUniverse())); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "u.pd4")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := persist.OpenPaged(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	w := b.Wiki
+
+	check := func(title string) wikimedia.ArticleHistory {
+		t.Helper()
+		want := wikimedia.Mine(w.Article(title))
+		for call := 1; call <= 2; call++ {
+			if got := w.MineHistory(title); !reflect.DeepEqual(got, want) {
+				t.Fatalf("MineHistory(%q), call %d = %+v; the uncached fold gives %+v", title, call, got, want)
+			}
+		}
+		return want
+	}
+	titles := w.InCategory(iabot.Category)
+	if len(titles) < 3 {
+		t.Fatalf("%d category articles, want at least 3", len(titles))
+	}
+	for _, title := range titles {
+		check(title)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.MineHistory(titles[0]) }); n != 0 {
+		t.Errorf("repeat MineHistory on an unedited article: %v allocs, want 0", n)
+	}
+
+	for i, title := range titles[:3] {
+		cur := w.Article(title).Current()
+		url := fmt.Sprintf("http://memo.simtest/%d", i)
+		day := cur.Day.Add(1)
+		text := cur.Text + "\n<ref>[" + url + " New]{{dead link|date=May 2020|bot=" + iabot.DefaultName + "}}</ref>"
+		if _, err := w.Edit(title, day, iabot.DefaultName, "edit", text); err != nil {
+			t.Fatal(err)
+		}
+		if h, ok := check(title).Link(url); !ok || h.MarkedDead != day {
+			t.Errorf("after Edit, MineHistory(%q).Link(%q) = %+v, %v; want marked on %v", title, url, h, ok, day)
+		}
+	}
+	w.Create("Memo created", 1, "U", "[http://memo.simtest/created Created]")
+	if _, ok := check("Memo created").Link("http://memo.simtest/created"); !ok {
+		t.Error("after Create, MineHistory misses the created article's link")
 	}
 }

@@ -13,7 +13,8 @@
 // permanently dead, and by which username. MineHistory extracts them
 // for every URL of an article in one oldest-first pass that parses
 // each revision once; HistoryOf is a lookup into that pass, so the
-// rules live in one place. Nothing mined is retained.
+// rules live in one place. The wiki keeps each article's pass until an
+// edit replaces the article, so an unedited article is parsed once.
 package wikimedia
 
 import (
@@ -107,6 +108,10 @@ type Wiki struct {
 	// SetSource): the articles whose category membership the source's
 	// stored index may no longer describe.
 	edited map[string]struct{}
+	// mined is MineHistory's memo: at most one entry per title, whose
+	// art is always the title's published article (storeLocked drops
+	// the entry of a title it republishes).
+	mined map[string]minedArticle
 }
 
 // ArticleSource lazily supplies articles from external storage (a
@@ -241,10 +246,12 @@ func (w *Wiki) Edit(title string, day simclock.Day, user, comment, text string) 
 	return a.Current(), nil
 }
 
-// storeLocked publishes a as its title's article, recording the title
-// as edited on a source-backed wiki. Caller holds the write lock.
+// storeLocked publishes a as its title's article, dropping the
+// title's mined history and recording the title as edited on a
+// source-backed wiki. Caller holds the write lock.
 func (w *Wiki) storeLocked(a *Article) {
 	w.articles[a.Title] = a
+	delete(w.mined, a.Title)
 	if w.src != nil {
 		w.edited[a.Title] = struct{}{}
 	}
@@ -427,9 +434,9 @@ func (w *Wiki) InCategory(category string) []string {
 }
 
 // Clone deep-copies the wiki: articles, revisions, and the revision
-// counter. Listeners are not copied. Use it to run destructive
-// experiments (e.g. a WaybackMedic pass) without disturbing the
-// original. On a source-backed wiki every article is materialized
+// counter. Listeners and mined histories are not copied. Use it to run
+// destructive experiments (e.g. a WaybackMedic pass) without disturbing
+// the original. On a source-backed wiki every article is materialized
 // first — the clone is fully in-memory.
 func (w *Wiki) Clone() *Wiki {
 	w.mu.RLock()

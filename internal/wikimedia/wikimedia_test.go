@@ -116,13 +116,23 @@ func TestInCategoryRechecksArticlesHeldAtSetSource(t *testing.T) {
 // TestEditConcurrentWithReads: readers holding an article without the
 // wiki's lock — Current, MineHistory, InCategory — run against a stream
 // of edits (under -race this checks that Edit never writes a published
-// Article), and an *Article fetched before the edits keeps the history
-// it had.
+// Article), an *Article fetched before the edits keeps the history it
+// had, MineHistory after each edit reflects that edit's revision even
+// while readers' folds of older versions finish, and an edit drops the
+// title's mined history.
 func TestEditConcurrentWithReads(t *testing.T) {
 	const title, edits = "Alpha", 200
 	w := NewWiki()
 	w.Create(title, d(1), "U", "[http://x.simtest/0 Zero]")
 	held := w.Article(title)
+	// minesRevision reports whether MineHistory reflects the revision
+	// edit i saved.
+	minesRevision := func(i int) bool {
+		url := fmt.Sprintf("http://x.simtest/%d", i)
+		ah := w.MineHistory(title)
+		h, ok := ah.Link(url)
+		return len(ah.Dead) == 1 && ah.Dead[0] == url && ok && h.MarkedDead == d(1+i)
+	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,6 +144,10 @@ func TestEditConcurrentWithReads(t *testing.T) {
 			text := fmt.Sprintf("[http://x.simtest/%d Link]{{dead link|date=May 2020}}", i)
 			if _, err := w.Edit(title, d(1+i), "U", "c", text); err != nil {
 				t.Error(err)
+				return
+			}
+			if !minesRevision(i) {
+				t.Errorf("MineHistory after edit %d does not reflect its revision", i)
 				return
 			}
 		}
@@ -159,6 +173,15 @@ func TestEditConcurrentWithReads(t *testing.T) {
 	}
 	if n := len(w.Article(title).Revisions); n != edits+1 {
 		t.Errorf("refetched article has %d revisions, want %d", n, edits+1)
+	}
+	if !minesRevision(edits) {
+		t.Errorf("MineHistory after the last edit does not reflect its revision")
+	}
+	if _, err := w.Edit(title, d(2+edits), "U", "c", "prose"); err != nil {
+		t.Fatal(err)
+	}
+	if e, kept := w.mined[title]; kept {
+		t.Errorf("Edit kept the mined history of revision %d", e.art.Current().ID)
 	}
 }
 

@@ -144,16 +144,19 @@ func (p *parser) parseTemplate() (*Template, bool) {
 	}
 	inner := p.src[p.pos+2 : end-2]
 	p.pos = end
-	parts := splitTop(inner, '|')
-	if len(parts) == 0 {
-		return nil, false
-	}
+	// parts lives on the stack for templates of up to 8 parts, and the
+	// parameters take one allocation of their final size.
+	var buf [8]string
+	parts := splitTop(buf[:0], inner, '|')
 	t := &Template{Name: strings.TrimSpace(parts[0])}
 	if t.Name == "" {
 		return nil, false
 	}
-	for _, part := range parts[1:] {
-		t.Params = append(t.Params, splitParam(part))
+	if len(parts) > 1 {
+		t.Params = make([]Param, len(parts)-1)
+		for i, part := range parts[1:] {
+			t.Params[i] = splitParam(part)
+		}
 	}
 	return t, true
 }
@@ -207,10 +210,9 @@ func matchBraces(s string, start int) int {
 	return -1
 }
 
-// splitTop splits s on sep at nesting depth zero with respect to
-// {{...}} and [[...]] pairs.
-func splitTop(s string, sep byte) []string {
-	var parts []string
+// splitTop appends to parts the pieces of s split on sep at nesting
+// depth zero with respect to {{...}} and [[...]] pairs.
+func splitTop(parts []string, s string, sep byte) []string {
 	depth := 0
 	last := 0
 	for i := 0; i < len(s); i++ {

@@ -1,6 +1,7 @@
 package wikitext
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -167,17 +168,18 @@ func collectContainer(doc *Document, ref *Ref, out *[]*CitedLink) {
 	for i, n := range doc.Nodes {
 		switch v := n.(type) {
 		case *Template:
+			name := canonicalName(v.Name)
 			switch {
-			case isCite(v):
+			case slices.Contains(citeNames, name):
 				url, _ := v.Get("url")
 				cl := &CitedLink{URL: url, Cite: v, Ref: ref, container: doc, index: i}
 				*out = append(*out, cl)
 				last, sinceLast = cl, 0
-			case v.NameIs(DeadLinkTemplate):
+			case name == deadLinkName:
 				if last != nil && sinceLast == 0 {
 					last.DeadLink = v
 				}
-			case v.NameIs(WebarchiveTemplate):
+			case name == webarchiveName:
 				if last != nil && sinceLast == 0 {
 					last.Webarchive = v
 				}
@@ -198,13 +200,21 @@ func collectContainer(doc *Document, ref *Ref, out *[]*CitedLink) {
 	}
 }
 
-func isCite(t *Template) bool {
-	for _, name := range CiteTemplates {
-		if t.NameIs(name) {
-			return true
-		}
+// The recognized template names in canonical form, so that a
+// template's name is canonicalized once and compared as is (what
+// NameIs does per comparison).
+var (
+	citeNames      = canonicalNames(CiteTemplates)
+	deadLinkName   = canonicalName(DeadLinkTemplate)
+	webarchiveName = canonicalName(WebarchiveTemplate)
+)
+
+func canonicalNames(names []string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = canonicalName(n)
 	}
-	return false
+	return out
 }
 
 // ExternalURLs returns the set of distinct external URLs cited in the

@@ -56,6 +56,11 @@ func (t *Template) render(b *strings.Builder) {
 		}
 		b.WriteString(p.Value)
 	}
+	if len(t.Params) == 0 && strings.HasSuffix(t.Name, "}") {
+		// Parsing trimmed the space that kept the name's '}' apart
+		// from the closer; without it "}}}" would close one early.
+		b.WriteByte(' ')
+	}
 	b.WriteString("}}")
 }
 

@@ -188,17 +188,9 @@ func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) 
 		}
 	}
 
-	// Verify every destined link was marked by IABot. Each article's
-	// history is mined once, on the first of its links.
-	mined := make(map[string]wikimedia.ArticleHistory)
+	// Verify every destined link was marked by IABot.
 	for _, lp := range pl.Links {
-		hist, ok := mined[lp.Article]
-		if !ok {
-			hist = u.Wiki.MineHistory(lp.Article)
-			hist.Dead = nil // unused here; it pins the current revision's parse tree
-			mined[lp.Article] = hist
-		}
-		h, ok := hist.Link(lp.URL)
+		h, ok := u.Wiki.HistoryOf(lp.Article, lp.URL)
 		if !ok || !h.MarkedDead.Valid() || h.DeadLinkBot != iabot.DefaultName {
 			u.Unmarked = append(u.Unmarked, lp.URL)
 			continue
