@@ -16,8 +16,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# test includes the root smoke_test.go, which execs the real worldgen,
-# inspect, permadeadd and permadead-router (skipped under -short).
+# test includes the root smoke_test.go (skipped under -short), which
+# builds all seven binaries, checks each one's -h flags against its row
+# in DESIGN.md §6, and execs the real worldgen, inspect, deadlinkstudy,
+# permadeadd and permadead-router.
 test:
 	$(GO) test ./...
 

@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	deadlinkstudy [-scale f] [-seed n] [-flaky f] [-flaky-rate f] [-load file]
-//	              [-sample n] [-random] [-quiet] [-figs dir] [-compare] [-md file]
-//	              [-retries n] [-confirm-checks n] [-confirm-spacing days] [-timeout d]
+//	deadlinkstudy [-scale f] [-seed n] [-load file]
+//	              [-random] [-quiet] [-figs dir [-compare]] [-md file] [-timeout d]
 //
-// -scale 1.0 regenerates the full 10,000-link study (≈30s of timeline
-// simulation); -scale 0.1 gives a 1,000-link study in a few seconds.
+// -scale 1.0 regenerates the full 10,000-link study (about 6 s of
+// timeline simulation on two cores, then under half a second to
+// measure); -scale 0.1 gives a 1,000-link study in under a second. A
+// study over a flaky universe loads one: 'worldgen -flaky f -save u',
+// then 'deadlinkstudy -load u'.
 package main
 
 import (
@@ -34,21 +36,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("deadlinkstudy: ")
 	src := persist.NewSource(0.25)
-	src.Register(flag.CommandLine)
+	src.Register(flag.CommandLine, "scale", "seed", "load")
 	var (
-		sample  = flag.Int("sample", 0, "sample size override (0 = scaled default)")
 		random  = flag.Bool("random", false, "sample links across random articles (the paper's September 2022 representativeness check)")
 		quiet   = flag.Bool("quiet", false, "print only the paper-vs-measured comparison")
 		figs    = flag.String("figs", "", "also write SVG figures into this directory")
 		md      = flag.String("md", "", "write a Markdown experiment report to this file")
 		compare = flag.Bool("compare", false, "with -figs: also run the random sample and write both-sample overlays (the paper's Figure 3/4 style)")
 		timeout = flag.Duration("timeout", 15*time.Minute, "overall run timeout")
-
-		retries        = flag.Int("retries", 1, "max fetch attempts per live check (1 = the paper's single GET)")
-		confirmChecks  = flag.Int("confirm-checks", 1, "IABot-style confirmation checks before a dead verdict (1 = single check)")
-		confirmSpacing = flag.Int("confirm-spacing", 30, "simulated days between confirmation checks")
 	)
 	flag.Parse()
+	if *compare && *figs == "" {
+		log.Print("-compare requires -figs")
+		os.Exit(2)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -62,14 +63,8 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Seed = src.Seed
 	cfg.SampleSize = bundle.Params.SampleSize
-	if *sample > 0 {
-		cfg.SampleSize = *sample
-	}
 	cfg.CrawlArticles = 0
 	cfg.RandomArticles = *random
-	cfg.Retries = *retries
-	cfg.ConfirmChecks = *confirmChecks
-	cfg.ConfirmSpacingDays = *confirmSpacing
 
 	study := &core.Study{
 		Config: cfg,

@@ -1,21 +1,17 @@
 // Command inspect examines a saved universe ('worldgen -save'): verify
-// the file end to end, list articles in the permanently-dead tracking
-// category, print an article's wikitext and its links' edit-history
-// facts, or trace one URL across all three substrates — the live web
-// over time, the wiki, and the archive.
+// the file end to end, or trace one URL across all three substrates —
+// the live web over time, the wiki, and the archive.
 //
 // Usage:
 //
 //	inspect -load u.pduniv              # full checksum + structure pass, then a summary
-//	inspect -load u.pduniv -category
-//	inspect -load u.pduniv -article "Some Title"
 //	inspect -load u.pduniv -url http://host/path.html
 //
-// With a mode flag the file is mmap'd and read page-on-demand, so
-// inspecting one article or URL touches only its pages. Without one,
-// inspect first runs persist.VerifyPaged — serving skips checksums by
-// design, so this is where a damaged file is caught — and exits
-// non-zero naming the failing section.
+// With -url the file is mmap'd and read page-on-demand, so tracing one
+// URL touches only its pages. Without it, inspect runs
+// persist.VerifyPaged — serving skips checksums by design, so this is
+// where a damaged file is caught — and exits non-zero naming the
+// failing section.
 package main
 
 import (
@@ -25,7 +21,6 @@ import (
 	"log"
 	"os"
 
-	"permadead/internal/iabot"
 	"permadead/internal/persist"
 	"permadead/internal/simclock"
 	"permadead/internal/wikimedia"
@@ -35,10 +30,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("inspect: ")
 	var (
-		load     = flag.String("load", "", "universe file saved by 'worldgen -save' (required)")
-		category = flag.Bool("category", false, "list articles in the permanently-dead tracking category")
-		article  = flag.String("article", "", "print an article's wikitext and link histories")
-		url      = flag.String("url", "", "trace one URL across the web, wiki, and archive")
+		load = flag.String("load", "", "universe file saved by 'worldgen -save' (required)")
+		url  = flag.String("url", "", "trace one URL across the web, wiki, and archive")
 	)
 	flag.Parse()
 
@@ -53,52 +46,17 @@ func main() {
 	}
 	defer b.Close()
 
-	switch {
-	case *category:
-		titles := b.Wiki.InCategory(iabot.Category)
-		fmt.Printf("%d articles in [[Category:%s]]:\n", len(titles), iabot.Category)
-		for _, t := range titles {
-			fmt.Println(" ", t)
-		}
-	case *article != "":
-		showArticle(b, *article)
-	case *url != "":
+	if *url != "" {
 		traceURL(b, *url)
-	default:
-		if err := persist.VerifyPaged(*load); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: verified (checksums and structure)\n", *load)
-		fmt.Printf("universe: %d sites, %d articles, %d snapshots\n",
-			b.World.Sites(), b.Wiki.Len(), b.Archive.TotalSnapshots())
-		fmt.Println("use -category, -article, or -url to inspect")
+		return
 	}
-}
-
-func showArticle(b *persist.Bundle, title string) {
-	a := b.Wiki.Article(title)
-	if a == nil {
-		log.Fatalf("no article %q", title)
+	if err := persist.VerifyPaged(*load); err != nil {
+		log.Fatal(err)
 	}
-	cur := a.Current()
-	fmt.Printf("%s — %d revisions, last edited %s by %s\n\n",
-		title, len(a.Revisions), cur.Day, cur.User)
-	fmt.Println(cur.Text)
-	fmt.Println("\nlink histories:")
-	for _, u := range cur.Doc().ExternalURLs() {
-		h, ok := b.Wiki.HistoryOf(title, u)
-		if !ok {
-			continue
-		}
-		fmt.Printf("  %s\n    added %s by %s", u, h.Added, h.AddedBy)
-		if h.MarkedDead.Valid() {
-			fmt.Printf("; marked dead %s by %s", h.MarkedDead, h.MarkedDeadBy)
-		}
-		if h.Patched {
-			fmt.Printf("; patched with %s", h.ArchiveURL)
-		}
-		fmt.Println()
-	}
+	fmt.Printf("%s: verified (checksums and structure)\n", *load)
+	fmt.Printf("universe: %d sites, %d articles, %d snapshots\n",
+		b.World.Sites(), b.Wiki.Len(), b.Archive.TotalSnapshots())
+	fmt.Println("use -url to trace one link")
 }
 
 func traceURL(b *persist.Bundle, url string) {

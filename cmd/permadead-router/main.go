@@ -9,15 +9,16 @@
 // Usage:
 //
 //	permadead-router -members s1=127.0.0.1:9001,s2=127.0.0.1:9002 \
-//	                 [-addr host:port] [-addr-file file] [-shard-timeout d]
+//	                 [-addr host:port] [-addr-file file]
 //
 // Member names must match each shard's -shard-name; the shards must
 // have been started with the same member list (the ring is rebuilt
 // identically everywhere from the names alone). Runtime rebalances go
 // through POST /admin/rebalance {"domain": ..., "to": ...}. Everything
-// else — virtual nodes per member, health-poll cadence, Retry-After,
-// the batch bound, the rebalance drain bound — is a constant in
-// internal/shard. On SIGINT/SIGTERM the router drains: new proxied
+// else — virtual nodes per member, the per-shard deadline, health-poll
+// cadence, Retry-After, the rebalance drain bound — is a constant or a
+// RouterConfig default in internal/shard, and the batch bound is
+// edge.MaxBatchLinks. On SIGINT/SIGTERM the router drains: new proxied
 // requests get 503 while in-flight ones finish.
 package main
 
@@ -41,10 +42,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("permadead-router: ")
 	var (
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		members      = flag.String("members", "", "comma-separated name=host:port fleet members, in ring order")
-		shardTimeout = flag.Duration("shard-timeout", 15*time.Second, "per-shard deadline on proxied and scattered requests")
+		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
+		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
+		members  = flag.String("members", "", "comma-separated name=host:port fleet members, in ring order")
 	)
 	flag.Parse()
 
@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := shard.NewRouter(shard.RouterConfig{Members: fleet, ShardTimeout: *shardTimeout})
+	r, err := shard.NewRouter(shard.RouterConfig{Members: fleet})
 	if err != nil {
 		log.Fatal(err)
 	}

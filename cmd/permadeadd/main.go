@@ -6,18 +6,18 @@
 // Usage:
 //
 //	permadeadd [-addr host:port] [-addr-file file]
-//	           [-scale f] [-seed n] [-sample n] [-load file]
-//	           [-max-inflight n] [-request-timeout d] [-cache-entries n]
-//	           [-drain-timeout d]
+//	           [-scale f] [-seed n] [-load file] [-cache-entries n]
 //	           [-flaky f] [-flaky-rate f] [-flaky-stream-days n]
 //	           [-no-monitor] [-monitor-ttl days] [-journal file] [-repair]
 //	           [-shard-name s -shard-members a,b,c] [-archives manifest.json]
 //
-// Those twenty flags are the whole option surface: every other serving
-// size (worker pools, negative cache, memo, SSE buffers, journal
-// window, batch bound, ring virtual nodes) is a constant or derived
-// from -max-inflight in internal/service, and a federation's budget,
-// hedge fraction and time scale are fields of the -archives manifest.
+// Those sixteen flags are the whole option surface: every other serving
+// size (admission bound, worker pools, request deadline, negative
+// cache, memo, SSE buffers, journal window, ring virtual nodes) is a
+// constant in internal/service, the batch bound is edge.MaxBatchLinks,
+// the shutdown drain waits up to drainTimeout, and a federation's
+// budget, hedge fraction and time scale are fields of the -archives
+// manifest.
 //
 // The universe is generated at startup (or loaded from a 'worldgen
 // -save' file); the server then answers queries until SIGINT/SIGTERM,
@@ -42,6 +42,9 @@ import (
 	"permadead/internal/service"
 )
 
+// drainTimeout bounds how long shutdown waits for in-flight requests.
+const drainTimeout = 30 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("permadeadd: ")
@@ -51,17 +54,12 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		sample   = flag.Int("sample", 0, "sample size override (0 = scaled default)")
-
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
 		shardMembers = flag.String("shard-members", "", "comma-separated fleet member names, identical on every shard and the router")
 		archivesPath = flag.String("archives", "", "federate archive reads across the member manifest in this JSON file (see 'worldgen -archives'; budget, hedge fraction and time scale are manifest fields); empty serves the bare archive")
 	)
 	flag.IntVar(&src.FlakyStreamDays, "flaky-stream-days", 0, "extend flaky fault windows this many days past the study day (continuous flip supply for the monitor)")
 	// Options that are service.Config fields parse straight into cfg.
-	flag.IntVar(&cfg.MaxInFlight, "max-inflight", cfg.MaxInFlight, "bound on concurrently admitted requests; classification runs on half of it, one batch fans out over a quarter")
-	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline (admission wait included)")
 	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "response cache capacity in entries (0 disables)")
 	flag.BoolVar(&cfg.DisableMonitor, "no-monitor", false, "disable the continuous verdict monitor and its endpoints")
 	flag.IntVar(&cfg.MonitorTTLDays, "monitor-ttl", cfg.MonitorTTLDays, "days before a warm verdict goes stale and is re-checked")
@@ -69,6 +67,10 @@ func main() {
 	flag.BoolVar(&cfg.EnableRepair, "repair", false, "run the IABot repair loop: rescue links that flip to dead with archive URLs")
 	flag.StringVar(&cfg.ShardName, "shard-name", "", "run as this member of a sharded fleet (requires -shard-members)")
 	flag.Parse()
+	if (cfg.ShardName == "") != (*shardMembers == "") {
+		log.Print("-shard-name and -shard-members require each other")
+		os.Exit(2)
+	}
 
 	start := time.Now()
 	bundle, err := src.Open()
@@ -80,14 +82,8 @@ func main() {
 
 	cfg.Study.Seed = src.Seed
 	cfg.Study.SampleSize = bundle.Params.SampleSize
-	if *sample > 0 {
-		cfg.Study.SampleSize = *sample
-	}
 	cfg.Study.CrawlArticles = 0
 	if cfg.ShardName != "" {
-		if *shardMembers == "" {
-			log.Fatal("-shard-name requires -shard-members")
-		}
 		for _, m := range strings.Split(*shardMembers, ",") {
 			if m = strings.TrimSpace(m); m != "" {
 				cfg.ShardMembers = append(cfg.ShardMembers, m)
@@ -137,9 +133,9 @@ func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-sigs
-	log.Printf("%v received, draining (up to %v)...", sig, *drainTimeout)
+	log.Printf("%v received, draining (up to %v)...", sig, drainTimeout)
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Fatalf("drain incomplete: %v", err)

@@ -1,11 +1,12 @@
 // Command worldgen generates a simulated universe and reports what it
-// built: generation summary, fate quotas vs. realized counts, and
-// (optionally) a JSON dump of the link plans for external analysis.
+// built: the generation summary with fate quotas vs. realized counts,
+// and optionally the fleet partition and archive-federation manifest
+// the universe implies.
 //
 // Usage:
 //
-//	worldgen [-scale f] [-seed n] [-flaky f] [-flaky-rate f] [-v]
-//	         [-save u.pduniv] [-dump wiki.xml] [-json plans.json] [-shards n] [-archives n]
+//	worldgen [-scale f] [-seed n] [-flaky f] [-flaky-rate f]
+//	         [-save u.pduniv] [-shards n] [-archives n]
 package main
 
 import (
@@ -29,10 +30,7 @@ func main() {
 	src := persist.NewSource(0.25)
 	src.Register(flag.CommandLine, "scale", "seed", "flaky", "flaky-rate")
 	var (
-		jsonPath = flag.String("json", "", "write link plans as JSON to this file")
 		savePath = flag.String("save", "", "persist the generated universe to this file")
-		dumpPath = flag.String("dump", "", "export the simulated wiki as a MediaWiki XML dump to this file")
-		verbose  = flag.Bool("v", false, "print per-fate counts")
 		shards   = flag.Int("shards", 0, "report how an N-member fleet would partition the universe's link domains; with -save, also write a <save>.fleet.json manifest")
 		archives = flag.Int("archives", 0, "derive an N-member archive-federation manifest with seed-deterministic coverage/latency skew; with -save, write it to <save>.archives.json")
 	)
@@ -43,23 +41,6 @@ func main() {
 	fmt.Printf("generated in %.1fs\n", time.Since(start).Seconds())
 	fmt.Print(u.Summary())
 
-	if *verbose {
-		live := map[string]int{}
-		hist := map[string]int{}
-		for _, lp := range u.Plan.Links {
-			live[lp.Live.String()]++
-			hist[lp.Hist.String()]++
-		}
-		fmt.Println("\nplanned live outcomes:")
-		for _, k := range []string{"dns", "404", "timeout", "other", "200-real", "200-soft"} {
-			fmt.Printf("  %-10s %d\n", k, live[k])
-		}
-		fmt.Println("planned archive histories:")
-		for _, k := range []string{"pre200", "redir-valid", "redir-err", "err-only", "none"} {
-			fmt.Printf("  %-12s %d\n", k, hist[k])
-		}
-	}
-
 	if *savePath != "" {
 		if err := writeFile(*savePath, func(w io.Writer) error {
 			return persist.SavePaged(w, persist.FromUniverse(u))
@@ -67,13 +48,6 @@ func main() {
 			log.Fatalf("save: %v", err)
 		}
 		fmt.Printf("saved universe (paged) to %s\n", *savePath)
-	}
-
-	if *dumpPath != "" {
-		if err := writeFile(*dumpPath, u.Wiki.WriteDump); err != nil {
-			log.Fatalf("dump: %v", err)
-		}
-		fmt.Printf("wrote MediaWiki XML dump to %s\n", *dumpPath)
 	}
 
 	if *shards > 0 {
@@ -86,13 +60,6 @@ func main() {
 		if err := reportArchives(u, *archives, *savePath); err != nil {
 			log.Fatalf("archives: %v", err)
 		}
-	}
-
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, u.Plan.Links); err != nil {
-			log.Fatalf("json: %v", err)
-		}
-		fmt.Printf("wrote %d link plans to %s\n", len(u.Plan.Links), *jsonPath)
 	}
 }
 

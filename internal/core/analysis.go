@@ -56,11 +56,10 @@ func (s *Study) DatasetStats(r *Report) {
 // LiveCheck performs the §3 live-web measurement: one GET per sampled
 // URL, Figure 4 classification, and the soft-404 probe for the 200s.
 func (s *Study) LiveCheck(ctx context.Context, r *Report) error {
-	f := s.Fetcher()
 	results := make([]fetch.Result, len(r.Records))
 	ParallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
 		if ctx.Err() == nil {
-			results[i] = f.Fetch(ctx, r.Records[i].URL)
+			results[i] = s.Client.Fetch(ctx, r.Records[i].URL)
 		}
 	})
 	if err := ctx.Err(); err != nil {

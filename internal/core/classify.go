@@ -157,15 +157,14 @@ func (ls LiveStatus) Transient() bool {
 	return ls.FinalStatus == 429 || ls.FinalStatus >= 500
 }
 
-// CheckLive runs the §3 live-web measurement for one URL through the
-// study's configured fetch policy (single GET unless Config enables
-// retries/confirmation): Figure 4 classification plus the soft-404
-// probe when the final status is 200. It is the live half of
+// CheckLive runs the §3 live-web measurement for one URL with the
+// paper's single GET through Client: Figure 4 classification plus the
+// soft-404 probe when the final status is 200. It is the live half of
 // ClassifyLink, exported separately so callers (the serving layer's
 // /v1/status endpoint) can ask "is this link alive?" without an
 // archive-side record.
 func (s *Study) CheckLive(ctx context.Context, url string) (LiveStatus, error) {
-	return s.CheckLiveWith(ctx, s.Fetcher(), url)
+	return s.CheckLiveWith(ctx, s.Client, url)
 }
 
 // CheckLiveWith is CheckLive under an explicit fetch policy — the

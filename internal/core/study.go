@@ -63,17 +63,6 @@ type Config struct {
 	// 1 runs every stage sequentially; any value produces the same
 	// Report byte for byte.
 	Concurrency int
-
-	// Retries, when > 1, runs the §3 live check through a fetch.Retrier
-	// with that many max attempts per check instead of the paper's
-	// single GET. Zero or 1 keeps the single-GET policy (and reports
-	// byte-identical to a retry-unaware build).
-	Retries int
-	// ConfirmChecks, when > 1, additionally enables IABot-style
-	// confirmation: a link counts dead only after this many consecutive
-	// failed checks, spaced ConfirmSpacingDays simulated days apart.
-	ConfirmChecks      int
-	ConfirmSpacingDays int
 }
 
 // DefaultConfig mirrors the paper's setup.
@@ -113,22 +102,6 @@ type Study struct {
 
 	memoOnce sync.Once
 	memo     *archive.Memo
-
-	retrierOnce sync.Once
-	retrier     *fetch.Retrier
-}
-
-// Fetcher returns the §3 live-web fetcher: the bare Client under the
-// paper's single-GET policy, or a Retrier when Config enables retries
-// or confirmation.
-func (s *Study) Fetcher() fetch.Fetcher {
-	if s.Config.Retries <= 1 && s.Config.ConfirmChecks <= 1 {
-		return s.Client
-	}
-	s.retrierOnce.Do(func() {
-		s.retrier = s.Retrier(s.Config.Retries, s.Config.ConfirmChecks, s.Config.ConfirmSpacingDays)
-	})
-	return s.retrier
 }
 
 // Retrier builds a simulated-time retry policy over Client: up to

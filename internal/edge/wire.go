@@ -83,7 +83,7 @@ func WriteFailure(w http.ResponseWriter, err error) {
 	WriteError(w, status, code, "%s", msg)
 }
 
-// maxBodyBytes bounds any posted request body; at the 10k-link batch
+// maxBodyBytes bounds any posted request body; at the MaxBatchLinks
 // cap and generous URL lengths this is far above any legitimate request.
 const maxBodyBytes = 32 << 20
 
@@ -97,10 +97,15 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// MaxBatchLinks bounds how many URLs one bulk-classify request may
+// carry, on a shard and through the router alike; a larger batch is
+// answered 413.
+const MaxBatchLinks = 10000
+
 // DecodeBatch reads a bulk-classify request, {"urls": ["http://...",
-// ...]} with 1..maxLinks entries. On failure it has answered and
+// ...]} with 1..MaxBatchLinks entries. On failure it has answered and
 // returns false.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxLinks int) ([]string, bool) {
+func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]string, bool) {
 	var req struct {
 		URLs []string `json:"urls"`
 	}
@@ -108,9 +113,9 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxLinks int) ([]string
 	case !DecodeBody(w, r, &req):
 	case len(req.URLs) == 0:
 		WriteError(w, http.StatusBadRequest, "empty_batch", `body must carry a non-empty "urls" array`)
-	case len(req.URLs) > maxLinks:
+	case len(req.URLs) > MaxBatchLinks:
 		WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			"%d urls exceeds the %d-link batch bound; split the request", len(req.URLs), maxLinks)
+			"%d urls exceeds the %d-link batch bound; split the request", len(req.URLs), MaxBatchLinks)
 	default:
 		return req.URLs, true
 	}

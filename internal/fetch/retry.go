@@ -22,8 +22,9 @@ import (
 	"time"
 )
 
-// Fetcher is the interface shared by Client and Retrier: the study
-// pipeline measures through it without caring whether retries are on.
+// Fetcher is the interface shared by Client and Retrier: a one-link
+// live check (core's CheckLiveWith) measures through it without caring
+// whether retries are on.
 type Fetcher interface {
 	Fetch(ctx context.Context, rawURL string) Result
 }

@@ -284,8 +284,7 @@ func TestBatchErrorLines(t *testing.T) {
 // TestBatchLimits covers the request-shape rejections.
 func TestBatchLimits(t *testing.T) {
 	_, r := fixture(t)
-	s := newServer(t, func(c *Config) { c.MaxBatchLinks = 3 })
-	h := s.Handler()
+	h := newServer(t, nil).Handler()
 
 	postErr := func(body string) edge.ErrorEnvelope {
 		t.Helper()
@@ -306,8 +305,11 @@ func TestBatchLimits(t *testing.T) {
 		t.Errorf("malformed body code = %q, want bad_body", env.Error.Code)
 	}
 
-	u := r.Records[0].URL
-	body, _ := json.Marshal(map[string][]string{"urls": {u, u, u, u}})
+	urls := make([]string, edge.MaxBatchLinks+1)
+	for i := range urls {
+		urls[i] = r.Records[0].URL
+	}
+	body, _ := json.Marshal(map[string][]string{"urls": urls})
 	req := httptest.NewRequest(http.MethodPost, "/v1/classify/batch", bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)

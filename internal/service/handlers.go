@@ -73,7 +73,7 @@ func serveBody(w http.ResponseWriter, body []byte, src string, err error) {
 // must not die with the leader's client.
 func (s *Server) do(ctx context.Context, key string, compute func(context.Context) (any, cacheClass, error)) ([]byte, string, error) {
 	return s.cache.do(ctx, key, func() ([]byte, cacheClass, error) {
-		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+		cctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 		defer cancel()
 		v, class, err := compute(cctx)
 		if err != nil {
@@ -432,9 +432,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 // --- /v1/classify/batch ---
 
-// handleClassifyBatch classifies up to MaxBatchLinks URLs in one POST,
-// streaming verdicts back as NDJSON — one JSON object per line, in
-// input order, flushed whenever the stream is about to wait for a
+// handleClassifyBatch classifies up to edge.MaxBatchLinks URLs in one
+// POST, streaming verdicts back as NDJSON — one JSON object per line,
+// in input order, flushed whenever the stream is about to wait for a
 // verdict — so a client reads verdict i while verdict i+k is still
 // computing, and verdicts ready together share a write. Per-link
 // failures become error lines ({"url":...,"error":{...}}) instead of
@@ -443,9 +443,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // for the same URL do the classify work once.
 //
 // Body: {"urls": ["http://...", ...]}. The whole stream runs under the
-// request deadline; size batches so they fit, or raise -request-timeout.
+// request deadline (requestTimeout); size batches so they fit.
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	urls, ok := edge.DecodeBatch(w, r, s.cfg.MaxBatchLinks)
+	urls, ok := edge.DecodeBatch(w, r)
 	if !ok {
 		return
 	}

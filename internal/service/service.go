@@ -87,18 +87,12 @@ type Config struct {
 	// (classification is the heavy endpoint: live fetch + soft-404 probe
 	// + archive scans), and one batch fans out over half the pool.
 	MaxInFlight int
-	// RequestTimeout is the per-request deadline applied to every /v1
-	// request (admission wait included).
-	RequestTimeout time.Duration
 	// CacheEntries bounds the response cache's positive class (0
 	// disables it; a request still coalesces onto an identical one in
 	// flight); CacheShards is the cache's shard count. The negative
 	// class is sized by negCacheEntries.
 	CacheEntries int
 	CacheShards  int
-	// MaxBatchLinks caps how many URLs one /v1/classify/batch request
-	// may carry; larger batches are rejected with 413.
-	MaxBatchLinks int
 
 	// DisableMonitor turns off the continuous verdict monitor and its
 	// endpoints (/v1/watch, /v1/watched, /v1/stream/verdicts, /v1/sim/*).
@@ -152,12 +146,10 @@ type Config struct {
 // study configuration.
 func DefaultConfig() Config {
 	return Config{
-		Study:          core.DefaultConfig(),
-		MaxInFlight:    64,
-		RequestTimeout: 10 * time.Second,
-		CacheEntries:   4096,
-		CacheShards:    16,
-		MaxBatchLinks:  10000,
+		Study:        core.DefaultConfig(),
+		MaxInFlight:  64,
+		CacheEntries: 4096,
+		CacheShards:  16,
 
 		MonitorTTLDays:      30,
 		SSESubscriberBuffer: 256,
@@ -169,6 +161,9 @@ func DefaultConfig() Config {
 // a Config field and a permadeadd flag until only its default was left
 // in use.
 const (
+	// requestTimeout is the deadline of every /v1 request, admission
+	// wait included, and of each computation the response cache runs.
+	requestTimeout = 10 * time.Second
 	// negCacheEntries bounds the response cache's negative class —
 	// "never archived" classify verdicts and "no usable snapshot"
 	// availability answers. It is a separate capacity class so the
@@ -178,10 +173,6 @@ const (
 	// memoCap bounds how many typo-probe candidate sets the study
 	// memo holds (archive.NewMemoCapped).
 	memoCap = 1 << 16
-	// monitorCheckers sizes the monitor's concurrent check worker pool.
-	monitorCheckers = 8
-	// maxSSESubscribers caps concurrent verdict-stream subscriptions.
-	maxSSESubscribers = 64
 	// feedBuffer bounds the edit-event queue between the wiki and the
 	// monitor. Events beyond it are dropped and counted (the EventStream
 	// consumer-falls-behind failure mode), never blocking an editor.
@@ -261,12 +252,8 @@ type Server struct {
 // freeze-time CDX indexes lock-free; the link population is collected
 // up front, exactly as a batch study would.
 func New(b *persist.Bundle, cfg Config) (*Server, error) {
-	if cfg.MaxInFlight <= 0 || cfg.RequestTimeout <= 0 {
-		return nil, fmt.Errorf("service: config requires MaxInFlight > 0 and RequestTimeout > 0 (got %d, %v)",
-			cfg.MaxInFlight, cfg.RequestTimeout)
-	}
-	if cfg.MaxBatchLinks <= 0 {
-		cfg.MaxBatchLinks = DefaultConfig().MaxBatchLinks
+	if cfg.MaxInFlight <= 0 {
+		return nil, fmt.Errorf("service: config requires MaxInFlight > 0 (got %d)", cfg.MaxInFlight)
 	}
 	classifyWorkers := max(1, cfg.MaxInFlight/2)
 	b.Archive.Freeze()
@@ -300,7 +287,7 @@ func New(b *persist.Bundle, cfg Config) (*Server, error) {
 		records:      make(map[string]servedLink, len(records)),
 		order:        records,
 		cache:        newCache(cfg.CacheEntries, negCacheEntries, cfg.CacheShards),
-		edge:         edge.New(cfg.MaxInFlight, cfg.RequestTimeout),
+		edge:         edge.New(cfg.MaxInFlight, requestTimeout),
 		classifyPool: edge.NewGate(classifyWorkers),
 		batchWorkers: max(1, classifyWorkers/2),
 		retryStats:   new(fetch.RetryStats),
@@ -376,9 +363,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 	}
 	mon, err := monitor.New(monitor.Config{
 		TTLDays:          cfg.MonitorTTLDays,
-		Checkers:         monitorCheckers,
 		SubscriberBuffer: cfg.SSESubscriberBuffer,
-		MaxSubscribers:   maxSSESubscribers,
 		Clock:            simclock.NewClock(cfg.Study.StudyTime),
 		Checker:          &monitor.LiveChecker{World: b.World},
 		Journal:          jrnl,

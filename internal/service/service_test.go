@@ -294,10 +294,7 @@ func TestResponseCacheAndMetrics(t *testing.T) {
 // its deadline and is shed with the overload envelope.
 func TestAdmissionShedsAtCapacity(t *testing.T) {
 	_, r := fixture(t)
-	s := newServer(t, func(c *Config) {
-		c.MaxInFlight = 1
-		c.RequestTimeout = 10 * time.Second
-	})
+	s := newServer(t, func(c *Config) { c.MaxInFlight = 1 })
 	h := s.Handler()
 
 	entered := make(chan struct{})

@@ -165,7 +165,7 @@ func parseLastEventID(r *http.Request) (int64, error) {
 // reconnects with its last seen id gets every flip exactly once.
 //
 // The stream holds no admission slot and has no request deadline (it
-// is bounded by maxSSESubscribers instead). A subscriber that falls a
+// is bounded by the monitor's subscriber cap instead). A subscriber that falls a
 // full buffer behind is dropped: the stream ends with a final
 // "dropped" event telling the client to reconnect with its cursor.
 func (s *Server) handleStreamVerdicts(w http.ResponseWriter, r *http.Request) {

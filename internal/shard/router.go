@@ -44,8 +44,6 @@ const (
 	// retryAfter is the Retry-After advertisement on degraded
 	// (shard-down) responses, in seconds.
 	retryAfter = "2"
-	// maxBatchLinks mirrors the shard-side default bound on one batch.
-	maxBatchLinks = 10000
 	// drainTimeout bounds how long a rebalance waits for the old
 	// owner's in-flight requests on the moved range to finish.
 	drainTimeout = 5 * time.Second
@@ -319,7 +317,7 @@ func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
 // X-Fleet-Partial and Retry-After, and a shard that dies mid-stream
 // fails only its own remaining lines.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	urls, ok := edge.DecodeBatch(w, req, maxBatchLinks)
+	urls, ok := edge.DecodeBatch(w, req)
 	if !ok {
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -22,20 +23,20 @@ import (
 )
 
 // The smoke test is the binary-wiring half of what used to be six bash
-// scripts: it execs the real worldgen, inspect, permadeadd and
+// scripts: it builds every binary, holds each one's flags to DESIGN.md
+// §6, execs the real worldgen, inspect, deadlinkstudy, permadeadd and
 // permadead-router and checks that flags reach the config, manifests
 // are written and read back, and a saved universe boots and answers.
 // What the system *does* once booted is asserted in-process by the
 // owning packages' tests (CHANGES.md maps every old script assertion to
 // its test).
 
-// buildBinaries builds the five binaries into a directory that lives as
-// long as t and returns a name → path lookup.
+// buildBinaries builds every binary under cmd/ into a directory that
+// lives as long as t and returns a name → path lookup.
 func buildBinaries(t *testing.T) func(name string) string {
 	t.Helper()
 	dir := t.TempDir()
-	out, err := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"./cmd/worldgen", "./cmd/inspect", "./cmd/permadeadd", "./cmd/permadead-router", "./cmd/deadlinkstudy").CombinedOutput()
+	out, err := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -216,24 +217,56 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("archives manifest: %+v", archives)
 	}
 
-	// The serving binaries' whole option surface, so that adding a flag
-	// is a reviewed diff here rather than an accretion.
+	// Every binary's whole option surface against its row in DESIGN.md
+	// §6, which names each flag with its users: a flag added without a
+	// row entry fails here, and so does a row naming a flag the binary
+	// lacks or a binary without a row.
 	t.Run("flag surface", func(t *testing.T) {
+		rows := designFlags(t)
+		built, err := os.ReadDir(filepath.Dir(bin("worldgen")))
+		if err != nil {
+			t.Fatal(err)
+		}
 		flagLine := regexp.MustCompile(`(?m)^  -([a-z-]+)`)
-		for name, want := range map[string]string{
-			"permadeadd": "addr addr-file archives cache-entries drain-timeout flaky flaky-rate flaky-stream-days " +
-				"journal load max-inflight monitor-ttl no-monitor repair request-timeout sample scale seed " +
-				"shard-members shard-name",
-			"permadead-router": "addr addr-file members shard-timeout",
-		} {
+		for _, e := range built {
+			name := e.Name()
+			want, ok := rows[name]
+			if !ok {
+				t.Errorf("cmd/%s has no row in DESIGN.md §6", name)
+				continue
+			}
+			delete(rows, name)
 			usage, _ := run(bin(name), "-h") // -h exits 2 by design
 			var got []string
 			for _, m := range flagLine.FindAllStringSubmatch(usage, -1) {
 				got = append(got, m[1])
 			}
 			sort.Strings(got)
-			if strings.Join(got, " ") != want {
-				t.Errorf("%s flags:\n got %s\nwant %s", name, strings.Join(got, " "), want)
+			if g, w := strings.Join(got, " "), strings.Join(want, " "); g != w {
+				t.Errorf("%s flags:\n       -h %s\nDESIGN §6 %s", name, g, w)
+			}
+		}
+		for name := range rows {
+			t.Errorf("DESIGN.md §6 has a row for %s, which cmd/ does not build", name)
+		}
+	})
+
+	// A flag that only modifies another is a usage error without it,
+	// never silently ignored.
+	t.Run("a modifier flag without its base exits 2", func(t *testing.T) {
+		for _, c := range []struct {
+			bin  string
+			args []string // the lone modifier first
+		}{
+			{"deadlinkstudy", []string{"-compare", "-scale", "0.05"}},
+			{"permadeadd", []string{"-shard-members", "s1,s2", "-scale", "0.05", "-addr", "127.0.0.1:0"}},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			out, err := exec.CommandContext(ctx, bin(c.bin), c.args...).CombinedOutput()
+			cancel()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.args[0]) {
+				t.Errorf("%s %v: %v, want exit 2 naming %s\n%s", c.bin, c.args, err, c.args[0], out)
 			}
 		}
 	})
@@ -426,6 +459,39 @@ func TestSmoke(t *testing.T) {
 		}
 		metrics(t, fed)
 	})
+}
+
+// designFlags reads the binary table of DESIGN.md §6: each row's
+// binary and the sorted names of the backticked `-flag` tokens in it.
+func designFlags(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(data), "\n## 6.")
+	if !ok {
+		t.Fatal("DESIGN.md has no §6")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	tick := regexp.MustCompile("`([^`]*)`")
+	rows := map[string][]string{}
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		var flags []string
+		for _, m := range tick.FindAllStringSubmatch(strings.Join(cells[2:], "|"), -1) {
+			if f, ok := strings.CutPrefix(m[1], "-"); ok {
+				name, _, _ := strings.Cut(f, " ")
+				flags = append(flags, name)
+			}
+		}
+		sort.Strings(flags)
+		rows[strings.Trim(strings.TrimSpace(cells[1]), "`")] = slices.Compact(flags)
+	}
+	return rows
 }
 
 func readJSON(t *testing.T, path string, out any) {
