@@ -46,6 +46,12 @@ func main() {
 		timeout = flag.Duration("timeout", 15*time.Minute, "overall run timeout")
 	)
 	flag.Parse()
+	if *random && *compare {
+		// -compare overlays the prefix sample with a random one; a
+		// random first side would be labelled "Our dataset".
+		log.Print("-random conflicts with -compare: -compare runs the random sample itself, beside the prefix sample")
+		os.Exit(2)
+	}
 	if *compare && *figs == "" {
 		log.Print("-compare requires -figs")
 		os.Exit(2)

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -98,8 +99,16 @@ type Result struct {
 
 // Client fetches URLs and classifies outcomes. The zero value is not
 // usable; construct with New.
+//
+// It calls its RoundTripper directly rather than through an
+// http.Client: it follows redirects itself, hop by hop, and sets no
+// cookie jar and no client timeout, so the http.Client layer would only
+// copy headers. It keeps that layer's contract: transport errors come
+// back as *url.Error{Op: "Get"}, URL userinfo becomes basic auth, and
+// an unparseable redirect Location fails the fetch before its hop is
+// recorded.
 type Client struct {
-	hc      *http.Client
+	rt      http.RoundTripper
 	timeout time.Duration
 	maxBody int64
 }
@@ -130,14 +139,9 @@ func WithMaxBody(n int64) Option {
 // for simulated fetches or an *http.Transport for real ones.
 func New(rt http.RoundTripper, opts ...Option) *Client {
 	c := &Client{
-		hc:      &http.Client{Transport: rt},
+		rt:      rt,
 		timeout: 30 * time.Second,
 		maxBody: 256 << 10,
-	}
-	// Redirects are followed manually in Fetch so every hop is
-	// recorded; disable the client's own following.
-	c.hc.CheckRedirect = func(req *http.Request, via []*http.Request) error {
-		return http.ErrUseLastResponse
 	}
 	for _, o := range opts {
 		o(c)
@@ -177,14 +181,23 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 			}
 		}
 
-		resp, err := c.hc.Do(req)
+		resp, err := c.roundTrip(req)
 		if err != nil {
 			res.Category, res.Err = classifyError(err), err
 			return res
 		}
+		loc := resp.Header.Get("Location")
+		var next *url.URL
+		if isRedirect(resp.StatusCode) && loc != "" {
+			if next, err = req.URL.Parse(loc); err != nil {
+				resp.Body.Close()
+				err = urlError(req, fmt.Errorf("failed to parse Location header %q: %v", loc, err))
+				res.Category, res.Err = classifyError(err), err
+				return res
+			}
+		}
 
 		body, readErr := readBody(resp, c.maxBody)
-		loc := resp.Header.Get("Location")
 		res.Hops = append(res.Hops, Hop{URL: current, Status: resp.StatusCode, Location: loc})
 		if hop == 0 {
 			res.InitialStatus = resp.StatusCode
@@ -201,7 +214,7 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 			return res
 		}
 
-		if !isRedirect(resp.StatusCode) || loc == "" {
+		if next == nil {
 			res.Category = classifyStatus(resp.StatusCode)
 			return res
 		}
@@ -210,15 +223,40 @@ func (c *Client) FetchWithHeaders(ctx context.Context, rawURL string, extra http
 			res.Err = fmt.Errorf("fetch: stopped after %d redirects", maxRedirects)
 			return res
 		}
-		next, err := resp.Request.URL.Parse(loc)
-		if err != nil {
-			res.Category = CatOther
-			res.Err = fmt.Errorf("fetch: bad Location %q: %w", loc, err)
-			return res
-		}
 		res.Redirected = true
 		current = next.String()
 	}
+}
+
+// roundTrip sends one request the way http.Client.Do would with
+// redirect following off and no client timeout: userinfo in the URL
+// becomes basic auth, transport errors are wrapped in *url.Error, and a
+// nil body reads as empty.
+func (c *Client) roundTrip(req *http.Request) (*http.Response, error) {
+	if u := req.URL.User; u != nil && req.Header.Get("Authorization") == "" {
+		password, _ := u.Password()
+		req.SetBasicAuth(u.Username(), password)
+	}
+	resp, err := c.rt.RoundTrip(req)
+	switch {
+	case err != nil:
+		return nil, urlError(req, err)
+	case resp == nil:
+		return nil, urlError(req, fmt.Errorf("http: RoundTripper implementation (%T) returned a nil *Response with a nil error", c.rt))
+	case resp.Body == nil:
+		resp.Body = http.NoBody
+	}
+	return resp, nil
+}
+
+// urlError wraps err as http.Client.Do does, with the URL's password
+// masked.
+func urlError(req *http.Request, err error) error {
+	u := req.URL.String()
+	if _, set := req.URL.User.Password(); set {
+		u = strings.Replace(u, req.URL.User.String()+"@", req.URL.User.Username()+":***@", 1)
+	}
+	return &url.Error{Op: "Get", URL: u, Err: err}
 }
 
 func readBody(resp *http.Response, limit int64) (string, error) {

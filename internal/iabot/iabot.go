@@ -30,7 +30,6 @@ import (
 	"permadead/internal/fetch"
 	"permadead/internal/simclock"
 	"permadead/internal/wikimedia"
-	"permadead/internal/wikitext"
 )
 
 // DefaultName is the bot's Wikipedia username.
@@ -109,40 +108,52 @@ func (b *Bot) Stats() Stats {
 	return b.stats
 }
 
-// linkOutcome is what one maintainLink pass did to a citation.
-type linkOutcome struct {
-	changed, marked, patched bool
+// action is what maintainLink decided to do to one citation.
+type action uint8
+
+const (
+	keep  action = iota
+	untag        // a re-checked dead link answers 200: drop its tag
+	patch        // attach the usable archived copy
+	mark         // tag the link {{dead link}}
+)
+
+// linkEdit is one decided change, applied to the citation at index i
+// of a fresh parse's CitedLinks.
+type linkEdit struct {
+	i   int
+	act action
+	// archiveURL and archiveDate are the copy a patch attaches.
+	archiveURL, archiveDate string
 }
 
-// maintainLink applies the bot's per-link policy to one citation: an
+// maintainLink decides the bot's per-link policy for one citation: an
 // already-dead link is skipped (or re-tested under RecheckDead), an
 // already-archived one is skipped, and an unarchived one is tested
 // with a single GET — broken links get a usable archived copy patched
 // in, or failing that the {{dead link}} mark (§2.1, §4). Both
 // ScanArticle and ScanLink route through here, so a targeted re-scan
 // cannot diverge from the full-article policy. client is called only
-// when the link needs a GET.
-func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, title string, cl *wikitext.CitedLink, day simclock.Day) linkOutcome {
-	var out linkOutcome
-	if cl.IsDead() {
+// when the link needs a GET. The fetches, lookups and Stats happen
+// here; the returned edit is applied by scanLinks.
+func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, title string, cl wikimedia.CitedURL, day simclock.Day) linkEdit {
+	if cl.Dead {
 		if !b.RecheckDead {
 			b.count(func(s *Stats) { s.SkippedDead++ })
-			return out
+			return linkEdit{}
 		}
 		res := client().Fetch(ctx, cl.URL)
 		b.count(func(s *Stats) { s.LinksChecked++ })
 		if res.FinalStatus == 200 {
-			cl.RemoveDeadTag()
 			b.count(func(s *Stats) { s.Recovered++; s.LinksAlive++ })
-			out.changed = true
-		} else {
-			b.count(func(s *Stats) { s.LinksBroken++ })
+			return linkEdit{act: untag}
 		}
-		return out
+		b.count(func(s *Stats) { s.LinksBroken++ })
+		return linkEdit{}
 	}
-	if cl.ArchiveURL() != "" {
+	if cl.ArchiveURL != "" {
 		b.count(func(s *Stats) { s.SkippedArchived++ })
-		return out
+		return linkEdit{}
 	}
 
 	res := client().Fetch(ctx, cl.URL)
@@ -150,62 +161,73 @@ func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, tit
 	if res.FinalStatus == 200 {
 		// One attempt; 200 after redirections means alive (§2.1).
 		b.count(func(s *Stats) { s.LinksAlive++ })
-		return out
+		return linkEdit{}
 	}
 	b.count(func(s *Stats) { s.LinksBroken++ })
 
 	snap, found := b.lookupCopy(title, cl.URL, day)
 	if found {
-		cl.PatchWithArchive(snap.WaybackURL(), snap.Day.String())
 		b.count(func(s *Stats) { s.Patched++ })
-		out.patched = true
-	} else {
-		cl.MarkDead(monthYear(day), b.Name)
-		b.count(func(s *Stats) { s.MarkedDead++ })
-		out.marked = true
+		return linkEdit{act: patch, archiveURL: snap.WaybackURL(), archiveDate: snap.Day.String()}
 	}
-	out.changed = true
-	return out
+	b.count(func(s *Stats) { s.MarkedDead++ })
+	return linkEdit{act: mark}
 }
 
-// scanLinks runs maintainLink over the article's citations — all of
-// them, or only those matching onlyURL when it is non-empty — and
-// commits an edit if anything changed. It reports whether the article
-// was edited.
+// scanLinks decides maintainLink's edit for each of the article's
+// citations — all of them, or only those matching onlyURL when it is
+// non-empty — from the wiki's RevisionLinks, and only when some edit
+// changes the article parses it, applies the edits and commits the
+// result. It reports whether the article was edited.
 func (b *Bot) scanLinks(ctx context.Context, title, onlyURL string, day simclock.Day) (bool, error) {
 	art := b.Wiki.Article(title)
 	if art == nil {
 		return false, nil
 	}
 	client := sync.OnceValue(func() *fetch.Client { return b.NewClient(day) })
-	doc := art.Current().Doc()
-	links := doc.CitedLinks()
+	cur := art.Current()
+	links := b.Wiki.Links(cur).Cited
 
-	var agg linkOutcome
-	// Reverse order: mutations insert nodes after the current link, so
-	// walking backwards keeps earlier links' positions valid.
+	// Reverse order: applied edits insert nodes after their link, so
+	// applying them backwards keeps earlier links' positions valid.
+	var edits []linkEdit
 	for i := len(links) - 1; i >= 0; i-- {
 		cl := links[i]
 		if cl.URL == "" || (onlyURL != "" && cl.URL != onlyURL) {
 			continue
 		}
-		out := b.maintainLink(ctx, client, title, cl, day)
-		agg.changed = agg.changed || out.changed
-		agg.marked = agg.marked || out.marked
-		agg.patched = agg.patched || out.patched
+		if e := b.maintainLink(ctx, client, title, cl, day); e.act != keep {
+			e.i = i
+			edits = append(edits, e)
+		}
 	}
 
 	if onlyURL == "" {
 		b.count(func(s *Stats) { s.ArticlesScanned++ })
 	}
-	if !agg.changed {
+	if len(edits) == 0 {
 		return false, nil
 	}
-	if agg.marked {
+	doc := cur.Doc()
+	cited := doc.CitedLinks()
+	var marked, patched bool
+	for _, e := range edits {
+		cl := cited[e.i]
+		switch e.act {
+		case untag:
+			cl.RemoveDeadTag()
+		case patch:
+			cl.PatchWithArchive(e.archiveURL, e.archiveDate)
+			patched = true
+		case mark:
+			cl.MarkDead(monthYear(day), b.Name)
+			marked = true
+		}
+	}
+	if marked {
 		doc.AddCategory(Category)
 	}
-	comment := editComment(agg.patched, agg.marked)
-	if _, err := b.Wiki.Edit(title, day, b.Name, comment, doc.Render()); err != nil {
+	if _, err := b.Wiki.Edit(title, day, b.Name, editComment(patched, marked), doc.Render()); err != nil {
 		return false, err
 	}
 	b.count(func(s *Stats) { s.ArticlesEdited++ })

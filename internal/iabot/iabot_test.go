@@ -400,3 +400,47 @@ func TestClientBuiltOnlyWhenALinkNeedsAGET(t *testing.T) {
 		t.Fatalf("two-link article: %d clients built (want 1), stats %+v", built, st)
 	}
 }
+
+// TestScanEditsSeveralLinksOfOneContainer: when one scan edits several
+// links that share a container (the body, or one <ref>), every tag and
+// archive link lands right after its own link, as the in-place scan
+// placed them, and the Stats match. Applied front to back, each insert
+// would shift the links after it and misplace their edits; generated
+// articles rarely put two broken links in one container, so the
+// timeline differential does not reach this.
+func TestScanEditsSeveralLinksOfOneContainer(t *testing.T) {
+	const text = "See http://gone.simtest/a and [http://gone.simtest/b B], " +
+		"{{cite web|url=http://gone.simtest/c|title=C}} and http://ok.simtest/d.\n" +
+		"<ref>http://gone.simtest/e [http://gone.simtest/f F]</ref>"
+	scan := func(inPlace bool) (string, Stats) {
+		f := newFixture()
+		gone := f.world.AddSite("gone.simtest", d(2008, 1, 1))
+		for _, p := range []string{"/a", "/b", "/c", "/e", "/f"} {
+			gone.AddPage(p, d(2008, 1, 1)).DeletedAt = d(2016, 1, 1)
+		}
+		f.world.AddSite("ok.simtest", d(2008, 1, 1)).AddPage("/d", d(2008, 1, 1))
+		for _, u := range []string{"http://gone.simtest/b", "http://gone.simtest/e"} {
+			f.arch.Add(archive.Snapshot{URL: u, Day: d(2011, 1, 1), InitialStatus: 200, FinalStatus: 200})
+		}
+		f.wiki.Create("Art", d(2010, 5, 1), "User", text)
+		day := d(2018, 3, 1)
+		var err error
+		if inPlace {
+			_, err = f.bot.ScanInPlace(context.Background(), "Art", "", day)
+		} else {
+			_, err = f.bot.ScanArticle(context.Background(), "Art", day)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.wiki.Article("Art").Current().Text, f.bot.Stats()
+	}
+	got, gotStats := scan(false)
+	want, wantStats := scan(true)
+	if wantStats.Patched != 2 || wantStats.MarkedDead != 3 {
+		t.Fatalf("the in-place scan patched %d and marked %d links, want 2 and 3", wantStats.Patched, wantStats.MarkedDead)
+	}
+	if got != want || gotStats != wantStats {
+		t.Errorf("scan rendered\n%s\n%+v\nthe in-place scan rendered\n%s\n%+v", got, gotStats, want, wantStats)
+	}
+}

@@ -11,7 +11,6 @@ import (
 
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
-	"permadead/internal/wikitext"
 )
 
 // crcTable is the CRC-64 polynomial every section checksum uses.
@@ -195,13 +194,8 @@ func encodeWiki(secs [][]byte, ar *arena, wiki *wikimedia.Wiki) {
 		dirW.u32(uint32(blobW.len() - base))
 		dirW.u32(0)
 
-		seen := make(map[string]bool)
-		for _, c := range a.Current().Doc().Categories() {
-			cc := wikitext.CanonicalCategory(c)
-			if !seen[cc] {
-				seen[cc] = true
-				catIdx[cc] = append(catIdx[cc], uint32(i))
-			}
+		for _, cc := range wiki.Links(a.Current()).Categories {
+			catIdx[cc] = append(catIdx[cc], uint32(i))
 		}
 	}
 

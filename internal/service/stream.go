@@ -89,7 +89,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				req.Articles[title] = nil // membership is looked up, not trusted
 				continue
 			}
-			req.Articles[title] = art.Current().Doc().ExternalURLs()
+			req.Articles[title] = s.wiki.Links(art.Current()).ExternalURLs()
 		}
 	}
 
@@ -357,6 +357,6 @@ func (s *Server) handleSimArticle(w http.ResponseWriter, r *http.Request) {
 	rev := art.Current()
 	edge.WriteJSON(w, articleResponse{
 		Title: art.Title, RevID: rev.ID, Date: rev.Day.String(), User: rev.User,
-		Revisions: len(art.Revisions), URLs: rev.Doc().ExternalURLs(), Text: rev.Text,
+		Revisions: len(art.Revisions), URLs: s.wiki.Links(rev).ExternalURLs(), Text: rev.Text,
 	})
 }

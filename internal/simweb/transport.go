@@ -149,24 +149,26 @@ func buildResponse(req *http.Request, res Result, body *lazyBody) *http.Response
 	if body.page != nil {
 		n = pageBodyLen(body.site, body.page)
 	}
-	h := make(http.Header, 4)
 	ct := res.ContentType
 	if ct == "" {
 		ct = "text/html; charset=utf-8"
 	}
-	h.Set("Content-Type", ct)
-	h.Set("Content-Length", strconv.Itoa(n))
+	// The keys are written canonical, as Header.Set would store them.
+	h := http.Header{
+		"Content-Type":   {ct},
+		"Content-Length": {strconv.Itoa(n)},
+	}
 	if res.Location != "" {
-		h.Set("Location", ResolveLocation(schemeOf(req), req.URL.Host, res.Location))
+		h["Location"] = []string{ResolveLocation(schemeOf(req), req.URL.Host, res.Location)}
 	}
 	if res.RetryAfterSec > 0 {
-		h.Set("Retry-After", strconv.Itoa(res.RetryAfterSec))
+		h["Retry-After"] = []string{strconv.Itoa(res.RetryAfterSec)}
 	}
 	if req.Method == http.MethodHead {
 		body.Close()
 	}
 	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", res.Status, http.StatusText(res.Status)),
+		Status:        strconv.Itoa(res.Status) + " " + http.StatusText(res.Status),
 		StatusCode:    res.Status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,

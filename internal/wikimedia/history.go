@@ -91,7 +91,7 @@ func (w *Wiki) MineHistory(title string) ArticleHistory {
 	}
 	// Fold without the lock; keep the result only if no Create or Edit
 	// replaced a meanwhile, so the memo never holds a superseded version.
-	ah := mine(a)
+	ah := mine(a, w)
 	w.mu.Lock()
 	if w.articles[title] == a {
 		if w.mined == nil {
@@ -103,12 +103,12 @@ func (w *Wiki) MineHistory(title string) ArticleHistory {
 	return ah
 }
 
-// mine walks a's revisions oldest-first, parsing each revision once,
-// and folds the LinkHistory of every URL cited along the way. Within
-// one revision only a URL's first occurrence (in CitedLinks order)
-// counts: a second citation of the same URL neither tags it nor
-// supplies its archive link.
-func mine(a *Article) ArticleHistory {
+// mine walks a's revisions oldest-first, reading each one's cited
+// links through w.citedLinks (nil w: parsing every revision), and
+// folds the LinkHistory of every URL cited along the way. Within one revision only a URL's first occurrence (in
+// CitedLinks order) counts: a second citation of the same URL neither
+// tags it nor supplies its archive link.
+func mine(a *Article, w *Wiki) ArticleHistory {
 	// The fold runs in stack buffers sized for the few URLs an article
 	// cites; the kept history is copied out at its final size.
 	var linkBuf [8]LinkHistory
@@ -117,12 +117,13 @@ func mine(a *Article) ArticleHistory {
 	// repeat occurrence within one revision is recognised without a
 	// per-revision set.
 	var foldedBuf [8]int
+	var citedBuf [8]CitedURL
 	links, dead, foldedIn := linkBuf[:0], deadBuf[:0], foldedBuf[:0]
 	current := len(a.Revisions) - 1
 	for r := range a.Revisions {
 		rev := &a.Revisions[r]
-		for _, cl := range rev.Doc().CitedLinks() {
-			if r == current && cl.IsDead() {
+		for _, cl := range w.citedLinks(rev, citedBuf[:0]) {
+			if r == current && cl.Dead {
 				dead = append(dead, cl.URL)
 			}
 			i := find(links, cl.URL)
@@ -144,13 +145,13 @@ func mine(a *Article) ArticleHistory {
 				h.Added = rev.Day
 				h.AddedBy = rev.User
 			}
-			if !h.MarkedDead.Valid() && cl.IsDead() {
+			if !h.MarkedDead.Valid() && cl.Dead {
 				h.MarkedDead = rev.Day
 				h.MarkedDeadBy = rev.User
-				h.DeadLinkBot = cl.DeadLinkBot()
+				h.DeadLinkBot = cl.DeadLinkBot
 			}
 			if r == current {
-				h.ArchiveURL = cl.ArchiveURL()
+				h.ArchiveURL = cl.ArchiveURL
 				h.Patched = h.ArchiveURL != ""
 			}
 		}
@@ -176,7 +177,8 @@ func (w *Wiki) HistoryOf(title, url string) (LinkHistory, bool) {
 }
 
 // DeadLinks lists, for the article's current revision, every cited
-// link carrying a {{dead link}} tag.
+// link carrying a {{dead link}} tag. The links come from a fresh parse,
+// so they are the caller's to mutate.
 func (w *Wiki) DeadLinks(title string) []*wikitext.CitedLink {
 	a := w.Article(title)
 	if a == nil {

@@ -11,10 +11,16 @@
 // history is the source of truth for the three per-link facts the
 // study extracts (§2.4): when a link was added, when it was marked
 // permanently dead, and by which username. MineHistory extracts them
-// for every URL of an article in one oldest-first pass that parses
-// each revision once; HistoryOf is a lookup into that pass, so the
-// rules live in one place. The wiki keeps each article's pass until an
-// edit replaces the article, so an unedited article is parsed once.
+// for every URL of an article in one oldest-first pass; HistoryOf is a
+// lookup into that pass, so the rules live in one place. The wiki keeps
+// each article's pass until an edit replaces the article.
+//
+// Links keeps one RevisionLinks per revision read through it: the edit
+// stream, category listings and the bots' decisions read each revision
+// from it, so the wiki parses a revision for them once. The history
+// pass reads a kept digest where there is one and otherwise parses
+// without keeping, since the wiki keeps its result. Only a caller that
+// mutates a document asks Revision.Doc for a fresh parse.
 package wikimedia
 
 import (
@@ -40,9 +46,10 @@ type Revision struct {
 	Text string
 }
 
-// Doc parses the revision's wikitext.
+// Doc parses the revision's wikitext afresh: the document is the
+// caller's to mutate. A reader that only looks goes through Wiki.Links.
 func (r *Revision) Doc() *wikitext.Document {
-	return wikitext.Parse(r.Text)
+	return parse(r.Text)
 }
 
 // Article is a titled page with its complete revision history, oldest
@@ -112,6 +119,13 @@ type Wiki struct {
 	// art is always the title's published article (storeLocked drops
 	// the entry of a title it republishes).
 	mined map[string]minedArticle
+
+	// links is Links's cache, one entry per revision ID, and
+	// linksSlab holds the entries; both are under linksMu, so that
+	// reading a digest never waits on an Edit.
+	linksMu   sync.RWMutex
+	links     map[int]*RevisionLinks
+	linksSlab slab
 }
 
 // ArticleSource lazily supplies articles from external storage (a
@@ -212,7 +226,7 @@ func (w *Wiki) Create(title string, day simclock.Day, user, text string) *Articl
 	added, removed := w.listeners, w.removedListeners
 	w.mu.Unlock()
 
-	emitLinkDiff(added, removed, title, nil, text, day, user)
+	w.emitLinkDiff(added, removed, title, nil, a.Current())
 	return a
 }
 
@@ -242,7 +256,7 @@ func (w *Wiki) Edit(title string, day simclock.Day, user, comment, text string) 
 	added, removed := w.listeners, w.removedListeners
 	w.mu.Unlock()
 
-	emitLinkDiff(added, removed, title, &prev.Text, text, day, user)
+	w.emitLinkDiff(added, removed, title, prev, a.Current())
 	return a.Current(), nil
 }
 
@@ -257,24 +271,26 @@ func (w *Wiki) storeLocked(a *Article) {
 	}
 }
 
-// emitLinkDiff walks the external-URL sets of the previous and new
-// revisions once and emits one LinkAddedEvent per URL newly present
-// and one LinkRemovedEvent per URL no longer present. Removal events
-// fire before addition events so a consumer tracking membership (the
-// verdict monitor) never double-counts a URL mid-edit.
-func emitLinkDiff(added []func(LinkAddedEvent), removed []func(LinkRemovedEvent), title string, prevText *string, text string, day simclock.Day, user string) {
+// emitLinkDiff walks the external-URL sets of the previous revision
+// (nil for a created article) and the new one once and emits one
+// LinkAddedEvent per URL newly present and one LinkRemovedEvent per
+// URL no longer present. Removal events fire before addition events so
+// a consumer tracking membership (the verdict monitor) never
+// double-counts a URL mid-edit.
+func (w *Wiki) emitLinkDiff(added []func(LinkAddedEvent), removed []func(LinkRemovedEvent), title string, prevRev, rev *Revision) {
 	if len(added) == 0 && len(removed) == 0 {
 		return
 	}
+	day, user := rev.Day, rev.User
 	var prevList []string
-	if prevText != nil {
-		prevList = wikitext.Parse(*prevText).ExternalURLs()
+	if prevRev != nil {
+		prevList = w.Links(prevRev).ExternalURLs()
 	}
 	prev := make(map[string]struct{}, len(prevList))
 	for _, u := range prevList {
 		prev[u] = struct{}{}
 	}
-	curList := wikitext.Parse(text).ExternalURLs()
+	curList := w.Links(rev).ExternalURLs()
 	cur := make(map[string]struct{}, len(curList))
 	for _, u := range curList {
 		cur[u] = struct{}{}
@@ -418,13 +434,13 @@ func (w *Wiki) InCategory(category string) []string {
 			}
 		}
 		for _, a := range edited {
-			if a.Current().Doc().HasCategory(category) {
+			if w.Links(a.Current()).HasCategory(category) {
 				titles = append(titles, a.Title)
 			}
 		}
 	} else {
 		w.EachArticle(func(a *Article) {
-			if a.Current().Doc().HasCategory(category) {
+			if w.Links(a.Current()).HasCategory(category) {
 				titles = append(titles, a.Title)
 			}
 		})
@@ -434,9 +450,9 @@ func (w *Wiki) InCategory(category string) []string {
 }
 
 // Clone deep-copies the wiki: articles, revisions, and the revision
-// counter. Listeners and mined histories are not copied. Use it to run
-// destructive experiments (e.g. a WaybackMedic pass) without disturbing
-// the original. On a source-backed wiki every article is materialized
+// counter. Listeners, mined histories and RevisionLinks are not
+// copied. Use it to run destructive experiments (e.g. a WaybackMedic
+// pass) without disturbing the original. On a source-backed wiki every article is materialized
 // first — the clone is fully in-memory.
 func (w *Wiki) Clone() *Wiki {
 	w.mu.RLock()

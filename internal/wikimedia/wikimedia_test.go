@@ -185,6 +185,86 @@ func TestEditConcurrentWithReads(t *testing.T) {
 	}
 }
 
+// TestLinksConcurrentWithEdit: readers of every revision's
+// RevisionLinks and of MineHistory run on two goroutines while a third
+// edits the article (under -race this checks the summary cache's
+// locking). Every summary a reader gets equals a fresh parse's, so the
+// cache never hands out one revision's summary for another; afterwards
+// MineHistory equals the uncached fold, and reading every summary again
+// parses nothing.
+func TestLinksConcurrentWithEdit(t *testing.T) {
+	const title, edits = "Alpha", 200
+	w := NewWiki()
+	w.Subscribe(func(LinkAddedEvent) {}) // edits read summaries too
+	w.Create(title, d(1), "U", "[http://x.simtest/0 Zero]")
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i <= edits; i++ {
+			text := fmt.Sprintf("[http://x.simtest/%d Link]{{dead link|bot=B}} [[Category:C%d]]", i, i%3)
+			if _, err := w.Edit(title, d(1+i), "U", "c", text); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	read := func() {
+		defer wg.Done()
+		for reading := true; reading; {
+			select {
+			case <-done:
+				reading = false
+			default:
+			}
+			a := w.Article(title)
+			for i := range a.Revisions {
+				rev := &a.Revisions[i]
+				if got, want := w.Links(rev), summarize(rev.Text); !reflect.DeepEqual(got, want) {
+					t.Errorf("Links(revision %d) = %+v, a fresh parse gives %+v", rev.ID, got, want)
+					return
+				}
+			}
+			w.MineHistory(title)
+		}
+	}
+	wg.Add(2)
+	go read()
+	go read()
+	wg.Wait()
+
+	a := w.Article(title)
+	if !reflect.DeepEqual(w.MineHistory(title), Mine(a)) {
+		t.Errorf("MineHistory after the edits = %+v, the uncached fold gives %+v", w.MineHistory(title), Mine(a))
+	}
+	before := Parses()
+	for i := range a.Revisions {
+		w.Links(&a.Revisions[i])
+	}
+	if n := Parses() - before; n != 0 {
+		t.Errorf("reading every revision's summary again parsed %d times, want 0", n)
+	}
+}
+
+// TestLinksRereadsReusedID: a kept digest answers only for the text it
+// digests, so a revision ID met again with other text (an article held
+// before SetSource, beside a source's revision of the same ID) is read
+// afresh, not answered with the other revision's links.
+func TestLinksRereadsReusedID(t *testing.T) {
+	w := NewWiki()
+	a := w.Create("A", d(1), "U", "[http://a.simtest/1 One]")
+	if got := w.Links(a.Current()).ExternalURLs(); !reflect.DeepEqual(got, []string{"http://a.simtest/1"}) {
+		t.Fatalf("Links(A) = %v", got)
+	}
+	other := &Revision{ID: a.Current().ID, Text: "[http://b.simtest/2 Two] [[Category:B]]"}
+	if got := w.Links(other); !reflect.DeepEqual(got, summarize(other.Text)) {
+		t.Errorf("Links of another text under ID %d = %+v, want %+v", other.ID, got, summarize(other.Text))
+	}
+}
+
 func TestLinkAddedEvents(t *testing.T) {
 	w := NewWiki()
 	var events []LinkAddedEvent

@@ -252,21 +252,28 @@ func TestSmoke(t *testing.T) {
 	})
 
 	// A flag that only modifies another is a usage error without it,
-	// never silently ignored.
+	// and two flags that conflict are one together: never silently
+	// ignored or half-applied.
 	t.Run("a modifier flag without its base exits 2", func(t *testing.T) {
 		for _, c := range []struct {
-			bin  string
-			args []string // the lone modifier first
+			bin   string
+			args  []string
+			names []string // the flags the usage error must name
 		}{
-			{"deadlinkstudy", []string{"-compare", "-scale", "0.05"}},
-			{"permadeadd", []string{"-shard-members", "s1,s2", "-scale", "0.05", "-addr", "127.0.0.1:0"}},
+			{"deadlinkstudy", []string{"-compare", "-scale", "0.05"}, []string{"-compare"}},
+			{"permadeadd", []string{"-shard-members", "s1,s2", "-scale", "0.05", "-addr", "127.0.0.1:0"}, []string{"-shard-members"}},
+			{"deadlinkstudy", []string{"-random", "-compare", "-figs", t.TempDir(), "-scale", "0.05"}, []string{"-random", "-compare"}},
 		} {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			out, err := exec.CommandContext(ctx, bin(c.bin), c.args...).CombinedOutput()
 			cancel()
 			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.args[0]) {
-				t.Errorf("%s %v: %v, want exit 2 naming %s\n%s", c.bin, c.args, err, c.args[0], out)
+			named := true
+			for _, n := range c.names {
+				named = named && strings.Contains(string(out), n)
+			}
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !named {
+				t.Errorf("%s %v: %v, want exit 2 naming %v\n%s", c.bin, c.args, err, c.names, out)
 			}
 		}
 	})
