@@ -25,11 +25,12 @@ test:
 
 # race also repeats the tests of the wiki's immutable articles, of its
 # per-revision link summaries read while edits run, of MineHistory's
-# memo and of Collect's fan-out ten times, so a rare interleaving gets
+# memo, of Collect's fan-out and of the fleet router (its batch merge
+# over owner streams among them) ten times, so a rare interleaving gets
 # more chances.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestMineHistory' ./internal/wikimedia ./internal/core
+	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestMineHistory|TestFleet' ./internal/wikimedia ./internal/core ./internal/shard
 
 # fuzzsmoke gives each differential fuzz target ten seconds beyond its
 # seed corpus (go test takes one -fuzz target per invocation): the

@@ -16,9 +16,9 @@
 // identically everywhere from the names alone). Runtime rebalances go
 // through POST /admin/rebalance {"domain": ..., "to": ...}. Everything
 // else — virtual nodes per member, the per-shard deadline, health-poll
-// cadence, Retry-After, the rebalance drain bound — is a constant or a
-// RouterConfig default in internal/shard, and the batch bound is
-// edge.MaxBatchLinks. On SIGINT/SIGTERM the router drains: new proxied
+// cadence, Retry-After, the longest shard line a batch merge reads — is
+// a constant or a RouterConfig default in internal/shard, and the batch
+// bound is edge.MaxBatchLinks. On SIGINT/SIGTERM the router drains: new proxied
 // requests get 503 while in-flight ones finish.
 package main
 

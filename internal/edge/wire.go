@@ -175,12 +175,12 @@ func ErrLine(url, code, msg string) []byte {
 	return append(line, '\n')
 }
 
-// LineWriter returns the emit and idle functions of a
-// core.StreamOrderedIdle that streams NDJSON to w: emit appends a line
-// to w's buffer, flush sends what has gathered. The emitter flushes
-// whenever it is about to wait, so a client reads line i while line
-// i+k is still being produced, and lines that are ready together share
-// one write.
+// LineWriter returns the emit and flush functions of a batch stream
+// that writes NDJSON to w — the shard server's core.StreamOrderedIdle
+// and the router's merge: emit appends a line to w's buffer, flush
+// sends what has gathered. The emitter flushes whenever it is about to
+// wait, so a client reads line i while line i+k is still being
+// produced, and lines that are ready together share one write.
 func LineWriter(w http.ResponseWriter) (emit func(i int, line []byte) error, flush func()) {
 	emit = func(_ int, line []byte) error {
 		_, err := w.Write(line)

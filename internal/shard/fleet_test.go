@@ -436,8 +436,8 @@ func TestFleetRebalance(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.From != from || res.To != to || !res.Drained {
-		t.Fatalf("rebalance result %+v, want from=%s to=%s drained", res, from, to)
+	if res.From != from || res.To != to {
+		t.Fatalf("rebalance result %+v, want from=%s to=%s", res, from, to)
 	}
 	if router.Ring().Owner(domain) != to {
 		t.Fatalf("router still routes %s to %s", domain, router.Ring().Owner(domain))

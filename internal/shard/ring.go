@@ -158,14 +158,6 @@ func (r *Ring) OwnerOfURL(rawURL string) string {
 	return r.Owner(urlutil.Domain(rawURL))
 }
 
-// PointOf returns the vnode hash whose range covers the domain — the
-// identity of the range a Move would transfer, and the key routers use
-// to track per-range in-flight work during a handoff.
-func (r *Ring) PointOf(domain string) uint64 {
-	_, p := r.locate(domain)
-	return p.h
-}
-
 // locate finds the successor vnode for a domain key.
 func (r *Ring) locate(domain string) (int, point) {
 	h := hash64(strings.ToLower(strings.TrimSpace(domain)))

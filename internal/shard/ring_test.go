@@ -106,8 +106,8 @@ func TestMoveDomain(t *testing.T) {
 	if prev != from {
 		t.Errorf("MoveDomain prior owner = %q, want %q", prev, from)
 	}
-	if point != r.PointOf(domain) {
-		t.Errorf("MoveDomain point = %d, want %d", point, r.PointOf(domain))
+	if _, p := r.locate(domain); point != p.h {
+		t.Errorf("MoveDomain point = %d, want %d", point, p.h)
 	}
 	if nr.Owner(domain) != to {
 		t.Errorf("after move, owner = %q, want %q", nr.Owner(domain), to)

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"permadead/internal/core"
 	"permadead/internal/edge"
 	"permadead/internal/urlutil"
 )
@@ -33,21 +32,18 @@ type RouterConfig struct {
 	Members []Member
 	// ShardTimeout is the per-shard deadline on every proxied or
 	// scattered leg — the bound that turns a hung shard into a flagged
-	// partial result instead of a hung client. Default 15s.
+	// partial result instead of a hung client. A batch leg is read only
+	// as fast as the merge moves, so there it bounds each wait of the
+	// merge on that shard instead. Default 15s.
 	ShardTimeout time.Duration
 	// HealthInterval is the /healthz polling cadence. Proxy failures
 	// mark a member down immediately; polling brings it back. Default 1s.
 	HealthInterval time.Duration
 }
 
-const (
-	// retryAfter is the Retry-After advertisement on degraded
-	// (shard-down) responses, in seconds.
-	retryAfter = "2"
-	// drainTimeout bounds how long a rebalance waits for the old
-	// owner's in-flight requests on the moved range to finish.
-	drainTimeout = 5 * time.Second
-)
+// retryAfter is the Retry-After advertisement on degraded (shard-down)
+// responses, in seconds.
+const retryAfter = "2"
 
 // member is the router's live view of one shard.
 type member struct {
@@ -58,25 +54,6 @@ type member struct {
 	// failures (for /metrics).
 	proxied atomic.Int64
 	failed  atomic.Int64
-	// inflight tracks requests currently forwarded to this member,
-	// bucketed by the ring point that routed them — the unit a
-	// rebalance drains before declaring the handoff complete.
-	inflight sync.Map // uint64 (ring point) -> *atomic.Int64
-}
-
-func (m *member) track(point uint64) func() {
-	v, _ := m.inflight.LoadOrStore(point, new(atomic.Int64))
-	ctr := v.(*atomic.Int64)
-	ctr.Add(1)
-	return func() { ctr.Add(-1) }
-}
-
-func (m *member) inflightOn(point uint64) int64 {
-	v, ok := m.inflight.Load(point)
-	if !ok {
-		return 0
-	}
-	return v.(*atomic.Int64).Load()
 }
 
 // Router is a stateless fan-out proxy in front of a permadeadd fleet.
@@ -190,11 +167,15 @@ func (r *Router) probe(m *member) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// leg sends member m one request under a deadline of timeout layered on
-// ctx: a GET of path, or — with a payload — a POST of it as JSON. On
-// success the caller closes the response body, then calls cancel.
+// leg sends member m one request under ctx, with a deadline of timeout
+// when it is positive: a GET of path, or — with a payload — a POST of
+// it as JSON. On success the caller closes the response body, then
+// calls cancel.
 func (r *Router) leg(ctx context.Context, timeout time.Duration, m *member, path string, payload []byte) (*http.Response, context.CancelFunc, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	cancel := context.CancelFunc(func() {})
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
 	method, body := http.MethodGet, io.Reader(nil)
 	if payload != nil {
 		method, body = http.MethodPost, bytes.NewReader(payload)
@@ -275,14 +256,12 @@ func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
 		edge.WriteError(w, http.StatusBadRequest, "missing_url", "missing url parameter")
 		return
 	}
-	// The owning member, and the ring point that made the decision.
-	ring, domain := r.ring.Load(), urlutil.Domain(rawURL)
-	m := r.members[ring.Owner(domain)]
+	domain := urlutil.Domain(rawURL)
+	m := r.members[r.ring.Load().Owner(domain)]
 	if !m.healthy.Load() {
 		r.degrade(w, "shard_down", "shard %s (owner of %s) is down; retry shortly", m.name, domain)
 		return
 	}
-	defer m.track(ring.PointOf(domain))()
 
 	resp, cancel, err := r.leg(req.Context(), r.cfg.ShardTimeout, m, req.URL.Path+"?"+req.URL.RawQuery, nil)
 	if err != nil {
@@ -307,72 +286,61 @@ func (r *Router) handleSingle(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleBatch splits one bulk-classify request by owning shard, posts
-// each shard its sub-batch concurrently, and re-merges the streamed
-// NDJSON lines into global input order via core.StreamOrderedIdle —
-// line i is sent as soon as it and its predecessors are ready, no
-// matter which shard computed it, sharing a write with the lines that
-// are ready with it. Links owned by a down shard become
-// {"error":{"code":"shard_down"}} lines (the same per-line degradation
-// contract as unknown links), the response is flagged with
-// X-Fleet-Partial and Retry-After, and a shard that dies mid-stream
-// fails only its own remaining lines.
+// every shard its sub-batch at once, and merges the answers back into
+// input order. A shard streams its sub-batch's lines in its own input
+// order, so global line i is simply the next line of owner(i)'s stream:
+// the merge walks the input and reads each line from its owner, holding
+// no line but the one it writes. A healthy leg the merge is not reading
+// waits in its own read buffer and, past that, in TCP flow control, so
+// the router holds one buffer per shard however many lines there are.
+// The merge flushes whenever its next read would wait (edge.LineWriter's
+// contract), so a line is never held while a later one is computed.
+// ShardTimeout bounds each wait on a leg, not the leg's life: a leg
+// waits on the merge while a stalled neighbour or a slow client holds
+// it, and that is no fault of its shard.
+// Links owned by a down shard become {"error":{"code":"shard_down"}}
+// lines (the same per-line degradation contract as unknown links), the
+// response is flagged with X-Fleet-Partial and Retry-After, and a shard
+// that fails or dies mid-stream fails only its own remaining lines.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	urls, ok := edge.DecodeBatch(w, req)
 	if !ok {
 		return
 	}
 
-	// Partition input indices by owning member under one ring snapshot
-	// (a rebalance mid-request must not split a batch across rings).
+	// Partition by owner under one ring snapshot (a rebalance
+	// mid-request must not split a batch across rings).
 	ring := r.ring.Load()
-	type part struct {
-		m      *member
-		idxs   []int
-		points map[uint64]struct{} // the distinct ring points that routed idxs
-	}
-	parts := make(map[string]*part)
+	parts := make(map[string]*subBatch)
+	owners := make([]*subBatch, len(urls))
 	for i, u := range urls {
-		d := urlutil.Domain(u)
-		name := ring.Owner(d)
+		name := ring.OwnerOfURL(u)
 		p := parts[name]
 		if p == nil {
-			p = &part{m: r.members[name], points: make(map[uint64]struct{})}
+			p = &subBatch{m: r.members[name], up: make(chan struct{})}
 			parts[name] = p
 		}
-		p.idxs = append(p.idxs, i)
-		p.points[ring.PointOf(d)] = struct{}{}
-	}
-
-	// slots[i] carries exactly one line for global index i; capacity 1
-	// means shard readers never block on the merger.
-	n := len(urls)
-	slots := make([]chan []byte, n)
-	for i := range slots {
-		slots[i] = make(chan []byte, 1)
+		p.urls = append(p.urls, u)
+		owners[i] = p
 	}
 
 	var down []string
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
-	var wg sync.WaitGroup
 	for _, p := range parts {
 		if !p.m.healthy.Load() {
 			down = append(down, p.m.name)
-			for _, i := range p.idxs {
-				slots[i] <- edge.ErrLine(urls[i], "shard_down",
-					fmt.Sprintf("shard %s is down; retry shortly", p.m.name))
-			}
+			p.code, p.msg = "shard_down", fmt.Sprintf("shard %s is down; retry shortly", p.m.name)
+			close(p.up)
 			continue
 		}
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			r.streamSubBatch(ctx, p.m, p.points, urls, p.idxs, slots)
-		}(p)
+		legCtx, cancelLeg := context.WithCancelCause(ctx)
+		p.cancel = cancelLeg
+		go r.open(ctx, legCtx, p)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	w.Header().Set("X-Batch-Links", strconv.Itoa(n))
+	w.Header().Set("X-Batch-Links", strconv.Itoa(len(urls)))
 	if len(down) > 0 {
 		sort.Strings(down)
 		w.Header().Set("X-Fleet-Partial", strings.Join(down, ","))
@@ -380,81 +348,124 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		r.degraded.Add(1)
 	}
 
-	// The merge: workers claim global indices and wait on that index's
-	// slot; emit runs in strict input order. Width tracks the fleet —
-	// one in-flight index per shard stream plus slack — because each
-	// claimed index blocks until its shard delivers.
-	width := 2*len(parts) + 1
 	emit, flush := edge.LineWriter(w)
-	//nolint:errcheck // a mid-stream client disconnect just ends the stream
-	core.StreamOrderedIdle(ctx, n, width,
-		func(i int) []byte {
-			select {
-			case line := <-slots[i]:
-				return line
-			case <-ctx.Done():
-				return edge.ErrLine(urls[i], "client_closed_request", "request canceled")
+	unflushed := false
+	for i, p := range owners {
+		var idle *time.Timer
+		if !p.ready() {
+			if unflushed {
+				flush()
+				unflushed = false
 			}
-		},
-		emit, flush)
+			idle = time.AfterFunc(r.cfg.ShardTimeout, func() { p.cancel(context.DeadlineExceeded) })
+		}
+		line := p.next(urls[i])
+		if idle != nil {
+			idle.Stop()
+		}
+		// Once the client is gone nothing more is written, and the
+		// legs it abandoned are not the shards' failures.
+		if ctx.Err() != nil || emit(i, line) != nil {
+			break
+		}
+		unflushed = true
+	}
+	if unflushed {
+		flush()
+	}
 	cancel()
-	wg.Wait()
+	for _, p := range parts {
+		p.close()
+	}
 }
 
-// streamSubBatch posts one shard its slice of the batch and fans the
-// streamed lines back into the global slots. Any leg failure —
-// unreachable shard, non-200, truncated stream — turns the remaining
-// indices into shard_unreachable error lines; it never hangs past the
-// per-shard deadline. ctx is the batch's own context: once it is done
-// (client gone, or the merge gave up on a write error) a failing leg is
-// the caller's doing, not the shard's.
-func (r *Router) streamSubBatch(ctx context.Context, m *member, points map[uint64]struct{}, urls []string, idxs []int, slots []chan []byte) {
-	for point := range points {
-		defer m.track(point)() // one in-flight count per routed ring point, held to stream end
-	}
-	sub := make([]string, len(idxs))
-	for k, i := range idxs {
-		sub[k] = urls[i]
-	}
-	payload, _ := json.Marshal(map[string][]string{"urls": sub}) //nolint:errcheck
+// subBatch is one owner's share of a batch: its links in input order
+// and, once its leg has answered, the shard's stream of their lines.
+type subBatch struct {
+	m    *member
+	urls []string
+	// up is closed once the leg has answered (at once for a down
+	// member); the fields below are the merge's after that.
+	up chan struct{}
+	// cancel ends the leg, with context.DeadlineExceeded when the merge
+	// has waited ShardTimeout on it.
+	cancel context.CancelCauseFunc
+	resp   *http.Response
+	br     *bufio.Reader
+	read   int // lines taken from br
+	// code and msg, once set, make the error line of every remaining
+	// link: the shard is down, its leg failed, or its stream ended early.
+	code, msg string
+}
 
-	failFrom := func(k int, code string, msg string) {
-		for ; k < len(idxs); k++ {
-			slots[idxs[k]] <- edge.ErrLine(urls[idxs[k]], code, msg)
-		}
-	}
-
-	resp, cancel, err := r.leg(ctx, r.cfg.ShardTimeout, m, "/v1/classify/batch", payload)
-	if err != nil {
-		if !m.legFailed(ctx) {
-			failFrom(0, "client_closed_request", "request canceled")
-			return
-		}
-		failFrom(0, "shard_unreachable", fmt.Sprintf("shard %s: %v", m.name, err))
-		return
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+// open posts p's links to its shard under legCtx, a child of the
+// batch's context ctx, and records the answer. A failing leg marks the
+// member down only while ctx is live: once it is done the client hung
+// up, which says nothing about the shard.
+func (r *Router) open(ctx, legCtx context.Context, p *subBatch) {
+	defer close(p.up)
+	payload, _ := json.Marshal(map[string][]string{"urls": p.urls}) //nolint:errcheck
+	resp, _, err := r.leg(legCtx, 0, p.m, "/v1/classify/batch", payload)
+	switch {
+	case err != nil:
+		p.m.legFailed(ctx)
+		p.code, p.msg = "shard_unreachable", fmt.Sprintf("shard %s: %v", p.m.name, err)
+	case resp.StatusCode != http.StatusOK:
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		failFrom(0, "shard_error", fmt.Sprintf("shard %s answered %d: %s", m.name, resp.StatusCode, bytes.TrimSpace(raw)))
-		return
+		resp.Body.Close()
+		p.code, p.msg = "shard_error", fmt.Sprintf("shard %s answered %d: %s", p.m.name, resp.StatusCode, bytes.TrimSpace(raw))
+	default:
+		p.m.proxied.Add(1)
+		p.resp = resp
+		p.br = bufio.NewReaderSize(resp.Body, maxLine)
 	}
-	m.proxied.Add(1)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	k := 0
-	for k < len(idxs) && sc.Scan() {
-		line := append(append([]byte(nil), sc.Bytes()...), '\n')
-		slots[idxs[k]] <- line
-		k++
+}
+
+// maxLine bounds one shard line as the router reads it; a longer line
+// ends the shard's stream like a truncation. A verdict line is well
+// under a kilobyte.
+const maxLine = 64 << 10
+
+// ready reports whether p's next line can be had without waiting for
+// its shard.
+func (p *subBatch) ready() bool {
+	select {
+	case <-p.up:
+	default:
+		return false
 	}
-	if k < len(idxs) {
-		msg := fmt.Sprintf("shard %s stream truncated at line %d of %d", m.name, k, len(idxs))
-		if err := sc.Err(); err != nil {
-			msg += ": " + err.Error()
+	if p.code != "" {
+		return true
+	}
+	buf, _ := p.br.Peek(p.br.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// next returns p's next line, the one for url: the shard's own line
+// while its stream lasts — valid until p is read again — and an error
+// line after.
+func (p *subBatch) next(url string) []byte {
+	<-p.up
+	if p.code == "" {
+		line, err := p.br.ReadSlice('\n')
+		if err == nil {
+			p.read++
+			return line
 		}
-		failFrom(k, "shard_unreachable", msg)
+		p.code, p.msg = "shard_unreachable", fmt.Sprintf("shard %s stream truncated at line %d of %d", p.m.name, p.read, len(p.urls))
+		if err != io.EOF {
+			p.msg += ": " + err.Error()
+		}
+	}
+	return edge.ErrLine(url, p.code, p.msg)
+}
+
+// close waits for p's leg to answer and releases it. The batch's
+// context is cancelled by now, and with it every leg's.
+func (p *subBatch) close() {
+	<-p.up
+	if p.resp != nil {
+		p.resp.Body.Close()
 	}
 }
 
@@ -634,12 +645,6 @@ type RebalanceResult struct {
 	From       string `json:"from"`
 	To         string `json:"to"`
 	Generation int64  `json:"generation"`
-	// Drained reports whether the old owner's in-flight requests on the
-	// moved range hit zero within drainTimeout (false means the wait
-	// timed out; the handoff still completed — shards serve the full
-	// universe, so a straggler finishes correctly on the old owner).
-	Drained     bool  `json:"drained"`
-	DrainWaitMS int64 `json:"drain_wait_ms"`
 }
 
 // Rebalance moves the hash range covering domain to member `to`:
@@ -647,11 +652,9 @@ type RebalanceResult struct {
 //  1. the new owner learns the updated ring first (its owned sample
 //     view widens before any traffic arrives);
 //  2. the router cuts over — new requests for the range route to the
-//     new owner;
-//  3. the old owner's in-flight requests on the moved range drain
-//     (bounded by drainTimeout; stragglers finish correctly because
-//     every shard can classify the full universe);
-//  4. the updated ring propagates to the remaining members, best
+//     new owner, and requests already on the old owner finish there
+//     correctly, because every shard can classify the full universe;
+//  3. the updated ring propagates to the remaining members, best
 //     effort, so their owned views converge.
 //
 // Handoffs serialize on an internal mutex; the target must be healthy.
@@ -666,14 +669,12 @@ func (r *Router) Rebalance(ctx context.Context, domain, to string) (*RebalanceRe
 	if !target.healthy.Load() {
 		return nil, fmt.Errorf("target shard %s is down", to)
 	}
-	ring := r.ring.Load()
-	next, from, point, err := ring.MoveDomain(domain, to)
+	next, from, point, err := r.ring.Load().MoveDomain(domain, to)
 	if err != nil {
 		return nil, err
 	}
 	res := &RebalanceResult{Domain: domain, Point: point, From: from, To: to, Generation: next.Generation()}
 	if from == to {
-		res.Drained = true
 		return res, nil // already owned; nothing to move
 	}
 
@@ -686,22 +687,7 @@ func (r *Router) Rebalance(ctx context.Context, domain, to string) (*RebalanceRe
 	// 2. Cut over.
 	r.ring.Store(next)
 
-	// 3. Drain the old owner's in-flight work on the moved range.
-	old := r.members[from]
-	start := time.Now()
-	deadline := start.Add(drainTimeout)
-	for old.inflightOn(point) > 0 && time.Now().Before(deadline) {
-		select {
-		case <-ctx.Done():
-			res.DrainWaitMS = time.Since(start).Milliseconds()
-			return res, nil
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	res.Drained = old.inflightOn(point) == 0
-	res.DrainWaitMS = time.Since(start).Milliseconds()
-
-	// 4. Propagate to the rest of the fleet (best effort — a shard that
+	// 3. Propagate to the rest of the fleet (best effort — a shard that
 	// misses the update serves a stale owned view until the next push,
 	// which only affects /v1/sample composition, not verdicts).
 	for _, name := range r.order {

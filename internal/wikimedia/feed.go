@@ -1,22 +1,6 @@
 package wikimedia
 
-import (
-	"sync/atomic"
-
-	"permadead/internal/simclock"
-)
-
-// LinkEvent is one external-link membership change observed on the
-// edit stream: a URL appearing in (or disappearing from) an article's
-// current revision.
-type LinkEvent struct {
-	// Removed is false for an addition, true for a removal.
-	Removed bool
-	Title   string
-	URL     string
-	Day     simclock.Day
-	User    string
-}
+import "sync/atomic"
 
 // Feed is the wiki's EventStream API: it adapts the wiki's synchronous
 // edit callbacks into a bounded asynchronous event queue — the
@@ -42,14 +26,7 @@ func NewFeed(buffer int) *Feed {
 // Attach subscribes the feed to the wiki's link addition and removal
 // events. Safe to call after content generation; only edits that
 // start after Attach are observed.
-func (f *Feed) Attach(w *Wiki) {
-	w.Subscribe(func(ev LinkAddedEvent) {
-		f.enqueue(LinkEvent{Title: ev.Title, URL: ev.URL, Day: ev.Day, User: ev.User})
-	})
-	w.SubscribeRemoved(func(ev LinkRemovedEvent) {
-		f.enqueue(LinkEvent{Removed: true, Title: ev.Title, URL: ev.URL, Day: ev.Day, User: ev.User})
-	})
-}
+func (f *Feed) Attach(w *Wiki) { w.Subscribe(f.enqueue) }
 
 func (f *Feed) enqueue(ev LinkEvent) {
 	f.seen.Add(1)

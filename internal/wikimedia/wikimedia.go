@@ -71,26 +71,22 @@ func (a *Article) Current() *Revision {
 	return &a.Revisions[len(a.Revisions)-1]
 }
 
-// LinkAddedEvent is emitted when an edit introduces a previously-unseen
-// external URL to an article — the signal the Wikipedia EventStream
-// (and before it, the near-real-time IRC feed) exposes to archives.
-type LinkAddedEvent struct {
-	Title string
-	URL   string
-	Day   simclock.Day
-	User  string
-}
-
-// LinkRemovedEvent is emitted when an edit drops every occurrence of
-// an external URL from an article. Archives never needed this signal
-// (a capture is forever), but a live monitor does: a link edited out
-// of its article no longer has a page whose citation health depends
-// on it, so its watch can be released.
-type LinkRemovedEvent struct {
-	Title string
-	URL   string
-	Day   simclock.Day
-	User  string
+// LinkEvent is one external-link membership change on the edit
+// stream, stamped with the editing revision's day and user. An
+// addition — an edit introducing a previously-unseen external URL to
+// an article — is the signal the Wikipedia EventStream (and before it,
+// the near-real-time IRC feed) exposes to archives. A removal — an
+// edit dropping every occurrence of a URL — archives never needed (a
+// capture is forever), but a live monitor does: a link edited out of
+// its article no longer has a page whose citation health depends on
+// it, so its watch can be released.
+type LinkEvent struct {
+	// Removed is false for an addition, true for a removal.
+	Removed bool
+	Title   string
+	URL     string
+	Day     simclock.Day
+	User    string
 }
 
 // Wiki is the article store. Safe for concurrent use.
@@ -103,13 +99,12 @@ type Wiki struct {
 	mu        sync.RWMutex
 	articles  map[string]*Article
 	nextRevID int
-	// Listener slices are copy-on-write: Subscribe* replaces the
-	// slice under the write lock instead of appending in place, so an
-	// emitter iterating a previously captured slice never races a new
+	// listeners is copy-on-write: Subscribe replaces the slice under
+	// the write lock instead of appending in place, so an emitter
+	// iterating a previously captured slice never races a new
 	// registration (Subscribe is safe mid-stream, while edits flow).
-	listeners        []func(LinkAddedEvent)
-	removedListeners []func(LinkRemovedEvent)
-	src              ArticleSource
+	listeners []func(LinkEvent)
+	src       ArticleSource
 	// edited holds, on a source-backed wiki, every title created or
 	// edited through the wiki (and every title already in the map at
 	// SetSource): the articles whose category membership the source's
@@ -186,27 +181,17 @@ func (w *Wiki) lookupLocked(title string) *Article {
 	return nil
 }
 
-// Subscribe registers a listener for link-addition events. Listeners
-// are invoked synchronously during Create/Edit, in registration order.
-// Safe to call at any time, including after content generation while
-// concurrent edits are emitting: a registration only applies to edits
-// that start after it.
-func (w *Wiki) Subscribe(fn func(LinkAddedEvent)) {
+// Subscribe registers a listener for link addition and removal events.
+// Listeners are invoked synchronously during Create/Edit, in
+// registration order. Safe to call at any time, including after content
+// generation while concurrent edits are emitting: a registration only
+// applies to edits that start after it.
+func (w *Wiki) Subscribe(fn func(LinkEvent)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	next := make([]func(LinkAddedEvent), len(w.listeners), len(w.listeners)+1)
+	next := make([]func(LinkEvent), len(w.listeners), len(w.listeners)+1)
 	copy(next, w.listeners)
 	w.listeners = append(next, fn)
-}
-
-// SubscribeRemoved registers a listener for link-removal events, with
-// the same invocation and registration-timing contract as Subscribe.
-func (w *Wiki) SubscribeRemoved(fn func(LinkRemovedEvent)) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	next := make([]func(LinkRemovedEvent), len(w.removedListeners), len(w.removedListeners)+1)
-	copy(next, w.removedListeners)
-	w.removedListeners = append(next, fn)
 }
 
 // Create makes a new article with an initial revision. It panics on a
@@ -223,10 +208,10 @@ func (w *Wiki) Create(title string, day simclock.Day, user, text string) *Articl
 	})
 	w.nextRevID++
 	w.storeLocked(a)
-	added, removed := w.listeners, w.removedListeners
+	listeners := w.listeners
 	w.mu.Unlock()
 
-	w.emitLinkDiff(added, removed, title, nil, a.Current())
+	w.emitLinkDiff(listeners, title, nil, a.Current())
 	return a
 }
 
@@ -253,10 +238,10 @@ func (w *Wiki) Edit(title string, day simclock.Day, user, comment, text string) 
 	})}
 	w.nextRevID++
 	w.storeLocked(a)
-	added, removed := w.listeners, w.removedListeners
+	listeners := w.listeners
 	w.mu.Unlock()
 
-	w.emitLinkDiff(added, removed, title, prev, a.Current())
+	w.emitLinkDiff(listeners, title, prev, a.Current())
 	return a.Current(), nil
 }
 
@@ -273,15 +258,19 @@ func (w *Wiki) storeLocked(a *Article) {
 
 // emitLinkDiff walks the external-URL sets of the previous revision
 // (nil for a created article) and the new one once and emits one
-// LinkAddedEvent per URL newly present and one LinkRemovedEvent per
-// URL no longer present. Removal events fire before addition events so
-// a consumer tracking membership (the verdict monitor) never
-// double-counts a URL mid-edit.
-func (w *Wiki) emitLinkDiff(added []func(LinkAddedEvent), removed []func(LinkRemovedEvent), title string, prevRev, rev *Revision) {
-	if len(added) == 0 && len(removed) == 0 {
+// addition per URL newly present and one removal per URL no longer
+// present. Removals fire before additions so a consumer tracking
+// membership (the verdict monitor) never double-counts a URL mid-edit.
+func (w *Wiki) emitLinkDiff(listeners []func(LinkEvent), title string, prevRev, rev *Revision) {
+	if len(listeners) == 0 {
 		return
 	}
-	day, user := rev.Day, rev.User
+	emit := func(removed bool, u string) {
+		ev := LinkEvent{Removed: removed, Title: title, URL: u, Day: rev.Day, User: rev.User}
+		for _, fn := range listeners {
+			fn(ev)
+		}
+	}
 	var prevList []string
 	if prevRev != nil {
 		prevList = w.Links(prevRev).ExternalURLs()
@@ -295,28 +284,16 @@ func (w *Wiki) emitLinkDiff(added []func(LinkAddedEvent), removed []func(LinkRem
 	for _, u := range curList {
 		cur[u] = struct{}{}
 	}
-	if len(removed) > 0 {
-		// Iterate the parse-order list of the previous revision so
-		// removal order is deterministic.
-		for _, u := range prevList {
-			if _, still := cur[u]; still {
-				continue
-			}
-			ev := LinkRemovedEvent{Title: title, URL: u, Day: day, User: user}
-			for _, fn := range removed {
-				fn(ev)
-			}
+	// The previous revision's parse-order list makes removal order
+	// deterministic.
+	for _, u := range prevList {
+		if _, still := cur[u]; !still {
+			emit(true, u)
 		}
 	}
-	if len(added) > 0 {
-		for _, u := range curList {
-			if _, had := prev[u]; had {
-				continue
-			}
-			ev := LinkAddedEvent{Title: title, URL: u, Day: day, User: user}
-			for _, fn := range added {
-				fn(ev)
-			}
+	for _, u := range curList {
+		if _, had := prev[u]; !had {
+			emit(false, u)
 		}
 	}
 }

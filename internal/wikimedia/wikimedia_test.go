@@ -195,7 +195,7 @@ func TestEditConcurrentWithReads(t *testing.T) {
 func TestLinksConcurrentWithEdit(t *testing.T) {
 	const title, edits = "Alpha", 200
 	w := NewWiki()
-	w.Subscribe(func(LinkAddedEvent) {}) // edits read summaries too
+	w.Subscribe(func(LinkEvent) {}) // edits read summaries too
 	w.Create(title, d(1), "U", "[http://x.simtest/0 Zero]")
 
 	done := make(chan struct{})
@@ -267,8 +267,12 @@ func TestLinksRereadsReusedID(t *testing.T) {
 
 func TestLinkAddedEvents(t *testing.T) {
 	w := NewWiki()
-	var events []LinkAddedEvent
-	w.Subscribe(func(e LinkAddedEvent) { events = append(events, e) })
+	var events []LinkEvent
+	w.Subscribe(func(e LinkEvent) {
+		if !e.Removed {
+			events = append(events, e)
+		}
+	})
 
 	w.Create("Alpha", d(100), "UserA", "[http://x.simtest/1 One]")
 	if len(events) != 1 || events[0].URL != "http://x.simtest/1" || events[0].Day != d(100) {
@@ -288,10 +292,14 @@ func TestLinkAddedEvents(t *testing.T) {
 
 func TestLinkRemovedEvents(t *testing.T) {
 	w := NewWiki()
-	var added []LinkAddedEvent
-	var removed []LinkRemovedEvent
-	w.Subscribe(func(e LinkAddedEvent) { added = append(added, e) })
-	w.SubscribeRemoved(func(e LinkRemovedEvent) { removed = append(removed, e) })
+	var added, removed []LinkEvent
+	w.Subscribe(func(e LinkEvent) {
+		if e.Removed {
+			removed = append(removed, e)
+		} else {
+			added = append(added, e)
+		}
+	})
 
 	w.Create("Alpha", d(100), "UserA", "[http://x.simtest/1 One] [http://y.simtest/2 Two]")
 	if len(removed) != 0 {
@@ -337,8 +345,7 @@ func TestSubscribeDuringEdits(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		w.Subscribe(func(LinkAddedEvent) {})
-		w.SubscribeRemoved(func(LinkRemovedEvent) {})
+		w.Subscribe(func(LinkEvent) {})
 	}
 	<-done
 }

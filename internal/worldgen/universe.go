@@ -54,10 +54,11 @@ func Generate(p Params) *Universe {
 	// Capture on post (§5.1): each link is captured its planned first-
 	// capture delay after it is posted, standing in for every capture
 	// channel; links destined to be never archived are never picked up.
+	// A removal captures nothing.
 	delays := planDelays(plan)
 	wiki := wikimedia.NewWiki()
-	wiki.Subscribe(func(ev wikimedia.LinkAddedEvent) {
-		if delay, ok := delays[ev.URL]; ok {
+	wiki.Subscribe(func(ev wikimedia.LinkEvent) {
+		if delay, ok := delays[ev.URL]; ok && !ev.Removed {
 			crawler.Capture(ev.URL, ev.Day.Add(delay)) //nolint:errcheck
 		}
 	})

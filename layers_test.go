@@ -68,6 +68,7 @@ var edgeRows = []struct {
 }{
 	{pkg: "internal/edge", why: "edge imports no permadead package", noDep: "permadead/"},
 	{pkg: "internal/shard", why: "the router does not reach into the shard server", noDep: "permadead/internal/service"},
+	{pkg: "internal/shard", why: "the router proxies and merges but computes nothing", noDep: "permadead/internal/core"},
 	{pkg: "internal/edge", why: "only the two serving packages and the binaries build on edge",
 		importers: []string{"internal/service", "internal/shard", "cmd/"}},
 }
