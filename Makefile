@@ -27,10 +27,14 @@ test:
 # per-revision link summaries read while edits run, of MineHistory's
 # memo, of Collect's fan-out and of the fleet router (its batch merge
 # over owner streams among them) ten times, so a rare interleaving gets
-# more chances.
+# more chances; and so the monitor's mutex and its settle loop (all of
+# ./internal/monitor, and the service's TestStream*,
+# TestSimEditMembership and TestRepairLoopEndToEnd).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestMineHistory|TestFleet' ./internal/wikimedia ./internal/core ./internal/shard
+	$(GO) test -race -count=10 ./internal/monitor
+	$(GO) test -race -count=10 -run 'TestStream|TestSimEditMembership|TestRepairLoopEndToEnd' ./internal/service
 
 # fuzzsmoke gives each differential fuzz target ten seconds beyond its
 # seed corpus (go test takes one -fuzz target per invocation): the
@@ -44,8 +48,11 @@ race:
 # nine, the site and the wiki sections), which must open with an error
 # or answer every reader without a panic; FuzzParse, wikitext's
 # render fixed point (rendering a parse and parsing it again renders
-# the same bytes); and FuzzCacheDifferential, the one response cache
-# against the two-cache + flight-group pair it replaced.
+# the same bytes); FuzzCacheDifferential, the one response cache
+# against the two-cache + flight-group pair it replaced; and
+# FuzzJournalOpen, arbitrary bytes as a flip journal file, which must
+# open with an error or as a journal whose seqs increase, reopen the
+# same, and take LastSeq+1 next.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
@@ -55,6 +62,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzTypoCandidates$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz='^FuzzPagedSections$$' -fuzztime=10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz='^FuzzCacheDifferential$$' -fuzztime=10s ./internal/service
+	$(GO) test -run '^$$' -fuzz='^FuzzJournalOpen$$' -fuzztime=10s ./internal/journal
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

@@ -39,6 +39,22 @@ func (e *TruncatedError) Error() string {
 		e.RequestedSeq, e.OldestSeq)
 }
 
+// AheadError reports a replay cursor past the journal's last seq: it
+// was issued by a journal whose entries this one does not hold (say, an
+// in-memory journal before a restart), so resuming from it would skip
+// every flip numbered at or below it without a signal.
+type AheadError struct {
+	// RequestedSeq is the cursor the caller tried to resume after.
+	RequestedSeq int64
+	// LastSeq is the journal's most recently assigned seq.
+	LastSeq int64
+}
+
+func (e *AheadError) Error() string {
+	return fmt.Sprintf("journal: cursor %d is ahead of the last seq %d; it was issued by a journal this one does not continue",
+		e.RequestedSeq, e.LastSeq)
+}
+
 // Entry is one verdict flip. Old and New are verdict strings owned by
 // the monitor ("alive", "dead"; "unknown" never appears in a journal —
 // initial verdict assignment is not a flip).
@@ -97,7 +113,8 @@ func New() *Journal {
 // truncated back to the end of the last complete record (the dropped
 // byte count is reported once on stderr) and the journal continues from
 // that record's seq. An unparsable line anywhere else is corruption,
-// and refuses to open.
+// and refuses to open; so is a seq that is not above the one before it
+// (the first must be positive), which would replay flips out of order.
 func OpenFile(path string) (*Journal, error) {
 	j := &Journal{}
 	data, err := os.ReadFile(path)
@@ -122,10 +139,11 @@ func OpenFile(path string) (*Journal, error) {
 					path, len(data)-off, j.seq)
 				break
 			}
-			j.entries = append(j.entries, e)
-			if e.Seq > j.seq {
-				j.seq = e.Seq
+			if e.Seq <= j.seq {
+				return nil, fmt.Errorf("journal %s: corrupt seq %d after seq %d (seqs must increase)", path, e.Seq, j.seq)
 			}
+			j.entries = append(j.entries, e)
+			j.seq = e.Seq
 		}
 		off = next
 	}
@@ -237,10 +255,14 @@ func (j *Journal) After(seq int64) []Entry {
 // no file to read from (or the sink latched a write error before the
 // cursor's entries were evicted), a *TruncatedError names the oldest
 // sequence still available so the caller can tell its client the
-// cursor is gone rather than skipping flips.
+// cursor is gone rather than skipping flips. A cursor past LastSeq is
+// an *AheadError.
 func (j *Journal) Replay(seq int64) ([]Entry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if seq > j.seq {
+		return nil, &AheadError{RequestedSeq: seq, LastSeq: j.seq}
+	}
 	if len(j.entries) == 0 || j.entries[0].Seq <= seq+1 {
 		// Everything requested is still in memory (or there is nothing
 		// at all): the in-memory path answers exactly.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -171,12 +172,16 @@ func TestOpenFileTruncatesTornTail(t *testing.T) {
 }
 
 // TestOpenFileRejectsMidFileCorruption: an unparsable line with data
-// after it is corruption, not a torn tail — refuse, and leave the file
-// alone.
+// after it is corruption, not a torn tail, and so is a seq that does not
+// increase — refuse, and leave the file alone.
 func TestOpenFileRejectsMidFileCorruption(t *testing.T) {
 	for name, content := range map[string]string{
 		"followed by a record":    "{\"seq\":1}\nnot json\n{\"seq\":2}\n",
 		"followed by a torn tail": "{\"seq\":1}\nnot json\n{\"seq\":2",
+		"seq going backwards":     "{\"seq\":1}\n{\"seq\":5}\n{\"seq\":3}\n",
+		"seq repeated":            "{\"seq\":1}\n{\"seq\":1}\n",
+		"seq zero":                "{\"seq\":0}\n",
+		"last seq going back":     "{\"seq\":2}\n{\"seq\":1}",
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "bad.ndjson")
@@ -312,5 +317,30 @@ func TestReplayFromDisk(t *testing.T) {
 	}
 	if len(mid) != 6 || mid[0].Seq != 5 {
 		t.Fatalf("Replay(4) = %d entries starting at %d", len(mid), mid[0].Seq)
+	}
+}
+
+// TestReplayAheadOfJournal: a cursor past the last seq — one issued by
+// a journal this one does not continue — is an AheadError naming both
+// seqs, not an empty replay that would let live seqs below the cursor
+// pass for ones the client already holds.
+func TestReplayAheadOfJournal(t *testing.T) {
+	j := New()
+	j.Append(Entry{URL: "http://w.example/1"})
+	j.Append(Entry{URL: "http://w.example/2"})
+	got, err := j.Replay(500)
+	var ahead *AheadError
+	if !errors.As(err, &ahead) {
+		t.Fatalf("Replay(500) on a 2-entry journal = %d entries, %v; want *AheadError", len(got), err)
+	}
+	if ahead.RequestedSeq != 500 || ahead.LastSeq != 2 {
+		t.Fatalf("AheadError = %+v", ahead)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "500") || !strings.Contains(msg, "2") {
+		t.Errorf("message %q does not name both seqs", msg)
+	}
+	// The last seq itself is a valid cursor with nothing after it.
+	if got, err := j.Replay(2); err != nil || len(got) != 0 {
+		t.Fatalf("Replay(LastSeq) = %d entries, %v", len(got), err)
 	}
 }

@@ -4,21 +4,24 @@
 // verdicts as they go stale, and publishing every verdict change to a
 // durable journal and to streaming subscribers.
 //
-// Concurrency model: ONE authoritative goroutine (the loop) owns all
-// monitor state. A due-day's checks run on one goroutine that fans them
-// out through core.ParallelFor and hands the outcomes back in one send;
-// a repair runs on one goroutine of its own, one at a time; public API
-// calls post closures onto the command channel and wait for replies.
-// Nothing outside the loop ever touches the link table, the re-check
-// schedule, or the subscriber set, so the package needs no locks around
-// its state and is race-clean by construction. While no check or repair
-// runs, the loop is the monitor's only goroutine.
+// Concurrency model: one mutex guards the link table, the re-check
+// schedule, the subscriber set and the counters, and every public call
+// first applies the wiki feed's queued events under it. Checks run in
+// one place, settle, which only Watch and Advance call: one settle at a
+// time pops the earliest due-day, checks its links through
+// core.ParallelFor at Config.Checkers with the mutex released, applies
+// the outcomes under the mutex, runs the repairs they queue, and
+// repeats until nothing is due by its horizon. Advance settles on its
+// caller's goroutine; Watch settles on one goroutine of its own, so ctx
+// and Close can end its wait. A monitor with nothing in flight has no
+// goroutine.
 //
 // Time is the tickable simulated clock. Advance is synchronous: it
 // runs every re-check that falls due in the window — each executed at
-// its *scheduled* day against the simulated web as of that day — waits
-// for the resulting repairs, then moves the clock and returns. Two
-// runs over the same universe therefore produce the same verdict
+// its *scheduled* day against the simulated web as of that day — and
+// the repairs they trigger, then moves the clock and returns. A link an
+// edit adds is checked at its edit day by the next Watch or Advance.
+// Two runs over the same universe therefore produce the same verdict
 // flips, which is what makes the streaming smoke test assertable.
 //
 // Within one due-day, checks fan out across at most Config.Checkers
@@ -79,7 +82,9 @@ type Config struct {
 	// Repairer, when set, is invoked on flips to dead (see Repairer).
 	Repairer Repairer
 	// Feed, when set, supplies live link addition/removal events; the
-	// monitor updates watched articles' link membership from it.
+	// monitor updates watched articles' link membership from it at the
+	// start of each call, so its buffer must hold the events between
+	// two calls.
 	Feed *wikimedia.Feed
 }
 
@@ -174,7 +179,7 @@ type Stats struct {
 	FeedDropped     int64        `json:"feed_dropped"`
 }
 
-// linkState is the loop-owned record of one watched link.
+// linkState is the record of one watched link.
 type linkState struct {
 	url         string
 	verdict     Verdict
@@ -186,8 +191,9 @@ type linkState struct {
 	// explicit marks links watched directly (surviving article
 	// membership changes) vs. those watched only via an article.
 	explicit bool
-	checking bool
-	heapIdx  int
+	// heapIdx is the link's place in the schedule, -1 while its check
+	// runs or once it is dropped.
+	heapIdx int
 }
 
 func (ls *linkState) status() LinkStatus {
@@ -240,12 +246,6 @@ type checkJob struct {
 	day simclock.Day
 }
 
-type checkOutcome struct {
-	url string
-	day simclock.Day
-	res CheckResult
-}
-
 type repairJob struct {
 	url    string
 	titles []string
@@ -253,59 +253,35 @@ type repairJob struct {
 }
 
 type subscriber struct {
-	id  int
 	ch  chan Event
 	sub *Subscription
-}
-
-type watchOp struct {
-	remaining map[string]struct{}
-	done      chan struct{}
-}
-
-type advanceResult struct {
-	day simclock.Day
-	err error
-}
-
-type advanceOp struct {
-	target simclock.Day
-	done   chan advanceResult
 }
 
 // Monitor is the continuous verdict monitor. See the package comment
 // for the concurrency model.
 type Monitor struct {
-	cfg      Config
-	clock    *simclock.Clock
-	checker  Checker
-	jrnl     *journal.Journal
-	repairer Repairer
-	feed     *wikimedia.Feed
-	feedCh   <-chan wikimedia.LinkEvent
+	cfg    Config
+	clock  *simclock.Clock
+	jrnl   *journal.Journal
+	feedCh <-chan wikimedia.LinkEvent
 
-	cmds       chan func()
-	batchDone  chan []checkOutcome
-	repairDone chan int
-	quit       chan struct{}
-	closeOnce  sync.Once
-	// wg counts the loop, the running batch and the running repair.
+	// quit is closed by Close, under mu.
+	quit      chan struct{}
+	closeOnce sync.Once
+	// wg counts the running Watch settles and Advances; Close waits
+	// for them.
 	wg sync.WaitGroup
+	// run lets one settle at a time check, so due-days run in order.
+	run sync.Mutex
 
-	// Everything below is owned by the loop goroutine.
+	// mu guards everything below.
+	mu              sync.Mutex
 	links           map[string]*linkState
 	due             checkHeap
 	watchedArticles map[string]struct{}
 	subs            map[int]*subscriber
 	nextSubID       int
-	watches         []*watchOp
-
-	batchActive bool
-
-	repairQueue    []repairJob
-	repairInflight bool
-
-	adv *advanceOp
+	advancing       bool
 
 	flipsToDead, flipsToAlive       int64
 	checksScheduled, checksExecuted int64
@@ -313,7 +289,7 @@ type Monitor struct {
 	subsDropped                     int64
 }
 
-// New starts a monitor. Callers must Close it.
+// New returns a monitor. Callers must Close it.
 func New(cfg Config) (*Monitor, error) {
 	if cfg.Checker == nil {
 		return nil, errors.New("monitor: Config.Checker is required")
@@ -326,37 +302,33 @@ func New(cfg Config) (*Monitor, error) {
 		cfg.Journal = journal.New()
 	}
 	m := &Monitor{
-		cfg:      cfg,
-		clock:    cfg.Clock,
-		checker:  cfg.Checker,
-		jrnl:     cfg.Journal,
-		repairer: cfg.Repairer,
-		feed:     cfg.Feed,
-
-		cmds:       make(chan func(), 64),
-		batchDone:  make(chan []checkOutcome),
-		repairDone: make(chan int),
-		quit:       make(chan struct{}),
-
+		cfg:             cfg,
+		clock:           cfg.Clock,
+		jrnl:            cfg.Journal,
+		quit:            make(chan struct{}),
 		links:           make(map[string]*linkState),
 		watchedArticles: make(map[string]struct{}),
 		subs:            make(map[int]*subscriber),
 		nextSubID:       1,
 	}
-	if m.feed != nil {
-		m.feedCh = m.feed.Events()
+	if cfg.Feed != nil {
+		m.feedCh = cfg.Feed.Events()
 	}
-	m.wg.Add(1)
-	go m.loop()
 	return m, nil
 }
 
-// Close stops the loop and waits for it and for the running batch and
-// repair, if any. Pending Advance/Watch calls return ErrClosed;
-// subscriber channels are closed.
+// Close closes every subscriber channel, then waits for the running
+// checks and repairs, if any, which start nothing further. Pending
+// Watch calls and every later call return ErrClosed.
 func (m *Monitor) Close() {
 	m.closeOnce.Do(func() {
+		m.mu.Lock()
 		close(m.quit)
+		for id, sub := range m.subs {
+			close(sub.ch)
+			delete(m.subs, id)
+		}
+		m.mu.Unlock()
 		m.wg.Wait()
 	})
 }
@@ -364,71 +336,33 @@ func (m *Monitor) Close() {
 // Day returns the current simulated day.
 func (m *Monitor) Day() simclock.Day { return m.clock.Now() }
 
-// --- the authoritative loop ---
-
-func (m *Monitor) loop() {
-	defer func() {
-		// Closing subscriber channels here (after the loop stops
-		// broadcasting) lets SSE handlers unblock on shutdown.
-		for id, sub := range m.subs {
-			close(sub.ch)
-			delete(m.subs, id)
-		}
-		m.wg.Done()
-	}()
-	for {
-		m.pump()
-		select {
-		case cmd := <-m.cmds:
-			cmd()
-		case ev := <-m.feedCh:
-			m.handleFeed(ev)
-		case outs := <-m.batchDone:
-			m.processBatch(outs)
-		case edited := <-m.repairDone:
-			m.repairInflight = false
-			m.repairsEdited += int64(edited)
-		case <-m.quit:
-			return
-		}
+func (m *Monitor) closing() bool {
+	select {
+	case <-m.quit:
+		return true
+	default:
+		return false
 	}
 }
 
-// pump runs the loop's state machine between channel events: start
-// the next batch if checks are due, start the next repair if none is
-// running, and complete a pending Advance once the window is fully
-// settled.
-func (m *Monitor) pump() {
-	m.drainFeed()
-	if !m.batchActive {
-		m.startBatch()
+// lock takes the mutex for a public call: it fails with ErrClosed once
+// the monitor is closed, and otherwise first applies every event the
+// wiki feed has queued since the last call.
+func (m *Monitor) lock() error {
+	m.mu.Lock()
+	if m.closing() {
+		m.mu.Unlock()
+		return ErrClosed
 	}
-	if !m.repairInflight && len(m.repairQueue) > 0 {
-		job := m.repairQueue[0]
-		m.repairQueue = m.repairQueue[1:]
-		m.repairInflight = true
-		m.wg.Add(1)
-		go m.repair(job)
-	}
-	if m.adv != nil && !m.batchActive && !m.repairInflight && len(m.repairQueue) == 0 {
-		op := m.adv
-		m.adv = nil
-		err := m.clock.AdvanceTo(op.target)
-		op.done <- advanceResult{day: m.clock.Now(), err: err}
-	}
-}
-
-// drainFeed applies queued link membership events without blocking.
-func (m *Monitor) drainFeed() {
 	if m.feedCh == nil {
-		return
+		return nil
 	}
 	for {
 		select {
 		case ev := <-m.feedCh:
 			m.handleFeed(ev)
 		default:
-			return
+			return nil
 		}
 	}
 }
@@ -449,121 +383,108 @@ func (m *Monitor) handleFeed(ev wikimedia.LinkEvent) {
 	m.ensureLink(ev.URL, ev.Title, false, ev.Day)
 }
 
-// horizon is the latest day checks may currently run: the Advance
-// target mid-advance, else the present.
-func (m *Monitor) horizon() simclock.Day {
-	if m.adv != nil {
-		return m.adv.target
+// settle runs every check due by horizon, one due-day at a time: it
+// pops the earliest due-day, checks its links on at most
+// Config.Checkers goroutines with the mutex released, applies the
+// outcomes, runs the repairs they queue in order, and repeats. Once
+// the monitor is closing it starts no further check or repair and
+// applies nothing.
+func (m *Monitor) settle(horizon simclock.Day) error {
+	m.run.Lock()
+	defer m.run.Unlock()
+	ctx := context.Background()
+	for {
+		if err := m.lock(); err != nil {
+			return err
+		}
+		jobs := m.popDue(horizon)
+		m.mu.Unlock()
+		if len(jobs) == 0 {
+			return nil
+		}
+		res := make([]CheckResult, len(jobs))
+		core.ParallelFor(len(jobs), m.cfg.Checkers, func(i int) {
+			if !m.closing() {
+				res[i] = m.cfg.Checker.Check(ctx, jobs[i].url, jobs[i].day)
+			}
+		})
+		if err := m.lock(); err != nil {
+			return err
+		}
+		repairs := m.apply(jobs, res)
+		m.mu.Unlock()
+		edited := int64(0)
+		for _, job := range repairs {
+			for _, title := range job.titles {
+				if m.closing() {
+					return ErrClosed
+				}
+				if ok, err := m.cfg.Repairer.ScanLink(ctx, title, job.url, job.day); err == nil && ok {
+					edited++
+				}
+			}
+		}
+		m.mu.Lock()
+		m.repairsEdited += edited
+		m.mu.Unlock()
 	}
-	return m.clock.Now()
 }
 
-// startBatch collects every link due on the earliest pending check day
-// (within the horizon) into one batch and starts it. Checks execute at
-// that scheduled day — during an Advance the simulated web is queried
-// as of each due day in turn, not as of the target.
-func (m *Monitor) startBatch() {
-	if len(m.due) == 0 {
-		return
+// popDue takes every link due on the earliest pending check day, if
+// that day is within horizon, sorted by URL. Checks execute at that
+// scheduled day (never before the present): during an Advance the
+// simulated web is queried as of each due day in turn, not as of the
+// target.
+func (m *Monitor) popDue(horizon simclock.Day) []checkJob {
+	if len(m.due) == 0 || m.due[0].nextCheck.After(horizon) {
+		return nil
 	}
-	h := m.horizon()
-	if m.due[0].nextCheck.After(h) {
-		return
-	}
-	day := m.due[0].nextCheck
-	if day.Before(m.clock.Now()) {
-		day = m.clock.Now()
-	}
+	day := max(m.due[0].nextCheck, m.clock.Now())
 	var jobs []checkJob
 	for len(m.due) > 0 && !m.due[0].nextCheck.After(day) {
 		ls := heap.Pop(&m.due).(*linkState)
-		ls.checking = true
 		jobs = append(jobs, checkJob{url: ls.url, day: day})
 	}
-	m.batchActive = true
-	m.wg.Add(1)
-	go m.runBatch(jobs)
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].url < jobs[j].url })
+	return jobs
 }
 
-// runBatch runs one due-day's checks on at most Config.Checkers
-// goroutines and hands every outcome back to the loop in one send.
-// Once the monitor is closing it starts no further check.
-func (m *Monitor) runBatch(jobs []checkJob) {
-	defer m.wg.Done()
-	ctx := context.Background()
-	outs := make([]checkOutcome, len(jobs))
-	core.ParallelFor(len(jobs), m.cfg.Checkers, func(i int) {
-		select {
-		case <-m.quit:
-			return
-		default:
+// apply records one due-day's outcomes in URL order, so journal
+// sequence numbers do not depend on worker scheduling, and returns the
+// repairs its flips to dead ask for.
+func (m *Monitor) apply(jobs []checkJob, res []CheckResult) []repairJob {
+	m.checksExecuted += int64(len(jobs))
+	var repairs []repairJob
+	for i, j := range jobs {
+		ls, ok := m.links[j.url]
+		if !ok {
+			continue // unwatched while its check ran
 		}
-		j := jobs[i]
-		outs[i] = checkOutcome{url: j.url, day: j.day, res: m.checker.Check(ctx, j.url, j.day)}
-	})
-	select {
-	case m.batchDone <- outs:
-	case <-m.quit:
-	}
-}
+		r := res[i]
+		old := ls.verdict
+		ls.verdict, ls.category, ls.suspect, ls.lastChecked = r.Verdict, r.Category, r.Suspect, j.day
+		ls.nextCheck = j.day.Add(m.cfg.TTLDays)
+		if r.RecheckAt.Valid() && r.RecheckAt.After(j.day) && r.RecheckAt.Before(ls.nextCheck) {
+			ls.nextCheck = r.RecheckAt
+		}
+		if ls.heapIdx >= 0 {
+			// Unwatched and watched again while its check ran.
+			heap.Fix(&m.due, ls.heapIdx)
+		} else {
+			heap.Push(&m.due, ls)
+		}
+		m.checksScheduled++
 
-// repair runs one repair job, title by title. The loop starts the next
-// only after this one reports back, so wiki edits land in queue order.
-func (m *Monitor) repair(job repairJob) {
-	defer m.wg.Done()
-	ctx := context.Background()
-	edited := 0
-	for _, title := range job.titles {
-		if ok, err := m.repairer.ScanLink(ctx, title, job.url, job.day); err == nil && ok {
-			edited++
+		// unknown→X is initial state, not a flip: only transitions
+		// between settled verdicts are journaled and broadcast.
+		if old != VerdictUnknown && old != ls.verdict {
+			repairs = append(repairs, m.recordFlip(ls, old, j.day)...)
 		}
 	}
-	select {
-	case m.repairDone <- edited:
-	case <-m.quit:
-	}
+	return repairs
 }
 
-// processBatch applies a completed batch's results in URL order, so
-// journal sequence numbers do not depend on worker scheduling.
-func (m *Monitor) processBatch(outs []checkOutcome) {
-	m.batchActive = false
-	m.checksExecuted += int64(len(outs))
-	sort.Slice(outs, func(i, j int) bool { return outs[i].url < outs[j].url })
-	for _, out := range outs {
-		m.applyResult(out)
-	}
-}
-
-func (m *Monitor) applyResult(out checkOutcome) {
-	m.resolveWatches(out.url)
-	ls, ok := m.links[out.url]
-	if !ok {
-		return // unwatched while the check was in flight
-	}
-	ls.checking = false
-	old := ls.verdict
-	ls.verdict = out.res.Verdict
-	ls.category = out.res.Category
-	ls.suspect = out.res.Suspect
-	ls.lastChecked = out.day
-
-	next := out.day.Add(m.cfg.TTLDays)
-	if out.res.RecheckAt.Valid() && out.res.RecheckAt.After(out.day) && out.res.RecheckAt.Before(next) {
-		next = out.res.RecheckAt
-	}
-	ls.nextCheck = next
-	heap.Push(&m.due, ls)
-	m.checksScheduled++
-
-	// unknown→X is initial state, not a flip: only transitions between
-	// settled verdicts are journaled and broadcast.
-	if old != VerdictUnknown && old != ls.verdict {
-		m.recordFlip(ls, old, out.day)
-	}
-}
-
-func (m *Monitor) recordFlip(ls *linkState, old Verdict, day simclock.Day) {
+func (m *Monitor) recordFlip(ls *linkState, old Verdict, day simclock.Day) []repairJob {
 	arts := sortedKeys(ls.articles)
 	e := m.jrnl.Append(journal.Entry{
 		Day: int(day), Date: day.String(), URL: ls.url,
@@ -576,10 +497,11 @@ func (m *Monitor) recordFlip(ls *linkState, old Verdict, day simclock.Day) {
 		m.flipsToAlive++
 	}
 	m.broadcast(Event{Entry: e, EmittedUnixNs: time.Now().UnixNano()})
-	if ls.verdict == VerdictDead && m.repairer != nil && len(arts) > 0 {
-		m.repairQueue = append(m.repairQueue, repairJob{url: ls.url, titles: arts, day: day})
-		m.repairsQueued += int64(len(arts))
+	if ls.verdict != VerdictDead || m.cfg.Repairer == nil || len(arts) == 0 {
+		return nil
 	}
+	m.repairsQueued += int64(len(arts))
+	return []repairJob{{url: ls.url, titles: arts, day: day}}
 }
 
 func (m *Monitor) broadcast(ev Event) {
@@ -588,7 +510,7 @@ func (m *Monitor) broadcast(ev Event) {
 		case sub.ch <- ev:
 		default:
 			// Bounded buffer full: drop and flag the slow consumer
-			// rather than ever blocking the loop.
+			// rather than ever blocking a check's caller.
 			sub.sub.dropped.Store(true)
 			close(sub.ch)
 			delete(m.subs, id)
@@ -597,14 +519,14 @@ func (m *Monitor) broadcast(ev Event) {
 	}
 }
 
-func (m *Monitor) ensureLink(url, article string, explicit bool, due simclock.Day) *linkState {
+func (m *Monitor) ensureLink(url, article string, explicit bool, due simclock.Day) {
+	if url == "" {
+		return
+	}
 	ls, ok := m.links[url]
 	if !ok {
-		if due.Before(m.clock.Now()) {
-			due = m.clock.Now()
-		}
 		ls = &linkState{
-			url: url, verdict: VerdictUnknown, nextCheck: due,
+			url: url, verdict: VerdictUnknown, nextCheck: max(due, m.clock.Now()),
 			articles: make(map[string]struct{}), heapIdx: -1,
 		}
 		m.links[url] = ls
@@ -617,7 +539,6 @@ func (m *Monitor) ensureLink(url, article string, explicit bool, due simclock.Da
 	if explicit {
 		ls.explicit = true
 	}
-	return ls
 }
 
 // maybeDrop forgets a link no longer watched by anything.
@@ -629,99 +550,42 @@ func (m *Monitor) maybeDrop(ls *linkState) {
 		heap.Remove(&m.due, ls.heapIdx)
 	}
 	delete(m.links, ls.url)
-	// A Watch waiting on this link's first verdict would otherwise
-	// never resolve (its check is gone or will be discarded).
-	m.resolveWatches(ls.url)
 }
 
-func (m *Monitor) resolveWatches(url string) {
-	if len(m.watches) == 0 {
-		return
-	}
-	kept := m.watches[:0]
-	for _, op := range m.watches {
-		delete(op.remaining, url)
-		if len(op.remaining) == 0 {
-			close(op.done)
-		} else {
-			kept = append(kept, op)
-		}
-	}
-	for i := len(kept); i < len(m.watches); i++ {
-		m.watches[i] = nil
-	}
-	m.watches = kept
-}
-
-// --- public API (each call posts a closure to the loop) ---
-
-// call runs fn on the loop and returns its result, or ErrClosed once
-// the monitor is closing. Every wait pairs with quit: a Close landing
-// between the enqueue and the loop running fn must not strand the
-// caller.
-func call[T any](m *Monitor, fn func() T) (T, error) {
-	var zero T
-	// Check quit on its own first: after Close, the select below could
-	// still enqueue into the buffered cmds channel (select picks
-	// randomly among ready cases) even though the loop is gone.
-	select {
-	case <-m.quit:
-		return zero, ErrClosed
-	default:
-	}
-	reply := make(chan T, 1)
-	select {
-	case m.cmds <- func() { reply <- fn() }:
-	case <-m.quit:
-		return zero, ErrClosed
-	}
-	select {
-	case v := <-reply:
-		return v, nil
-	case <-m.quit:
-		return zero, ErrClosed
-	}
-}
+// --- public API ---
 
 // Watch starts watching the requested links and articles, then blocks
-// until every newly watched link has its initial verdict (or ctx
-// ends). Initial verdicts are state, not flips: nothing is journaled
-// or broadcast for them. It returns how many links are newly watched.
+// until every link due by now — the newly watched ones among them —
+// has been checked (or ctx ends). Initial verdicts are state, not
+// flips: nothing is journaled or broadcast for them. It returns how
+// many links are newly watched.
 func (m *Monitor) Watch(ctx context.Context, req WatchRequest) (int, error) {
-	op := &watchOp{remaining: make(map[string]struct{}), done: make(chan struct{})}
-	added, err := call(m, func() int {
-		before := len(m.links)
-		track := func(url, article string, explicit bool) {
-			if url == "" {
-				return
-			}
-			ls := m.ensureLink(url, article, explicit, m.clock.Now())
-			if ls.verdict == VerdictUnknown {
-				op.remaining[url] = struct{}{}
-			}
-		}
-		for _, u := range req.URLs {
-			track(u, "", true)
-		}
-		for title, urls := range req.Articles {
-			m.watchedArticles[title] = struct{}{}
-			for _, u := range urls {
-				track(u, title, false)
-			}
-		}
-		if len(op.remaining) == 0 {
-			close(op.done)
-		} else {
-			m.watches = append(m.watches, op)
-		}
-		return len(m.links) - before
-	})
-	if err != nil {
+	if err := m.lock(); err != nil {
 		return 0, err
 	}
+	before := len(m.links)
+	now := m.clock.Now()
+	for _, u := range req.URLs {
+		m.ensureLink(u, "", true, now)
+	}
+	for title, urls := range req.Articles {
+		m.watchedArticles[title] = struct{}{}
+		for _, u := range urls {
+			m.ensureLink(u, title, false, now)
+		}
+	}
+	added := len(m.links) - before
+	m.wg.Add(1)
+	m.mu.Unlock()
+
+	done := make(chan error, 1)
+	go func() {
+		defer m.wg.Done()
+		done <- m.settle(now)
+	}()
 	select {
-	case <-op.done:
-		return added, nil
+	case err := <-done:
+		return added, err
 	case <-ctx.Done():
 		return added, ctx.Err()
 	case <-m.quit:
@@ -732,60 +596,61 @@ func (m *Monitor) Watch(ctx context.Context, req WatchRequest) (int, error) {
 // Unwatch stops watching the named links and articles. Article URL
 // lists in the request are ignored; current membership is used.
 func (m *Monitor) Unwatch(req WatchRequest) error {
-	_, err := call(m, func() struct{} {
-		for _, u := range req.URLs {
-			if ls, ok := m.links[u]; ok {
-				ls.explicit = false
+	if err := m.lock(); err != nil {
+		return err
+	}
+	defer m.mu.Unlock()
+	for _, u := range req.URLs {
+		if ls, ok := m.links[u]; ok {
+			ls.explicit = false
+			m.maybeDrop(ls)
+		}
+	}
+	for title := range req.Articles {
+		if _, ok := m.watchedArticles[title]; !ok {
+			continue
+		}
+		delete(m.watchedArticles, title)
+		for _, ls := range m.links {
+			if _, ok := ls.articles[title]; ok {
+				delete(ls.articles, title)
 				m.maybeDrop(ls)
 			}
 		}
-		for title := range req.Articles {
-			if _, ok := m.watchedArticles[title]; !ok {
-				continue
-			}
-			delete(m.watchedArticles, title)
-			for _, ls := range m.links {
-				if _, ok := ls.articles[title]; ok {
-					delete(ls.articles, title)
-					m.maybeDrop(ls)
-				}
-			}
-		}
-		return struct{}{}
-	})
-	return err
+	}
+	return nil
 }
 
 // Advance moves the simulated clock forward n days, synchronously
 // executing every re-check that falls due in the window (each at its
-// scheduled day) and waiting for the repairs they trigger. It returns
-// the new current day. Advance(0) flushes pending feed events and
-// already-due checks without moving time.
+// scheduled day) and the repairs they trigger. It returns the new
+// current day. Advance(0) flushes pending feed events and already-due
+// checks without moving time.
 func (m *Monitor) Advance(days int) (simclock.Day, error) {
 	if days < 0 {
 		return m.clock.Now(), fmt.Errorf("monitor: cannot advance %d days", days)
 	}
-	op := &advanceOp{done: make(chan advanceResult, 1)}
-	busy, err := call(m, func() error {
-		if m.adv != nil {
-			return errors.New("monitor: advance already in progress")
-		}
-		op.target = m.clock.Now().Add(days)
-		m.adv = op
-		return nil
-	})
-	if err == nil {
-		err = busy
-	}
-	if err != nil {
+	if err := m.lock(); err != nil {
 		return m.clock.Now(), err
 	}
-	select {
-	case r := <-op.done:
-		return r.day, r.err
-	case <-m.quit:
-		return m.clock.Now(), ErrClosed
+	if m.advancing {
+		m.mu.Unlock()
+		return m.clock.Now(), errors.New("monitor: advance already in progress")
 	}
+	m.advancing = true
+	target := m.clock.Now().Add(days)
+	m.wg.Add(1)
+	m.mu.Unlock()
+	defer m.wg.Done()
+
+	err := m.settle(target)
+	if err == nil {
+		err = m.clock.AdvanceTo(target)
+	}
+	m.mu.Lock()
+	m.advancing = false
+	m.mu.Unlock()
+	return m.clock.Now(), err
 }
 
 // Subscribe opens a verdict-change subscription resuming after journal
@@ -797,117 +662,105 @@ func (m *Monitor) Advance(days int) (simclock.Day, error) {
 // A non-negative lastSeq is a resume contract: if entries after it
 // were evicted from the journal's in-memory window and cannot be
 // re-read from its file sink, Subscribe fails with a
-// *journal.TruncatedError rather than silently skipping them. A
+// *journal.TruncatedError rather than silently skipping them; a cursor
+// past the journal's last seq fails with a *journal.AheadError. A
 // negative lastSeq waives the contract — the subscription replays
 // whatever history is still retained and continues live (the shape a
 // first-time subscriber with no cursor wants).
 func (m *Monitor) Subscribe(lastSeq int64) (*Subscription, error) {
-	type res struct {
-		sub *Subscription
-		err error
-	}
-	r, err := call(m, func() res {
-		if len(m.subs) >= m.cfg.MaxSubscribers {
-			return res{err: ErrTooManySubscribers}
-		}
-		// Replay, not After: a cursor older than the journal's
-		// in-memory window must come back from the file sink or fail
-		// loudly (TruncatedError), never silently skip flips. A
-		// negative cursor is the no-contract subscribe: retained
-		// history only.
-		var backlog []journal.Entry
-		if lastSeq < 0 {
-			backlog = m.jrnl.After(0)
-		} else {
-			var err error
-			backlog, err = m.jrnl.Replay(lastSeq)
-			if err != nil {
-				return res{err: err}
-			}
-		}
-		id := m.nextSubID
-		m.nextSubID++
-		evCh := make(chan Event, m.cfg.SubscriberBuffer)
-		s := &Subscription{ID: id, Replay: backlog, Events: evCh}
-		m.subs[id] = &subscriber{id: id, ch: evCh, sub: s}
-		return res{sub: s}
-	})
-	if err != nil {
+	if err := m.lock(); err != nil {
 		return nil, err
 	}
-	return r.sub, r.err
+	defer m.mu.Unlock()
+	if len(m.subs) >= m.cfg.MaxSubscribers {
+		return nil, ErrTooManySubscribers
+	}
+	// Replay, not After: a cursor older than the journal's in-memory
+	// window must come back from the file sink or fail loudly
+	// (TruncatedError), never silently skip flips. A negative cursor
+	// is the no-contract subscribe: retained history only.
+	var backlog []journal.Entry
+	var err error
+	if lastSeq < 0 {
+		backlog = m.jrnl.After(0)
+	} else if backlog, err = m.jrnl.Replay(lastSeq); err != nil {
+		return nil, err
+	}
+	id := m.nextSubID
+	m.nextSubID++
+	evCh := make(chan Event, m.cfg.SubscriberBuffer)
+	s := &Subscription{ID: id, Replay: backlog, Events: evCh}
+	m.subs[id] = &subscriber{ch: evCh, sub: s}
+	return s, nil
 }
 
 // Unsubscribe closes a subscription. Safe to call for already-dropped
 // IDs.
 func (m *Monitor) Unsubscribe(id int) {
-	_, _ = call(m, func() struct{} {
-		if sub, ok := m.subs[id]; ok {
-			close(sub.ch)
-			delete(m.subs, id)
-		}
-		return struct{}{}
-	})
+	if m.lock() != nil {
+		return
+	}
+	defer m.mu.Unlock()
+	if sub, ok := m.subs[id]; ok {
+		close(sub.ch)
+		delete(m.subs, id)
+	}
 }
 
 // Watched returns a snapshot of all watched links, sorted by URL.
 func (m *Monitor) Watched() ([]LinkStatus, error) {
-	out, err := call(m, func() []LinkStatus {
-		out := make([]LinkStatus, 0, len(m.links))
-		for _, ls := range m.links {
-			out = append(out, ls.status())
-		}
-		return out
-	})
-	if err != nil {
+	if err := m.lock(); err != nil {
 		return nil, err
 	}
+	out := make([]LinkStatus, 0, len(m.links))
+	for _, ls := range m.links {
+		out = append(out, ls.status())
+	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out, nil
 }
 
 // Stats returns a snapshot of monitor counters.
 func (m *Monitor) Stats() (Stats, error) {
-	st, err := call(m, func() Stats {
-		st := Stats{
-			Day: m.clock.Now(), Date: m.clock.Now().String(),
-			Watched:         len(m.links),
-			WatchedArticles: len(m.watchedArticles),
-			FlipsToDead:     m.flipsToDead,
-			FlipsToAlive:    m.flipsToAlive,
-			ChecksScheduled: m.checksScheduled,
-			ChecksExecuted:  m.checksExecuted,
-			RepairsQueued:   m.repairsQueued,
-			RepairsEdited:   m.repairsEdited,
-			Subscribers:     len(m.subs),
-			SubsDropped:     m.subsDropped,
-			// LastSeq, not Len: with a bounded in-memory journal
-			// window the slice undercounts; the seq counter is the
-			// true number of flips ever journaled.
-			JournalEntries: int(m.jrnl.LastSeq()),
-			JournalBytes:   m.jrnl.Bytes(),
-		}
-		for _, ls := range m.links {
-			switch ls.verdict {
-			case VerdictAlive:
-				st.Alive++
-			case VerdictDead:
-				st.Dead++
-			default:
-				st.Unknown++
-			}
-			if ls.suspect {
-				st.Suspect++
-			}
-		}
-		return st
-	})
-	if err != nil {
+	if err := m.lock(); err != nil {
 		return Stats{}, err
 	}
-	if m.feed != nil {
-		st.FeedSeen = m.feed.Seen()
-		st.FeedDropped = m.feed.Dropped()
+	st := Stats{
+		Day: m.clock.Now(), Date: m.clock.Now().String(),
+		Watched:         len(m.links),
+		WatchedArticles: len(m.watchedArticles),
+		FlipsToDead:     m.flipsToDead,
+		FlipsToAlive:    m.flipsToAlive,
+		ChecksScheduled: m.checksScheduled,
+		ChecksExecuted:  m.checksExecuted,
+		RepairsQueued:   m.repairsQueued,
+		RepairsEdited:   m.repairsEdited,
+		Subscribers:     len(m.subs),
+		SubsDropped:     m.subsDropped,
+		// LastSeq, not Len: with a bounded in-memory journal
+		// window the slice undercounts; the seq counter is the
+		// true number of flips ever journaled.
+		JournalEntries: int(m.jrnl.LastSeq()),
+		JournalBytes:   m.jrnl.Bytes(),
+	}
+	for _, ls := range m.links {
+		switch ls.verdict {
+		case VerdictAlive:
+			st.Alive++
+		case VerdictDead:
+			st.Dead++
+		default:
+			st.Unknown++
+		}
+		if ls.suspect {
+			st.Suspect++
+		}
+	}
+	m.mu.Unlock()
+	if f := m.cfg.Feed; f != nil {
+		st.FeedSeen = f.Seen()
+		st.FeedDropped = f.Dropped()
 	}
 	return st, nil
 }

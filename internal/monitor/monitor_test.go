@@ -225,6 +225,75 @@ func TestArticleMembershipFollowsEdits(t *testing.T) {
 	}
 }
 
+// TestEditAddedLinkCheckedAtEditDay pins the edit contract: a link an
+// edit adds to a watched article is checked at the edit's day by the
+// next Advance, and shows as unknown until then; a link one edit adds
+// and the next removes before that Advance is never checked.
+func TestEditAddedLinkCheckedAtEditDay(t *testing.T) {
+	wiki := wikimedia.NewWiki()
+	wiki.Create("Art", 100, "U", "[http://a.simtest/1 A]")
+	feed := wikimedia.NewFeed(64)
+	feed.Attach(wiki)
+	m, chk := newTestMonitor(t, Config{TTLDays: 30, Feed: feed}, func(string, simclock.Day) CheckResult {
+		return alive()
+	})
+	if _, err := m.Watch(context.Background(), WatchRequest{
+		Articles: map[string][]string{"Art": {"http://a.simtest/1"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	status := func(url string) (LinkStatus, bool) {
+		t.Helper()
+		watched, err := m.Watched()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ls := range watched {
+			if ls.URL == url {
+				return ls, true
+			}
+		}
+		return LinkStatus{}, false
+	}
+
+	const b, c = "http://b.simtest/2", "http://c.simtest/3"
+	if _, err := wiki.Edit("Art", 100, "U", "add b", "[http://a.simtest/1 A] ["+b+" B]"); err != nil {
+		t.Fatal(err)
+	}
+	if ls, ok := status(b); !ok || ls.Verdict != VerdictUnknown {
+		t.Fatalf("before the next Advance, the added link is %+v (watched %v), want unknown", ls, ok)
+	}
+	if _, err := m.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	if ls, _ := status(b); ls.Verdict != VerdictAlive || ls.LastChecked != 100 {
+		t.Fatalf("after Advance, the link added on day 100 is %+v, want alive, last checked on day 100", ls)
+	}
+
+	before, _ := m.Stats()
+	calls := chk.callCount()
+	if _, err := wiki.Edit("Art", 105, "U", "add c", "[http://a.simtest/1 A] ["+b+" B] ["+c+" C]"); err != nil {
+		t.Fatal(err)
+	}
+	if ls, ok := status(c); !ok || ls.Verdict != VerdictUnknown {
+		t.Fatalf("the added link is %+v (watched %v), want unknown", ls, ok)
+	}
+	if _, err := wiki.Edit("Art", 105, "U", "drop c", "[http://a.simtest/1 A] ["+b+" B]"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := m.Stats()
+	if after.ChecksExecuted != before.ChecksExecuted || chk.callCount() != calls {
+		t.Errorf("a link added and removed between Advances was checked: checks %d -> %d, checker calls %d -> %d",
+			before.ChecksExecuted, after.ChecksExecuted, calls, chk.callCount())
+	}
+	if _, ok := status(c); ok {
+		t.Error("the removed link is still watched")
+	}
+}
+
 func TestUnwatchStopsRechecks(t *testing.T) {
 	m, chk := newTestMonitor(t, Config{TTLDays: 5}, func(string, simclock.Day) CheckResult {
 		return alive()
@@ -243,6 +312,51 @@ func TestUnwatchStopsRechecks(t *testing.T) {
 	}
 	if chk.callCount() != 1 {
 		t.Errorf("checks after unwatch = %d, want 1 (initial only)", chk.callCount())
+	}
+}
+
+// TestRewatchDuringCheckSchedulesOnce: a link unwatched and watched
+// again while its check runs takes that check's outcome and stays in
+// the schedule once, so later re-checks run once per due day.
+func TestRewatchDuringCheckSchedulesOnce(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	m, chk := newTestMonitor(t, Config{TTLDays: 5}, func(string, simclock.Day) CheckResult {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return alive()
+	})
+	req := WatchRequest{URLs: []string{"http://a.simtest/1"}}
+	watched := make(chan error, 2)
+	go func() {
+		_, err := m.Watch(context.Background(), req)
+		watched <- err
+	}()
+	<-entered
+	if err := m.Unwatch(req); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_, err := m.Watch(context.Background(), req)
+		watched <- err
+	}()
+	// The second Watch has scheduled the link again once Watched lists it.
+	for ls, _ := m.Watched(); len(ls) == 0; ls, _ = m.Watched() {
+		runtime.Gosched()
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-watched; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	if n := chk.callCount(); n != 2 {
+		t.Errorf("checker calls = %d, want 2 (the first check and one re-check on day 105)", n)
 	}
 }
 
@@ -482,8 +596,9 @@ func manyURLs(n int) []string {
 	return urls
 }
 
-// TestIdleMonitorIsOneGoroutine: between calls a monitor is its loop
-// alone; checks and repairs run on goroutines that end with them.
+// TestIdleMonitorIsOneGoroutine: between calls a monitor runs no
+// goroutine at all; checks and repairs run inside the Watch or Advance
+// that made them due, on goroutines that end with them.
 func TestIdleMonitorIsOneGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m, _ := newTestMonitor(t, Config{TTLDays: 10, Repairer: &recordingRepairer{}}, func(_ string, day simclock.Day) CheckResult {
@@ -492,7 +607,7 @@ func TestIdleMonitorIsOneGoroutine(t *testing.T) {
 		}
 		return dead()
 	})
-	waitGoroutines(t, base+1, "after New")
+	waitGoroutines(t, base, "after New")
 	if _, err := m.Watch(context.Background(), WatchRequest{
 		Articles: map[string][]string{"Art": manyURLs(20)},
 	}); err != nil {
@@ -504,7 +619,7 @@ func TestIdleMonitorIsOneGoroutine(t *testing.T) {
 	if st, _ := m.Stats(); st.RepairsQueued == 0 {
 		t.Fatal("the advance ran no repair")
 	}
-	waitGoroutines(t, base+1, "after Advance")
+	waitGoroutines(t, base, "after Advance")
 }
 
 // TestChecksBoundedByCheckers: one due-day's checks run Config.Checkers

@@ -185,15 +185,25 @@ func (s *Server) handleStreamVerdicts(w http.ResponseWriter, r *http.Request) {
 		// file to replay from is permanently unservable: 410 tells the
 		// client its cursor is dead and a fresh (cursor-less) subscribe
 		// plus its own state resync is the only way forward. Anything
-		// else would silently skip the evicted flips.
+		// else would silently skip the evicted flips. A cursor past the
+		// journal's last seq was issued by a journal this server does
+		// not continue (an in-memory one before a restart): it is as
+		// dead, and live seqs below it would pass for flips the client
+		// already holds.
 		var trunc *journal.TruncatedError
-		if errors.As(err, &trunc) {
+		var ahead *journal.AheadError
+		switch {
+		case errors.As(err, &trunc):
 			edge.WriteError(w, http.StatusGone, "replay_gone",
 				"cursor %d predates the retained journal window (oldest replayable seq is %d); reconnect without Last-Event-ID and resync",
 				trunc.RequestedSeq, trunc.OldestSeq)
-			return
+		case errors.As(err, &ahead):
+			edge.WriteError(w, http.StatusGone, "cursor_ahead",
+				"cursor %d is ahead of the journal's last seq %d; reconnect without Last-Event-ID and resync",
+				ahead.RequestedSeq, ahead.LastSeq)
+		default:
+			writeMonitorError(w, err)
 		}
-		writeMonitorError(w, err)
 		return
 	}
 	defer s.mon.Unsubscribe(sub.ID)

@@ -706,6 +706,38 @@ func TestStreamResumeBeyondWindowGone(t *testing.T) {
 	}
 }
 
+// TestStreamResumeAheadOfJournalGone: a client that reconnects with a
+// cursor from before a restart to a server whose in-memory journal
+// starts over must get 410, naming its cursor and the journal's last
+// seq — not a 200 followed by live ids below its cursor, which it would
+// take for flips it already holds. A cursor at the last seq resumes.
+func TestStreamResumeAheadOfJournalGone(t *testing.T) {
+	_, base := newStreamServer(t, nil)
+
+	resp := streamResume(t, base, 500)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("resume at 500 on an empty journal = %d, want 410", resp.StatusCode)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	var env struct {
+		Error edge.ErrorBody `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("410 body is not the error envelope: %v (%s)", err, raw)
+	}
+	if env.Error.Code != "cursor_ahead" || !strings.Contains(env.Error.Message, "cursor 500") ||
+		!strings.Contains(env.Error.Message, "last seq 0") {
+		t.Fatalf("410 error = %+v, want cursor_ahead naming cursor 500 and last seq 0", env.Error)
+	}
+
+	ok := streamResume(t, base, 0)
+	defer ok.Body.Close()
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("resume at the last seq = %d, want 200", ok.StatusCode)
+	}
+}
+
 // TestStreamResumeBeyondWindowFromDisk: the same stale cursor against
 // a file-backed journal replays the full suffix from disk — every
 // evicted seq present, exactly once, in order.
