@@ -39,7 +39,8 @@ race:
 # fuzzsmoke gives each differential fuzz target ten seconds beyond its
 # seed corpus (go test takes one -fuzz target per invocation): the
 # first-byte wikitext parser against the byte-at-a-time reference, the
-# banded edit distance against the full matrix, the URL helpers (with
+# wikitext digest scan's links and categories against the parse tree's,
+# the banded edit distance against the full matrix, the URL helpers (with
 # the prefix-only scheme match against its ToLower reference), and
 # Normalize's byte-scan early return against its net/url body, the
 # typo probe's per-domain candidate set against the full DomainURLs
@@ -56,6 +57,7 @@ race:
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
+	$(GO) test -run '^$$' -fuzz='^FuzzDigestDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil

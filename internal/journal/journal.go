@@ -121,33 +121,16 @@ func OpenFile(path string) (*Journal, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	keep := len(data) // bytes of data that stay in the file
-	for off := 0; off < len(data); {
-		line, next := data[off:], len(data)
-		nl := bytes.IndexByte(line, '\n')
-		if nl >= 0 {
-			line, next = line[:nl], off+nl+1
-		}
-		if len(line) > 0 {
-			var e Entry
-			if err := json.Unmarshal(line, &e); err != nil {
-				if nl >= 0 {
-					return nil, fmt.Errorf("journal %s: corrupt line after seq %d: %w", path, j.seq, err)
-				}
-				keep = off
-				fmt.Fprintf(os.Stderr, "journal %s: dropped %d bytes of a torn final record after seq %d\n",
-					path, len(data)-off, j.seq)
-				break
-			}
-			if e.Seq <= j.seq {
-				return nil, fmt.Errorf("journal %s: corrupt seq %d after seq %d (seqs must increase)", path, e.Seq, j.seq)
-			}
-			j.entries = append(j.entries, e)
-			j.seq = e.Seq
-		}
-		off = next
+	keep, err := readRecords(path, data, func(e Entry) {
+		j.entries = append(j.entries, e)
+		j.seq = e.Seq
+	})
+	if err != nil {
+		return nil, err
 	}
 	if keep < len(data) {
+		fmt.Fprintf(os.Stderr, "journal %s: dropped %d bytes of a torn final record after seq %d\n",
+			path, len(data)-keep, j.seq)
 		if err := os.Truncate(path, int64(keep)); err != nil {
 			return nil, fmt.Errorf("journal %s: truncating torn tail: %w", path, err)
 		}
@@ -170,6 +153,41 @@ func OpenFile(path string) (*Journal, error) {
 	j.file = f
 	j.w = bufio.NewWriter(f)
 	return j, nil
+}
+
+// readRecords parses data, a journal file's bytes, one NDJSON record
+// per line, and calls fn with each entry in order. It returns the length
+// of the prefix of data holding whole records: less than len(data) only
+// when the last line has no newline and does not parse, a record torn
+// by a crash mid-append. An unparsable line anywhere else is
+// corruption, and so is a seq that is not above the one before it (the
+// first must be positive), which would replay flips out of order. A
+// record may be of any length, as Append writes it.
+func readRecords(path string, data []byte, fn func(Entry)) (keep int, err error) {
+	var last int64
+	for off := 0; off < len(data); {
+		line, next := data[off:], len(data)
+		nl := bytes.IndexByte(line, '\n')
+		if nl >= 0 {
+			line, next = line[:nl], off+nl+1
+		}
+		if len(line) > 0 {
+			var e Entry
+			if err := json.Unmarshal(line, &e); err != nil {
+				if nl >= 0 {
+					return 0, fmt.Errorf("journal %s: corrupt line after seq %d: %w", path, last, err)
+				}
+				return off, nil
+			}
+			if e.Seq <= last {
+				return 0, fmt.Errorf("journal %s: corrupt seq %d after seq %d (seqs must increase)", path, e.Seq, last)
+			}
+			fn(e)
+			last = e.Seq
+		}
+		off = next
+	}
+	return len(data), nil
 }
 
 // SetWindow bounds the in-memory entry slice to roughly the last n
@@ -288,29 +306,17 @@ func (j *Journal) Replay(seq int64) ([]Entry, error) {
 			return nil, fmt.Errorf("journal: flushing before replay: %w", err)
 		}
 	}
-	f, err := os.Open(j.path)
+	data, err := os.ReadFile(j.path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: reopening %s for replay: %w", j.path, err)
 	}
-	defer f.Close()
 	var out []Entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("journal %s: corrupt line during replay: %w", j.path, err)
-		}
+	if _, err := readRecords(j.path, data, func(e Entry) {
 		if e.Seq > seq {
 			out = append(out, e)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal %s: replay read: %w", j.path, err)
+	}); err != nil {
+		return nil, fmt.Errorf("replaying: %w", err)
 	}
 	return out, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -317,6 +319,38 @@ func TestReplayFromDisk(t *testing.T) {
 	}
 	if len(mid) != 6 || mid[0].Seq != 5 {
 		t.Fatalf("Replay(4) = %d entries starting at %d", len(mid), mid[0].Seq)
+	}
+}
+
+// TestReplayLongEntryFromDisk: Replay reads the file's records as
+// OpenFile does, of any length: a 2 MiB entry evicted from a window of
+// 1 comes back from disk whole.
+func TestReplayLongEntryFromDisk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flips.ndjson")
+	j, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.SetWindow(1)
+	articles := make([]string, 1<<16)
+	for i := range articles {
+		articles[i] = fmt.Sprintf("Article %026d", i)
+	}
+	long := j.Append(Entry{URL: "http://w.example/long", New: "dead", Articles: articles})
+	j.Append(Entry{URL: "http://w.example/next", New: "dead"})
+	if n := j.Len(); n != 1 {
+		t.Fatalf("window of 1 holds %d entries", n)
+	}
+	got, err := j.Replay(0)
+	if err != nil {
+		t.Fatalf("Replay(0) over a %d-byte journal: %v", j.Bytes(), err)
+	}
+	if len(got) != 2 || !reflect.DeepEqual(got[0], long) || got[1].URL != "http://w.example/next" {
+		t.Fatalf("Replay(0) = %d entries; the first has %d articles", len(got), len(got[0].Articles))
+	}
+	if j.Bytes() < 2<<20 {
+		t.Fatalf("the journal is %d bytes; the long entry should pass 2 MiB", j.Bytes())
 	}
 }
 

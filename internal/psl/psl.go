@@ -122,28 +122,31 @@ func (l *List) Add(rule string) {
 // PublicSuffix returns the public suffix of hostname per the PSL
 // algorithm: the longest matching rule wins; exception rules beat
 // wildcard rules; if no rule matches, the suffix is the last label
-// (the "*" implicit rule).
+// (the "*" implicit rule). The answer is a substring of the normalized
+// host, and so is every candidate suffix looked up on the way: a
+// lookup allocates nothing when hostname is already lower case.
 func (l *List) PublicSuffix(hostname string) string {
 	host := normalizeHost(hostname)
 	if host == "" {
 		return ""
 	}
-	labels := strings.Split(host, ".")
 
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 
-	// Walk suffixes from longest to shortest so the longest match wins.
-	// An exception rule prevails over all other matching rules, and its
-	// public suffix is the rule with the leftmost label removed.
+	// Walk suffixes from longest to shortest so the longest match wins:
+	// host[i:] for i at the host's start and after each dot, prev being
+	// the start of the label before it. An exception rule prevails over
+	// all other matching rules, and its public suffix is the rule with
+	// the leftmost label removed.
 	best := ""
 	bestLabels := 0
-	for i := 0; i < len(labels); i++ {
-		suffix := strings.Join(labels[i:], ".")
-		n := len(labels) - i
+	labels := strings.Count(host, ".") + 1
+	for i, prev, n := 0, -1, labels; n > 0; n-- {
+		suffix := host[i:]
 		switch l.rules[suffix] {
 		case ruleException:
-			if dot := strings.Index(suffix, "."); dot >= 0 {
+			if dot := strings.IndexByte(suffix, '.'); dot >= 0 {
 				return suffix[dot+1:]
 			}
 			return ""
@@ -154,15 +157,16 @@ func (l *List) PublicSuffix(hostname string) string {
 		case ruleWildcard:
 			// "*.ck" matches any label plus ".ck": one label longer
 			// than the stored suffix.
-			if i > 0 && n+1 > bestLabels {
-				best = strings.Join(labels[i-1:], ".")
-				bestLabels = n + 1
+			if prev >= 0 && n+1 > bestLabels {
+				best, bestLabels = host[prev:], n+1
 			}
 		}
+		prev = i
+		i += strings.IndexByte(suffix, '.') + 1
 	}
 	if bestLabels == 0 {
 		// Implicit "*" rule: the last label is the public suffix.
-		return labels[len(labels)-1]
+		return host[strings.LastIndexByte(host, '.')+1:]
 	}
 	return best
 }
@@ -170,26 +174,23 @@ func (l *List) PublicSuffix(hostname string) string {
 // RegistrableDomain returns the eTLD+1 for hostname: the public suffix
 // plus one preceding label. It returns "" when the hostname is itself a
 // public suffix (or empty), mirroring golang.org/x/net/publicsuffix.
+// The answer is a substring of the normalized host.
 func (l *List) RegistrableDomain(hostname string) string {
 	host := normalizeHost(hostname)
 	if host == "" {
 		return ""
 	}
 	suffix := l.PublicSuffix(host)
-	if host == suffix {
+	// The registrable label ends where "."+suffix ends host.
+	restEnd := len(host) - len(suffix) - 1
+	if restEnd < 0 || host[restEnd] != '.' || !strings.HasSuffix(host, suffix) {
 		return ""
 	}
-	rest := strings.TrimSuffix(host, "."+suffix)
-	if rest == host {
+	start := strings.LastIndexByte(host[:restEnd], '.') + 1
+	if start == restEnd {
 		return ""
 	}
-	if dot := strings.LastIndex(rest, "."); dot >= 0 {
-		rest = rest[dot+1:]
-	}
-	if rest == "" {
-		return ""
-	}
-	return rest + "." + suffix
+	return host[start:]
 }
 
 func normalizeHost(h string) string {

@@ -25,16 +25,7 @@ type RevisionLinks struct {
 }
 
 // CitedURL is one cited link as a revision's wikitext shows it.
-type CitedURL struct {
-	URL string
-	// ArchiveURL is the attached archived copy ("" when none).
-	ArchiveURL string
-	// DeadLinkBot is the bot= parameter of the link's {{dead link}}
-	// tag ("" when untagged or tagged by hand).
-	DeadLinkBot string
-	// Dead reports whether the link carries a {{dead link}} tag.
-	Dead bool
-}
+type CitedURL = wikitext.CitedURL
 
 // ExternalURLs returns the distinct non-empty cited URLs in first-
 // appearance order, as wikitext.Document.ExternalURLs does. The slice
@@ -62,60 +53,27 @@ func (l *RevisionLinks) HasCategory(name string) bool {
 	return false
 }
 
-// parses counts the wiki's parses of revision text, so a test can hold
-// generation to one parse per revision plus one per mutated document.
+// parses counts the wiki's reads of revision text, a digest scan or a
+// parse, so a test can hold generation to one read per revision plus
+// one parse per mutated document.
 var parses atomic.Int64
 
-// parse is the package's one parse of revision wikitext.
+// parse is the package's one parse of revision wikitext, for callers
+// that mutate the document.
 func parse(text string) *wikitext.Document {
 	parses.Add(1)
 	return wikitext.Parse(text)
 }
 
-// summarize parses text and digests it into a RevisionLinks.
+// summarize digests text into a RevisionLinks, building no parse tree.
 func summarize(text string) *RevisionLinks {
-	doc := parse(text)
-	return &RevisionLinks{Cited: appendCited(nil, doc), Categories: appendCategories(nil, doc), text: text}
-}
-
-// appendCited appends a CitedURL for each of doc's cited links, in
-// CitedLinks order.
-func appendCited(out []CitedURL, doc *wikitext.Document) []CitedURL {
-	for _, cl := range doc.CitedLinks() {
-		out = append(out, CitedURL{
-			URL:         cl.URL,
-			ArchiveURL:  cl.ArchiveURL(),
-			DeadLinkBot: cl.DeadLinkBot(),
-			Dead:        cl.IsDead(),
-		})
-	}
-	return out
-}
-
-// appendCategories appends the canonical name of each category of doc
-// not yet in cats, walking doc as wikitext.Document.Categories does.
-func appendCategories(cats []string, doc *wikitext.Document) []string {
-	for _, n := range doc.Nodes {
-		switch v := n.(type) {
-		case *wikitext.WikiLink:
-			// CategoryName is "" for a non-category link, and for a
-			// category link with an empty name.
-			if name := v.CategoryName(); name != "" || v.IsCategory() {
-				if cc := wikitext.CanonicalCategory(name); !slices.Contains(cats, cc) {
-					cats = append(cats, cc)
-				}
-			}
-		case *wikitext.Ref:
-			if v.Body != nil {
-				cats = appendCategories(cats, v.Body)
-			}
-		}
-	}
-	return cats
+	parses.Add(1)
+	cited, cats := wikitext.AppendDigest(nil, nil, text)
+	return &RevisionLinks{Cited: cited, Categories: cats, text: text}
 }
 
 // Links returns the wiki's RevisionLinks of rev, a revision of one of
-// its articles, parsing rev's text on the first read only. Every
+// its articles, digesting rev's text on the first read only. Every
 // read-only consumer of a revision's wikitext but the history fold
 // (citedLinks) goes through here; Revision.Doc is for callers that
 // mutate the document.
@@ -137,7 +95,7 @@ func (w *Wiki) Links(rev *Revision) *RevisionLinks {
 }
 
 // slab packs the digests a wiki keeps into shared chunks. A digest is
-// built among a parse's short-lived garbage; kept as its own few small
+// built among generation's short-lived garbage; kept as its own few small
 // objects, each would hold a mostly free heap span in use for the
 // wiki's lifetime. That cost a generated Scale(0.025) universe kept in
 // memory ≈ 1.5 MB of settled RSS for 0.2 MB of digests.
@@ -192,12 +150,12 @@ func keepIn[T any](chunk *[]T, vs []T) []T {
 }
 
 // citedLinks is the history fold's read of rev: the cited links of
-// its kept RevisionLinks, or of a parse appended to buf and kept by
-// nobody (always, on a nil wiki: the uncached fold). The memo keeps
+// its kept RevisionLinks, or of a digest scan appended to buf and kept
+// by nobody (always, on a nil wiki: the uncached fold). The memo keeps
 // the fold, so a fold reads a revision once per article version;
 // keeping a digest pays only for the readers that come back to a
 // revision: the bot's scans, the edit stream and category listings.
-// So a generated wiki's folds parse nothing, since the edit stream
+// So a generated wiki's folds scan nothing, since the edit stream
 // kept every revision's digest. A study of an unedited paged wiki
 // keeps none: keeping one per revision made its first Collect ≈ 40 %
 // slower in garbage collection and map upkeep.
@@ -207,7 +165,8 @@ func (w *Wiki) citedLinks(rev *Revision, buf []CitedURL) []CitedURL {
 			return l.Cited
 		}
 	}
-	return appendCited(buf, parse(rev.Text))
+	parses.Add(1)
+	return wikitext.AppendCited(buf, rev.Text)
 }
 
 // keptLinks returns the RevisionLinks the wiki keeps for rev, or nil.

@@ -17,10 +17,11 @@
 //
 // Links keeps one RevisionLinks per revision read through it: the edit
 // stream, category listings and the bots' decisions read each revision
-// from it, so the wiki parses a revision for them once. The history
-// pass reads a kept digest where there is one and otherwise parses
-// without keeping, since the wiki keeps its result. Only a caller that
-// mutates a document asks Revision.Doc for a fresh parse.
+// from it, so the wiki digests a revision for them once, with
+// wikitext's digest scan (no parse tree). The history pass reads a kept
+// digest where there is one and otherwise scans without keeping, since
+// the wiki keeps its result. Only a caller that mutates a document asks
+// Revision.Doc for a fresh parse.
 package wikimedia
 
 import (

@@ -9,27 +9,7 @@ import (
 // Runs with the seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzParse ./internal/wikitext` to explore further.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"plain prose",
-		"{{cite web|url=http://h.com/a|title=T}}",
-		"<ref>{{cite web|url=http://h.com/a}}</ref>",
-		"<ref name=x/>",
-		"[[Category:Things]] [[Link|label]]",
-		"[http://h.com/a A] http://bare.com/x.",
-		"{{a|{{b|c}}|d=[[e]]}}",
-		"{{unclosed",
-		"[[unclosed",
-		"<ref>unclosed",
-		"<!-- comment {{x}} -->",
-		"<!-- unclosed comment",
-		"{{dead link|date=July 2021|bot=InternetArchiveBot}}",
-		"|}}{{|[]][[",
-		"<REF NAME=\"Q\">x</REF>",
-		"{{x|a=b=c|=d}}",
-		"<ref name=00\"000>", // a quote inside an unquoted ref name
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -47,4 +27,26 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("cited links unstable: %d vs %d for %q", len(a), len(b), src)
 		}
 	})
+}
+
+// parseSeeds seed FuzzParse and FuzzDigestDifferential.
+var parseSeeds = []string{
+	"",
+	"plain prose",
+	"{{cite web|url=http://h.com/a|title=T}}",
+	"<ref>{{cite web|url=http://h.com/a}}</ref>",
+	"<ref name=x/>",
+	"[[Category:Things]] [[Link|label]]",
+	"[http://h.com/a A] http://bare.com/x.",
+	"{{a|{{b|c}}|d=[[e]]}}",
+	"{{unclosed",
+	"[[unclosed",
+	"<ref>unclosed",
+	"<!-- comment {{x}} -->",
+	"<!-- unclosed comment",
+	"{{dead link|date=July 2021|bot=InternetArchiveBot}}",
+	"|}}{{|[]][[",
+	"<REF NAME=\"Q\">x</REF>",
+	"{{x|a=b=c|=d}}",
+	"<ref name=00\"000>", // a quote inside an unquoted ref name
 }

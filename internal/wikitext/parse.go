@@ -9,7 +9,7 @@ import (
 // to plain text rather than failing, because real Wikipedia dumps —
 // and our simulated articles containing user typos — are messy.
 func Parse(src string) *Document {
-	p := &parser{src: src, lastClose: lastRefClose(src)}
+	p := &parser{newScanner(src)}
 	return p.parseUntil(false)
 }
 
@@ -25,250 +25,346 @@ func (c *Comment) render(b *strings.Builder) {
 	b.WriteString("-->")
 }
 
-type parser struct {
+// parser builds a Document from the constructs the scanner yields.
+type parser struct{ scanner }
+
+// parseUntil consumes nodes until end of input or, inside a <ref>
+// body, until refClose, which is consumed as well. The prose between
+// two constructs, including any that failed to scan, is one Text node.
+func (p *parser) parseUntil(inRef bool) *Document {
+	doc := &Document{}
+	for {
+		textStart := p.pos
+		t := p.next(inRef)
+		if t.start > textStart {
+			doc.Nodes = append(doc.Nodes, &Text{Value: p.src[textStart:t.start]})
+		}
+		var n Node
+		switch t.kind {
+		case tokEnd:
+			return doc
+		case tokComment:
+			n = &Comment{Value: t.a}
+		case tokRef:
+			n = &Ref{Name: t.a, Body: p.parseUntil(true)}
+		case tokRefSelf:
+			n = &Ref{Name: t.a}
+		case tokTemplate:
+			n = newTemplate(t.a, t.b, t.n)
+		case tokWikiLink:
+			n = &WikiLink{Target: t.a, Label: t.b}
+		case tokExtLink:
+			n = &ExtLink{URL: t.a, Label: t.b}
+		case tokBareURL:
+			n = &ExtLink{URL: t.a, Bare: true}
+		}
+		doc.Nodes = append(doc.Nodes, n)
+	}
+}
+
+// newTemplate builds the template the scanner read: its parameters,
+// n of them in params, take one allocation of their final size.
+func newTemplate(name, params string, n int) *Template {
+	t := &Template{Name: name}
+	if n > 0 {
+		t.Params = make([]Param, n)
+		for i := range t.Params {
+			t.Params[i], params = cutParam(params)
+		}
+	}
+	return t
+}
+
+// scanner is the grammar, written once: the first-byte dispatch loop
+// (next) and the leaf scanners it calls. Parse builds a node of each
+// construct it yields; the digest (AppendCited, AppendDigest) reads
+// links and categories off them and builds nothing.
+type scanner struct {
 	src string
 	pos int
-	// lastClose is where the last refClose in src starts (-1 if none):
-	// a <ref> open tag ending after it has no closer and is text.
-	lastClose int
+	// closeAt is where the first refClose at or after the position last
+	// searched from starts, -1 when there is none, or unsearched.
+	closeAt int
+}
+
+const unsearched = -2
+
+func newScanner(src string) scanner { return scanner{src: src, closeAt: unsearched} }
+
+// tokKind names the construct a token is.
+type tokKind uint8
+
+const (
+	tokEnd      tokKind = iota // end of input, or refClose ending a ref body
+	tokComment                 // <!--a-->
+	tokRef                     // <ref name=a>, its body next, up to refClose
+	tokRefSelf                 // <ref name=a />
+	tokTemplate                // {{a|b}}, b holding n parameters
+	tokWikiLink                // [[a|b]]
+	tokExtLink                 // [a b]
+	tokBareURL                 // a, bare
+)
+
+// token is one construct: its kind, where it began (the prose before
+// it ends there), and its text, in fields named by the kind.
+type token struct {
+	kind  tokKind
+	start int
+	a, b  string
+	n     int
 }
 
 // refClose ends a <ref> body; it is matched case-insensitively.
 const refClose = "</ref>"
 
-// lastRefClose returns the start of the last refClose in s, or -1.
-func lastRefClose(s string) int {
-	for i := len(s); i > 0; {
-		if i = strings.LastIndexByte(s[:i], '<'); i >= 0 && len(s)-i >= len(refClose) &&
-			strings.EqualFold(s[i:i+len(refClose)], refClose) {
+// next returns the next construct at or after pos and leaves pos just
+// past it. Every construct the grammar recognises, and refClose, begins
+// with '<', '{', '[' or a lowercase 'h' (bare URLs are matched
+// case-sensitively), so the loop dispatches on the byte at pos and
+// skips any other byte as prose. A construct that fails to scan
+// degrades to text: its opening bytes are skipped, not retried as a
+// shorter construct. Inside a ref body (inRef), refClose ends the body:
+// next consumes it and returns tokEnd, as at the end of input.
+func (s *scanner) next(inRef bool) token {
+	for s.pos < len(s.src) {
+		start := s.pos
+		switch s.src[start] {
+		case '<':
+			switch {
+			case inRef && s.hasPrefixFold(refClose):
+				s.pos += len(refClose)
+				return token{start: start}
+			case s.hasPrefix("<!--"):
+				return token{kind: tokComment, start: start, a: s.comment()}
+			case s.hasPrefixFold("<ref"):
+				if name, selfClosing, ok := s.refOpen(); ok {
+					kind := tokRef
+					if selfClosing {
+						kind = tokRefSelf
+					}
+					return token{kind: kind, start: start, a: name}
+				}
+				s.pos = start + 4
+			default:
+				s.pos++
+			}
+		case '{':
+			if !s.hasPrefix("{{") {
+				s.pos++
+			} else if name, params, n, ok := s.template(); ok {
+				return token{kind: tokTemplate, start: start, a: name, b: params, n: n}
+			} else {
+				s.pos = start + 2 // skip the braces as text
+			}
+		case '[':
+			if s.hasPrefix("[[") {
+				if target, label, ok := s.wikiLink(); ok {
+					return token{kind: tokWikiLink, start: start, a: target, b: label}
+				}
+				s.pos = start + 2
+			} else if url, label, ok := s.extLink(); ok {
+				return token{kind: tokExtLink, start: start, a: url, b: label}
+			} else {
+				s.pos = start + 1
+			}
+		case 'h':
+			if !s.hasPrefix("http://") && !s.hasPrefix("https://") {
+				s.pos++
+			} else if url := s.bareURL(); url != "" {
+				return token{kind: tokBareURL, start: start, a: url}
+			} else {
+				s.pos = start + 4
+			}
+		default:
+			s.pos = skipProse(s.src, start+1)
+		}
+	}
+	return token{start: s.pos}
+}
+
+// skipProse returns the index of the first byte of s at or after i
+// that can begin a construct: '<', '{', '[', or the 'h' of "http"; or
+// len(s).
+func skipProse(s string, i int) int {
+	for ; ; i++ {
+		if i = skipTo(s, i, &constructStart); i == len(s) || s[i] != 'h' || strings.HasPrefix(s[i:], "http") {
 			return i
 		}
 	}
-	return -1
 }
 
-// parseUntil consumes nodes until end of input or, inside a <ref>
-// body, until refClose, which is consumed as well.
-//
-// Every construct the parser recognises, and refClose, begins with
-// '<', '{', '[' or a lowercase 'h' (bare URLs are matched
-// case-sensitively), so the loop dispatches on the byte at pos and
-// any other byte is prose. A construct that fails to parse degrades
-// to text: its opening bytes are skipped, not retried as a shorter
-// construct.
-func (p *parser) parseUntil(inRef bool) *Document {
-	doc := &Document{}
-	textStart := p.pos
-	flush := func(end int) {
-		if end > textStart {
-			doc.Nodes = append(doc.Nodes, &Text{Value: p.src[textStart:end]})
+// The byte sets the scanners skip to: a construct's first byte; what
+// the template scan tracks; what splitting its parameters tracks.
+var (
+	constructStart = byteSet("<{[h")
+	templateDelims = byteSet("{}[]|")
+	paramDelims    = byteSet("{}[]|=")
+)
+
+func byteSet(s string) (set [256]bool) {
+	for i := 0; i < len(s); i++ {
+		set[s[i]] = true
+	}
+	return set
+}
+
+// skipTo returns the index of the first byte of s at or after i in
+// set, or len(s).
+func skipTo(s string, i int, set *[256]bool) int {
+	for i < len(s) && !set[s[i]] {
+		i++
+	}
+	return i
+}
+
+func (s *scanner) hasPrefix(p string) bool {
+	return strings.HasPrefix(s.src[s.pos:], p)
+}
+
+func (s *scanner) hasPrefixFold(p string) bool {
+	rest := s.src[s.pos:]
+	return len(rest) >= len(p) && strings.EqualFold(rest[:len(p)], p)
+}
+
+// template scans {{name|params}} at pos in one walk, to the "}}" that
+// balances its "{{" (nested "{{"/"}}" pairs balanced), counting the
+// '|' separators at nesting depth zero with respect to {{...}} and
+// [[...]] pairs: params is the text after the first, holding n
+// parameters (cutParam splits them). It fails, leaving pos, when the
+// braces never balance or the trimmed name is empty.
+func (s *scanner) template() (name, params string, n int, ok bool) {
+	src := s.src
+	// braces counts open "{{"; depth is the separators' nesting depth,
+	// zero inside the template's own braces.
+	braces, depth := 0, -1
+	nameEnd := -1
+	for i := s.pos; ; i++ {
+		if i = skipTo(src, i, &templateDelims); i == len(src) {
+			return "", "", 0, false
 		}
-	}
-	// emit appends n, which began at start and ends at pos.
-	emit := func(start int, n Node) {
-		flush(start)
-		doc.Nodes = append(doc.Nodes, n)
-		textStart = p.pos
-	}
-	for p.pos < len(p.src) {
-		start := p.pos
-		switch p.src[start] {
-		case '<':
-			switch {
-			case inRef && p.hasPrefixFold(refClose):
-				flush(start)
-				p.pos += len(refClose)
-				return doc
-			case p.hasPrefix("<!--"):
-				emit(start, p.parseComment())
-			case p.hasPrefixFold("<ref"):
-				if r, ok := p.parseRef(); ok {
-					emit(start, r)
-				} else {
-					p.pos = start + 4
+		c := src[i]
+		if c == '|' {
+			if depth == 0 {
+				if nameEnd < 0 {
+					nameEnd = i
 				}
-			default:
-				p.pos++
+				n++
 			}
+			continue
+		}
+		if i+1 == len(src) || src[i+1] != c {
+			continue // a single bracket or brace is text
+		}
+		i++
+		switch c {
 		case '{':
-			if !p.hasPrefix("{{") {
-				p.pos++
-			} else if t, ok := p.parseTemplate(); ok {
-				emit(start, t)
-			} else {
-				p.pos = start + 2 // skip the braces as text
-			}
-		case '[':
-			if p.hasPrefix("[[") {
-				if wl, ok := p.parseWikiLink(); ok {
-					emit(start, wl)
-				} else {
-					p.pos = start + 2
-				}
-			} else if el, ok := p.parseExtLink(); ok {
-				emit(start, el)
-			} else {
-				p.pos = start + 1
-			}
-		case 'h':
-			if !p.hasPrefix("http://") && !p.hasPrefix("https://") {
-				p.pos++
-			} else if url := p.scanBareURL(); url != "" {
-				emit(start, &ExtLink{URL: url, Bare: true})
-			} else {
-				p.pos = start + 4
-			}
-		default:
-			p.pos++
-		}
-	}
-	flush(p.pos)
-	return doc
-}
-
-func (p *parser) hasPrefix(s string) bool {
-	return strings.HasPrefix(p.src[p.pos:], s)
-}
-
-func (p *parser) hasPrefixFold(s string) bool {
-	rest := p.src[p.pos:]
-	return len(rest) >= len(s) && strings.EqualFold(rest[:len(s)], s)
-}
-
-// parseTemplate parses {{name|params...}} starting at "{{". On failure
-// it restores nothing; the caller resets pos.
-func (p *parser) parseTemplate() (*Template, bool) {
-	end := matchBraces(p.src, p.pos)
-	if end < 0 {
-		return nil, false
-	}
-	inner := p.src[p.pos+2 : end-2]
-	p.pos = end
-	// parts lives on the stack for templates of up to 8 parts, and the
-	// parameters take one allocation of their final size.
-	var buf [8]string
-	parts := splitTop(buf[:0], inner, '|')
-	t := &Template{Name: strings.TrimSpace(parts[0])}
-	if t.Name == "" {
-		return nil, false
-	}
-	if len(parts) > 1 {
-		t.Params = make([]Param, len(parts)-1)
-		for i, part := range parts[1:] {
-			t.Params[i] = splitParam(part)
-		}
-	}
-	return t, true
-}
-
-// pairAt reports whether s holds the doubled delimiter cc at i.
-func pairAt(s string, i int, c byte) bool {
-	return i+1 < len(s) && s[i] == c && s[i+1] == c
-}
-
-// splitParam splits "key=value" at the first top-level '=', treating
-// the parameter as positional when none exists. MediaWiki semantics:
-// the key is trimmed; the value keeps its exact text.
-func splitParam(part string) Param {
-	depth := 0
-	for i := 0; i < len(part); i++ {
-		switch {
-		case pairAt(part, i, '{') || pairAt(part, i, '['):
+			braces++
 			depth++
-			i++
-		case pairAt(part, i, '}') || pairAt(part, i, ']'):
+		case '[':
+			depth++
+		case ']':
 			depth--
-			i++
-		case part[i] == '=' && depth == 0:
-			key := strings.TrimSpace(part[:i])
-			if key == "" {
+		case '}':
+			braces--
+			depth--
+			if braces > 0 {
+				continue
+			}
+			name = src[s.pos+2 : i-1]
+			if nameEnd >= 0 {
+				name, params = src[s.pos+2:nameEnd], src[nameEnd+1:i-1]
+			}
+			if name = strings.TrimSpace(name); name == "" {
+				return "", "", 0, false
+			}
+			s.pos = i + 1
+			return name, params, n, true
+		}
+	}
+}
+
+// cutParam cuts the first parameter off params, a template's text
+// after its name's '|', returning it and the text after its own '|'.
+// The parameter ends at the first '|' at nesting depth zero with
+// respect to {{...}} and [[...]] pairs, and splits "key=value" at its
+// first '=' at depth zero with a non-blank key; with none it is
+// positional. MediaWiki semantics: the key is trimmed; the value keeps
+// its exact text.
+func cutParam(params string) (p Param, rest string) {
+	depth, eq := 0, -1
+	i := 0
+	for ; ; i++ {
+		if i = skipTo(params, i, &paramDelims); i == len(params) {
+			break
+		}
+		c := params[i]
+		if c == '|' {
+			if depth == 0 {
+				rest = params[i+1:]
 				break
 			}
-			return Param{Key: key, Value: part[i+1:]}
+			continue
 		}
-	}
-	return Param{Value: part}
-}
-
-// matchBraces returns the index just past the "}}" matching the "{{"
-// at start, or -1. Nested "{{"/"}}" pairs are balanced.
-func matchBraces(s string, start int) int {
-	depth := 0
-	for i := start; i < len(s); i++ {
-		switch {
-		case pairAt(s, i, '{'):
-			depth++
-			i++
-		case pairAt(s, i, '}'):
-			depth--
-			i++
-			if depth == 0 {
-				return i + 1
+		if c == '=' {
+			if depth == 0 && eq < 0 && strings.TrimSpace(params[:i]) != "" {
+				eq = i
 			}
+			continue
+		}
+		if i+1 < len(params) && params[i+1] == c {
+			if c == '{' || c == '[' {
+				depth++
+			} else {
+				depth--
+			}
+			i++
 		}
 	}
-	return -1
-}
-
-// splitTop appends to parts the pieces of s split on sep at nesting
-// depth zero with respect to {{...}} and [[...]] pairs.
-func splitTop(parts []string, s string, sep byte) []string {
-	depth := 0
-	last := 0
-	for i := 0; i < len(s); i++ {
-		switch {
-		case pairAt(s, i, '{') || pairAt(s, i, '['):
-			depth++
-			i++
-		case pairAt(s, i, '}') || pairAt(s, i, ']'):
-			depth--
-			i++
-		case s[i] == sep && depth == 0:
-			parts = append(parts, s[last:i])
-			last = i + 1
-		}
+	part := params[:i]
+	if eq < 0 {
+		return Param{Value: part}, rest
 	}
-	parts = append(parts, s[last:])
-	return parts
+	return Param{Key: strings.TrimSpace(part[:eq]), Value: part[eq+1:]}, rest
 }
 
-// parseWikiLink parses [[Target]] or [[Target|label]] at "[[".
-func (p *parser) parseWikiLink() (*WikiLink, bool) {
-	end := strings.Index(p.src[p.pos:], "]]")
+// wikiLink scans [[Target]] or [[Target|label]] at "[[".
+func (s *scanner) wikiLink() (target, label string, ok bool) {
+	end := strings.Index(s.src[s.pos:], "]]")
 	if end < 0 {
-		return nil, false
+		return "", "", false
 	}
-	inner := p.src[p.pos+2 : p.pos+end]
+	inner := s.src[s.pos+2 : s.pos+end]
 	if strings.Contains(inner, "[[") || strings.Contains(inner, "\n\n") {
-		return nil, false
+		return "", "", false
 	}
-	p.pos += end + 2
-	target, label, _ := strings.Cut(inner, "|")
-	return &WikiLink{Target: strings.TrimSpace(target), Label: label}, true
+	s.pos += end + 2
+	target, label, _ = strings.Cut(inner, "|")
+	return strings.TrimSpace(target), label, true
 }
 
-// parseExtLink parses [http://url optional label] at "[".
-func (p *parser) parseExtLink() (*ExtLink, bool) {
-	rest := p.src[p.pos+1:]
+// extLink scans [http://url optional label] at "[".
+func (s *scanner) extLink() (url, label string, ok bool) {
+	rest := s.src[s.pos+1:]
 	if !strings.HasPrefix(rest, "http://") && !strings.HasPrefix(rest, "https://") {
-		return nil, false
+		return "", "", false
 	}
 	end := strings.IndexByte(rest, ']')
 	if end < 0 || strings.Contains(rest[:end], "\n") {
-		return nil, false
+		return "", "", false
 	}
 	inner := rest[:end]
-	p.pos += 1 + end + 1
-	url, label, _ := strings.Cut(inner, " ")
-	return &ExtLink{URL: url, Label: strings.TrimSpace(label)}, true
+	s.pos += 1 + end + 1
+	url, label, _ = strings.Cut(inner, " ")
+	return url, strings.TrimSpace(label), true
 }
 
 // urlEndChars are characters that terminate a bare URL in wikitext.
 const urlEndChars = " \t\n<>[]{}|\"'"
 
-// scanBareURL consumes a bare URL starting at pos.
-func (p *parser) scanBareURL() string {
-	rest := p.src[p.pos:]
+// bareURL scans a bare URL at pos, returning "" when what follows the
+// scheme is too short to be one.
+func (s *scanner) bareURL() string {
+	rest := s.src[s.pos:]
 	end := strings.IndexAny(rest, urlEndChars)
 	if end < 0 {
 		end = len(rest)
@@ -278,54 +374,72 @@ func (p *parser) scanBareURL() string {
 	if len(url) <= len("http://") {
 		return ""
 	}
-	p.pos += len(url)
+	s.pos += len(url)
 	return url
 }
 
-// parseComment parses an HTML comment at "<!--". Unterminated
-// comments run to end of input, as MediaWiki treats them.
-func (p *parser) parseComment() *Comment {
-	rest := p.src[p.pos+4:]
+// comment scans an HTML comment at "<!--", returning its inner text.
+// Unterminated comments run to end of input, as MediaWiki treats them.
+func (s *scanner) comment() string {
+	rest := s.src[s.pos+4:]
 	end := strings.Index(rest, "-->")
 	if end < 0 {
-		p.pos = len(p.src)
-		return &Comment{Value: rest}
+		s.pos = len(s.src)
+		return rest
 	}
-	p.pos += 4 + end + 3
-	return &Comment{Value: rest[:end]}
+	s.pos += 4 + end + 3
+	return rest[:end]
 }
 
-// parseRef parses <ref>...</ref>, <ref name="x">...</ref>, or a
-// self-closing <ref name="x" />. An open tag with no refClose anywhere
-// after it is not a ref: rendering one would add the closer the source
-// lacks, and the re-parse would then read different markup.
-func (p *parser) parseRef() (*Ref, bool) {
-	rest := p.src[p.pos:]
+// refOpen scans a <ref>, <ref name="x"> or self-closing
+// <ref name="x" /> open tag at pos, which next has matched "<ref"
+// case-insensitively. An open tag with no refClose anywhere after it
+// is not a ref: rendering one would add the closer the source lacks,
+// and the re-parse would then read different markup.
+func (s *scanner) refOpen() (name string, selfClosing, ok bool) {
+	rest := s.src[s.pos:]
 	gt := strings.IndexByte(rest, '>')
 	if gt < 0 {
-		return nil, false
+		return "", false, false
 	}
 	openTag := rest[:gt+1]
-	lower := strings.ToLower(openTag)
-	if !strings.HasPrefix(lower, "<ref") {
-		return nil, false
-	}
 	// The character after "<ref" must end the tag name.
 	if len(openTag) > 4 && openTag[4] != ' ' && openTag[4] != '>' && openTag[4] != '/' && openTag[4] != '\t' {
-		return nil, false
+		return "", false, false
 	}
-	name := refNameAttr(openTag)
-	if strings.HasSuffix(strings.TrimSpace(openTag[:len(openTag)-1]), "/") {
-		// Self-closing.
-		p.pos += gt + 1
-		return &Ref{Name: name}, true
+	name = refNameAttr(openTag)
+	selfClosing = strings.HasSuffix(strings.TrimSpace(openTag[:len(openTag)-1]), "/")
+	if !selfClosing && !s.closerFrom(s.pos+gt+1) {
+		return "", false, false
 	}
-	if p.lastClose < p.pos+gt+1 {
-		return nil, false
+	s.pos += gt + 1
+	return name, selfClosing, true
+}
+
+// closerFrom reports whether a refClose starts at or after i. The
+// scanner asks with i never decreasing (an open tag's end: the first
+// '>' after its "<ref"), so the closers are searched for forward, over
+// each stretch of src once, and only in documents with a ref.
+func (s *scanner) closerFrom(i int) bool {
+	if s.closeAt < i && s.closeAt != -1 {
+		s.closeAt = indexRefClose(s.src, i)
 	}
-	p.pos += gt + 1
-	body := p.parseUntil(true)
-	return &Ref{Name: name, Body: body}, true
+	return s.closeAt >= i
+}
+
+// indexRefClose returns the start of the first refClose in s at or
+// after i, or -1.
+func indexRefClose(s string, i int) int {
+	for {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		if i += j; len(s)-i >= len(refClose) && strings.EqualFold(s[i:i+len(refClose)], refClose) {
+			return i
+		}
+		i += 2
+	}
 }
 
 // refNameAttr extracts the name="..." (or name=x) attribute from a

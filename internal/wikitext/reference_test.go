@@ -8,16 +8,32 @@ import (
 
 // refParser is the byte-at-a-time parser Parse replaced: up to nine
 // prefix compares at every position, strings.HasPrefix in the brace
-// and parameter scanners. It is kept, test-only, as the reference
-// FuzzParseDifferential compares the first-byte dispatch against; the
-// leaf parsers (wiki link, external link, bare URL, comment, ref open
-// tag) are shared with the production parser, which did not change
-// them.
-type refParser struct{ parser }
+// and parameter scanners, a backward walk for the last </ref>. It is
+// kept, test-only, as the reference FuzzParseDifferential compares the
+// first-byte dispatch against; the leaf scanners of the wiki link,
+// external link, bare URL and comment are shared with the production
+// parser, which did not change them.
+type refParser struct {
+	scanner
+	// lastClose is where the last refClose in src starts (-1 if none):
+	// a <ref> open tag ending after it has no closer and is text.
+	lastClose int
+}
 
 func referenceParse(src string) *Document {
-	p := &refParser{parser{src: src, lastClose: lastRefClose(src)}}
+	p := &refParser{scanner: scanner{src: src}, lastClose: lastRefClose(src)}
 	return p.parseUntil("")
+}
+
+// lastRefClose returns the start of the last refClose in s, or -1.
+func lastRefClose(s string) int {
+	for i := len(s); i > 0; {
+		if i = strings.LastIndexByte(s[:i], '<'); i >= 0 && len(s)-i >= len(refClose) &&
+			strings.EqualFold(s[i:i+len(refClose)], refClose) {
+			return i
+		}
+	}
+	return -1
 }
 
 func (p *refParser) parseUntil(term string) *Document {
@@ -37,7 +53,7 @@ func (p *refParser) parseUntil(term string) *Document {
 		switch {
 		case p.hasPrefix("<!--"):
 			start := p.pos
-			c := p.parseComment()
+			c := &Comment{Value: p.comment()}
 			flush(start)
 			doc.Nodes = append(doc.Nodes, c)
 			textStart = p.pos
@@ -52,18 +68,18 @@ func (p *refParser) parseUntil(term string) *Document {
 			p.pos = start + 2
 		case p.hasPrefix("[["):
 			start := p.pos
-			if wl, ok := p.parseWikiLink(); ok {
+			if target, label, ok := p.wikiLink(); ok {
 				flush(start)
-				doc.Nodes = append(doc.Nodes, wl)
+				doc.Nodes = append(doc.Nodes, &WikiLink{Target: target, Label: label})
 				textStart = p.pos
 				continue
 			}
 			p.pos = start + 2
 		case p.hasPrefix("["):
 			start := p.pos
-			if el, ok := p.parseExtLink(); ok {
+			if url, label, ok := p.extLink(); ok {
 				flush(start)
-				doc.Nodes = append(doc.Nodes, el)
+				doc.Nodes = append(doc.Nodes, &ExtLink{URL: url, Label: label})
 				textStart = p.pos
 				continue
 			}
@@ -79,7 +95,7 @@ func (p *refParser) parseUntil(term string) *Document {
 			p.pos = start + 4
 		case p.hasPrefix("http://") || p.hasPrefix("https://"):
 			start := p.pos
-			url := p.scanBareURL()
+			url := p.bareURL()
 			if url != "" {
 				flush(start)
 				doc.Nodes = append(doc.Nodes, &ExtLink{URL: url, Bare: true})

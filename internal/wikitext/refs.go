@@ -163,8 +163,7 @@ func (d *Document) CitedLinks() []*CitedLink {
 }
 
 func collectContainer(doc *Document, ref *Ref, out *[]*CitedLink) {
-	var last *CitedLink
-	sinceLast := 0 // non-whitespace nodes since last link
+	var adj adjacency
 	for i, n := range doc.Nodes {
 		switch v := n.(type) {
 		case *Template:
@@ -172,33 +171,54 @@ func collectContainer(doc *Document, ref *Ref, out *[]*CitedLink) {
 			switch {
 			case slices.Contains(citeNames, name):
 				url, _ := v.Get("url")
-				cl := &CitedLink{URL: url, Cite: v, Ref: ref, container: doc, index: i}
-				*out = append(*out, cl)
-				last, sinceLast = cl, 0
+				*out = append(*out, &CitedLink{URL: url, Cite: v, Ref: ref, container: doc, index: i})
+				adj.link(len(*out) - 1)
 			case name == deadLinkName:
-				if last != nil && sinceLast == 0 {
-					last.DeadLink = v
+				if j, ok := adj.owner(); ok {
+					(*out)[j].DeadLink = v
 				}
 			case name == webarchiveName:
-				if last != nil && sinceLast == 0 {
-					last.Webarchive = v
+				if j, ok := adj.owner(); ok {
+					(*out)[j].Webarchive = v
 				}
 			default:
-				sinceLast++
+				adj.other()
 			}
 		case *ExtLink:
-			cl := &CitedLink{URL: v.URL, Link: v, Ref: ref, container: doc, index: i}
-			*out = append(*out, cl)
-			last, sinceLast = cl, 0
+			*out = append(*out, &CitedLink{URL: v.URL, Link: v, Ref: ref, container: doc, index: i})
+			adj.link(len(*out) - 1)
 		case *Text:
-			if strings.TrimSpace(v.Value) != "" {
-				sinceLast++
-			}
+			adj.text(v.Value)
 		default:
-			sinceLast++
+			adj.other()
 		}
 	}
 }
+
+// adjacency is the rule that pairs maintenance templates with links,
+// for CitedLinks and the digest alike: a {{dead link}} or {{webarchive}}
+// belongs to the nearest preceding link in its container when only
+// whitespace separates them. A container's walk reports each node in
+// order: link for a link, text for prose, and other for any other node
+// but a maintenance template, which changes nothing.
+type adjacency struct {
+	last int  // the latest link's index among the walk's links
+	open bool // a link came, and only whitespace and maintenance templates since
+}
+
+func (a *adjacency) link(i int) { a.last, a.open = i, true }
+
+func (a *adjacency) other() { a.open = false }
+
+func (a *adjacency) text(s string) {
+	if a.open && strings.TrimSpace(s) != "" {
+		a.open = false
+	}
+}
+
+// owner returns the index of the link a maintenance template at this
+// point belongs to, with ok=false when it belongs to none.
+func (a *adjacency) owner() (i int, ok bool) { return a.last, a.open }
 
 // The recognized template names in canonical form, so that a
 // template's name is canonicalized once and compared as is (what
