@@ -25,14 +25,16 @@ test:
 
 # race also repeats the tests of the wiki's immutable articles, of its
 # per-revision link summaries read while edits run, of MineHistory's
-# memo, of Collect's fan-out and of the fleet router (its batch merge
-# over owner streams among them) ten times, so a rare interleaving gets
+# memo, of Collect's fan-out, of LiveCheck's fan-out (each worker's GET
+# and soft-404 probe, and its cancellation) and of the fleet router
+# (its batch merge over owner streams among them) ten times, so a rare
+# interleaving gets
 # more chances; and so the monitor's mutex and its settle loop (all of
 # ./internal/monitor, and the service's TestStream*,
 # TestSimEditMembership and TestRepairLoopEndToEnd).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestMineHistory|TestFleet' ./internal/wikimedia ./internal/core ./internal/shard
+	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestLiveCheck|TestMineHistory|TestFleet' ./internal/wikimedia ./internal/core ./internal/shard
 	$(GO) test -race -count=10 ./internal/monitor
 	$(GO) test -race -count=10 -run 'TestStream|TestSimEditMembership|TestRepairLoopEndToEnd' ./internal/service
 
@@ -50,10 +52,12 @@ race:
 # or answer every reader without a panic; FuzzParse, wikitext's
 # render fixed point (rendering a parse and parsing it again renders
 # the same bytes); FuzzCacheDifferential, the one response cache
-# against the two-cache + flight-group pair it replaced; and
+# against the two-cache + flight-group pair it replaced;
 # FuzzJournalOpen, arbitrary bytes as a flip journal file, which must
 # open with an error or as a journal whose seqs increase, reopen the
-# same, and take LastSeq+1 next.
+# same, and take LastSeq+1 next; and FuzzSoftTextDifferential, the
+# soft-404 check that lowers each body once against the one that
+# lowered it in each test, on arbitrary bodies and final URLs.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
@@ -65,6 +69,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzPagedSections$$' -fuzztime=10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz='^FuzzCacheDifferential$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz='^FuzzJournalOpen$$' -fuzztime=10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz='^FuzzSoftTextDifferential$$' -fuzztime=10s ./internal/softerror
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

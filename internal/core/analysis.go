@@ -55,11 +55,21 @@ func (s *Study) DatasetStats(r *Report) {
 
 // LiveCheck performs the §3 live-web measurement: one GET per sampled
 // URL, Figure 4 classification, and the soft-404 probe for the 200s.
+// Each worker probes its own 200 right after the GET, so at most
+// Concurrency requests are in flight, GETs and probes together. A
+// cancel at any point, probes included, returns the context error.
 func (s *Study) LiveCheck(ctx context.Context, r *Report) error {
 	results := make([]fetch.Result, len(r.Records))
+	verdicts := make([]softerror.Verdict, len(r.Records))
+	detector := softerror.NewDetector(s.Client)
 	ParallelFor(len(r.Records), s.Config.Concurrency, func(i int) {
-		if ctx.Err() == nil {
-			results[i] = s.Client.Fetch(ctx, r.Records[i].URL)
+		if ctx.Err() != nil {
+			return
+		}
+		res := &results[i]
+		*res = s.Client.Fetch(ctx, r.Records[i].URL)
+		if res.Category == fetch.Cat200 && ctx.Err() == nil {
+			verdicts[i] = detector.Check(ctx, res.URL, *res)
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -71,7 +81,6 @@ func (s *Study) LiveCheck(ctx context.Context, r *Report) error {
 		fetch.CatDNSFailure.String(), fetch.CatTimeout.String(),
 		fetch.Cat404.String(), fetch.Cat200.String(), fetch.CatOther.String())
 
-	detector := softerror.NewDetector(s.Client)
 	r.SoftVerdicts = make(map[int]softerror.Verdict)
 	for i, res := range results {
 		r.LiveBreakdown.Add(res.Category.String())
@@ -79,7 +88,7 @@ func (s *Study) LiveCheck(ctx context.Context, r *Report) error {
 			continue
 		}
 		r.Num200++
-		v := detector.Check(ctx, res.URL, res)
+		v := verdicts[i]
 		r.SoftVerdicts[i] = v
 		if v.Broken {
 			continue

@@ -21,15 +21,19 @@ import (
 // "dns..." fail DNS, paths ending in "404" answer 404, the rest 200.
 type liveProbe struct {
 	started, inflight, peak atomic.Int32
-	// park holds every request until its context ends.
-	park bool
+	// park holds every request until its context ends; parkURLs holds
+	// only the requests for these URLs, and parked counts the held.
+	park     bool
+	parkURLs map[string]bool
+	parked   atomic.Int32
 }
 
 func (p *liveProbe) RoundTrip(req *http.Request) (*http.Response, error) {
 	p.started.Add(1)
 	raise(&p.peak, p.inflight.Add(1))
 	defer p.inflight.Add(-1)
-	if p.park {
+	if p.park || p.parkURLs[req.URL.String()] {
+		p.parked.Add(1)
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	}

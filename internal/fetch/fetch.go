@@ -259,13 +259,39 @@ func urlError(req *http.Request, err error) error {
 	return &url.Error{Op: "Get", URL: u, Err: err}
 }
 
+// readBody reads at most limit bytes of the body. A stated length under
+// the limit sizes the buffer, one byte over it for the read that meets
+// EOF; the read loop is io.ReadAll's, so a body shorter or longer than
+// it says reads the same as with no length at all.
 func readBody(resp *http.Response, limit int64) (string, error) {
 	defer resp.Body.Close()
 	if limit == 0 {
 		return "", nil // status-only: ReadAll would buy 512 bytes to read none
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	size := int64(512) // io.ReadAll's first buffer
+	if n := resp.ContentLength; n >= 0 && n < limit {
+		size = n + 1
+	}
+	b, err := readAll(&io.LimitedReader{R: resp.Body, N: limit}, make([]byte, 0, size))
 	return string(b), err
+}
+
+// readAll is io.ReadAll reading into b's capacity before it grows b.
+// It takes the concrete reader, so the caller's stays on its stack.
+func readAll(r *io.LimitedReader, b []byte) ([]byte, error) {
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+	}
 }
 
 // retryAfter reads a Retry-After header in either form RFC 9110

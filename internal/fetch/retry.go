@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"permadead/internal/hashx"
 )
 
 // Fetcher is the interface shared by Client and Retrier: a one-link
@@ -323,13 +325,11 @@ func (r *Retrier) sleep(ctx context.Context, d time.Duration) error {
 
 // jitterFrac hashes (seed, url, try) to a float in [0, 1).
 func jitterFrac(seed uint64, rawURL string, try int) float64 {
-	x := seed ^ 0x9e3779b97f4a7c15
+	x := seed ^ hashx.Golden
 	for i := 0; i < len(rawURL); i++ {
 		x = (x ^ uint64(rawURL[i])) * 0x100000001b3
 	}
 	x ^= uint64(int64(try)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+	x = hashx.Mix64(x - hashx.Golden) // the bare splitmix finalizer
 	return float64(x>>11) / float64(1<<53)
 }

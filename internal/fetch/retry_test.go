@@ -356,3 +356,26 @@ func TestBodyReadErrorPropagates(t *testing.T) {
 		t.Errorf("deadline category = %v, want Timeout", res.Category)
 	}
 }
+
+// TestJitterFracGolden pins the backoff jitter of a few (seed, url,
+// try) triples, bit for bit, to the values its hand-written splitmix
+// finalizer gave before it called hashx.
+func TestJitterFracGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		url  string
+		try  int
+		want float64
+	}{
+		{0, "", 0, 0x1.c4415072f63b9p-01},
+		{0, "http://a.simtest/x", 0, 0x1.f6bf02d2eba4p-01},
+		{1, "http://a.simtest/x", 1, 0x1.23b46b076b7fp-04},
+		{42, "http://example.simtest/dir/page.html?x=1", 3, 0x1.8a5f77accd5cap-01},
+		{18446744073709551615, "http://b.simtest/", 7, 0x1.204cae32848c6p-02},
+		{7, "http://b.simtest/", -1, 0x1.95bb9631db551p-01},
+	} {
+		if got := jitterFrac(c.seed, c.url, c.try); got != c.want {
+			t.Errorf("jitterFrac(%d, %q, %d) = %x, want %x", c.seed, c.url, c.try, got, c.want)
+		}
+	}
+}

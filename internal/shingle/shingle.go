@@ -31,8 +31,20 @@ type Set map[uint64]struct{}
 // stripped first so that boilerplate markup does not dominate the
 // token stream.
 func Tokenize(text string) []string {
-	text = stripTags(text)
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
+	return words(strings.ToLower(stripTags(text)))
+}
+
+// tokenizeLower is Tokenize of a text already lowered by
+// strings.ToLower. Lowering maps rune by rune, leaves '<' and '>' alone
+// and maps nothing onto them, so stripping tags after lowering keeps
+// the runes that stripping before it would.
+func tokenizeLower(lower string) []string {
+	return words(stripTags(lower))
+}
+
+// words splits text at every run of non-letter/non-digit characters.
+func words(text string) []string {
+	return strings.FieldsFunc(text, func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
 }
@@ -67,10 +79,14 @@ func stripTags(s string) string {
 // shorter than k tokens contribute a single shingle covering all their
 // tokens, so that two identical short documents still compare as equal.
 func New(text string, k int) Set {
+	return fromTokens(Tokenize(text), k)
+}
+
+// fromTokens is the shingle set of a token stream with window width k.
+func fromTokens(tokens []string, k int) Set {
 	if k <= 0 {
 		k = DefaultK
 	}
-	tokens := Tokenize(text)
 	set := make(Set)
 	if len(tokens) == 0 {
 		return set
@@ -122,4 +138,11 @@ func Resemblance(a, b Set) float64 {
 // and returns their resemblance.
 func Similarity(textA, textB string) float64 {
 	return Resemblance(New(textA, DefaultK), New(textB, DefaultK))
+}
+
+// SimilarityLower is Similarity of two texts already lowered by
+// strings.ToLower, for a caller that lowers each body once and reads
+// the lowered copy in several tests.
+func SimilarityLower(lowerA, lowerB string) float64 {
+	return Resemblance(fromTokens(tokenizeLower(lowerA), DefaultK), fromTokens(tokenizeLower(lowerB), DefaultK))
 }

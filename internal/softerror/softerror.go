@@ -99,9 +99,13 @@ func (d *Detector) Check(ctx context.Context, url string, orig fetch.Result) Ver
 	probeURL := d.ProbeURLFor(url)
 	v := Verdict{ProbeURL: probeURL}
 
+	// Each body is lowered at most once: the parked, login and shingle
+	// tests all read the lowered copy.
+	origLower := strings.ToLower(orig.Body)
+
 	// Parked-domain boilerplate is a soft error regardless of probes
 	// (§3's znaci.net example).
-	if looksParked(orig.Body) {
+	if looksParked(origLower) {
 		v.Broken = true
 		v.Reason = ReasonParkedContent
 		return v
@@ -113,11 +117,16 @@ func (d *Detector) Check(ctx context.Context, url string, orig fetch.Result) Ver
 		return v
 	}
 
+	sameTarget := orig.Redirected && probe.Redirected &&
+		urlutil.Normalize(orig.FinalURL) == urlutil.Normalize(probe.FinalURL)
+	var probeLower string
+	if sameTarget || probe.FinalStatus == 200 {
+		probeLower = strings.ToLower(probe.Body)
+	}
+
 	// Same final URL after redirections — unless it's a login page,
 	// which legitimately swallows all unauthenticated paths.
-	if orig.Redirected && probe.Redirected &&
-		urlutil.Normalize(orig.FinalURL) == urlutil.Normalize(probe.FinalURL) &&
-		!isLoginPage(probe.FinalURL, probe.Body) {
+	if sameTarget && !isLoginPage(probe.FinalURL, probeLower) {
 		v.Broken = true
 		v.Reason = ReasonSameRedirectTarget
 		return v
@@ -125,7 +134,7 @@ func (d *Detector) Check(ctx context.Context, url string, orig fetch.Result) Ver
 
 	// Near-identical content for u and the certainly-invalid u'.
 	if probe.FinalStatus == 200 {
-		v.Similarity = shingle.Similarity(orig.Body, probe.Body)
+		v.Similarity = shingle.SimilarityLower(origLower, probeLower)
 		if v.Similarity > d.SimilarityThreshold {
 			v.Broken = true
 			v.Reason = ReasonSimilarContent
@@ -162,24 +171,22 @@ func randomString(seedStr string, n int) string {
 	return string(b)
 }
 
-// isLoginPage reports whether a final URL/body pair looks like a sign-
-// in page: the exclusion the paper applies to the shared-redirect-
-// target test.
-func isLoginPage(finalURL, body string) bool {
+// isLoginPage reports whether a final URL and its body, already lowered
+// by strings.ToLower, look like a sign-in page: the exclusion the paper
+// applies to the shared-redirect-target test.
+func isLoginPage(finalURL, lowerBody string) bool {
 	lower := strings.ToLower(finalURL)
 	if strings.Contains(lower, "login") || strings.Contains(lower, "signin") ||
 		strings.Contains(lower, "sign-in") || strings.Contains(lower, "auth") {
 		return true
 	}
-	lb := strings.ToLower(body)
-	return strings.Contains(lb, `type="password"`) || strings.Contains(lb, "type='password'")
+	return strings.Contains(lowerBody, `type="password"`) || strings.Contains(lowerBody, "type='password'")
 }
 
-// looksParked reports whether a body matches domain-parking
-// boilerplate (Vissers et al., NDSS 2015 catalogue the telltale
-// phrases).
-func looksParked(body string) bool {
-	lb := strings.ToLower(body)
+// looksParked reports whether a body, already lowered by
+// strings.ToLower, matches domain-parking boilerplate (Vissers et al.,
+// NDSS 2015 catalogue the telltale phrases).
+func looksParked(lb string) bool {
 	for _, marker := range []string{
 		"domain may be for sale",
 		"buy this domain",
@@ -199,7 +206,7 @@ func looksParked(body string) bool {
 // boilerplate. Exposed for the study's snapshot-erroneousness check:
 // an archived copy with status 200 but a parked-domain body is not a
 // usable copy.
-func LooksParked(body string) bool { return looksParked(body) }
+func LooksParked(body string) bool { return looksParked(strings.ToLower(body)) }
 
 // LooksErrorBoilerplate reports whether a 200-status body reads like a
 // "page not found" notice — the content signature of a soft-404.

@@ -42,3 +42,40 @@ func TestGenerationParsesEachRevisionOnce(t *testing.T) {
 			parses, bound, revisions, botEdits, handTags)
 	}
 }
+
+// TestCloneKeepsRevisionLinks: a clone of a generated wiki shares the
+// digests generation kept, so mining every article of it reads no
+// revision text; a revision edited into the clone afterwards is still
+// digested, once, and the source never sees it.
+func TestCloneKeepsRevisionLinks(t *testing.T) {
+	p := worldgen.DefaultParams().Scale(0.05)
+	p.Seed = 1
+	src := worldgen.Generate(p).Wiki
+	c := src.Clone()
+
+	before := wikimedia.Parses()
+	titles := c.Titles()
+	for _, title := range titles {
+		c.MineHistory(title)
+	}
+	if n := wikimedia.Parses() - before; n != 0 {
+		t.Errorf("mining the %d articles of a clone read revision text %d times, want 0", len(titles), n)
+	}
+
+	const added = "http://clone-edit.simtest/after/clone.html"
+	title := titles[0]
+	cur := c.Article(title).Current()
+	if _, err := c.Edit(title, cur.Day, "Editor", "cite", cur.Text+"\n* ["+added+" a source added to the clone]\n"); err != nil {
+		t.Fatal(err)
+	}
+	before = wikimedia.Parses()
+	if _, ok := c.MineHistory(title).Link(added); !ok {
+		t.Errorf("the clone's history of %q lacks %s, cited by its edit", title, added)
+	}
+	if n := wikimedia.Parses() - before; n != 1 {
+		t.Errorf("mining the edited article read revision text %d times, want 1 (the new revision)", n)
+	}
+	if _, ok := src.MineHistory(title).Link(added); ok {
+		t.Errorf("the source's history of %q has %s, cited only in the clone", title, added)
+	}
+}

@@ -26,6 +26,7 @@ package wikimedia
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -428,9 +429,11 @@ func (w *Wiki) InCategory(category string) []string {
 }
 
 // Clone deep-copies the wiki: articles, revisions, and the revision
-// counter. Listeners, mined histories and RevisionLinks are not
-// copied. Use it to run destructive experiments (e.g. a WaybackMedic
-// pass) without disturbing the original. On a source-backed wiki every article is materialized
+// counter. It shares the source's RevisionLinks, which no one mutates,
+// so the clone digests only the revisions edited into it; listeners
+// and mined histories are not copied. Use it to run destructive
+// experiments (e.g. a WaybackMedic pass) without disturbing the
+// original. On a source-backed wiki every article is materialized
 // first — the clone is fully in-memory.
 func (w *Wiki) Clone() *Wiki {
 	w.mu.RLock()
@@ -450,5 +453,11 @@ func (w *Wiki) Clone() *Wiki {
 		copy(na.Revisions, a.Revisions)
 		out.articles[title] = na
 	}
+	// A kept digest names its revision's text, and keptLinks checks
+	// it, so a revision ID the clone and the source later reuse for
+	// different edits reads no stale digest.
+	w.linksMu.RLock()
+	out.links = maps.Clone(w.links)
+	w.linksMu.RUnlock()
 	return out
 }
