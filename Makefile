@@ -41,17 +41,20 @@ race:
 # fuzzsmoke gives each differential fuzz target ten seconds beyond its
 # seed corpus (go test takes one -fuzz target per invocation): the
 # first-byte wikitext parser against the byte-at-a-time reference, the
-# wikitext digest scan's links and categories against the parse tree's,
-# the banded edit distance against the full matrix, the URL helpers (with
+# wikitext digest scan's links and categories against the reference
+# parse tree's, wikitext.Apply's splices against the tree's edits
+# rendered whole (byte for byte on text the tree renders as it reads;
+# on any text, every byte outside the edited constructs kept), the
+# banded edit distance against the full matrix, the URL helpers (with
 # the prefix-only scheme match against its ToLower reference), and
 # Normalize's byte-scan early return against its net/url body, the
 # typo probe's per-domain candidate set against the full DomainURLs
 # scan; FuzzPagedSections, a paged file with a damaged superblock, section
 # directory, or any section but params and the arena (the archive's
 # nine, the site and the wiki sections), which must open with an error
-# or answer every reader without a panic; FuzzParse, wikitext's
-# render fixed point (rendering a parse and parsing it again renders
-# the same bytes); FuzzCacheDifferential, the one response cache
+# or answer every reader without a panic; FuzzParse, the reference
+# tree's render fixed point (rendering a parse and parsing it again
+# renders the same bytes); FuzzCacheDifferential, the one response cache
 # against the two-cache + flight-group pair it replaced;
 # FuzzJournalOpen, arbitrary bytes as a flip journal file, which must
 # open with an error or as a journal whose seqs increase, reopen the
@@ -62,6 +65,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzDigestDifferential$$' -fuzztime=10s ./internal/wikitext
+	$(GO) test -run '^$$' -fuzz='^FuzzSpliceDifferential$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzURLHelpers$$' -fuzztime=10s ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz='^FuzzNormalizeDifferential$$' -fuzztime=10s ./internal/urlutil

@@ -448,26 +448,40 @@ func BenchmarkIABotArticleScan(b *testing.B) {
 	}
 }
 
-func BenchmarkWikitextParse(b *testing.B) {
+func BenchmarkWikitextDigest(b *testing.B) {
 	u, _, _ := benchSetup(b)
 	text := u.Wiki.Article(u.Wiki.Titles()[0]).Current().Text
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doc := wikitext.Parse(text)
-		if len(doc.Nodes) == 0 {
-			b.Fatal("empty parse")
+		if cited, _ := wikitext.AppendDigest(nil, nil, text); len(cited) == 0 {
+			b.Fatal("no cited links")
 		}
 	}
 }
 
-func BenchmarkWikitextCitedLinks(b *testing.B) {
+// BenchmarkWikitextApply splices IABot's edit into the same article:
+// its first link tagged {{dead link}}, its last patched, the category
+// added.
+func BenchmarkWikitextApply(b *testing.B) {
 	u, _, _ := benchSetup(b)
-	doc := u.Wiki.Article(u.Wiki.Titles()[0]).Current().Doc()
+	text := u.Wiki.Article(u.Wiki.Titles()[0]).Current().Text
+	cited := wikitext.AppendCited(nil, text)
+	edits := []wikitext.Edit{
+		{Op: wikitext.MarkDead, Link: 0, Date: "March 2018", Bot: "InternetArchiveBot"},
+		{Op: wikitext.AddCategory, Category: "Articles with permanently dead external links"},
+	}
+	if n := len(cited); n > 1 {
+		edits = append(edits, wikitext.Edit{Op: wikitext.Patch, Link: n - 1, ArchiveURL: "https://web.archive.org/web/2011/" + cited[n-1].URL, Date: "2011-01-01"})
+	}
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doc.CitedLinks()
+		if len(wikitext.Apply(text, edits)) <= len(text) {
+			b.Fatal("edit added nothing")
+		}
 	}
 }
 

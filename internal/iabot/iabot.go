@@ -30,6 +30,7 @@ import (
 	"permadead/internal/fetch"
 	"permadead/internal/simclock"
 	"permadead/internal/wikimedia"
+	"permadead/internal/wikitext"
 )
 
 // DefaultName is the bot's Wikipedia username.
@@ -108,25 +109,6 @@ func (b *Bot) Stats() Stats {
 	return b.stats
 }
 
-// action is what maintainLink decided to do to one citation.
-type action uint8
-
-const (
-	keep  action = iota
-	untag        // a re-checked dead link answers 200: drop its tag
-	patch        // attach the usable archived copy
-	mark         // tag the link {{dead link}}
-)
-
-// linkEdit is one decided change, applied to the citation at index i
-// of a fresh parse's CitedLinks.
-type linkEdit struct {
-	i   int
-	act action
-	// archiveURL and archiveDate are the copy a patch attaches.
-	archiveURL, archiveDate string
-}
-
 // maintainLink decides the bot's per-link policy for one citation: an
 // already-dead link is skipped (or re-tested under RecheckDead), an
 // already-archived one is skipped, and an unarchived one is tested
@@ -135,25 +117,26 @@ type linkEdit struct {
 // ScanArticle and ScanLink route through here, so a targeted re-scan
 // cannot diverge from the full-article policy. client is called only
 // when the link needs a GET. The fetches, lookups and Stats happen
-// here; the returned edit is applied by scanLinks.
-func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, title string, cl wikimedia.CitedURL, day simclock.Day) linkEdit {
+// here; scanLinks applies the returned edit (the zero Edit keeps the
+// link as it is), setting its Link.
+func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, title string, cl wikimedia.CitedURL, day simclock.Day) wikitext.Edit {
 	if cl.Dead {
 		if !b.RecheckDead {
 			b.count(func(s *Stats) { s.SkippedDead++ })
-			return linkEdit{}
+			return wikitext.Edit{}
 		}
 		res := client().Fetch(ctx, cl.URL)
 		b.count(func(s *Stats) { s.LinksChecked++ })
 		if res.FinalStatus == 200 {
 			b.count(func(s *Stats) { s.Recovered++; s.LinksAlive++ })
-			return linkEdit{act: untag}
+			return wikitext.Edit{Op: wikitext.Untag}
 		}
 		b.count(func(s *Stats) { s.LinksBroken++ })
-		return linkEdit{}
+		return wikitext.Edit{}
 	}
 	if cl.ArchiveURL != "" {
 		b.count(func(s *Stats) { s.SkippedArchived++ })
-		return linkEdit{}
+		return wikitext.Edit{}
 	}
 
 	res := client().Fetch(ctx, cl.URL)
@@ -161,23 +144,23 @@ func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, tit
 	if res.FinalStatus == 200 {
 		// One attempt; 200 after redirections means alive (§2.1).
 		b.count(func(s *Stats) { s.LinksAlive++ })
-		return linkEdit{}
+		return wikitext.Edit{}
 	}
 	b.count(func(s *Stats) { s.LinksBroken++ })
 
 	snap, found := b.lookupCopy(title, cl.URL, day)
 	if found {
 		b.count(func(s *Stats) { s.Patched++ })
-		return linkEdit{act: patch, archiveURL: snap.WaybackURL(), archiveDate: snap.Day.String()}
+		return wikitext.Edit{Op: wikitext.Patch, ArchiveURL: snap.WaybackURL(), Date: snap.Day.String()}
 	}
 	b.count(func(s *Stats) { s.MarkedDead++ })
-	return linkEdit{act: mark}
+	return wikitext.Edit{Op: wikitext.MarkDead, Date: monthYear(day), Bot: b.Name}
 }
 
 // scanLinks decides maintainLink's edit for each of the article's
 // citations — all of them, or only those matching onlyURL when it is
 // non-empty — from the wiki's RevisionLinks, and only when some edit
-// changes the article parses it, applies the edits and commits the
+// changes the article splices the edits into its text and commits the
 // result. It reports whether the article was edited.
 func (b *Bot) scanLinks(ctx context.Context, title, onlyURL string, day simclock.Day) (bool, error) {
 	art := b.Wiki.Article(title)
@@ -188,17 +171,20 @@ func (b *Bot) scanLinks(ctx context.Context, title, onlyURL string, day simclock
 	cur := art.Current()
 	links := b.Wiki.Links(cur).Cited
 
-	// Reverse order: applied edits insert nodes after their link, so
-	// applying them backwards keeps earlier links' positions valid.
-	var edits []linkEdit
+	// Last link first, the order the bot has always checked links in,
+	// so its fetches and lookups run in the same sequence.
+	var edits []wikitext.Edit
+	var marked, patched bool
 	for i := len(links) - 1; i >= 0; i-- {
 		cl := links[i]
 		if cl.URL == "" || (onlyURL != "" && cl.URL != onlyURL) {
 			continue
 		}
-		if e := b.maintainLink(ctx, client, title, cl, day); e.act != keep {
-			e.i = i
+		if e := b.maintainLink(ctx, client, title, cl, day); e.Op != 0 {
+			e.Link = i
 			edits = append(edits, e)
+			marked = marked || e.Op == wikitext.MarkDead
+			patched = patched || e.Op == wikitext.Patch
 		}
 	}
 
@@ -208,26 +194,10 @@ func (b *Bot) scanLinks(ctx context.Context, title, onlyURL string, day simclock
 	if len(edits) == 0 {
 		return false, nil
 	}
-	doc := cur.Doc()
-	cited := doc.CitedLinks()
-	var marked, patched bool
-	for _, e := range edits {
-		cl := cited[e.i]
-		switch e.act {
-		case untag:
-			cl.RemoveDeadTag()
-		case patch:
-			cl.PatchWithArchive(e.archiveURL, e.archiveDate)
-			patched = true
-		case mark:
-			cl.MarkDead(monthYear(day), b.Name)
-			marked = true
-		}
-	}
 	if marked {
-		doc.AddCategory(Category)
+		edits = append(edits, wikitext.Edit{Op: wikitext.AddCategory, Category: Category})
 	}
-	if _, err := b.Wiki.Edit(title, day, b.Name, editComment(patched, marked), doc.Render()); err != nil {
+	if _, err := b.Wiki.Edit(title, day, b.Name, editComment(patched, marked), cur.Apply(edits)); err != nil {
 		return false, err
 	}
 	b.count(func(s *Stats) { s.ArticlesEdited++ })

@@ -6,22 +6,25 @@ import (
 
 	"permadead/internal/fetch"
 	"permadead/internal/simclock"
+	"permadead/internal/wikimedia"
 	"permadead/internal/wikitext"
 )
 
-// ScanInPlace is scanLinks as it was before decide-then-apply: it
-// parses the current revision on every scan and runs the per-link
-// policy on the parsed citations, patching the tree as it walks them
-// backwards. It is kept, test-only, as the reference the RevisionLinks
-// decisions and the apply step are held to.
+// ScanInPlace is scanLinks as it was before decide-then-apply: it runs
+// the per-link policy on the current revision's citations and makes
+// each decided edit at once, a one-edit wikitext.Apply on the text as
+// it then stands, walking the links backwards so that no edit moves a
+// link still to come; the category goes in last. It is kept, test-only,
+// as the reference the decisions and scanLinks' one multi-edit Apply
+// are held to.
 func (b *Bot) ScanInPlace(ctx context.Context, title, onlyURL string, day simclock.Day) (bool, error) {
 	art := b.Wiki.Article(title)
 	if art == nil {
 		return false, nil
 	}
 	client := sync.OnceValue(func() *fetch.Client { return b.NewClient(day) })
-	doc := art.Current().Doc()
-	links := doc.CitedLinks()
+	text := art.Current().Text
+	links := b.Wiki.Links(art.Current()).Cited
 
 	var changed, marked, patched bool
 	for i := len(links) - 1; i >= 0; i-- {
@@ -29,7 +32,7 @@ func (b *Bot) ScanInPlace(ctx context.Context, title, onlyURL string, day simclo
 		if cl.URL == "" || (onlyURL != "" && cl.URL != onlyURL) {
 			continue
 		}
-		c, m, p := b.maintainLinkInPlace(ctx, client, title, cl, day)
+		c, m, p := b.maintainLinkInPlace(ctx, client, title, &text, i, cl, day)
 		changed, marked, patched = changed || c, marked || m, patched || p
 	}
 
@@ -40,9 +43,9 @@ func (b *Bot) ScanInPlace(ctx context.Context, title, onlyURL string, day simclo
 		return false, nil
 	}
 	if marked {
-		doc.AddCategory(Category)
+		text = wikitext.Apply(text, []wikitext.Edit{{Op: wikitext.AddCategory, Category: Category}})
 	}
-	if _, err := b.Wiki.Edit(title, day, b.Name, editComment(patched, marked), doc.Render()); err != nil {
+	if _, err := b.Wiki.Edit(title, day, b.Name, editComment(patched, marked), text); err != nil {
 		return false, err
 	}
 	b.count(func(s *Stats) { s.ArticlesEdited++ })
@@ -50,9 +53,13 @@ func (b *Bot) ScanInPlace(ctx context.Context, title, onlyURL string, day simclo
 }
 
 // maintainLinkInPlace is maintainLink deciding and editing in one
-// step, on a parsed citation.
-func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() *fetch.Client, title string, cl *wikitext.CitedLink, day simclock.Day) (changed, marked, patched bool) {
-	if cl.IsDead() {
+// step: it applies its edit to link i of *text at once.
+func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() *fetch.Client, title string, text *string, i int, cl wikimedia.CitedURL, day simclock.Day) (changed, marked, patched bool) {
+	edit := func(e wikitext.Edit) {
+		e.Link = i
+		*text = wikitext.Apply(*text, []wikitext.Edit{e})
+	}
+	if cl.Dead {
 		if !b.RecheckDead {
 			b.count(func(s *Stats) { s.SkippedDead++ })
 			return
@@ -60,7 +67,7 @@ func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() *fetch.Clie
 		res := client().Fetch(ctx, cl.URL)
 		b.count(func(s *Stats) { s.LinksChecked++ })
 		if res.FinalStatus == 200 {
-			cl.RemoveDeadTag()
+			edit(wikitext.Edit{Op: wikitext.Untag})
 			b.count(func(s *Stats) { s.Recovered++; s.LinksAlive++ })
 			changed = true
 		} else {
@@ -68,7 +75,7 @@ func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() *fetch.Clie
 		}
 		return
 	}
-	if cl.ArchiveURL() != "" {
+	if cl.ArchiveURL != "" {
 		b.count(func(s *Stats) { s.SkippedArchived++ })
 		return
 	}
@@ -83,11 +90,11 @@ func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() *fetch.Clie
 
 	snap, found := b.lookupCopy(title, cl.URL, day)
 	if found {
-		cl.PatchWithArchive(snap.WaybackURL(), snap.Day.String())
+		edit(wikitext.Edit{Op: wikitext.Patch, ArchiveURL: snap.WaybackURL(), Date: snap.Day.String()})
 		b.count(func(s *Stats) { s.Patched++ })
 		patched = true
 	} else {
-		cl.MarkDead(monthYear(day), b.Name)
+		edit(wikitext.Edit{Op: wikitext.MarkDead, Date: monthYear(day), Bot: b.Name})
 		b.count(func(s *Stats) { s.MarkedDead++ })
 		marked = true
 	}

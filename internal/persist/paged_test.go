@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -193,7 +194,7 @@ func (pp *pagedPair) checkWorldWiki(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("article %q differs after paged load", tt)
 		}
-		for _, c := range a.Current().Doc().Categories() {
+		for _, c := range pp.mem.Wiki.Links(a.Current()).Categories {
 			cats[c] = true
 		}
 	}
@@ -333,16 +334,15 @@ func TestPagedWikiStaysEditable(t *testing.T) {
 		}
 	}
 
-	doc := before.Current().Doc()
-	doc.RemoveCategory(iabot.Category)
-	rev, err := pp.paged.Wiki.Edit(title, before.Current().Day+1, "Cleaner", "untag", doc.Render())
+	untagged := before.Current().Apply([]wikitext.Edit{{Op: wikitext.RemoveCategory, Category: iabot.Category}})
+	rev, err := pp.paged.Wiki.Edit(title, before.Current().Day+1, "Cleaner", "untag", untagged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rev.ID <= maxID {
 		t.Errorf("new revision ID %d does not continue the sequence past %d", rev.ID, maxID)
 	}
-	if wikitext.Parse(rev.Text).HasCategory(iabot.Category) {
+	if _, cats := wikitext.AppendDigest(nil, nil, rev.Text); slices.Contains(cats, wikitext.CanonicalCategory(iabot.Category)) {
 		t.Fatal("edit text still carries the category; test setup broken")
 	}
 	for _, got := range pp.paged.Wiki.InCategory(iabot.Category) {
@@ -379,9 +379,8 @@ func TestPagedWikiListsLiveAdditions(t *testing.T) {
 	}
 
 	cur := w.Article(outside).Current()
-	doc := cur.Doc()
-	doc.AddCategory(iabot.Category)
-	if _, err := w.Edit(outside, cur.Day+1, "Tagger", "tag", doc.Render()); err != nil {
+	tagged := cur.Apply([]wikitext.Edit{{Op: wikitext.AddCategory, Category: iabot.Category}})
+	if _, err := w.Edit(outside, cur.Day+1, "Tagger", "tag", tagged); err != nil {
 		t.Fatal(err)
 	}
 	const created = "Zz live-created article"

@@ -23,6 +23,7 @@ import (
 	"permadead/internal/redircheck"
 	"permadead/internal/simclock"
 	"permadead/internal/wikimedia"
+	"permadead/internal/wikitext"
 )
 
 // DefaultName is the bot's username (the real bot runs under GreenC's
@@ -79,14 +80,14 @@ func (m *Medic) RunArticle(title string, day simclock.Day) {
 		return
 	}
 	m.stats.ArticlesVisited++
-	doc := art.Current().Doc()
-	links := doc.CitedLinks()
-	changed := false
+	cur := art.Current()
+	links := m.Wiki.Links(cur).Cited
+	var edits []wikitext.Edit
 	stillDead := false
 
 	for i := len(links) - 1; i >= 0; i-- {
 		cl := links[i]
-		if !cl.IsDead() || cl.URL == "" {
+		if !cl.Dead || cl.URL == "" {
 			continue
 		}
 		m.stats.DeadLinksSeen++
@@ -105,18 +106,16 @@ func (m *Medic) RunArticle(title string, day simclock.Day) {
 			Accept: archive.AcceptUsable,
 		})
 		if ok {
-			cl.PatchWithArchive(snap.WaybackURL(), snap.Day.String())
+			edits = append(edits, wikitext.Edit{Op: wikitext.Patch, Link: i, ArchiveURL: snap.WaybackURL(), Date: snap.Day.String()})
 			m.stats.Patched++
-			changed = true
 			continue
 		}
 
 		// Optional §4.2 rescue: a validated archived redirection.
 		if m.AcceptRedirects && m.Checker != nil {
 			if rsnap, _, found := m.Checker.FindValidatedCopy(cl.URL, day); found {
-				cl.PatchWithArchive(rsnap.WaybackURL(), rsnap.Day.String())
+				edits = append(edits, wikitext.Edit{Op: wikitext.Patch, Link: i, ArchiveURL: rsnap.WaybackURL(), Date: rsnap.Day.String()})
 				m.stats.RedirectPatched++
-				changed = true
 				continue
 			}
 		}
@@ -124,11 +123,11 @@ func (m *Medic) RunArticle(title string, day simclock.Day) {
 		stillDead = true
 	}
 
-	if !changed {
+	if len(edits) == 0 {
 		return
 	}
 	if !stillDead {
-		doc.RemoveCategory(iabot.Category)
+		edits = append(edits, wikitext.Edit{Op: wikitext.RemoveCategory, Category: iabot.Category})
 	}
-	m.Wiki.Edit(title, day, m.Name, "Rescuing archived links via WaybackMedic", doc.Render()) //nolint:errcheck
+	m.Wiki.Edit(title, day, m.Name, "Rescuing archived links via WaybackMedic", cur.Apply(edits)) //nolint:errcheck
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"permadead/internal/simclock"
-	"permadead/internal/wikitext"
 )
 
 // LinkHistory is what the study mines from an article's edit history
@@ -39,7 +38,7 @@ type LinkHistory struct {
 // slices are shared: a caller reads them and never writes them.
 type ArticleHistory struct {
 	// Dead lists the URL of every cited link of the current revision
-	// carrying a {{dead link}} tag, in CitedLinks order (the URLs of
+	// carrying a {{dead link}} tag, in AppendCited order (the URLs of
 	// what DeadLinks returns).
 	Dead []string
 
@@ -104,10 +103,11 @@ func (w *Wiki) MineHistory(title string) ArticleHistory {
 }
 
 // mine walks a's revisions oldest-first, reading each one's cited
-// links through w.citedLinks (nil w: parsing every revision), and
-// folds the LinkHistory of every URL cited along the way. Within one revision only a URL's first occurrence (in
-// CitedLinks order) counts: a second citation of the same URL neither
-// tags it nor supplies its archive link.
+// links through w.citedLinks (nil w: scanning every revision), and
+// folds the LinkHistory of every URL cited along the way. Within one
+// revision only a URL's first occurrence (in AppendCited order) counts:
+// a second citation of the same URL neither tags it nor supplies its
+// archive link.
 func mine(a *Article, w *Wiki) ArticleHistory {
 	// The fold runs in stack buffers sized for the few URLs an article
 	// cites; the kept history is copied out at its final size.
@@ -177,16 +177,16 @@ func (w *Wiki) HistoryOf(title, url string) (LinkHistory, bool) {
 }
 
 // DeadLinks lists, for the article's current revision, every cited
-// link carrying a {{dead link}} tag. The links come from a fresh parse,
-// so they are the caller's to mutate.
-func (w *Wiki) DeadLinks(title string) []*wikitext.CitedLink {
+// link carrying a {{dead link}} tag, read off its kept RevisionLinks.
+// The slice is the caller's.
+func (w *Wiki) DeadLinks(title string) []CitedURL {
 	a := w.Article(title)
 	if a == nil {
 		return nil
 	}
-	var out []*wikitext.CitedLink
-	for _, cl := range a.Current().Doc().CitedLinks() {
-		if cl.IsDead() {
+	var out []CitedURL
+	for _, cl := range w.Links(a.Current()).Cited {
+		if cl.Dead {
 			out = append(out, cl)
 		}
 	}

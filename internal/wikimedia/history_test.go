@@ -22,7 +22,7 @@ import (
 )
 
 // perURLWalk is the per-URL history walk MineHistory replaced: one
-// pass over every revision for one URL, re-parsing each, first match
+// pass over every revision for one URL, re-reading each, first match
 // per revision deciding. It is kept, test-only, as the statement of the
 // §2.4 rules the one-pass fold is held to.
 func perURLWalk(w *wikimedia.Wiki, title, url string) (wikimedia.LinkHistory, bool) {
@@ -38,37 +38,39 @@ func perURLWalk(w *wikimedia.Wiki, title, url string) (wikimedia.LinkHistory, bo
 	}
 	for i := range a.Revisions {
 		rev := &a.Revisions[i]
-		link := firstLink(rev.Doc(), url)
-		if link == nil {
+		link, ok := firstLink(rev.Text, url)
+		if !ok {
 			continue
 		}
 		if !h.Added.Valid() {
 			h.Added = rev.Day
 			h.AddedBy = rev.User
 		}
-		if !h.MarkedDead.Valid() && link.IsDead() {
+		if !h.MarkedDead.Valid() && link.Dead {
 			h.MarkedDead = rev.Day
 			h.MarkedDeadBy = rev.User
-			h.DeadLinkBot = link.DeadLinkBot()
+			h.DeadLinkBot = link.DeadLinkBot
 		}
 	}
 	if !h.Added.Valid() {
 		return wikimedia.LinkHistory{}, false
 	}
-	if cur := firstLink(a.Current().Doc(), url); cur != nil {
-		h.ArchiveURL = cur.ArchiveURL()
+	if cur, ok := firstLink(a.Current().Text, url); ok {
+		h.ArchiveURL = cur.ArchiveURL
 		h.Patched = h.ArchiveURL != ""
 	}
 	return h, true
 }
 
-func firstLink(doc *wikitext.Document, url string) *wikitext.CitedLink {
-	for _, cl := range doc.CitedLinks() {
+// firstLink returns the first of text's cited links citing url, read
+// by a digest scan of its own.
+func firstLink(text, url string) (wikitext.CitedURL, bool) {
+	for _, cl := range wikitext.AppendCited(nil, text) {
 		if cl.URL == url {
-			return cl
+			return cl, true
 		}
 	}
-	return nil
+	return wikitext.CitedURL{}, false
 }
 
 // smallUniverse is the generated universe both golden tests read.
@@ -208,7 +210,7 @@ func TestHistoryOfMatchesPerURLWalk(t *testing.T) {
 			seen := map[string]bool{}
 			urls := []string{"http://never.simtest/cited"}
 			for i := range a.Revisions {
-				for _, cl := range a.Revisions[i].Doc().CitedLinks() {
+				for _, cl := range wikitext.AppendCited(nil, a.Revisions[i].Text) {
 					if !seen[cl.URL] {
 						seen[cl.URL] = true
 						urls = append(urls, cl.URL)

@@ -13,8 +13,8 @@ import (
 // it on the first read and keeps it. It is shared: a caller reads it
 // and never writes it.
 type RevisionLinks struct {
-	// Cited has one entry per cited link, in CitedLinks order, so an
-	// index into it is an index into a fresh parse's CitedLinks.
+	// Cited has one entry per cited link, in wikitext.AppendCited order,
+	// so an index into it names the link to a wikitext.Edit.
 	Cited []CitedURL
 	// Categories lists the revision's categories once each, in order
 	// of first appearance, in canonical form
@@ -27,9 +27,8 @@ type RevisionLinks struct {
 // CitedURL is one cited link as a revision's wikitext shows it.
 type CitedURL = wikitext.CitedURL
 
-// ExternalURLs returns the distinct non-empty cited URLs in first-
-// appearance order, as wikitext.Document.ExternalURLs does. The slice
-// is the caller's.
+// ExternalURLs returns the distinct non-empty cited URLs, in the order
+// each first appears in Cited. The slice is the caller's.
 func (l *RevisionLinks) ExternalURLs() []string {
 	var out []string
 	for _, c := range l.Cited {
@@ -42,7 +41,7 @@ func (l *RevisionLinks) ExternalURLs() []string {
 }
 
 // HasCategory reports whether the revision is in the named category,
-// matching as wikitext.Document.HasCategory does.
+// at any depth, matching canonical names (wikitext.CanonicalCategory).
 func (l *RevisionLinks) HasCategory(name string) bool {
 	want := wikitext.CanonicalCategory(name)
 	for _, c := range l.Categories {
@@ -53,19 +52,12 @@ func (l *RevisionLinks) HasCategory(name string) bool {
 	return false
 }
 
-// parses counts the wiki's reads of revision text, a digest scan or a
-// parse, so a test can hold generation to one read per revision plus
-// one parse per mutated document.
+// parses counts the wiki's reads of revision text, a digest scan or an
+// edit's span scan (Revision.Apply), so a test can hold generation to
+// one read per revision plus one per edited document.
 var parses atomic.Int64
 
-// parse is the package's one parse of revision wikitext, for callers
-// that mutate the document.
-func parse(text string) *wikitext.Document {
-	parses.Add(1)
-	return wikitext.Parse(text)
-}
-
-// summarize digests text into a RevisionLinks, building no parse tree.
+// summarize digests text into a RevisionLinks.
 func summarize(text string) *RevisionLinks {
 	parses.Add(1)
 	cited, cats := wikitext.AppendDigest(nil, nil, text)
@@ -75,8 +67,8 @@ func summarize(text string) *RevisionLinks {
 // Links returns the wiki's RevisionLinks of rev, a revision of one of
 // its articles, digesting rev's text on the first read only. Every
 // read-only consumer of a revision's wikitext but the history fold
-// (citedLinks) goes through here; Revision.Doc is for callers that
-// mutate the document.
+// (citedLinks) goes through here; Revision.Apply is for callers that
+// edit it.
 func (w *Wiki) Links(rev *Revision) *RevisionLinks {
 	if l := w.keptLinks(rev); l != nil {
 		return l

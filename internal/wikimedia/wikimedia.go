@@ -18,10 +18,10 @@
 // Links keeps one RevisionLinks per revision read through it: the edit
 // stream, category listings and the bots' decisions read each revision
 // from it, so the wiki digests a revision for them once, with
-// wikitext's digest scan (no parse tree). The history pass reads a kept
-// digest where there is one and otherwise scans without keeping, since
-// the wiki keeps its result. Only a caller that mutates a document asks
-// Revision.Doc for a fresh parse.
+// wikitext's digest scan. The history pass reads a kept digest where
+// there is one and otherwise scans without keeping, since the wiki
+// keeps its result. A writer decides on the digest and splices its
+// edits into the text with Revision.Apply.
 package wikimedia
 
 import (
@@ -48,10 +48,13 @@ type Revision struct {
 	Text string
 }
 
-// Doc parses the revision's wikitext afresh: the document is the
-// caller's to mutate. A reader that only looks goes through Wiki.Links.
-func (r *Revision) Doc() *wikitext.Document {
-	return parse(r.Text)
+// Apply returns the revision's wikitext with edits made
+// (wikitext.Apply), their links indexed as Wiki.Links lists them, for
+// the caller to save with Wiki.Edit. A reader that only looks goes
+// through Wiki.Links.
+func (r *Revision) Apply(edits []wikitext.Edit) string {
+	parses.Add(1)
+	return wikitext.Apply(r.Text, edits)
 }
 
 // Article is a titled page with its complete revision history, oldest

@@ -1,16 +1,18 @@
 package wikitext
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-// CitedURL is what a reader of one cited link gets without a parse
-// tree: a CitedLink's URL, ArchiveURL(), DeadLinkBot() and IsDead().
+// CitedURL is one cited link as the digest reads it.
 type CitedURL struct {
 	URL string
-	// ArchiveURL is the attached archived copy ("" when none).
+	// ArchiveURL is the attached archived copy ("" when none): the cite
+	// template's archive-url, or else the url= of an adjacent
+	// {{webarchive}}.
 	ArchiveURL string
 	// DeadLinkBot is the bot= parameter of the link's {{dead link}}
 	// tag ("" when untagged or tagged by hand).
@@ -19,10 +21,14 @@ type CitedURL struct {
 	Dead bool
 }
 
-// AppendCited appends to cited one CitedURL per link of
-// Parse(src).CitedLinks(), in that order. It is the digest scan: it
-// reads the links off the constructs Parse would build its nodes from,
-// and builds none.
+// AppendCited appends to cited one CitedURL per cited link of src: each
+// {{cite ...}} template, bracketed external link and bare URL, first
+// those of the document's own text, then those of its <ref> bodies
+// (not of refs nested in one), each in document order. That order is
+// the one Edit.Link counts in. A {{dead link}} or {{webarchive}}
+// belongs to the nearest preceding link in its container when only
+// whitespace separates them. It is the digest scan: it reads the links
+// off the scanner's constructs and builds no tree.
 func AppendCited(cited []CitedURL, src string) []CitedURL {
 	d := digester{scanner: newScanner(src), cited: cited, top: len(cited)}
 	d.container(0)
@@ -30,8 +36,8 @@ func AppendCited(cited []CitedURL, src string) []CitedURL {
 }
 
 // AppendDigest is AppendCited that also appends to cats the canonical
-// name (CanonicalCategory) of each of Parse(src).Categories() not yet
-// in cats, in order of appearance.
+// name (CanonicalCategory) of each category src is in, at any depth,
+// not yet in cats, in order of appearance.
 func AppendDigest(cited []CitedURL, cats []string, src string) ([]CitedURL, []string) {
 	d := digester{scanner: newScanner(src), cited: cited, top: len(cited), cats: cats, withCats: true}
 	d.container(0)
@@ -42,17 +48,20 @@ func AppendDigest(cited []CitedURL, cats []string, src string) ([]CitedURL, []st
 type digester struct {
 	scanner
 	cited []CitedURL
-	// top is where the next top-level link goes: CitedLinks lists the
-	// document's own links before those of its ref bodies.
+	// top is where the next top-level link goes: the document's own
+	// links come before those of its ref bodies.
 	top      int
 	cats     []string
 	withCats bool
+	// spans, when set, records where the links and categories lie, for
+	// Apply; the reads that only digest leave it nil.
+	spans *spans
 }
 
 // container digests one container's constructs up to its end: the
 // document (depth 0), a ref body in it (depth 1), or a ref nested in a
-// ref body (depth 2 and more), whose links CitedLinks does not read but
-// whose categories count.
+// ref body (depth 2 and more), whose links are not read but whose
+// categories count.
 func (d *digester) container(depth int) {
 	links := depth <= 1
 	var adj adjacency
@@ -73,12 +82,15 @@ func (d *digester) container(depth int) {
 			switch {
 			case isCite(t.a):
 				url, archive := getParams(t.b, t.n, "url", "archive-url")
-				adj.link(d.add(depth, CitedURL{URL: url, ArchiveURL: archive}))
+				adj.link(d.add(depth, CitedURL{URL: url, ArchiveURL: archive}, t))
 				archived = archive != ""
 			case canonicalIs(t.a, deadLinkName):
 				if i, ok := adj.owner(); ok {
 					d.cited[i].Dead = true
 					d.cited[i].DeadLinkBot, _ = getParams(t.b, t.n, "bot", "")
+					if d.spans != nil {
+						d.spans.links[i].dead = [2]int{t.start, d.pos}
+					}
 				}
 			case canonicalIs(t.a, webarchiveName):
 				if i, ok := adj.owner(); ok && !archived {
@@ -89,12 +101,12 @@ func (d *digester) container(depth int) {
 			}
 		case tokExtLink, tokBareURL:
 			if links {
-				adj.link(d.add(depth, CitedURL{URL: t.a}))
+				adj.link(d.add(depth, CitedURL{URL: t.a}, t))
 				archived = false
 			}
 		case tokWikiLink:
 			if d.withCats {
-				d.category(t.a)
+				d.category(t.a, t.start)
 			}
 			adj.other()
 		case tokRef:
@@ -106,28 +118,34 @@ func (d *digester) container(depth int) {
 	}
 }
 
-// add places c among the links read so far, in CitedLinks order, and
-// returns its index: a ref body's link goes last, and a top-level link
-// goes after the top level's before it, ahead of every ref body's.
-func (d *digester) add(depth int, c CitedURL) int {
-	d.cited = append(d.cited, c)
-	if depth > 0 {
-		return len(d.cited) - 1
+// add places c, read off t, among the links read so far, in
+// AppendCited order, and returns its index: a ref body's link goes
+// last, and a top-level link goes after the top level's before it,
+// ahead of every ref body's. Its span goes alike, when spans are kept.
+func (d *digester) add(depth int, c CitedURL, t token) int {
+	i := len(d.cited)
+	if depth == 0 {
+		i = d.top
+		d.top++
 	}
-	i := d.top
-	copy(d.cited[i+1:], d.cited[i:len(d.cited)-1])
-	d.cited[i] = c
-	d.top++
+	d.cited = slices.Insert(d.cited, i, c)
+	if d.spans != nil {
+		d.spans.links = slices.Insert(d.spans.links, i, linkSpan{link: t, end: d.pos})
+	}
 	return i
 }
 
 // category records the category a wiki link's target names, if it
-// names one, as WikiLink.IsCategory and CategoryName read it.
-func (d *digester) category(target string) {
+// names one: a target whose canonical form begins "category:", naming
+// what follows its first ':', trimmed. start is where the link begins.
+func (d *digester) category(target string, start int) {
 	if _, ok := canonicalPrefix(target, categoryPrefix); !ok {
 		return
 	}
 	name := strings.TrimSpace(target[strings.IndexByte(target, ':')+1:])
+	if d.spans != nil {
+		d.spans.cats = append(d.spans.cats, catSpan{start: start, end: d.pos, name: name})
+	}
 	for _, c := range d.cats {
 		if canonicalIs(name, c) {
 			return

@@ -11,8 +11,8 @@ import (
 // and parameter scanners, a backward walk for the last </ref>. It is
 // kept, test-only, as the reference FuzzParseDifferential compares the
 // first-byte dispatch against; the leaf scanners of the wiki link,
-// external link, bare URL and comment are shared with the production
-// parser, which did not change them.
+// external link, bare URL and comment are shared with the scanner,
+// which did not change them.
 type refParser struct {
 	scanner
 	// lastClose is where the last refClose in src starts (-1 if none):

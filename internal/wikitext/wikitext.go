@@ -1,36 +1,21 @@
-// Package wikitext parses and renders the subset of MediaWiki markup
-// the study needs: templates (with nesting), <ref> tags, external
-// links, wiki links, and categories.
+// Package wikitext reads and edits the subset of MediaWiki markup the
+// study needs: templates (with nesting), <ref> tags, external links,
+// wiki links, categories and comments.
 //
-// The reproduction's bots (internal/iabot, internal/waybackmedic) edit
-// articles the way the real ones do — by rewriting wikitext — so the
-// parser is paired with a renderer, and mutations happen on the parsed
-// document. Round-tripping is canonicalizing rather than byte-exact:
-// templates re-render in {{name|k=v}} form with original parameter
-// order preserved.
+// One scanner reads the grammar, and everything else is built on it.
+// Readers take its digest (AppendCited, AppendDigest): each cited
+// link's URL, archived copy and {{dead link}} tag, and the categories,
+// with no tree built. Writers take Apply, which splices the bots' edits
+// (a {{dead link}} tag, an archived copy, a category) into the text at
+// the byte spans the same scan records, and keeps every other byte, as
+// the real bots do. The parse tree the writers once edited and
+// re-rendered whole is kept in the package's tests, as the reference
+// the digest and Apply are held to.
 package wikitext
 
 import (
 	"strings"
 )
-
-// Document is a parsed sequence of wikitext nodes.
-type Document struct {
-	Nodes []Node
-}
-
-// Node is one piece of a document. Implementations: *Text, *Template,
-// *ExtLink, *WikiLink, *Ref.
-type Node interface {
-	render(b *strings.Builder)
-}
-
-// Text is a run of plain wikitext.
-type Text struct {
-	Value string
-}
-
-func (t *Text) render(b *strings.Builder) { b.WriteString(t.Value) }
 
 // Param is one template parameter. Positional parameters have an empty
 // Key.
@@ -43,6 +28,19 @@ type Param struct {
 type Template struct {
 	Name   string
 	Params []Param
+}
+
+// newTemplate builds the template the scanner read: its parameters,
+// n of them in params, take one allocation of their final size.
+func newTemplate(name, params string, n int) *Template {
+	t := &Template{Name: name}
+	if n > 0 {
+		t.Params = make([]Param, n)
+		for i := range t.Params {
+			t.Params[i], params = cutParam(params)
+		}
+	}
+	return t
 }
 
 func (t *Template) render(b *strings.Builder) {
@@ -87,187 +85,51 @@ func (t *Template) Set(key, value string) {
 	t.Params = append(t.Params, Param{Key: key, Value: value})
 }
 
-// NameIs reports whether the template's name matches (case-insensitive,
-// space/underscore-insensitive, as MediaWiki treats template names).
-func (t *Template) NameIs(name string) bool {
-	return canonicalName(t.Name) == canonicalName(name)
-}
-
+// canonicalName is the form template and category names match under:
+// lowercased, trimmed, underscores as spaces, as MediaWiki treats them.
 func canonicalName(n string) string {
 	n = strings.TrimSpace(strings.ToLower(n))
 	return strings.ReplaceAll(n, "_", " ")
 }
 
-// ExtLink is a bracketed external link [url label] or a bare URL that
-// appeared in link position.
-type ExtLink struct {
-	URL   string
-	Label string
-	// Bare marks a URL that appeared without brackets.
-	Bare bool
-}
-
-func (e *ExtLink) render(b *strings.Builder) {
-	if e.Bare {
-		b.WriteString(e.URL)
-		return
-	}
-	b.WriteByte('[')
-	b.WriteString(e.URL)
-	if e.Label != "" {
-		b.WriteByte(' ')
-		b.WriteString(e.Label)
-	}
-	b.WriteByte(']')
-}
-
-// WikiLink is an internal [[Target]] or [[Target|label]] link;
-// categories are WikiLinks whose target starts with "Category:".
-type WikiLink struct {
-	Target string
-	Label  string
-}
-
-func (w *WikiLink) render(b *strings.Builder) {
-	b.WriteString("[[")
-	b.WriteString(w.Target)
-	if w.Label != "" {
-		b.WriteByte('|')
-		b.WriteString(w.Label)
-	}
-	b.WriteString("]]")
-}
-
-// IsCategory reports whether the link is a category membership.
-func (w *WikiLink) IsCategory() bool {
-	return strings.HasPrefix(canonicalName(w.Target), "category:")
-}
-
-// CategoryName returns the category name (without the namespace
-// prefix), or "" for non-category links.
-func (w *WikiLink) CategoryName() string {
-	if !w.IsCategory() {
-		return ""
-	}
-	t := strings.TrimSpace(w.Target)
-	if i := strings.IndexByte(t, ':'); i >= 0 {
-		return strings.TrimSpace(t[i+1:])
-	}
-	return ""
-}
-
-// Ref is a <ref>...</ref> footnote. Self-closing refs (<ref name=x/>)
-// have a nil Body.
-type Ref struct {
-	Name string
-	Body *Document
-}
-
-func (r *Ref) render(b *strings.Builder) {
-	b.WriteString("<ref")
-	if r.Name != "" {
-		// Quote with a delimiter the name does not contain, so the
-		// rendered tag re-parses to the same name. A name holding both
-		// quotes can only have been parsed from the unquoted form,
-		// which has no space, '/' or '>' in it.
-		quote := `"`
-		if strings.Contains(r.Name, `"`) {
-			quote = `'`
-			if strings.Contains(r.Name, `'`) {
-				quote = ""
-			}
-		}
-		b.WriteString(" name=")
-		b.WriteString(quote)
-		b.WriteString(r.Name)
-		b.WriteString(quote)
-	}
-	if r.Body == nil {
-		b.WriteString(" />")
-		return
-	}
-	b.WriteString(">")
-	b.WriteString(r.Body.Render())
-	b.WriteString("</ref>")
-}
-
-// Render serializes the document back to wikitext.
-func (d *Document) Render() string {
-	var b strings.Builder
-	for _, n := range d.Nodes {
-		n.render(&b)
-	}
-	return b.String()
-}
-
-// Categories returns the names of all categories the document belongs
-// to, in order of appearance.
-func (d *Document) Categories() []string {
-	var cats []string
-	d.Walk(func(n Node) {
-		if wl, ok := n.(*WikiLink); ok && wl.IsCategory() {
-			cats = append(cats, wl.CategoryName())
-		}
-	})
-	return cats
-}
-
 // CanonicalCategory returns the canonical form of a category name —
-// the form HasCategory matches under (lowercased, trimmed,
+// the form the digest lists categories in (lowercased, trimmed,
 // underscores as spaces). Exported so persisted category indexes
 // (internal/persist format v4) key categories exactly the way live
 // membership checks do.
 func CanonicalCategory(name string) string { return canonicalName(name) }
 
-// HasCategory reports whether the document is in the named category
-// (case-insensitive).
-func (d *Document) HasCategory(name string) bool {
-	want := canonicalName(name)
-	for _, c := range d.Categories() {
-		if canonicalName(c) == want {
-			return true
-		}
-	}
-	return false
+// The recognized template names, in canonical form: the {{cite ...}}
+// family members our simulated articles use, and the two maintenance
+// templates.
+var citeNames = []string{"cite web", "cite news", "cite journal", "citation"}
+
+const (
+	deadLinkName   = "dead link"
+	webarchiveName = "webarchive"
+)
+
+// adjacency is the rule that pairs maintenance templates with links: a
+// {{dead link}} or {{webarchive}} belongs to the nearest preceding link
+// in its container when only whitespace separates them. A container's
+// walk reports each construct in order: link for a link, text for
+// prose, and other for any other construct but a maintenance template,
+// which changes nothing.
+type adjacency struct {
+	last int  // the latest link's index among the walk's links
+	open bool // a link came, and only whitespace and maintenance templates since
 }
 
-// AddCategory appends a category link at the end of the document if
-// not already present.
-func (d *Document) AddCategory(name string) {
-	if d.HasCategory(name) {
-		return
-	}
-	d.Nodes = append(d.Nodes,
-		&Text{Value: "\n"},
-		&WikiLink{Target: "Category:" + name})
-}
+func (a *adjacency) link(i int) { a.last, a.open = i, true }
 
-// RemoveCategory removes every link to the named category.
-func (d *Document) RemoveCategory(name string) {
-	want := canonicalName(name)
-	keep := d.Nodes[:0]
-	for _, n := range d.Nodes {
-		if wl, ok := n.(*WikiLink); ok && wl.IsCategory() && canonicalName(wl.CategoryName()) == want {
-			continue
-		}
-		keep = append(keep, n)
-	}
-	d.Nodes = keep
-	for _, n := range d.Nodes {
-		if r, ok := n.(*Ref); ok && r.Body != nil {
-			r.Body.RemoveCategory(name)
-		}
+func (a *adjacency) other() { a.open = false }
+
+func (a *adjacency) text(s string) {
+	if a.open && strings.TrimSpace(s) != "" {
+		a.open = false
 	}
 }
 
-// Walk calls fn for every node in the document, descending into ref
-// bodies. Templates' parameters are not descended into (their values
-// are stored as raw text).
-func (d *Document) Walk(fn func(Node)) {
-	for _, n := range d.Nodes {
-		fn(n)
-		if r, ok := n.(*Ref); ok && r.Body != nil {
-			r.Body.Walk(fn)
-		}
-	}
-}
+// owner returns the index of the link a maintenance template at this
+// point belongs to, with ok=false when it belongs to none.
+func (a *adjacency) owner() (i int, ok bool) { return a.last, a.open }

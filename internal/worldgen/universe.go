@@ -15,6 +15,7 @@ import (
 	"permadead/internal/simclock"
 	"permadead/internal/simweb"
 	"permadead/internal/wikimedia"
+	"permadead/internal/wikitext"
 )
 
 // Universe is a fully generated and timeline-executed simulation: the
@@ -267,21 +268,18 @@ func (u *Universe) userMark(ev event) {
 	if art == nil {
 		return
 	}
-	doc := art.Current().Doc()
-	changed := false
-	for _, cl := range doc.CitedLinks() {
-		if cl.URL == bg.URL && !cl.IsDead() {
-			cl.MarkDead(ev.day.Time().Format("January 2006"), "")
-			changed = true
-			break
+	cur := art.Current()
+	for i, cl := range u.Wiki.Links(cur).Cited {
+		if cl.URL == bg.URL && !cl.Dead {
+			edits := []wikitext.Edit{
+				{Op: wikitext.MarkDead, Link: i, Date: ev.day.Time().Format("January 2006")},
+				{Op: wikitext.AddCategory, Category: iabot.Category},
+			}
+			u.Wiki.Edit(ev.article, ev.day, "Editor"+fmt.Sprint(1+int(hashx.FNV1a(bg.URL)%500)),
+				"Tagging dead link", cur.Apply(edits)) //nolint:errcheck
+			return
 		}
 	}
-	if !changed {
-		return
-	}
-	doc.AddCategory(iabot.Category)
-	u.Wiki.Edit(ev.article, ev.day, "Editor"+fmt.Sprint(1+int(hashx.FNV1a(bg.URL)%500)),
-		"Tagging dead link", doc.Render()) //nolint:errcheck
 }
 
 // plantPostRunState applies the world changes that, by construction,
