@@ -58,9 +58,13 @@ race:
 # against the two-cache + flight-group pair it replaced;
 # FuzzJournalOpen, arbitrary bytes as a flip journal file, which must
 # open with an error or as a journal whose seqs increase, reopen the
-# same, and take LastSeq+1 next; and FuzzSoftTextDifferential, the
-# soft-404 check that lowers each body once against the one that
-# lowered it in each test, on arbitrary bodies and final URLs.
+# same, and take LastSeq+1 next; FuzzSoftTextDifferential, the soft-404
+# check that matches its markers in place against the one that lowered
+# each body in each test, on arbitrary bodies and final URLs;
+# FuzzShingleDifferential, the one-pass shingle similarity against the
+# token-string, map-set reference, on arbitrary bytes; and
+# FuzzDirectoryDifferential, Directory's cut-in-place early return
+# against its net/url body.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz='^FuzzParseDifferential$$' -fuzztime=10s ./internal/wikitext
@@ -74,6 +78,8 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzCacheDifferential$$' -fuzztime=10s ./internal/service
 	$(GO) test -run '^$$' -fuzz='^FuzzJournalOpen$$' -fuzztime=10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz='^FuzzSoftTextDifferential$$' -fuzztime=10s ./internal/softerror
+	$(GO) test -run '^$$' -fuzz='^FuzzShingleDifferential$$' -fuzztime=10s ./internal/shingle
+	$(GO) test -run '^$$' -fuzz='^FuzzDirectoryDifferential$$' -fuzztime=10s ./internal/urlutil
 
 # bench runs the repo's one perf harness (bench/README.md) over every
 # workload at three seeds and records the result set; compare two sets

@@ -70,7 +70,7 @@ func deadResult(res fetch.Result) bool {
 	if res.FinalStatus != 200 {
 		return true
 	}
-	return softerror.LooksParked(res.Body) || softerror.LooksErrorBoilerplate(res.Body)
+	return softerror.LooksSoftError(res.Body)
 }
 
 // FalseDeadSweep measures each policy's false-dead rate at studyTime.

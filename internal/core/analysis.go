@@ -377,7 +377,7 @@ func SnapshotErroneous(s archive.Snapshot) bool {
 	case s.InitialStatus >= 400:
 		return true
 	case s.InitialStatus == 200:
-		return softerror.LooksParked(s.Body) || softerror.LooksErrorBoilerplate(s.Body)
+		return softerror.LooksSoftError(s.Body)
 	case s.IsRedirect():
 		if s.FinalStatus != 200 {
 			return true

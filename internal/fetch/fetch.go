@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Category is the paper's five-way classification of a live fetch.
@@ -262,7 +263,9 @@ func urlError(req *http.Request, err error) error {
 // readBody reads at most limit bytes of the body. A stated length under
 // the limit sizes the buffer, one byte over it for the read that meets
 // EOF; the read loop is io.ReadAll's, so a body shorter or longer than
-// it says reads the same as with no length at all.
+// it says reads the same as with no length at all. The buffer becomes
+// the string as strings.Builder's does, without a copy: nothing writes
+// it once the read is done.
 func readBody(resp *http.Response, limit int64) (string, error) {
 	defer resp.Body.Close()
 	if limit == 0 {
@@ -273,7 +276,7 @@ func readBody(resp *http.Response, limit int64) (string, error) {
 		size = n + 1
 	}
 	b, err := readAll(&io.LimitedReader{R: resp.Body, N: limit}, make([]byte, 0, size))
-	return string(b), err
+	return unsafe.String(unsafe.SliceData(b), len(b)), err
 }
 
 // readAll is io.ReadAll reading into b's capacity before it grows b.

@@ -19,6 +19,21 @@ func readBodyReference(resp *http.Response, limit int64) (string, error) {
 	return string(b), err
 }
 
+// readBodyCopying is readBody as it was before its buffer became the
+// string: the bytes read, then copied by the conversion.
+func readBodyCopying(resp *http.Response, limit int64) (string, error) {
+	defer resp.Body.Close()
+	if limit == 0 {
+		return "", nil
+	}
+	size := int64(512)
+	if n := resp.ContentLength; n >= 0 && n < limit {
+		size = n + 1
+	}
+	b, err := readAll(&io.LimitedReader{R: resp.Body, N: limit}, make([]byte, 0, size))
+	return string(b), err
+}
+
 var errMidBody = errors.New("connection reset mid-body")
 
 // failingBody yields its bytes in chunks of at most chunk, then fails
@@ -103,5 +118,24 @@ func TestReadBodySizedAllocs(t *testing.T) {
 	}
 	if ref := read(readBodyReference, big, int64(len(big))); got >= ref {
 		t.Errorf("readBody made %v allocations for a stated 5 000 bytes, io.ReadAll %v", got, ref)
+	}
+}
+
+// TestReadBodyKeepsItsBuffer: a body of stated length costs one
+// allocation, the buffer the string then lies in; the copying read
+// took a second for the string. (The response and its reader are
+// allocated for both.)
+func TestReadBodyKeepsItsBuffer(t *testing.T) {
+	body := strings.Repeat("x", 5000)
+	read := func(f func(*http.Response, int64) (string, error)) float64 {
+		return testing.AllocsPerRun(50, func() {
+			got, _ := f(&http.Response{ContentLength: int64(len(body)), Body: io.NopCloser(strings.NewReader(body))}, 256<<10)
+			if got != body {
+				t.Fatalf("read %d bytes, want %d", len(got), len(body))
+			}
+		})
+	}
+	if got, copying := read(readBody), read(readBodyCopying); got != copying-1 {
+		t.Errorf("readBody: %v allocations, the copying read %v: want one fewer", got, copying)
 	}
 }

@@ -4,15 +4,18 @@
 // text of the responses for u and a known-invalid sibling u' are more
 // than 99% similar (§3).
 //
-// A document's shingle set is the set of all contiguous k-word windows
-// of its token stream. Similarity between two documents is the Jaccard
-// resemblance of their shingle sets.
+// A document's shingles are the FNV-1a hashes of its contiguous k-word
+// windows, kept as a sorted hash slice; similarity is the Jaccard
+// resemblance of two such sets, counted by merging the slices. An
+// ASCII text is read in one pass that folds case, skips tags and
+// hashes each window from the text's own bytes.
 package shingle
 
 import (
-	"hash/fnv"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // DefaultK is the shingle width used by the soft-404 detector. Broder's
@@ -21,128 +24,121 @@ import (
 // degenerating to zero shingles.
 const DefaultK = 4
 
-// Set is a document's shingle set, represented by 64-bit FNV hashes of
-// each k-word window. Hash collisions are possible but vanishingly
-// unlikely to flip a 99%-similarity verdict.
-type Set map[uint64]struct{}
-
-// Tokenize splits text into lowercase word tokens, treating any run of
-// non-letter/non-digit characters as a separator. HTML tags are crudely
-// stripped first so that boilerplate markup does not dominate the
-// token stream.
-func Tokenize(text string) []string {
-	return words(strings.ToLower(stripTags(text)))
-}
-
-// tokenizeLower is Tokenize of a text already lowered by
-// strings.ToLower. Lowering maps rune by rune, leaves '<' and '>' alone
-// and maps nothing onto them, so stripping tags after lowering keeps
-// the runes that stripping before it would.
-func tokenizeLower(lower string) []string {
-	return words(stripTags(lower))
-}
-
-// words splits text at every run of non-letter/non-digit characters.
-func words(text string) []string {
-	return strings.FieldsFunc(text, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
-
-// stripTags removes anything between '<' and '>' — not a real HTML
-// parser, but sufficient to keep markup out of similarity comparisons
-// of simulated response bodies.
-func stripTags(s string) string {
-	if !strings.ContainsRune(s, '<') {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	depth := 0
-	for _, r := range s {
-		switch {
-		case r == '<':
-			depth++
-			b.WriteByte(' ')
-		case r == '>':
-			if depth > 0 {
-				depth--
-			}
-		case depth == 0:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// New builds the shingle set of text with window width k. Documents
-// shorter than k tokens contribute a single shingle covering all their
-// tokens, so that two identical short documents still compare as equal.
-func New(text string, k int) Set {
-	return fromTokens(Tokenize(text), k)
-}
-
-// fromTokens is the shingle set of a token stream with window width k.
-func fromTokens(tokens []string, k int) Set {
-	if k <= 0 {
-		k = DefaultK
-	}
-	set := make(Set)
-	if len(tokens) == 0 {
-		return set
-	}
-	if len(tokens) < k {
-		set[hashWindow(tokens)] = struct{}{}
-		return set
-	}
-	for i := 0; i+k <= len(tokens); i++ {
-		set[hashWindow(tokens[i:i+k])] = struct{}{}
-	}
-	return set
-}
-
-func hashWindow(tokens []string) uint64 {
-	h := fnv.New64a()
-	for _, t := range tokens {
-		h.Write([]byte(t))
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
-
-// Resemblance returns the Jaccard similarity |A∩B| / |A∪B| in [0, 1].
-// Two empty sets are defined to be identical (resemblance 1): two blank
-// responses are the same page for soft-404 purposes.
-func Resemblance(a, b Set) float64 {
+// Similarity returns the Jaccard resemblance of the two texts'
+// DefaultK-shingle sets, in [0, 1]. A text shorter than DefaultK tokens
+// has one shingle of all its tokens; two texts without tokens are the
+// same page (1). Hash collisions are vanishingly unlikely to flip a
+// 99%-similarity verdict.
+func Similarity(textA, textB string) float64 {
+	// A simulated page has about 180 shingles: both sets fit here, and
+	// a longer text spills to the heap.
+	var stack [512]uint64
+	all := appendShingles(stack[:0], textA)
+	a, b := all[:len(all):len(all)], appendShingles(all, textB)[len(all):]
+	slices.Sort(a)
+	slices.Sort(b)
+	a, b = slices.Compact(a), slices.Compact(b)
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
 	inter := 0
-	for s := range small {
-		if _, ok := large[s]; ok {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		if a[i] == b[j] {
 			inter++
 		}
+		if a[i] <= b[j] {
+			i++
+		} else {
+			j++
+		}
 	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// Similarity is a convenience that shingles both texts with DefaultK
-// and returns their resemblance.
-func Similarity(textA, textB string) float64 {
-	return Resemblance(New(textA, DefaultK), New(textB, DefaultK))
+// appendShingles appends the hash of each DefaultK-token window of text
+// to dst, unsorted. A token is a run of letters and digits, lower-cased.
+// A text with a byte ≥ 0x80 is read lowered by strings.ToLower (which
+// lowers U+212A KELVIN SIGN to 'k'); an ASCII one is read as is, A–Z
+// folded while hashing. Tags are stripped only when the text holds a
+// '<': '<' opens a tag and ends a token, '>' closes one, and a '>'
+// outside any tag is dropped, joining its neighbours. Lowering maps no
+// rune onto '<' or '>', so it does not move what stripping drops.
+func appendShingles(dst []uint64, text string) []uint64 {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			text = strings.ToLower(text)
+			break
+		}
+	}
+	tags := strings.IndexByte(text, '<') >= 0
+
+	var window [DefaultK][2]int // the last DefaultK tokens' [start, end), by n % DefaultK
+	n := 0                      // tokens seen
+	start, depth := -1, 0       // start of the open token, -1 between tokens
+	closeToken := func(end int) {
+		if start < 0 {
+			return
+		}
+		window[n%DefaultK] = [2]int{start, end}
+		n++
+		start = -1
+		if n >= DefaultK {
+			dst = append(dst, hashWindow(text, &window, n-DefaultK, DefaultK))
+		}
+	}
+	size := 1
+	for i := 0; i < len(text); i += size {
+		c, word := text[i], false
+		size = 1
+		switch {
+		case !tags:
+		case c == '<':
+			depth++
+			closeToken(i)
+			continue
+		case c == '>':
+			depth = max(depth-1, 0)
+			continue
+		case depth > 0:
+			continue
+		}
+		if c < utf8.RuneSelf {
+			word = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			word = unicode.IsLetter(r) || unicode.IsDigit(r)
+		}
+		if !word {
+			closeToken(i)
+		} else if start < 0 {
+			start = i
+		}
+	}
+	closeToken(len(text))
+	if 0 < n && n < DefaultK {
+		dst = append(dst, hashWindow(text, &window, 0, n))
+	}
+	return dst
 }
 
-// SimilarityLower is Similarity of two texts already lowered by
-// strings.ToLower, for a caller that lowers each body once and reads
-// the lowered copy in several tests.
-func SimilarityLower(lowerA, lowerB string) float64 {
-	return Resemblance(fromTokens(tokenizeLower(lowerA), DefaultK), fromTokens(tokenizeLower(lowerB), DefaultK))
+// hashWindow is the 64-bit FNV-1a hash of the k tokens from the
+// first-th on, each followed by a zero byte: A–Z folded, and a '>'
+// inside a token (one that joined its neighbours) skipped.
+func hashWindow(text string, window *[DefaultK][2]int, first, k int) uint64 {
+	h := uint64(14695981039346656037)
+	for t := first; t < first+k; t++ {
+		w := window[t%DefaultK]
+		for _, c := range []byte(text[w[0]:w[1]]) {
+			switch {
+			case c == '>':
+				continue
+			case 'A' <= c && c <= 'Z':
+				c += 'a' - 'A'
+			}
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+		h *= 1099511628211 // the zero byte: h ^= 0, then multiply
+	}
+	return h
 }

@@ -113,16 +113,155 @@ func TestWordGeneratorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
 		seed, n := rng.Uint64(), 1+rng.Intn(14)
-		if got, want := sentence(seed, n), refSentence(seed, n); got != want {
-			t.Fatalf("sentence(%d, %d) = %q, reference %q", seed, n, got, want)
+		if got, want := string(appendSentence(nil, seed, n)), refSentence(seed, n); got != want {
+			t.Fatalf("appendSentence(%d, %d) = %q, reference %q", seed, n, got, want)
 		}
-		var b strings.Builder
-		writeWords(&b, seed, n, 0, ", ")
-		if want := strings.Join(refWords(seed, n), ", "); b.String() != want {
-			t.Fatalf("writeWords(%d, %d, sep \", \") = %q, reference %q", seed, n, b.String(), want)
+		got := string(appendWords([]byte("x"), seed, n, 0, ", "))
+		if want := "x" + strings.Join(refWords(seed, n), ", "); got != want {
+			t.Fatalf("appendWords(%d, %d, sep \", \") = %q, reference %q", seed, n, got, want)
 		}
 		if got := wordsLen(seed, n); got != len(strings.Join(refWords(seed, n), "")) {
 			t.Fatalf("wordsLen(%d, %d) = %d", seed, n, got)
+		}
+	}
+}
+
+// The site-wide pages as fmt.Sprintf built them, before each became
+// one concatenation. TestSitePagesMatchReference holds every page to
+// its reference byte for byte.
+
+func refNotFoundBody(s *Site, path string) string {
+	return fmt.Sprintf(
+		"<html><head><title>404 Not Found</title></head><body>"+
+			"<h1>Not Found</h1><p>The requested URL %s was not found on %s.</p>"+
+			"<p>%s</p></body></html>\n",
+		path, s.Hostname, refSentence(hash64(s.Hostname, "404")^s.Seed, 12))
+}
+
+func refSoftErrorBody(s *Site) string {
+	seed := hash64(s.Hostname, "softerror") ^ s.Seed
+	return fmt.Sprintf(
+		"<html><head><title>%s</title></head><body>"+
+			"<h1>Sorry, we could not find that page</h1>"+
+			"<p>The page you are looking for may have been removed or is "+
+			"temporarily unavailable.</p><p>%s %s</p>"+
+			"<p>Return to the <a href=\"/\">homepage</a>.</p></body></html>\n",
+		s.Hostname, refSentence(seed, 10), refSentence(seed+1, 10))
+}
+
+func refParkedBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>%s is for sale</title></head><body>"+
+			"<h1>%s</h1><p>This domain may be for sale. Buy this domain.</p>"+
+			"<p>Related searches: %s</p>"+
+			"<p>Sponsored listings provided by the registrar.</p></body></html>\n",
+		s.Hostname, s.Hostname, strings.Join(refWords(hash64(s.Hostname, "parked"), 6), ", "))
+}
+
+func refLoginBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>Sign in - %s</title></head><body>"+
+			"<h1>Sign in</h1>"+
+			"<form method=\"post\" action=\"/login\">"+
+			"<input name=\"username\" type=\"text\">"+
+			"<input name=\"password\" type=\"password\">"+
+			"<button type=\"submit\">Log in</button></form>"+
+			"</body></html>\n",
+		s.Hostname)
+}
+
+func refOutageBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>503 Service Unavailable</title></head><body>"+
+			"<h1>Service Unavailable</h1><p>%s is temporarily unable to "+
+			"service your request. Please try again later.</p></body></html>\n",
+		s.Hostname)
+}
+
+func refBusyBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>503 Service Unavailable</title></head><body>"+
+			"<h1>We'll be right back</h1><p>%s is experiencing unusually "+
+			"high load. Please retry shortly.</p></body></html>\n",
+		s.Hostname)
+}
+
+func refRateLimitBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>429 Too Many Requests</title></head><body>"+
+			"<h1>Too Many Requests</h1><p>You have sent too many requests "+
+			"to %s. Slow down and retry.</p></body></html>\n",
+		s.Hostname)
+}
+
+func refGeoBlockBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>403 Forbidden</title></head><body>"+
+			"<h1>Access Denied</h1><p>%s is not available in your region.</p>"+
+			"</body></html>\n",
+		s.Hostname)
+}
+
+func refPaywallBody(s *Site) string {
+	return fmt.Sprintf(
+		"<html><head><title>Subscribe to continue - %s</title></head><body>"+
+			"<h1>Subscribe to continue reading</h1><p>This article is "+
+			"available to %s subscribers. Sign in or start a free trial.</p>"+
+			"</body></html>\n",
+		s.Hostname, s.Hostname)
+}
+
+func refRedirectBody(location string) string {
+	return fmt.Sprintf(
+		"<html><head><title>Moved</title></head><body>"+
+			"<a href=\"%s\">Moved here</a></body></html>\n", location)
+}
+
+func TestSitePagesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 1000; i++ {
+		s := &Site{Hostname: "h" + randText(rng, 30) + ".simnews", Seed: rng.Uint64()}
+		path := "/" + randText(rng, 40)
+		for _, c := range []struct {
+			page      string
+			got, want string
+		}{
+			{"404", notFoundBody(s, path), refNotFoundBody(s, path)},
+			{"soft 200", softErrorBody(s), refSoftErrorBody(s)},
+			{"parked", parkedBody(s), refParkedBody(s)},
+			{"login", loginBody(s), refLoginBody(s)},
+			{"outage", outageBody(s), refOutageBody(s)},
+			{"busy", busyBody(s), refBusyBody(s)},
+			{"429", rateLimitBody(s), refRateLimitBody(s)},
+			{"403", geoBlockBody(s), refGeoBlockBody(s)},
+			{"402", paywallBody(s), refPaywallBody(s)},
+			{"redirect", redirectBody(path), refRedirectBody(path)},
+		} {
+			if c.got != c.want {
+				t.Fatalf("site %q seed %d path %q: %s page =\n%q\nreference =\n%q",
+					s.Hostname, s.Seed, path, c.page, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestSitePageAllocs: each site-wide page is one allocation, its
+// sentences rendered on the stack; a generated page body is one too.
+func TestSitePageAllocs(t *testing.T) {
+	s := &Site{Hostname: "www.example.simnews", Seed: 7}
+	p := &Page{Path: "/news/item.html"}
+	for _, c := range []struct {
+		page string
+		f    func()
+	}{
+		{"404", func() { notFoundBody(s, "/missing") }},
+		{"soft 200", func() { softErrorBody(s) }},
+		{"parked", func() { parkedBody(s) }},
+		{"redirect", func() { redirectBody("/") }},
+		{"page", func() { pageBody(s, p) }},
+	} {
+		if n := testing.AllocsPerRun(20, c.f); n != 1 {
+			t.Errorf("%s: %v allocations, want 1", c.page, n)
 		}
 	}
 }

@@ -78,10 +78,10 @@ func (w *World) GetPathAttempt(host, pathQuery string, day simclock.Day, attempt
 // resolve is GetPathAttempt short of rendering: a live page's own 200
 // comes back as the page and its site, Body unset until someone reads it.
 func (w *World) resolve(host, pathQuery string, day simclock.Day, attempt int) (Result, *Site, *Page) {
-	if !w.Resolves(host, day) {
+	s := w.Site(host)
+	if !s.resolves(day) {
 		return Result{Kind: KindDNSFailure}, nil, nil
 	}
-	s := w.Site(host)
 
 	// Transient faults fire at the edge — resolver flap, overloaded
 	// front end — before the origin's own lifecycle state is consulted.

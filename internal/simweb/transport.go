@@ -100,21 +100,29 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &timeoutError{addr: dialAddr(req)}
 	}
 
-	return buildResponse(req, res, &lazyBody{site, page, res.Body}), nil
+	return buildResponse(req, res, &lazyBody{site: site, page: page, rest: res.Body}), nil
 }
 
 // lazyBody is every simulated response's body. A live page renders on
 // the first Read, so a status-only check (IABot's, §2.1) that closes it
 // unread never builds the document; other bodies arrive built, in rest.
+// A first Read whose buffer holds the whole page (fetch's always does)
+// renders straight into it; any other reader gets the page in rest.
 type lazyBody struct {
 	site *Site
 	page *Page // nil once rendered, or when rest was prebuilt
+	size int   // the page's length, while page is set
 	rest string
 }
 
 func (b *lazyBody) Read(dst []byte) (int, error) {
 	if b.page != nil {
-		b.rest, b.page = pageBody(b.site, b.page), nil
+		s, p := b.site, b.page
+		b.page = nil
+		if len(dst) >= b.size {
+			return len(appendPageBody(dst[:0], s, p)), nil
+		}
+		b.rest = pageBody(s, p)
 	}
 	if b.rest == "" {
 		return 0, io.EOF
@@ -148,6 +156,7 @@ func buildResponse(req *http.Request, res Result, body *lazyBody) *http.Response
 	n := len(body.rest)
 	if body.page != nil {
 		n = pageBodyLen(body.site, body.page)
+		body.size = n
 	}
 	ct := res.ContentType
 	if ct == "" {
@@ -167,8 +176,12 @@ func buildResponse(req *http.Request, res Result, body *lazyBody) *http.Response
 	if req.Method == http.MethodHead {
 		body.Close()
 	}
+	status, ok := statusLines[res.Status]
+	if !ok {
+		status = strconv.Itoa(res.Status) + " " + http.StatusText(res.Status)
+	}
 	return &http.Response{
-		Status:        strconv.Itoa(res.Status) + " " + http.StatusText(res.Status),
+		Status:        status,
 		StatusCode:    res.Status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
@@ -179,6 +192,12 @@ func buildResponse(req *http.Request, res Result, body *lazyBody) *http.Response
 		Request:       req,
 	}
 }
+
+// statusLines are the status lines of the codes the world answers with:
+// strconv.Itoa(code) + " " + http.StatusText(code), spelled out.
+var statusLines = map[int]string{200: "200 OK", 301: "301 Moved Permanently", 302: "302 Found",
+	402: "402 Payment Required", 403: "403 Forbidden", 404: "404 Not Found",
+	429: "429 Too Many Requests", 503: "503 Service Unavailable"}
 
 func schemeOf(req *http.Request) string {
 	if req.URL.Scheme != "" {

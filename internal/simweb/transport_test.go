@@ -107,6 +107,46 @@ func TestTransportBodyReadInPieces(t *testing.T) {
 	}
 }
 
+// TestTransportRendersIntoTheReadersBuffer: a first Read whose buffer
+// holds the whole page renders into it, so reading the page costs no
+// allocation beyond answering and closing it unread.
+func TestTransportRendersIntoTheReadersBuffer(t *testing.T) {
+	tr := NewTransport(buildWorld(), simclock.StudyTime)
+	url := "http://news.example.simnews/articles/alpha.html"
+	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, url, nil)
+	resp, _ := tr.RoundTrip(req)
+	buf := make([]byte, resp.ContentLength+1)
+	if n, err := resp.Body.Read(buf); int64(n) != resp.ContentLength || err != nil {
+		t.Fatalf("first Read = %d, %v; want the whole %d-byte page", n, err, resp.ContentLength)
+	}
+	if lb := resp.Body.(*lazyBody); lb.page != nil || lb.rest != "" {
+		t.Fatalf("after a whole-page Read: page=%v len(rest)=%d, want nothing kept", lb.page, len(lb.rest))
+	}
+
+	unread := testing.AllocsPerRun(200, func() {
+		r, _ := tr.RoundTrip(req)
+		r.Body.Close()
+	})
+	read := testing.AllocsPerRun(200, func() {
+		r, _ := tr.RoundTrip(req)
+		r.Body.Read(buf) //nolint:errcheck
+		r.Body.Close()
+	})
+	if read != unread {
+		t.Errorf("allocs: closed unread %.0f, read into a whole-page buffer %.0f; want equal", unread, read)
+	}
+}
+
+// TestStatusLines: the spelled-out status lines are the ones
+// strconv.Itoa and http.StatusText build.
+func TestStatusLines(t *testing.T) {
+	for code, got := range statusLines {
+		if want := strconv.Itoa(code) + " " + http.StatusText(code); got != want {
+			t.Errorf("statusLines[%d] = %q, want %q", code, got, want)
+		}
+	}
+}
+
 // TestTransportRendersOnlyOnRead pins the point of the lazy body: a
 // live page's document does not exist until the first Read, and a
 // response closed unread — a status-only check — never builds it.

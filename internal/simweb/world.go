@@ -127,17 +127,13 @@ func (w *World) Hostnames() []string {
 // given day: the site must exist, have come online, and not have let
 // its registration lapse.
 func (w *World) Resolves(hostname string, day simclock.Day) bool {
-	s := w.Site(hostname)
-	if s == nil {
-		return false
-	}
-	if day.Before(s.Created) {
-		return false
-	}
-	if s.DNSDiesAt.Valid() && !day.Before(s.DNSDiesAt) {
-		return false
-	}
-	return true
+	return w.Site(hostname).resolves(day)
+}
+
+// resolves is Resolves for a looked-up site, nil for an unknown host.
+func (s *Site) resolves(day simclock.Day) bool {
+	return s != nil && !day.Before(s.Created) &&
+		!(s.DNSDiesAt.Valid() && !day.Before(s.DNSDiesAt))
 }
 
 // PageByURL returns the site and page a URL names, or nils. The lookup

@@ -63,7 +63,8 @@ func isLoginPageReference(finalURL, body string) bool {
 	return strings.Contains(lb, `type="password"`) || strings.Contains(lb, "type='password'")
 }
 
-// looksParkedReference is looksParked lowering the raw body itself.
+// looksParkedReference is the parked test lowering the raw body
+// itself.
 func looksParkedReference(body string) bool {
 	lb := strings.ToLower(body)
 	for _, marker := range []string{
@@ -81,16 +82,41 @@ func looksParkedReference(body string) bool {
 	return false
 }
 
-// textCases are bodies on which lowering once could differ from
-// lowering in each test: upper case, runes that lower to ASCII (the
+// looksErrorBoilerplateReference is the page-not-found test lowering
+// the raw body itself.
+func looksErrorBoilerplateReference(body string) bool {
+	lb := strings.ToLower(body)
+	for _, marker := range []string{
+		"could not find that page",
+		"page not found",
+		"page you are looking for",
+		"no longer available",
+		"404 not found",
+	} {
+		if strings.Contains(lb, marker) {
+			return true
+		}
+	}
+	return false
+}
+
+// looksSoftErrorReference is the pair of tests the snapshot check made
+// before LooksSoftError, each lowering the body on its own.
+func looksSoftErrorReference(body string) bool {
+	return looksParkedReference(body) || looksErrorBoilerplateReference(body)
+}
+
+// textCases are bodies on which matching markers in place could differ
+// from lowering a copy: upper case, runes that lower to ASCII (the
 // Kelvin sign, the dotted capital I), runes that change byte length
-// when lowered, invalid UTF-8 that lowering replaces, and tags.
+// when lowered, invalid UTF-8 that lowering replaces, tags, a marker
+// cut by the end of the body, and markers that share a first byte.
 var textCases = []string{
 	"",
 	"a page about link rot",
 	"THIS DOMAIN MAY BE FOR SALE",
 	"Domain İS FOR SALE",
-	"Keyword: Buy This Domain",
+	"Keyword: Buy This Domain",
 	`<INPUT TYPE="PASSWORD">`,
 	"<input type='PASSWORD'>",
 	"\xff\xfeIS FOR SALE\xc3",
@@ -98,29 +124,50 @@ var textCases = []string{
 	"<b\xff>Sponsored Listings</b>related searches:",
 	"ǅǈǋ ΣΑΣ Straße ß ẞ <x>hidden</x> shown",
 	"<<nested>> text>after < open",
+	"this domain is par\u212aed",
+	"the domain is parke",
+	"domain maY be for salE, domain is PARKED",
+	"Page you are LOOKING for",
+	"the page you are loo\u212aing for",
+	"404 NOT FOUND",
+	"no longer availabl",
+	"type=\"password",
 }
 
-// TestSoftTextMatchesReference: the parked and login tests of a body
-// lowered once, and the shingle similarity of two lowered bodies,
-// equal the reference tests that lower the raw bodies themselves.
+// TestSoftTextMatchesReference: the parked, login and soft-error tests
+// that match markers in place equal the reference tests that lower
+// the raw bodies themselves.
 func TestSoftTextMatchesReference(t *testing.T) {
 	for _, a := range textCases {
-		la := strings.ToLower(a)
-		if got, want := looksParked(la), looksParkedReference(a); got != want {
-			t.Errorf("looksParked(%q) = %v, reference %v", a, got, want)
+		if got, want := parkedMarkers.in(a), looksParkedReference(a); got != want {
+			t.Errorf("parked(%q) = %v, reference %v", a, got, want)
 		}
-		if got, want := LooksParked(a), looksParkedReference(a); got != want {
-			t.Errorf("LooksParked(%q) = %v, reference %v", a, got, want)
+		if got, want := LooksSoftError(a), looksSoftErrorReference(a); got != want {
+			t.Errorf("LooksSoftError(%q) = %v, reference %v", a, got, want)
 		}
-		if got, want := isLoginPage("http://x.simtest/p", la), isLoginPageReference("http://x.simtest/p", a); got != want {
+		if got, want := isLoginPage("http://x.simtest/p", a), isLoginPageReference("http://x.simtest/p", a); got != want {
 			t.Errorf("isLoginPage(%q) = %v, reference %v", a, got, want)
 		}
-		for _, b := range textCases {
-			if got, want := shingle.SimilarityLower(la, strings.ToLower(b)), shingle.Similarity(a, b); got != want {
-				t.Errorf("SimilarityLower(%q, %q) = %v, Similarity %v", a, b, got, want)
-			}
-		}
 	}
+}
+
+// FuzzMarkersDifferential: on arbitrary bodies, the in-place marker
+// tests equal the reference tests that lower a copy.
+func FuzzMarkersDifferential(f *testing.F) {
+	for _, a := range textCases {
+		f.Add(a)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		if got, want := LooksSoftError(body), looksSoftErrorReference(body); got != want {
+			t.Fatalf("LooksSoftError(%q) = %v, reference %v", body, got, want)
+		}
+		if got, want := parkedMarkers.in(body), looksParkedReference(body); got != want {
+			t.Fatalf("parked(%q) = %v, reference %v", body, got, want)
+		}
+		if got, want := loginMarkers.in(body), isLoginPageReference("http://x.simtest/p", body); got != want {
+			t.Fatalf("login(%q) = %v, reference %v", body, got, want)
+		}
+	})
 }
 
 // scriptedProbe answers the probe GET of a fuzzed Check: a 302 to

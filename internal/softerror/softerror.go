@@ -20,7 +20,10 @@ package softerror
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"permadead/internal/fetch"
 	"permadead/internal/hashx"
@@ -99,13 +102,9 @@ func (d *Detector) Check(ctx context.Context, url string, orig fetch.Result) Ver
 	probeURL := d.ProbeURLFor(url)
 	v := Verdict{ProbeURL: probeURL}
 
-	// Each body is lowered at most once: the parked, login and shingle
-	// tests all read the lowered copy.
-	origLower := strings.ToLower(orig.Body)
-
 	// Parked-domain boilerplate is a soft error regardless of probes
 	// (§3's znaci.net example).
-	if looksParked(origLower) {
+	if parkedMarkers.in(orig.Body) {
 		v.Broken = true
 		v.Reason = ReasonParkedContent
 		return v
@@ -117,16 +116,11 @@ func (d *Detector) Check(ctx context.Context, url string, orig fetch.Result) Ver
 		return v
 	}
 
-	sameTarget := orig.Redirected && probe.Redirected &&
-		urlutil.Normalize(orig.FinalURL) == urlutil.Normalize(probe.FinalURL)
-	var probeLower string
-	if sameTarget || probe.FinalStatus == 200 {
-		probeLower = strings.ToLower(probe.Body)
-	}
-
 	// Same final URL after redirections — unless it's a login page,
 	// which legitimately swallows all unauthenticated paths.
-	if sameTarget && !isLoginPage(probe.FinalURL, probeLower) {
+	if orig.Redirected && probe.Redirected &&
+		urlutil.Normalize(orig.FinalURL) == urlutil.Normalize(probe.FinalURL) &&
+		!isLoginPage(probe.FinalURL, probe.Body) {
 		v.Broken = true
 		v.Reason = ReasonSameRedirectTarget
 		return v
@@ -134,7 +128,7 @@ func (d *Detector) Check(ctx context.Context, url string, orig fetch.Result) Ver
 
 	// Near-identical content for u and the certainly-invalid u'.
 	if probe.FinalStatus == 200 {
-		v.Similarity = shingle.SimilarityLower(origLower, probeLower)
+		v.Similarity = shingle.Similarity(orig.Body, probe.Body)
 		if v.Similarity > d.SimilarityThreshold {
 			v.Broken = true
 			v.Reason = ReasonSimilarContent
@@ -171,56 +165,93 @@ func randomString(seedStr string, n int) string {
 	return string(b)
 }
 
-// isLoginPage reports whether a final URL and its body, already lowered
-// by strings.ToLower, look like a sign-in page: the exclusion the paper
-// applies to the shared-redirect-target test.
-func isLoginPage(finalURL, lowerBody string) bool {
+// isLoginPage reports whether a final URL and its body look like a
+// sign-in page: the exclusion the paper applies to the
+// shared-redirect-target test.
+func isLoginPage(finalURL, body string) bool {
 	lower := strings.ToLower(finalURL)
 	if strings.Contains(lower, "login") || strings.Contains(lower, "signin") ||
 		strings.Contains(lower, "sign-in") || strings.Contains(lower, "auth") {
 		return true
 	}
-	return strings.Contains(lowerBody, `type="password"`) || strings.Contains(lowerBody, "type='password'")
+	return loginMarkers.in(body)
 }
 
-// looksParked reports whether a body, already lowered by
-// strings.ToLower, matches domain-parking boilerplate (Vissers et al.,
-// NDSS 2015 catalogue the telltale phrases).
-func looksParked(lb string) bool {
-	for _, marker := range []string{
+// Body markers, lower-case ASCII. The parked ones are domain-parking
+// boilerplate (Vissers et al., NDSS 2015 catalogue the telltale
+// phrases); the error ones read like a "page not found" notice, the
+// content signature of a soft-404.
+var (
+	parkedPhrases = []string{
 		"domain may be for sale",
 		"buy this domain",
 		"is for sale",
 		"domain is parked",
 		"sponsored listings",
 		"related searches:",
-	} {
-		if strings.Contains(lb, marker) {
-			return true
-		}
 	}
-	return false
-}
-
-// LooksParked reports whether a response body matches domain-parking
-// boilerplate. Exposed for the study's snapshot-erroneousness check:
-// an archived copy with status 200 but a parked-domain body is not a
-// usable copy.
-func LooksParked(body string) bool { return looksParked(strings.ToLower(body)) }
-
-// LooksErrorBoilerplate reports whether a 200-status body reads like a
-// "page not found" notice — the content signature of a soft-404.
-func LooksErrorBoilerplate(body string) bool {
-	lb := strings.ToLower(body)
-	for _, marker := range []string{
+	errorPhrases = []string{
 		"could not find that page",
 		"page not found",
 		"page you are looking for",
 		"no longer available",
 		"404 not found",
-	} {
-		if strings.Contains(lb, marker) {
-			return true
+	}
+
+	parkedMarkers    = newMarkerSet(parkedPhrases...)
+	loginMarkers     = newMarkerSet(`type="password"`, "type='password'")
+	softErrorMarkers = newMarkerSet(slices.Concat(parkedPhrases, errorPhrases)...)
+)
+
+// LooksSoftError reports whether a 200-status body reads like
+// parked-domain or page-not-found boilerplate, in one read of the body.
+// The study's snapshot-erroneousness check uses it: an archived copy
+// with status 200 but such a body is not a usable copy.
+func LooksSoftError(body string) bool { return softErrorMarkers.in(body) }
+
+// markerSet matches up to 16 lower-case ASCII phrases as
+// strings.Contains(strings.ToLower(body), phrase) would, without a
+// lowered copy of an ASCII body. first and second have bit j at
+// phrases[j]'s first and second byte c and at c&^0x20 (its upper case
+// for a letter; EqualFold rules out the rest).
+type markerSet struct {
+	phrases       []string
+	first, second [256]uint16
+}
+
+func newMarkerSet(phrases ...string) *markerSet {
+	m := &markerSet{phrases: phrases}
+	for j, p := range phrases {
+		m.first[p[0]] |= 1 << j
+		m.first[p[0]&^0x20] |= 1 << j
+		m.second[p[1]] |= 1 << j
+		m.second[p[1]&^0x20] |= 1 << j
+	}
+	return m
+}
+
+// in reports whether body holds any of the phrases, A–Z folded. A hit
+// among ASCII bytes stands; lowering can turn a non-ASCII rune into
+// ASCII (U+212A KELVIN SIGN into 'k'), so a byte ≥ 0x80 sends the whole
+// body through strings.ToLower.
+func (m *markerSet) in(body string) bool {
+	for i := 0; i < len(body); i++ {
+		hits := m.first[body[i]]
+		switch {
+		case body[i] >= utf8.RuneSelf:
+			lower := strings.ToLower(body)
+			return slices.ContainsFunc(m.phrases, func(p string) bool { return strings.Contains(lower, p) })
+		case hits == 0:
+			continue
+		case i+1 < len(body):
+			hits &= m.second[body[i+1]]
+		}
+		for ; hits != 0; hits &= hits - 1 {
+			// p is ASCII and as long as the window, so EqualFold matches
+			// only ASCII bytes there, A–Z folded.
+			if p := m.phrases[bits.TrailingZeros16(hits)]; i+len(p) <= len(body) && strings.EqualFold(body[i:i+len(p)], p) {
+				return true
+			}
 		}
 	}
 	return false

@@ -181,10 +181,10 @@ func TestIsLoginPageHeuristics(t *testing.T) {
 }
 
 func TestExportedBodyHeuristics(t *testing.T) {
-	if !LooksParked("<p>This domain may be for sale.</p>") {
+	if !LooksSoftError("<p>This domain may be for sale.</p>") {
 		t.Error("parked boilerplate not detected")
 	}
-	if LooksParked("<p>an article about domain names</p>") {
+	if LooksSoftError("<p>an article about domain names</p>") {
 		t.Error("plain prose misdetected as parked")
 	}
 	for _, body := range []string{
@@ -193,11 +193,11 @@ func TestExportedBodyHeuristics(t *testing.T) {
 		"The page you are looking for has moved",
 		"this content is no longer available",
 	} {
-		if !LooksErrorBoilerplate(body) {
+		if !LooksSoftError(body) {
 			t.Errorf("boilerplate not detected: %q", body)
 		}
 	}
-	if LooksErrorBoilerplate("<p>a fine page about history</p>") {
+	if LooksSoftError("<p>a fine page about history</p>") {
 		t.Error("plain prose misdetected as boilerplate")
 	}
 }

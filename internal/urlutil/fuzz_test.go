@@ -138,6 +138,49 @@ func FuzzNormalizeDifferential(f *testing.F) {
 	})
 }
 
+// FuzzDirectoryDifferential holds Directory's cut-in-place early
+// return to the net/url body it skips: for any input, Directory and
+// ReplaceLastSegment equal what directoryParsed (the production
+// fallback) gives on its own.
+func FuzzDirectoryDifferential(f *testing.F) {
+	for _, s := range []string{
+		"http://a.com",
+		"http://a.com/",
+		"http://a.com/x",
+		"http://a.com/x/y.html",
+		"http://a.com//x/../y/./",
+		"http://a.com/x/y?q=/z/w",
+		"http://a.com/x?",
+		"http://a.com/x?a=b#c",
+		"http://a.com/x#f/g",
+		"HTTP://A.com/x/y",
+		"https://www.a-b.co.uk/A/b_c~d/e.html?x=%zz&y=\"<>\\^`{|}",
+		"http://a.com:80/x/y",
+		"http://u@a.com/x/y",
+		"http://a.com/a%2fb/c",
+		" http://a.com/x/y",
+		"http://a.com/x/y ",
+		"http:///x",
+		"https://-./",
+		"not a url/x/y",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want := directoryParsed(raw)
+		if got := Directory(raw); got != want {
+			t.Fatalf("Directory(%q) = %q, net/url form %q", raw, got, want)
+		}
+		wantSibling := ""
+		if want != "" {
+			wantSibling = want + "abc"
+		}
+		if got := ReplaceLastSegment(raw, "abc"); got != wantSibling {
+			t.Fatalf("ReplaceLastSegment(%q, \"abc\") = %q, net/url form %q", raw, got, wantSibling)
+		}
+	})
+}
+
 // FuzzEditDistance checks metric properties on arbitrary string pairs.
 func FuzzEditDistance(f *testing.F) {
 	f.Add("kitten", "sitting")

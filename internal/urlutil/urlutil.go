@@ -105,7 +105,19 @@ func DomainOfHost(host string) string {
 // and the §5.2 directory-level coverage analysis. Query string and
 // fragment are excluded. For a URL with an empty path the directory is
 // the host root ("http://host/").
+//
+// A URL in Normalize's form is cut in place, at the last '/' before
+// any query; anything else goes through net/url.
 func Directory(rawURL string) string {
+	if isNormalized(rawURL) {
+		path, _, _ := strings.Cut(rawURL, "?")
+		return rawURL[:strings.LastIndexByte(path, '/')+1]
+	}
+	return directoryParsed(rawURL)
+}
+
+// directoryParsed is Directory for arbitrary input.
+func directoryParsed(rawURL string) string {
 	u, err := url.Parse(strings.TrimSpace(rawURL))
 	if err != nil || u.Host == "" {
 		// Fall back to byte-level handling for unparseable URLs; the

@@ -16,17 +16,19 @@ import (
 // and our simulated articles containing user typos — are messy.
 func Parse(src string) *Document {
 	p := &parser{newScanner(src)}
-	return p.parseUntil(false)
+	doc, _ := p.parseUntil(false)
+	return doc
 }
 
 // parser builds a Document from the constructs the scanner yields.
 type parser struct{ scanner }
 
 // parseUntil consumes nodes until end of input or, inside a <ref>
-// body, until refClose, which is consumed as well. The prose between
-// two constructs, including any that failed to scan, is one Text node.
-func (p *parser) parseUntil(inRef bool) *Document {
-	doc := &Document{}
+// body, until refClose, which is consumed as well; closed reports
+// which. The prose between two constructs, including any that failed
+// to scan, is one Text node.
+func (p *parser) parseUntil(inRef bool) (doc *Document, closed bool) {
+	doc = &Document{}
 	for {
 		textStart := p.pos
 		t := p.next(inRef)
@@ -36,12 +38,15 @@ func (p *parser) parseUntil(inRef bool) *Document {
 		var n Node
 		switch t.kind {
 		case tokEnd:
-			return doc
+			return doc, t.start < p.pos // refClose was consumed
 		case tokComment:
 			n = &Comment{Value: t.a}
 		case tokRef:
-			name := refNameAttr(p.src[t.start:p.pos])
-			n = &Ref{Name: name, Body: p.parseUntil(true)}
+			ref := &Ref{Name: refNameAttr(p.src[t.start:p.pos])}
+			var closed bool
+			ref.Body, closed = p.parseUntil(true)
+			ref.Unclosed = !closed
+			n = ref
 		case tokRefSelf:
 			n = &Ref{Name: refNameAttr(p.src[t.start:p.pos])}
 		case tokTemplate:
@@ -152,10 +157,14 @@ func (w *WikiLink) CategoryName() string {
 }
 
 // Ref is a <ref>...</ref> footnote. Self-closing refs (<ref name=x/>)
-// have a nil Body.
+// have a nil Body. Unclosed marks a body that ran to the end of the
+// text without its refClose (the closer was taken by a nested ref);
+// it renders without one, so rendering adds no closer the source
+// lacked.
 type Ref struct {
-	Name string
-	Body *Document
+	Name     string
+	Body     *Document
+	Unclosed bool
 }
 
 func (r *Ref) render(b *strings.Builder) {
@@ -183,7 +192,9 @@ func (r *Ref) render(b *strings.Builder) {
 	}
 	b.WriteString(">")
 	b.WriteString(r.Body.Render())
-	b.WriteString("</ref>")
+	if !r.Unclosed {
+		b.WriteString("</ref>")
+	}
 }
 
 // Render serializes the document back to wikitext.
