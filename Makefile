@@ -25,16 +25,18 @@ test:
 
 # race also repeats the tests of the wiki's immutable articles, of its
 # per-revision link summaries read while edits run, of MineHistory's
-# memo, of Collect's fan-out, of LiveCheck's fan-out (each worker's GET
-# and soft-404 probe, and its cancellation) and of the fleet router
-# (its batch merge over owner streams among them) ten times, so a rare
-# interleaving gets
+# memo, of the lock-free first touches of a paged wiki's articles and
+# folds (TestMineHistoryConcurrentFirstTouch) and of a paged world's
+# sites (TestSiteDecodesEachHostOnce), of Collect's fan-out, of
+# LiveCheck's fan-out (each worker's GET and soft-404 probe, and its
+# cancellation) and of the fleet router (its batch merge over owner
+# streams among them) ten times, so a rare interleaving gets
 # more chances; and so the monitor's mutex and its settle loop (all of
 # ./internal/monitor, and the service's TestStream*,
 # TestSimEditMembership and TestRepairLoopEndToEnd).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestLiveCheck|TestMineHistory|TestFleet' ./internal/wikimedia ./internal/core ./internal/shard
+	$(GO) test -race -count=10 -run 'TestEditConcurrentWithReads|TestLinksConcurrentWithEdit|TestCollect|TestLiveCheck|TestMineHistory|TestSiteDecodesEachHostOnce|TestFleet' ./internal/wikimedia ./internal/core ./internal/simweb ./internal/shard
 	$(GO) test -race -count=10 ./internal/monitor
 	$(GO) test -race -count=10 -run 'TestStream|TestSimEditMembership|TestRepairLoopEndToEnd' ./internal/service
 

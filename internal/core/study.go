@@ -181,7 +181,10 @@ type LinkRecord struct {
 // Collect performs the §2.4 dataset construction: crawl the tracking
 // category, extract dead-tagged links, mine edit histories, keep the
 // IABot-marked ones, and sample. Returned records are in stable
-// (sampled) order.
+// (sampled) order. Articles are mined on the study's fan-out; on a
+// freshly opened paged wiki each worker's first touch of an article
+// and its fold are published without the wiki's write lock, so mining
+// uses every core.
 func (s *Study) Collect() []LinkRecord {
 	titles := s.Wiki.InCategory(iabot.Category)
 	if s.Config.RandomArticles {
@@ -207,11 +210,12 @@ func (s *Study) Collect() []LinkRecord {
 			if !ok || !h.MarkedDead.Valid() {
 				continue
 			}
+			host := urlutil.Hostname(url)
 			perTitle[i] = append(perTitle[i], LinkRecord{
 				URL:      url,
 				Article:  titles[i],
-				Host:     urlutil.Hostname(url),
-				Domain:   urlutil.Domain(url),
+				Host:     host,
+				Domain:   urlutil.DomainOfHost(host),
 				Added:    h.Added,
 				AddedBy:  h.AddedBy,
 				Marked:   h.MarkedDead,

@@ -2,6 +2,7 @@ package simweb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,13 +16,25 @@ import (
 // mutating methods (AddSite, AddPage) must not race with lookups.
 //
 // A world may be backed by a SiteSource (SetSource), in which case
-// sites materialize lazily on first lookup and the in-memory map only
-// ever holds the touched working set — the serving shape the paged
-// on-disk universe format uses.
+// sites materialize lazily on first lookup — the serving shape the
+// paged on-disk universe format uses. A source host's first touch
+// decodes it in the host's slot, outside the world's lock; callers
+// that touch the host meanwhile wait for that one decode.
 type World struct {
 	mu    sync.RWMutex
 	sites map[string]*Site
 	src   SiteSource
+	// hosts are the source's hostnames, sorted, and slots[i] is the
+	// load of hosts[i].
+	hosts []string
+	slots []siteLoad
+}
+
+// siteLoad is one source host's load: the first caller decodes the
+// site in once, and a caller arriving meanwhile waits there for it.
+type siteLoad struct {
+	once sync.Once
+	site *Site
 }
 
 // SiteSource lazily supplies sites from external storage (a paged
@@ -49,6 +62,8 @@ func (w *World) SetSource(src SiteSource) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.src = src
+	w.hosts = src.Hostnames()
+	w.slots = make([]siteLoad, len(w.hosts))
 }
 
 // AddSite creates and registers a site. It panics if the hostname is
@@ -67,9 +82,8 @@ func (w *World) AddSite(hostname string, created simclock.Day) *Site {
 }
 
 // Site returns the site for hostname, or nil when unknown. On a
-// source-backed world a miss faults the site in from the source; the
-// loaded instance is cached, so concurrent callers converge on one
-// *Site per hostname.
+// source-backed world a miss faults the site in from the source, once
+// per hostname: concurrent callers share one decode and one *Site.
 func (w *World) Site(hostname string) *Site {
 	hostname = strings.ToLower(hostname)
 	w.mu.RLock()
@@ -79,19 +93,13 @@ func (w *World) Site(hostname string) *Site {
 	if cached || src == nil {
 		return s
 	}
-	// Load outside the lock: source reads are concurrent-safe and may
-	// touch disk. The write lock only arbitrates which copy wins.
-	loaded := src.LoadSite(hostname)
-	if loaded == nil {
+	i, ok := slices.BinarySearch(w.hosts, hostname)
+	if !ok {
 		return nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if s, cached := w.sites[hostname]; cached {
-		return s
-	}
-	w.sites[hostname] = loaded
-	return loaded
+	l := &w.slots[i]
+	l.once.Do(func() { l.site = src.LoadSite(hostname) })
+	return l.site
 }
 
 // Sites returns the number of registered sites (the source's count on
@@ -108,13 +116,10 @@ func (w *World) Sites() int {
 // Hostnames returns all registered hostnames in sorted order.
 func (w *World) Hostnames() []string {
 	w.mu.RLock()
-	src := w.src
-	w.mu.RUnlock()
-	if src != nil {
-		return src.Hostnames()
-	}
-	w.mu.RLock()
 	defer w.mu.RUnlock()
+	if w.src != nil {
+		return slices.Clone(w.hosts)
+	}
 	hs := make([]string, 0, len(w.sites))
 	for h := range w.sites {
 		hs = append(hs, h)

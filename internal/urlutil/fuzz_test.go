@@ -7,7 +7,7 @@ import (
 
 // FuzzURLHelpers checks the URL toolkit's invariants on arbitrary
 // byte soup: no panics, Directory always ends in '/' (when non-empty),
-// and normalization is idempotent.
+// Domain is DomainOfHost of Hostname, and normalization is idempotent.
 func FuzzURLHelpers(f *testing.F) {
 	seeds := []string{
 		"http://example.com/a/b/c.html",
@@ -58,7 +58,10 @@ func FuzzURLHelpers(f *testing.F) {
 
 		// None of these may panic.
 		host := Hostname(raw)
-		_ = Domain(raw)
+		// Collect derives a record's domain from its host.
+		if d, dh := Domain(raw), DomainOfHost(host); d != dh {
+			t.Errorf("Domain(%q) = %q, DomainOfHost(Hostname) = %q", raw, d, dh)
+		}
 		dir := Directory(raw)
 		norm := Normalize(raw)
 		_ = SchemeAgnosticKey(raw)

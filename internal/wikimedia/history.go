@@ -2,6 +2,7 @@ package wikimedia
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"permadead/internal/simclock"
 )
@@ -66,11 +67,19 @@ func find(links []LinkHistory, url string) int {
 	return -1
 }
 
-// minedArticle is MineHistory's memo entry for one title: the fold of
-// art, valid while art is the title's published article.
-type minedArticle struct {
-	art  *Article
-	hist ArticleHistory
+// entry is one published article version and, once MineHistory has
+// folded it, its history. Each is set once; Edit publishes a new entry,
+// so a fold lives exactly as long as its version is the published one.
+type entry struct {
+	art  atomic.Pointer[Article]
+	hist atomic.Pointer[ArticleHistory]
+}
+
+// published returns a's entry, with no history folded.
+func published(a *Article) *entry {
+	e := new(entry)
+	e.art.Store(a)
+	return e
 }
 
 // MineHistory returns the titled article's ArticleHistory (mine's
@@ -78,27 +87,18 @@ type minedArticle struct {
 // result is kept until Create or Edit replaces the article. An unknown
 // title yields an empty history.
 func (w *Wiki) MineHistory(title string) ArticleHistory {
-	a := w.Article(title)
-	if a == nil {
+	e := w.lookup(title)
+	if e == nil {
 		return ArticleHistory{}
 	}
-	w.mu.RLock()
-	e, ok := w.mined[title]
-	w.mu.RUnlock()
-	if ok && e.art == a {
-		return e.hist
+	if h := e.hist.Load(); h != nil {
+		return *h
 	}
-	// Fold without the lock; keep the result only if no Create or Edit
-	// replaced a meanwhile, so the memo never holds a superseded version.
-	ah := mine(a, w)
-	w.mu.Lock()
-	if w.articles[title] == a {
-		if w.mined == nil {
-			w.mined = make(map[string]minedArticle)
-		}
-		w.mined[title] = minedArticle{art: a, hist: ah}
-	}
-	w.mu.Unlock()
+	// Fold without a lock. Racing folds of one version are equal and
+	// either may stay; one finishing after an Edit replaced its version
+	// is kept on an entry no lookup reaches any more.
+	ah := mine(e.art.Load(), w)
+	e.hist.CompareAndSwap(nil, &ah)
 	return ah
 }
 

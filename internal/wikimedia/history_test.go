@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -330,5 +331,105 @@ func TestMineHistoryMemo(t *testing.T) {
 	w.Create("Memo created", 1, "U", "[http://memo.simtest/created Created]")
 	if _, ok := check("Memo created").Link("http://memo.simtest/created"); !ok {
 		t.Error("after Create, MineHistory misses the created article's link")
+	}
+}
+
+// openSmallPaged saves smallUniverse as a paged bundle and opens a
+// fresh wiki over it, with nothing faulted in.
+func openSmallPaged(t *testing.T) *wikimedia.Wiki {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := persist.SavePaged(&buf, persist.FromUniverse(smallUniverse())); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "u.pd4")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := persist.OpenPaged(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b.Wiki
+}
+
+// TestMineHistoryConcurrentFirstTouch: on a freshly opened paged wiki,
+// 32 goroutines call Article and MineHistory for every category title
+// at once, in one order, so their first touches collide, while another
+// goroutine edits every tenth title. Every caller gets the one *Article
+// of an unedited title and a fold equal to the uncached one; of an
+// edited title, one of its two versions and that version's fold. After
+// the edits, MineHistory shows each.
+func TestMineHistoryConcurrentFirstTouch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a universe")
+	}
+	const callers = 32
+	w := openSmallPaged(t)
+	titles := w.InCategory(iabot.Category)
+	if len(titles) < 20 {
+		t.Fatalf("%d category articles, want at least 20", len(titles))
+	}
+	editURL := func(i int) string { return fmt.Sprintf("http://firsttouch.simtest/%d", i) }
+
+	arts := make([][]*wikimedia.Article, callers)
+	hists := make([][]wikimedia.ArticleHistory, callers)
+	begin := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range arts {
+		arts[g] = make([]*wikimedia.Article, len(titles))
+		hists[g] = make([]wikimedia.ArticleHistory, len(titles))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-begin
+			for i, title := range titles {
+				arts[g][i] = w.Article(title)
+				hists[g][i] = w.MineHistory(title)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-begin
+		for i := 0; i < len(titles); i += 10 {
+			cur := w.Article(titles[i]).Current()
+			text := cur.Text + "\n<ref>[" + editURL(i) + " New]{{dead link|date=May 2020}}</ref>"
+			if _, err := w.Edit(titles[i], cur.Day.Add(1), "U", "edit", text); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	close(begin)
+	wg.Wait()
+
+	for i, title := range titles {
+		edited := i%10 == 0
+		now := w.Article(title)
+		var old *wikimedia.Article // an edited title's first version
+		for g := range arts {
+			switch a := arts[g][i]; {
+			case a == now:
+			case edited && old == nil && len(a.Revisions) == len(now.Revisions)-1:
+				old = a
+			case a == nil || a != old:
+				t.Fatalf("caller %d: Article(%q) is neither of the title's versions", g, title)
+			}
+		}
+		folds := []wikimedia.ArticleHistory{wikimedia.Mine(now)}
+		if old != nil {
+			folds = append(folds, wikimedia.Mine(old))
+		}
+		for g := range hists {
+			if !slices.ContainsFunc(folds, func(f wikimedia.ArticleHistory) bool { return reflect.DeepEqual(f, hists[g][i]) }) {
+				t.Fatalf("caller %d: MineHistory(%q) equals the uncached fold of no version", g, title)
+			}
+		}
+		if h, ok := w.MineHistory(title).Link(editURL(i)); edited && (!ok || h.MarkedDead != now.Current().Day) {
+			t.Errorf("after the edits, MineHistory(%q).Link(%q) = %+v, %v; want marked on %v", title, editURL(i), h, ok, now.Current().Day)
+		}
 	}
 }

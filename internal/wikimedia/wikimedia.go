@@ -27,7 +27,7 @@ package wikimedia
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 
 	"permadead/internal/simclock"
@@ -97,12 +97,19 @@ type LinkEvent struct {
 // Wiki is the article store. Safe for concurrent use.
 //
 // A wiki may be backed by an ArticleSource (SetSource), in which case
-// articles materialize lazily on first lookup and the in-memory map
-// only ever holds the touched working set — the serving shape the
-// paged on-disk universe format uses.
+// articles materialize lazily on first lookup — the serving shape the
+// paged on-disk universe format uses. A source title's first load is
+// published into the title's slot with one compare-and-swap, outside
+// the wiki's lock, so a fan-out of first touches (Collect's) never
+// waits on a write lock; created and edited articles go to the
+// articles map under it and shadow the source.
 type Wiki struct {
-	mu        sync.RWMutex
-	articles  map[string]*Article
+	mu sync.RWMutex
+	// articles holds every article of an in-memory wiki; on a
+	// source-backed one, only those created or edited through the wiki
+	// (or held at SetSource): the articles whose category membership
+	// the source's stored index may no longer describe.
+	articles  map[string]*entry
 	nextRevID int
 	// listeners is copy-on-write: Subscribe replaces the slice under
 	// the write lock instead of appending in place, so an emitter
@@ -110,15 +117,10 @@ type Wiki struct {
 	// registration (Subscribe is safe mid-stream, while edits flow).
 	listeners []func(LinkEvent)
 	src       ArticleSource
-	// edited holds, on a source-backed wiki, every title created or
-	// edited through the wiki (and every title already in the map at
-	// SetSource): the articles whose category membership the source's
-	// stored index may no longer describe.
-	edited map[string]struct{}
-	// mined is MineHistory's memo: at most one entry per title, whose
-	// art is always the title's published article (storeLocked drops
-	// the entry of a title it republishes).
-	mined map[string]minedArticle
+	// titles are the source's titles, sorted, and slots[i] is the entry
+	// of titles[i]'s first load.
+	titles []string
+	slots  []entry
 
 	// links is Links's cache, one entry per revision ID, and
 	// linksSlab holds the entries; both are under linksMu, so that
@@ -150,7 +152,7 @@ type ArticleSource interface {
 
 // NewWiki returns an empty wiki.
 func NewWiki() *Wiki {
-	return &Wiki{articles: make(map[string]*Article), nextRevID: 1}
+	return &Wiki{articles: make(map[string]*entry), nextRevID: 1}
 }
 
 // SetSource backs the wiki with a lazy article source. Call it once,
@@ -161,29 +163,56 @@ func (w *Wiki) SetSource(src ArticleSource) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.src = src
-	w.edited = make(map[string]struct{}, len(w.articles))
-	for t := range w.articles {
-		w.edited[t] = struct{}{}
-	}
+	w.titles = src.Titles()
+	w.slots = make([]entry, len(w.titles))
 	if id := src.MaxRevID() + 1; id > w.nextRevID {
 		w.nextRevID = id
 	}
 }
 
 // lookupLocked returns the article for title, faulting it in from the
-// source if needed. Caller holds the write lock.
+// source if needed. Caller holds the lock.
 func (w *Wiki) lookupLocked(title string) *Article {
-	if a, ok := w.articles[title]; ok {
-		return a
+	e, ok := w.articles[title]
+	if !ok {
+		e = w.sourced(title)
 	}
-	if w.src == nil {
+	if e == nil {
 		return nil
 	}
-	if a := w.src.LoadArticle(title); a != nil {
-		w.articles[title] = a
-		return a
+	return e.art.Load()
+}
+
+// lookup returns the title's published entry, or nil.
+func (w *Wiki) lookup(title string) *entry {
+	w.mu.RLock()
+	e, ok := w.articles[title]
+	w.mu.RUnlock()
+	if ok {
+		return e
 	}
-	return nil
+	return w.sourced(title)
+}
+
+// sourced returns the slot of the source's title, or nil when the
+// source lacks it. The first touch loads the article without a lock
+// and publishes it into the slot with one compare-and-swap; a racing
+// loser drops its copy for the winner's, so concurrent callers
+// converge on one *Article per title.
+func (w *Wiki) sourced(title string) *entry {
+	i, ok := slices.BinarySearch(w.titles, title)
+	if !ok {
+		return nil
+	}
+	e := &w.slots[i]
+	if e.art.Load() == nil {
+		a := w.src.LoadArticle(title)
+		if a == nil {
+			return nil
+		}
+		e.art.CompareAndSwap(nil, a)
+	}
+	return e
 }
 
 // Subscribe registers a listener for link addition and removal events.
@@ -250,15 +279,10 @@ func (w *Wiki) Edit(title string, day simclock.Day, user, comment, text string) 
 	return a.Current(), nil
 }
 
-// storeLocked publishes a as its title's article, dropping the
-// title's mined history and recording the title as edited on a
-// source-backed wiki. Caller holds the write lock.
+// storeLocked publishes a as its title's article, in a new entry whose
+// history fold starts empty. Caller holds the write lock.
 func (w *Wiki) storeLocked(a *Article) {
-	w.articles[a.Title] = a
-	delete(w.mined, a.Title)
-	if w.src != nil {
-		w.edited[a.Title] = struct{}{}
-	}
+	w.articles[a.Title] = published(a)
 }
 
 // emitLinkDiff walks the external-URL sets of the previous revision
@@ -305,29 +329,13 @@ func (w *Wiki) emitLinkDiff(listeners []func(LinkEvent), title string, prevRev, 
 
 // Article returns the article with the given title, or nil. On a
 // source-backed wiki a miss faults the article in from the source; the
-// loaded instance is cached, so concurrent callers converge on one
+// loaded instance is kept, so concurrent callers converge on one
 // *Article per title until the next edit replaces it.
 func (w *Wiki) Article(title string) *Article {
-	w.mu.RLock()
-	a, cached := w.articles[title]
-	src := w.src
-	w.mu.RUnlock()
-	if cached || src == nil {
-		return a
+	if e := w.lookup(title); e != nil {
+		return e.art.Load()
 	}
-	// Load outside the lock: source reads are concurrent-safe and may
-	// touch disk. The write lock only arbitrates which copy wins.
-	loaded := src.LoadArticle(title)
-	if loaded == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if a, cached := w.articles[title]; cached {
-		return a
-	}
-	w.articles[title] = loaded
-	return loaded
+	return nil
 }
 
 // Len returns the number of articles (the source's count on a
@@ -346,18 +354,15 @@ func (w *Wiki) Len() int {
 // consumed them.
 func (w *Wiki) Titles() []string {
 	w.mu.RLock()
-	src := w.src
-	w.mu.RUnlock()
-	if src != nil {
-		return src.Titles()
-	}
-	w.mu.RLock()
 	defer w.mu.RUnlock()
+	if w.src != nil {
+		return slices.Clone(w.titles)
+	}
 	ts := make([]string, 0, len(w.articles))
 	for t := range w.articles {
 		ts = append(ts, t)
 	}
-	sort.Strings(ts)
+	slices.Sort(ts)
 	return ts
 }
 
@@ -370,7 +375,7 @@ func (w *Wiki) EachArticle(fn func(*Article)) {
 	src := w.src
 	w.mu.RUnlock()
 	if src != nil {
-		for _, t := range src.Titles() {
+		for _, t := range w.titles {
 			if a := w.Article(t); a != nil {
 				fn(a)
 			}
@@ -379,8 +384,8 @@ func (w *Wiki) EachArticle(fn func(*Article)) {
 	}
 	w.mu.RLock()
 	arts := make([]*Article, 0, len(w.articles))
-	for _, a := range w.articles {
-		arts = append(arts, a)
+	for _, e := range w.articles {
+		arts = append(arts, e.art.Load())
 	}
 	w.mu.RUnlock()
 	for _, a := range arts {
@@ -401,9 +406,9 @@ func (w *Wiki) InCategory(category string) []string {
 	src := w.src
 	var edited map[string]*Article
 	if src != nil {
-		edited = make(map[string]*Article, len(w.edited))
-		for t := range w.edited {
-			edited[t] = w.articles[t]
+		edited = make(map[string]*Article, len(w.articles))
+		for t, e := range w.articles {
+			edited[t] = e.art.Load()
 		}
 	}
 	w.mu.RUnlock()
@@ -427,7 +432,7 @@ func (w *Wiki) InCategory(category string) []string {
 			}
 		})
 	}
-	sort.Strings(titles)
+	slices.Sort(titles)
 	return titles
 }
 
@@ -448,13 +453,21 @@ func (w *Wiki) Clone() *Wiki {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	out := &Wiki{
-		articles:  make(map[string]*Article, len(w.articles)),
+		articles:  make(map[string]*entry, len(w.titles)+len(w.articles)),
 		nextRevID: w.nextRevID,
 	}
-	for title, a := range w.articles {
+	copyIn := func(a *Article) {
 		na := &Article{Title: a.Title, Revisions: make([]Revision, len(a.Revisions))}
 		copy(na.Revisions, a.Revisions)
-		out.articles[title] = na
+		out.articles[a.Title] = published(na)
+	}
+	for i := range w.slots {
+		if a := w.slots[i].art.Load(); a != nil {
+			copyIn(a)
+		}
+	}
+	for _, e := range w.articles { // shadowing the source's versions
+		copyIn(e.art.Load())
 	}
 	// A kept digest names its revision's text, and keptLinks checks
 	// it, so a revision ID the clone and the source later reuse for

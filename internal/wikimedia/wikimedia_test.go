@@ -118,8 +118,8 @@ func TestInCategoryRechecksArticlesHeldAtSetSource(t *testing.T) {
 // of edits (under -race this checks that Edit never writes a published
 // Article), an *Article fetched before the edits keeps the history it
 // had, MineHistory after each edit reflects that edit's revision even
-// while readers' folds of older versions finish, and an edit drops the
-// title's mined history.
+// while readers' folds of older versions finish, and an edit publishes
+// its version with no history folded.
 func TestEditConcurrentWithReads(t *testing.T) {
 	const title, edits = "Alpha", 200
 	w := NewWiki()
@@ -180,8 +180,8 @@ func TestEditConcurrentWithReads(t *testing.T) {
 	if _, err := w.Edit(title, d(2+edits), "U", "c", "prose"); err != nil {
 		t.Fatal(err)
 	}
-	if e, kept := w.mined[title]; kept {
-		t.Errorf("Edit kept the mined history of revision %d", e.art.Current().ID)
+	if w.articles[title].hist.Load() != nil {
+		t.Errorf("Edit published its version with a history already folded")
 	}
 }
 
