@@ -81,10 +81,11 @@ func BenchmarkGenerateUniverse(b *testing.B) {
 // TestGenerateAllocCeiling keeps the generator's allocation count from
 // rotting back: the same universe as BenchmarkGenerateUniverse took
 // 692 k allocations while every bot fetch rendered a page body and
-// built an http.Client timer, 330 k after that (PR 23), and 321 k now
-// that a status-only fetch closes its body unread (PR 24). The count
-// repeats to within ten from run to run, so the ceiling trips on a
-// regression, not on noise.
+// built an http.Client timer, 330 k once it did neither, 321 k once a
+// status-only fetch closed its body unread, 105.8 k while the
+// generator's bot client still armed a deadline per check, and 98.3 k
+// since it arms none. The count repeats to within ten from run to run,
+// so the ceiling trips on a regression, not on noise.
 func TestGenerateAllocCeiling(t *testing.T) {
 	const ceiling = 380_000
 	p := worldgen.DefaultParams().Scale(0.02)

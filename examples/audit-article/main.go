@@ -49,7 +49,7 @@ A follow-up piece covered the orbiter.<ref>{{cite web|url=http://www.mars-gazett
 `)
 
 	// --- IABot scans in 2018, after both pages died. ---
-	bot := iabot.New(wiki, arch, func(d simclock.Day) *fetch.Client {
+	bot := iabot.New(wiki, arch, func(d simclock.Day) fetch.Fetcher {
 		return fetch.New(simweb.NewTransport(world, d), fetch.WithMaxBody(0))
 	})
 	scanDay := simclock.FromDate(2018, 3, 1)

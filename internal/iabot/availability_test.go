@@ -41,7 +41,7 @@ func TestBotAgainstHTTPArchive(t *testing.T) {
 
 	run := func(source Availability) (string, Stats) {
 		world, wiki, arch := mk()
-		bot := New(wiki, arch, func(day simclock.Day) *fetch.Client {
+		bot := New(wiki, arch, func(day simclock.Day) fetch.Fetcher {
 			return fetch.New(simweb.NewTransport(world, day))
 		})
 		bot.Source = source

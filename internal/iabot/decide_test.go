@@ -25,7 +25,7 @@ func TestDecideThenApplyMatchesInPlaceScan(t *testing.T) {
 		t.Skip("generates a universe")
 	}
 	u := worldgen.Generate(worldgen.DefaultParams().Scale(0.05))
-	clients := func(day simclock.Day) *fetch.Client {
+	clients := func(day simclock.Day) fetch.Fetcher {
 		return fetch.New(simweb.NewTransport(u.World, day), fetch.WithMaxBody(0))
 	}
 	// wikiAsOf holds a's history as IABot's scan on day met it: every

@@ -45,9 +45,10 @@ const Category = "Articles with permanently dead external links"
 // that some lookups exceed it (§4.1).
 const DefaultAvailabilityTimeout = 2 * time.Second
 
-// ClientFactory builds a fetch client measuring the (simulated) live
-// web as of the given day.
-type ClientFactory func(day simclock.Day) *fetch.Client
+// ClientFactory builds the fetcher measuring the (simulated) live web
+// as of the given day: a *fetch.Client, a *fetch.Retrier, or one that
+// answers checks it has already made.
+type ClientFactory func(day simclock.Day) fetch.Fetcher
 
 // Bot is one IABot instance.
 type Bot struct {
@@ -119,7 +120,7 @@ func (b *Bot) Stats() Stats {
 // when the link needs a GET. The fetches, lookups and Stats happen
 // here; scanLinks applies the returned edit (the zero Edit keeps the
 // link as it is), setting its Link.
-func (b *Bot) maintainLink(ctx context.Context, client func() *fetch.Client, title string, cl wikimedia.CitedURL, day simclock.Day) wikitext.Edit {
+func (b *Bot) maintainLink(ctx context.Context, client func() fetch.Fetcher, title string, cl wikimedia.CitedURL, day simclock.Day) wikitext.Edit {
 	if cl.Dead {
 		if !b.RecheckDead {
 			b.count(func(s *Stats) { s.SkippedDead++ })
@@ -167,7 +168,7 @@ func (b *Bot) scanLinks(ctx context.Context, title, onlyURL string, day simclock
 	if art == nil {
 		return false, nil
 	}
-	client := sync.OnceValue(func() *fetch.Client { return b.NewClient(day) })
+	client := sync.OnceValue(func() fetch.Fetcher { return b.NewClient(day) })
 	cur := art.Current()
 	links := b.Wiki.Links(cur).Cited
 

@@ -27,7 +27,7 @@ func newFixture() *fixture {
 		wiki:  wikimedia.NewWiki(),
 		arch:  archive.New(),
 	}
-	f.bot = New(f.wiki, f.arch, func(day simclock.Day) *fetch.Client {
+	f.bot = New(f.wiki, f.arch, func(day simclock.Day) fetch.Fetcher {
 		return fetch.New(simweb.NewTransport(f.world, day))
 	})
 	return f
@@ -376,7 +376,7 @@ func TestClientBuiltOnlyWhenALinkNeedsAGET(t *testing.T) {
 	f := newFixture()
 	built := 0
 	inner := f.bot.NewClient
-	f.bot.NewClient = func(day simclock.Day) *fetch.Client { built++; return inner(day) }
+	f.bot.NewClient = func(day simclock.Day) fetch.Fetcher { built++; return inner(day) }
 	s := f.world.AddSite("ok.simtest", d(2008, 1, 1))
 	s.AddPage("/a.html", d(2008, 1, 1))
 	s.AddPage("/b.html", d(2008, 1, 1))

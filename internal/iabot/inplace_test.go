@@ -22,7 +22,7 @@ func (b *Bot) ScanInPlace(ctx context.Context, title, onlyURL string, day simclo
 	if art == nil {
 		return false, nil
 	}
-	client := sync.OnceValue(func() *fetch.Client { return b.NewClient(day) })
+	client := sync.OnceValue(func() fetch.Fetcher { return b.NewClient(day) })
 	text := art.Current().Text
 	links := b.Wiki.Links(art.Current()).Cited
 
@@ -54,7 +54,7 @@ func (b *Bot) ScanInPlace(ctx context.Context, title, onlyURL string, day simclo
 
 // maintainLinkInPlace is maintainLink deciding and editing in one
 // step: it applies its edit to link i of *text at once.
-func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() *fetch.Client, title string, text *string, i int, cl wikimedia.CitedURL, day simclock.Day) (changed, marked, patched bool) {
+func (b *Bot) maintainLinkInPlace(ctx context.Context, client func() fetch.Fetcher, title string, text *string, i int, cl wikimedia.CitedURL, day simclock.Day) (changed, marked, patched bool) {
 	edit := func(e wikitext.Edit) {
 		e.Link = i
 		*text = wikitext.Apply(*text, []wikitext.Edit{e})

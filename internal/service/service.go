@@ -356,7 +356,7 @@ func (s *Server) startMonitor(b *persist.Bundle, cfg Config) error {
 	feed.Attach(b.Wiki)
 	var repairer monitor.Repairer
 	if cfg.EnableRepair {
-		s.bot = iabot.New(b.Wiki, b.Archive, func(day simclock.Day) *fetch.Client {
+		s.bot = iabot.New(b.Wiki, b.Archive, func(day simclock.Day) fetch.Fetcher {
 			return b.Client(day, fetch.WithMaxBody(0))
 		})
 		repairer = s.bot

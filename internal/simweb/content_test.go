@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"permadead/internal/hashx"
@@ -103,6 +104,43 @@ func TestPageBodyMatchesReference(t *testing.T) {
 		if got := pageBodyLen(s, p); got != len(want) {
 			t.Fatalf("tuple %d (%q %q seed %d title %q): pageBodyLen = %d, len(reference) = %d",
 				i, s.Hostname, p.Path, s.Seed, p.Title, got, len(want))
+		}
+	}
+}
+
+// TestBodyLenConcurrentFirstCalls: goroutines that ask a fresh page's
+// length at once (the generator's check stage and its timeline loop
+// can) all get the reference length, and so does a later call answered
+// from the world's memo. Run it under -race.
+func TestBodyLenConcurrentFirstCalls(t *testing.T) {
+	const callers = 4
+	rng := rand.New(rand.NewSource(29))
+	w := NewWorld()
+	for i := 0; i < 200; i++ {
+		s := &Site{Hostname: "h" + randText(rng, 20) + ".simnews", Seed: rng.Uint64()}
+		p := &Page{Path: "/" + randText(rng, 30)}
+		if i%2 == 1 {
+			p.Title = randText(rng, 40)
+		}
+		want := len(refPageBody(s, p))
+		var start, done sync.WaitGroup
+		start.Add(1)
+		got := make([]int, callers)
+		for c := range got {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				got[c] = w.bodyLen(s, p)
+			}()
+		}
+		start.Done()
+		done.Wait()
+		got = append(got, w.bodyLen(s, p))
+		for c, n := range got {
+			if n != want {
+				t.Fatalf("page %d (%q %q): caller %d got length %d, reference %d", i, s.Hostname, p.Path, c, n, want)
+			}
 		}
 	}
 }

@@ -100,7 +100,11 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &timeoutError{addr: dialAddr(req)}
 	}
 
-	return buildResponse(req, res, &lazyBody{site: site, page: page, rest: res.Body}), nil
+	body := &lazyBody{site: site, page: page, rest: res.Body}
+	if page != nil {
+		body.size = t.World.bodyLen(site, page)
+	}
+	return buildResponse(req, res, body), nil
 }
 
 // lazyBody is every simulated response's body. A live page renders on
@@ -155,8 +159,7 @@ func buildResponse(req *http.Request, res Result, body *lazyBody) *http.Response
 	// the GET entity's Content-Length and an empty body.
 	n := len(body.rest)
 	if body.page != nil {
-		n = pageBodyLen(body.site, body.page)
-		body.size = n
+		n = body.size
 	}
 	ct := res.ContentType
 	if ct == "" {

@@ -28,6 +28,10 @@ type World struct {
 	// load of hosts[i].
 	hosts []string
 	slots []siteLoad
+	// bodyLens memoises pageBodyLen per served page (*Page → int). It
+	// lives here rather than on Page so that a page's value never
+	// depends on whether it has been served.
+	bodyLens sync.Map
 }
 
 // siteLoad is one source host's load: the first caller decodes the
@@ -100,6 +104,19 @@ func (w *World) Site(hostname string) *Site {
 	l := &w.slots[i]
 	l.once.Do(func() { l.site = src.LoadSite(hostname) })
 	return l.site
+}
+
+// bodyLen is pageBodyLen(s, p), measured on the page's first 200 and
+// kept: every 200 the transport answers states Content-Length, a
+// status-only check's included. Racing first callers store the same
+// length.
+func (w *World) bodyLen(s *Site, p *Page) int {
+	if n, ok := w.bodyLens.Load(p); ok {
+		return n.(int)
+	}
+	n := pageBodyLen(s, p)
+	w.bodyLens.Store(p, n)
+	return n
 }
 
 // Sites returns the number of registered sites (the source's count on

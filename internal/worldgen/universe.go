@@ -66,10 +66,8 @@ func Generate(p Params) *Universe {
 
 	plantArchiveState(plan, rng, crawler, arch)
 
-	bot := iabot.New(wiki, arch, func(day simclock.Day) *fetch.Client {
-		// The bot reads FinalStatus only (§2.1); with no body retained
-		// the simulated transport never renders one.
-		return fetch.New(simweb.NewTransport(world, day), fetch.WithMaxBody(0))
+	bot := iabot.New(wiki, arch, func(day simclock.Day) fetch.Fetcher {
+		return botClient(world, day)
 	})
 
 	u := &Universe{
@@ -78,6 +76,8 @@ func Generate(p Params) *Universe {
 	}
 	progress("running timeline", 0, 0)
 	u.runTimeline(rng, progress)
+	// runTimeline has joined its check stage: the world is written
+	// from here on.
 	progress("planting post-run state", 0, 0)
 	u.plantPostRunState(rng, crawler)
 	// History is complete: freeze the archive so the study's CDX reads
@@ -126,13 +126,30 @@ type event struct {
 	article string
 	// linkIdx / bgIdx identify the link for add/mark events (-1 unused).
 	linkIdx, bgIdx int
+	// seq is the event's index as planned, the last key of its order.
+	seq int
 }
 
-// runTimeline executes the universe's history in day order: article
-// creations, link additions, manual dead-tags, and IABot scans.
-func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) {
-	pl := u.Plan
+// timeline lists the plan's events in execution order: by day, then
+// kind, then as planned. The key is total, so an unstable sort gives
+// the order a stable sort by (day, kind) would.
+func timeline(pl *Plan) []event {
+	events := plannedEvents(pl)
+	slices.SortFunc(events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.day, b.day), cmp.Compare(a.kind, b.kind), cmp.Compare(a.seq, b.seq))
+	})
+	return events
+}
+
+// plannedEvents lists the plan's events unsorted, each numbered by
+// seq: article creations, link additions and IABot scans article by
+// article, then manual dead-tags.
+func plannedEvents(pl *Plan) []event {
 	var events []event
+	add := func(ev event) {
+		ev.seq = len(events)
+		events = append(events, ev)
+	}
 
 	for _, ap := range pl.Articles {
 		// Order the article's links by posting day; the first one is
@@ -151,26 +168,35 @@ func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) 
 		}
 		slices.SortStableFunc(refs, func(a, b linkRef) int { return cmp.Compare(a.day, b.day) })
 
-		events = append(events, event{day: refs[0].day, kind: evCreate,
+		add(event{day: refs[0].day, kind: evCreate,
 			article: ap.Title, linkIdx: refs[0].linkIdx, bgIdx: refs[0].bgIdx})
 		for _, r := range refs[1:] {
-			events = append(events, event{day: r.day, kind: evAddLink,
+			add(event{day: r.day, kind: evAddLink,
 				article: ap.Title, linkIdx: r.linkIdx, bgIdx: r.bgIdx})
 		}
 		for _, day := range ScanDays(pl.Params, ap.Title, refs[0].day) {
-			events = append(events, event{day: day, kind: evBotScan, article: ap.Title, linkIdx: -1, bgIdx: -1})
+			add(event{day: day, kind: evBotScan, article: ap.Title, linkIdx: -1, bgIdx: -1})
 		}
 	}
 	for bi, bg := range pl.Background {
 		if bg.Kind == BgUserMarked && bg.UserMarkDay.Valid() {
-			events = append(events, event{day: bg.UserMarkDay, kind: evUserMark,
+			add(event{day: bg.UserMarkDay, kind: evUserMark,
 				article: bg.Article, linkIdx: -1, bgIdx: bi})
 		}
 	}
+	return events
+}
 
-	slices.SortStableFunc(events, func(a, b event) int {
-		return cmp.Or(cmp.Compare(a.day, b.day), cmp.Compare(a.kind, b.kind))
-	})
+// runTimeline executes the universe's history in day order: article
+// creations, link additions, manual dead-tags, and IABot scans. The
+// scans' GETs are made ahead by the run-ahead stage (runahead.go),
+// which is joined, and the bot's factory restored, before it returns.
+func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) {
+	pl := u.Plan
+	events := timeline(pl)
+	stage := startRunAhead(u.World, pl, events)
+	plain := u.Bot.NewClient
+	u.Bot.NewClient = stage.client
 
 	ctx := context.Background()
 	step := len(events)/20 + 1
@@ -186,9 +212,12 @@ func (u *Universe) runTimeline(rng *rand.Rand, progress func(string, int, int)) 
 		case evUserMark:
 			u.userMark(ev)
 		case evBotScan:
+			stage.next(ev.day)
 			u.Bot.ScanArticle(ctx, ev.article, ev.day) //nolint:errcheck
 		}
 	}
+	stage.join()
+	u.Bot.NewClient = plain
 
 	// Verify every destined link was marked by IABot.
 	for _, lp := range pl.Links {
@@ -221,18 +250,22 @@ func (u *Universe) addLink(rng *rand.Rand, ev event) {
 	u.Wiki.Edit(ev.article, ev.day, username(rng), "Adding a reference", text) //nolint:errcheck
 }
 
-// linkMarkup renders a link's citation in its planned style.
-func (u *Universe) linkMarkup(rng *rand.Rand, linkIdx, bgIdx int) string {
-	var url string
-	var style LinkStyle
+// citation is the URL and style of a planned link or background link;
+// ok is false when both indexes are -1.
+func (pl *Plan) citation(linkIdx, bgIdx int) (url string, style LinkStyle, ok bool) {
 	switch {
 	case linkIdx >= 0:
-		url = u.Plan.Links[linkIdx].URL
-		style = u.Plan.Links[linkIdx].Style
+		return pl.Links[linkIdx].URL, pl.Links[linkIdx].Style, true
 	case bgIdx >= 0:
-		url = u.Plan.Background[bgIdx].URL
-		style = u.Plan.Background[bgIdx].Style
-	default:
+		return pl.Background[bgIdx].URL, pl.Background[bgIdx].Style, true
+	}
+	return "", 0, false
+}
+
+// linkMarkup renders a link's citation in its planned style.
+func (u *Universe) linkMarkup(rng *rand.Rand, linkIdx, bgIdx int) string {
+	url, style, ok := u.Plan.citation(linkIdx, bgIdx)
+	if !ok {
 		return ""
 	}
 	title := citeTitle(rng)
